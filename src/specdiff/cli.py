@@ -192,7 +192,7 @@ _SCHEMA = {
         "seed": (int, None),
         "oracle_mode": (bool, False),
         "log_interval": (int, 50),
-        "chunk_size": (int, 16),
+        "chunk_size": (int, None),  # unset: the whole batch on one tape
         "threads": (int, 1),
         "loss": (dict, {}),
     },
@@ -388,7 +388,9 @@ def build_model(cfg: dict, n: int) -> Denoiser:
 
 
 def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConfig:
+    """The loop's config; an unset ``chunk_size`` resolves to ``batch_size``."""
     t = cfg["train"]
+    chunk = t["batch_size"] if t["chunk_size"] is None else t["chunk_size"]
     loss = t["loss"]
     loss_cfg = LossConfig(gamma=loss["gamma"], lam=loss["lambda"],
                           lam_coef=loss["lambda_coef"],
@@ -398,7 +400,7 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
                        learning_rate=t["learning_rate"],
                        seed=t["seed"] if seed_override is None else seed_override,
                        loss=loss_cfg, oracle_mode=t["oracle_mode"],
-                       log_interval=t["log_interval"], chunk_size=t["chunk_size"],
+                       log_interval=t["log_interval"], chunk_size=chunk,
                        threads=t["threads"])
 
 
@@ -413,6 +415,24 @@ def _vt_from_descriptor(desc: dict):
         return PermutationTransform(desc["perm"])
     raise FormatError(f"transform kind {desc['kind']!r} cannot be rebuilt "
                       "from its descriptor")
+
+
+def _json_header(raw: bytes, path, required: tuple) -> dict:
+    """Decode a JSON object header; any malformation is a ``FormatError``."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    missing = [key for key in required if key not in header]
+    if missing:
+        raise FormatError(f"{path}: header lacks {missing}")
+    return header
+
+
+def _schedule_digest(schedule: dict) -> str:
+    return hashlib.sha256(json.dumps(schedule, sort_keys=True).encode()).hexdigest()
 
 
 # -- checkpoints -----------------------------------------------------------------
@@ -439,8 +459,7 @@ class Checkpoint:
             "step_count": self.step_count,
             "config_digest": self.config_digest,
             "schedule": self.schedule,
-            "schedule_digest": hashlib.sha256(
-                json.dumps(self.schedule, sort_keys=True).encode()).hexdigest(),
+            "schedule_digest": _schedule_digest(self.schedule),
             "vt": self.vt_descriptor,
             "param_count": int(self.params.size),
         }
@@ -472,6 +491,10 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(ckpt.ema_params.astype("<f8").tobytes())
 
 
+_CHECKPOINT_KEYS = ("arch", "step_count", "config_digest", "schedule",
+                    "schedule_digest", "vt", "param_count")
+
+
 def load_checkpoint(path, expect_config_digest: str | None = None) -> Checkpoint:
     raw = Path(path).read_bytes()
     if len(raw) < 24 or raw[:16] != CHECKPOINT_MAGIC:
@@ -479,9 +502,15 @@ def load_checkpoint(path, expect_config_digest: str | None = None) -> Checkpoint
     version, header_len = struct.unpack_from("<II", raw, 16)
     if version > FORMAT_VERSION:
         raise FormatError(f"{path}: format version {version} is newer than supported")
-    header = json.loads(raw[24:24 + header_len].decode("utf-8"))
-    count = header["param_count"]
     offset = 24 + header_len
+    if len(raw) < offset:
+        raise FormatError(f"{path}: truncated header")
+    header = _json_header(raw[24:offset], path, _CHECKPOINT_KEYS)
+    count = header["param_count"]
+    if type(count) is not int or count < 0:
+        raise FormatError(f"{path}: param_count must be a non-negative integer")
+    if header["schedule_digest"] != _schedule_digest(header["schedule"]):
+        raise FormatError(f"{path}: schedule digest mismatch")
     if len(raw) != offset + 16 * count:
         raise FormatError(f"{path}: parameter payload size mismatch")
     params = np.frombuffer(raw, dtype="<f8", offset=offset, count=count).copy()
@@ -535,11 +564,20 @@ def cmd_gen_data(cfg: dict, out: str | None = None,
 
 
 def _load_dataset_dir(path: Path):
-    meta = json.loads((path / "dataset.json").read_text(encoding="utf-8"))
+    meta = _json_header((path / "dataset.json").read_bytes(), path / "dataset.json",
+                        ("format_version", "n", "sigma0", "s_const", "vt"))
     if meta["format_version"] > FORMAT_VERSION:
         raise FormatError("dataset format is newer than supported")
     ybar = read_tensor_file(path / "ybar.bin")
-    masks = read_tensor_file(path / "masks.bin").astype(bool)
+    masks = read_tensor_file(path / "masks.bin")
+    if ybar.ndim != 2 or ybar.shape != masks.shape:
+        raise FormatError(f"{path}: ybar {ybar.shape} and masks {masks.shape} "
+                          "must be equal-shaped 2-D arrays")
+    if not np.all((masks == 0.0) | (masks == 1.0)):
+        raise FormatError(f"{path}: mask values must be exactly 0.0 or 1.0")
+    masks = masks == 1.0
+    if np.any(ybar[~masks] != 0.0):
+        raise FormatError(f"{path}: ybar is non-zero at unobserved entries")
     clean_path = path / "clean.bin"
     clean = read_tensor_file(clean_path) if clean_path.exists() else None
     return meta, ybar, masks, clean

@@ -92,11 +92,6 @@ class DiffusionSchedule:
         t = np.asarray(t)
         return np.where(t > 1, self.alpha_bars[np.maximum(t - 2, 0)], 1.0)[()]
 
-    def with_feasibility(self, deg: SpectralDegradation) -> "DiffusionSchedule":
-        """Copy of the schedule carrying the degradation's minimal feasible t."""
-        t_min = check_psd_feasibility(self, deg)
-        return dataclasses.replace(self, t_min_valid=t_min)
-
     def _check_t(self, t) -> None:
         t = np.asarray(t)
         if np.any(t < 1) or np.any(t > self.T):

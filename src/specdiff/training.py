@@ -2,10 +2,13 @@
 
 The whole trajectory is a pure function of (config, data): every random draw
 comes from a generator derived from the config seed and a structural key
-(step index, purpose, chunk index), and batches are evaluated in fixed-size
-chunks whose gradients are reduced in chunk order. Chunks may be evaluated by
-a thread pool; because the chunking is a function of the batch size alone and
-the reduction order is fixed, results are bit-identical across thread counts.
+(step index, purpose, chunk index). By default a step evaluates the whole
+batch on one tape. An explicit ``chunk_size`` caps the rows per tape instead:
+the batch is cut into fixed-size chunks whose gradients are reduced in chunk
+order, and the chunks may be evaluated by a thread pool. Because the chunking
+is a function of the batch and chunk sizes alone and the reduction order is
+fixed, results are bit-identical across thread counts, and the default is
+bit-identical to ``chunk_size = batch_size``.
 """
 
 from __future__ import annotations
@@ -88,7 +91,12 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 @dataclass(frozen=True)
 class TrainConfig:
     """Training-loop hyperparameters. The seed is mandatory: there is no
-    entropy-source fallback anywhere in the loop."""
+    entropy-source fallback anywhere in the loop.
+
+    ``chunk_size`` is an optional cap on the rows evaluated per tape; unset
+    (``None``), each step evaluates the whole batch on one tape. ``threads``
+    only matters when a step has more than one chunk.
+    """
 
     iterations: int
     batch_size: int
@@ -100,14 +108,16 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     log_interval: int = 50
-    chunk_size: int = 16
+    chunk_size: int | None = None
     threads: int = 1
 
     def __post_init__(self):
         if self.iterations < 0 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ValueError("iterations >= 0, batch_size >= 1, learning_rate > 0")
-        if self.chunk_size < 1 or self.threads < 1 or self.log_interval < 1:
-            raise ValueError("chunk_size, threads and log_interval must be >= 1")
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1 when set")
+        if self.threads < 1 or self.log_interval < 1:
+            raise ValueError("threads and log_interval must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -295,9 +305,11 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
     t_min = t_min_for_noise_var(schedule, data.worst_noise_var())
     state = AdamState.for_params(model.params)
     metrics: list[MetricsRow] = []
-    bounds = _chunk_bounds(cfg.batch_size, cfg.chunk_size)
+    # resolved here, not at construction, so dataclasses.replace(cfg,
+    # batch_size=...) on an unset chunk still means "whole batch"
+    bounds = _chunk_bounds(cfg.batch_size, cfg.chunk_size or cfg.batch_size)
     pool = None
-    if cfg.threads > 1:
+    if cfg.threads > 1 and len(bounds) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=cfg.threads)

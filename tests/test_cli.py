@@ -1,14 +1,19 @@
 """File formats, config validation, checkpoints, and subcommands."""
 
+import hashlib
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specdiff.cli import (
+    CHECKPOINT_MAGIC,
     Checkpoint,
     ConfigError,
     FormatError,
+    build_train_config,
     cmd_eval,
     cmd_gen_data,
     cmd_inspect,
@@ -18,6 +23,7 @@ from specdiff.cli import (
     config_digest,
     generate_signals,
     load_checkpoint,
+    load_config,
     main,
     read_tensor_file,
     save_checkpoint,
@@ -112,6 +118,15 @@ class TestConfig:
             validate_config({"data": {"kind": "spirals", "count": 1, "seed": 0},
                              "train": {"seed": 0}})
 
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
+        ids=lambda p: p.name)
+    def test_presets_train_the_whole_batch_on_one_tape(self, path):
+        cfg = load_config(path)
+        assert cfg["train"]["chunk_size"] is None
+        chunk = build_train_config(cfg).chunk_size
+        assert type(chunk) is int and chunk == cfg["train"]["batch_size"]
+
 
 class TestSignals:
     def test_two_deltas_values(self):
@@ -179,6 +194,105 @@ class TestCheckpoints:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def write_raw(self, path, header: bytes, payload_count: int = 10):
+        """A checkpoint file around ``header`` verbatim, with the sample payload."""
+        ckpt = self.make()
+        with open(path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", 1, len(header)))
+            fh.write(header)
+            fh.write(ckpt.params[:payload_count].tobytes())
+            fh.write(ckpt.ema_params[:payload_count].tobytes())
+
+    def header_bytes(self, **changes) -> bytes:
+        return json.dumps({**self.make().header(), **changes}, sort_keys=True).encode()
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, self.make())
+        raw = path.read_bytes()
+        header_len = struct.unpack_from("<I", raw, 20)[0]
+        for cut in (24 + header_len // 2, 30):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [b'{"arch": ', b"\xff\xfe\x00garbled",
+                                        b"[1, 2, 3]"], ids=["json", "utf8", "list"])
+    def test_garbled_header_rejected(self, tmp_path, header):
+        path = tmp_path / "c.bin"
+        self.write_raw(path, header)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["param_count", "arch", "schedule"])
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        path = tmp_path / "c.bin"
+        header = json.loads(self.header_bytes())
+        del header[key]
+        self.write_raw(path, json.dumps(header).encode())
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_bad_param_count_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        self.write_raw(path, self.header_bytes(param_count="10"))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_schedule_digest_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        tampered = {"T": 10, "beta1": 1e-4, "betaT": 0.3, "t_min_valid": 1}
+        self.write_raw(path, self.header_bytes(schedule=tampered))
+        with pytest.raises(FormatError, match="schedule digest"):
+            load_checkpoint(path)
+        # the same schedule with its own digest loads
+        digest = hashlib.sha256(json.dumps(tampered, sort_keys=True).encode()).hexdigest()
+        self.write_raw(path, self.header_bytes(schedule=tampered, schedule_digest=digest))
+        assert load_checkpoint(path).schedule == tampered
+
+
+class TestDatasetDirectory:
+    @pytest.fixture
+    def data_cfg(self, tmp_path):
+        cfg = two_deltas_config(tmp_path, iterations=1)
+        cfg["io"]["data_dir"] = str(cmd_gen_data(cfg, tmp_path / "data"))
+        return cfg
+
+    def test_valid_directory_trains(self, data_cfg, tmp_path):
+        out = cmd_train(data_cfg, tmp_path / "run")
+        assert load_checkpoint(out / "checkpoint.bin").step_count == 1
+
+    def rewrite(self, cfg, name, arr):
+        write_tensor_file(Path(cfg["io"]["data_dir"]) / name, arr)
+
+    def test_fractional_mask_rejected(self, data_cfg, tmp_path):
+        masks = read_tensor_file(Path(data_cfg["io"]["data_dir"]) / "masks.bin")
+        masks[0, 0] = 0.5
+        self.rewrite(data_cfg, "masks.bin", masks)
+        with pytest.raises(FormatError, match="0.0 or 1.0"):
+            cmd_train(data_cfg, tmp_path / "run")
+
+    def test_shape_mismatch_rejected(self, data_cfg, tmp_path):
+        masks = read_tensor_file(Path(data_cfg["io"]["data_dir"]) / "masks.bin")
+        self.rewrite(data_cfg, "masks.bin", masks[:-1])
+        with pytest.raises(FormatError, match="equal-shaped"):
+            cmd_train(data_cfg, tmp_path / "run")
+
+    def test_nonzero_ybar_at_unobserved_entry_rejected(self, data_cfg, tmp_path):
+        data_dir = Path(data_cfg["io"]["data_dir"])
+        ybar = read_tensor_file(data_dir / "ybar.bin")
+        masks = read_tensor_file(data_dir / "masks.bin")
+        ybar[masks == 0.0] = 0.25
+        self.rewrite(data_cfg, "ybar.bin", ybar)
+        with pytest.raises(FormatError, match="unobserved"):
+            cmd_train(data_cfg, tmp_path / "run")
+
+    def test_garbled_sidecar_rejected(self, data_cfg, tmp_path):
+        (Path(data_cfg["io"]["data_dir"]) / "dataset.json").write_text('{"n": 2')
+        with pytest.raises(FormatError):
+            cmd_train(data_cfg, tmp_path / "run")
 
 
 class TestCommands:

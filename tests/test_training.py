@@ -1,9 +1,11 @@
 """Adam, dataset precompute, and the deterministic training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from specdiff.diffusion import linear_schedule
+from specdiff.diffusion import linear_schedule, t_min_for_noise_var
 from specdiff.losses import LossConfig
 from specdiff.model import Denoiser
 from specdiff.operators import (
@@ -20,7 +22,9 @@ from specdiff.training import (
     PrecomputedDataset,
     TrainConfig,
     TrainingDiverged,
+    _evaluate_chunk,
     adam_step,
+    derived_rng,
     merge_datasets,
     precompute,
     precompute_measurements,
@@ -36,6 +40,34 @@ def two_deltas_signals(count, rng):
 def coordinate_mask_family(sigma0):
     """Masks dropping one of the two coordinates with equal probability."""
     return DegradationFamily(IdentityTransform(2), SingleDropMasks(2), sigma0)
+
+
+def chunked_reference(model, cfg, data, schedule):
+    """The chunked step spelled out: chunk ``ci`` of step ``s`` draws from
+    ``derived_rng(seed, s, 2 + ci)`` and chunk means are reduced in chunk order.
+    Returns the per-step (loss, divergence term, grad norm)."""
+    t_min = t_min_for_noise_var(schedule, data.worst_noise_var())
+    state = AdamState.for_params(model.params)
+    rows = []
+    for step in range(1, cfg.iterations + 1):
+        idx = derived_rng(cfg.seed, step, 0).integers(0, len(data), size=cfg.batch_size)
+        t_vec = derived_rng(cfg.seed, step, 1).integers(t_min, schedule.T + 1,
+                                                        size=cfg.batch_size)
+        loss, div, grads = 0.0, 0.0, np.zeros_like(model.params)
+        for ci, lo in enumerate(range(0, cfg.batch_size, cfg.chunk_size)):
+            hi = min(lo + cfg.chunk_size, cfg.batch_size)
+            c_loss, c_div, c_grads = _evaluate_chunk(
+                model, cfg, data, schedule, idx[lo:hi], t_vec[lo:hi],
+                derived_rng(cfg.seed, step, 2 + ci))
+            frac = (hi - lo) / cfg.batch_size
+            loss += frac * c_loss
+            div += frac * c_div
+            grads += frac * c_grads
+        adam_step(model.params, grads, state, cfg.learning_rate,
+                  cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        model.ema_update()
+        rows.append((loss, div, float(np.linalg.norm(grads))))
+    return rows
 
 
 class TestAdam:
@@ -151,6 +183,44 @@ class TestTrainLoop:
             assert np.array_equal(outs[0].model.params, other.model.params)
             assert np.array_equal(outs[0].model.ema_params, other.model.ema_params)
             assert outs[0].metrics == other.metrics
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_default_is_one_chunk_of_the_whole_batch(self, oracle):
+        # an unset chunk_size resolves at use, so replace(batch_size=...) keeps
+        # meaning "whole batch"; its bytes equal an explicit chunk_size = batch
+        data, schedule = self.setup_problem()
+        base = TrainConfig(iterations=12, batch_size=8, learning_rate=1e-3,
+                           seed=17, oracle_mode=oracle, log_interval=4)
+        default = train(self.make_model(seed=6),
+                        dataclasses.replace(base, batch_size=12), data, schedule)
+        explicit = train(self.make_model(seed=6),
+                         dataclasses.replace(base, batch_size=12, chunk_size=12),
+                         data, schedule)
+        assert default.model.params.tobytes() == explicit.model.params.tobytes()
+        assert default.model.ema_params.tobytes() == explicit.model.ema_params.tobytes()
+        assert default.metrics == explicit.metrics
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_explicit_chunk_keeps_chunked_bytes(self, oracle):
+        data, schedule = self.setup_problem()
+        cfg = TrainConfig(iterations=6, batch_size=12, learning_rate=1e-3, seed=19,
+                          oracle_mode=oracle, chunk_size=5, log_interval=1)
+        chunked = train(self.make_model(seed=7), cfg, data, schedule)
+        ref_model = self.make_model(seed=7)
+        ref_rows = chunked_reference(ref_model, cfg, data, schedule)
+        assert chunked.model.params.tobytes() == ref_model.params.tobytes()
+        assert chunked.model.ema_params.tobytes() == ref_model.ema_params.tobytes()
+        assert [(r.loss, r.divergence_term, r.grad_norm)
+                for r in chunked.metrics] == ref_rows
+        # and the cap is real: one tape per step gives other bytes
+        whole = train(self.make_model(seed=7),
+                      dataclasses.replace(cfg, chunk_size=None), data, schedule)
+        assert whole.model.params.tobytes() != chunked.model.params.tobytes()
+
+    def test_chunk_size_must_be_positive_when_set(self):
+        with pytest.raises(ValueError):
+            TrainConfig(iterations=1, batch_size=4, learning_rate=1e-3, seed=0,
+                        chunk_size=0)
 
     def test_oracle_mode_requires_clean_data(self):
         data, schedule = self.setup_problem()
