@@ -26,12 +26,9 @@ from one thread at a time, and parallelize across independent graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "DualTensor",
     "Graph",
     "GraphStateError",
     "NonFiniteError",
@@ -40,7 +37,6 @@ __all__ = [
     "as_tensor",
     "backward",
     "forward",
-    "forward_dual",
     "jvp",
 ]
 
@@ -63,20 +59,6 @@ def as_tensor(x, shape=None) -> np.ndarray:
     if shape is not None and arr.shape != tuple(shape):
         raise ShapeError(f"expected shape {tuple(shape)}, got {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class DualTensor:
-    """A value paired with a directional-derivative (tangent) of equal shape."""
-
-    primal: np.ndarray
-    tangent: np.ndarray
-
-    def __post_init__(self):
-        if self.primal.shape != self.tangent.shape:
-            raise ShapeError(
-                f"primal shape {self.primal.shape} != tangent shape {self.tangent.shape}"
-            )
 
 
 def _sigmoid(x):
@@ -449,15 +431,6 @@ def forward(graph: Graph, inputs: list, tangents: list | None = None) -> np.ndar
     return vals[graph._output]
 
 
-def forward_dual(graph: Graph, inputs: list, tangents: list) -> DualTensor:
-    """Forward pass returning the output value and tangent as a pair."""
-    out = forward(graph, inputs, tangents=tangents)
-    t = graph._tangents[graph._output]
-    if t is None:
-        raise GraphStateError("output has no tangent; seed at least one input")
-    return DualTensor(out, t)
-
-
 def jvp(graph: Graph, inputs: list, tangent_in: np.ndarray, wrt: int = 0) -> np.ndarray:
     """Directional derivative of the output along ``tangent_in`` at input ``wrt``.
 
@@ -467,7 +440,11 @@ def jvp(graph: Graph, inputs: list, tangent_in: np.ndarray, wrt: int = 0) -> np.
     """
     tangents: list = [None] * graph.n_inputs
     tangents[wrt] = tangent_in
-    return forward_dual(graph, inputs, tangents).tangent
+    forward(graph, inputs, tangents=tangents)
+    t = graph._tangents[graph._output]
+    if t is None:
+        raise GraphStateError("output has no tangent; seed at least one input")
+    return t
 
 
 def backward(graph: Graph, seed_gradient) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -29,7 +29,6 @@ from .diffusion import (
     ddpm_sample,
     linear_schedule,
     reconstruct,
-    t_min_for_noise_var,
     zero_filled,
 )
 from .evaluation import (
@@ -193,7 +192,6 @@ _SCHEMA = {
         "oracle_mode": (bool, False),
         "log_interval": (int, 50),
         "chunk_size": (int, None),  # unset: the whole batch on one tape
-        "threads": (int, 1),
         "loss": (dict, {}),
     },
     "loss": {  # nested under train.loss
@@ -400,8 +398,7 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
                        learning_rate=t["learning_rate"],
                        seed=t["seed"] if seed_override is None else seed_override,
                        loss=loss_cfg, oracle_mode=t["oracle_mode"],
-                       log_interval=t["log_interval"], chunk_size=chunk,
-                       threads=t["threads"])
+                       log_interval=t["log_interval"], chunk_size=chunk)
 
 
 def _vt_from_descriptor(desc: dict):
@@ -749,29 +746,23 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
     ops = cfg["eval"]["operations"]
     seed = cfg["eval"]["seed"]
 
-    def _models():
-        ca = load_checkpoint(checkpoint)
-        cb = load_checkpoint(checkpoint_b)
-        return ca, cb, ca.model(), cb.model()
+    def _pair_setup():
+        """Both models, model A's schedule, the transformed eval set, and ts."""
+        ca, cb = load_checkpoint(checkpoint), load_checkpoint(checkpoint_b)
+        schedule = ca.rebuild_schedule()
+        clean = generate_signals(cfg["data"], cfg["eval"]["count"], seed)
+        xbar = build_degradation_family(cfg).vt.apply(clean)
+        ts = _eval_ts(cfg, schedule, ca.schedule["t_min_valid"])
+        return ca.model(), cb.model(), xbar, schedule, ts
 
     for op in ops:
         if op == "mse_sweep":
-            ca, cb, ma, mb = _models()
-            schedule = ca.rebuild_schedule()
-            clean = generate_signals(cfg["data"], cfg["eval"]["count"], seed)
-            family = build_degradation_family(cfg)
-            xbar = family.vt.apply(clean)
-            ts = _eval_ts(cfg, schedule, ca.schedule["t_min_valid"])
+            ma, mb, xbar, schedule, ts = _pair_setup()
             res = denoising_mse_sweep(ma, mb, xbar, schedule, ts,
                                       derived_rng(seed, 1))
             write_csv(out_path / "mse_sweep.csv", ["t", "mse_a", "mse_b"], res.rows)
         elif op == "generalization_psnr":
-            ca, cb, ma, mb = _models()
-            schedule = ca.rebuild_schedule()
-            clean = generate_signals(cfg["data"], cfg["eval"]["count"], seed)
-            family = build_degradation_family(cfg)
-            xbar = family.vt.apply(clean)
-            ts = _eval_ts(cfg, schedule, ca.schedule["t_min_valid"])
+            ma, mb, xbar, schedule, ts = _pair_setup()
             rows = generalization_psnr(ma, mb, xbar, schedule, ts,
                                        derived_rng(seed, 2),
                                        peak=cfg["eval"]["peak"])
@@ -808,13 +799,7 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
                                     sigma0)
             rng = derived_rng(seed, 5)
             m = corrupt(clean, fam.sample(rng), rng)
-            t_min = t_min_for_noise_var(schedule, fam.worst_noise_var())
-            import dataclasses
-
-            sched = dataclasses.replace(schedule,
-                                        t_min_valid=max(t_min,
-                                                        schedule.t_min_valid))
-            mean, std = uncertainty_map(model, sched, m,
+            mean, std = uncertainty_map(model, schedule, m,
                                         cfg["eval"]["uncertainty_k"],
                                         rng=derived_rng(seed, 6), vt=vt,
                                         steps=cfg["eval"]["steps"],
@@ -831,8 +816,16 @@ def cmd_inspect(path, pgm=None, index: int = 0, height: int | None = None,
     """Describe an artifact file; optionally dump one record as a graymap."""
     stream = stream or sys.stdout
     path = Path(path)
-    if path.suffix == ".json":
+    if path.suffix in (".json", ".csv"):
         print(path.read_text(encoding="utf-8").strip(), file=stream)
+        return
+    if path.read_bytes()[:16] == CHECKPOINT_MAGIC:
+        header = load_checkpoint(path).header()
+        header["t_min_valid"] = header["schedule"]["t_min_valid"]
+        print(f"{path}: checkpoint", file=stream)
+        for key in ("arch", "step_count", "config_digest", "schedule_digest",
+                    "t_min_valid", "param_count"):
+            print(f"  {key}: {json.dumps(header[key], sort_keys=True)}", file=stream)
         return
     arr = read_tensor_file(path)
     print(f"{path}: shape={arr.shape} dtype=float64 "

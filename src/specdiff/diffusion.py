@@ -173,8 +173,37 @@ def ddim_timesteps(schedule: DiffusionSchedule, steps: int) -> np.ndarray:
     return ts
 
 
-def _predict_noise(x, x0_hat, abar):
-    return (x - np.sqrt(abar) * x0_hat) / np.sqrt(1.0 - abar)
+def _reverse(model, schedule: DiffusionSchedule, ts, x, step, project=None):
+    """The reverse process every sampler runs.
+
+    At each visited timestep ``t`` (descending), the model estimates the clean
+    signal, ``project`` optionally edits that estimate, and ``step(x, x0_hat,
+    t, t_next)`` moves ``x`` to the next timestep. The estimate at ``ts[-1]``
+    is returned.
+    """
+    def estimate(x, t):
+        x0_hat = model.denoise(x, t, schedule, ema=True)
+        return x0_hat if project is None else project(x0_hat, t)
+
+    for t, t_next in zip(ts[:-1], ts[1:]):
+        x = step(x, estimate(x, int(t)), int(t), int(t_next))
+    return estimate(x, int(ts[-1]))
+
+
+def _ddim_step(schedule: DiffusionSchedule, eta: float, rng):
+    def step(x, x0_hat, t, t_next):
+        abar_t = schedule.abar(t)
+        abar_n = schedule.abar(t_next)
+        eps_hat = (x - np.sqrt(abar_t) * x0_hat) / np.sqrt(1.0 - abar_t)
+        sigma = eta * np.sqrt((1.0 - abar_n) / (1.0 - abar_t)) \
+            * np.sqrt(1.0 - abar_t / abar_n)
+        x = np.sqrt(abar_n) * x0_hat \
+            + np.sqrt(np.maximum(1.0 - abar_n - sigma ** 2, 0.0)) * eps_hat
+        if sigma > 0.0:
+            x = x + sigma * rng.standard_normal(x.shape)
+        return x
+
+    return step
 
 
 def ddim_sample(model, schedule: DiffusionSchedule, steps: int, eta: float, rng,
@@ -186,40 +215,27 @@ def ddim_sample(model, schedule: DiffusionSchedule, steps: int, eta: float, rng,
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    n = vt.n
     ts = ddim_timesteps(schedule, steps)
-    x = rng.standard_normal((count, n))
-    for t, t_next in zip(ts[:-1], ts[1:]):
-        abar_t = schedule.abar(int(t))
-        abar_n = schedule.abar(int(t_next))
-        x0_hat = model.denoise(x, int(t), schedule, ema=True)
-        eps_hat = _predict_noise(x, x0_hat, abar_t)
-        sigma = eta * np.sqrt((1.0 - abar_n) / (1.0 - abar_t)) \
-            * np.sqrt(1.0 - abar_t / abar_n)
-        x = np.sqrt(abar_n) * x0_hat \
-            + np.sqrt(np.maximum(1.0 - abar_n - sigma ** 2, 0.0)) * eps_hat
-        if sigma > 0.0:
-            x = x + sigma * rng.standard_normal(x.shape)
-    x0 = model.denoise(x, int(ts[-1]), schedule, ema=True)
-    return vt.apply_inverse(x0)
+    x = rng.standard_normal((count, vt.n))
+    return vt.apply_inverse(_reverse(model, schedule, ts, x,
+                                     _ddim_step(schedule, eta, rng)))
 
 
 def ddpm_sample(model, schedule: DiffusionSchedule, rng, vt: OrthoTransform,
                 count: int = 1) -> np.ndarray:
     """Full-length ancestral sampling with fixed per-step variance ``beta_t``."""
-    n = vt.n
-    x = rng.standard_normal((count, n))
-    for t in range(schedule.T, schedule.t_min_valid, -1):
+    def step(x, x0_hat, t, t_next):
         abar_t = schedule.abar(t)
         abar_p = schedule.abar_prev(t)
         beta_t = schedule.beta(t)
         alpha_t = 1.0 - beta_t
-        x0_hat = model.denoise(x, t, schedule, ema=True)
         mean = (np.sqrt(abar_p) * beta_t / (1.0 - abar_t)) * x0_hat \
             + (np.sqrt(alpha_t) * (1.0 - abar_p) / (1.0 - abar_t)) * x
-        x = mean + np.sqrt(beta_t) * rng.standard_normal(x.shape)
-    x0 = model.denoise(x, schedule.t_min_valid, schedule, ema=True)
-    return vt.apply_inverse(x0)
+        return mean + np.sqrt(beta_t) * rng.standard_normal(x.shape)
+
+    ts = np.arange(schedule.T, schedule.t_min_valid - 1, -1)
+    x = rng.standard_normal((count, vt.n))
+    return vt.apply_inverse(_reverse(model, schedule, ts, x, step))
 
 
 def zero_filled(m: Measurement, vt: OrthoTransform) -> np.ndarray:
@@ -231,19 +247,18 @@ def reconstruct(model, schedule: DiffusionSchedule, m: Measurement, steps: int,
                 rng, vt: OrthoTransform, eta: float = 0.0) -> np.ndarray:
     """Spectral data-consistency sampler for one measurement.
 
-    Runs the strided reverse process; after every denoising estimate, kept
-    spectral coordinates are replaced by the inverse-variance combination of
-    the estimate (variance ``(1 - abar_t)/abar_t``) and the measurement
-    (variance ``noise_var``). Noiseless measurements therefore pin kept
-    coordinates exactly. Masked coordinates evolve freely.
+    DDIM sampling that stops no earlier than the measurement's minimal
+    feasible timestep; after every denoising estimate, kept spectral
+    coordinates are replaced by the inverse-variance combination of the
+    estimate (variance ``(1 - abar_t)/abar_t``) and the measurement (variance
+    ``noise_var``). Noiseless measurements therefore pin kept coordinates
+    exactly. Masked coordinates evolve freely.
     """
     t_min = t_min_for_noise_var(schedule, float(m.noise_var.max(initial=0.0)))
     sched = dataclasses.replace(schedule, t_min_valid=max(t_min, schedule.t_min_valid))
-    ts = ddim_timesteps(sched, steps)
     kept = m.mask
     nv = m.noise_var[kept]
     ybar_kept = m.ybar[kept]
-    x = rng.standard_normal(m.n)
 
     def consistent(x0_hat, t):
         est_var = (1.0 - sched.abar(t)) / sched.abar(t)
@@ -252,16 +267,7 @@ def reconstruct(model, schedule: DiffusionSchedule, m: Measurement, steps: int,
         out[kept] = w_meas * ybar_kept + (1.0 - w_meas) * x0_hat[kept]
         return out
 
-    for t, t_next in zip(ts[:-1], ts[1:]):
-        abar_t = sched.abar(int(t))
-        abar_n = sched.abar(int(t_next))
-        x0_hat = consistent(model.denoise(x, int(t), sched, ema=True), int(t))
-        eps_hat = _predict_noise(x, x0_hat, abar_t)
-        sigma = eta * np.sqrt((1.0 - abar_n) / (1.0 - abar_t)) \
-            * np.sqrt(1.0 - abar_t / abar_n)
-        x = np.sqrt(abar_n) * x0_hat \
-            + np.sqrt(np.maximum(1.0 - abar_n - sigma ** 2, 0.0)) * eps_hat
-        if sigma > 0.0:
-            x = x + sigma * rng.standard_normal(x.shape)
-    x0 = consistent(model.denoise(x, int(ts[-1]), sched, ema=True), int(ts[-1]))
-    return vt.apply_inverse(x0)
+    ts = ddim_timesteps(sched, steps)
+    x = rng.standard_normal(m.n)
+    return vt.apply_inverse(_reverse(model, sched, ts, x,
+                                     _ddim_step(sched, eta, rng), consistent))

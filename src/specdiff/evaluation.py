@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import DiffusionSchedule, reconstruct
+from .diffusion import DiffusionSchedule, perturb_batch, reconstruct
 from .operators import Measurement, OrthoTransform
 
 __all__ = [
@@ -92,9 +92,8 @@ def denoising_mse_sweep(model_a, model_b, clean_set: np.ndarray,
     clean = np.atleast_2d(np.asarray(clean_set, dtype=np.float64))
     rows = []
     for t in sorted(int(t) for t in ts):
-        abar = float(schedule.abar(t))
-        noisy = np.sqrt(abar) * clean \
-            + np.sqrt(1.0 - abar) * rng.standard_normal(clean.shape)
+        noisy = perturb_batch(clean, np.zeros_like(clean), np.full(len(clean), t),
+                              schedule, rng)
         mses = []
         for model in (model_a, model_b):
             est = model.denoise(noisy, t, schedule, ema=True)
@@ -113,9 +112,8 @@ def generalization_psnr(model_a, model_b, clean_set: np.ndarray,
     clean = np.atleast_2d(np.asarray(clean_set, dtype=np.float64))
     rows = []
     for t in sorted(int(t) for t in ts):
-        abar = float(schedule.abar(t))
-        noisy = np.sqrt(abar) * clean \
-            + np.sqrt(1.0 - abar) * rng.standard_normal(clean.shape)
+        noisy = perturb_batch(clean, np.zeros_like(clean), np.full(len(clean), t),
+                              schedule, rng)
         ea = model_a.denoise(noisy, t, schedule, ema=True)
         eb = model_b.denoise(noisy, t, schedule, ema=True)
         mse = float(np.mean((ea - eb) ** 2))

@@ -37,7 +37,6 @@ import numpy as np
 
 from .autodiff import Graph, forward
 from .diffusion import DiffusionSchedule, perturb_batch
-from .operators import Measurement
 
 __all__ = [
     "LossConfig",
@@ -46,7 +45,6 @@ __all__ = [
     "gamma_at",
     "gsure_diffusion_loss",
     "gsure_loss_from_samples",
-    "hutchinson_divergence",
     "hutchinson_probe_values",
     "lambda_at",
     "projected_loss",
@@ -198,11 +196,8 @@ def supervised_loss(model, xbar_rows, t, schedule: DiffusionSchedule,
     Oracle mode only: requires the clean spectral signals.
     """
     xbar_rows = _as_rows(xbar_rows)
-    batch = xbar_rows.shape[0]
-    t_vec = _t_rows(t, batch)
-    abar = np.asarray(schedule.abar(t_vec))[:, None]
-    eps = rng.standard_normal(xbar_rows.shape)
-    xbar_t = np.sqrt(abar) * xbar_rows + np.sqrt(1.0 - abar) * eps
+    t_vec = _t_rows(t, xbar_rows.shape[0])
+    xbar_t = perturb_batch(xbar_rows, np.zeros_like(xbar_rows), t_vec, schedule, rng)
     return supervised_loss_from_samples(model, xbar_rows, xbar_t, t_vec,
                                         schedule, cfg)
 
@@ -288,45 +283,21 @@ def gsure_loss_from_samples(model, ybar_rows, mask_rows, xbar_t_rows, t,
                     divergence_term=float(g.value_of(div)))
 
 
-def gsure_diffusion_loss(model, m: Measurement, t: int,
+def gsure_diffusion_loss(model, ybar_rows, mask_rows, noise_var_rows, t,
                          schedule: DiffusionSchedule, w,
                          cfg: LossConfig, rng) -> LossEval:
-    """Self-supervised loss for one measurement at one timestep.
+    """Self-supervised loss for measurement rows at their timesteps.
 
-    Draws the perturbed sample first and the Hutchinson probes second from
+    Draws the perturbed samples first and the Hutchinson probes second from
     ``rng``, then defers to :func:`gsure_loss_from_samples`.
     """
-    xbar_t = perturb_batch(m.ybar, m.noise_var, np.array([t]), schedule, rng)
-    probes = _draw_probes(cfg, (cfg.probes, m.n), rng)
-    return gsure_loss_from_samples(model, m.ybar, m.mask, xbar_t, t, probes,
-                                   schedule, w, cfg)
-
-
-def hutchinson_divergence(model, xbar_t, t: int, schedule: DiffusionSchedule,
-                          mask, w, probes: int, rng) -> LossEval:
-    """Monte Carlo estimate of the divergence of ``P W^2 f`` at ``xbar_t``.
-
-    Each probe ``v ~ N(0, I)`` contributes ``v . (P W^2 (J f) v)`` computed by
-    one tangent-carrying forward pass; the average over probes is returned as
-    a differentiable scalar.
-    """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    xbar_t = np.asarray(xbar_t, dtype=np.float64)
-    if xbar_t.ndim != 1:
-        raise ValueError("hutchinson_divergence takes a single spectral vector")
-    mask_rows = _as_rows(mask).astype(np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    n = xbar_t.shape[0]
-    probe_rows = rng.standard_normal((probes, n))
-
-    rows = np.tile(xbar_t, (probes, 1))
-    g, x, x0 = model.build_graph(rows, np.full(probes, t, dtype=np.int64), schedule)
-    div_w = np.tile(mask_rows * (w ** 2)[None, :], (probes, 1)) / probes
-    div = g.sum(g.cmul(g.mul(g.const(probe_rows), g.tangent_of(x0)), div_w))
-    g.set_output(div)
-    value = float(forward(g, [rows], tangents=[probe_rows]))
-    return LossEval(graph=g, value=value, mse_term=0.0, divergence_term=value)
+    ybar_rows = _as_rows(ybar_rows)
+    batch, n = ybar_rows.shape
+    t_vec = _t_rows(t, batch)
+    xbar_t = perturb_batch(ybar_rows, noise_var_rows, t_vec, schedule, rng)
+    probes = _draw_probes(cfg, (cfg.probes * batch, n), rng)
+    return gsure_loss_from_samples(model, ybar_rows, mask_rows, xbar_t, t_vec,
+                                   probes, schedule, w, cfg)
 
 
 def hutchinson_probe_values(model, xbar_t, t: int, schedule: DiffusionSchedule,

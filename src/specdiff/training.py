@@ -4,11 +4,9 @@ The whole trajectory is a pure function of (config, data): every random draw
 comes from a generator derived from the config seed and a structural key
 (step index, purpose, chunk index). By default a step evaluates the whole
 batch on one tape. An explicit ``chunk_size`` caps the rows per tape instead:
-the batch is cut into fixed-size chunks whose gradients are reduced in chunk
-order, and the chunks may be evaluated by a thread pool. Because the chunking
-is a function of the batch and chunk sizes alone and the reduction order is
-fixed, results are bit-identical across thread counts, and the default is
-bit-identical to ``chunk_size = batch_size``.
+the batch is cut into fixed-size chunks, evaluated one after another, whose
+gradients are reduced in chunk order. The default is bit-identical to
+``chunk_size = batch_size``.
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NonFiniteError
-from .diffusion import DiffusionSchedule, perturb_batch, t_min_for_noise_var
-from .losses import LossConfig, gsure_loss_from_samples, supervised_loss_from_samples
+from .diffusion import DiffusionSchedule, t_min_for_noise_var
+from .losses import LossConfig, gsure_diffusion_loss, supervised_loss
 from .model import Denoiser
 from .operators import (
     DegradationFamily,
@@ -94,8 +92,7 @@ class TrainConfig:
     entropy-source fallback anywhere in the loop.
 
     ``chunk_size`` is an optional cap on the rows evaluated per tape; unset
-    (``None``), each step evaluates the whole batch on one tape. ``threads``
-    only matters when a step has more than one chunk.
+    (``None``), each step evaluates the whole batch on one tape.
     """
 
     iterations: int
@@ -109,15 +106,14 @@ class TrainConfig:
     adam_eps: float = 1e-8
     log_interval: int = 50
     chunk_size: int | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.iterations < 0 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ValueError("iterations >= 0, batch_size >= 1, learning_rate > 0")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 when set")
-        if self.threads < 1 or self.log_interval < 1:
-            raise ValueError("threads and log_interval must be >= 1")
+        if self.log_interval < 1:
+            raise ValueError("log_interval must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -144,6 +140,8 @@ class PrecomputedDataset:
             raise ValueError("w must be one weight per spectral coordinate")
         if self.clean_xbar is not None and self.clean_xbar.shape != self.ybar.shape:
             raise ValueError("clean_xbar must align with ybar")
+        if np.any(self.ybar[~self.masks.astype(bool)] != 0.0):
+            raise ValueError("ybar must be zero at unobserved entries")
 
     def __len__(self) -> int:
         return self.ybar.shape[0]
@@ -268,21 +266,12 @@ def _evaluate_chunk(model, cfg: TrainConfig, data: PrecomputedDataset,
                     t_vec: np.ndarray, rng) -> tuple[float, float, np.ndarray]:
     """One chunk's (loss, divergence term, flat gradient), all chunk means."""
     if cfg.oracle_mode:
-        xbar = data.clean_xbar[idx]
-        abar = np.asarray(schedule.abar(t_vec))[:, None]
-        eps = rng.standard_normal(xbar.shape)
-        xbar_t = np.sqrt(abar) * xbar + np.sqrt(1.0 - abar) * eps
-        out = supervised_loss_from_samples(model, xbar, xbar_t, t_vec, schedule,
-                                           cfg.loss)
+        out = supervised_loss(model, data.clean_xbar[idx], t_vec, schedule, rng,
+                              cfg.loss)
     else:
-        ybar = data.ybar[idx]
-        nv = data.noise_var[idx]
-        xbar_t = perturb_batch(ybar, nv, t_vec, schedule, rng)
-        probes = rng.standard_normal((cfg.loss.probes * idx.size, data.n)) \
-            if cfg.loss.probe_kind == "gaussian" \
-            else rng.integers(0, 2, size=(cfg.loss.probes * idx.size, data.n)) * 2.0 - 1.0
-        out = gsure_loss_from_samples(model, ybar, data.masks[idx], xbar_t,
-                                      t_vec, probes, schedule, data.w, cfg.loss)
+        out = gsure_diffusion_loss(model, data.ybar[idx], data.masks[idx],
+                                   data.noise_var[idx], t_vec, schedule, data.w,
+                                   cfg.loss, rng)
     return out.value, out.divergence_term, out.backward_flat(model)
 
 
@@ -308,11 +297,6 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
     # resolved here, not at construction, so dataclasses.replace(cfg,
     # batch_size=...) on an unset chunk still means "whole batch"
     bounds = _chunk_bounds(cfg.batch_size, cfg.chunk_size or cfg.batch_size)
-    pool = None
-    if cfg.threads > 1 and len(bounds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=cfg.threads)
     started = time.perf_counter()
 
     try:
@@ -322,23 +306,14 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
             t_vec = derived_rng(cfg.seed, step, 1).integers(
                 t_min, schedule.T + 1, size=cfg.batch_size)
 
-            def run_chunk(ci_lo_hi):
-                ci, (lo, hi) = ci_lo_hi
-                rng = derived_rng(cfg.seed, step, 2 + ci)
-                return _evaluate_chunk(model, cfg, data, schedule, idx[lo:hi],
-                                       t_vec[lo:hi], rng)
-
-            jobs = list(enumerate(bounds))
-            if pool is None:
-                results = [run_chunk(j) for j in jobs]
-            else:
-                results = list(pool.map(run_chunk, jobs))
-
             # fixed-order reduction of chunk means into batch means
             loss = 0.0
             div = 0.0
             grads = np.zeros_like(model.params)
-            for (lo, hi), (c_loss, c_div, c_grads) in zip(bounds, results):
+            for ci, (lo, hi) in enumerate(bounds):
+                c_loss, c_div, c_grads = _evaluate_chunk(
+                    model, cfg, data, schedule, idx[lo:hi], t_vec[lo:hi],
+                    derived_rng(cfg.seed, step, 2 + ci))
                 frac = (hi - lo) / cfg.batch_size
                 loss += frac * c_loss
                 div += frac * c_div
@@ -359,9 +334,6 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
                                           wall_ms=wall))
     except NonFiniteError as exc:
         raise TrainingDiverged(step, str(exc)) from exc
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     return TrainResult(model=model, steps=cfg.iterations, metrics=metrics,
                        t_min_valid=t_min)

@@ -10,7 +10,6 @@ from specdiff.autodiff import (
     ShapeError,
     backward,
     forward,
-    forward_dual,
     jvp,
 )
 
@@ -232,14 +231,6 @@ class TestJvp:
         g.set_output(g.tangent_of(x))
         with pytest.raises(GraphStateError):
             forward(g, [np.zeros(3)])
-
-    def test_forward_dual_pairs_shapes(self):
-        g = Graph()
-        x = g.input((3,))
-        g.set_output(g.scale(x, 2.0))
-        d = forward_dual(g, [np.ones(3)], [np.array([1.0, 0.0, 0.0])])
-        np.testing.assert_array_equal(d.primal, 2.0 * np.ones(3))
-        np.testing.assert_array_equal(d.tangent, [2.0, 0.0, 0.0])
 
 
 class TestSecondOrder:

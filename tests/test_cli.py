@@ -32,7 +32,7 @@ from specdiff.cli import (
 )
 
 
-def two_deltas_config(out_dir, iterations=30, oracle=False, threads=1, seed=5):
+def two_deltas_config(out_dir, iterations=30, oracle=False, seed=5):
     return validate_config({
         "data": {"kind": "two-deltas", "count": 128, "seed": 9},
         "degradation": {"family": "single-drop", "sigma0": 0.01},
@@ -40,7 +40,7 @@ def two_deltas_config(out_dir, iterations=30, oracle=False, threads=1, seed=5):
         "model": {"hidden": [16, 16], "emb_dim": 8, "ema_decay": 0.99},
         "train": {"iterations": iterations, "batch_size": 8, "seed": seed,
                   "learning_rate": 1e-3, "log_interval": 10,
-                  "oracle_mode": oracle, "chunk_size": 4, "threads": threads,
+                  "oracle_mode": oracle, "chunk_size": 4,
                   "loss": {"gamma": "snr", "lambda": "scaled_inverse_snr"}},
         "io": {"out_dir": str(out_dir)},
     })
@@ -94,6 +94,12 @@ class TestConfig:
             validate_config({"data": {"kind": "two-deltas", "count": 1, "seed": 0,
                                       "spam": 1},
                              "train": {"seed": 0}})
+
+    def test_threads_key_rejected(self):
+        # chunks run one after another; the old thread-pool knob is gone
+        with pytest.raises(ConfigError, match="threads"):
+            validate_config({"data": {"kind": "two-deltas", "count": 1, "seed": 0},
+                             "train": {"seed": 0, "threads": 2}})
 
     def test_missing_required_rejected(self):
         with pytest.raises(ConfigError):
@@ -322,22 +328,11 @@ class TestCommands:
         rows = (out / "metrics.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[2]) == 0.0 for r in rows)  # no divergence term
 
-    def test_train_determinism_across_runs_and_threads(self, tmp_path):
-        cfg1 = two_deltas_config(tmp_path)
-        out1 = cmd_train(cfg1, tmp_path / "r1")
-        cfg2 = two_deltas_config(tmp_path)
-        out2 = cmd_train(cfg2, tmp_path / "r2")
-        cfg3 = two_deltas_config(tmp_path, threads=3)
-        out3 = cmd_train(cfg3, tmp_path / "r3")
-        ref_ckpt = (out1 / "checkpoint.bin").read_bytes()
-        ref_metrics = (out1 / "metrics.csv").read_bytes()
-        assert (out2 / "checkpoint.bin").read_bytes() == ref_ckpt
-        assert (out2 / "metrics.csv").read_bytes() == ref_metrics
-        # thread count changes the config digest but not the numbers
-        m3 = (out3 / "metrics.csv").read_bytes()
-        assert m3 == ref_metrics
-        c3 = load_checkpoint(out3 / "checkpoint.bin")
-        assert np.array_equal(c3.params, load_checkpoint(out1 / "checkpoint.bin").params)
+    def test_train_determinism_across_runs(self, tmp_path):
+        out1 = cmd_train(two_deltas_config(tmp_path), tmp_path / "r1")
+        out2 = cmd_train(two_deltas_config(tmp_path), tmp_path / "r2")
+        for name in ("checkpoint.bin", "metrics.csv", "run.json"):
+            assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
 
     def test_sample_determinism_and_shape(self, tmp_path):
         cfg = two_deltas_config(tmp_path)
@@ -390,6 +385,24 @@ class TestCommands:
         cmd_inspect(path, pgm=pgm, index=0)
         text = pgm.read_text().splitlines()
         assert text[0] == "P2" and text[1] == "4 4"
+
+    def test_inspect_checkpoint(self, tmp_path, capsys):
+        cfg = two_deltas_config(tmp_path, iterations=2)
+        run = cmd_train(cfg, tmp_path / "run")
+        cmd_inspect(run / "checkpoint.bin")
+        text = capsys.readouterr().out
+        ckpt = load_checkpoint(run / "checkpoint.bin")
+        for line in ("checkpoint", '"hidden": [16, 16]', "step_count: 2",
+                     f'config_digest: "{config_digest(cfg)}"',
+                     f'schedule_digest: "{ckpt.header()["schedule_digest"]}"',
+                     f"t_min_valid: {ckpt.schedule['t_min_valid']}",
+                     f"param_count: {ckpt.params.size}"):
+            assert line in text
+
+    def test_inspect_metrics_csv(self, tmp_path, capsys):
+        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        cmd_inspect(run / "metrics.csv")
+        assert capsys.readouterr().out == (run / "metrics.csv").read_text()
 
     def test_main_entrypoint(self, tmp_path):
         cfg = two_deltas_config(tmp_path, iterations=2)

@@ -285,6 +285,23 @@ class TestReconstruct:
         np.testing.assert_allclose(vt.apply(out)[m.mask], m.ybar[m.mask],
                                    rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.6])
+    def test_empty_noiseless_measurement_is_ddim(self, eta):
+        # nothing kept, nothing to weigh: reconstruct is DDIM on one row
+        from specdiff.model import Denoiser
+
+        rng = np.random.default_rng(9)
+        n = 6
+        vt = MatrixTransform(random_orthogonal(n, rng))
+        model = Denoiser.create(n, hidden=(16, 16), emb_dim=8,
+                                mean_type="predict_epsilon", rng=rng)
+        m = Measurement(ybar=np.zeros(n), mask=np.zeros(n, dtype=bool), sigma0=0.0,
+                        noise_var=np.zeros(n))
+        s = linear_schedule(100, 1e-4, 0.2)
+        rec = reconstruct(model, s, m, 20, np.random.default_rng(10), vt, eta=eta)
+        ddim = ddim_sample(model, s, 20, eta, np.random.default_rng(10), vt)
+        assert rec.tobytes() == ddim[0].tobytes()
+
     def test_noisy_masks_give_finite_outputs(self):
         rng = np.random.default_rng(7)
         n = 8

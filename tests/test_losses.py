@@ -10,7 +10,6 @@ from specdiff.losses import (
     gamma_at,
     gsure_diffusion_loss,
     gsure_loss_from_samples,
-    hutchinson_divergence,
     hutchinson_probe_values,
     lambda_at,
     projected_loss,
@@ -69,20 +68,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             LossConfig(probes=0)
 
-    def test_rademacher_probes(self, schedule):
+    def test_rademacher_probes(self):
         # +-1 probes give the exact trace per probe for the identity map
         from specdiff.losses import _draw_probes
-        from fixtures import LinearModel
 
         cfg = LossConfig(probe_kind="rademacher")
         v = _draw_probes(cfg, (64, 5), np.random.default_rng(0))
         assert set(np.unique(v)) == {-1.0, 1.0}
-        model = LinearModel(np.eye(5), np.zeros(5))
-        out = hutchinson_divergence(model, np.zeros(5), 3, schedule,
-                                    np.ones(5, bool), np.ones(5), probes=4,
-                                    rng=np.random.default_rng(1))
-        # gaussian probes: v.v varies; rademacher identity would be exactly n
-        assert out.value != 5.0
         vals = np.sum(v * (v @ np.eye(5).T), axis=1)
         np.testing.assert_array_equal(vals, 5.0)
 
@@ -252,18 +244,6 @@ class TestHutchinson:
         assert abs(slope - (-1.0)) <= 0.1
         assert 1 - ss_res / ss_tot > 0.95
 
-    def test_differentiable_estimator_value(self, schedule):
-        rng = np.random.default_rng(9)
-        n = 4
-        model = LinearModel(rng.standard_normal((n, n)), np.zeros(n))
-        out = hutchinson_divergence(model, rng.standard_normal(n), 8, schedule,
-                                    np.ones(n, bool), np.ones(n), probes=64,
-                                    rng=np.random.default_rng(10))
-        vals = hutchinson_probe_values(model, np.zeros(n), 8, schedule,
-                                       np.ones(n, bool), np.ones(n), 64,
-                                       np.random.default_rng(10))
-        assert out.value == pytest.approx(vals.mean(), rel=1e-12)
-
     def test_finite_difference_cross_check(self, schedule):
         rng = np.random.default_rng(11)
         n = 6
@@ -287,8 +267,8 @@ class TestGsureLoss:
         deg = SpectralDegradation(IdentityTransform(n),
                                   np.array([1.0, 1.0, 0.0, 1.0]), 0.01)
         m = corrupt(rng.standard_normal(n), deg, rng)
-        out = gsure_diffusion_loss(model, m, 20, schedule, np.ones(n),
-                                   LossConfig.faces(), rng)
+        out = gsure_diffusion_loss(model, m.ybar, m.mask, m.noise_var, 20,
+                                   schedule, np.ones(n), LossConfig.faces(), rng)
         assert out.value == pytest.approx(out.mse_term + out.divergence_term)
 
     def test_same_seed_reproducible(self, schedule):
@@ -297,10 +277,12 @@ class TestGsureLoss:
         model = Denoiser.create(n, hidden=(8,), emb_dim=8, rng=rng)
         deg = SpectralDegradation(IdentityTransform(n), np.ones(n), 0.01)
         m = corrupt(rng.standard_normal(n), deg, rng)
-        a = gsure_diffusion_loss(model, m, 30, schedule, np.ones(n),
-                                 LossConfig.faces(), np.random.default_rng(99))
-        b = gsure_diffusion_loss(model, m, 30, schedule, np.ones(n),
-                                 LossConfig.faces(), np.random.default_rng(99))
+        a = gsure_diffusion_loss(model, m.ybar, m.mask, m.noise_var, 30, schedule,
+                                 np.ones(n), LossConfig.faces(),
+                                 np.random.default_rng(99))
+        b = gsure_diffusion_loss(model, m.ybar, m.mask, m.noise_var, 30, schedule,
+                                 np.ones(n), LossConfig.faces(),
+                                 np.random.default_rng(99))
         assert a.value == b.value
 
     def test_linear_fixture_matches_closed_form(self, schedule):
@@ -441,5 +423,5 @@ class TestGsureLoss:
         m = Measurement(ybar=np.array([1.0, 0.0]), mask=np.array([True, False]),
                         sigma0=0.2, noise_var=np.array([0.04, 0.0]))
         with pytest.raises(InfeasibleTimestepError):
-            gsure_diffusion_loss(model, m, 1, schedule, np.ones(n),
-                                 LossConfig.faces(), rng)
+            gsure_diffusion_loss(model, m.ybar, m.mask, m.noise_var, 1, schedule,
+                                 np.ones(n), LossConfig.faces(), rng)

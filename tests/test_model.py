@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specdiff.autodiff import Graph, backward, forward, forward_dual
+from specdiff.autodiff import Graph, backward, forward, jvp
 from specdiff.diffusion import linear_schedule
 from specdiff.model import Denoiser, time_embedding
 
@@ -155,7 +155,7 @@ class TestComposedDifferentiability:
 
         g, xv, x0 = model.build_graph(x, t, schedule)
         g.set_output(x0)
-        got = forward_dual(g, [x[None, :]], [v[None, :]]).tangent[0]
+        got = jvp(g, [x[None, :]], v[None, :])[0]
 
         h = 1e-5
         fd = (model.denoise(x + h * v, t, schedule)
