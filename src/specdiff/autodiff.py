@@ -14,10 +14,10 @@ nonlinear primitives involves their second derivative. This is what makes a
 scalar of the form ``v . (J f(x) v)`` differentiable with respect to the
 parameters of ``f`` on a single tape.
 
-Shape discipline is strict: no broadcasting except python-scalar * tensor
-(``scale``) and the documented bias row-broadcast inside ``affine``.
-Reshapes are explicit. All arithmetic is deterministic: identical graphs and
-inputs produce bit-identical values and gradients.
+Shape discipline is strict: operands of the binary primitives and the
+weights of ``cmul`` match exactly, and the bias row-broadcast inside
+``affine`` is the only broadcast. All arithmetic is deterministic: identical
+graphs and inputs produce bit-identical values and gradients.
 
 Graphs are cheap to build, so callers construct one per evaluation. A graph's
 recorded state belongs to its latest forward pass; evaluate a given graph
@@ -108,18 +108,6 @@ class Var:
         self.index = index
         self.shape = shape
 
-    def __add__(self, other: "Var") -> "Var":
-        return self.graph.add(self, other)
-
-    def __sub__(self, other: "Var") -> "Var":
-        return self.graph.sub(self, other)
-
-    def __mul__(self, other: "Var") -> "Var":
-        return self.graph.mul(self, other)
-
-    def __matmul__(self, other: "Var") -> "Var":
-        return self.graph.matmul(self, other)
-
     def __repr__(self):
         return f"Var(#{self.index}, shape={self.shape})"
 
@@ -183,15 +171,6 @@ class Graph:
         self._check_same(a, b, "mul")
         return self._append("mul", a, b, shape=a.shape)
 
-    def matmul(self, a: Var, b: Var) -> Var:
-        """Matrix product of a 2-D operand with a 1-D or 2-D operand."""
-        if len(a.shape) != 2 or len(b.shape) not in (1, 2):
-            raise ShapeError(f"matmul supports 2D @ 1D/2D, got {a.shape} @ {b.shape}")
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-        out = (a.shape[0],) if len(b.shape) == 1 else (a.shape[0], b.shape[1])
-        return self._append("matmul", a, b, shape=out)
-
     def affine(self, x: Var, w: Var, bias: Var | None = None) -> Var:
         """``x @ w.T + bias`` for row-major batches.
 
@@ -226,22 +205,12 @@ class Graph:
         """Full reduction to a scalar (shape ``()``)."""
         return self._append("sum", a, shape=())
 
-    def scale(self, a: Var, c: float) -> Var:
-        """Scalar multiple ``c * a``; the one sanctioned scalar broadcast."""
-        return self._append("scale", a, aux=float(c), shape=a.shape)
-
     def cmul(self, a: Var, weights) -> Var:
         """Elementwise multiply by a constant array (masking / diagonal weighting)."""
         weights = as_tensor(weights)
         if weights.shape != a.shape:
             raise ShapeError(f"cmul weights {weights.shape} != operand {a.shape}")
         return self._append("cmul", a, aux=weights, shape=a.shape)
-
-    def reshape(self, a: Var, shape) -> Var:
-        shape = tuple(int(s) for s in shape)
-        if int(np.prod(shape, dtype=np.int64)) != int(np.prod(a.shape, dtype=np.int64)):
-            raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-        return self._append("reshape", a, aux=shape, shape=shape)
 
     def tangent_of(self, a: Var) -> Var:
         """Re-enter ``a``'s forward tangent into the tape as a plain value.
@@ -284,20 +253,10 @@ class Graph:
     def n_inputs(self) -> int:
         return len(self._inputs)
 
-    @property
-    def n_params(self) -> int:
-        return len(self._params)
-
-    def input_shapes(self) -> list[tuple]:
-        return [self._nodes[i].shape for i in self._inputs]
-
     def output_shape(self) -> tuple:
         if self._output is None:
             raise GraphStateError("graph has no output")
         return self._nodes[self._output].shape
-
-    def param_values(self) -> list[np.ndarray]:
-        return [self._nodes[i].aux for i in self._params]
 
     def value_of(self, var: Var) -> np.ndarray:
         """Recorded value of a node from the most recent forward pass."""
@@ -367,16 +326,6 @@ def forward(graph: Graph, inputs: list, tangents: list | None = None) -> np.ndar
                 if bt is not None:
                     t = t + av * bt
                 tans[i] = t
-        elif op == "matmul":
-            bv, bt = vals[node.b], tans[node.b]
-            vals[i] = av @ bv
-            if at is not None or bt is not None:
-                t = 0.0
-                if at is not None:
-                    t = at @ bv
-                if bt is not None:
-                    t = t + av @ bt
-                tans[i] = t
         elif op == "affine":
             wv, wt = vals[node.b], tans[node.b]
             out = av @ wv.T
@@ -402,18 +351,10 @@ def forward(graph: Graph, inputs: list, tangents: list | None = None) -> np.ndar
             vals[i] = np.asarray(np.sum(av))
             if at is not None:
                 tans[i] = np.asarray(np.sum(at))
-        elif op == "scale":
-            vals[i] = node.aux * av
-            if at is not None:
-                tans[i] = node.aux * at
         elif op == "cmul":
             vals[i] = node.aux * av
             if at is not None:
                 tans[i] = node.aux * at
-        elif op == "reshape":
-            vals[i] = av.reshape(node.aux)
-            if at is not None:
-                tans[i] = at.reshape(node.aux)
         elif op == "tangent_of":
             if at is None:
                 raise GraphStateError(
@@ -513,24 +454,6 @@ def backward(graph: Graph, seed_gradient) -> tuple[list[np.ndarray], list[np.nda
                     acc(vadj, b, gt * at)
                 acc(tadj, a, gt * bv)
                 acc(tadj, b, gt * av)
-        elif op == "matmul":
-            av, bv = vals[a], vals[b]
-            at, bt = tans[a], tans[b]
-            one_d = bv.ndim == 1
-
-            def _outer(u, v):
-                return np.outer(u, v) if one_d else u @ v.T
-
-            if ga is not None:
-                acc(vadj, a, _outer(ga, bv))
-                acc(vadj, b, av.T @ ga)
-            if gt is not None:
-                if bt is not None:
-                    acc(vadj, a, _outer(gt, bt))
-                if at is not None:
-                    acc(vadj, b, at.T @ gt)
-                acc(tadj, a, _outer(gt, bv))
-                acc(tadj, b, av.T @ gt)
         elif op == "affine":
             xv, wv = vals[a], vals[b]
             xt, wt = tans[a], tans[b]
@@ -571,22 +494,11 @@ def backward(graph: Graph, seed_gradient) -> tuple[list[np.ndarray], list[np.nda
                 acc(vadj, a, np.full(graph._nodes[a].shape, float(ga)))
             if gt is not None:
                 acc(tadj, a, np.full(graph._nodes[a].shape, float(gt)))
-        elif op == "scale":
-            if ga is not None:
-                acc(vadj, a, node.aux * ga)
-            if gt is not None:
-                acc(tadj, a, node.aux * gt)
         elif op == "cmul":
             if ga is not None:
                 acc(vadj, a, node.aux * ga)
             if gt is not None:
                 acc(tadj, a, node.aux * gt)
-        elif op == "reshape":
-            src_shape = graph._nodes[a].shape
-            if ga is not None:
-                acc(vadj, a, ga.reshape(src_shape))
-            if gt is not None:
-                acc(tadj, a, gt.reshape(src_shape))
         elif op == "tangent_of":
             # the value of this node IS the operand's tangent
             if ga is not None:

@@ -40,8 +40,8 @@ from .evaluation import (
     independence_demo,
     uncertainty_map,
 )
-from .losses import LossConfig
-from .model import Denoiser
+from .losses import GAMMA_RULES, LAMBDA_RULES, PROBE_KINDS, LossConfig
+from .model import MEAN_TYPES, NONLINS, Denoiser
 from .operators import (
     DegradationFamily,
     FixedMask,
@@ -241,7 +241,9 @@ def _check_section(name: str, section: dict, required: tuple) -> dict:
             raise ConfigError(f"{name}: missing required key {key!r}")
     out = {}
     for key, (types, default) in table.items():
-        if key in section:
+        # a validated config holds null for an unset optional key; read it back
+        unset = section.get(key) is None and default is None and key not in required
+        if key in section and not unset:
             value = section[key]
             ok_types = types if isinstance(types, tuple) else (types,)
             if bool not in ok_types and isinstance(value, bool):
@@ -269,11 +271,24 @@ def validate_config(raw: dict) -> dict:
         if not isinstance(section, dict):
             raise ConfigError(f"{name} must be an object")
         cfg[name] = _check_section(name, section, _REQUIRED.get(name, ()))
-    cfg["train"]["loss"] = _check_section("loss", cfg["train"]["loss"], ())
-    if cfg["data"]["kind"] not in DATA_KINDS:
-        raise ConfigError(f"data.kind must be one of {DATA_KINDS}")
-    if cfg["degradation"]["family"] not in FAMILY_KINDS:
-        raise ConfigError(f"degradation.family must be one of {FAMILY_KINDS}")
+    loss = cfg["train"]["loss"] = _check_section("loss", cfg["train"]["loss"], ())
+    for where, value, choices in (
+            ("data.kind", cfg["data"]["kind"], DATA_KINDS),
+            ("degradation.family", cfg["degradation"]["family"], FAMILY_KINDS),
+            ("model.mean_type", cfg["model"]["mean_type"], MEAN_TYPES),
+            ("model.nonlin", cfg["model"]["nonlin"], NONLINS),
+            ("train.loss.gamma", loss["gamma"], GAMMA_RULES),
+            ("train.loss.lambda", loss["lambda"], LAMBDA_RULES),
+            ("train.loss.probe_kind", loss["probe_kind"], PROBE_KINDS)):
+        if value not in choices:
+            raise ConfigError(f"{where} must be one of {choices}")
+    hidden = cfg["model"]["hidden"]
+    if not hidden or not all(type(h) is int and h > 0 for h in hidden):
+        raise ConfigError("model.hidden must be a non-empty list of positive ints")
+    if loss["probes"] < 1:
+        raise ConfigError("train.loss.probes must be >= 1")
+    if not 0.0 <= cfg["eval"]["eta"] <= 1.0:
+        raise ConfigError("eval.eta must lie in [0, 1]")
     return cfg
 
 
@@ -561,6 +576,7 @@ def cmd_gen_data(cfg: dict, out: str | None = None,
 
 
 def _load_dataset_dir(path: Path):
+    """A ``gen-data`` directory as ``(meta, ybar, masks, noise_var, clean or None)``."""
     meta = _json_header((path / "dataset.json").read_bytes(), path / "dataset.json",
                         ("format_version", "n", "sigma0", "s_const", "vt"))
     if meta["format_version"] > FORMAT_VERSION:
@@ -575,9 +591,10 @@ def _load_dataset_dir(path: Path):
     masks = masks == 1.0
     if np.any(ybar[~masks] != 0.0):
         raise FormatError(f"{path}: ybar is non-zero at unobserved entries")
+    noise_var = masks * (meta["sigma0"] / meta["s_const"]) ** 2
     clean_path = path / "clean.bin"
     clean = read_tensor_file(clean_path) if clean_path.exists() else None
-    return meta, ybar, masks, clean
+    return meta, ybar, masks, noise_var, clean
 
 
 def _dataset_from_config(cfg: dict):
@@ -587,16 +604,14 @@ def _dataset_from_config(cfg: dict):
     family = build_degradation_family(cfg)
     data_dir = cfg["io"]["data_dir"]
     if data_dir:
-        meta, ybar, masks, clean = _load_dataset_dir(Path(data_dir))
+        meta, ybar, masks, noise_var, clean = _load_dataset_dir(Path(data_dir))
         if meta["n"] != family.n or meta["vt"] != family.vt.descriptor():
             raise ConfigError("dataset directory does not match the configured "
                               "degradation family")
-        nv = masks * (meta["sigma0"] / meta["s_const"]) ** 2
         clean_xbar = family.vt.apply(clean) if clean is not None else None
         return PrecomputedDataset(
-            ybar=ybar, masks=masks, noise_var=nv, sigma0=meta["sigma0"],
-            w=family.weights(), vt_descriptor=family.vt.descriptor(),
-            clean_xbar=clean_xbar,
+            ybar=ybar, masks=masks, noise_var=noise_var, sigma0=meta["sigma0"],
+            w=family.weights(), clean_xbar=clean_xbar,
         ), family
     signals = generate_signals(cfg["data"], cfg["data"]["count"],
                                cfg["data"]["seed"])
@@ -706,14 +721,13 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
         write_csv(out_path / "rsweep.csv", ["accel", "residual_norm", "finite"], rows)
         return out_path
 
-    meta, ybar, masks, _ = _load_dataset_dir(Path(measurements_dir))
-    nv_scale = (meta["sigma0"] / meta["s_const"]) ** 2
+    meta, ybar, masks, noise_var, _ = _load_dataset_dir(Path(measurements_dir))
     count = len(ybar) if limit is None else min(limit, len(ybar))
     recons = np.empty((count, vt.n))
     zf = np.empty((count, vt.n))
     for i in range(count):
         m = Measurement(ybar=ybar[i], mask=masks[i], sigma0=meta["sigma0"],
-                        noise_var=masks[i] * nv_scale)
+                        noise_var=noise_var[i])
         zf[i] = zero_filled(m, vt)
         recons[i] = reconstruct(model, schedule, m, steps, derived_rng(seed, i),
                                 vt, eta=eta)

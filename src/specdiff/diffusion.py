@@ -34,7 +34,6 @@ __all__ = [
     "ddim_timesteps",
     "ddpm_sample",
     "linear_schedule",
-    "perturb",
     "perturb_batch",
     "reconstruct",
     "t_min_for_noise_var",
@@ -159,11 +158,6 @@ def perturb_batch(ybar_rows: np.ndarray, noise_var_rows: np.ndarray,
     return np.sqrt(abar_col) * ybar_rows + std * eps
 
 
-def perturb(m: Measurement, t: int, schedule: DiffusionSchedule, rng) -> np.ndarray:
-    """Draw one diffusion training sample from a measurement at timestep t."""
-    return perturb_batch(m.ybar, m.noise_var, np.array([t]), schedule, rng)[0]
-
-
 def ddim_timesteps(schedule: DiffusionSchedule, steps: int) -> np.ndarray:
     """Evenly strided descending timesteps from T to t_min_valid, inclusive."""
     if steps < 1 or steps > schedule.T:
@@ -191,6 +185,9 @@ def _reverse(model, schedule: DiffusionSchedule, ts, x, step, project=None):
 
 
 def _ddim_step(schedule: DiffusionSchedule, eta: float, rng):
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+
     def step(x, x0_hat, t, t_next):
         abar_t = schedule.abar(t)
         abar_n = schedule.abar(t_next)
@@ -213,8 +210,6 @@ def ddim_sample(model, schedule: DiffusionSchedule, steps: int, eta: float, rng,
     ``eta = 0`` is fully deterministic given the starting noise. Returns
     ``count`` signal-domain samples as rows.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
     ts = ddim_timesteps(schedule, steps)
     x = rng.standard_normal((count, vt.n))
     return vt.apply_inverse(_reverse(model, schedule, ts, x,

@@ -12,7 +12,7 @@ the statistic is zero in distribution exactly when the clouds coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,6 @@ __all__ = [
     "energy_permutation_test",
     "generalization_psnr",
     "independence_demo",
-    "linear_cca",
-    "linear_cca_null",
     "uncertainty_map",
 ]
 
@@ -80,7 +78,6 @@ class SweepResult:
     """Per-timestep denoising MSE for two models on the same noisy inputs."""
 
     rows: list  # (t, mse_a, mse_b)
-    metadata: dict = field(default_factory=dict)
 
 
 def denoising_mse_sweep(model_a, model_b, clean_set: np.ndarray,
@@ -99,7 +96,7 @@ def denoising_mse_sweep(model_a, model_b, clean_set: np.ndarray,
             est = model.denoise(noisy, t, schedule, ema=True)
             mses.append(float(np.mean((est - clean) ** 2)))
         rows.append((t, mses[0], mses[1]))
-    return SweepResult(rows=rows, metadata={"count": clean.shape[0]})
+    return SweepResult(rows=rows)
 
 
 def generalization_psnr(model_a, model_b, clean_set: np.ndarray,
@@ -184,7 +181,6 @@ def energy_permutation_test(x: np.ndarray, y: np.ndarray, n_permutations: int,
 class IndependenceRecord:
     snr: float
     abar: float
-    errors_by_mask: tuple  # (errors when coord 0 masked, errors when coord 1 masked)
     energy: float
     z: float
     null_mean: float
@@ -224,51 +220,10 @@ def independence_demo(dist: str, model, snr_levels, n_samples: int, rng,
         energy = energy_distance(e0, e1)
         test = energy_permutation_test(e0, e1, n_permutations, rng)
         records.append(IndependenceRecord(
-            snr=float(snr), abar=float(abar), errors_by_mask=(e0, e1),
-            energy=energy, z=test["z"], null_mean=test["null_mean"],
-            null_sd=test["null_sd"],
+            snr=float(snr), abar=float(abar), energy=energy, z=test["z"],
+            null_mean=test["null_mean"], null_sd=test["null_sd"],
         ))
     return records
-
-
-# -- canonical correlation ----------------------------------------------------
-
-
-def _whitener(cov: np.ndarray, ridge: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(cov + ridge * np.eye(cov.shape[0]))
-    return vecs @ np.diag(vals ** -0.5) @ vecs.T
-
-
-def linear_cca(errors: np.ndarray, masks: np.ndarray,
-               ridge: float = 1e-6) -> np.ndarray:
-    """Canonical correlation spectrum between two row-aligned views.
-
-    Whitening uses a ridge term for rank-deficient views; correlations are
-    clipped into [0, 1].
-    """
-    x = np.atleast_2d(np.asarray(errors, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(masks, dtype=np.float64))
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("views must have equal row counts")
-    n = x.shape[0]
-    x = x - x.mean(axis=0)
-    y = y - y.mean(axis=0)
-    cxx = x.T @ x / (n - 1)
-    cyy = y.T @ y / (n - 1)
-    cxy = x.T @ y / (n - 1)
-    m = _whitener(cxx, ridge) @ cxy @ _whitener(cyy, ridge)
-    return np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
-
-
-def linear_cca_null(errors: np.ndarray, masks: np.ndarray, n_permutations: int,
-                    rng, ridge: float = 1e-6) -> np.ndarray:
-    """Top canonical correlations after shuffling row alignment (independence null)."""
-    masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
-    out = np.empty(n_permutations)
-    for k in range(n_permutations):
-        out[k] = linear_cca(errors, masks[rng.permutation(masks.shape[0])],
-                            ridge=ridge)[0]
-    return out
 
 
 # -- stochastic reconstruction spread -----------------------------------------

@@ -3,13 +3,12 @@
 Everything here estimates (or directly measures) a denoiser's squared error
 at a diffusion timestep:
 
-- ``sure``: the classic unbiased risk identity for isotropic Gaussian noise,
-  ``|f(y) - y|^2 + 2 sigma^2 div f - n sigma^2``.
 - ``supervised_loss``: the standard denoising objective
   ``gamma_t |f(x_t) - x|^2``, available only when clean data exists.
-- ``projected_loss``: the mask-weighted error ``|W P (f(x_t) - x)|^2``; with
-  ``W = E[P]**(-1/2)`` and mask-independent errors its expectation equals the
-  full MSE (test harness only, needs clean data).
+- ``projected_loss_rows``: the per-row mask-weighted error
+  ``|W P (f(x_t) - x)|^2``; with ``W = E[P]**(-1/2)`` and mask-independent
+  errors its expectation equals the full MSE (estimator studies only, needs
+  clean data).
 - ``gsure_diffusion_loss``: the self-supervised estimator usable from
   corrupted measurements alone,
 
@@ -23,10 +22,11 @@ at a diffusion timestep:
 
 Models plug in through a small protocol: ``model.build_graph(rows, t,
 schedule, ema=...)`` returning ``(graph, input_var, x0_var)`` where rows are
-processed independently, plus ``model.flatten_grads`` for trainers. The
-divergence estimate rides the same network evaluation as the squared-error
-term (one tangent-carrying forward pass per probe), and the returned scalar
-is differentiable end to end, including through the probe JVP.
+processed independently, ``model.denoise`` for plain estimates, and
+``model.flatten_grads`` for trainers. The divergence estimate rides the same
+network evaluation as the squared-error term (one tangent-carrying forward
+pass per probe), and the returned scalar is differentiable end to end,
+including through the probe JVP.
 """
 
 from __future__ import annotations
@@ -41,17 +41,14 @@ from .diffusion import DiffusionSchedule, perturb_batch
 __all__ = [
     "LossConfig",
     "LossEval",
-    "finite_diff_divergence",
     "gamma_at",
     "gsure_diffusion_loss",
     "gsure_loss_from_samples",
     "hutchinson_probe_values",
     "lambda_at",
-    "projected_loss",
     "projected_loss_rows",
     "supervised_loss",
     "supervised_loss_from_samples",
-    "sure",
 ]
 
 GAMMA_RULES = ("constant", "snr")
@@ -97,11 +94,6 @@ class LossConfig:
         """Recipe used for the undersampled-acquisition experiments."""
         return cls(gamma="snr", lam="scaled_inverse_snr", lam_coef=1e-4, **kw)
 
-    @classmethod
-    def theory(cls, **kw) -> "LossConfig":
-        """Coefficients under which the estimator matches the projected MSE."""
-        return cls(gamma="constant", lam="theory", use_ybar_variant=False, **kw)
-
 
 def gamma_at(cfg: LossConfig, abar) -> np.ndarray:
     abar = np.asarray(abar, dtype=np.float64)
@@ -119,19 +111,6 @@ def lambda_at(cfg: LossConfig, abar) -> np.ndarray:
     if cfg.lam == "constant":
         return np.full_like(abar, cfg.lam_coef)
     return cfg.lam_coef * (1.0 - abar) / abar
-
-
-def sure(f_output: np.ndarray, y: np.ndarray, sigma: float, divergence: float) -> float:
-    """Unbiased risk estimate ``|f(y) - y|^2 + 2 sigma^2 div - n sigma^2``."""
-    f_output = np.asarray(f_output, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if f_output.shape != y.shape:
-        raise ValueError("f_output and y must have the same shape")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    n = y.size
-    return float(np.sum((f_output - y) ** 2) + 2.0 * sigma ** 2 * divergence
-                 - n * sigma ** 2)
 
 
 @dataclass
@@ -209,19 +188,9 @@ def projected_loss_rows(model, xbar_rows, xbar_t_rows, mask_rows, w, t,
     xbar_t_rows = _as_rows(xbar_t_rows)
     mask_rows = _as_rows(mask_rows).astype(np.float64)
     w = np.asarray(w, dtype=np.float64)
-    batch = xbar_rows.shape[0]
-    t_vec = _t_rows(t, batch)
-    g, _, x0 = model.build_graph(xbar_t_rows, t_vec, schedule)
-    g.set_output(x0)
-    est = forward(g, [xbar_t_rows])
+    est = model.denoise(xbar_t_rows, _t_rows(t, xbar_rows.shape[0]), schedule)
     resid = (est - xbar_rows) * mask_rows * w
     return np.sum(resid ** 2, axis=1)
-
-
-def projected_loss(model, xbar, xbar_t, mask, w, t,
-                   schedule: DiffusionSchedule) -> float:
-    """Mask-weighted squared error of one sample against its clean signal."""
-    return float(projected_loss_rows(model, xbar, xbar_t, mask, w, t, schedule)[0])
 
 
 def _divergence_weights(mask_rows: np.ndarray, w: np.ndarray,
@@ -323,23 +292,3 @@ def hutchinson_probe_values(model, xbar_t, t: int, schedule: DiffusionSchedule,
         done += size
     return out
 
-
-def finite_diff_divergence(model, xbar_t, t: int, schedule: DiffusionSchedule,
-                           mask, w, probes: int, rng,
-                           step: float = 1e-4) -> float:
-    """Numerical cross-check of the divergence estimate (never trains).
-
-    Replaces the exact JVP with a central difference of the network along
-    each probe direction.
-    """
-    xbar_t = np.asarray(xbar_t, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    total = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal(xbar_t.shape)
-        fp = model.denoise(xbar_t + step * v, t, schedule)
-        fm = model.denoise(xbar_t - step * v, t, schedule)
-        jv = (fp - fm) / (2.0 * step)
-        total += float(np.sum(v * mask * w ** 2 * jv))
-    return total / probes

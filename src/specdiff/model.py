@@ -24,6 +24,7 @@ from .diffusion import DiffusionSchedule
 __all__ = ["Denoiser", "time_embedding"]
 
 MEAN_TYPES = ("predict_x", "predict_epsilon")
+NONLINS = ("tanh", "softplus", "sin")
 
 
 def time_embedding(t, dim: int, max_period: float = 10_000.0) -> np.ndarray:
@@ -45,6 +46,8 @@ class Denoiser:
                  nonlin: str = "tanh"):
         if mean_type not in MEAN_TYPES:
             raise ValueError(f"mean_type must be one of {MEAN_TYPES}")
+        if nonlin not in NONLINS:
+            raise ValueError(f"nonlin must be one of {NONLINS}")
         if not 0.0 <= ema_decay <= 1.0:
             raise ValueError("ema_decay must lie in [0, 1]")
         self.n = int(n)

@@ -385,9 +385,8 @@ def weight_matrix(ep: np.ndarray) -> np.ndarray:
 class DegradationFamily:
     """A dataset-wide measurement process: shared transform, random masks.
 
-    All records drawn from one family share ``vt`` (mixing transforms across
-    a dataset is rejected downstream) and use binary singular values
-    ``{0, s_const}``.
+    All records drawn from one family share ``vt`` and use binary singular
+    values ``{0, s_const}``.
     """
 
     vt: OrthoTransform
@@ -417,10 +416,6 @@ class DegradationFamily:
 
     def weights(self) -> np.ndarray:
         return weight_matrix(expected_projection(self.masks))
-
-    def worst_noise_var(self) -> float:
-        """Largest per-coordinate measurement variance any record can have."""
-        return (self.sigma0 / self.s_const) ** 2
 
 
 def corrupt_batch(x: np.ndarray, deg: SpectralDegradation, rng) -> np.ndarray:

@@ -20,13 +20,7 @@ from .autodiff import NonFiniteError
 from .diffusion import DiffusionSchedule, t_min_for_noise_var
 from .losses import LossConfig, gsure_diffusion_loss, supervised_loss
 from .model import Denoiser
-from .operators import (
-    DegradationFamily,
-    Measurement,
-    corrupt,
-    expected_projection,
-    weight_matrix,
-)
+from .operators import DegradationFamily, Measurement, corrupt
 
 __all__ = [
     "AdamState",
@@ -37,9 +31,7 @@ __all__ = [
     "TrainingDiverged",
     "adam_step",
     "derived_rng",
-    "merge_datasets",
     "precompute",
-    "precompute_measurements",
     "train",
 ]
 
@@ -122,7 +114,7 @@ class PrecomputedDataset:
 
     Rows of ``ybar``/``masks``/``noise_var`` are the records; ``w`` is the
     balancing weight vector derived from the mask distribution. Clean spectral
-    signals are retained only in simulation mode (oracle training needs them).
+    signals are optional; oracle training needs them.
     """
 
     ybar: np.ndarray
@@ -130,7 +122,6 @@ class PrecomputedDataset:
     noise_var: np.ndarray
     sigma0: float
     w: np.ndarray
-    vt_descriptor: dict
     clean_xbar: np.ndarray | None = None
 
     def __post_init__(self):
@@ -160,7 +151,7 @@ class PrecomputedDataset:
 
 def precompute(signals: np.ndarray, family: DegradationFamily,
                seed: int) -> PrecomputedDataset:
-    """Simulation mode: corrupt clean signals record by record.
+    """Corrupt clean signals record by record.
 
     Record ``i`` consumes the generator derived from ``(seed, i)``, so the
     dataset is reproducible and independent of iteration order.
@@ -183,60 +174,7 @@ def precompute(signals: np.ndarray, family: DegradationFamily,
     clean = family.vt.apply(signals) if count else np.zeros((0, n))
     return PrecomputedDataset(ybar=ybar, masks=masks, noise_var=noise_var,
                               sigma0=family.sigma0, w=family.weights(),
-                              vt_descriptor=family.vt.descriptor(),
                               clean_xbar=clean)
-
-
-def precompute_measurements(measurements: list[Measurement], vt,
-                            mask_dist=None) -> PrecomputedDataset:
-    """Ingestion mode: store supplied measurements verbatim.
-
-    Weights come from the declared mask distribution when given, otherwise
-    from the empirical mask frequencies (which must be entrywise positive).
-    """
-    if not measurements:
-        raise ValueError("ingestion requires at least one measurement")
-    n = measurements[0].n
-    sigma0 = measurements[0].sigma0
-    for m in measurements:
-        if m.n != n:
-            raise ValueError("measurements have mixed dimensions")
-        if m.sigma0 != sigma0:
-            raise ValueError("measurements have mixed noise levels")
-    if vt.n != n:
-        raise ValueError("transform dimension does not match measurements")
-    masks = np.stack([m.mask for m in measurements])
-    if mask_dist is not None:
-        ep = expected_projection(mask_dist)
-    else:
-        ep = masks.mean(axis=0)
-        if np.any(ep <= 0.0):
-            raise ValueError("empirical E[P] has a zero entry")
-    return PrecomputedDataset(
-        ybar=np.stack([m.ybar for m in measurements]),
-        masks=masks,
-        noise_var=np.stack([m.noise_var for m in measurements]),
-        sigma0=sigma0,
-        w=weight_matrix(ep),
-        vt_descriptor=vt.descriptor(),
-    )
-
-
-def merge_datasets(a: PrecomputedDataset, b: PrecomputedDataset) -> PrecomputedDataset:
-    """Concatenate datasets; refuses records from a different transform."""
-    if a.vt_descriptor != b.vt_descriptor:
-        raise ValueError("datasets come from different transforms; mixing is undefined")
-    if a.sigma0 != b.sigma0:
-        raise ValueError("datasets have different noise levels")
-    clean = None
-    if a.clean_xbar is not None and b.clean_xbar is not None:
-        clean = np.concatenate([a.clean_xbar, b.clean_xbar])
-    return PrecomputedDataset(
-        ybar=np.concatenate([a.ybar, b.ybar]),
-        masks=np.concatenate([a.masks, b.masks]),
-        noise_var=np.concatenate([a.noise_var, b.noise_var]),
-        sigma0=a.sigma0, w=a.w, vt_descriptor=a.vt_descriptor, clean_xbar=clean,
-    )
 
 
 @dataclass(frozen=True)

@@ -28,3 +28,20 @@ def fraction_close(approx, exact, rel_tol, floor=1e-8):
     """Fraction of entries whose relative error is within ``rel_tol``."""
     errs = relative_errors(approx, exact, floor=floor)
     return float(np.mean(errs <= rel_tol))
+
+
+def finite_diff_divergence(model, xbar_t, t, schedule, mask, w, probes, rng,
+                           step=1e-4):
+    """Reference for the exact-JVP divergence samples: the same probe draws,
+    with each JVP replaced by a central difference of ``model.denoise``."""
+    xbar_t = np.asarray(xbar_t, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    total = 0.0
+    for _ in range(probes):
+        v = rng.standard_normal(xbar_t.shape)
+        fp = model.denoise(xbar_t + step * v, t, schedule)
+        fm = model.denoise(xbar_t - step * v, t, schedule)
+        jv = (fp - fm) / (2.0 * step)
+        total += float(np.sum(v * mask * w ** 2 * jv))
+    return total / probes

@@ -32,6 +32,9 @@ from specdiff.cli import (
 )
 
 
+PRESETS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+
 def two_deltas_config(out_dir, iterations=30, oracle=False, seed=5):
     return validate_config({
         "data": {"kind": "two-deltas", "count": 128, "seed": 9},
@@ -119,14 +122,47 @@ class TestConfig:
                              "data": {"seed": 0, "count": 4, "kind": "two-deltas"}})
         assert config_digest(a) == config_digest(b)
 
+    @pytest.mark.parametrize("where, value", [
+        ("model.nonlin", "relu"),
+        ("model.mean_type", "x"),
+        ("model.hidden", ["a"]),
+        ("model.hidden", []),
+        ("train.loss.gamma", "bogus"),
+        ("train.loss.lambda", "bogus"),
+        ("train.loss.probe_kind", "bogus"),
+        ("train.loss.probes", 0),
+        ("eval.eta", 1.5),
+    ])
+    def test_out_of_range_value_rejected(self, where, value):
+        raw = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
+               "train": {"seed": 0}}
+        *path, key = where.split(".")
+        node = raw
+        for part in path:
+            node = node.setdefault(part, {})
+        node[key] = value
+        with pytest.raises(ConfigError, match=where.replace(".", r"\.")):
+            validate_config(raw)
+
+    @pytest.mark.parametrize("section, key", [("train", "seed"), ("schedule", "T")])
+    def test_null_rejected_where_none_is_not_the_default(self, section, key):
+        raw = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
+               "train": {"seed": 0}}
+        raw.setdefault(section, {})[key] = None
+        with pytest.raises(ConfigError, match=key):
+            validate_config(raw)
+
+    @pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.name)
+    def test_validation_is_idempotent(self, path):
+        once = validate_config(json.loads(path.read_text(encoding="utf-8")))
+        assert validate_config(once) == once
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError):
             validate_config({"data": {"kind": "spirals", "count": 1, "seed": 0},
                              "train": {"seed": 0}})
 
-    @pytest.mark.parametrize(
-        "path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
-        ids=lambda p: p.name)
+    @pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.name)
     def test_presets_train_the_whole_batch_on_one_tape(self, path):
         cfg = load_config(path)
         assert cfg["train"]["chunk_size"] is None

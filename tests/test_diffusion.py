@@ -11,7 +11,6 @@ from specdiff.diffusion import (
     ddim_timesteps,
     ddpm_sample,
     linear_schedule,
-    perturb,
     perturb_batch,
     reconstruct,
     zero_filled,
@@ -149,7 +148,8 @@ class TestPerturb:
         ybar = np.array([0.5, -1.0, 2.0])
         m = full_measurement(ybar, sigma0=0.0, noise_var=np.zeros(3))
         t = 20
-        x1 = perturb(m, t, s, np.random.default_rng(9))
+        x1 = perturb_batch(m.ybar, m.noise_var, np.array([t]), s,
+                           np.random.default_rng(9))[0]
         eps = np.random.default_rng(9).standard_normal((1, 3))[0]
         expected = np.sqrt(s.abar(t)) * ybar + np.sqrt(1 - s.abar(t)) * eps
         np.testing.assert_allclose(x1, expected, rtol=0, atol=1e-14)
@@ -189,7 +189,8 @@ class TestPerturb:
         m = Measurement(ybar=np.array([1.0, 2.0]), mask=np.ones(2, dtype=bool),
                         sigma0=0.1, noise_var=nv)
         with pytest.raises(InfeasibleTimestepError):
-            perturb(m, 1, s, np.random.default_rng(0))
+            perturb_batch(m.ybar, m.noise_var, np.array([1]), s,
+                          np.random.default_rng(0))
 
 
 class TestDdim:
@@ -301,6 +302,19 @@ class TestReconstruct:
         rec = reconstruct(model, s, m, 20, np.random.default_rng(10), vt, eta=eta)
         ddim = ddim_sample(model, s, 20, eta, np.random.default_rng(10), vt)
         assert rec.tobytes() == ddim[0].tobytes()
+
+    @pytest.mark.parametrize("eta", [-0.1, 1.5])
+    def test_eta_outside_unit_interval_rejected(self, eta):
+        # reconstruct and DDIM sampling share one step and its check of eta
+        s = linear_schedule(100, 1e-4, 0.2)
+        vt = IdentityTransform(2)
+        m = Measurement(ybar=np.array([1.0, 0.0]), mask=np.array([True, False]),
+                        sigma0=0.0, noise_var=np.zeros(2))
+        with pytest.raises(ValueError, match="eta"):
+            reconstruct(ShrinkDenoiser(), s, m, 20, np.random.default_rng(0), vt,
+                        eta=eta)
+        with pytest.raises(ValueError, match="eta"):
+            ddim_sample(ShrinkDenoiser(), s, 20, eta, np.random.default_rng(0), vt)
 
     def test_noisy_masks_give_finite_outputs(self):
         rng = np.random.default_rng(7)

@@ -1,4 +1,4 @@
-"""Evaluation battery: sweeps, independence demo, CCA, distances."""
+"""Evaluation battery: sweeps, independence demo, distances."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from specdiff.evaluation import (
     energy_permutation_test,
     generalization_psnr,
     independence_demo,
-    linear_cca,
-    linear_cca_null,
     uncertainty_map,
 )
 from specdiff.operators import IdentityTransform, Measurement
@@ -120,44 +118,6 @@ class TestIndependenceDemo:
         with pytest.raises(ValueError):
             independence_demo("cauchy", GaussianPosteriorDenoiser(), [1.0], 10,
                               np.random.default_rng(0))
-
-
-class TestLinearCca:
-    def test_identical_views_full_correlation(self):
-        x = np.random.default_rng(9).standard_normal((500, 4))
-        corr = linear_cca(x, x)
-        np.testing.assert_allclose(corr, 1.0, atol=1e-5)
-
-    def test_independent_views_below_null_threshold(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((800, 4))
-        y = rng.standard_normal((800, 4))
-        top = linear_cca(x, y)[0]
-        null = linear_cca_null(x, y, 60, rng)
-        assert top <= null.mean() + 3 * null.std(ddof=1)
-
-    def test_noisy_linear_relation_closed_form(self):
-        # y = x + sigma e gives canonical correlations 1/sqrt(1 + sigma^2)
-        rng = np.random.default_rng(11)
-        sigma = 1.5
-        x = rng.standard_normal((200_00, 3))
-        y = x + sigma * rng.standard_normal(x.shape)
-        corr = linear_cca(x, y)
-        np.testing.assert_allclose(corr, 1 / np.sqrt(1 + sigma ** 2), atol=0.02)
-
-    def test_row_count_mismatch(self):
-        with pytest.raises(ValueError):
-            linear_cca(np.zeros((5, 2)), np.zeros((6, 2)))
-
-    def test_invariant_to_invertible_reparameterization(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((5000, 3))
-        y = x @ rng.standard_normal((3, 3)) + 0.8 * rng.standard_normal((5000, 3))
-        base = linear_cca(x, y)
-        a = rng.standard_normal((3, 3)) + 2 * np.eye(3)  # invertible
-        b = rng.standard_normal((3, 3)) + 2 * np.eye(3)
-        re = linear_cca(x @ a, y @ b)
-        np.testing.assert_allclose(re, base, atol=1e-4)
 
 
 class TestUncertaintyMap:

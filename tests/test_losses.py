@@ -6,23 +6,20 @@ import pytest
 from specdiff.diffusion import linear_schedule
 from specdiff.losses import (
     LossConfig,
-    finite_diff_divergence,
     gamma_at,
     gsure_diffusion_loss,
     gsure_loss_from_samples,
     hutchinson_probe_values,
     lambda_at,
-    projected_loss,
     projected_loss_rows,
     supervised_loss,
     supervised_loss_from_samples,
-    sure,
 )
 from specdiff.model import Denoiser
 from specdiff.operators import IdentityTransform, Measurement, SpectralDegradation, corrupt
 
 from fixtures import ConstantModel, LinearModel
-from helpers import central_difference, fraction_close
+from helpers import central_difference, finite_diff_divergence, fraction_close
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +47,13 @@ class TestConfig:
     def test_presets(self):
         assert LossConfig.faces().lam_coef == 1e-4
         assert LossConfig.acquisition().gamma == "snr"
-        assert not LossConfig.theory().use_ybar_variant
 
     def test_rules_evaluate(self):
         cfg = LossConfig.acquisition()
         abar = np.array([0.9, 0.5])
         np.testing.assert_allclose(gamma_at(cfg, abar), abar / (1 - abar))
         np.testing.assert_allclose(lambda_at(cfg, abar), 1e-4 * (1 - abar) / abar)
-        np.testing.assert_allclose(lambda_at(LossConfig.theory(), abar), 1 - abar)
+        np.testing.assert_allclose(lambda_at(LossConfig(lam="theory"), abar), 1 - abar)
         cfg_exact = LossConfig(lam="exact")
         np.testing.assert_allclose(lambda_at(cfg_exact, abar),
                                    (1 - abar) / np.sqrt(abar))
@@ -77,41 +73,6 @@ class TestConfig:
         assert set(np.unique(v)) == {-1.0, 1.0}
         vals = np.sum(v * (v @ np.eye(5).T), axis=1)
         np.testing.assert_array_equal(vals, 5.0)
-
-
-class TestSure:
-    def test_identity_denoiser_equals_noise_floor(self):
-        # f = y has divergence n; the estimate collapses to n sigma^2 exactly
-        y = np.array([0.3, -1.0, 2.2])
-        sigma = 0.7
-        assert sure(y, y, sigma, divergence=3) == pytest.approx(3 * sigma ** 2)
-
-    def test_zero_denoiser_unbiased(self):
-        rng = np.random.default_rng(0)
-        x = np.array([1.0, -0.5, 0.25, 2.0])
-        sigma, draws = 0.5, 100_000
-        ys = x + sigma * rng.standard_normal((draws, 4))
-        vals = np.sum(ys ** 2, axis=1) - 4 * sigma ** 2
-        se = vals.std(ddof=1) / np.sqrt(draws)
-        assert abs(vals.mean() - np.sum(x ** 2)) <= 3 * se
-
-    def test_linear_shrinkage_matches_analytic_mse(self):
-        rng = np.random.default_rng(1)
-        x = np.array([0.8, -1.2, 0.1])
-        sigma, a, draws = 0.4, 0.5, 100_000
-        n = x.size
-        ys = x + sigma * rng.standard_normal((draws, n))
-        # divergence of f(y) = a*y is a*n
-        vals = np.sum((a * ys - ys) ** 2, axis=1) + 2 * sigma ** 2 * a * n - n * sigma ** 2
-        mse = (1 - a) ** 2 * np.sum(x ** 2) + a ** 2 * n * sigma ** 2
-        se = vals.std(ddof=1) / np.sqrt(draws)
-        assert abs(vals.mean() - mse) <= 3 * se
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            sure(np.zeros(2), np.zeros(3), 0.1, 0.0)
-        with pytest.raises(ValueError):
-            sure(np.zeros(2), np.zeros(2), 0.0, 0.0)
 
 
 class TestSupervisedLoss:
@@ -148,15 +109,16 @@ class TestProjectedLoss:
         model = ConstantModel(np.zeros(3))
         xbar = rng.standard_normal(3)
         xbar_t = rng.standard_normal(3)
-        got = projected_loss(model, xbar, xbar_t, np.ones(3, dtype=bool),
-                             np.ones(3), 7, schedule)
+        got = projected_loss_rows(model, xbar, xbar_t, np.ones(3, dtype=bool),
+                                  np.ones(3), 7, schedule)[0]
         assert got == pytest.approx(np.sum(xbar ** 2))
 
     def test_masked_errors_do_not_contribute(self, schedule):
         model = ConstantModel(np.array([100.0, 0.0]))
         xbar = np.array([0.0, 1.0])
         mask = np.array([False, True])
-        got = projected_loss(model, xbar, np.zeros(2), mask, np.ones(2), 7, schedule)
+        got = projected_loss_rows(model, xbar, np.zeros(2), mask, np.ones(2), 7,
+                                  schedule)[0]
         assert got == pytest.approx(1.0)  # the wild first coordinate is dropped
 
     def test_mask_independent_error_recovers_full_mse(self, schedule):

@@ -20,6 +20,11 @@ def small_model(mean_type="predict_x", seed=0, n=6):
                            ema_decay=0.999, rng=np.random.default_rng(seed))
 
 
+def test_unknown_nonlinearity_rejected():
+    with pytest.raises(ValueError, match="nonlin"):
+        Denoiser.create(4, hidden=(8,), emb_dim=8, nonlin="relu")
+
+
 class TestConversion:
     def test_zero_noise_prediction(self, schedule):
         # predict_epsilon with eps_hat == 0 gives x0 = x_t / sqrt(abar)

@@ -286,7 +286,7 @@ class TestDegradationFamily:
                                 0.01, s_const=2.0)
         deg = fam.sample(np.random.default_rng(0))
         assert set(np.unique(deg.singulars)) <= {0.0, 2.0}
-        assert fam.worst_noise_var() == pytest.approx((0.01 / 2.0) ** 2)
+        assert deg.noise_var.max() == pytest.approx((0.01 / 2.0) ** 2)
 
     def test_weights_shape(self):
         fam = DegradationFamily(IdentityTransform(16), PatchDropMasks(4, 4, 2, 0.2), 0.0)

@@ -13,9 +13,7 @@ from specdiff.operators import (
     FixedMask,
     IdentityTransform,
     PatchDropMasks,
-    PermutationTransform,
     SingleDropMasks,
-    corrupt,
 )
 from specdiff.training import (
     AdamState,
@@ -25,9 +23,7 @@ from specdiff.training import (
     _evaluate_chunk,
     adam_step,
     derived_rng,
-    merge_datasets,
     precompute,
-    precompute_measurements,
     train,
 )
 
@@ -120,38 +116,11 @@ class TestPrecompute:
         se = np.sqrt(p * (1 - p) / 10_000)
         assert np.all(np.abs(freq - 0.8) <= 4.5 * se)
 
-    def test_ingestion_mode_verbatim(self):
-        rng = np.random.default_rng(2)
-        fam = coordinate_mask_family(0.05)
-        ms = [corrupt(rng.standard_normal(2), fam.sample(rng), rng) for _ in range(8)]
-        data = precompute_measurements(ms, IdentityTransform(2), fam.masks)
-        for i, m in enumerate(ms):
-            np.testing.assert_array_equal(data.ybar[i], m.ybar)
-            np.testing.assert_array_equal(data.masks[i], m.mask)
-        assert data.clean_xbar is None
-        np.testing.assert_allclose(data.w, np.sqrt(2.0))
-
-    def test_mixed_transforms_rejected(self):
-        fam_a = DegradationFamily(IdentityTransform(4), FixedMask(np.ones(4, bool)), 0.0)
-        fam_b = DegradationFamily(PermutationTransform([1, 0, 3, 2]),
-                                  FixedMask(np.ones(4, bool)), 0.0)
-        sig = np.zeros((4, 4))
-        with pytest.raises(ValueError):
-            merge_datasets(precompute(sig, fam_a, 0), precompute(sig, fam_b, 0))
-
     def test_nonzero_ybar_at_unobserved_entry_rejected(self):
         with pytest.raises(ValueError, match="unobserved"):
             PrecomputedDataset(ybar=np.array([[5.0, 1.0]]),
                                masks=np.array([[False, True]]),
-                               noise_var=np.zeros((1, 2)), sigma0=0.0, w=np.ones(2),
-                               vt_descriptor=IdentityTransform(2).descriptor())
-
-    def test_merge_concatenates(self):
-        fam = DegradationFamily(IdentityTransform(4), FixedMask(np.ones(4, bool)), 0.0)
-        a = precompute(np.ones((3, 4)), fam, 0)
-        b = precompute(np.zeros((2, 4)), fam, 1)
-        merged = merge_datasets(a, b)
-        assert len(merged) == 5
+                               noise_var=np.zeros((1, 2)), sigma0=0.0, w=np.ones(2))
 
 
 class TestTrainLoop:
@@ -231,7 +200,7 @@ class TestTrainLoop:
         data, schedule = self.setup_problem()
         stripped = PrecomputedDataset(ybar=data.ybar, masks=data.masks,
                                       noise_var=data.noise_var, sigma0=data.sigma0,
-                                      w=data.w, vt_descriptor=data.vt_descriptor)
+                                      w=data.w)
         cfg = TrainConfig(iterations=1, batch_size=4, learning_rate=1e-3, seed=0,
                           oracle_mode=True)
         with pytest.raises(ValueError):
