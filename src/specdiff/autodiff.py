@@ -6,18 +6,19 @@ topologically ordered tape of primitive operations over three kinds of leaves
 intermediate value; :func:`backward` then yields exact reverse-mode gradients.
 
 Forward-mode is supported by letting every node carry an optional tangent
-array alongside its value (a dual number at tensor granularity). The tangent
-of any node can be re-entered into the tape as a first-class value via
-``Graph.tangent_of``, and the reverse pass differentiates through it: each
-primitive propagates adjoints for both its value and its tangent, which for
-nonlinear primitives involves their second derivative. This is what makes a
-scalar of the form ``v . (J f(x) v)`` differentiable with respect to the
-parameters of ``f`` on a single tape.
+array alongside its value (a dual number at tensor granularity): :func:`jvp`
+returns the output's value and tangent. :func:`backward` takes a seed for
+each of the two, and each primitive propagates adjoints for both its value
+and its tangent, which for nonlinear primitives involves their second
+derivative. So a scalar ``s(f(x), J f(x) v)`` built outside the tape from the
+output and its tangent is differentiated with respect to the parameters of
+``f`` exactly, given ``ds/df`` and ``ds/d(Jv)`` as the two seeds.
 
-Shape discipline is strict: operands of the binary primitives and the
-weights of ``cmul`` match exactly, and the bias row-broadcast inside
-``affine`` is the only broadcast. All arithmetic is deterministic: identical
-graphs and inputs produce bit-identical values and gradients.
+The primitives are the ones a smooth MLP needs: ``affine``, ``add`` and the
+elementwise ``nonlin``. Shape discipline is strict: ``add``'s operands match
+exactly, and the bias row-broadcast inside ``affine`` is the only broadcast.
+All arithmetic is deterministic: identical graphs and inputs produce
+bit-identical values and gradients.
 
 Graphs are cheap to build, so callers construct one per evaluation. A graph's
 recorded state belongs to its latest forward pass; evaluate a given graph
@@ -81,10 +82,6 @@ def _nl_softplus(x):
     return np.logaddexp(0.0, x), s, s * (1.0 - s)
 
 
-def _nl_square(x):
-    return x * x, 2.0 * x, np.full_like(x, 2.0)
-
-
 def _nl_sin(x):
     return np.sin(x), np.cos(x), -np.sin(x)
 
@@ -93,7 +90,6 @@ def _nl_sin(x):
 NONLINEARITIES = {
     "tanh": _nl_tanh,
     "softplus": _nl_softplus,
-    "square": _nl_square,
     "sin": _nl_sin,
 }
 
@@ -162,15 +158,6 @@ class Graph:
         self._check_same(a, b, "add")
         return self._append("add", a, b, shape=a.shape)
 
-    def sub(self, a: Var, b: Var) -> Var:
-        self._check_same(a, b, "sub")
-        return self._append("sub", a, b, shape=a.shape)
-
-    def mul(self, a: Var, b: Var) -> Var:
-        """Elementwise product; shapes must match exactly."""
-        self._check_same(a, b, "mul")
-        return self._append("mul", a, b, shape=a.shape)
-
     def affine(self, x: Var, w: Var, bias: Var | None = None) -> Var:
         """``x @ w.T + bias`` for row-major batches.
 
@@ -200,26 +187,6 @@ class Graph:
         if kind not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {kind!r}")
         return self._append("nonlin", a, aux=kind, shape=a.shape)
-
-    def sum(self, a: Var) -> Var:
-        """Full reduction to a scalar (shape ``()``)."""
-        return self._append("sum", a, shape=())
-
-    def cmul(self, a: Var, weights) -> Var:
-        """Elementwise multiply by a constant array (masking / diagonal weighting)."""
-        weights = as_tensor(weights)
-        if weights.shape != a.shape:
-            raise ShapeError(f"cmul weights {weights.shape} != operand {a.shape}")
-        return self._append("cmul", a, aux=weights, shape=a.shape)
-
-    def tangent_of(self, a: Var) -> Var:
-        """Re-enter ``a``'s forward tangent into the tape as a plain value.
-
-        The result is the directional derivative of ``a`` along the tangents
-        seeded at forward time; downstream arithmetic on it is differentiated
-        exactly by :func:`backward`.
-        """
-        return self._append("tangent_of", a, shape=a.shape)
 
     def set_output(self, a: Var) -> None:
         if a.graph is not self:
@@ -257,14 +224,6 @@ class Graph:
         if self._output is None:
             raise GraphStateError("graph has no output")
         return self._nodes[self._output].shape
-
-    def value_of(self, var: Var) -> np.ndarray:
-        """Recorded value of a node from the most recent forward pass."""
-        if var.graph is not self:
-            raise GraphStateError("variable belongs to a different graph")
-        if self._values is None or self._values[var.index] is None:
-            raise GraphStateError("value_of before forward")
-        return self._values[var.index]
 
 
 def forward(graph: Graph, inputs: list, tangents: list | None = None) -> np.ndarray:
@@ -311,21 +270,6 @@ def forward(graph: Graph, inputs: list, tangents: list | None = None) -> np.ndar
             vals[i] = av + bv
             if at is not None or bt is not None:
                 tans[i] = (0.0 if at is None else at) + (0.0 if bt is None else bt)
-        elif op == "sub":
-            bv, bt = vals[node.b], tans[node.b]
-            vals[i] = av - bv
-            if at is not None or bt is not None:
-                tans[i] = (0.0 if at is None else at) - (0.0 if bt is None else bt)
-        elif op == "mul":
-            bv, bt = vals[node.b], tans[node.b]
-            vals[i] = av * bv
-            if at is not None or bt is not None:
-                t = 0.0
-                if at is not None:
-                    t = at * bv
-                if bt is not None:
-                    t = t + av * bt
-                tans[i] = t
         elif op == "affine":
             wv, wt = vals[node.b], tans[node.b]
             out = av @ wv.T
@@ -347,20 +291,6 @@ def forward(graph: Graph, inputs: list, tangents: list | None = None) -> np.ndar
             vals[i] = y
             if at is not None:
                 tans[i] = d1 * at
-        elif op == "sum":
-            vals[i] = np.asarray(np.sum(av))
-            if at is not None:
-                tans[i] = np.asarray(np.sum(at))
-        elif op == "cmul":
-            vals[i] = node.aux * av
-            if at is not None:
-                tans[i] = node.aux * at
-        elif op == "tangent_of":
-            if at is None:
-                raise GraphStateError(
-                    "tangent_of requires a tangent seeded at a forward input"
-                )
-            vals[i] = at
         else:  # pragma: no cover
             raise AssertionError(f"unhandled op {op}")
 
@@ -372,34 +302,39 @@ def forward(graph: Graph, inputs: list, tangents: list | None = None) -> np.ndar
     return vals[graph._output]
 
 
-def jvp(graph: Graph, inputs: list, tangent_in: np.ndarray, wrt: int = 0) -> np.ndarray:
-    """Directional derivative of the output along ``tangent_in`` at input ``wrt``.
+def jvp(graph: Graph, inputs: list, tangent_in: np.ndarray,
+        wrt: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Output value and its directional derivative along ``tangent_in`` at input ``wrt``.
 
     Implemented by dual propagation in a single forward sweep; the tangents
-    stay recorded on the graph so a subsequent :func:`backward` differentiates
-    through them.
+    stay recorded on the graph so a subsequent :func:`backward` can seed the
+    output's tangent.
     """
     tangents: list = [None] * graph.n_inputs
     tangents[wrt] = tangent_in
-    forward(graph, inputs, tangents=tangents)
+    value = forward(graph, inputs, tangents=tangents)
     t = graph._tangents[graph._output]
     if t is None:
         raise GraphStateError("output has no tangent; seed at least one input")
-    return t
+    return value, t
 
 
-def backward(graph: Graph, seed_gradient) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact reverse-mode gradients of ``seed_gradient . output``.
+def backward(graph: Graph, seed_gradient,
+             seed_tangent=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Exact reverse-mode gradients of ``seed_gradient . output + seed_tangent . tangent``.
 
-    Returns per-parameter and per-input gradients, in declaration order.
-    Nodes whose values were produced by tangent propagation are handled by
-    adjoints on both streams; for nonlinear primitives this uses their second
-    derivative, so gradients of scalars built from ``tangent_of`` results are
-    exact as well. Requires a prior :func:`forward` on this graph.
+    ``tangent`` is the output's tangent from the latest dual forward
+    (:func:`jvp`); ``seed_tangent`` requires one. Returns per-parameter and
+    per-input gradients, in declaration order. The tangent seed flows back on
+    the tangent stream; for nonlinear primitives its adjoint on the values uses
+    their second derivative, so the gradient of a scalar that depends on the
+    output's tangent is exact. Requires a prior :func:`forward` on this graph.
     """
     if graph._values is None:
         raise GraphStateError("backward before forward")
     seed = as_tensor(seed_gradient, shape=graph.output_shape())
+    if seed_tangent is not None and graph._tangents[graph._output] is None:
+        raise GraphStateError("seed_tangent needs a forward that carried tangents")
 
     vals = graph._values
     tans = graph._tangents
@@ -413,6 +348,8 @@ def backward(graph: Graph, seed_gradient) -> tuple[list[np.ndarray], list[np.nda
         buf[idx] += delta
 
     vadj[graph._output] = seed.copy()
+    if seed_tangent is not None:
+        tadj[graph._output] = as_tensor(seed_tangent, shape=graph.output_shape()).copy()
 
     for i in range(n - 1, -1, -1):
         ga = vadj[i]
@@ -433,27 +370,6 @@ def backward(graph: Graph, seed_gradient) -> tuple[list[np.ndarray], list[np.nda
             if gt is not None:
                 acc(tadj, a, gt)
                 acc(tadj, b, gt)
-        elif op == "sub":
-            if ga is not None:
-                acc(vadj, a, ga)
-                acc(vadj, b, -ga)
-            if gt is not None:
-                acc(tadj, a, gt)
-                acc(tadj, b, -gt)
-        elif op == "mul":
-            av, bv = vals[a], vals[b]
-            at, bt = tans[a], tans[b]
-            if ga is not None:
-                acc(vadj, a, ga * bv)
-                acc(vadj, b, ga * av)
-            if gt is not None:
-                # d(tangent)/d(values): tangent = at*bv + av*bt
-                if bt is not None:
-                    acc(vadj, a, gt * bt)
-                if at is not None:
-                    acc(vadj, b, gt * at)
-                acc(tadj, a, gt * bv)
-                acc(tadj, b, gt * av)
         elif op == "affine":
             xv, wv = vals[a], vals[b]
             xt, wt = tans[a], tans[b]
@@ -489,20 +405,6 @@ def backward(graph: Graph, seed_gradient) -> tuple[list[np.ndarray], list[np.nda
                 if at is not None:
                     acc(vadj, a, gt * d2 * at)
                 acc(tadj, a, gt * d1)
-        elif op == "sum":
-            if ga is not None:
-                acc(vadj, a, np.full(graph._nodes[a].shape, float(ga)))
-            if gt is not None:
-                acc(tadj, a, np.full(graph._nodes[a].shape, float(gt)))
-        elif op == "cmul":
-            if ga is not None:
-                acc(vadj, a, node.aux * ga)
-            if gt is not None:
-                acc(tadj, a, node.aux * gt)
-        elif op == "tangent_of":
-            # the value of this node IS the operand's tangent
-            if ga is not None:
-                acc(tadj, a, ga)
         else:  # pragma: no cover
             raise AssertionError(f"unhandled op {op}")
 

@@ -15,6 +15,7 @@ Subcommands: ``gen-data``, ``train``, ``sample``, ``reconstruct``, ``eval``,
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import struct
@@ -254,7 +255,7 @@ def _check_section(name: str, section: dict, required: tuple) -> dict:
                 raise ConfigError(f"{name}.{key}: expected {types}, got {type(value).__name__}")
             out[key] = value
         else:
-            out[key] = default
+            out[key] = copy.deepcopy(default)
     return out
 
 
@@ -285,10 +286,27 @@ def validate_config(raw: dict) -> dict:
     hidden = cfg["model"]["hidden"]
     if not hidden or not all(type(h) is int and h > 0 for h in hidden):
         raise ConfigError("model.hidden must be a non-empty list of positive ints")
-    if loss["probes"] < 1:
-        raise ConfigError("train.loss.probes must be >= 1")
-    if not 0.0 <= cfg["eval"]["eta"] <= 1.0:
-        raise ConfigError("eval.eta must lie in [0, 1]")
+    train, sched, deg = cfg["train"], cfg["schedule"], cfg["degradation"]
+    emb, beta1 = cfg["model"]["emb_dim"], _beta1(cfg)
+    for where, ok, rule in (
+            ("train.iterations", train["iterations"] >= 0, "be >= 0"),
+            ("train.batch_size", train["batch_size"] >= 1, "be >= 1"),
+            ("train.learning_rate", train["learning_rate"] > 0.0, "be > 0"),
+            ("train.log_interval", train["log_interval"] >= 1, "be >= 1"),
+            ("train.chunk_size", train["chunk_size"] is None or train["chunk_size"] >= 1,
+             "be >= 1"),
+            ("train.loss.probes", loss["probes"] >= 1, "be >= 1"),
+            ("degradation.sigma0", deg["sigma0"] >= 0.0, "be >= 0"),
+            ("degradation.s_const", deg["s_const"] > 0.0, "be > 0"),
+            ("degradation.p", 0.0 <= deg["p"] < 1.0, "lie in [0, 1)"),
+            ("schedule.T", sched["T"] >= 1, "be >= 1"),
+            ("schedule.betaT", 0.0 < sched["betaT"] < 1.0, "lie in (0, 1)"),
+            ("schedule.beta1", not isinstance(beta1, str) and 0.0 < beta1 <= sched["betaT"],
+             "be 'sigma0_squared' or a number, and resolve into (0, schedule.betaT]"),
+            ("model.emb_dim", emb >= 2 and emb % 2 == 0, "be a positive even number"),
+            ("eval.eta", 0.0 <= cfg["eval"]["eta"] <= 1.0, "lie in [0, 1]")):
+        if not ok:
+            raise ConfigError(f"{where} must {rule}")
     return cfg
 
 
@@ -383,14 +401,19 @@ def build_degradation_family(cfg: dict) -> DegradationFamily:
     return DegradationFamily(vt, masks, deg["sigma0"], s_const=deg["s_const"])
 
 
-def build_schedule(cfg: dict) -> DiffusionSchedule:
-    sched = cfg["schedule"]
-    beta1 = sched["beta1"]
+def _beta1(cfg: dict):
+    """``schedule.beta1`` with the ``sigma0_squared`` rule resolved."""
+    beta1 = cfg["schedule"]["beta1"]
     if beta1 == "sigma0_squared":
-        beta1 = max(cfg["degradation"]["sigma0"] ** 2, 1e-5)
-    elif isinstance(beta1, str):
+        return max(cfg["degradation"]["sigma0"] ** 2, 1e-5)
+    return beta1
+
+
+def build_schedule(cfg: dict) -> DiffusionSchedule:
+    beta1 = _beta1(cfg)
+    if isinstance(beta1, str):
         raise ConfigError(f"schedule.beta1: unknown rule {beta1!r}")
-    return linear_schedule(sched["T"], float(beta1), sched["betaT"])
+    return linear_schedule(cfg["schedule"]["T"], float(beta1), cfg["schedule"]["betaT"])
 
 
 def build_model(cfg: dict, n: int) -> Denoiser:
@@ -530,10 +553,21 @@ def load_checkpoint(path, expect_config_digest: str | None = None) -> Checkpoint
                         count=count).copy()
     if expect_config_digest is not None and header["config_digest"] != expect_config_digest:
         raise FormatError(f"{path}: config digest mismatch")
-    return Checkpoint(arch=header["arch"], params=params, ema_params=ema,
-                      step_count=header["step_count"],
-                      config_digest=header["config_digest"],
-                      schedule=header["schedule"], vt_descriptor=header["vt"])
+    try:
+        ckpt = Checkpoint(arch=header["arch"], params=params, ema_params=ema,
+                          step_count=header["step_count"],
+                          config_digest=header["config_digest"],
+                          schedule=header["schedule"], vt_descriptor=header["vt"])
+        # build what the header describes once, so a bad arch, schedule or vt
+        # fails here and not at first use
+        ckpt.model()
+        ckpt.rebuild_schedule()
+        _vt_from_descriptor(ckpt.vt_descriptor)
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad arch, schedule or vt: {exc!r}") from exc
+    return ckpt
 
 
 # -- commands ---------------------------------------------------------------------

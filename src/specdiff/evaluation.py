@@ -60,11 +60,10 @@ class TwoDeltasPosteriorDenoiser:
     """Posterior mean for the symmetric two-point prior at (1,1) and (-1,-1)."""
 
     def estimate(self, u: np.ndarray, abar: float) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-        logit = np.sqrt(abar) * (u[:, 0] + u[:, 1]) / (1.0 - abar)
-        m = np.tanh(logit)
-        out = np.stack([m, m], axis=1)
-        return out if u.shape[0] > 1 else out[0]
+        """Same shape as ``u``: one vector or a batch of rows."""
+        u = np.asarray(u, dtype=np.float64)
+        m = np.tanh(np.sqrt(abar) * (u[..., 0] + u[..., 1]) / (1.0 - abar))
+        return np.stack([m, m], axis=-1)
 
     def denoise(self, xbar_t, t, schedule: DiffusionSchedule, ema: bool = True):
         return self.estimate(xbar_t, float(schedule.abar(t)))

@@ -20,23 +20,29 @@ at a diffusion timestep:
   The additive constant that completes the unbiasedness identity does not
   depend on the parameters and is never computed during training.
 
-Models plug in through a small protocol: ``model.build_graph(rows, t,
-schedule, ema=...)`` returning ``(graph, input_var, x0_var)`` where rows are
-processed independently, ``model.denoise`` for plain estimates, and
-``model.flatten_grads`` for trainers. The divergence estimate rides the same
-network evaluation as the squared-error term (one tangent-carrying forward
-pass per probe), and the returned scalar is differentiable end to end,
+Models plug in through one pass, ``model.evaluate(rows, t, schedule,
+tangent=None)``, which processes rows independently and returns ``(x0, dx0,
+grad)``: the clean-signal estimates, their directional derivatives along the
+input tangent, and ``grad(g_x0, g_dx0)``, the flat parameter gradient of
+``sum(g_x0 * x0) + sum(g_dx0 * dx0)``; ``model.denoise`` gives plain
+estimates. The loss heads are numpy on the pass's outputs: each scalar is a
+weighted sum of squares plus ``sum(div_w * probe * dx0)``, so its seeds are
+``w * 2e`` on ``x0`` and ``div_w * probe`` on ``dx0``. The divergence estimate
+rides the same network evaluation as the squared-error term (one
+tangent-carrying pass over the probe rows), and the gradient is exact,
 including through the probe JVP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .autodiff import Graph, forward
 from .diffusion import DiffusionSchedule, perturb_batch
+from .model import NonFiniteError
 
 __all__ = [
     "LossConfig",
@@ -54,6 +60,7 @@ __all__ = [
 GAMMA_RULES = ("constant", "snr")
 LAMBDA_RULES = ("theory", "exact", "constant", "scaled_inverse_snr")
 PROBE_KINDS = ("gaussian", "rademacher")
+PROBE_CHUNK = 4096  # rows per pass in hutchinson_probe_values
 
 
 @dataclass(frozen=True)
@@ -115,19 +122,22 @@ def lambda_at(cfg: LossConfig, abar) -> np.ndarray:
 
 @dataclass
 class LossEval:
-    """A differentiable scalar with its additive parts and the tape behind it."""
+    """A scalar, its additive parts, and the seeded gradient of the pass behind it."""
 
-    graph: Graph
     value: float
     mse_term: float
     divergence_term: float
+    gradient: Callable[[], np.ndarray]
 
     def backward_flat(self, model) -> np.ndarray:
-        """Flat parameter gradient of the scalar."""
-        from .autodiff import backward
+        """Flat parameter gradient of the scalar; ``model`` is the one evaluated."""
+        return self.gradient()
 
-        pgrads, _ = backward(self.graph, np.asarray(1.0))
-        return model.flatten_grads(pgrads)
+
+def _checked(value) -> float:
+    if not np.isfinite(value):
+        raise NonFiniteError("non-finite loss")
+    return float(value)
 
 
 def _as_rows(x) -> np.ndarray:
@@ -155,17 +165,16 @@ def supervised_loss_from_samples(model, xbar_rows, xbar_t_rows, t,
     cfg = cfg or LossConfig()
     xbar_rows = _as_rows(xbar_rows)
     xbar_t_rows = _as_rows(xbar_t_rows)
-    batch, n = xbar_rows.shape
+    batch = xbar_rows.shape[0]
     t_vec = _t_rows(t, batch)
     gam = gamma_at(cfg, schedule.abar(t_vec))
 
-    g, _, x0 = model.build_graph(xbar_t_rows, t_vec, schedule)
-    err = g.sub(x0, g.const(xbar_rows))
-    weights = np.repeat(np.sqrt(gam / batch)[:, None], n, axis=1)
-    mse = g.sum(g.nonlin("square", g.cmul(err, weights)))
-    g.set_output(mse)
-    value = float(forward(g, [xbar_t_rows]))
-    return LossEval(graph=g, value=value, mse_term=value, divergence_term=0.0)
+    x0, _, grad = model.evaluate(xbar_t_rows, t_vec, schedule)
+    w = np.sqrt(gam / batch)[:, None]
+    e = w * (x0 - xbar_rows)
+    value = _checked(np.sum(e * e))
+    return LossEval(value=value, mse_term=value, divergence_term=0.0,
+                    gradient=partial(grad, w * (2.0 * e)))
 
 
 def supervised_loss(model, xbar_rows, t, schedule: DiffusionSchedule,
@@ -240,16 +249,13 @@ def gsure_loss_from_samples(model, ybar_rows, mask_rows, xbar_t_rows, t,
         (k, 1),
     )
 
-    g, x, x0 = model.build_graph(rows, t_rep, schedule)
-    err = g.sub(x0, g.const(np.tile(r_rows, (k, 1))))
-    mse = g.sum(g.nonlin("square", g.cmul(err, mse_w)))
-    div = g.sum(g.cmul(g.mul(g.const(probe_rows), g.tangent_of(x0)), div_w))
-    total = g.add(mse, div)
-    g.set_output(total)
-    value = float(forward(g, [rows], tangents=[probe_rows]))
-    return LossEval(graph=g, value=value,
-                    mse_term=float(g.value_of(mse)),
-                    divergence_term=float(g.value_of(div)))
+    x0, dx0, grad = model.evaluate(rows, t_rep, schedule, tangent=probe_rows)
+    e = mse_w * (x0 - np.tile(r_rows, (k, 1)))
+    mse = np.sum(e * e)
+    div = np.sum(div_w * (probe_rows * dx0))
+    return LossEval(value=_checked(mse + div), mse_term=float(mse),
+                    divergence_term=float(div),
+                    gradient=partial(grad, mse_w * (2.0 * e), div_w * probe_rows))
 
 
 def gsure_diffusion_loss(model, ybar_rows, mask_rows, noise_var_rows, t,
@@ -270,8 +276,7 @@ def gsure_diffusion_loss(model, ybar_rows, mask_rows, noise_var_rows, t,
 
 
 def hutchinson_probe_values(model, xbar_t, t: int, schedule: DiffusionSchedule,
-                            mask, w, probes: int, rng,
-                            chunk: int = 4096) -> np.ndarray:
+                            mask, w, probes: int, rng) -> np.ndarray:
     """Per-probe Hutchinson samples ``v . (P W^2 (J f) v)`` for estimator studies."""
     xbar_t = np.asarray(xbar_t, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -280,14 +285,11 @@ def hutchinson_probe_values(model, xbar_t, t: int, schedule: DiffusionSchedule,
     out = np.empty(probes)
     done = 0
     while done < probes:
-        size = min(chunk, probes - done)
+        size = min(PROBE_CHUNK, probes - done)
         v = rng.standard_normal((size, n))
         rows = np.tile(xbar_t, (size, 1))
-        g, x, x0 = model.build_graph(rows, np.full(size, t, dtype=np.int64), schedule)
-        jv = g.tangent_of(x0)
-        g.set_output(jv)
-        forward(g, [rows], tangents=[v])
-        jv_rows = g.value_of(jv)
+        _, jv_rows, _ = model.evaluate(rows, np.full(size, t, dtype=np.int64),
+                                       schedule, tangent=v)
         out[done:done + size] = np.sum(v * (mask * w ** 2)[None, :] * jv_rows, axis=1)
         done += size
     return out

@@ -10,15 +10,18 @@ discontinuous.
 The network predicts either the clean signal directly (``predict_x``) or the
 added noise (``predict_epsilon``); in the latter case the estimate of the
 clean signal is ``(x_t - sqrt(1 - abar_t) * eps_hat) / sqrt(abar_t)``. Every
-consumer differentiates this composed clean-signal view, so the conversion is
-built into the computation graph.
+consumer works with this clean-signal view, so :meth:`Denoiser.evaluate`
+returns it: one pass gives ``x0``, optionally its directional derivative
+``dx0`` along an input tangent, and a gradient function. The tape
+(:meth:`Denoiser.build_graph`) holds the network alone; the per-row affine
+conversion and its adjoint are plain numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Graph, Var, forward
+from .autodiff import Graph, NonFiniteError, backward, forward, jvp
 from .diffusion import DiffusionSchedule
 
 __all__ = ["Denoiser", "time_embedding"]
@@ -50,6 +53,8 @@ class Denoiser:
             raise ValueError(f"nonlin must be one of {NONLINS}")
         if not 0.0 <= ema_decay <= 1.0:
             raise ValueError("ema_decay must lie in [0, 1]")
+        if emb_dim < 2 or emb_dim % 2:
+            raise ValueError("emb_dim must be a positive even number")
         self.n = int(n)
         self.hidden = tuple(int(h) for h in hidden)
         self.emb_dim = int(emb_dim)
@@ -109,71 +114,78 @@ class Denoiser:
             off += size
         return out
 
-    def flatten_grads(self, param_grads: list[np.ndarray]) -> np.ndarray:
-        """Assemble per-leaf gradients (layout order) into a flat vector."""
-        return np.concatenate([g.ravel() for g in param_grads])
+    # -- evaluation ---------------------------------------------------------
 
-    # -- graph construction ------------------------------------------------
+    def build_graph(self, t_vec: np.ndarray, ema: bool = False) -> Graph:
+        """Tape of the raw network output for one row per entry of ``t_vec``.
 
-    def param_nodes(self, g: Graph, ema: bool = False) -> dict[str, Var]:
-        """Declare one parameter leaf per layout entry, in layout order."""
+        The one input is the ``(len(t_vec), n)`` batch of noisy rows; the
+        output is the x-estimate or noise estimate. Parameter leaves are
+        declared in layout order, so :func:`backward`'s parameter gradients
+        concatenate into the flat layout.
+        """
+        g = Graph()
+        x = g.input((len(t_vec), self.n))
+        temb = g.const(time_embedding(t_vec, self.emb_dim))
         flat = self.ema_params if ema else self.params
-        return {name: g.param(view) for name, view in self._views(flat).items()}
-
-    def apply_net(self, g: Graph, x: Var, temb: Var, pvars: dict[str, Var]) -> Var:
-        """Raw network output (x-estimate or noise estimate) for row inputs."""
-        h = g.add(g.affine(x, pvars["w0x"], pvars["b0"]),
-                  g.affine(temb, pvars["w0e"]))
+        p = {name: g.param(view) for name, view in self._views(flat).items()}
+        h = g.add(g.affine(x, p["w0x"], p["b0"]), g.affine(temb, p["w0e"]))
         h = g.nonlin(self.nonlin, h)
         for i in range(1, len(self.hidden)):
-            h = g.nonlin(self.nonlin, g.affine(h, pvars[f"w{i}"], pvars[f"b{i}"]))
-        return g.affine(h, pvars["w_out"], pvars["b_out"])
+            h = g.nonlin(self.nonlin, g.affine(h, p[f"w{i}"], p[f"b{i}"]))
+        g.set_output(g.affine(h, p["w_out"], p["b_out"]))
+        return g
 
-    def to_x0(self, g: Graph, x: Var, raw: Var, abar_rows: np.ndarray) -> Var:
-        """Clean-signal view of the raw output, per the network's mean type."""
-        if self.mean_type == "predict_x":
-            return raw
-        scaled_eps = g.cmul(raw, np.sqrt(1.0 - abar_rows))
-        return g.cmul(g.sub(x, scaled_eps), 1.0 / np.sqrt(abar_rows))
-
-    def build_graph(self, xbar_t: np.ndarray, t, schedule: DiffusionSchedule,
-                    ema: bool = False) -> tuple[Graph, Var, Var]:
-        """Graph computing the clean-signal estimate for a batch of rows.
+    def evaluate(self, xbar_t: np.ndarray, t, schedule: DiffusionSchedule,
+                 tangent: np.ndarray | None = None, ema: bool = False):
+        """One pass over a batch of rows: ``(x0, dx0, grad)``.
 
         ``t`` is an int shared by all rows or a per-row integer vector.
-        Returns ``(graph, input_var, x0_var)``; the graph has no output set so
-        callers can keep composing (losses do).
+        ``x0`` is the clean-signal estimate of each row, ``dx0`` its
+        directional derivative along the input ``tangent`` (None without one),
+        and ``grad(g_x0, g_dx0=None)`` the flat parameter gradient of
+        ``sum(g_x0 * x0) + sum(g_dx0 * dx0)``.
         """
-        xbar_t = np.atleast_2d(np.asarray(xbar_t, dtype=np.float64))
-        batch, n = xbar_t.shape
+        rows = np.atleast_2d(np.asarray(xbar_t, dtype=np.float64))
+        batch, n = rows.shape
         if n != self.n:
             raise ValueError(f"model dimension {self.n}, input has {n}")
         t_vec = np.full(batch, t, dtype=np.int64) if np.isscalar(t) \
             else np.asarray(t, dtype=np.int64)
         if t_vec.shape != (batch,):
             raise ValueError("t must be a scalar or one timestep per row")
-        abar = np.asarray(schedule.abar(t_vec), dtype=np.float64)
-        abar_rows = np.repeat(abar[:, None], n, axis=1)
 
-        g = Graph()
-        x = g.input((batch, n))
-        temb = g.const(time_embedding(t_vec, self.emb_dim))
-        pvars = self.param_nodes(g, ema=ema)
-        raw = self.apply_net(g, x, temb, pvars)
-        x0 = self.to_x0(g, x, raw, abar_rows)
-        return g, x, x0
+        g = self.build_graph(t_vec, ema=ema)
+        if tangent is None:
+            x0, dx0 = forward(g, [rows]), None
+        else:
+            tangent = np.asarray(tangent, dtype=np.float64)
+            x0, dx0 = jvp(g, [rows], tangent)
+        if self.mean_type == "predict_epsilon":
+            # the tape gave eps: x0 = inv * (x - s * eps) per row, likewise dx0
+            abar = np.asarray(schedule.abar(t_vec), dtype=np.float64)[:, None]
+            s, inv = np.sqrt(1.0 - abar), 1.0 / np.sqrt(abar)
+            x0 = inv * (rows - s * x0)
+            if dx0 is not None:
+                dx0 = inv * (tangent - s * dx0)
+            if not np.all(np.isfinite(x0)):
+                raise NonFiniteError("non-finite clean-signal estimate")
 
-    # -- evaluation ---------------------------------------------------------
+        def grad(g_x0, g_dx0=None) -> np.ndarray:
+            if self.mean_type == "predict_epsilon":
+                g_x0 = s * -(inv * g_x0)
+                g_dx0 = None if g_dx0 is None else s * -(inv * g_dx0)
+            pgrads, _ = backward(g, g_x0, g_dx0)
+            return np.concatenate([pg.ravel() for pg in pgrads])
+
+        return x0, dx0, grad
 
     def denoise(self, xbar_t: np.ndarray, t, schedule: DiffusionSchedule,
                 ema: bool = False) -> np.ndarray:
         """Clean-signal estimate; accepts one vector or a batch of rows."""
         xbar_t = np.asarray(xbar_t, dtype=np.float64)
-        single = xbar_t.ndim == 1
-        g, _, x0 = self.build_graph(xbar_t, t, schedule, ema=ema)
-        g.set_output(x0)
-        out = forward(g, [np.atleast_2d(xbar_t)])
-        return out[0] if single else out
+        x0 = self.evaluate(xbar_t, t, schedule, ema=ema)[0]
+        return x0[0] if xbar_t.ndim == 1 else x0
 
     # -- EMA ---------------------------------------------------------------
 

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from specdiff.autodiff import Graph, forward
-
 
 class LinearModel:
     """Affine, timestep-independent denoiser ``f(x) = x @ A.T + b``."""
@@ -13,24 +11,26 @@ class LinearModel:
         self.b = np.asarray(b, dtype=np.float64)
         self.n = self.a.shape[0]
 
-    def build_graph(self, rows, t, schedule, ema=False):
+    def evaluate(self, rows, t, schedule, tangent=None, ema=False):
+        """``(x0, dx0, grad)`` in closed form; the flat layout is ``(A, b)``."""
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        g = Graph()
-        x = g.input(rows.shape)
-        out = g.affine(x, g.param(self.a), g.param(self.b))
-        return g, x, out
+        dx0 = None
+        if tangent is not None:
+            tangent = np.asarray(tangent, dtype=np.float64)
+            dx0 = tangent @ self.a.T
+
+        def grad(g_x0, g_dx0=None):
+            g_a = g_x0.T @ rows
+            if g_dx0 is not None:
+                g_a = g_a + g_dx0.T @ tangent
+            return np.concatenate([g_a.ravel(), g_x0.sum(axis=0)])
+
+        return rows @ self.a.T + self.b, dx0, grad
 
     def denoise(self, xbar_t, t, schedule, ema=False):
         xbar_t = np.asarray(xbar_t, dtype=np.float64)
-        single = xbar_t.ndim == 1
-        rows = np.atleast_2d(xbar_t)
-        g, _, out = self.build_graph(rows, t, schedule)
-        g.set_output(out)
-        vals = forward(g, [rows])
-        return vals[0] if single else vals
-
-    def flatten_grads(self, pgrads):
-        return np.concatenate([p.ravel() for p in pgrads])
+        x0 = self.evaluate(xbar_t, t, schedule)[0]
+        return x0[0] if xbar_t.ndim == 1 else x0
 
     def exact_divergence(self, mask, w):
         """trace(P W^2 A) for this fixed linear map."""

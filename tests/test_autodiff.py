@@ -88,7 +88,7 @@ class TestForward:
     def test_non_finite_intermediate_aborts(self):
         g = Graph()
         x = g.input((2,))
-        g.set_output(g.cmul(x, np.full(2, 1e308)))
+        g.set_output(g.affine(x, g.const(np.diag([1e308, 1e308]))))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             forward(g, [np.array([1e308, 0.0])])
 
@@ -106,19 +106,10 @@ class TestBackward:
     def test_scale_by_two(self):
         g = Graph()
         x = g.input((1,))
-        g.set_output(g.cmul(x, [2.0]))
+        g.set_output(g.affine(x, g.const([[2.0]])))
         forward(g, [np.array([3.0])])
         _, (gx,) = backward(g, np.array([1.0]))
         np.testing.assert_array_equal(gx, [2.0])
-
-    def test_sum_of_squares(self):
-        g = Graph()
-        x = g.input((5,))
-        g.set_output(g.sum(g.nonlin("square", x)))
-        x0 = np.array([1.0, -2.0, 0.0, 4.0, -0.5])
-        forward(g, [x0])
-        _, (gx,) = backward(g, np.array(1.0))
-        np.testing.assert_allclose(gx, 2.0 * x0, rtol=0, atol=0)
 
     def test_backward_before_forward(self):
         g = identity_graph(2)
@@ -130,6 +121,9 @@ class TestBackward:
         forward(g, [np.zeros(2)])
         with pytest.raises(ShapeError):
             backward(g, np.zeros(3))
+        jvp(g, [np.zeros(2)], np.ones(2))
+        with pytest.raises(ShapeError):
+            backward(g, np.zeros(2), seed_tangent=np.zeros(3))
 
     @pytest.mark.parametrize("nonlin", ["tanh", "softplus", "sin"])
     def test_mlp_gradients_match_finite_differences(self, nonlin):
@@ -189,16 +183,21 @@ class TestJvp:
         x = g.input((6,))
         g.set_output(g.affine(x, g.const(a)))
         v = rng.standard_normal(6)
-        np.testing.assert_allclose(jvp(g, [np.zeros(6)], v), a @ v, rtol=1e-15, atol=0)
+        value, tangent = jvp(g, [np.zeros(6)], v)
+        np.testing.assert_array_equal(value, np.zeros(4))
+        np.testing.assert_allclose(tangent, a @ v, rtol=1e-15, atol=0)
 
-    def test_elementwise_square(self):
+    def test_elementwise_tanh(self):
         g = Graph()
         x = g.input((5,))
-        g.set_output(g.nonlin("square", x))
+        g.set_output(g.nonlin("tanh", x))
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal(5)
         v = rng.standard_normal(5)
-        np.testing.assert_allclose(jvp(g, [x0], v), 2.0 * x0 * v, rtol=1e-15, atol=0)
+        value, tangent = jvp(g, [x0], v)
+        np.testing.assert_array_equal(value, np.tanh(x0))
+        np.testing.assert_allclose(tangent, (1.0 - np.tanh(x0) ** 2) * v,
+                                   rtol=1e-15, atol=0)
 
     def test_mlp_jvp_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -206,7 +205,7 @@ class TestJvp:
         x = rng.standard_normal(10)
         v = rng.standard_normal(10)
         g = mlp_graph(weights, biases, (10,))
-        got = jvp(g, [x], v)
+        _, got = jvp(g, [x], v)
         h = 1e-5
         g1 = mlp_graph(weights, biases, (10,))
         g2 = mlp_graph(weights, biases, (10,))
@@ -221,32 +220,19 @@ class TestJvp:
         v2 = rng.standard_normal(7)
         a, b = 0.37, -1.42
         g = mlp_graph(weights, biases, (7,))
-        lhs = jvp(g, [x], a * v1 + b * v2)
-        rhs = a * jvp(g, [x], v1) + b * jvp(g, [x], v2)
+        lhs = jvp(g, [x], a * v1 + b * v2)[1]
+        rhs = a * jvp(g, [x], v1)[1] + b * jvp(g, [x], v2)[1]
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
-    def test_tangent_of_requires_seed(self):
-        g = Graph()
-        x = g.input((3,))
-        g.set_output(g.tangent_of(x))
+    def test_seed_tangent_requires_dual_forward(self):
+        g = identity_graph(3)
+        forward(g, [np.zeros(3)])
         with pytest.raises(GraphStateError):
-            forward(g, [np.zeros(3)])
+            backward(g, np.zeros(3), seed_tangent=np.ones(3))
 
 
 class TestSecondOrder:
-    """Gradients of scalars built from jvp results (the capability losses need)."""
-
-    def build_udotjv(self, weights, biases, u, v, x_shape):
-        g = Graph()
-        x = g.input(x_shape)
-        h = x
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            h = g.affine(h, g.param(w), g.param(b))
-            if i < len(weights) - 1:
-                h = g.nonlin("tanh", h)
-        s = g.sum(g.mul(g.const(u), g.tangent_of(h)))
-        g.set_output(s)
-        return g, v
+    """Gradients of ``u . Jv``, seeded on the output's tangent (what losses need)."""
 
     def test_grad_of_u_dot_jvp_matches_fd(self):
         rng = np.random.default_rng(21)
@@ -256,9 +242,9 @@ class TestSecondOrder:
         u = rng.standard_normal(6)
         v = rng.standard_normal(6)
 
-        g, _ = self.build_udotjv(weights, biases, u, v, (6,))
-        forward(g, [x], tangents=[v])
-        pgrads, _ = backward(g, np.array(1.0))
+        g = mlp_graph(weights, biases, (6,))
+        jvp(g, [x], v)
+        pgrads, _ = backward(g, np.zeros(6), seed_tangent=u)
         got = flatten(pgrads)
 
         def scalar_at(theta):
@@ -268,8 +254,7 @@ class TestSecondOrder:
                 off += w.size
                 bs.append(theta[off:off + b.size])
                 off += b.size
-            gg, _ = self.build_udotjv(ws, bs, u, v, (6,))
-            return float(forward(gg, [x], tangents=[v]))
+            return float(u @ jvp(mlp_graph(ws, bs, (6,)), [x], v)[1])
 
         theta0 = flatten([a for wb in zip(weights, biases) for a in wb])
         fd = central_difference(scalar_at, theta0, step=1e-5)
@@ -285,16 +270,15 @@ class TestSecondOrder:
         def build():
             g = Graph()
             x = g.input((5,))
-            h = g.nonlin("tanh", g.affine(x, g.const(w)))
-            g.set_output(g.sum(g.mul(g.const(v), g.tangent_of(h))))
+            g.set_output(g.nonlin("tanh", g.affine(x, g.const(w))))
             return g
 
         g = build()
-        forward(g, [x0], tangents=[v])
-        _, (gx,) = backward(g, np.array(1.0))
+        jvp(g, [x0], v)
+        _, (gx,) = backward(g, np.zeros(5), seed_tangent=v)
 
         fd = central_difference(
-            lambda xv: float(forward(build(), [xv], tangents=[v])), x0, step=1e-6
+            lambda xv: float(v @ jvp(build(), [xv], v)[1]), x0, step=1e-6
         )
         assert fraction_close(gx, fd, rel_tol=1e-3) == 1.0
 

@@ -132,6 +132,19 @@ class TestConfig:
         ("train.loss.probe_kind", "bogus"),
         ("train.loss.probes", 0),
         ("eval.eta", 1.5),
+        ("train.batch_size", 0),
+        ("train.learning_rate", 0),
+        ("train.iterations", -1),
+        ("train.log_interval", 0),
+        ("train.chunk_size", 0),
+        ("schedule.T", 0),
+        ("schedule.betaT", 1.5),
+        ("schedule.beta1", 0.5),
+        ("schedule.beta1", "bogus"),
+        ("degradation.sigma0", -1),
+        ("degradation.s_const", 0),
+        ("degradation.p", 1.0),
+        ("model.emb_dim", 3),
     ])
     def test_out_of_range_value_rejected(self, where, value):
         raw = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
@@ -151,6 +164,24 @@ class TestConfig:
         raw.setdefault(section, {})[key] = None
         with pytest.raises(ConfigError, match=key):
             validate_config(raw)
+
+    def test_sigma0_squared_beta1_checked_against_beta_t(self):
+        # the default beta1 rule resolves to sigma0**2 = 0.25 > betaT = 0.2
+        with pytest.raises(ConfigError, match=r"schedule\.beta1"):
+            validate_config({"data": {"kind": "two-deltas", "count": 1, "seed": 0},
+                             "train": {"seed": 0}, "degradation": {"sigma0": 0.5}})
+
+    def test_validated_defaults_are_copies(self):
+        raw = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
+               "train": {"seed": 0}}
+        first = validate_config(raw)
+        first["model"]["hidden"].append(7)
+        first["eval"]["ts"].append(3)
+        first["eval"]["operations"].append("psnr")
+        second = validate_config(raw)
+        assert second["model"]["hidden"] == [256, 256, 256]
+        assert second["eval"]["ts"] == []
+        assert second["eval"]["operations"] == []
 
     @pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.name)
     def test_validation_is_idempotent(self, path):
@@ -210,7 +241,7 @@ class TestCheckpoints:
         return Checkpoint(
             arch={"n": 2, "hidden": [4], "emb_dim": 8, "mean_type": "predict_x",
                   "ema_decay": 0.99, "nonlin": "tanh"},
-            params=rng.standard_normal(10), ema_params=rng.standard_normal(10),
+            params=rng.standard_normal(54), ema_params=rng.standard_normal(54),
             step_count=17, config_digest="abc123",
             schedule={"T": 10, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1},
             vt_descriptor={"kind": "identity", "n": 2},
@@ -237,15 +268,15 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
-    def write_raw(self, path, header: bytes, payload_count: int = 10):
+    def write_raw(self, path, header: bytes):
         """A checkpoint file around ``header`` verbatim, with the sample payload."""
         ckpt = self.make()
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<II", 1, len(header)))
             fh.write(header)
-            fh.write(ckpt.params[:payload_count].tobytes())
-            fh.write(ckpt.ema_params[:payload_count].tobytes())
+            fh.write(ckpt.params.tobytes())
+            fh.write(ckpt.ema_params.tobytes())
 
     def header_bytes(self, **changes) -> bytes:
         return json.dumps({**self.make().header(), **changes}, sort_keys=True).encode()
@@ -279,7 +310,32 @@ class TestCheckpoints:
 
     def test_bad_param_count_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
-        self.write_raw(path, self.header_bytes(param_count="10"))
+        self.write_raw(path, self.header_bytes(param_count="54"))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("arch", {"hidden": [4], "emb_dim": 8, "mean_type": "predict_x",
+                  "ema_decay": 0.99}),
+        ("arch", "mlp"),
+        ("arch", {"n": 2, "hidden": [5], "emb_dim": 8, "mean_type": "predict_x",
+                  "ema_decay": 0.99}),
+        ("arch", {"n": 2, "hidden": [4], "emb_dim": 8, "mean_type": "predict_x",
+                  "ema_decay": 0.99, "nonlin": "relu"}),
+        ("schedule", {"beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1}),
+        ("schedule", {"T": 10, "beta1": 1e-4, "betaT": 1.5, "t_min_valid": 1}),
+        ("vt", {"n": 2}),
+        ("vt", {"kind": "fourier", "n": 2}),
+    ], ids=["arch-no-n", "arch-str", "arch-hidden-vs-params", "arch-nonlin",
+            "schedule-no-T", "schedule-bad-beta", "vt-no-kind", "vt-unknown-kind"])
+    def test_bad_header_content_rejected(self, tmp_path, field, value):
+        # well-formed JSON whose arch, schedule or vt cannot be rebuilt
+        path = tmp_path / "c.bin"
+        changes = {field: value}
+        if field == "schedule":
+            changes["schedule_digest"] = hashlib.sha256(
+                json.dumps(value, sort_keys=True).encode()).hexdigest()
+        self.write_raw(path, self.header_bytes(**changes))
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

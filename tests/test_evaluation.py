@@ -70,6 +70,25 @@ class TestSweeps:
         assert rows[0][1] == pytest.approx(20 * np.log10(1.0 / delta), rel=1e-10)
 
 
+class TestPosteriorDenoisers:
+    @pytest.mark.parametrize("denoiser", [GaussianPosteriorDenoiser(),
+                                          TwoDeltasPosteriorDenoiser()],
+                             ids=["gaussian", "two-deltas"])
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 2)])
+    def test_estimate_keeps_input_rank(self, denoiser, shape):
+        u = np.arange(1, 1 + np.prod(shape), dtype=np.float64).reshape(shape) / 10
+        out = denoiser.estimate(u, 0.6)
+        assert out.shape == shape
+        np.testing.assert_array_equal(out.reshape(-1, 2)[0],
+                                      denoiser.estimate(u.reshape(-1, 2)[0], 0.6))
+
+    def test_two_deltas_posterior_mean(self):
+        u, abar = np.array([[0.3, -0.1]]), 0.6
+        m = np.tanh(np.sqrt(abar) * (0.3 - 0.1) / (1 - abar))
+        np.testing.assert_array_equal(TwoDeltasPosteriorDenoiser().estimate(u, abar),
+                                      [[m, m]])
+
+
 class TestEnergyDistance:
     def test_zero_on_identical_inputs(self):
         x = np.random.default_rng(4).standard_normal((64, 2))

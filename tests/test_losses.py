@@ -162,7 +162,6 @@ class TestHutchinson:
         assert abs(vals.mean() - n) <= 3 * se
 
     def test_two_layer_net_against_assembled_jacobian(self, schedule):
-        from specdiff.autodiff import forward
         rng = np.random.default_rng(7)
         n = 8
         model = Denoiser.create(n, hidden=(16,), emb_dim=8, rng=rng)
@@ -173,11 +172,8 @@ class TestHutchinson:
 
         # exact Jacobian from n JVP passes with basis-vector tangents
         rows = np.tile(x, (n, 1))
-        g, xv, x0 = model.build_graph(rows, np.full(n, t), schedule)
-        jv = g.tangent_of(x0)
-        g.set_output(jv)
-        forward(g, [rows], tangents=[np.eye(n)])
-        jac_cols = g.value_of(jv)  # row j = J e_j
+        _, jac_cols, _ = model.evaluate(rows, np.full(n, t), schedule,
+                                        tangent=np.eye(n))  # row j = J e_j
         exact = float(np.trace(jac_cols))
 
         vals = hutchinson_probe_values(model, x, t, schedule, mask, w,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specdiff.autodiff import Graph, backward, forward, jvp
+from specdiff.autodiff import forward
 from specdiff.diffusion import linear_schedule
 from specdiff.model import Denoiser, time_embedding
 
@@ -25,6 +25,11 @@ def test_unknown_nonlinearity_rejected():
         Denoiser.create(4, hidden=(8,), emb_dim=8, nonlin="relu")
 
 
+def test_odd_embedding_dimension_rejected():
+    with pytest.raises(ValueError, match="emb_dim"):
+        Denoiser.create(4, hidden=(8,), emb_dim=3)
+
+
 class TestConversion:
     def test_zero_noise_prediction(self, schedule):
         # predict_epsilon with eps_hat == 0 gives x0 = x_t / sqrt(abar)
@@ -38,12 +43,8 @@ class TestConversion:
     def test_predict_x_passthrough(self, schedule):
         model = small_model("predict_x")
         x = np.random.default_rng(2).standard_normal(6)
-        g, xv, x0 = model.build_graph(x, 5, schedule)
-        g.set_output(x0)
-        raw_g, _, raw = model.build_graph(x, 5, schedule)
-        raw_g.set_output(raw)
-        np.testing.assert_array_equal(forward(g, [np.atleast_2d(x)]),
-                                      forward(raw_g, [np.atleast_2d(x)]))
+        raw = forward(model.build_graph(np.array([5])), [np.atleast_2d(x)])
+        np.testing.assert_array_equal(model.denoise(x, 5, schedule), raw[0])
 
     def test_conversion_roundtrip(self, schedule):
         # feeding the exact noise as eps_hat recovers the exact clean signal
@@ -54,14 +55,11 @@ class TestConversion:
         eps = rng.standard_normal(6)
         xt = np.sqrt(abar) * x0 + np.sqrt(1 - abar) * eps
 
-        model = small_model("predict_epsilon")
-        g = Graph()
-        xv = g.input((1, 6))
-        raw = g.const(eps[None, :])
-        # reuse the conversion path with the known noise as the raw output
-        conv = model.to_x0(g, xv, raw, np.full((1, 6), abar))
-        g.set_output(conv)
-        out = forward(g, [xt[None, :]])[0]
+        # a network whose raw output is exactly eps: zero weights, bias eps
+        model = Denoiser.create(6, hidden=(4,), emb_dim=8, mean_type="predict_epsilon")
+        model.params[:] = 0.0
+        model.params[-6:] = eps
+        out = model.denoise(xt, t, schedule)
         np.testing.assert_allclose(out, x0, rtol=0, atol=1e-10)
 
     def test_per_row_timesteps(self, schedule):
@@ -158,9 +156,9 @@ class TestComposedDifferentiability:
         v = rng.standard_normal(6)
         t = 21
 
-        g, xv, x0 = model.build_graph(x, t, schedule)
-        g.set_output(x0)
-        got = jvp(g, [x[None, :]], v[None, :])[0]
+        x0, dx0, _ = model.evaluate(x, t, schedule, tangent=v[None, :])
+        np.testing.assert_array_equal(x0[0], model.denoise(x, t, schedule))
+        got = dx0[0]
 
         h = 1e-5
         fd = (model.denoise(x + h * v, t, schedule)
@@ -170,11 +168,32 @@ class TestComposedDifferentiability:
     def test_gradients_flow_to_all_parameters(self, schedule):
         model = small_model("predict_epsilon", seed=6)
         x = np.random.default_rng(6).standard_normal((2, 6))
-        g, xv, x0 = model.build_graph(x, np.array([4, 80]), schedule)
-        loss = g.sum(g.nonlin("square", x0))
-        g.set_output(loss)
-        forward(g, [x])
-        pgrads, _ = backward(g, np.array(1.0))
-        flat = model.flatten_grads(pgrads)
+        x0, _, grad = model.evaluate(x, np.array([4, 80]), schedule)
+        flat = grad(2.0 * x0)  # gradient of sum(x0 ** 2)
         assert flat.shape == (model.param_count,)
         assert np.mean(flat != 0.0) > 0.9
+
+
+    @pytest.mark.parametrize("nonlin", ["tanh", "softplus", "sin"])
+    @pytest.mark.parametrize("mean_type", ["predict_x", "predict_epsilon"])
+    def test_pass_gradient_with_tangent_seed_matches_finite_differences(
+            self, schedule, mean_type, nonlin):
+        # s = sum(a * x0) + sum(u * dx0): the tangent seed exercises phi''
+        rng = np.random.default_rng(31)
+        model = Denoiser.create(5, hidden=(9, 7), emb_dim=8, mean_type=mean_type,
+                                rng=rng, nonlin=nonlin)
+        x, v, a, u = (rng.standard_normal((3, 5)) for _ in range(4))
+        t = np.array([3, 50, 97])
+        x0, dx0, grad = model.evaluate(x, t, schedule, tangent=v)
+        got = grad(a, u)
+
+        def scalar_at(theta):
+            m = Denoiser.from_arch(model.arch(), theta)
+            y, dy, _ = m.evaluate(x, t, schedule, tangent=v)
+            return float(np.sum(a * y) + np.sum(u * dy))
+
+        assert scalar_at(model.params) == pytest.approx(np.sum(a * x0) + np.sum(u * dx0))
+        d = rng.standard_normal(model.param_count)
+        h = 1e-6
+        fd = (scalar_at(model.params + h * d) - scalar_at(model.params - h * d)) / (2 * h)
+        assert got @ d == pytest.approx(fd, rel=1e-6)
