@@ -192,7 +192,7 @@ _SCHEMA = {
         "seed": (int, None),
         "oracle_mode": (bool, False),
         "log_interval": (int, 50),
-        "chunk_size": (int, None),  # unset: the whole batch on one tape
+        "chunk_size": (int, None),  # unset: the whole batch in one pass
         "loss": (dict, {}),
     },
     "loss": {  # nested under train.loss
@@ -287,8 +287,14 @@ def validate_config(raw: dict) -> dict:
     if not hidden or not all(type(h) is int and h > 0 for h in hidden):
         raise ConfigError("model.hidden must be a non-empty list of positive ints")
     train, sched, deg = cfg["train"], cfg["schedule"], cfg["degradation"]
+    data, ev = cfg["data"], cfg["eval"]
     emb, beta1 = cfg["model"]["emb_dim"], _beta1(cfg)
     for where, ok, rule in (
+            ("data.count", data["count"] >= 1, "be >= 1"),
+            ("data.holdout", data["holdout"] >= 0, "be >= 0"),
+            ("data.dim", data["dim"] >= 1, "be >= 1"),
+            ("data.height", data["height"] >= 1, "be >= 1"),
+            ("data.width", data["width"] >= 1, "be >= 1"),
             ("train.iterations", train["iterations"] >= 0, "be >= 0"),
             ("train.batch_size", train["batch_size"] >= 1, "be >= 1"),
             ("train.learning_rate", train["learning_rate"] > 0.0, "be > 0"),
@@ -299,12 +305,22 @@ def validate_config(raw: dict) -> dict:
             ("degradation.sigma0", deg["sigma0"] >= 0.0, "be >= 0"),
             ("degradation.s_const", deg["s_const"] > 0.0, "be > 0"),
             ("degradation.p", 0.0 <= deg["p"] < 1.0, "lie in [0, 1)"),
+            ("degradation.patch", deg["patch"] >= 1, "be >= 1"),
+            ("degradation.accel", deg["accel"] >= 1, "be >= 1"),
             ("schedule.T", sched["T"] >= 1, "be >= 1"),
             ("schedule.betaT", 0.0 < sched["betaT"] < 1.0, "lie in (0, 1)"),
             ("schedule.beta1", not isinstance(beta1, str) and 0.0 < beta1 <= sched["betaT"],
              "be 'sigma0_squared' or a number, and resolve into (0, schedule.betaT]"),
             ("model.emb_dim", emb >= 2 and emb % 2 == 0, "be a positive even number"),
-            ("eval.eta", 0.0 <= cfg["eval"]["eta"] <= 1.0, "lie in [0, 1]")):
+            ("model.ema_decay", 0.0 <= cfg["model"]["ema_decay"] <= 1.0, "lie in [0, 1]"),
+            ("eval.eta", 0.0 <= ev["eta"] <= 1.0, "lie in [0, 1]"),
+            ("eval.t_stride", ev["t_stride"] >= 1, "be >= 1"),
+            ("eval.count", ev["count"] >= 1, "be >= 1"),
+            ("eval.steps", ev["steps"] >= 1, "be >= 1"),
+            ("eval.n_samples", ev["n_samples"] >= 1, "be >= 1"),
+            ("eval.n_permutations", ev["n_permutations"] >= 1, "be >= 1"),
+            ("eval.n_projections", ev["n_projections"] >= 1, "be >= 1"),
+            ("eval.uncertainty_k", ev["uncertainty_k"] >= 2, "be >= 2")):
         if not ok:
             raise ConfigError(f"{where} must {rule}")
     return cfg
@@ -541,9 +557,10 @@ def load_checkpoint(path, expect_config_digest: str | None = None) -> Checkpoint
     if len(raw) < offset:
         raise FormatError(f"{path}: truncated header")
     header = _json_header(raw[24:offset], path, _CHECKPOINT_KEYS)
+    for key in ("param_count", "step_count"):
+        if type(header[key]) is not int or header[key] < 0:
+            raise FormatError(f"{path}: {key} must be a non-negative integer")
     count = header["param_count"]
-    if type(count) is not int or count < 0:
-        raise FormatError(f"{path}: param_count must be a non-negative integer")
     if header["schedule_digest"] != _schedule_digest(header["schedule"]):
         raise FormatError(f"{path}: schedule digest mismatch")
     if len(raw) != offset + 16 * count:
@@ -613,13 +630,21 @@ def _load_dataset_dir(path: Path):
     """A ``gen-data`` directory as ``(meta, ybar, masks, noise_var, clean or None)``."""
     meta = _json_header((path / "dataset.json").read_bytes(), path / "dataset.json",
                         ("format_version", "n", "sigma0", "s_const", "vt"))
+    real = {key: type(meta[key]) in (int, float) for key in ("sigma0", "s_const")}
+    for key, ok, rule in (
+            ("format_version", type(meta["format_version"]) is int, "be an integer"),
+            ("n", type(meta["n"]) is int and meta["n"] >= 1, "be a positive integer"),
+            ("sigma0", real["sigma0"] and meta["sigma0"] >= 0.0, "be a number >= 0"),
+            ("s_const", real["s_const"] and meta["s_const"] > 0.0, "be a number > 0")):
+        if not ok:
+            raise FormatError(f"{path}: dataset.json {key} must {rule}")
     if meta["format_version"] > FORMAT_VERSION:
         raise FormatError("dataset format is newer than supported")
     ybar = read_tensor_file(path / "ybar.bin")
     masks = read_tensor_file(path / "masks.bin")
-    if ybar.ndim != 2 or ybar.shape != masks.shape:
+    if ybar.ndim != 2 or ybar.shape != masks.shape or ybar.shape[1] != meta["n"]:
         raise FormatError(f"{path}: ybar {ybar.shape} and masks {masks.shape} "
-                          "must be equal-shaped 2-D arrays")
+                          f"must be equal-shaped 2-D arrays of n = {meta['n']} columns")
     if not np.all((masks == 0.0) | (masks == 1.0)):
         raise FormatError(f"{path}: mask values must be exactly 0.0 or 1.0")
     masks = masks == 1.0

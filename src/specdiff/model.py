@@ -12,8 +12,9 @@ added noise (``predict_epsilon``); in the latter case the estimate of the
 clean signal is ``(x_t - sqrt(1 - abar_t) * eps_hat) / sqrt(abar_t)``. Every
 consumer works with this clean-signal view, so :meth:`Denoiser.evaluate`
 returns it: one pass gives ``x0``, optionally its directional derivative
-``dx0`` along an input tangent, and a gradient function. The tape
-(:meth:`Denoiser.build_graph`) holds the network alone; the per-row affine
+``dx0`` along an input tangent, and a gradient function. The network's
+closed-form pass (:mod:`specdiff.autodiff`, filled by
+:meth:`Denoiser.build_graph`) covers the layers alone; the per-row affine
 conversion and its adjoint are plain numpy.
 """
 
@@ -117,24 +118,18 @@ class Denoiser:
     # -- evaluation ---------------------------------------------------------
 
     def build_graph(self, t_vec: np.ndarray, ema: bool = False) -> Graph:
-        """Tape of the raw network output for one row per entry of ``t_vec``.
+        """The network's layers for one row per entry of ``t_vec``.
 
         The one input is the ``(len(t_vec), n)`` batch of noisy rows; the
-        output is the x-estimate or noise estimate. Parameter leaves are
-        declared in layout order, so :func:`backward`'s parameter gradients
-        concatenate into the flat layout.
+        output is the x-estimate or noise estimate. :func:`backward` returns
+        the parameter gradients in layout order, so they concatenate into
+        the flat layout.
         """
-        g = Graph()
-        x = g.input((len(t_vec), self.n))
-        temb = g.const(time_embedding(t_vec, self.emb_dim))
-        flat = self.ema_params if ema else self.params
-        p = {name: g.param(view) for name, view in self._views(flat).items()}
-        h = g.add(g.affine(x, p["w0x"], p["b0"]), g.affine(temb, p["w0e"]))
-        h = g.nonlin(self.nonlin, h)
-        for i in range(1, len(self.hidden)):
-            h = g.nonlin(self.nonlin, g.affine(h, p[f"w{i}"], p[f"b{i}"]))
-        g.set_output(g.affine(h, p["w_out"], p["b_out"]))
-        return g
+        p = self._views(self.ema_params if ema else self.params)
+        layers = [(p["w0x"], p["b0"])]
+        layers += [(p[f"w{i}"], p[f"b{i}"]) for i in range(1, len(self.hidden))]
+        layers.append((p["w_out"], p["b_out"]))
+        return Graph(layers, time_embedding(t_vec, self.emb_dim), p["w0e"], self.nonlin)
 
     def evaluate(self, xbar_t: np.ndarray, t, schedule: DiffusionSchedule,
                  tangent: np.ndarray | None = None, ema: bool = False):
@@ -147,9 +142,7 @@ class Denoiser:
         ``sum(g_x0 * x0) + sum(g_dx0 * dx0)``.
         """
         rows = np.atleast_2d(np.asarray(xbar_t, dtype=np.float64))
-        batch, n = rows.shape
-        if n != self.n:
-            raise ValueError(f"model dimension {self.n}, input has {n}")
+        batch = len(rows)
         t_vec = np.full(batch, t, dtype=np.int64) if np.isscalar(t) \
             else np.asarray(t, dtype=np.int64)
         if t_vec.shape != (batch,):
@@ -162,7 +155,7 @@ class Denoiser:
             tangent = np.asarray(tangent, dtype=np.float64)
             x0, dx0 = jvp(g, [rows], tangent)
         if self.mean_type == "predict_epsilon":
-            # the tape gave eps: x0 = inv * (x - s * eps) per row, likewise dx0
+            # the network gave eps: x0 = inv * (x - s * eps) per row, likewise dx0
             abar = np.asarray(schedule.abar(t_vec), dtype=np.float64)[:, None]
             s, inv = np.sqrt(1.0 - abar), 1.0 / np.sqrt(abar)
             x0 = inv * (rows - s * x0)
@@ -175,8 +168,7 @@ class Denoiser:
             if self.mean_type == "predict_epsilon":
                 g_x0 = s * -(inv * g_x0)
                 g_dx0 = None if g_dx0 is None else s * -(inv * g_dx0)
-            pgrads, _ = backward(g, g_x0, g_dx0)
-            return np.concatenate([pg.ravel() for pg in pgrads])
+            return np.concatenate([pg.ravel() for pg in backward(g, g_x0, g_dx0)])
 
         return x0, dx0, grad
 

@@ -3,7 +3,7 @@
 The whole trajectory is a pure function of (config, data): every random draw
 comes from a generator derived from the config seed and a structural key
 (step index, purpose, chunk index). By default a step evaluates the whole
-batch on one tape. An explicit ``chunk_size`` caps the rows per tape instead:
+batch in one network pass. An explicit ``chunk_size`` caps the rows per pass:
 the batch is cut into fixed-size chunks, evaluated one after another, whose
 gradients are reduced in chunk order. The default is bit-identical to
 ``chunk_size = batch_size``.
@@ -83,8 +83,8 @@ class TrainConfig:
     """Training-loop hyperparameters. The seed is mandatory: there is no
     entropy-source fallback anywhere in the loop.
 
-    ``chunk_size`` is an optional cap on the rows evaluated per tape; unset
-    (``None``), each step evaluates the whole batch on one tape.
+    ``chunk_size`` is an optional cap on the rows evaluated per network pass;
+    unset (``None``), each step evaluates the whole batch in one pass.
     """
 
     iterations: int

@@ -1,4 +1,4 @@
-"""Graph evaluation, reverse-mode gradients, and dual-number JVPs."""
+"""The closed-form MLP pass: evaluation, reverse-mode gradients and dual-number JVPs."""
 
 import numpy as np
 import pytest
@@ -15,88 +15,91 @@ from specdiff.autodiff import (
 
 from helpers import central_difference, fraction_close
 
-
-def identity_graph(n):
-    g = Graph()
-    x = g.input((n,))
-    g.set_output(x)
-    return g
+NONLINS = ["tanh", "softplus", "sin"]
 
 
-def mlp_graph(weights, biases, x_shape, nonlin="tanh"):
-    """Fully connected net over 1-D input; returns (graph, param vars order)."""
-    g = Graph()
-    x = g.input(x_shape)
-    h = x
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        h = g.affine(h, g.param(w), g.param(b))
-        if i < len(weights) - 1:
-            h = g.nonlin(nonlin, h)
-    g.set_output(h)
-    return g
+def build(params, temb, nonlin="tanh"):
+    """Graph from parameters in layout order: ``W_0, W_e, b_0, W_1, b_1, ...``."""
+    w0, w_e, b0, *rest = params
+    return Graph([(w0, b0)] + list(zip(rest[::2], rest[1::2])), temb, w_e, nonlin)
 
 
-def random_mlp(rng, sizes):
+def random_net(rng, sizes, batch=1, emb=4):
+    """Random parameters in layout order for layer widths ``sizes``, plus ``temb``."""
     weights = [rng.standard_normal((m, k)) / np.sqrt(k) for k, m in zip(sizes, sizes[1:])]
     biases = [rng.standard_normal(m) * 0.1 for m in sizes[1:]]
-    return weights, biases
+    w_e = rng.standard_normal((sizes[1], emb)) / np.sqrt(emb)
+    params = [weights[0], w_e, biases[0]]
+    for w, b in zip(weights[1:], biases[1:]):
+        params += [w, b]
+    return params, rng.standard_normal((batch, emb))
 
 
 def flatten(arrs):
     return np.concatenate([a.ravel() for a in arrs])
 
 
-class TestForward:
-    def test_identity(self):
-        g = identity_graph(4)
-        x = np.array([1.0, -2.0, 3.0, 0.5])
-        np.testing.assert_array_equal(forward(g, [x]), x)
+def unflatten(theta, like):
+    out, off = [], 0
+    for a in like:
+        out.append(theta[off:off + a.size].reshape(a.shape))
+        off += a.size
+    return out
 
+
+def one_layer(w):
+    """A single affine layer, no bias, with a zero embedding block, on one row."""
+    m, _ = w.shape
+    return Graph([(w, np.zeros(m))], np.ones((1, 2)), np.zeros((m, 2)))
+
+
+class TestForward:
     def test_affine_identity(self):
-        g = Graph()
-        x = g.input((3,))
-        y = g.affine(x, g.param(np.eye(3)), g.param(np.zeros(3)))
-        g.set_output(y)
-        x0 = np.array([0.3, -1.2, 2.0])
-        np.testing.assert_allclose(forward(g, [x0]), x0, rtol=0, atol=0)
+        x0 = np.array([[0.3, -1.2, 2.0]])
+        np.testing.assert_array_equal(forward(one_layer(np.eye(3)), [x0]), x0)
 
     def test_two_layer_matches_hand_evaluation(self):
         # independent straight-line evaluation of the two-layer formula
         rng = np.random.default_rng(7)
-        weights, biases = random_mlp(rng, [5, 4, 3])
-        g = mlp_graph(weights, biases, (5,))
-        x = np.zeros(5)
-        expected = weights[1] @ np.tanh(weights[0] @ x + biases[0]) + biases[1]
-        np.testing.assert_allclose(forward(g, [x]), expected, rtol=0, atol=1e-15)
+        (w0, w_e, b0, w1, b1), temb = random_net(rng, [5, 4, 3], batch=2)
+        x = rng.standard_normal((2, 5))
+        expected = np.stack([
+            w1 @ np.tanh(w0 @ x[r] + w_e @ temb[r] + b0) + b1 for r in range(2)])
+        got = forward(build([w0, w_e, b0, w1, b1], temb), [x])
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
     def test_input_count_and_shape_checks(self):
-        g = identity_graph(4)
+        rng = np.random.default_rng(1)
+        params, temb = random_net(rng, [4, 3, 2], batch=2)
+        g = build(params, temb)
+        with pytest.raises(ValueError):
+            forward(g, [np.zeros((2, 4)), np.zeros((2, 4))])
         with pytest.raises(ShapeError):
-            forward(g, [np.zeros(4), np.zeros(4)])
+            forward(g, [np.zeros((2, 5))])
+        with pytest.raises(ShapeError):  # one row per embedding row
+            forward(g, [np.zeros((3, 4))])
         with pytest.raises(ShapeError):
-            forward(g, [np.zeros(5)])
-
-    def test_build_time_shape_mismatch(self):
-        g = Graph()
-        a = g.input((3,))
-        b = g.input((4,))
-        with pytest.raises(ShapeError):
-            g.add(a, b)
-        with pytest.raises(ShapeError):
-            g.affine(a, g.param(np.zeros((2, 4))))
+            jvp(g, [np.zeros((2, 4))], np.zeros((2, 5)))
 
     def test_non_finite_intermediate_aborts(self):
-        g = Graph()
-        x = g.input((2,))
-        g.set_output(g.affine(x, g.const(np.diag([1e308, 1e308]))))
+        g = one_layer(np.diag([1e308, 1e308]))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            forward(g, [np.array([1e308, 0.0])])
+            forward(g, [np.array([[1e308, 0.0]])])
+
+    def test_infinite_pre_activation_squashed_by_tanh_aborts(self):
+        # tanh maps the infinite inner pre-activation to 1, so the output alone
+        # would look finite; the pass checks every pre-activation
+        w0 = np.diag([1e308, 1e308])
+        g = Graph([(w0, np.zeros(2)), (np.eye(2), np.zeros(2))], np.ones((1, 2)),
+                  np.zeros((2, 2)))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="layer 0"):
+            forward(g, [np.array([[1e308, 0.0]])])
 
     def test_reevaluation_is_bit_identical(self):
         rng = np.random.default_rng(3)
-        weights, biases = random_mlp(rng, [6, 8, 6])
-        g = mlp_graph(weights, biases, (6,))
-        x = rng.standard_normal(6)
+        params, temb = random_net(rng, [6, 8, 6], batch=3)
+        g = build(params, temb)
+        x = rng.standard_normal((3, 6))
         out1 = forward(g, [x]).copy()
         out2 = forward(g, [x])
         assert np.array_equal(out1, out2)
@@ -104,96 +107,92 @@ class TestForward:
 
 class TestBackward:
     def test_scale_by_two(self):
-        g = Graph()
-        x = g.input((1,))
-        g.set_output(g.affine(x, g.const([[2.0]])))
-        forward(g, [np.array([3.0])])
-        _, (gx,) = backward(g, np.array([1.0]))
-        np.testing.assert_array_equal(gx, [2.0])
+        # y = 2 x + 0.5 + 1.5 w_e at x = 3: dy/dW = x, dy/dw_e = temb, dy/db = 1
+        g = Graph([(np.array([[2.0]]), np.array([0.5]))], np.array([[1.5]]),
+                  np.array([[0.0]]))
+        np.testing.assert_array_equal(forward(g, [np.array([[3.0]])]), [[6.5]])
+        gw, gw_e, gb = backward(g, np.array([[1.0]]))
+        np.testing.assert_array_equal(gw, [[3.0]])
+        np.testing.assert_array_equal(gw_e, [[1.5]])
+        np.testing.assert_array_equal(gb, [1.0])
 
     def test_backward_before_forward(self):
-        g = identity_graph(2)
         with pytest.raises(GraphStateError):
-            backward(g, np.zeros(2))
+            backward(one_layer(np.eye(2)), np.zeros((1, 2)))
 
     def test_seed_shape_check(self):
-        g = identity_graph(2)
-        forward(g, [np.zeros(2)])
+        g = one_layer(np.eye(2))
+        forward(g, [np.zeros((1, 2))])
         with pytest.raises(ShapeError):
-            backward(g, np.zeros(3))
-        jvp(g, [np.zeros(2)], np.ones(2))
+            backward(g, np.zeros((1, 3)))
+        jvp(g, [np.zeros((1, 2))], np.ones((1, 2)))
         with pytest.raises(ShapeError):
-            backward(g, np.zeros(2), seed_tangent=np.zeros(3))
+            backward(g, np.zeros((1, 2)), seed_tangent=np.zeros((1, 3)))
 
-    @pytest.mark.parametrize("nonlin", ["tanh", "softplus", "sin"])
+    @pytest.mark.parametrize("nonlin", NONLINS)
     def test_mlp_gradients_match_finite_differences(self, nonlin):
         rng = np.random.default_rng(11)
-        sizes = [16, 12, 10, 1]
-        weights, biases = random_mlp(rng, sizes)
-        x = rng.standard_normal(16)
+        params, temb = random_net(rng, [16, 12, 10, 3], batch=2)
+        x = rng.standard_normal((2, 16))
+        c = rng.standard_normal((2, 3))
 
-        def build():
-            return mlp_graph(weights, biases, (16,), nonlin=nonlin)
-
-        g = build()
+        g = build(params, temb, nonlin)
         forward(g, [x])
-        pgrads, (xgrad,) = backward(g, np.array([1.0]))
-        flat = flatten(pgrads)
-
-        theta0 = flatten([a for wb in zip(weights, biases) for a in wb])
+        got = flatten(backward(g, c))
 
         def loss_at(theta):
-            ws, bs, off = [], [], 0
-            for w, b in zip(weights, biases):
-                ws.append(theta[off:off + w.size].reshape(w.shape))
-                off += w.size
-                bs.append(theta[off:off + b.size])
-                off += b.size
-            gg = mlp_graph(ws, bs, (16,), nonlin=nonlin)
-            return float(forward(gg, [x])[0])
+            return float(np.sum(c * forward(build(unflatten(theta, params), temb, nonlin),
+                                            [x])))
 
-        fd = central_difference(loss_at, theta0, step=1e-5)
-        # interleave to match declaration order (w1, b1, w2, b2, ...)
-        assert fraction_close(flat, fd, rel_tol=1e-4) >= 0.99
+        fd = central_difference(loss_at, flatten(params), step=1e-5)
+        assert fraction_close(got, fd, rel_tol=1e-4) >= 0.99
 
-        fd_x = central_difference(
-            lambda xv: float(forward(build(), [xv])[0]), x, step=1e-5
-        )
-        assert fraction_close(xgrad, fd_x, rel_tol=1e-4) >= 0.99
+    @pytest.mark.parametrize("nonlin", NONLINS)
+    def test_gradients_with_tangent_seed_match_finite_differences(self, nonlin):
+        # both seeds at once: d/dtheta of c . f(x) + u . J f(x) v
+        rng = np.random.default_rng(12)
+        params, temb = random_net(rng, [6, 10, 8, 6], batch=2)
+        x, v, c, u = (rng.standard_normal((2, 6)) for _ in range(4))
+
+        g = build(params, temb, nonlin)
+        jvp(g, [x], v)
+        got = flatten(backward(g, c, seed_tangent=u))
+
+        def scalar_at(theta):
+            value, tangent = jvp(build(unflatten(theta, params), temb, nonlin), [x], v)
+            return float(np.sum(c * value) + np.sum(u * tangent))
+
+        fd = central_difference(scalar_at, flatten(params), step=1e-5)
+        assert fraction_close(got, fd, rel_tol=1e-3) >= 0.99
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(5)
-        weights, biases = random_mlp(rng, [8, 8, 1])
-        x = rng.standard_normal(8)
+        params, temb = random_net(rng, [8, 8, 1], batch=2)
+        x = rng.standard_normal((2, 8))
         results = []
         for _ in range(2):
-            g = mlp_graph(weights, biases, (8,))
+            g = build(params, temb)
             forward(g, [x])
-            pg, ig = backward(g, np.array([1.0]))
-            results.append((flatten(pg), ig[0].copy()))
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.array_equal(results[0][1], results[1][1])
+            results.append(flatten(backward(g, np.ones((2, 1)))))
+        assert np.array_equal(results[0], results[1])
 
 
 class TestJvp:
     def test_linear_map_exact(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 6))
-        g = Graph()
-        x = g.input((6,))
-        g.set_output(g.affine(x, g.const(a)))
-        v = rng.standard_normal(6)
-        value, tangent = jvp(g, [np.zeros(6)], v)
-        np.testing.assert_array_equal(value, np.zeros(4))
-        np.testing.assert_allclose(tangent, a @ v, rtol=1e-15, atol=0)
+        v = rng.standard_normal((1, 6))
+        value, tangent = jvp(one_layer(a), [np.zeros((1, 6))], v)
+        np.testing.assert_array_equal(value, np.zeros((1, 4)))
+        np.testing.assert_allclose(tangent[0], a @ v[0], rtol=1e-15, atol=0)
 
     def test_elementwise_tanh(self):
-        g = Graph()
-        x = g.input((5,))
-        g.set_output(g.nonlin("tanh", x))
+        # identity layers around the nonlinearity leave tanh and its derivative
+        eye, zero = np.eye(5), np.zeros(5)
+        g = Graph([(eye, zero), (eye, zero)], np.ones((1, 2)), np.zeros((5, 2)))
         rng = np.random.default_rng(4)
-        x0 = rng.standard_normal(5)
-        v = rng.standard_normal(5)
+        x0 = rng.standard_normal((1, 5))
+        v = rng.standard_normal((1, 5))
         value, tangent = jvp(g, [x0], v)
         np.testing.assert_array_equal(value, np.tanh(x0))
         np.testing.assert_allclose(tangent, (1.0 - np.tanh(x0) ** 2) * v,
@@ -201,34 +200,32 @@ class TestJvp:
 
     def test_mlp_jvp_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        weights, biases = random_mlp(rng, [10, 14, 6])
-        x = rng.standard_normal(10)
-        v = rng.standard_normal(10)
-        g = mlp_graph(weights, biases, (10,))
-        _, got = jvp(g, [x], v)
+        params, temb = random_net(rng, [10, 14, 6], batch=2)
+        x = rng.standard_normal((2, 10))
+        v = rng.standard_normal((2, 10))
+        _, got = jvp(build(params, temb), [x], v)
         h = 1e-5
-        g1 = mlp_graph(weights, biases, (10,))
-        g2 = mlp_graph(weights, biases, (10,))
-        fd = (forward(g1, [x + h * v]) - forward(g2, [x - h * v])) / (2 * h)
+        fd = (forward(build(params, temb), [x + h * v])
+              - forward(build(params, temb), [x - h * v])) / (2 * h)
         assert fraction_close(got, fd, rel_tol=1e-4) == 1.0
 
     def test_jvp_linearity(self):
         rng = np.random.default_rng(13)
-        weights, biases = random_mlp(rng, [7, 9, 5])
-        x = rng.standard_normal(7)
-        v1 = rng.standard_normal(7)
-        v2 = rng.standard_normal(7)
+        params, temb = random_net(rng, [7, 9, 5])
+        x = rng.standard_normal((1, 7))
+        v1 = rng.standard_normal((1, 7))
+        v2 = rng.standard_normal((1, 7))
         a, b = 0.37, -1.42
-        g = mlp_graph(weights, biases, (7,))
+        g = build(params, temb)
         lhs = jvp(g, [x], a * v1 + b * v2)[1]
         rhs = a * jvp(g, [x], v1)[1] + b * jvp(g, [x], v2)[1]
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
     def test_seed_tangent_requires_dual_forward(self):
-        g = identity_graph(3)
-        forward(g, [np.zeros(3)])
+        g = one_layer(np.eye(3))
+        forward(g, [np.zeros((1, 3))])
         with pytest.raises(GraphStateError):
-            backward(g, np.zeros(3), seed_tangent=np.ones(3))
+            backward(g, np.zeros((1, 3)), seed_tangent=np.ones((1, 3)))
 
 
 class TestSecondOrder:
@@ -236,63 +233,27 @@ class TestSecondOrder:
 
     def test_grad_of_u_dot_jvp_matches_fd(self):
         rng = np.random.default_rng(21)
-        sizes = [6, 10, 8, 6]
-        weights, biases = random_mlp(rng, sizes)
-        x = rng.standard_normal(6)
-        u = rng.standard_normal(6)
-        v = rng.standard_normal(6)
+        params, temb = random_net(rng, [6, 10, 8, 6])
+        x = rng.standard_normal((1, 6))
+        u = rng.standard_normal((1, 6))
+        v = rng.standard_normal((1, 6))
 
-        g = mlp_graph(weights, biases, (6,))
+        g = build(params, temb)
         jvp(g, [x], v)
-        pgrads, _ = backward(g, np.zeros(6), seed_tangent=u)
-        got = flatten(pgrads)
+        got = flatten(backward(g, np.zeros((1, 6)), seed_tangent=u))
 
         def scalar_at(theta):
-            ws, bs, off = [], [], 0
-            for w, b in zip(weights, biases):
-                ws.append(theta[off:off + w.size].reshape(w.shape))
-                off += w.size
-                bs.append(theta[off:off + b.size])
-                off += b.size
-            return float(u @ jvp(mlp_graph(ws, bs, (6,)), [x], v)[1])
+            return float(np.sum(u * jvp(build(unflatten(theta, params), temb), [x], v)[1]))
 
-        theta0 = flatten([a for wb in zip(weights, biases) for a in wb])
-        fd = central_difference(scalar_at, theta0, step=1e-5)
+        fd = central_difference(scalar_at, flatten(params), step=1e-5)
         assert fraction_close(got, fd, rel_tol=1e-3) >= 0.99
-
-    def test_grad_through_jvp_wrt_input(self):
-        # d/dx of v . J(x) v for f(x) = sum(tanh(Wx)) pieces, vs finite differences
-        rng = np.random.default_rng(22)
-        w = rng.standard_normal((5, 5))
-        v = rng.standard_normal(5)
-        x0 = rng.standard_normal(5)
-
-        def build():
-            g = Graph()
-            x = g.input((5,))
-            g.set_output(g.nonlin("tanh", g.affine(x, g.const(w))))
-            return g
-
-        g = build()
-        jvp(g, [x0], v)
-        _, (gx,) = backward(g, np.zeros(5), seed_tangent=v)
-
-        fd = central_difference(
-            lambda xv: float(v @ jvp(build(), [xv], v)[1]), x0, step=1e-6
-        )
-        assert fraction_close(gx, fd, rel_tol=1e-3) == 1.0
 
     def test_batched_rows_match_single(self):
         # batching over rows must be the same function applied per row
         rng = np.random.default_rng(23)
-        weights, biases = random_mlp(rng, [4, 6, 4])
+        params, temb = random_net(rng, [4, 6, 4], batch=3)
         xb = rng.standard_normal((3, 4))
-        g = Graph()
-        x = g.input((3, 4))
-        h = g.nonlin("tanh", g.affine(x, g.param(weights[0]), g.param(biases[0])))
-        h = g.affine(h, g.param(weights[1]), g.param(biases[1]))
-        g.set_output(h)
-        out = forward(g, [xb])
+        out = forward(build(params, temb), [xb])
         for r in range(3):
-            gr = mlp_graph(weights, biases, (4,))
-            np.testing.assert_allclose(forward(gr, [xb[r]]), out[r], rtol=0, atol=1e-14)
+            row = forward(build(params, temb[r:r + 1]), [xb[r:r + 1]])
+            np.testing.assert_allclose(row[0], out[r], rtol=0, atol=1e-14)

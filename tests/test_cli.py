@@ -145,6 +145,21 @@ class TestConfig:
         ("degradation.s_const", 0),
         ("degradation.p", 1.0),
         ("model.emb_dim", 3),
+        ("data.count", -1),
+        ("data.holdout", -3),
+        ("data.dim", 0),
+        ("data.height", 0),
+        ("data.width", 0),
+        ("degradation.patch", 0),
+        ("degradation.accel", 0),
+        ("model.ema_decay", 1.5),
+        ("eval.t_stride", 0),
+        ("eval.count", 0),
+        ("eval.steps", 0),
+        ("eval.n_samples", 0),
+        ("eval.n_permutations", 0),
+        ("eval.n_projections", 0),
+        ("eval.uncertainty_k", 1),
     ])
     def test_out_of_range_value_rejected(self, where, value):
         raw = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
@@ -326,10 +341,16 @@ class TestCheckpoints:
         ("schedule", {"T": 10, "beta1": 1e-4, "betaT": 1.5, "t_min_valid": 1}),
         ("vt", {"n": 2}),
         ("vt", {"kind": "fourier", "n": 2}),
+        ("step_count", 2.7),
+        ("step_count", -5),
+        ("step_count", True),
+        ("step_count", "3"),
     ], ids=["arch-no-n", "arch-str", "arch-hidden-vs-params", "arch-nonlin",
-            "schedule-no-T", "schedule-bad-beta", "vt-no-kind", "vt-unknown-kind"])
+            "schedule-no-T", "schedule-bad-beta", "vt-no-kind", "vt-unknown-kind",
+            "step-float", "step-negative", "step-bool", "step-str"])
     def test_bad_header_content_rejected(self, tmp_path, field, value):
-        # well-formed JSON whose arch, schedule or vt cannot be rebuilt
+        # well-formed JSON whose arch, schedule or vt cannot be rebuilt, or
+        # whose step count is not a non-negative integer
         path = tmp_path / "c.bin"
         changes = {field: value}
         if field == "schedule":
@@ -390,6 +411,24 @@ class TestDatasetDirectory:
     def test_garbled_sidecar_rejected(self, data_cfg, tmp_path):
         (Path(data_cfg["io"]["data_dir"]) / "dataset.json").write_text('{"n": 2')
         with pytest.raises(FormatError):
+            cmd_train(data_cfg, tmp_path / "run")
+
+    @pytest.mark.parametrize("field, value", [
+        ("format_version", "1"),
+        ("n", "2"),
+        ("n", 3),
+        ("sigma0", "0.01"),
+        ("sigma0", -0.5),
+        ("s_const", None),
+        ("s_const", 0),
+    ], ids=["version-str", "n-str", "n-vs-columns", "sigma0-str", "sigma0-negative",
+            "s_const-null", "s_const-zero"])
+    def test_bad_sidecar_field_rejected(self, data_cfg, tmp_path, field, value):
+        sidecar = Path(data_cfg["io"]["data_dir"]) / "dataset.json"
+        meta = json.loads(sidecar.read_text())
+        meta[field] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=field):
             cmd_train(data_cfg, tmp_path / "run")
 
 

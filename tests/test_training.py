@@ -186,7 +186,7 @@ class TestTrainLoop:
         assert chunked.model.ema_params.tobytes() == ref_model.ema_params.tobytes()
         assert [(r.loss, r.divergence_term, r.grad_norm)
                 for r in chunked.metrics] == ref_rows
-        # and the cap is real: one tape per step gives other bytes
+        # and the cap is real: one pass per step gives other bytes
         whole = train(self.make_model(seed=7),
                       dataclasses.replace(cfg, chunk_size=None), data, schedule)
         assert whole.model.params.tobytes() != chunked.model.params.tobytes()

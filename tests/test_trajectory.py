@@ -3,9 +3,11 @@
 Each preset's architecture, loss and degradation train for 3 steps on 64
 records, in GSURE and oracle mode, through ``cmd_train``. The stored values
 are ``(loss, divergence_term, grad_norm)`` per step from ``metrics.csv`` and
-two checksums of the trained parameters. The tolerance lets BLAS reduction
-order through and catches any change to what a step computes; a change that
-is meant to alter training updates these values and names them.
+two checksums of the trained parameters. The ``-softplus`` and ``-sin`` cases
+swap in the nonlinearities no preset uses, with a constant divergence weight
+of 1, so that their second derivatives carry full weight. The tolerance lets
+BLAS reduction order through and catches any change to what a step computes;
+a change that is meant to alter training updates these values and names them.
 """
 
 import json
@@ -52,13 +54,26 @@ EXPECTED = {
          (9.581231194349199, 0.0, 50.77037036817248),
          (19.685503091651512, 0.0, 117.05214363971541)],
         5.657225218073589, 499.62683699482056),
+    "two_deltas-gsure-softplus": (
+        [(27.897220194058914, -0.26965855704989433, 339.07959077804753),
+         (16.167649479450013, -0.0439523453502236, 111.81475979202273),
+         (30.2225699502186, 0.2767432273584298, 212.4654198468202)],
+        6.296587673922686, 499.60690898786436),
+    "two_deltas-gsure-sin": (
+        [(34.18598205266426, -0.28386047471259007, 253.69696835902306),
+         (13.893254991891832, -0.21975634648825682, 89.70718430180857),
+         (32.43587283350914, -0.7621357021562334, 230.0099663962205)],
+        5.078619560346452, 499.69857790252627),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EXPECTED))
 def test_three_steps_match_stored_trajectory(case, tmp_path):
-    preset, mode = case.split("-")
+    preset, mode, *nonlin = case.split("-")
     raw = json.loads((CONFIGS / f"{preset}.json").read_text(encoding="utf-8"))
+    if nonlin:
+        raw["model"]["nonlin"] = nonlin[0]
+        raw["train"]["loss"].update({"lambda": "constant", "lambda_coef": 1.0})
     raw["data"].update(count=64, holdout=0)
     raw["train"].update(iterations=3, log_interval=1, oracle_mode=mode == "oracle")
     raw["io"]["out_dir"] = str(tmp_path)
