@@ -760,14 +760,22 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
     out_path.mkdir(parents=True, exist_ok=True)
 
     if r_sweep:
+        kind = ckpt.vt_descriptor["kind"]
+        if kind != "real_dft":
+            raise ConfigError("an acceleration sweep masks DFT lines; the "
+                              f"checkpoint's transform is {kind!r}")
+        families = []
+        for r in r_sweep:
+            try:
+                masks = LineSubsampleMasks(lines=vt.n // 2, accel=r)
+            except ValueError as exc:
+                raise ConfigError(f"--r-sweep accel {r}: {exc}") from exc
+            families.append((r, DegradationFamily(vt, masks, sigma0=0.01)))
         if clean_path is None:
             raise ValueError("an acceleration sweep needs clean signals")
         clean = read_tensor_file(clean_path)
         rows = []
-        for r in r_sweep:
-            fam = DegradationFamily(vt, LineSubsampleMasks(lines=vt.n // 2,
-                                                           accel=r),
-                                    sigma0=0.01)
+        for r, fam in families:
             resid = 0.0
             count = min(len(clean), 8)
             for i in range(count):

@@ -8,10 +8,18 @@ The independence demo quantifies whether a denoiser's error depends on which
 coordinate was masked. Kernel-density pictures are replaced by the energy
 distance between the two conditional error clouds plus a permutation test:
 the statistic is zero in distribution exactly when the clouds coincide.
+
+Both energy statistics run on one distance kernel. It walks row blocks of the
+upper triangle of the pooled distance matrix ``D`` and returns ``D @ L`` for a
+0/1 label matrix ``L``; the statistic is a quadratic form in the label
+column, so the observed split and every permutation of the null are columns
+of one BLAS product. Memory is one row block of ``D`` plus a fixed number of
+label columns per pass, whatever the number of permutations.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,13 +129,62 @@ def generalization_psnr(model_a, model_b, clean_set: np.ndarray,
 # -- energy distance and the independence demo -------------------------------
 
 
-def _sum_pairwise_norms(x: np.ndarray, y: np.ndarray, block: int = 2048) -> float:
-    total = 0.0
-    for lo in range(0, x.shape[0], block):
-        xs = x[lo:lo + block]
-        d = xs[:, None, :] - y[None, :, :]
-        total += float(np.sqrt(np.sum(d * d, axis=-1)).sum())
-    return total
+# rows of the distance matrix built at a time, and label columns per pass: the
+# kernel holds a _ROW_BLOCK x N distance block and N x _LABEL_COLUMNS products
+_ROW_BLOCK = 256
+_LABEL_COLUMNS = 256
+
+
+def _distance_products(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``D @ labels`` for the Euclidean distance matrix ``D`` of ``points``.
+
+    ``D`` is never stored: row blocks of its upper triangle are built from
+    coordinate-wise differences (not the Gram trick, which loses precision
+    for close points) and each off-diagonal block is applied twice, once
+    as itself and once as its transpose.
+    """
+    n = points.shape[0]
+    out = np.zeros((n, labels.shape[1]))
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        dist = np.zeros((hi - lo, n - lo))
+        diff = np.empty_like(dist)
+        for k in range(points.shape[1]):
+            np.subtract(points[lo:hi, k, None], points[None, lo:, k], out=diff)
+            diff *= diff
+            dist += diff
+        np.sqrt(dist, out=dist)
+        out[lo:hi] += dist @ labels[lo:]
+        out[hi:] += dist[:, hi - lo:].T @ labels[lo:hi]
+    return out
+
+
+def _energy_statistics(pooled: np.ndarray, n: int, splits) -> np.ndarray:
+    """Energy distance between ``pooled[idx]`` (``n`` rows) and the other rows,
+    for each index array ``idx`` in ``splits``.
+
+    With ``s`` the 0/1 label column of one split and ``T = 1'D1``, the pairwise
+    sums are ``S_AA = s'Ds``, ``S_AB = s'D1 - s'Ds`` and
+    ``S_BB = T - 2 s'D1 + s'Ds``. ``splits`` is consumed ``_LABEL_COLUMNS``
+    at a time, so memory does not grow with their number.
+    """
+    size = pooled.shape[0]
+    m = size - n
+    splits = iter(splits)
+    stats = []
+    while batch := list(itertools.islice(splits, _LABEL_COLUMNS)):
+        labels = np.zeros((size, 1 + len(batch)))
+        labels[:, 0] = 1.0
+        for j, idx in enumerate(batch, 1):
+            labels[idx, j] = 1.0
+        prod = _distance_products(pooled, labels)
+        s = labels[:, 1:]
+        d1 = prod[:, 0]
+        s_d1 = s.T @ d1
+        s_ds = np.einsum("ij,ij->j", s, prod[:, 1:])
+        s_bb = d1.sum() - 2.0 * s_d1 + s_ds
+        stats.append(2.0 * (s_d1 - s_ds) / (n * m) - s_ds / (n * n) - s_bb / (m * m))
+    return np.concatenate(stats)
 
 
 def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -137,9 +194,7 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     n, m = x.shape[0], y.shape[0]
     if n == 0 or m == 0:
         raise ValueError("energy distance needs nonempty samples")
-    return (2.0 * _sum_pairwise_norms(x, y) / (n * m)
-            - _sum_pairwise_norms(x, x) / (n * n)
-            - _sum_pairwise_norms(y, y) / (m * m))
+    return float(_energy_statistics(np.concatenate([x, y]), n, [np.arange(n)])[0])
 
 
 def energy_permutation_test(x: np.ndarray, y: np.ndarray, n_permutations: int,
@@ -147,7 +202,8 @@ def energy_permutation_test(x: np.ndarray, y: np.ndarray, n_permutations: int,
     """Permutation null for the energy distance, on a fixed-size subsample.
 
     Returns the subsampled observed statistic, the null mean/sd over label
-    shuffles, and the z-score of the observation against that null.
+    shuffles, and the z-score of the observation against that null. The
+    observation and every shuffle are label columns of one distance kernel.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -156,20 +212,10 @@ def energy_permutation_test(x: np.ndarray, y: np.ndarray, n_permutations: int,
     if y.shape[0] > max_points:
         y = y[rng.choice(y.shape[0], size=max_points, replace=False)]
     n, m = x.shape[0], y.shape[0]
-    pooled = np.concatenate([x, y])
-    diff = pooled[:, None, :] - pooled[None, :, :]
-    dm = np.sqrt(np.sum(diff * diff, axis=-1))
-
-    def stat(idx_a, idx_b):
-        return (2.0 * dm[np.ix_(idx_a, idx_b)].mean()
-                - dm[np.ix_(idx_a, idx_a)].mean()
-                - dm[np.ix_(idx_b, idx_b)].mean())
-
-    observed = stat(np.arange(n), np.arange(n, n + m))
-    null = np.empty(n_permutations)
-    for k in range(n_permutations):
-        perm = rng.permutation(n + m)
-        null[k] = stat(perm[:n], perm[n:])
+    shuffles = (rng.permutation(n + m)[:n] for _ in range(n_permutations))
+    stats = _energy_statistics(np.concatenate([x, y]), n,
+                               itertools.chain([np.arange(n)], shuffles))
+    observed, null = stats[0], stats[1:]
     sd = float(null.std(ddof=1))
     z = (observed - float(null.mean())) / sd if sd > 0 else 0.0
     return {"observed": float(observed), "null_mean": float(null.mean()),
@@ -255,6 +301,20 @@ class DistanceResult:
     cov_gap: float
 
 
+def _row_quantiles(rows: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(row, qs)`` (its default ``linear`` method, to the bit) for
+    each already-sorted row, with every quantile in [0, 1)."""
+    n = rows.shape[1]
+    v = (n - 1) * qs
+    lo = np.floor(v)
+    g = v - lo
+    lo = lo.astype(np.intp)
+    a = np.take(rows, lo, axis=1)
+    b = np.take(rows, np.minimum(lo + 1, n - 1), axis=1)
+    diff = b - a
+    return np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
+
+
 def distribution_distance(samples_a: np.ndarray, samples_b: np.ndarray,
                           n_projections: int, rng) -> DistanceResult:
     """Sliced 2-Wasserstein distance plus first/second moment gaps.
@@ -274,13 +334,9 @@ def distribution_distance(samples_a: np.ndarray, samples_b: np.ndarray,
     dirs = rng.standard_normal((n_projections, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     qs = (np.arange(max(a.shape[0], b.shape[0])) + 0.5) / max(a.shape[0], b.shape[0])
-    w2_sq = np.empty(n_projections)
-    pa = a @ dirs.T
-    pb = b @ dirs.T
-    for j in range(n_projections):
-        qa = np.quantile(pa[:, j], qs)
-        qb = np.quantile(pb[:, j], qs)
-        w2_sq[j] = np.mean((qa - qb) ** 2)
+    qa = _row_quantiles(np.sort((a @ dirs.T).T, axis=1), qs)
+    qb = _row_quantiles(np.sort((b @ dirs.T).T, axis=1), qs)
+    w2_sq = np.mean((qa - qb) ** 2, axis=1)
     sw = float(np.sqrt(d * w2_sq.mean()))
     mean_gap = float(np.linalg.norm(a.mean(0) - b.mean(0)))
     ca = np.cov(a, rowvar=False).reshape(d, d)

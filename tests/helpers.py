@@ -45,3 +45,63 @@ def finite_diff_divergence(model, xbar_t, t, schedule, mask, w, probes, rng,
         jv = (fp - fm) / (2.0 * step)
         total += float(np.sum(v * mask * w ** 2 * jv))
     return total / probes
+
+
+def _dense_distances(pooled):
+    diff = pooled[:, None, :] - pooled[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def _dense_energy(dm, idx_a, idx_b):
+    return (2.0 * dm[np.ix_(idx_a, idx_b)].mean()
+            - dm[np.ix_(idx_a, idx_a)].mean()
+            - dm[np.ix_(idx_b, idx_b)].mean())
+
+
+def dense_energy_distance(x, y):
+    """Reference energy distance from the full pooled distance matrix."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    n, m = x.shape[0], y.shape[0]
+    dm = _dense_distances(np.concatenate([x, y]))
+    return float(_dense_energy(dm, np.arange(n), np.arange(n, n + m)))
+
+
+def dense_energy_permutation_test(x, y, n_permutations, rng, max_points=2000):
+    """Reference permutation test: the dense (N, N, d) difference array and
+    three ``np.ix_`` gathers per shuffle, with the same draws in the same
+    order as ``evaluation.energy_permutation_test``."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if x.shape[0] > max_points:
+        x = x[rng.choice(x.shape[0], size=max_points, replace=False)]
+    if y.shape[0] > max_points:
+        y = y[rng.choice(y.shape[0], size=max_points, replace=False)]
+    n, m = x.shape[0], y.shape[0]
+    dm = _dense_distances(np.concatenate([x, y]))
+    observed = _dense_energy(dm, np.arange(n), np.arange(n, n + m))
+    null = np.empty(n_permutations)
+    for k in range(n_permutations):
+        perm = rng.permutation(n + m)
+        null[k] = _dense_energy(dm, perm[:n], perm[n:])
+    sd = float(null.std(ddof=1))
+    z = (observed - float(null.mean())) / sd if sd > 0 else 0.0
+    return {"observed": float(observed), "null_mean": float(null.mean()),
+            "null_sd": sd, "z": float(z)}
+
+
+def per_projection_sliced_wasserstein(a, b, n_projections, rng):
+    """Reference sliced 2-Wasserstein distance: two ``np.quantile`` calls per
+    projection, the same direction draw as ``distribution_distance``."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    d = a.shape[1]
+    dirs = rng.standard_normal((n_projections, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    size = max(a.shape[0], b.shape[0])
+    qs = (np.arange(size) + 0.5) / size
+    pa, pb = a @ dirs.T, b @ dirs.T
+    w2_sq = np.empty(n_projections)
+    for j in range(n_projections):
+        w2_sq[j] = np.mean((np.quantile(pa[:, j], qs) - np.quantile(pb[:, j], qs)) ** 2)
+    return float(np.sqrt(d * w2_sq.mean()))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specdiff import cli
 from specdiff.cli import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -543,7 +544,8 @@ class TestCommands:
                      "--out", str(tmp_path / "m")]) == 0
         assert (tmp_path / "m" / "checkpoint.bin").exists()
 
-    def test_r_sweep_outputs(self, tmp_path):
+    def dft_checkpoint_and_clean(self, tmp_path):
+        """A real-DFT (16-line) checkpoint and 4 clean signals for a sweep."""
         cfg = validate_config({
             "data": {"kind": "isotropic-gaussian", "count": 64, "seed": 2,
                      "dim": 32},
@@ -557,9 +559,30 @@ class TestCommands:
         run = cmd_train(cfg, tmp_path / "run")
         clean = tmp_path / "clean.bin"
         write_tensor_file(clean, generate_signals(cfg["data"], 4, seed=6))
-        out = cmd_reconstruct(run / "checkpoint.bin", None, tmp_path / "sweep",
+        return run / "checkpoint.bin", clean
+
+    def test_r_sweep_outputs(self, tmp_path):
+        ckpt, clean = self.dft_checkpoint_and_clean(tmp_path)
+        out = cmd_reconstruct(ckpt, None, tmp_path / "sweep",
                               steps=8, seed=9, r_sweep=[2, 4],
                               clean_path=clean)
         lines = (out / "rsweep.csv").read_text().splitlines()
         assert lines[0] == "accel,residual_norm,finite"
         assert len(lines) == 3
+
+    def test_r_sweep_rejects_non_dft_checkpoint(self, tmp_path, monkeypatch):
+        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        clean = tmp_path / "clean.bin"
+        write_tensor_file(clean, np.ones((4, 2)))
+        monkeypatch.setattr(cli, "reconstruct", None)  # any call would fail
+        with pytest.raises(ConfigError, match="'identity'"):
+            cmd_reconstruct(run / "checkpoint.bin", None, tmp_path / "sweep",
+                            steps=4, seed=9, r_sweep=[2], clean_path=clean)
+
+    @pytest.mark.parametrize("accel", [0, 64])
+    def test_r_sweep_rejects_infeasible_accel(self, tmp_path, monkeypatch, accel):
+        ckpt, clean = self.dft_checkpoint_and_clean(tmp_path)
+        monkeypatch.setattr(cli, "reconstruct", None)  # any call would fail
+        with pytest.raises(ConfigError, match=f"accel {accel}:"):
+            cmd_reconstruct(ckpt, None, tmp_path / "sweep", steps=4, seed=9,
+                            r_sweep=[2, accel], clean_path=clean)

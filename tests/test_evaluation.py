@@ -1,5 +1,7 @@
 """Evaluation battery: sweeps, independence demo, distances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from specdiff.diffusion import linear_schedule
 from specdiff.evaluation import (
     GaussianPosteriorDenoiser,
     TwoDeltasPosteriorDenoiser,
+    _row_quantiles,
     denoising_mse_sweep,
     distribution_distance,
     energy_distance,
@@ -18,6 +21,11 @@ from specdiff.evaluation import (
 from specdiff.operators import IdentityTransform, Measurement
 
 from fixtures import ConstantModel
+from helpers import (
+    dense_energy_distance,
+    dense_energy_permutation_test,
+    per_projection_sliced_wasserstein,
+)
 
 
 class PerfectModel:
@@ -117,6 +125,62 @@ class TestEnergyDistance:
         assert shifted["z"] > 10
 
 
+def cloud_pair(n, m, d, seed, duplicates=False):
+    """Two point clouds whose law differs; with ``duplicates`` the points
+    sit on a small integer grid, so many rows (and pooled pairs) repeat."""
+    rng = np.random.default_rng(seed)
+    if duplicates:
+        return (rng.integers(0, 3, (n, d)).astype(np.float64),
+                rng.integers(1, 4, (m, d)).astype(np.float64))
+    return rng.standard_normal((n, d)), 1.3 * rng.standard_normal((m, d)) + 0.2
+
+
+# n + m around and not a multiple of the kernel's 256-row block
+CLOUD_CASES = [(300, 517, 1), (257, 256, 2), (600, 333, 5), (1, 3, 2)]
+
+
+class TestEnergyKernelMatchesDenseReference:
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "dup"])
+    @pytest.mark.parametrize("n,m,d", CLOUD_CASES)
+    def test_energy_distance(self, n, m, d, duplicates):
+        x, y = cloud_pair(n, m, d, n + m + d, duplicates)
+        np.testing.assert_allclose(energy_distance(x, y),
+                                   dense_energy_distance(x, y), rtol=1e-9)
+
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "dup"])
+    @pytest.mark.parametrize("n,m,d", CLOUD_CASES)
+    def test_permutation_test_and_draws(self, n, m, d, duplicates):
+        x, y = cloud_pair(n, m, d, n + m + d, duplicates)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = energy_permutation_test(x, y, 40, rng)
+        want = dense_energy_permutation_test(x, y, 40, ref_rng)
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-9, err_msg=key)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_subsampling_and_more_shuffles_than_one_pass(self):
+        # x and y both above max_points, then 300 shuffles: two label passes
+        x, y = cloud_pair(700, 450, 2, 21)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = energy_permutation_test(x, y, 300, rng, max_points=120)
+        want = dense_energy_permutation_test(x, y, 300, ref_rng, max_points=120)
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-9, err_msg=key)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_peak_memory_bounded(self):
+        # the dense (N, N, d) difference array plus the N x N distance matrix
+        # took ~384 MB at this size; the blocked kernel stays well under
+        x, y = cloud_pair(2000, 2000, 2, 22)
+        tracemalloc.start()
+        try:
+            energy_permutation_test(x, y, 200, np.random.default_rng(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+
 class TestIndependenceDemo:
     def test_three_regimes(self):
         # snr = 4 keeps the two-deltas saturation flips frequent enough for a
@@ -203,6 +267,25 @@ class TestDistributionDistance:
         r1 = distribution_distance(a, b, 128, np.random.default_rng(19))
         r2 = distribution_distance(b, a, 128, np.random.default_rng(19))
         assert r1.sliced_wasserstein == pytest.approx(r2.sliced_wasserstein, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.cov of a 1-row set
+    @pytest.mark.parametrize("na,nb,d", [(4096, 4096, 2), (1000, 1000, 3),
+                                         (37, 37, 2), (1000, 37, 4), (1, 5, 1)])
+    def test_bit_equal_to_per_projection_quantiles(self, na, nb, d):
+        rng = np.random.default_rng(na + nb + d)
+        a = rng.standard_normal((na, d))
+        b = 2 * rng.standard_normal((nb, d)) + 0.3
+        got = distribution_distance(a, b, 16, np.random.default_rng(20))
+        want = per_projection_sliced_wasserstein(a, b, 16, np.random.default_rng(20))
+        assert got.sliced_wasserstein == want
+
+    @pytest.mark.parametrize("n,size", [(4096, 4096), (1000, 1000), (37, 37),
+                                        (37, 1000), (1, 5)])
+    def test_row_quantiles_bit_equal_to_np_quantile(self, n, size):
+        rows = np.sort(np.random.default_rng(n).standard_normal((3, n)), axis=1)
+        qs = (np.arange(size) + 0.5) / size
+        np.testing.assert_array_equal(_row_quantiles(rows, qs),
+                                      np.quantile(rows, qs, axis=1).T)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
