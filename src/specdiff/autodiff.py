@@ -19,6 +19,13 @@ passing ``g_h = g_z W`` and ``g_dh = g_dz W`` down to the layer below. So a
 scalar built outside from the output and its tangent (the divergence term of
 a GSURE loss) is differentiated exactly.
 
+φ' and φ'' are formed only where something reads them. A value-only forward
+computes φ alone and keeps ``z`` and ``h' = φ(z)``; a dual forward also forms
+φ'(z) once, for the tangent, and keeps it. :func:`backward` reuses the kept φ'
+or, after a value-only forward, forms it from ``(z, h')``; it forms φ''(z) from
+``(z, h', φ')`` only when given a tangent seed. The formulas do not depend on
+where they run, so either path gives the same bits.
+
 The operation order is fixed, so identical inputs give bit-identical results.
 A graph records its latest forward pass; use a given graph from one thread.
 """
@@ -43,24 +50,19 @@ class NonFiniteError(ArithmeticError):
     """A non-finite pre-activation appeared during evaluation."""
 
 
-def _nl_tanh(x):
-    y = np.tanh(x)
-    d1 = 1.0 - y * y
-    return y, d1, -2.0 * y * d1
+# Per nonlinearity: φ(z), φ'(z, y) and φ''(z, y, φ') with y = φ(z), so each
+# derivative reuses what is already at hand.
+def _softplus_d1(z, y):
+    ez = np.exp(-np.abs(z))  # the logistic σ = φ', without overflow either side
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def _nl_softplus(x):
-    ex = np.exp(-np.abs(x))  # the logistic σ = φ', without overflow either side
-    s = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-    return np.logaddexp(0.0, x), s, s * (1.0 - s)
-
-
-def _nl_sin(x):
-    return np.sin(x), np.cos(x), -np.sin(x)
-
-
-# name -> callable returning (value, first derivative, second derivative)
-NONLINEARITIES = {"tanh": _nl_tanh, "softplus": _nl_softplus, "sin": _nl_sin}
+NONLINEARITIES = {
+    "tanh": (np.tanh, lambda z, y: 1.0 - y * y, lambda z, y, d1: -2.0 * y * d1),
+    "softplus": (lambda z: np.logaddexp(0.0, z), _softplus_d1,
+                 lambda z, y, d1: d1 * (1.0 - d1)),
+    "sin": (np.sin, lambda z, y: np.cos(z), lambda z, y, d1: -y),
+}
 
 
 class Graph:
@@ -72,7 +74,7 @@ class Graph:
         self.temb = temb
         self.w_e = w_e
         self.nonlin = nonlin
-        self._trace = None  # per layer (h, dh, φ', φ'', dz) of the latest forward
+        self._trace = None  # per layer (h, dh, z, φ(z), φ' or None, dz), latest forward
         self._tangent = None  # output tangent of the latest forward
 
 
@@ -89,21 +91,23 @@ def forward(graph: Graph, inputs: list, tangents: list | None = None) -> np.ndar
     shape = (graph.temb.shape[0], graph._nodes[0][0].shape[1])
     if h.shape != shape or (dh is not None and dh.shape != shape):
         raise ShapeError(f"graph takes input rows of shape {shape}")
-    phi = NONLINEARITIES[graph.nonlin]
+    phi, phi_d1, _ = NONLINEARITIES[graph.nonlin]
+    last = len(graph._nodes) - 1
     trace = []
     for i, (w, b) in enumerate(graph._nodes):
         z = h @ w.T + b
         if i == 0:
             z = z + graph.temb @ graph.w_e.T
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite pre-activation in layer {i}")
         dz = None if dh is None else dh @ w.T
-        if i == len(graph._nodes) - 1:
-            trace.append((h, dh, None, None, None))
+        if i == last:
+            trace.append((h, dh, None, None, None, None))
             h, dh = z, dz
             break
-        y, d1, d2 = phi(z)
-        trace.append((h, dh, d1, d2, dz))
+        y = phi(z)
+        d1 = None if dz is None else phi_d1(z, y)
+        trace.append((h, dh, z, y, d1, dz))
         h, dh = y, None if dz is None else d1 * dz
     graph._trace, graph._tangent = trace, dh
     return h
@@ -130,15 +134,18 @@ def backward(graph: Graph, seed_gradient, seed_tangent=None) -> list[np.ndarray]
     gt = None if seed_tangent is None else np.asarray(seed_tangent, dtype=np.float64)
     if ga.shape != shape or (gt is not None and gt.shape != shape):
         raise ShapeError(f"seeds must have the output's shape {shape}")
+    _, phi_d1, phi_d2 = NONLINEARITIES[graph.nonlin]
     grads = []
     for i in range(len(graph._nodes) - 1, -1, -1):
         w, _ = graph._nodes[i]
-        h, dh, d1, d2, dz = graph._trace[i]
-        if d1 is not None:  # back through φ: adjoints of z and dz
+        h, dh, z, y, d1, dz = graph._trace[i]
+        if z is not None:  # back through φ: adjoints of z and dz
+            if d1 is None:  # value-only forward
+                d1 = phi_d1(z, y)
             if gt is None:
                 ga = ga * d1
             else:
-                ga, gt = ga * d1 + gt * d2 * dz, gt * d1
+                ga, gt = ga * d1 + gt * phi_d2(z, y, d1) * dz, gt * d1
         gw = ga.T @ h
         if gt is not None:
             gw = gw + gt.T @ dh

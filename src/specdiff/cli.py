@@ -716,14 +716,16 @@ def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
                count: int, seed: int, eta: float = 0.0,
                chunk: int = 64) -> Path:
     """Generate samples from a checkpoint; chunks use derived seeds."""
+    if sampler not in ("ddim", "ddpm"):
+        raise ValueError("sampler must be 'ddim' or 'ddpm'")
+    if count < 0:
+        raise ConfigError(f"--count must be >= 0, got {count}")
     ckpt = load_checkpoint(checkpoint_path)
     model = ckpt.model()
     schedule = ckpt.rebuild_schedule()
     vt = _vt_from_descriptor(ckpt.vt_descriptor)
     out_path = Path(out if out is not None else "samples")
     out_path.mkdir(parents=True, exist_ok=True)
-    if sampler not in ("ddim", "ddpm"):
-        raise ValueError("sampler must be 'ddim' or 'ddpm'")
     blocks = []
     for ci, lo in enumerate(range(0, count, chunk)):
         size = min(chunk, count - lo)
@@ -752,6 +754,13 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
                     limit: int | None = None, r_sweep: list[int] | None = None,
                     clean_path=None) -> Path:
     """Reconstruct stored measurements; optionally sweep acceleration factors."""
+    if r_sweep:
+        if clean_path is None:
+            raise ConfigError("--r-sweep needs --clean: the sweep corrupts clean signals")
+    elif measurements_dir is None:
+        raise ConfigError("reconstruct needs --measurements (or --r-sweep with --clean)")
+    if limit is not None and limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {limit}")
     ckpt = load_checkpoint(checkpoint_path)
     model = ckpt.model()
     schedule = ckpt.rebuild_schedule()
@@ -771,8 +780,6 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
             except ValueError as exc:
                 raise ConfigError(f"--r-sweep accel {r}: {exc}") from exc
             families.append((r, DegradationFamily(vt, masks, sigma0=0.01)))
-        if clean_path is None:
-            raise ValueError("an acceleration sweep needs clean signals")
         clean = read_tensor_file(clean_path)
         rows = []
         for r, fam in families:

@@ -72,29 +72,34 @@ class DiffusionSchedule:
             raise ValueError("t_min_valid out of range")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "alpha_bars", abars)
+        # abar_{t-1} at index t - 1, with the empty-product convention abar_0 = 1
+        object.__setattr__(self, "_abars_prev", np.concatenate([[1.0], abars[:-1]]))
 
     @property
     def T(self) -> int:
         return self.betas.shape[0]
 
     def beta(self, t) -> np.ndarray | float:
-        self._check_t(t)
-        return self.betas[np.asarray(t) - 1]
+        return self.betas[self._index(t)]
 
     def abar(self, t) -> np.ndarray | float:
-        self._check_t(t)
-        return self.alpha_bars[np.asarray(t) - 1]
+        return self.alpha_bars[self._index(t)]
 
     def abar_prev(self, t) -> np.ndarray | float:
         """``abar_{t-1}`` with the empty-product convention ``abar_0 = 1``."""
-        self._check_t(t)
-        t = np.asarray(t)
-        return np.where(t > 1, self.alpha_bars[np.maximum(t - 2, 0)], 1.0)[()]
+        return self._abars_prev[self._index(t)]
 
-    def _check_t(self, t) -> None:
+    def _index(self, t):
+        """``t - 1``, the index of timestep ``t``; a plain integer is checked
+        without building arrays, since samplers look up one step at a time."""
+        if isinstance(t, (int, np.integer)):
+            if not 1 <= t <= self.T:
+                raise ValueError(f"timestep out of range [1, {self.T}]")
+            return t - 1
         t = np.asarray(t)
         if np.any(t < 1) or np.any(t > self.T):
             raise ValueError(f"timestep out of range [1, {self.T}]")
+        return t - 1
 
 
 def linear_schedule(T: int, beta1: float, betaT: float) -> DiffusionSchedule:
@@ -256,7 +261,8 @@ def reconstruct(model, schedule: DiffusionSchedule, m: Measurement, steps: int,
     ybar_kept = m.ybar[kept]
 
     def consistent(x0_hat, t):
-        est_var = (1.0 - sched.abar(t)) / sched.abar(t)
+        abar_t = sched.abar(t)
+        est_var = (1.0 - abar_t) / abar_t
         w_meas = est_var / (est_var + nv)  # 1 when the measurement is noiseless
         out = x0_hat.copy()
         out[kept] = w_meas * ybar_kept + (1.0 - w_meas) * x0_hat[kept]

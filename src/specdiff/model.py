@@ -20,6 +20,8 @@ conversion and its adjoint are plain numpy.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .autodiff import Graph, NonFiniteError, backward, forward, jvp
@@ -36,10 +38,15 @@ def time_embedding(t, dim: int, max_period: float = 10_000.0) -> np.ndarray:
     if dim % 2:
         raise ValueError("embedding dimension must be even")
     t = np.asarray(t, dtype=np.float64)
-    half = dim // 2
-    freqs = np.exp(-np.log(max_period) * np.arange(half) / half)
-    angles = t[..., None] * freqs
+    angles = t[..., None] * _frequencies(dim // 2, max_period)
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _frequencies(half: int, max_period: float) -> np.ndarray:
+    freqs = np.exp(-np.log(max_period) * np.arange(half) / half)
+    freqs.flags.writeable = False  # shared by every later call
+    return freqs
 
 
 class Denoiser:
@@ -62,8 +69,10 @@ class Denoiser:
         self.mean_type = mean_type
         self.ema_decay = float(ema_decay)
         self.nonlin = nonlin
-        self._layout = self._make_layout(self.n, self.hidden, self.emb_dim)
-        size = sum(int(np.prod(shape)) for _, shape in self._layout)
+        self._slices, size = [], 0  # (name, lo, hi, shape) of each parameter block
+        for name, shape in self._make_layout(self.n, self.hidden, self.emb_dim):
+            lo, size = size, size + int(np.prod(shape))
+            self._slices.append((name, lo, size, shape))
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (size,):
             raise ValueError(f"expected {size} parameters, got {params.shape}")
@@ -108,12 +117,7 @@ class Denoiser:
         return self.params.shape[0]
 
     def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        out, off = {}, 0
-        for name, shape in self._layout:
-            size = int(np.prod(shape))
-            out[name] = flat[off:off + size].reshape(shape)
-            off += size
-        return out
+        return {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in self._slices}
 
     # -- evaluation ---------------------------------------------------------
 

@@ -165,16 +165,23 @@ class TestBackward:
         fd = central_difference(scalar_at, flatten(params), step=1e-5)
         assert fraction_close(got, fd, rel_tol=1e-3) >= 0.99
 
-    def test_determinism_bit_identical(self):
+    @pytest.mark.parametrize("nonlin", NONLINS)
+    def test_determinism_bit_identical(self, nonlin):
+        # a repeated value-only forward, and a dual forward whose tangent goes
+        # unseeded, give backward the same bits
         rng = np.random.default_rng(5)
-        params, temb = random_net(rng, [8, 8, 1], batch=2)
-        x = rng.standard_normal((2, 8))
+        params, temb = random_net(rng, [8, 8, 8, 1], batch=2)
+        x, v = rng.standard_normal((2, 2, 8))
         results = []
-        for _ in range(2):
-            g = build(params, temb)
-            forward(g, [x])
+        for dual in (False, False, True):
+            g = build(params, temb, nonlin)
+            if dual:
+                jvp(g, [x], v)
+            else:
+                forward(g, [x])
             results.append(flatten(backward(g, np.ones((2, 1)))))
-        assert np.array_equal(results[0], results[1])
+        np.testing.assert_array_equal(results[0], results[1])
+        np.testing.assert_array_equal(results[0], results[2])
 
 
 class TestJvp:

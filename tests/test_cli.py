@@ -586,3 +586,36 @@ class TestCommands:
         with pytest.raises(ConfigError, match=f"accel {accel}:"):
             cmd_reconstruct(ckpt, None, tmp_path / "sweep", steps=4, seed=9,
                             r_sweep=[2, accel], clean_path=clean)
+
+
+class TestReverseCommandArguments:
+    """Bad sampler and reconstruction flags fail up front, naming the flag."""
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        return str(run / "checkpoint.bin")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["reconstruct", "--seed", "1"], "--measurements"),
+        (["reconstruct", "--seed", "1", "--r-sweep", "2"], "--clean"),
+        (["reconstruct", "--seed", "1", "--measurements", "data", "--limit", "-1"],
+         "--limit"),
+        (["sample", "--seed", "1", "--count", "-3"], "--count"),
+    ])
+    def test_rejected_before_any_work(self, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.setattr(cli, "load_checkpoint", None)  # any call would fail
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=flag):
+            main(argv + ["--checkpoint", str(tmp_path / "checkpoint.bin"),
+                         "--out", str(out)])
+        assert not out.exists()
+
+    def test_zero_count_and_limit_write_empty_outputs(self, checkpoint, tmp_path):
+        cfg = two_deltas_config(tmp_path)
+        data = cmd_gen_data(cfg, tmp_path / "data")
+        rec = cmd_reconstruct(checkpoint, data, tmp_path / "rec", steps=4, seed=1,
+                              limit=0)
+        assert read_tensor_file(rec / "recon.bin").shape == (0, 2)
+        smp = cmd_sample(checkpoint, tmp_path / "smp", "ddim", 4, 0, 1)
+        assert read_tensor_file(smp / "samples.bin").shape == (0, 2)

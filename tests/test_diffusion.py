@@ -93,6 +93,24 @@ class TestSchedules:
         with pytest.raises(ValueError):
             linear_schedule(10, 0.1, 1.0)
 
+    @pytest.mark.parametrize("lookup", ["abar", "abar_prev", "beta"])
+    @pytest.mark.parametrize("t", [0, 11])
+    @pytest.mark.parametrize("wrap", [int, np.int64, lambda t: np.array([3, t])],
+                             ids=["int", "int64", "array"])
+    def test_lookups_reject_out_of_range(self, lookup, t, wrap):
+        s = linear_schedule(10, 0.1, 0.3)
+        with pytest.raises(ValueError, match=r"\[1, 10\]"):
+            getattr(s, lookup)(wrap(t))
+
+    @pytest.mark.parametrize("lookup", ["abar", "abar_prev", "beta"])
+    def test_scalar_and_array_lookups_agree(self, lookup):
+        s = linear_schedule(10, 0.1, 0.3)
+        ts = np.arange(1, 11)
+        want = getattr(s, lookup)(ts)
+        for t, value in zip(ts, want):
+            assert getattr(s, lookup)(int(t)) == value
+            assert getattr(s, lookup)(t) == value
+
     def test_abar_prev_convention(self):
         s = linear_schedule(3, 0.1, 0.3)
         assert s.abar_prev(1) == 1.0

@@ -146,6 +146,12 @@ class TestTimeEmbedding:
         with pytest.raises(ValueError):
             time_embedding(1, 7)
 
+    def test_results_do_not_share_memory(self):
+        first = time_embedding(np.arange(1, 4), 8)
+        want = first.copy()
+        first[:] = np.nan
+        np.testing.assert_array_equal(time_embedding(np.arange(1, 4), 8), want)
+
 
 class TestComposedDifferentiability:
     @pytest.mark.parametrize("mean_type", ["predict_x", "predict_epsilon"])

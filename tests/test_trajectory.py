@@ -1,4 +1,4 @@
-"""Trajectory guard: three training steps of every preset against stored values.
+"""Trajectory guards: training steps and the reverse process against stored values.
 
 Each preset's architecture, loss and degradation train for 3 steps on 64
 records, in GSURE and oracle mode, through ``cmd_train``. The stored values
@@ -8,6 +8,12 @@ swap in the nonlinearities no preset uses, with a constant divergence weight
 of 1, so that their second derivatives carry full weight. The tolerance lets
 BLAS reduction order through and catches any change to what a step computes;
 a change that is meant to alter training updates these values and names them.
+
+The reverse-process guard runs DDIM (``eta`` 0 and 0.85), DDPM and
+``reconstruct`` with each preset's architecture and degradation on a 100-step
+schedule, and with the ``two_deltas`` net in softplus and sin, on randomly
+perturbed EMA weights. It stores a random projection and the sum of squares
+of each sampler's output.
 """
 
 import json
@@ -16,7 +22,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specdiff.cli import cmd_train, load_checkpoint, validate_config
+from specdiff.cli import (
+    build_degradation_family,
+    build_model,
+    build_schedule,
+    cmd_train,
+    generate_signals,
+    load_checkpoint,
+    validate_config,
+)
+from specdiff.diffusion import ddim_sample, ddpm_sample, reconstruct
+from specdiff.operators import corrupt
+from specdiff.training import derived_rng
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 RTOL = 1e-9
@@ -86,3 +103,86 @@ def test_three_steps_match_stored_trajectory(case, tmp_path):
     np.testing.assert_allclose(rows, want_rows, rtol=RTOL, atol=0)
     np.testing.assert_allclose([np.sum(params), params @ params],
                                [want_sum, want_sq], rtol=RTOL, atol=0)
+
+
+def reverse_outputs(case):
+    """``(u . out, out . out)`` of DDIM at eta 0 and 0.85, DDPM and reconstruct,
+    with ``u`` a fixed Gaussian vector (a plain sum can cancel to nothing)."""
+    preset, *nonlin = case.split("-")
+    raw = json.loads((CONFIGS / f"{preset}.json").read_text(encoding="utf-8"))
+    if nonlin:
+        raw["model"]["nonlin"] = nonlin[0]
+    # at T = 1000, abar_T < 1e-40 and an untrained predict_epsilon net's clean
+    # estimate (x - s eps) / sqrt(abar_T) swamps every kept coordinate
+    raw["schedule"]["T"] = 100
+    cfg = validate_config(raw)
+    family = build_degradation_family(cfg)
+    vt = family.vt
+    model = build_model(cfg, vt.n)
+    model.ema_params = model.params + 0.05 * derived_rng(7, 0).standard_normal(
+        model.param_count)
+    schedule = build_schedule(cfg)
+    clean = generate_signals(cfg["data"], 1, seed=8)[0]
+    rng = derived_rng(7, 1)
+    deg = family.sample(rng)
+    while deg.mask.all() or not deg.mask.any():  # some coordinates kept, some not
+        deg = family.sample(rng)
+    m = corrupt(clean, deg, rng)
+    outs = {
+        "ddim": ddim_sample(model, schedule, 20, 0.0, derived_rng(7, 2), vt, count=3),
+        "ddim-eta": ddim_sample(model, schedule, 20, 0.85, derived_rng(7, 3), vt,
+                                count=3),
+        "ddpm": ddpm_sample(model, schedule, derived_rng(7, 4), vt, count=2),
+        "reconstruct": reconstruct(model, schedule, m, 20, derived_rng(7, 5), vt),
+    }
+    stats = {}
+    for sampler, out in outs.items():
+        out = out.ravel()
+        u = derived_rng(7, 6).standard_normal(out.size)
+        stats[sampler] = (float(u @ out), float(out @ out))
+    return stats
+
+
+# preset[-nonlin]: {sampler: (u . out, out . out)}
+REVERSE_EXPECTED = {
+    "shapes_lines": {
+        "ddim": (3662.311509898279, 39683989.35624012),
+        "ddim-eta": (6374.128640717509, 56264064.858338855),
+        "ddpm": (5746.983004990812, 55296453.13137262),
+        "reconstruct": (-4436.145144141554, 11378132.513371367),
+    },
+    "shapes_patch": {
+        "ddim": (18.77084662448978, 144.92058828398166),
+        "ddim-eta": (16.010614734595272, 136.98639784280982),
+        "ddpm": (5.968838212166968, 94.50990922826273),
+        "reconstruct": (-3.155666833913918, 26.996970819451455),
+    },
+    "two_deltas": {
+        "ddim": (0.0018135131576983246, 0.16063773133997508),
+        "ddim-eta": (-0.031541694302244565, 0.14113939306810439),
+        "ddpm": (0.08204691309620142, 0.08342291653585274),
+        "reconstruct": (0.5497885778477637, 0.48435794518011105),
+    },
+    "two_deltas-softplus": {
+        "ddim": (0.2316950080091265, 2.1753066487325516),
+        "ddim-eta": (0.23965503970445176, 2.1709541779567973),
+        "ddpm": (-0.6129994282040557, 1.4495916088508074),
+        "reconstruct": (0.22602335779102659, 1.1557301433243503),
+    },
+    "two_deltas-sin": {
+        "ddim": (0.014123008894103633, 0.21644314136009699),
+        "ddim-eta": (-0.024878131651546356, 0.196463357700608),
+        "ddpm": (0.07025502850553729, 0.10305491439081114),
+        "reconstruct": (0.5801439724931629, 0.5535072858145829),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(REVERSE_EXPECTED))
+def test_reverse_process_matches_stored_outputs(case):
+    got = reverse_outputs(case)
+    want = REVERSE_EXPECTED[case]
+    assert sorted(got) == sorted(want)
+    for sampler in want:
+        np.testing.assert_allclose(got[sampler], want[sampler], rtol=RTOL, atol=0,
+                                   err_msg=sampler)
