@@ -712,6 +712,12 @@ def cmd_train(cfg: dict, out: str | None = None,
     return out_path
 
 
+def _check_steps(steps: int, schedule: DiffusionSchedule) -> None:
+    if not 1 <= steps <= schedule.T:
+        raise ConfigError(f"--steps must lie in [1, {schedule.T}] for this "
+                          f"checkpoint's schedule, got {steps}")
+
+
 def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
                count: int, seed: int, eta: float = 0.0,
                chunk: int = 64) -> Path:
@@ -723,6 +729,8 @@ def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
     ckpt = load_checkpoint(checkpoint_path)
     model = ckpt.model()
     schedule = ckpt.rebuild_schedule()
+    if sampler == "ddim":
+        _check_steps(steps, schedule)
     vt = _vt_from_descriptor(ckpt.vt_descriptor)
     out_path = Path(out if out is not None else "samples")
     out_path.mkdir(parents=True, exist_ok=True)
@@ -764,9 +772,9 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
     ckpt = load_checkpoint(checkpoint_path)
     model = ckpt.model()
     schedule = ckpt.rebuild_schedule()
+    _check_steps(steps, schedule)
     vt = _vt_from_descriptor(ckpt.vt_descriptor)
     out_path = Path(out if out is not None else "recon")
-    out_path.mkdir(parents=True, exist_ok=True)
 
     if r_sweep:
         kind = ckpt.vt_descriptor["kind"]
@@ -781,6 +789,7 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
                 raise ConfigError(f"--r-sweep accel {r}: {exc}") from exc
             families.append((r, DegradationFamily(vt, masks, sigma0=0.01)))
         clean = read_tensor_file(clean_path)
+        out_path.mkdir(parents=True, exist_ok=True)
         rows = []
         for r, fam in families:
             resid = 0.0
@@ -796,6 +805,7 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
         return out_path
 
     meta, ybar, masks, noise_var, _ = _load_dataset_dir(Path(measurements_dir))
+    out_path.mkdir(parents=True, exist_ok=True)
     count = len(ybar) if limit is None else min(limit, len(ybar))
     recons = np.empty((count, vt.n))
     zf = np.empty((count, vt.n))
@@ -996,7 +1006,11 @@ def main(argv=None) -> int:
         cmd_sample(args.checkpoint, args.out, args.sampler, args.steps,
                    args.count, args.seed, eta=args.eta)
     elif args.command == "reconstruct":
-        sweep = [int(r) for r in args.r_sweep.split(",")] if args.r_sweep else None
+        try:
+            sweep = [int(r) for r in args.r_sweep.split(",")] if args.r_sweep else None
+        except ValueError as exc:
+            raise ConfigError(f"--r-sweep takes comma-separated integers, "
+                              f"got {args.r_sweep!r}") from exc
         cmd_reconstruct(args.checkpoint, args.measurements, args.out, args.steps,
                         args.seed, eta=args.eta, limit=args.limit,
                         r_sweep=sweep, clean_path=args.clean)

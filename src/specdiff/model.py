@@ -32,6 +32,11 @@ __all__ = ["Denoiser", "time_embedding"]
 MEAN_TYPES = ("predict_x", "predict_epsilon")
 NONLINS = ("tanh", "softplus", "sin")
 
+# Elements per slice of the flat-vector updates (EMA here, Adam in
+# :mod:`specdiff.training`): 256 KB of float64, so a slice and its temporaries
+# stay in cache. The updates are elementwise, so slicing changes no bit.
+UPDATE_BLOCK = 1 << 15
+
 
 def time_embedding(t, dim: int, max_period: float = 10_000.0) -> np.ndarray:
     """Sinusoidal embedding of (1-based) timesteps; rows for vector input."""
@@ -186,10 +191,17 @@ class Denoiser:
     # -- EMA ---------------------------------------------------------------
 
     def ema_update(self) -> None:
-        """Shift the shadow parameters: ``ema <- d * ema + (1 - d) * params``."""
+        """Shift the shadow parameters: ``ema <- d * ema + (1 - d) * params``.
+
+        Runs over :data:`UPDATE_BLOCK`-element slices with the same operations
+        per element, so it is bit-identical to the whole-vector form.
+        """
         d = self.ema_decay
-        self.ema_params *= d
-        self.ema_params += (1.0 - d) * self.params
+        a = 1.0 - d
+        for lo in range(0, self.params.shape[0], UPDATE_BLOCK):
+            ema = self.ema_params[lo:lo + UPDATE_BLOCK]
+            ema *= d
+            ema += a * self.params[lo:lo + UPDATE_BLOCK]
 
     # -- serialization -----------------------------------------------------
 

@@ -5,8 +5,13 @@ comes from a generator derived from the config seed and a structural key
 (step index, purpose, chunk index). By default a step evaluates the whole
 batch in one network pass. An explicit ``chunk_size`` caps the rows per pass:
 the batch is cut into fixed-size chunks, evaluated one after another, whose
-gradients are reduced in chunk order. The default is bit-identical to
-``chunk_size = batch_size``.
+gradients are reduced in chunk order. A one-chunk step uses the chunk's loss
+and gradient as they are, with no reduction, so the default is bit-identical
+to ``chunk_size = batch_size``.
+
+Adam (:func:`adam_step`) and the EMA shadow (:meth:`Denoiser.ema_update`) run
+over fixed cache-sized blocks of the flat parameter vector, with the
+whole-vector form's operations per element, so they are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .autodiff import NonFiniteError
 from .diffusion import DiffusionSchedule, t_min_for_noise_var
 from .losses import LossConfig, gsure_diffusion_loss, supervised_loss
-from .model import Denoiser
+from .model import UPDATE_BLOCK, Denoiser
 from .operators import DegradationFamily, Measurement, corrupt
 
 __all__ = [
@@ -65,17 +70,25 @@ class AdamState:
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """In-place Adam update with bias correction."""
+    """In-place Adam update with bias correction.
+
+    Runs over :data:`~specdiff.model.UPDATE_BLOCK`-element slices, each with
+    the whole-vector form's operations in its order, so the result is
+    bit-identical to that form while every temporary stays in cache.
+    """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads and state must share one shape")
     state.step += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grads
-    state.v *= beta2
-    state.v += (1.0 - beta2) * grads * grads
-    m_hat = state.m / (1.0 - beta1 ** state.step)
-    v_hat = state.v / (1.0 - beta2 ** state.step)
-    params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    a1, a2 = 1.0 - beta1, 1.0 - beta2
+    c1, c2 = 1.0 - beta1 ** state.step, 1.0 - beta2 ** state.step
+    for lo in range(0, params.shape[0], UPDATE_BLOCK):
+        hi = lo + UPDATE_BLOCK
+        p, g, m, v = params[lo:hi], grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        m *= beta1
+        m += a1 * g
+        v *= beta2
+        v += a2 * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 @dataclass(frozen=True)
@@ -244,18 +257,26 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
             t_vec = derived_rng(cfg.seed, step, 1).integers(
                 t_min, schedule.T + 1, size=cfg.batch_size)
 
-            # fixed-order reduction of chunk means into batch means
-            loss = 0.0
-            div = 0.0
-            grads = np.zeros_like(model.params)
-            for ci, (lo, hi) in enumerate(bounds):
-                c_loss, c_div, c_grads = _evaluate_chunk(
-                    model, cfg, data, schedule, idx[lo:hi], t_vec[lo:hi],
-                    derived_rng(cfg.seed, step, 2 + ci))
-                frac = (hi - lo) / cfg.batch_size
-                loss += frac * c_loss
-                div += frac * c_div
-                grads += frac * c_grads
+            if len(bounds) == 1:
+                # the chunk's means are the batch's. Its gradient may hold -0.0
+                # where the zero-started sum below holds +0.0; Adam turns both
+                # into the same parameters, as its moments start at +0.0.
+                # 0.0 + gives the logged scalars that sum's sign of zero.
+                loss, div, grads = _evaluate_chunk(model, cfg, data, schedule, idx,
+                                                   t_vec, derived_rng(cfg.seed, step, 2))
+                loss, div = 0.0 + loss, 0.0 + div
+            else:
+                # fixed-order reduction of chunk means into batch means
+                loss = div = 0.0
+                grads = np.zeros_like(model.params)
+                for ci, (lo, hi) in enumerate(bounds):
+                    c_loss, c_div, c_grads = _evaluate_chunk(
+                        model, cfg, data, schedule, idx[lo:hi], t_vec[lo:hi],
+                        derived_rng(cfg.seed, step, 2 + ci))
+                    frac = (hi - lo) / cfg.batch_size
+                    loss += frac * c_loss
+                    div += frac * c_div
+                    grads += frac * c_grads
 
             if not np.isfinite(loss) or not np.all(np.isfinite(grads)):
                 raise TrainingDiverged(step, "non-finite loss or gradient")

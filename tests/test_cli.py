@@ -602,6 +602,8 @@ class TestReverseCommandArguments:
         (["reconstruct", "--seed", "1", "--measurements", "data", "--limit", "-1"],
          "--limit"),
         (["sample", "--seed", "1", "--count", "-3"], "--count"),
+        (["reconstruct", "--seed", "1", "--r-sweep", "2,x", "--clean", "c.bin"],
+         "--r-sweep"),
     ])
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, argv, flag):
         monkeypatch.setattr(cli, "load_checkpoint", None)  # any call would fail
@@ -610,6 +612,29 @@ class TestReverseCommandArguments:
             main(argv + ["--checkpoint", str(tmp_path / "checkpoint.bin"),
                          "--out", str(out)])
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--steps", "0"],
+        ["sample"],  # the default 100 steps on the checkpoint's T = 50
+        ["sample", "--steps", "51"],
+        ["reconstruct", "--steps", "0"],
+        ["reconstruct", "--steps", "51"],
+        ["reconstruct", "--steps", "51", "--r-sweep", "2", "--clean", "c.bin"],
+    ])
+    def test_steps_outside_the_schedule_rejected_before_out(self, checkpoint,
+                                                            tmp_path, argv):
+        if argv[0] == "reconstruct" and "--r-sweep" not in argv:
+            argv = argv + ["--measurements", str(tmp_path / "data")]
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=r"--steps must lie in \[1, 50\]"):
+            main(argv + ["--seed", "1", "--checkpoint", checkpoint, "--out", str(out)])
+        assert not out.exists()
+
+    def test_ddpm_ignores_steps(self, checkpoint, tmp_path):
+        out = tmp_path / "out"
+        main(["sample", "--sampler", "ddpm", "--seed", "1", "--count", "1",
+              "--checkpoint", checkpoint, "--out", str(out)])
+        assert read_tensor_file(out / "samples.bin").shape == (1, 2)
 
     def test_zero_count_and_limit_write_empty_outputs(self, checkpoint, tmp_path):
         cfg = two_deltas_config(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 
 from specdiff.autodiff import forward
 from specdiff.diffusion import linear_schedule
-from specdiff.model import Denoiser, time_embedding
+from specdiff.model import UPDATE_BLOCK, Denoiser, time_embedding
 
 from helpers import fraction_close
 
@@ -118,6 +118,22 @@ class TestEma:
             d ** (k - 1 - i) * th for i, th in enumerate(thetas)
         )
         np.testing.assert_allclose(model.ema_params, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("size", [1, UPDATE_BLOCK, 5 * UPDATE_BLOCK // 2])
+    def test_blocked_update_equals_whole_vector_form(self, size):
+        # ema_update reads only the two flat vectors, so any length checks the
+        # slicing; 2.5 blocks end in a half block
+        rng = np.random.default_rng(size)
+        model = small_model()
+        d = model.ema_decay
+        model.params = rng.standard_normal(size)
+        model.ema_params = rng.standard_normal(size)
+        expected = model.ema_params.copy()
+        for _ in range(60):
+            model.params += rng.standard_normal(size) * 1e-2
+            model.ema_update()
+            expected = expected * d + (1.0 - d) * model.params
+        assert model.ema_params.tobytes() == expected.tobytes()
 
     def test_denoise_with_ema_parameters(self, schedule):
         model = small_model(seed=9)

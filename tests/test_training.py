@@ -7,7 +7,8 @@ import pytest
 
 from specdiff.diffusion import linear_schedule, t_min_for_noise_var
 from specdiff.losses import LossConfig
-from specdiff.model import Denoiser
+from specdiff import training
+from specdiff.model import UPDATE_BLOCK, Denoiser
 from specdiff.operators import (
     DegradationFamily,
     FixedMask,
@@ -95,6 +96,29 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(params, np.zeros(4), AdamState.for_params(params), 0.1)
 
+    @pytest.mark.parametrize("size", [1, UPDATE_BLOCK, 5 * UPDATE_BLOCK // 2])
+    def test_blocked_update_equals_whole_vector_form(self, size):
+        # the whole-vector expressions, one step at a time, byte for byte;
+        # 2.5 blocks end in a half block
+        rng = np.random.default_rng(size)
+        lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
+        params = rng.standard_normal(size)
+        m, v, expected = np.zeros(size), np.zeros(size), params.copy()
+        state = AdamState.for_params(params)
+        for k in range(1, 61):
+            g = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3)
+            g[rng.random(size) < 0.1] = 0.0
+            adam_step(params, g, state, lr, beta1, beta2, eps)
+            m = m * beta1 + (1.0 - beta1) * g
+            v = v * beta2 + (1.0 - beta2) * g * g
+            m_hat = m / (1.0 - beta1 ** k)
+            v_hat = v / (1.0 - beta2 ** k)
+            expected = expected - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert state.step == 60
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
+        assert params.tobytes() == expected.tobytes()
+
 
 class TestPrecompute:
     def test_simulation_mode_reproducible(self):
@@ -173,6 +197,45 @@ class TestTrainLoop:
         assert default.model.params.tobytes() == explicit.model.params.tobytes()
         assert default.model.ema_params.tobytes() == explicit.model.ema_params.tobytes()
         assert default.metrics == explicit.metrics
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_one_chunk_step_equals_the_zero_filled_reduction(self, oracle):
+        # a one-chunk step takes its chunk's gradient as is; the reference
+        # adds it into zeros at weight 1.0, as the chunked path does
+        data, schedule = self.setup_problem()
+        cfg = TrainConfig(iterations=15, batch_size=12, learning_rate=1e-2, seed=23,
+                          oracle_mode=oracle, log_interval=1)
+        whole = train(self.make_model(seed=8), cfg, data, schedule)
+        ref_model = self.make_model(seed=8)
+        ref_rows = chunked_reference(ref_model, dataclasses.replace(cfg, chunk_size=12),
+                                     data, schedule)
+        assert whole.model.params.tobytes() == ref_model.params.tobytes()
+        assert whole.model.ema_params.tobytes() == ref_model.ema_params.tobytes()
+        rows = [(r.loss, r.divergence_term, r.grad_norm) for r in whole.metrics]
+        assert np.array(rows).tobytes() == np.array(ref_rows).tobytes()
+
+    @pytest.mark.parametrize("chunk_size", [None, 5])
+    def test_adam_then_ema_once_per_step(self, monkeypatch, chunk_size):
+        # step timings are cut at ema_update returns, so the loop must keep
+        # one optimizer call and then one EMA call per step
+        data, schedule = self.setup_problem()
+        model = self.make_model()
+        calls = []
+
+        def adam(*args, **kwargs):
+            calls.append("adam")
+            adam_step(*args, **kwargs)
+
+        def ema(update=model.ema_update):
+            calls.append("ema")
+            update()
+
+        monkeypatch.setattr(training, "adam_step", adam)
+        monkeypatch.setattr(model, "ema_update", ema)
+        cfg = TrainConfig(iterations=7, batch_size=12, learning_rate=1e-3, seed=2,
+                          chunk_size=chunk_size)
+        train(model, cfg, data, schedule)
+        assert calls == ["adam", "ema"] * 7
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_explicit_chunk_keeps_chunked_bytes(self, oracle):
