@@ -18,8 +18,8 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import struct
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,7 @@ from .operators import (
     RealDFTTransform,
     SingleDropMasks,
     corrupt,
+    transform_from_descriptor,
 )
 from .training import TrainConfig, derived_rng, precompute, train
 
@@ -230,6 +231,14 @@ _REQUIRED = {"data": ("kind", "count", "seed"), "train": ("seed",)}
 
 DATA_KINDS = ("two-deltas", "isotropic-gaussian", "synthetic-shapes", "external-binary")
 FAMILY_KINDS = ("none", "patch-drop", "line-subsample", "single-drop")
+# each eval operation and the command-line inputs it reads
+_EVAL_INPUTS = {
+    "mse_sweep": ("checkpoint", "checkpoint_b"),
+    "generalization_psnr": ("checkpoint", "checkpoint_b"),
+    "independence_demo": (),
+    "distribution_distance": ("samples_a", "samples_b"),
+    "uncertainty": ("checkpoint",),
+}
 
 
 def _check_section(name: str, section: dict, required: tuple) -> dict:
@@ -283,6 +292,9 @@ def validate_config(raw: dict) -> dict:
             ("train.loss.probe_kind", loss["probe_kind"], PROBE_KINDS)):
         if value not in choices:
             raise ConfigError(f"{where} must be one of {choices}")
+    for op in cfg["eval"]["operations"]:
+        if op not in _EVAL_INPUTS:
+            raise ConfigError(f"eval.operations: {op!r} is not one of {tuple(_EVAL_INPUTS)}")
     hidden = cfg["model"]["hidden"]
     if not hidden or not all(type(h) is int and h > 0 for h in hidden):
         raise ConfigError("model.hidden must be a non-empty list of positive ints")
@@ -320,7 +332,12 @@ def validate_config(raw: dict) -> dict:
             ("eval.n_samples", ev["n_samples"] >= 1, "be >= 1"),
             ("eval.n_permutations", ev["n_permutations"] >= 1, "be >= 1"),
             ("eval.n_projections", ev["n_projections"] >= 1, "be >= 1"),
-            ("eval.uncertainty_k", ev["uncertainty_k"] >= 2, "be >= 2")):
+            ("eval.uncertainty_k", ev["uncertainty_k"] >= 2, "be >= 2"),
+            ("eval.ts", all(type(t) is int and t >= 1 for t in ev["ts"]),
+             "hold integers >= 1"),
+            ("eval.snr_levels", all(type(s) in (int, float) and math.isfinite(s) and s >= 0
+                                    for s in ev["snr_levels"]),
+             "hold finite numbers >= 0")):
         if not ok:
             raise ConfigError(f"{where} must {rule}")
     return cfg
@@ -351,10 +368,14 @@ def generate_signals(data_cfg: dict, count: int, seed: int) -> np.ndarray:
             (count, data_cfg["dim"]))
     if kind == "synthetic-shapes":
         return _shapes(count, data_cfg["height"], data_cfg["width"], rng)
-    arr = read_tensor_file(data_cfg["path"])
+    return _external_rows(data_cfg["path"], count)[:count]
+
+
+def _external_rows(path, count: int) -> np.ndarray:
+    arr = read_tensor_file(path)
     if arr.ndim != 2 or arr.shape[0] < count:
         raise ConfigError("external-binary file must hold at least `count` rows")
-    return arr[:count]
+    return arr
 
 
 def _shapes(count: int, h: int, w: int, rng) -> np.ndarray:
@@ -388,7 +409,7 @@ def _signal_dim(cfg: dict) -> int:
         return cfg["data"]["dim"]
     if kind == "synthetic-shapes":
         return cfg["data"]["height"] * cfg["data"]["width"]
-    return read_tensor_file(cfg["data"]["path"]).shape[1]
+    return _external_rows(cfg["data"]["path"], 0).shape[1]
 
 
 def build_degradation_family(cfg: dict) -> DegradationFamily:
@@ -453,19 +474,6 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
                        seed=t["seed"] if seed_override is None else seed_override,
                        loss=loss_cfg, oracle_mode=t["oracle_mode"],
                        log_interval=t["log_interval"], chunk_size=chunk)
-
-
-def _vt_from_descriptor(desc: dict):
-    if desc["kind"] == "identity":
-        return IdentityTransform(desc["n"])
-    if desc["kind"] == "real_dft":
-        return RealDFTTransform(desc["lines"])
-    if desc["kind"] == "permutation":
-        from .operators import PermutationTransform
-
-        return PermutationTransform(desc["perm"])
-    raise FormatError(f"transform kind {desc['kind']!r} cannot be rebuilt "
-                      "from its descriptor")
 
 
 def _json_header(raw: bytes, path, required: tuple) -> dict:
@@ -579,9 +587,7 @@ def load_checkpoint(path, expect_config_digest: str | None = None) -> Checkpoint
         # fails here and not at first use
         ckpt.model()
         ckpt.rebuild_schedule()
-        _vt_from_descriptor(ckpt.vt_descriptor)
-    except FormatError:
-        raise
+        transform_from_descriptor(ckpt.vt_descriptor)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad arch, schedule or vt: {exc!r}") from exc
     return ckpt
@@ -718,9 +724,11 @@ def _check_steps(steps: int, schedule: DiffusionSchedule) -> None:
                           f"checkpoint's schedule, got {steps}")
 
 
+SAMPLE_CHUNK = 64  # samples per derived-seed chunk
+
+
 def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
-               count: int, seed: int, eta: float = 0.0,
-               chunk: int = 64) -> Path:
+               count: int, seed: int, eta: float = 0.0) -> Path:
     """Generate samples from a checkpoint; chunks use derived seeds."""
     if sampler not in ("ddim", "ddpm"):
         raise ValueError("sampler must be 'ddim' or 'ddpm'")
@@ -731,12 +739,12 @@ def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
     schedule = ckpt.rebuild_schedule()
     if sampler == "ddim":
         _check_steps(steps, schedule)
-    vt = _vt_from_descriptor(ckpt.vt_descriptor)
+    vt = transform_from_descriptor(ckpt.vt_descriptor)
     out_path = Path(out if out is not None else "samples")
     out_path.mkdir(parents=True, exist_ok=True)
     blocks = []
-    for ci, lo in enumerate(range(0, count, chunk)):
-        size = min(chunk, count - lo)
+    for ci, lo in enumerate(range(0, count, SAMPLE_CHUNK)):
+        size = min(SAMPLE_CHUNK, count - lo)
         rng = derived_rng(seed, ci)
         if sampler == "ddim":
             blocks.append(ddim_sample(model, schedule, steps, eta, rng, vt,
@@ -773,7 +781,7 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
     model = ckpt.model()
     schedule = ckpt.rebuild_schedule()
     _check_steps(steps, schedule)
-    vt = _vt_from_descriptor(ckpt.vt_descriptor)
+    vt = transform_from_descriptor(ckpt.vt_descriptor)
     out_path = Path(out if out is not None else "recon")
 
     if r_sweep:
@@ -829,7 +837,7 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
 
 
 def _eval_ts(cfg: dict, schedule: DiffusionSchedule, t_min: int) -> list[int]:
-    ts = [int(t) for t in cfg["eval"]["ts"]]
+    ts = list(cfg["eval"]["ts"])
     if not ts:
         ts = list(range(t_min, schedule.T + 1, cfg["eval"]["t_stride"]))
         if ts[-1] != schedule.T:
@@ -839,14 +847,31 @@ def _eval_ts(cfg: dict, schedule: DiffusionSchedule, t_min: int) -> list[int]:
 
 def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
              checkpoint_b=None, samples_a=None, samples_b=None) -> Path:
-    """Run the configured evaluation operations, one CSV per operation."""
-    out_path = _out_dir(cfg, out)
+    """Run the configured evaluation operations, one CSV per operation.
+
+    A flag an operation needs that is missing, or an ``eval.ts`` entry beyond
+    ``T`` of checkpoint A's schedule, raises ``ConfigError`` before anything is
+    written.
+    """
     ops = cfg["eval"]["operations"]
     seed = cfg["eval"]["seed"]
+    given = {"checkpoint": checkpoint, "checkpoint_b": checkpoint_b,
+             "samples_a": samples_a, "samples_b": samples_b}
+    for op in ops:
+        for name in _EVAL_INPUTS[op]:
+            if given[name] is None:
+                flag = "--" + name.replace("_", "-")
+                raise ConfigError(f"eval operation {op!r} needs {flag}")
+    needs = {name for op in ops for name in _EVAL_INPUTS[op]}
+    ca = load_checkpoint(checkpoint) if "checkpoint" in needs else None
+    cb = load_checkpoint(checkpoint_b) if "checkpoint_b" in needs else None
+    if ca is not None and max(cfg["eval"]["ts"], default=0) > ca.schedule["T"]:
+        raise ConfigError(f"eval.ts must be <= T = {ca.schedule['T']} of the "
+                          "--checkpoint schedule")
+    out_path = _out_dir(cfg, out)
 
     def _pair_setup():
         """Both models, model A's schedule, the transformed eval set, and ts."""
-        ca, cb = load_checkpoint(checkpoint), load_checkpoint(checkpoint_b)
         schedule = ca.rebuild_schedule()
         clean = generate_signals(cfg["data"], cfg["eval"]["count"], seed)
         xbar = build_degradation_family(cfg).vt.apply(clean)
@@ -886,11 +911,10 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
             write_csv(out_path / "distance.csv",
                       ["sliced_wasserstein", "mean_gap", "cov_gap"],
                       [(res.sliced_wasserstein, res.mean_gap, res.cov_gap)])
-        elif op == "uncertainty":
-            ca = load_checkpoint(checkpoint)
+        else:  # uncertainty
             model = ca.model()
             schedule = ca.rebuild_schedule()
-            vt = _vt_from_descriptor(ca.vt_descriptor)
+            vt = transform_from_descriptor(ca.vt_descriptor)
             clean = generate_signals(cfg["data"], 1, seed)[0]
             sigma0 = cfg["eval"]["uncertainty_sigma0"]
             fam = DegradationFamily(vt, FixedMask(np.ones(vt.n, dtype=bool)),
@@ -904,38 +928,40 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
                                         eta=max(cfg["eval"]["eta"], 0.5))
             write_tensor_file(out_path / "uncertainty_mean.bin", mean)
             write_tensor_file(out_path / "uncertainty_std.bin", std)
-        else:
-            raise ConfigError(f"unknown eval operation {op!r}")
     return out_path
 
 
 def cmd_inspect(path, pgm=None, index: int = 0, height: int | None = None,
-                width: int | None = None, stream=None) -> None:
+                width: int | None = None) -> None:
     """Describe an artifact file; optionally dump one record as a graymap."""
-    stream = stream or sys.stdout
     path = Path(path)
     if path.suffix in (".json", ".csv"):
-        print(path.read_text(encoding="utf-8").strip(), file=stream)
+        print(path.read_text(encoding="utf-8").strip())
         return
     if path.read_bytes()[:16] == CHECKPOINT_MAGIC:
         header = load_checkpoint(path).header()
         header["t_min_valid"] = header["schedule"]["t_min_valid"]
-        print(f"{path}: checkpoint", file=stream)
+        print(f"{path}: checkpoint")
         for key in ("arch", "step_count", "config_digest", "schedule_digest",
                     "t_min_valid", "param_count"):
-            print(f"  {key}: {json.dumps(header[key], sort_keys=True)}", file=stream)
+            print(f"  {key}: {json.dumps(header[key], sort_keys=True)}")
         return
     arr = read_tensor_file(path)
     print(f"{path}: shape={arr.shape} dtype=float64 "
-          f"min={arr.min(initial=np.inf):.6g} max={arr.max(initial=-np.inf):.6g}",
-          file=stream)
+          f"min={arr.min(initial=np.inf):.6g} max={arr.max(initial=-np.inf):.6g}")
     if pgm is not None:
+        if arr.ndim == 2 and not 0 <= index < len(arr):
+            raise ConfigError(f"--index must lie in [0, {len(arr)}), got {index}")
         record = arr[index] if arr.ndim == 2 else arr
         if height is None or width is None:
             side = int(np.sqrt(record.size))
             if side * side != record.size:
-                raise ValueError("record is not square; pass height and width")
+                raise ConfigError(f"a record of {record.size} values is not square; "
+                                  "pass --height and --width")
             height = width = side
+        if height * width != record.size:
+            raise ConfigError(f"--height {height} x --width {width} does not match "
+                              f"the record's {record.size} values")
         write_pgm(pgm, record.reshape(height, width))
 
 

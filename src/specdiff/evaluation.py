@@ -87,23 +87,28 @@ class SweepResult:
     rows: list  # (t, mse_a, mse_b)
 
 
+def _noisy_pairs(model_a, model_b, clean_set: np.ndarray,
+                 schedule: DiffusionSchedule, ts, rng):
+    """For each ``t`` in ascending order, one ideal unmasked noisy draw of the
+    clean set denoised by both models: ``(t, clean, est_a, est_b)``."""
+    clean = np.atleast_2d(np.asarray(clean_set, dtype=np.float64))
+    for t in sorted(int(t) for t in ts):
+        noisy = perturb_batch(clean, np.zeros_like(clean), np.full(len(clean), t),
+                              schedule, rng)
+        yield (t, clean, model_a.denoise(noisy, t, schedule, ema=True),
+               model_b.denoise(noisy, t, schedule, ema=True))
+
+
 def denoising_mse_sweep(model_a, model_b, clean_set: np.ndarray,
                         schedule: DiffusionSchedule, ts, rng) -> SweepResult:
     """Score both models on ideal unmasked noisy samples of the clean set.
 
     MSE is the per-coordinate mean of the squared clean-signal error.
     """
-    clean = np.atleast_2d(np.asarray(clean_set, dtype=np.float64))
-    rows = []
-    for t in sorted(int(t) for t in ts):
-        noisy = perturb_batch(clean, np.zeros_like(clean), np.full(len(clean), t),
-                              schedule, rng)
-        mses = []
-        for model in (model_a, model_b):
-            est = model.denoise(noisy, t, schedule, ema=True)
-            mses.append(float(np.mean((est - clean) ** 2)))
-        rows.append((t, mses[0], mses[1]))
-    return SweepResult(rows=rows)
+    return SweepResult(rows=[
+        (t, float(np.mean((ea - clean) ** 2)), float(np.mean((eb - clean) ** 2)))
+        for t, clean, ea, eb in _noisy_pairs(model_a, model_b, clean_set, schedule,
+                                             ts, rng)])
 
 
 def generalization_psnr(model_a, model_b, clean_set: np.ndarray,
@@ -113,13 +118,8 @@ def generalization_psnr(model_a, model_b, clean_set: np.ndarray,
 
     Identical outputs report ``inf``.
     """
-    clean = np.atleast_2d(np.asarray(clean_set, dtype=np.float64))
     rows = []
-    for t in sorted(int(t) for t in ts):
-        noisy = perturb_batch(clean, np.zeros_like(clean), np.full(len(clean), t),
-                              schedule, rng)
-        ea = model_a.denoise(noisy, t, schedule, ema=True)
-        eb = model_b.denoise(noisy, t, schedule, ema=True)
+    for t, _, ea, eb in _noisy_pairs(model_a, model_b, clean_set, schedule, ts, rng):
         mse = float(np.mean((ea - eb) ** 2))
         psnr = np.inf if mse == 0.0 else 20.0 * np.log10(peak / np.sqrt(mse))
         rows.append((t, psnr))
@@ -276,14 +276,12 @@ def independence_demo(dist: str, model, snr_levels, n_samples: int, rng,
 
 def uncertainty_map(model, schedule: DiffusionSchedule, m: Measurement, k: int = 8,
                     *, rng, vt: OrthoTransform, steps: int = 100,
-                    eta: float = 0.85, seeds=None) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and per-coordinate spread of ``k`` stochastic reconstructions."""
+                    eta: float = 0.85) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and per-coordinate spread of ``k`` stochastic reconstructions, each
+    on its own seed drawn from ``rng``."""
     if k < 2:
         raise ValueError("need at least 2 reconstructions")
-    if seeds is None:
-        seeds = [int(rng.integers(2 ** 62)) for _ in range(k)]
-    elif len(seeds) != k:
-        raise ValueError("need one seed per reconstruction")
+    seeds = [int(rng.integers(2 ** 62)) for _ in range(k)]
     outs = np.stack([
         reconstruct(model, schedule, m, steps, np.random.default_rng(s), vt, eta=eta)
         for s in seeds

@@ -37,19 +37,21 @@ NONLINS = ("tanh", "softplus", "sin")
 # stay in cache. The updates are elementwise, so slicing changes no bit.
 UPDATE_BLOCK = 1 << 15
 
+MAX_PERIOD = 10_000.0  # longest wavelength of the time embedding, in timesteps
 
-def time_embedding(t, dim: int, max_period: float = 10_000.0) -> np.ndarray:
+
+def time_embedding(t, dim: int) -> np.ndarray:
     """Sinusoidal embedding of (1-based) timesteps; rows for vector input."""
     if dim % 2:
         raise ValueError("embedding dimension must be even")
     t = np.asarray(t, dtype=np.float64)
-    angles = t[..., None] * _frequencies(dim // 2, max_period)
+    angles = t[..., None] * _frequencies(dim // 2)
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
-def _frequencies(half: int, max_period: float) -> np.ndarray:
-    freqs = np.exp(-np.log(max_period) * np.arange(half) / half)
+def _frequencies(half: int) -> np.ndarray:
+    freqs = np.exp(-np.log(MAX_PERIOD) * np.arange(half) / half)
     freqs.flags.writeable = False  # shared by every later call
     return freqs
 

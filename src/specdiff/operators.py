@@ -7,9 +7,11 @@ plus uncorrelated Gaussian noise whose variance at a kept coordinate ``i`` is
 ``sigma0**2 / s_i**2``. The left singular vectors are never materialized;
 everything downstream consumes the transformed measurement directly.
 
-Mask families describe how the random mask is drawn across a dataset and
-expose the expected projection ``E[P]``, which must be entrywise positive,
-and from which the balancing weights ``W = E[P]**(-1/2)`` are derived.
+Mask families draw the random mask of each record and expose the expected
+projection ``E[P]`` as ``keep_probabilities``. A :class:`DegradationFamily`
+requires ``E[P]`` to be entrywise positive and derives the balancing weights
+``W = E[P]**(-1/2)`` from it. A transform's ``descriptor`` is rebuilt into the
+transform by :func:`transform_from_descriptor`.
 """
 
 from __future__ import annotations
@@ -27,16 +29,12 @@ __all__ = [
     "Measurement",
     "OrthoTransform",
     "PatchDropMasks",
-    "PermutationTransform",
     "RealDFTTransform",
     "SingleDropMasks",
     "SpectralDegradation",
     "corrupt",
     "corrupt_batch",
-    "expected_projection",
-    "sample_line_mask",
-    "sample_patch_mask",
-    "weight_matrix",
+    "transform_from_descriptor",
 ]
 
 _ORTHO_TOL = 1e-10
@@ -81,25 +79,6 @@ class IdentityTransform(OrthoTransform):
 
     def descriptor(self):
         return {"kind": "identity", "n": self.n}
-
-
-class PermutationTransform(OrthoTransform):
-    def __init__(self, perm):
-        perm = np.asarray(perm, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(perm.size)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        self.n = perm.size
-        self._perm = perm
-        self._inv = np.argsort(perm)
-
-    def apply(self, x):
-        return self._check_dim(x)[..., self._perm]
-
-    def apply_inverse(self, xbar):
-        return self._check_dim(xbar)[..., self._inv]
-
-    def descriptor(self):
-        return {"kind": "permutation", "perm": self._perm.tolist()}
 
 
 class MatrixTransform(OrthoTransform):
@@ -156,6 +135,20 @@ def _array_digest(a: np.ndarray) -> str:
     import hashlib
 
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def transform_from_descriptor(desc: dict) -> OrthoTransform:
+    """The transform that ``descriptor()`` described.
+
+    A ``matrix`` descriptor holds only a digest, so it cannot be rebuilt; it
+    and unknown kinds raise ``ValueError``.
+    """
+    if desc["kind"] == "identity":
+        return IdentityTransform(desc["n"])
+    if desc["kind"] == "real_dft":
+        return RealDFTTransform(desc["lines"])
+    raise ValueError(f"transform kind {desc['kind']!r} cannot be rebuilt "
+                     "from its descriptor")
 
 
 @dataclass(frozen=True)
@@ -221,21 +214,6 @@ class Measurement:
         return self.ybar.shape[0]
 
 
-def sample_patch_mask(height: int, width: int, patch: int, p: float, rng) -> np.ndarray:
-    """Flat row-major mask dropping each non-overlapping patch with probability p.
-
-    ``p = 1`` is rejected: it would make the expected projection singular.
-    """
-    if height % patch or width % patch:
-        raise ValueError(f"patch {patch} does not tile {height}x{width}")
-    if not 0.0 <= p < 1.0:
-        raise ValueError("drop probability must satisfy 0 <= p < 1")
-    ph, pw = height // patch, width // patch
-    keep = rng.random((ph, pw)) >= p
-    mask = np.repeat(np.repeat(keep, patch, axis=0), patch, axis=1)
-    return mask.reshape(-1)
-
-
 def _line_counts(n: int, r: int) -> tuple[int, int]:
     # central and extra counts in the 120:200:320 proportions
     if r < 1:
@@ -247,22 +225,6 @@ def _line_counts(n: int, r: int) -> tuple[int, int]:
     if n_central + n_extra > n:
         raise ValueError(f"acceleration {r} keeps more lines than exist")
     return n_central, n_extra
-
-
-def sample_line_mask(n: int, r: int, rng) -> np.ndarray:
-    """Line mask in centered ordering: central block kept, extras uniform.
-
-    Keeps the central ``ceil(0.375 * n / r)`` lines always and a uniform
-    sample of ``ceil(0.625 * n / r)`` of the remaining lines.
-    """
-    n_central, n_extra = _line_counts(n, r)
-    start = (n - n_central) // 2
-    mask = np.zeros(n, dtype=bool)
-    mask[start:start + n_central] = True
-    rest = np.flatnonzero(~mask)
-    picked = rng.choice(rest, size=n_extra, replace=False)
-    mask[picked] = True
-    return mask
 
 
 @dataclass(frozen=True)
@@ -285,7 +247,10 @@ class PatchDropMasks:
         return self.height * self.width
 
     def sample(self, rng) -> np.ndarray:
-        return sample_patch_mask(self.height, self.width, self.patch, self.p, rng)
+        """Flat row-major mask, each patch dropped independently."""
+        keep = rng.random((self.height // self.patch, self.width // self.patch)) >= self.p
+        mask = np.repeat(np.repeat(keep, self.patch, axis=0), self.patch, axis=1)
+        return mask.reshape(-1)
 
     def keep_probabilities(self) -> np.ndarray:
         return np.full(self.n, 1.0 - self.p)
@@ -295,31 +260,36 @@ class PatchDropMasks:
 class LineSubsampleMasks:
     """Central lines always acquired, the rest uniformly subsampled.
 
-    With ``paired=True`` the mask is duplicated over the real and imaginary
-    channel blocks of a :class:`RealDFTTransform`-style packing.
+    Line masks are in centered ordering: the central ``ceil(0.375 * lines /
+    accel)`` lines are always kept, plus a uniform sample of ``ceil(0.625 *
+    lines / accel)`` of the others. The line mask is duplicated over the real
+    and imaginary channel blocks of a :class:`RealDFTTransform`.
     """
 
     lines: int
     accel: int
-    paired: bool = True
 
     def __post_init__(self):
         _line_counts(self.lines, self.accel)  # rejects infeasible accelerations
 
     @property
     def n(self) -> int:
-        return 2 * self.lines if self.paired else self.lines
+        return 2 * self.lines
 
     def sample(self, rng) -> np.ndarray:
-        m = sample_line_mask(self.lines, self.accel, rng)
-        return np.concatenate([m, m]) if self.paired else m
+        n_central, n_extra = _line_counts(self.lines, self.accel)
+        start = (self.lines - n_central) // 2
+        m = np.zeros(self.lines, dtype=bool)
+        m[start:start + n_central] = True
+        m[rng.choice(np.flatnonzero(~m), size=n_extra, replace=False)] = True
+        return np.concatenate([m, m])
 
     def keep_probabilities(self) -> np.ndarray:
         n_central, n_extra = _line_counts(self.lines, self.accel)
         start = (self.lines - n_central) // 2
         probs = np.full(self.lines, n_extra / (self.lines - n_central))
         probs[start:start + n_central] = 1.0
-        return np.concatenate([probs, probs]) if self.paired else probs
+        return np.concatenate([probs, probs])
 
 
 @dataclass(frozen=True)
@@ -365,28 +335,12 @@ class FixedMask:
         return self.mask.astype(np.float64)
 
 
-def expected_projection(dist) -> np.ndarray:
-    """Diagonal of E[P] for a mask distribution; every entry must be positive."""
-    ep = dist.keep_probabilities()
-    if np.any(ep <= 0.0):
-        raise ValueError("E[P] has a zero entry; masks do not cover the signal space")
-    return ep
-
-
-def weight_matrix(ep: np.ndarray) -> np.ndarray:
-    """Balancing weights ``W = E[P]**(-1/2)`` as a diagonal vector."""
-    ep = np.asarray(ep, dtype=np.float64)
-    if np.any(ep <= 0.0):
-        raise ValueError("expected projection must be entrywise positive")
-    return ep ** -0.5
-
-
 @dataclass(frozen=True)
 class DegradationFamily:
     """A dataset-wide measurement process: shared transform, random masks.
 
     All records drawn from one family share ``vt`` and use binary singular
-    values ``{0, s_const}``.
+    values ``{0, s_const}``. The masks' ``E[P]`` must be entrywise positive.
     """
 
     vt: OrthoTransform
@@ -403,7 +357,8 @@ class DegradationFamily:
             raise ValueError("s_const must be positive")
         if self.sigma0 < 0:
             raise ValueError("sigma0 must be nonnegative")
-        expected_projection(self.masks)  # rejects singular E[P] at construction
+        if np.any(self.masks.keep_probabilities() <= 0.0):
+            raise ValueError("E[P] has a zero entry; masks do not cover the signal space")
 
     @property
     def n(self) -> int:
@@ -415,7 +370,8 @@ class DegradationFamily:
                                    self.sigma0)
 
     def weights(self) -> np.ndarray:
-        return weight_matrix(expected_projection(self.masks))
+        """Balancing weights ``W = E[P]**(-1/2)`` as a diagonal vector."""
+        return self.masks.keep_probabilities() ** -0.5
 
 
 def corrupt_batch(x: np.ndarray, deg: SpectralDegradation, rng) -> np.ndarray:

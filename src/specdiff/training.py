@@ -106,9 +106,6 @@ class TrainConfig:
     seed: int
     loss: LossConfig = field(default_factory=LossConfig.faces)
     oracle_mode: bool = False
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     log_interval: int = 50
     chunk_size: int | None = None
 
@@ -281,8 +278,7 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
             if not np.isfinite(loss) or not np.all(np.isfinite(grads)):
                 raise TrainingDiverged(step, "non-finite loss or gradient")
 
-            adam_step(model.params, grads, state, cfg.learning_rate,
-                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            adam_step(model.params, grads, state, cfg.learning_rate)
             model.ema_update()
 
             if step == 1 or step % cfg.log_interval == 0 or step == cfg.iterations:

@@ -161,6 +161,12 @@ class TestConfig:
         ("eval.n_permutations", 0),
         ("eval.n_projections", 0),
         ("eval.uncertainty_k", 1),
+        ("eval.operations", ["mse_sweep", "bogus"]),
+        ("eval.ts", [0, 5]),
+        ("eval.ts", ["x"]),
+        ("eval.ts", [2.5]),
+        ("eval.snr_levels", [-2.0]),
+        ("eval.snr_levels", ["x"]),
     ])
     def test_out_of_range_value_rejected(self, where, value):
         raw = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
@@ -249,6 +255,16 @@ class TestSignals:
         with pytest.raises(ConfigError):
             generate_signals({"kind": "external-binary", "path": str(src)},
                              99, seed=0)
+
+    def test_external_binary_of_wrong_rank_rejected(self, tmp_path):
+        src = tmp_path / "ext.bin"
+        write_tensor_file(src, np.arange(6.0))
+        cfg = validate_config({"data": {"kind": "external-binary", "count": 4,
+                                        "seed": 0, "path": str(src)},
+                               "train": {"seed": 0}})
+        for cmd in (cmd_gen_data, cmd_train):
+            with pytest.raises(ConfigError, match="external-binary file"):
+                cmd(cfg, tmp_path / "out")
 
 
 class TestCheckpoints:
@@ -518,6 +534,19 @@ class TestCommands:
         text = pgm.read_text().splitlines()
         assert text[0] == "P2" and text[1] == "4 4"
 
+    @pytest.mark.parametrize("shape, flags, flag", [
+        ((3, 16), ["--index", "3"], "--index"),
+        ((3, 16), ["--index", "-1"], "--index"),
+        ((2, 12), [], "--height and --width"),
+        ((2, 16), ["--height", "3", "--width", "5"], "--height 3 x --width 5"),
+    ])
+    def test_inspect_pgm_flags_rejected(self, tmp_path, shape, flags, flag):
+        path, pgm = tmp_path / "a.bin", tmp_path / "a.pgm"
+        write_tensor_file(path, np.zeros(shape))
+        with pytest.raises(ConfigError, match=flag):
+            main(["inspect", str(path), "--pgm", str(pgm)] + flags)
+        assert not pgm.exists()
+
     def test_inspect_checkpoint(self, tmp_path, capsys):
         cfg = two_deltas_config(tmp_path, iterations=2)
         run = cmd_train(cfg, tmp_path / "run")
@@ -644,3 +673,37 @@ class TestReverseCommandArguments:
         assert read_tensor_file(rec / "recon.bin").shape == (0, 2)
         smp = cmd_sample(checkpoint, tmp_path / "smp", "ddim", 4, 0, 1)
         assert read_tensor_file(smp / "samples.bin").shape == (0, 2)
+
+
+class TestEvalInputs:
+    """Eval inputs that an operation reads are checked before anything is written."""
+
+    def run_eval(self, tmp_path, ops, flags, ts=()):
+        cfg = two_deltas_config(tmp_path)
+        cfg["eval"]["operations"] = list(ops)
+        cfg["eval"]["ts"] = list(ts)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "out")] + flags)
+
+    @pytest.mark.parametrize("ops, flags, missing", [
+        (["mse_sweep"], [], "--checkpoint"),
+        (["independence_demo", "generalization_psnr"], ["--checkpoint", "a"],
+         "--checkpoint-b"),
+        (["uncertainty"], ["--checkpoint-b", "b"], "--checkpoint"),
+        (["distribution_distance"], ["--samples-b", "b"], "--samples-a"),
+        (["distribution_distance"], ["--samples-a", "a"], "--samples-b"),
+    ])
+    def test_missing_flag_named(self, tmp_path, monkeypatch, ops, flags, missing):
+        monkeypatch.setattr(cli, "load_checkpoint", None)  # any call would fail
+        with pytest.raises(ConfigError, match=f"needs {missing}$"):
+            self.run_eval(tmp_path, ops, flags)
+        assert not (tmp_path / "out").exists()
+
+    def test_ts_beyond_the_checkpoint_schedule_rejected(self, tmp_path):
+        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        ckpt = str(run / "checkpoint.bin")
+        with pytest.raises(ConfigError, match=r"eval\.ts must be <= T = 50"):
+            self.run_eval(tmp_path, ["mse_sweep"],
+                          ["--checkpoint", ckpt, "--checkpoint-b", ckpt], ts=[10, 51])
+        assert not (tmp_path / "out").exists()

@@ -214,10 +214,10 @@ class TestUncertaintyMap:
         model = GaussianPosteriorDenoiser()
         mean, std = uncertainty_map(model, schedule, m, k=8,
                                     rng=np.random.default_rng(12),
-                                    vt=IdentityTransform(n), steps=10, eta=0.0,
-                                    seeds=[7] * 8)
-        # replicate runs are bit-identical; the reported spread is zero up to
-        # the rounding of the variance reduction itself
+                                    vt=IdentityTransform(n), steps=10, eta=0.0)
+        # every coordinate is kept without noise, so each run ends on the
+        # measurement whatever its seed; replicate runs are bit-identical, and
+        # the reported spread is zero up to the rounding of the reduction
         a = reconstruct(model, schedule, m, 10, np.random.default_rng(7),
                         IdentityTransform(n), eta=0.0)
         b = reconstruct(model, schedule, m, 10, np.random.default_rng(7),

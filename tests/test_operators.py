@@ -11,15 +11,12 @@ from specdiff.operators import (
     MatrixTransform,
     Measurement,
     PatchDropMasks,
-    PermutationTransform,
     RealDFTTransform,
+    SingleDropMasks,
     SpectralDegradation,
     corrupt,
     corrupt_batch,
-    expected_projection,
-    sample_line_mask,
-    sample_patch_mask,
-    weight_matrix,
+    transform_from_descriptor,
 )
 
 
@@ -31,7 +28,6 @@ def random_orthogonal(n, rng):
 class TestOrthoTransforms:
     @pytest.mark.parametrize("make", [
         lambda rng: IdentityTransform(8),
-        lambda rng: PermutationTransform(rng.permutation(8)),
         lambda rng: MatrixTransform(random_orthogonal(8, rng)),
         lambda rng: RealDFTTransform(4),
     ])
@@ -67,25 +63,38 @@ class TestOrthoTransforms:
         with pytest.raises(ValueError):
             MatrixTransform(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("tr", [IdentityTransform(6), RealDFTTransform(5)],
+                             ids=["identity", "real_dft"])
+    def test_descriptor_rebuilds_the_transform(self, tr):
+        back = transform_from_descriptor(tr.descriptor())
+        assert type(back) is type(tr) and back.descriptor() == tr.descriptor()
+        x = np.random.default_rng(3).standard_normal((2, tr.n))
+        np.testing.assert_array_equal(back.apply(x), tr.apply(x))
+
+    @pytest.mark.parametrize("desc", [
+        MatrixTransform(np.eye(3)).descriptor(),  # a digest cannot be inverted
+        {"kind": "permutation", "perm": [1, 0]},
+    ], ids=["matrix", "permutation"])
+    def test_descriptor_without_a_rebuild_rejected(self, desc):
+        with pytest.raises(ValueError, match="cannot be rebuilt"):
+            transform_from_descriptor(desc)
+
 
 class TestPatchMasks:
     def test_p_zero_keeps_everything(self):
-        m = sample_patch_mask(8, 8, 4, 0.0, np.random.default_rng(0))
-        assert m.all()
+        assert PatchDropMasks(8, 8, 4, 0.0).sample(np.random.default_rng(0)).all()
 
     def test_p_one_rejected(self):
-        with pytest.raises(ValueError):
-            sample_patch_mask(8, 8, 4, 1.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 <= p < 1"):
             PatchDropMasks(8, 8, 4, 1.0)
 
     def test_patch_must_tile(self):
-        with pytest.raises(ValueError):
-            sample_patch_mask(10, 8, 4, 0.2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="does not tile"):
+            PatchDropMasks(10, 8, 4, 0.2)
 
     def test_masks_are_patch_constant(self):
         rng = np.random.default_rng(3)
-        m = sample_patch_mask(16, 16, 4, 0.5, rng).reshape(16, 16)
+        m = PatchDropMasks(16, 16, 4, 0.5).sample(rng).reshape(16, 16)
         for bi in range(4):
             for bj in range(4):
                 block = m[4 * bi:4 * bi + 4, 4 * bj:4 * bj + 4]
@@ -107,24 +116,27 @@ class TestPatchMasks:
         assert abs(freq.mean() - 0.8) <= 3 * se / np.sqrt(64)
 
     def test_same_seed_reproducible(self):
-        m1 = sample_patch_mask(16, 16, 4, 0.3, np.random.default_rng(77))
-        m2 = sample_patch_mask(16, 16, 4, 0.3, np.random.default_rng(77))
+        dist = PatchDropMasks(16, 16, 4, 0.3)
+        m1 = dist.sample(np.random.default_rng(77))
+        m2 = dist.sample(np.random.default_rng(77))
         assert np.array_equal(m1, m2)
 
 
 class TestLineMasks:
+    """A paired mask's first half is the line mask; its second repeats it."""
+
     def test_full_scale_counts(self):
-        rng = np.random.default_rng(0)
-        m = sample_line_mask(320, 4, rng)
+        m = LineSubsampleMasks(lines=320, accel=4).sample(np.random.default_rng(0))[:320]
         assert m.sum() == 80
         assert m[145:175].all()  # central 30 lines always present
 
     def test_noncentral_keep_probability(self):
         rng = np.random.default_rng(1)
         n, r, draws = 320, 4, 4000
+        dist = LineSubsampleMasks(lines=n, accel=r)
         counts = np.zeros(n)
         for _ in range(draws):
-            counts += sample_line_mask(n, r, rng)
+            counts += dist.sample(rng)[:n]
         freq = counts / draws
         central = slice(145, 175)
         assert np.all(freq[central] == 1.0)
@@ -139,38 +151,34 @@ class TestLineMasks:
         assert freq[rest].mean() == pytest.approx(p, abs=1e-12)
 
     def test_r_one_keeps_all(self):
-        m = sample_line_mask(320, 1, np.random.default_rng(0))
-        assert m.all()
+        assert LineSubsampleMasks(lines=320, accel=1).sample(np.random.default_rng(0)).all()
 
     def test_infeasible_acceleration_rejected(self):
-        with pytest.raises(ValueError):
-            sample_line_mask(16, 32, np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="acceleration 32"):
             LineSubsampleMasks(lines=16, accel=32)
 
     def test_paired_mask_duplicates_lines(self):
-        dist = LineSubsampleMasks(lines=16, accel=2, paired=True)
+        dist = LineSubsampleMasks(lines=16, accel=2)
         m = dist.sample(np.random.default_rng(5))
-        assert m.shape == (32,)
+        assert m.shape == (32,) == (dist.n,)
         assert np.array_equal(m[:16], m[16:])
 
 
 class TestExpectedProjectionAndWeights:
     def test_patch_drop_analytic(self):
-        ep = expected_projection(PatchDropMasks(8, 8, 4, 0.2))
-        np.testing.assert_allclose(ep, 0.8)
+        np.testing.assert_allclose(PatchDropMasks(8, 8, 4, 0.2).keep_probabilities(), 0.8)
 
     def test_line_subsample_analytic(self):
-        dist = LineSubsampleMasks(lines=320, accel=4, paired=False)
-        ep = expected_projection(dist)
+        ep = LineSubsampleMasks(lines=320, accel=4).keep_probabilities()
+        np.testing.assert_array_equal(ep[:320], ep[320:])
         np.testing.assert_allclose(ep[145:175], 1.0)
         rest = np.ones(320, dtype=bool)
         rest[145:175] = False
-        np.testing.assert_allclose(ep[rest], 200.0 / 1160.0)
+        np.testing.assert_allclose(ep[:320][rest], 200.0 / 1160.0)
 
     def test_line_subsample_empirical(self):
-        dist = LineSubsampleMasks(lines=32, accel=4, paired=True)
-        ep = expected_projection(dist)
+        dist = LineSubsampleMasks(lines=32, accel=4)
+        ep = dist.keep_probabilities()
         rng = np.random.default_rng(8)
         draws = 4000
         freq = sum(dist.sample(rng) for _ in range(draws)) / draws
@@ -178,33 +186,34 @@ class TestExpectedProjectionAndWeights:
         assert np.all(np.abs(freq - ep) <= 4 * se + 1e-12)
 
     def test_fixed_full_mask(self):
-        ep = expected_projection(FixedMask(np.ones(5, dtype=bool)))
-        np.testing.assert_array_equal(ep, 1.0)
+        fam = DegradationFamily(IdentityTransform(5), FixedMask(np.ones(5, dtype=bool)), 0.0)
+        np.testing.assert_array_equal(fam.masks.keep_probabilities(), 1.0)
+        np.testing.assert_array_equal(fam.weights(), 1.0)
 
     def test_zero_entry_rejected(self):
-        with pytest.raises(ValueError):
-            expected_projection(FixedMask(np.array([True, False, True])))
+        with pytest.raises(ValueError, match="E\\[P\\] has a zero entry"):
+            DegradationFamily(IdentityTransform(3), FixedMask(np.array([True, False, True])),
+                              0.0)
 
     def test_weight_values(self):
-        np.testing.assert_allclose(weight_matrix(np.full(4, 0.8)), 0.8 ** -0.5)
         # acquisition at acceleration 4: central lines weight 1, others sqrt(5.8)
-        dist = LineSubsampleMasks(lines=320, accel=4, paired=False)
-        w = weight_matrix(expected_projection(dist))
+        fam = DegradationFamily(IdentityTransform(640), LineSubsampleMasks(320, 4), 0.0)
+        w = fam.weights()
+        np.testing.assert_array_equal(w[:320], w[320:])
         np.testing.assert_allclose(w[145:175], 1.0)
         rest = np.ones(320, dtype=bool)
         rest[145:175] = False
-        np.testing.assert_allclose(w[rest], np.sqrt(5.8))
-        np.testing.assert_array_equal(weight_matrix(np.ones(3)), 1.0)
+        np.testing.assert_allclose(w[:320][rest], np.sqrt(5.8))
 
-    def test_weight_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            weight_matrix(np.array([0.5, 0.0]))
-
-    def test_weight_squared_times_ep_is_identity(self):
-        rng = np.random.default_rng(9)
-        ep = rng.uniform(0.05, 1.0, size=64)
-        w = weight_matrix(ep)
-        np.testing.assert_allclose(w * w * ep, 1.0, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("masks", [PatchDropMasks(8, 8, 2, 0.35),
+                                       LineSubsampleMasks(lines=32, accel=3),
+                                       SingleDropMasks(7)],
+                             ids=["patch", "line", "single"])
+    def test_weight_squared_times_ep_is_identity(self, masks):
+        fam = DegradationFamily(IdentityTransform(masks.n), masks, 0.0)
+        w = fam.weights()
+        np.testing.assert_allclose(w * w * masks.keep_probabilities(), 1.0,
+                                   rtol=0, atol=1e-12)
 
 
 class TestCorrupt:

@@ -60,8 +60,7 @@ def chunked_reference(model, cfg, data, schedule):
             loss += frac * c_loss
             div += frac * c_div
             grads += frac * c_grads
-        adam_step(model.params, grads, state, cfg.learning_rate,
-                  cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        adam_step(model.params, grads, state, cfg.learning_rate)
         model.ema_update()
         rows.append((loss, div, float(np.linalg.norm(grads))))
     return rows
