@@ -4,9 +4,8 @@ Artifacts are flat binary tensor files (16-byte magic, u32 version, u32 rank,
 u64 extents, little-endian float64 payload) with JSON sidecars; metrics are
 UTF-8 CSV with ``\\n`` line endings and a mandatory header. Every output
 embeds the digest of the config that produced it, and any command run twice
-with the same config and seed produces byte-identical files. Wall-clock
-timing is therefore excluded from the metrics CSV unless
-``io.deterministic_timing`` is switched off.
+with the same config and seed produces byte-identical files, so no
+wall-clock timing is written.
 
 Subcommands: ``gen-data``, ``train``, ``sample``, ``reconstruct``, ``eval``,
 ``inspect``.
@@ -159,7 +158,6 @@ _SCHEMA = {
         "count": (int, None),
         "seed": (int, None),
         "dim": (int, 2),
-        "prior_var": (float, 1.0),
         "height": (int, 16),
         "width": (int, 16),
         "path": (str, ""),
@@ -223,7 +221,6 @@ _SCHEMA = {
     "io": {
         "out_dir": (str, "out"),
         "data_dir": (str, ""),
-        "deterministic_timing": (bool, True),
     },
 }
 
@@ -364,8 +361,7 @@ def generate_signals(data_cfg: dict, count: int, seed: int) -> np.ndarray:
         signs = rng.integers(0, 2, size=count) * 2 - 1
         return np.outer(signs, np.ones(2))
     if kind == "isotropic-gaussian":
-        return np.sqrt(data_cfg["prior_var"]) * rng.standard_normal(
-            (count, data_cfg["dim"]))
+        return rng.standard_normal((count, data_cfg["dim"]))
     if kind == "synthetic-shapes":
         return _shapes(count, data_cfg["height"], data_cfg["width"], rng)
     return _external_rows(data_cfg["path"], count)[:count]
@@ -675,8 +671,8 @@ def _dataset_from_config(cfg: dict):
                               "degradation family")
         clean_xbar = family.vt.apply(clean) if clean is not None else None
         return PrecomputedDataset(
-            ybar=ybar, masks=masks, noise_var=noise_var, sigma0=meta["sigma0"],
-            w=family.weights(), clean_xbar=clean_xbar,
+            ybar=ybar, masks=masks, noise_var=noise_var, w=family.weights(),
+            clean_xbar=clean_xbar,
         ), family
     signals = generate_signals(cfg["data"], cfg["data"]["count"],
                                cfg["data"]["seed"])
@@ -691,8 +687,7 @@ def cmd_train(cfg: dict, out: str | None = None,
     schedule = build_schedule(cfg)
     model = build_model(cfg, family.n)
     train_cfg = build_train_config(cfg, seed_override)
-    measure = not cfg["io"]["deterministic_timing"]
-    result = train(model, train_cfg, data, schedule, measure_time=measure)
+    result = train(model, train_cfg, data, schedule)
 
     digest = config_digest(cfg)
     sched_meta = {
@@ -702,17 +697,17 @@ def cmd_train(cfg: dict, out: str | None = None,
         "t_min_valid": result.t_min_valid,
     }
     ckpt = Checkpoint(arch=model.arch(), params=model.params,
-                      ema_params=model.ema_params, step_count=result.steps,
+                      ema_params=model.ema_params, step_count=train_cfg.iterations,
                       config_digest=digest, schedule=sched_meta,
                       vt_descriptor=family.vt.descriptor())
     save_checkpoint(out_path / "checkpoint.bin", ckpt)
     write_csv(out_path / "metrics.csv",
-              ["step", "loss", "divergence_term", "grad_norm", "wall_ms"],
-              [(r.step, r.loss, r.divergence_term, r.grad_norm, r.wall_ms)
+              ["step", "loss", "divergence_term", "grad_norm"],
+              [(r.step, r.loss, r.divergence_term, r.grad_norm)
                for r in result.metrics])
     _write_json(out_path / "run.json", {
         "config_digest": digest,
-        "steps": result.steps,
+        "steps": train_cfg.iterations,
         "t_min_valid": result.t_min_valid,
     })
     return out_path
@@ -812,14 +807,13 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
         write_csv(out_path / "rsweep.csv", ["accel", "residual_norm", "finite"], rows)
         return out_path
 
-    meta, ybar, masks, noise_var, _ = _load_dataset_dir(Path(measurements_dir))
+    _, ybar, masks, noise_var, _ = _load_dataset_dir(Path(measurements_dir))
     out_path.mkdir(parents=True, exist_ok=True)
     count = len(ybar) if limit is None else min(limit, len(ybar))
     recons = np.empty((count, vt.n))
     zf = np.empty((count, vt.n))
     for i in range(count):
-        m = Measurement(ybar=ybar[i], mask=masks[i], sigma0=meta["sigma0"],
-                        noise_var=noise_var[i])
+        m = Measurement(ybar=ybar[i], mask=masks[i], noise_var=noise_var[i])
         zf[i] = zero_filled(m, vt)
         recons[i] = reconstruct(model, schedule, m, steps, derived_rng(seed, i),
                                 vt, eta=eta)
@@ -849,9 +843,12 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
              checkpoint_b=None, samples_a=None, samples_b=None) -> Path:
     """Run the configured evaluation operations, one CSV per operation.
 
-    A flag an operation needs that is missing, or an ``eval.ts`` entry beyond
-    ``T`` of checkpoint A's schedule, raises ``ConfigError`` before anything is
-    written.
+    A flag an operation needs that is missing, an ``eval.ts`` entry beyond
+    ``T`` of checkpoint A's schedule, or a checkpoint B whose schedule's ``T``,
+    ``beta1`` or ``betaT`` differs from A's raises ``ConfigError`` before
+    anything is written. ``uncertainty`` runs its reconstructions at
+    ``eta = max(eval.eta, 0.5)``, so an ``eval.eta`` below 0.5 (the default
+    0.0 included) is raised to 0.5 there and its ``k`` runs stay stochastic.
     """
     ops = cfg["eval"]["operations"]
     seed = cfg["eval"]["seed"]
@@ -868,6 +865,12 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
     if ca is not None and max(cfg["eval"]["ts"], default=0) > ca.schedule["T"]:
         raise ConfigError(f"eval.ts must be <= T = {ca.schedule['T']} of the "
                           "--checkpoint schedule")
+    if ca is not None and cb is not None:
+        # B is scored on A's timesteps; t_min_valid may differ (GSURE vs oracle)
+        for key in ("T", "beta1", "betaT"):
+            if ca.schedule[key] != cb.schedule[key]:
+                raise ConfigError(f"--checkpoint-b schedule {key} = {cb.schedule[key]} "
+                                  f"differs from --checkpoint's {ca.schedule[key]}")
     out_path = _out_dir(cfg, out)
 
     def _pair_setup():
@@ -973,9 +976,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="experiment config JSON")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
 

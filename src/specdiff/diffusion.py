@@ -19,7 +19,7 @@ estimate is taken.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,23 +51,22 @@ class InfeasibleTimestepError(ValueError):
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
-    """Beta sequence with precomputed cumulative signal fractions."""
+    """Beta sequence; ``alpha_bars`` is derived as the cumulative product of
+    ``1 - beta``."""
 
     betas: np.ndarray
-    alpha_bars: np.ndarray
     t_min_valid: int = 1
+    alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=np.float64)
-        abars = np.asarray(self.alpha_bars, dtype=np.float64)
-        if betas.ndim != 1 or betas.shape != abars.shape:
-            raise ValueError("betas and alpha_bars must be 1-D of equal length")
+        if betas.ndim != 1:
+            raise ValueError("betas must be 1-D")
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ValueError("betas must lie strictly inside (0, 1)")
+        abars = np.cumprod(1.0 - betas)
         if np.any(np.diff(abars) >= 0.0):
             raise ValueError("alpha_bars must be strictly decreasing")
-        if np.max(np.abs(abars - np.cumprod(1.0 - betas))) > 1e-12:
-            raise ValueError("alpha_bars inconsistent with cumulative product of 1 - beta")
         if not 1 <= self.t_min_valid <= betas.shape[0]:
             raise ValueError("t_min_valid out of range")
         object.__setattr__(self, "betas", betas)
@@ -109,7 +108,7 @@ def linear_schedule(T: int, beta1: float, betaT: float) -> DiffusionSchedule:
     if not 0.0 < beta1 <= betaT < 1.0:
         raise ValueError("betas must satisfy 0 < beta1 <= betaT < 1")
     betas = np.linspace(beta1, betaT, T)
-    return DiffusionSchedule(betas=betas, alpha_bars=np.cumprod(1.0 - betas))
+    return DiffusionSchedule(betas=betas)
 
 
 def t_min_for_noise_var(schedule: DiffusionSchedule, worst_noise_var: float) -> int:

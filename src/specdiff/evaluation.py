@@ -47,17 +47,15 @@ __all__ = [
 
 
 class GaussianPosteriorDenoiser:
-    """Posterior mean for x ~ N(0, s2 I) observed as sqrt(abar) x + noise.
+    """Posterior mean for x ~ N(0, I) observed as sqrt(abar) x + noise.
 
     The optimal linear shrinkage for the unmasked problem; used to probe how
     masking interacts with a denoiser that has no mask awareness.
     """
 
-    def __init__(self, prior_var: float = 1.0):
-        self.prior_var = float(prior_var)
-
     def estimate(self, u: np.ndarray, abar: float) -> np.ndarray:
-        k = np.sqrt(abar) * self.prior_var / (abar * self.prior_var + 1.0 - abar)
+        # abar * s2 + 1 - abar at unit s2, not folded to 1.0 (which rounds otherwise)
+        k = np.sqrt(abar) / (abar + 1.0 - abar)
         return k * np.asarray(u, dtype=np.float64)
 
     def denoise(self, xbar_t, t, schedule: DiffusionSchedule, ema: bool = True):

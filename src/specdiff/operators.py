@@ -192,7 +192,6 @@ class Measurement:
 
     ybar: np.ndarray
     mask: np.ndarray
-    sigma0: float
     noise_var: np.ndarray
 
     def __post_init__(self):
@@ -393,5 +392,4 @@ def corrupt(x: np.ndarray, deg: SpectralDegradation, rng) -> Measurement:
     if x.ndim != 1:
         raise ValueError("corrupt takes a single 1-D signal; see corrupt_batch")
     ybar = corrupt_batch(x, deg, rng)
-    return Measurement(ybar=ybar, mask=deg.mask, sigma0=deg.sigma0,
-                       noise_var=deg.noise_var)
+    return Measurement(ybar=ybar, mask=deg.mask, noise_var=deg.noise_var)

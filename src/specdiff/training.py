@@ -5,9 +5,9 @@ comes from a generator derived from the config seed and a structural key
 (step index, purpose, chunk index). By default a step evaluates the whole
 batch in one network pass. An explicit ``chunk_size`` caps the rows per pass:
 the batch is cut into fixed-size chunks, evaluated one after another, whose
-gradients are reduced in chunk order. A one-chunk step uses the chunk's loss
-and gradient as they are, with no reduction, so the default is bit-identical
-to ``chunk_size = batch_size``.
+gradients are reduced in chunk order. The first chunk's gradient starts the
+sum, so a one-chunk step uses its chunk's gradient as it is and the default is
+bit-identical to ``chunk_size = batch_size``.
 
 Adam (:func:`adam_step`) and the EMA shadow (:meth:`Denoiser.ema_update`) run
 over fixed cache-sized blocks of the flat parameter vector, with the
@@ -16,7 +16,6 @@ whole-vector form's operations per element, so they are bit-identical to it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,7 +129,6 @@ class PrecomputedDataset:
     ybar: np.ndarray
     masks: np.ndarray
     noise_var: np.ndarray
-    sigma0: float
     w: np.ndarray
     clean_xbar: np.ndarray | None = None
 
@@ -156,7 +154,7 @@ class PrecomputedDataset:
 
     def measurement(self, i: int) -> Measurement:
         return Measurement(ybar=self.ybar[i], mask=self.masks[i],
-                           sigma0=self.sigma0, noise_var=self.noise_var[i])
+                           noise_var=self.noise_var[i])
 
 
 def precompute(signals: np.ndarray, family: DegradationFamily,
@@ -183,8 +181,7 @@ def precompute(signals: np.ndarray, family: DegradationFamily,
         noise_var[i] = m.noise_var
     clean = family.vt.apply(signals) if count else np.zeros((0, n))
     return PrecomputedDataset(ybar=ybar, masks=masks, noise_var=noise_var,
-                              sigma0=family.sigma0, w=family.weights(),
-                              clean_xbar=clean)
+                              w=family.weights(), clean_xbar=clean)
 
 
 @dataclass(frozen=True)
@@ -193,13 +190,10 @@ class MetricsRow:
     loss: float
     divergence_term: float
     grad_norm: float
-    wall_ms: float
 
 
 @dataclass
 class TrainResult:
-    model: Denoiser
-    steps: int
     metrics: list[MetricsRow]
     t_min_valid: int
 
@@ -224,13 +218,11 @@ def _evaluate_chunk(model, cfg: TrainConfig, data: PrecomputedDataset,
 
 
 def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
-          schedule: DiffusionSchedule, measure_time: bool = False) -> TrainResult:
+          schedule: DiffusionSchedule) -> TrainResult:
     """Run the stochastic loop: sample, perturb, estimate risk, step, shadow.
 
     Timesteps are drawn uniformly from the feasible range
     ``[t_min_valid, T]`` induced by the dataset's worst measurement variance.
-    ``measure_time`` fills the wall_ms metrics column; it is off by default so
-    identical runs produce identical metrics.
     """
     if cfg.oracle_mode and data.clean_xbar is None:
         raise ValueError("oracle mode needs clean signals (simulation-mode dataset)")
@@ -245,7 +237,6 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
     # resolved here, not at construction, so dataclasses.replace(cfg,
     # batch_size=...) on an unset chunk still means "whole batch"
     bounds = _chunk_bounds(cfg.batch_size, cfg.chunk_size or cfg.batch_size)
-    started = time.perf_counter()
 
     try:
         for step in range(1, cfg.iterations + 1):
@@ -254,25 +245,21 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
             t_vec = derived_rng(cfg.seed, step, 1).integers(
                 t_min, schedule.T + 1, size=cfg.batch_size)
 
-            if len(bounds) == 1:
-                # the chunk's means are the batch's. Its gradient may hold -0.0
-                # where the zero-started sum below holds +0.0; Adam turns both
-                # into the same parameters, as its moments start at +0.0.
-                # 0.0 + gives the logged scalars that sum's sign of zero.
-                loss, div, grads = _evaluate_chunk(model, cfg, data, schedule, idx,
-                                                   t_vec, derived_rng(cfg.seed, step, 2))
-                loss, div = 0.0 + loss, 0.0 + div
-            else:
-                # fixed-order reduction of chunk means into batch means
-                loss = div = 0.0
-                grads = np.zeros_like(model.params)
-                for ci, (lo, hi) in enumerate(bounds):
-                    c_loss, c_div, c_grads = _evaluate_chunk(
-                        model, cfg, data, schedule, idx[lo:hi], t_vec[lo:hi],
-                        derived_rng(cfg.seed, step, 2 + ci))
-                    frac = (hi - lo) / cfg.batch_size
-                    loss += frac * c_loss
-                    div += frac * c_div
+            # fixed-order reduction of chunk means into batch means. The
+            # gradient sum starts from the first chunk, not from zeros, so it
+            # may hold -0.0 where a zero-started sum holds +0.0; Adam turns
+            # both into the same parameters, as its moments start at +0.0.
+            loss = div = 0.0
+            for ci, (lo, hi) in enumerate(bounds):
+                c_loss, c_div, c_grads = _evaluate_chunk(
+                    model, cfg, data, schedule, idx[lo:hi], t_vec[lo:hi],
+                    derived_rng(cfg.seed, step, 2 + ci))
+                frac = (hi - lo) / cfg.batch_size
+                loss += frac * c_loss
+                div += frac * c_div
+                if ci == 0:
+                    grads = c_grads if frac == 1.0 else frac * c_grads
+                else:
                     grads += frac * c_grads
 
             if not np.isfinite(loss) or not np.all(np.isfinite(grads)):
@@ -282,13 +269,10 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
             model.ema_update()
 
             if step == 1 or step % cfg.log_interval == 0 or step == cfg.iterations:
-                wall = (time.perf_counter() - started) * 1e3 if measure_time else 0.0
                 metrics.append(MetricsRow(step=step, loss=loss,
                                           divergence_term=div,
-                                          grad_norm=float(np.linalg.norm(grads)),
-                                          wall_ms=wall))
+                                          grad_norm=float(np.linalg.norm(grads))))
     except NonFiniteError as exc:
         raise TrainingDiverged(step, str(exc)) from exc
 
-    return TrainResult(model=model, steps=cfg.iterations, metrics=metrics,
-                       t_min_valid=t_min)
+    return TrainResult(metrics=metrics, t_min_valid=t_min)

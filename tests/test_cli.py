@@ -99,11 +99,17 @@ class TestConfig:
                                       "spam": 1},
                              "train": {"seed": 0}})
 
-    def test_threads_key_rejected(self):
-        # chunks run one after another; the old thread-pool knob is gone
-        with pytest.raises(ConfigError, match="threads"):
-            validate_config({"data": {"kind": "two-deltas", "count": 1, "seed": 0},
-                             "train": {"seed": 0, "threads": 2}})
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "threads", 2),  # chunks run one after another
+        ("io", "deterministic_timing", False),  # no wall time in metrics.csv
+        ("data", "prior_var", 1.0),  # isotropic-gaussian data has unit variance
+    ])
+    def test_removed_keys_rejected(self, section, key, value):
+        cfg = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
+               "train": {"seed": 0}}
+        cfg.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"{section}: unknown keys.*{key}"):
+            validate_config(cfg)
 
     def test_missing_required_rejected(self):
         with pytest.raises(ConfigError):
@@ -114,7 +120,6 @@ class TestConfig:
                                "train": {"seed": 1}})
         assert cfg["schedule"]["T"] == 1000
         assert cfg["train"]["loss"]["lambda_coef"] == 1e-4
-        assert cfg["io"]["deterministic_timing"] is True
 
     def test_digest_stable_under_key_order(self):
         a = validate_config({"data": {"kind": "two-deltas", "count": 4, "seed": 0},
@@ -464,7 +469,7 @@ class TestCommands:
         cfg = two_deltas_config(tmp_path)
         out = cmd_train(cfg, tmp_path / "run")
         lines = (out / "metrics.csv").read_text().splitlines()
-        assert lines[0] == "step,loss,divergence_term,grad_norm,wall_ms"
+        assert lines[0] == "step,loss,divergence_term,grad_norm"
         assert len(lines) > 2
         ckpt = load_checkpoint(out / "checkpoint.bin")
         assert ckpt.step_count == 30
@@ -707,3 +712,47 @@ class TestEvalInputs:
             self.run_eval(tmp_path, ["mse_sweep"],
                           ["--checkpoint", ckpt, "--checkpoint-b", ckpt], ts=[10, 51])
         assert not (tmp_path / "out").exists()
+
+    def train_pair(self, tmp_path, schedule_b, sigma0_b=0.01):
+        """Checkpoint A (T = 50, beta1 = 1e-4, betaT = 0.2) and checkpoint B with
+        ``schedule_b`` over A's schedule, trained at ``sigma0_b``."""
+        cfg_a = two_deltas_config(tmp_path, iterations=2)
+        cfg_a["schedule"]["beta1"] = 1e-4
+        cfg_b = two_deltas_config(tmp_path, iterations=2)
+        cfg_b["schedule"].update({"beta1": 1e-4, **schedule_b})
+        cfg_b["degradation"]["sigma0"] = sigma0_b
+        return [str(cmd_train(cfg, tmp_path / name) / "checkpoint.bin")
+                for cfg, name in ((cfg_a, "a"), (cfg_b, "b"))]
+
+    @pytest.mark.parametrize("schedule_b, key", [
+        ({"T": 10}, "T"), ({"betaT": 0.1}, "betaT"), ({"beta1": 1e-3}, "beta1")],
+        ids=["T", "betaT", "beta1"])
+    def test_checkpoint_b_on_another_schedule_rejected(self, tmp_path, schedule_b, key):
+        # B would be scored at A's timesteps, which B was not trained on
+        a, b = self.train_pair(tmp_path, schedule_b)
+        with pytest.raises(ConfigError, match=f"--checkpoint-b schedule {key} "):
+            self.run_eval(tmp_path, ["mse_sweep"], ["--checkpoint", a, "--checkpoint-b", b])
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoints_may_differ_in_t_min_valid(self, tmp_path):
+        a, b = self.train_pair(tmp_path, {}, sigma0_b=0.2)
+        assert load_checkpoint(a).schedule["t_min_valid"] \
+            < load_checkpoint(b).schedule["t_min_valid"]
+        self.run_eval(tmp_path, ["mse_sweep"], ["--checkpoint", a, "--checkpoint-b", b])
+        assert (tmp_path / "out" / "mse_sweep.csv").exists()
+
+    @pytest.mark.parametrize("eta, used", [(0.0, 0.5), (0.8, 0.8)])
+    def test_uncertainty_runs_at_eta_of_at_least_one_half(self, tmp_path, monkeypatch,
+                                                         eta, used):
+        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        seen = []
+
+        def fake_map(model, schedule, m, k, *, rng, vt, steps, eta):
+            seen.append(eta)
+            return np.zeros(vt.n), np.zeros(vt.n)
+
+        monkeypatch.setattr(cli, "uncertainty_map", fake_map)
+        cfg = two_deltas_config(tmp_path)
+        cfg["eval"].update(operations=["uncertainty"], eta=eta)
+        cmd_eval(cfg, tmp_path / "out", checkpoint=run / "checkpoint.bin")
+        assert seen == [used]

@@ -1,9 +1,12 @@
 """Schedules, feasibility, perturbation marginals, and samplers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from specdiff.diffusion import (
+    DiffusionSchedule,
     InfeasibleScheduleError,
     InfeasibleTimestepError,
     check_psd_feasibility,
@@ -63,10 +66,9 @@ class RecordingZeroDenoiser(ZeroDenoiser):
         return super().denoise(x, t, schedule, ema=ema)
 
 
-def full_measurement(ybar, sigma0=0.0, noise_var=None):
-    n = ybar.shape[0]
-    return Measurement(ybar=ybar, mask=np.ones(n, dtype=bool), sigma0=sigma0,
-                       noise_var=np.full(n, sigma0 ** 2) if noise_var is None else noise_var)
+def full_measurement(ybar, noise_var):
+    return Measurement(ybar=ybar, mask=np.ones(ybar.shape[0], dtype=bool),
+                       noise_var=noise_var)
 
 
 class TestSchedules:
@@ -92,6 +94,20 @@ class TestSchedules:
             linear_schedule(10, 0.0, 0.1)
         with pytest.raises(ValueError):
             linear_schedule(10, 0.1, 1.0)
+
+    def test_alpha_bars_derived_from_betas(self):
+        betas = np.linspace(1e-4, 0.2, 100)
+        want = np.cumprod(1.0 - betas).tobytes()
+        s = DiffusionSchedule(betas=betas)
+        assert s.alpha_bars.tobytes() == want
+        moved = dataclasses.replace(s, t_min_valid=7)
+        assert moved.t_min_valid == 7 and moved.alpha_bars.tobytes() == want
+        assert linear_schedule(100, 1e-4, 0.2).alpha_bars.tobytes() == want
+        with pytest.raises(TypeError):
+            DiffusionSchedule(betas=betas, alpha_bars=np.cumprod(1.0 - betas))
+        # 1 - 1e-17 rounds to 1.0, so the derived abar does not decrease
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            DiffusionSchedule(betas=np.array([1e-17, 1e-17]))
 
     @pytest.mark.parametrize("lookup", ["abar", "abar_prev", "beta"])
     @pytest.mark.parametrize("t", [0, 11])
@@ -164,7 +180,7 @@ class TestPerturb:
     def test_noiseless_full_mask_is_standard_forward(self):
         s = linear_schedule(50, 1e-3, 0.2)
         ybar = np.array([0.5, -1.0, 2.0])
-        m = full_measurement(ybar, sigma0=0.0, noise_var=np.zeros(3))
+        m = full_measurement(ybar, np.zeros(3))
         t = 20
         x1 = perturb_batch(m.ybar, m.noise_var, np.array([t]), s,
                            np.random.default_rng(9))[0]
@@ -205,7 +221,7 @@ class TestPerturb:
         s = linear_schedule(1000, 1e-4, 0.2)
         nv = np.full(2, 1e-2)  # needs t around 10, not 1
         m = Measurement(ybar=np.array([1.0, 2.0]), mask=np.ones(2, dtype=bool),
-                        sigma0=0.1, noise_var=nv)
+                        noise_var=nv)
         with pytest.raises(InfeasibleTimestepError):
             perturb_batch(m.ybar, m.noise_var, np.array([1]), s,
                           np.random.default_rng(0))
@@ -314,7 +330,7 @@ class TestReconstruct:
         vt = MatrixTransform(random_orthogonal(n, rng))
         model = Denoiser.create(n, hidden=(16, 16), emb_dim=8,
                                 mean_type="predict_epsilon", rng=rng)
-        m = Measurement(ybar=np.zeros(n), mask=np.zeros(n, dtype=bool), sigma0=0.0,
+        m = Measurement(ybar=np.zeros(n), mask=np.zeros(n, dtype=bool),
                         noise_var=np.zeros(n))
         s = linear_schedule(100, 1e-4, 0.2)
         rec = reconstruct(model, s, m, 20, np.random.default_rng(10), vt, eta=eta)
@@ -327,7 +343,7 @@ class TestReconstruct:
         s = linear_schedule(100, 1e-4, 0.2)
         vt = IdentityTransform(2)
         m = Measurement(ybar=np.array([1.0, 0.0]), mask=np.array([True, False]),
-                        sigma0=0.0, noise_var=np.zeros(2))
+                        noise_var=np.zeros(2))
         with pytest.raises(ValueError, match="eta"):
             reconstruct(ShrinkDenoiser(), s, m, 20, np.random.default_rng(0), vt,
                         eta=eta)

@@ -207,8 +207,7 @@ class TestUncertaintyMap:
     def test_deterministic_sampler_zero_spread(self, schedule):
         n = 4
         m = Measurement(ybar=np.array([0.5, 0.0, -0.2, 0.1]),
-                        mask=np.ones(n, dtype=bool), sigma0=0.0,
-                        noise_var=np.zeros(n))
+                        mask=np.ones(n, dtype=bool), noise_var=np.zeros(n))
         from specdiff.diffusion import reconstruct
 
         model = GaussianPosteriorDenoiser()
@@ -228,7 +227,7 @@ class TestUncertaintyMap:
     def test_stochastic_spread_positive(self, schedule):
         n = 4
         m = Measurement(ybar=np.array([0.5, 0.0, 0.0, 0.1]),
-                        mask=np.array([True, False, False, True]), sigma0=0.0,
+                        mask=np.array([True, False, False, True]),
                         noise_var=np.zeros(n))
         model = GaussianPosteriorDenoiser()
         mean, std = uncertainty_map(model, schedule, m, k=4,
@@ -238,7 +237,7 @@ class TestUncertaintyMap:
 
     def test_needs_two_runs(self, schedule):
         m = Measurement(ybar=np.zeros(2), mask=np.ones(2, dtype=bool),
-                        sigma0=0.0, noise_var=np.zeros(2))
+                        noise_var=np.zeros(2))
         with pytest.raises(ValueError):
             uncertainty_map(GaussianPosteriorDenoiser(), schedule, m, k=1,
                             rng=np.random.default_rng(0), vt=IdentityTransform(2))

@@ -379,7 +379,7 @@ class TestGsureLoss:
         n = 2
         model = LinearModel(np.eye(n), np.zeros(n))
         m = Measurement(ybar=np.array([1.0, 0.0]), mask=np.array([True, False]),
-                        sigma0=0.2, noise_var=np.array([0.04, 0.0]))
+                        noise_var=np.array([0.04, 0.0]))
         with pytest.raises(InfeasibleTimestepError):
             gsure_diffusion_loss(model, m.ybar, m.mask, m.noise_var, 1, schedule,
                                  np.ones(n), LossConfig.faces(), rng)

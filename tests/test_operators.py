@@ -282,7 +282,7 @@ class TestCorrupt:
     def test_measurement_invariant_enforced(self):
         with pytest.raises(ValueError):
             Measurement(ybar=np.array([1.0, 0.5]), mask=np.array([True, False]),
-                        sigma0=0.0, noise_var=np.zeros(2))
+                        noise_var=np.zeros(2))
 
 
 class TestDegradationFamily:

@@ -143,7 +143,7 @@ class TestPrecompute:
         with pytest.raises(ValueError, match="unobserved"):
             PrecomputedDataset(ybar=np.array([[5.0, 1.0]]),
                                masks=np.array([[False, True]]),
-                               noise_var=np.zeros((1, 2)), sigma0=0.0, w=np.ones(2))
+                               noise_var=np.zeros((1, 2)), w=np.ones(2))
 
 
 class TestTrainLoop:
@@ -165,20 +165,20 @@ class TestTrainLoop:
         init = model.params.copy()
         cfg = TrainConfig(iterations=0, batch_size=8, learning_rate=1e-3, seed=1)
         result = train(model, cfg, data, schedule)
-        np.testing.assert_array_equal(result.model.params, init)
-        np.testing.assert_array_equal(result.model.ema_params, init)
+        np.testing.assert_array_equal(model.params, init)
+        np.testing.assert_array_equal(model.ema_params, init)
         assert result.metrics == []
 
     def test_bit_identical_across_runs(self):
         data, schedule = self.setup_problem()
-        outs = []
+        models, outs = [], []
         for _ in range(2):
-            model = self.make_model(seed=5)
+            models.append(self.make_model(seed=5))
             cfg = TrainConfig(iterations=40, batch_size=12, learning_rate=1e-3,
                               seed=11, chunk_size=5, log_interval=10)
-            outs.append(train(model, cfg, data, schedule))
-        assert np.array_equal(outs[0].model.params, outs[1].model.params)
-        assert np.array_equal(outs[0].model.ema_params, outs[1].model.ema_params)
+            outs.append(train(models[-1], cfg, data, schedule))
+        assert np.array_equal(models[0].params, models[1].params)
+        assert np.array_equal(models[0].ema_params, models[1].ema_params)
         assert outs[0].metrics == outs[1].metrics
 
     @pytest.mark.parametrize("oracle", [False, True])
@@ -188,13 +188,14 @@ class TestTrainLoop:
         data, schedule = self.setup_problem()
         base = TrainConfig(iterations=12, batch_size=8, learning_rate=1e-3,
                            seed=17, oracle_mode=oracle, log_interval=4)
-        default = train(self.make_model(seed=6),
-                        dataclasses.replace(base, batch_size=12), data, schedule)
-        explicit = train(self.make_model(seed=6),
+        default_model, explicit_model = self.make_model(seed=6), self.make_model(seed=6)
+        default = train(default_model, dataclasses.replace(base, batch_size=12),
+                        data, schedule)
+        explicit = train(explicit_model,
                          dataclasses.replace(base, batch_size=12, chunk_size=12),
                          data, schedule)
-        assert default.model.params.tobytes() == explicit.model.params.tobytes()
-        assert default.model.ema_params.tobytes() == explicit.model.ema_params.tobytes()
+        assert default_model.params.tobytes() == explicit_model.params.tobytes()
+        assert default_model.ema_params.tobytes() == explicit_model.ema_params.tobytes()
         assert default.metrics == explicit.metrics
 
     @pytest.mark.parametrize("oracle", [False, True])
@@ -204,12 +205,13 @@ class TestTrainLoop:
         data, schedule = self.setup_problem()
         cfg = TrainConfig(iterations=15, batch_size=12, learning_rate=1e-2, seed=23,
                           oracle_mode=oracle, log_interval=1)
-        whole = train(self.make_model(seed=8), cfg, data, schedule)
+        model = self.make_model(seed=8)
+        whole = train(model, cfg, data, schedule)
         ref_model = self.make_model(seed=8)
         ref_rows = chunked_reference(ref_model, dataclasses.replace(cfg, chunk_size=12),
                                      data, schedule)
-        assert whole.model.params.tobytes() == ref_model.params.tobytes()
-        assert whole.model.ema_params.tobytes() == ref_model.ema_params.tobytes()
+        assert model.params.tobytes() == ref_model.params.tobytes()
+        assert model.ema_params.tobytes() == ref_model.ema_params.tobytes()
         rows = [(r.loss, r.divergence_term, r.grad_norm) for r in whole.metrics]
         assert np.array(rows).tobytes() == np.array(ref_rows).tobytes()
 
@@ -241,17 +243,18 @@ class TestTrainLoop:
         data, schedule = self.setup_problem()
         cfg = TrainConfig(iterations=6, batch_size=12, learning_rate=1e-3, seed=19,
                           oracle_mode=oracle, chunk_size=5, log_interval=1)
-        chunked = train(self.make_model(seed=7), cfg, data, schedule)
+        model = self.make_model(seed=7)
+        chunked = train(model, cfg, data, schedule)
         ref_model = self.make_model(seed=7)
         ref_rows = chunked_reference(ref_model, cfg, data, schedule)
-        assert chunked.model.params.tobytes() == ref_model.params.tobytes()
-        assert chunked.model.ema_params.tobytes() == ref_model.ema_params.tobytes()
+        assert model.params.tobytes() == ref_model.params.tobytes()
+        assert model.ema_params.tobytes() == ref_model.ema_params.tobytes()
         assert [(r.loss, r.divergence_term, r.grad_norm)
                 for r in chunked.metrics] == ref_rows
         # and the cap is real: one pass per step gives other bytes
-        whole = train(self.make_model(seed=7),
-                      dataclasses.replace(cfg, chunk_size=None), data, schedule)
-        assert whole.model.params.tobytes() != chunked.model.params.tobytes()
+        whole_model = self.make_model(seed=7)
+        train(whole_model, dataclasses.replace(cfg, chunk_size=None), data, schedule)
+        assert whole_model.params.tobytes() != model.params.tobytes()
 
     def test_chunk_size_must_be_positive_when_set(self):
         with pytest.raises(ValueError):
@@ -261,8 +264,7 @@ class TestTrainLoop:
     def test_oracle_mode_requires_clean_data(self):
         data, schedule = self.setup_problem()
         stripped = PrecomputedDataset(ybar=data.ybar, masks=data.masks,
-                                      noise_var=data.noise_var, sigma0=data.sigma0,
-                                      w=data.w)
+                                      noise_var=data.noise_var, w=data.w)
         cfg = TrainConfig(iterations=1, batch_size=4, learning_rate=1e-3, seed=0,
                           oracle_mode=True)
         with pytest.raises(ValueError):
