@@ -364,14 +364,10 @@ def generate_signals(data_cfg: dict, count: int, seed: int) -> np.ndarray:
         return rng.standard_normal((count, data_cfg["dim"]))
     if kind == "synthetic-shapes":
         return _shapes(count, data_cfg["height"], data_cfg["width"], rng)
-    return _external_rows(data_cfg["path"], count)[:count]
-
-
-def _external_rows(path, count: int) -> np.ndarray:
-    arr = read_tensor_file(path)
+    arr = read_tensor_file(data_cfg["path"])
     if arr.ndim != 2 or arr.shape[0] < count:
         raise ConfigError("external-binary file must hold at least `count` rows")
-    return arr
+    return arr[:count]
 
 
 def _shapes(count: int, h: int, w: int, rng) -> np.ndarray:
@@ -397,20 +393,9 @@ def _shapes(count: int, h: int, w: int, rng) -> np.ndarray:
     return out.reshape(count, h * w)
 
 
-def _signal_dim(cfg: dict) -> int:
-    kind = cfg["data"]["kind"]
-    if kind == "two-deltas":
-        return 2
-    if kind == "isotropic-gaussian":
-        return cfg["data"]["dim"]
-    if kind == "synthetic-shapes":
-        return cfg["data"]["height"] * cfg["data"]["width"]
-    return _external_rows(cfg["data"]["path"], 0).shape[1]
-
-
 def build_degradation_family(cfg: dict) -> DegradationFamily:
     deg = cfg["degradation"]
-    n = _signal_dim(cfg)
+    n = generate_signals(cfg["data"], 0, 0).shape[1]
     family = deg["family"]
     if family == "patch-drop":
         if cfg["data"]["kind"] == "synthetic-shapes":
@@ -768,6 +753,10 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
     if r_sweep:
         if clean_path is None:
             raise ConfigError("--r-sweep needs --clean: the sweep corrupts clean signals")
+        for flag, value in (("--measurements", measurements_dir), ("--limit", limit)):
+            if value is not None:
+                raise ConfigError(f"--r-sweep takes no {flag}: the sweep corrupts "
+                                  "the first 8 clean signals")
     elif measurements_dir is None:
         raise ConfigError("reconstruct needs --measurements (or --r-sweep with --clean)")
     if limit is not None and limit < 0:
@@ -976,40 +965,38 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_configured(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        return p
 
-    p = sub.add_parser("gen-data", help="write clean signals and measurements")
-    add_common(p)
+    def add_reverse(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--out", default=None)
+        p.add_argument("--steps", type=int, default=100)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--eta", type=float, default=0.0)
+        return p
 
-    p = sub.add_parser("train", help="train a model per the config")
-    add_common(p)
+    for name, help in (("gen-data", "write clean signals and measurements"),
+                       ("train", "train a model per the config")):
+        add_configured(name, help).add_argument("--seed", type=int, default=None,
+                                                help="seed override")
 
-    p = sub.add_parser("sample", help="generate samples from a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", default=None)
+    p = add_reverse("sample", "generate samples from a checkpoint")
     p.add_argument("--sampler", choices=["ddim", "ddpm"], default="ddim")
-    p.add_argument("--steps", type=int, default=100)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--eta", type=float, default=0.0)
 
-    p = sub.add_parser("reconstruct", help="reconstruct stored measurements")
-    p.add_argument("--checkpoint", required=True)
+    p = add_reverse("reconstruct", "reconstruct stored measurements")
     p.add_argument("--measurements", default=None, help="gen-data output directory")
-    p.add_argument("--out", default=None)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--r-sweep", default=None,
                    help="comma-separated acceleration factors")
     p.add_argument("--clean", default=None, help="clean signals for the sweep")
 
-    p = sub.add_parser("eval", help="run configured evaluation operations")
-    add_common(p)
+    p = add_configured("eval", "run configured evaluation operations")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--checkpoint-b", default=None)
     p.add_argument("--samples-a", default=None)

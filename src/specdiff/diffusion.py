@@ -34,9 +34,11 @@ __all__ = [
     "ddim_timesteps",
     "ddpm_sample",
     "linear_schedule",
+    "perturb_at",
     "perturb_batch",
     "reconstruct",
     "t_min_for_noise_var",
+    "timestep_rows",
     "zero_filled",
 ]
 
@@ -111,15 +113,30 @@ def linear_schedule(T: int, beta1: float, betaT: float) -> DiffusionSchedule:
     return DiffusionSchedule(betas=betas)
 
 
-def t_min_for_noise_var(schedule: DiffusionSchedule, worst_noise_var: float) -> int:
-    """Smallest feasible t for the largest per-coordinate measurement variance."""
-    if worst_noise_var <= 0.0:
+def timestep_rows(t, rows: int) -> np.ndarray:
+    """``t`` as one int64 timestep per row; an int is shared by all ``rows``."""
+    t_vec = np.full(rows, t, dtype=np.int64) if np.isscalar(t) \
+        else np.asarray(t, dtype=np.int64)
+    if t_vec.shape != (rows,):
+        raise ValueError("t must be a scalar or one timestep per row")
+    return t_vec
+
+
+def _topup_var(abar, noise_var):
+    """Top-up variance to the marginal ``1 - abar``; negative below feasibility."""
+    return (1.0 - abar) - abar * noise_var
+
+
+def t_min_for_noise_var(schedule: DiffusionSchedule, noise_var) -> int:
+    """Smallest feasible t for a measurement variance, or for an array of
+    them, which its largest entry decides."""
+    worst = float(np.max(noise_var, initial=0.0))
+    if worst <= 0.0:
         return 1
-    feasible = (1.0 - schedule.alpha_bars) >= schedule.alpha_bars * worst_noise_var
-    idx = np.flatnonzero(feasible)
+    idx = np.flatnonzero(_topup_var(schedule.alpha_bars, worst) >= 0.0)
     if idx.size == 0:
         raise InfeasibleScheduleError(
-            f"no timestep can top up measurement variance {worst_noise_var:.3g}"
+            f"no timestep can top up measurement variance {worst:.3g}"
         )
     return int(idx[0]) + 1
 
@@ -129,37 +146,34 @@ def check_psd_feasibility(schedule: DiffusionSchedule, deg: SpectralDegradation)
 
     All later timesteps are feasible as well, since ``abar`` decreases.
     """
-    nv = deg.noise_var
-    worst = float(nv.max()) if nv.size else 0.0
-    return t_min_for_noise_var(schedule, worst)
+    return t_min_for_noise_var(schedule, deg.noise_var)
 
 
-def _topup_std(noise_var_rows: np.ndarray, abar_col: np.ndarray) -> np.ndarray:
-    c = (1.0 - abar_col) - abar_col * noise_var_rows
+def perturb_at(ybar_rows: np.ndarray, noise_var_rows: np.ndarray, abar,
+               rng) -> np.ndarray:
+    """The noisy-input draw: ``sqrt(abar) * ybar + sqrt((1 - abar) - abar *
+    noise_var) * eps``, standard normal ``eps``, with marginal
+    ``N(sqrt(abar) * P xbar, (1 - abar) I)`` over the measurement noise.
+    ``abar`` is a scalar or a column of one value per row."""
+    c = _topup_var(abar, noise_var_rows)
     if np.any(c < 0.0):
         raise InfeasibleTimestepError(
             "timestep below feasibility: top-up covariance has a negative entry"
         )
-    return np.sqrt(c)
+    eps = rng.standard_normal(np.shape(ybar_rows))
+    return np.sqrt(abar) * ybar_rows + np.sqrt(c) * eps
 
 
 def perturb_batch(ybar_rows: np.ndarray, noise_var_rows: np.ndarray,
                   t: np.ndarray, schedule: DiffusionSchedule, rng) -> np.ndarray:
-    """Vectorized perturbation: row i gets timestep ``t[i]``.
-
-    Each row is ``sqrt(abar_t) * ybar + sqrt((1 - abar_t) - abar_t * noise_var) * eps``
-    with standard normal ``eps``, so its marginal over the measurement noise is
-    ``N(sqrt(abar_t) * P xbar, (1 - abar_t) I)``.
-    """
+    """:func:`perturb_at` with row i at timestep ``t[i]`` of ``schedule``."""
     ybar_rows = np.atleast_2d(np.asarray(ybar_rows, dtype=np.float64))
     noise_var_rows = np.atleast_2d(np.asarray(noise_var_rows, dtype=np.float64))
     t = np.atleast_1d(np.asarray(t, dtype=np.int64))
     if ybar_rows.shape != noise_var_rows.shape or t.shape[0] != ybar_rows.shape[0]:
         raise ValueError("ybar rows, noise_var rows and t must align")
     abar_col = np.asarray(schedule.abar(t), dtype=np.float64)[:, None]
-    std = _topup_std(noise_var_rows, abar_col)
-    eps = rng.standard_normal(ybar_rows.shape)
-    return np.sqrt(abar_col) * ybar_rows + std * eps
+    return perturb_at(ybar_rows, noise_var_rows, abar_col, rng)
 
 
 def ddim_timesteps(schedule: DiffusionSchedule, steps: int) -> np.ndarray:
@@ -253,7 +267,7 @@ def reconstruct(model, schedule: DiffusionSchedule, m: Measurement, steps: int,
     ``noise_var``). Noiseless measurements therefore pin kept coordinates
     exactly. Masked coordinates evolve freely.
     """
-    t_min = t_min_for_noise_var(schedule, float(m.noise_var.max(initial=0.0)))
+    t_min = t_min_for_noise_var(schedule, m.noise_var)
     sched = dataclasses.replace(schedule, t_min_valid=max(t_min, schedule.t_min_valid))
     kept = m.mask
     nv = m.noise_var[kept]

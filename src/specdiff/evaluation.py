@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionSchedule, perturb_batch, reconstruct
+from .diffusion import DiffusionSchedule, perturb_at, perturb_batch, reconstruct
 from .operators import Measurement, OrthoTransform
 
 __all__ = [
@@ -238,7 +238,9 @@ def independence_demo(dist: str, model, snr_levels, n_samples: int, rng,
     ``model`` provides ``estimate(u, abar)``. The signal-to-noise grid maps to
     ``abar = snr / (1 + snr)``. For each level, samples are drawn through the
     masked measurement equation, denoised, and the energy distance between the
-    two conditional error clouds is tested against a permutation null.
+    two conditional error clouds is tested against a permutation null. A level
+    at which ``abar * sigma0**2 > 1 - abar`` raises
+    :class:`~specdiff.diffusion.InfeasibleTimestepError`.
     """
     if dist not in ("isotropic-gaussian", "two-deltas"):
         raise ValueError("dist must be 'isotropic-gaussian' or 'two-deltas'")
@@ -254,9 +256,7 @@ def independence_demo(dist: str, model, snr_levels, n_samples: int, rng,
         keep = np.ones((n_samples, 2))
         keep[np.arange(n_samples), masked_coord] = 0.0
         ybar = keep * (xbar + sigma0 * rng.standard_normal((n_samples, 2)))
-        c = (1.0 - abar) - abar * sigma0 ** 2 * keep
-        xbar_t = np.sqrt(abar) * ybar \
-            + np.sqrt(c) * rng.standard_normal((n_samples, 2))
+        xbar_t = perturb_at(ybar, sigma0 ** 2 * keep, abar, rng)
         err = model.estimate(xbar_t, abar) - xbar
         e0 = err[masked_coord == 0]
         e1 = err[masked_coord == 1]

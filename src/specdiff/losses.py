@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import DiffusionSchedule, perturb_batch
+from .diffusion import DiffusionSchedule, perturb_batch, timestep_rows
 from .model import NonFiniteError
 
 __all__ = [
@@ -144,14 +144,6 @@ def _as_rows(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=np.float64))
 
 
-def _t_rows(t, batch: int) -> np.ndarray:
-    t_vec = np.full(batch, t, dtype=np.int64) if np.isscalar(t) \
-        else np.asarray(t, dtype=np.int64)
-    if t_vec.shape != (batch,):
-        raise ValueError("t must be scalar or one timestep per row")
-    return t_vec
-
-
 def _draw_probes(cfg: LossConfig, shape, rng) -> np.ndarray:
     if cfg.probe_kind == "gaussian":
         return rng.standard_normal(shape)
@@ -166,7 +158,7 @@ def supervised_loss_from_samples(model, xbar_rows, xbar_t_rows, t,
     xbar_rows = _as_rows(xbar_rows)
     xbar_t_rows = _as_rows(xbar_t_rows)
     batch = xbar_rows.shape[0]
-    t_vec = _t_rows(t, batch)
+    t_vec = timestep_rows(t, batch)
     gam = gamma_at(cfg, schedule.abar(t_vec))
 
     x0, _, grad = model.evaluate(xbar_t_rows, t_vec, schedule)
@@ -184,7 +176,7 @@ def supervised_loss(model, xbar_rows, t, schedule: DiffusionSchedule,
     Oracle mode only: requires the clean spectral signals.
     """
     xbar_rows = _as_rows(xbar_rows)
-    t_vec = _t_rows(t, xbar_rows.shape[0])
+    t_vec = timestep_rows(t, xbar_rows.shape[0])
     xbar_t = perturb_batch(xbar_rows, np.zeros_like(xbar_rows), t_vec, schedule, rng)
     return supervised_loss_from_samples(model, xbar_rows, xbar_t, t_vec,
                                         schedule, cfg)
@@ -197,7 +189,7 @@ def projected_loss_rows(model, xbar_rows, xbar_t_rows, mask_rows, w, t,
     xbar_t_rows = _as_rows(xbar_t_rows)
     mask_rows = _as_rows(mask_rows).astype(np.float64)
     w = np.asarray(w, dtype=np.float64)
-    est = model.denoise(xbar_t_rows, _t_rows(t, xbar_rows.shape[0]), schedule)
+    est = model.denoise(xbar_t_rows, timestep_rows(t, xbar_rows.shape[0]), schedule)
     resid = (est - xbar_rows) * mask_rows * w
     return np.sum(resid ** 2, axis=1)
 
@@ -224,7 +216,7 @@ def gsure_loss_from_samples(model, ybar_rows, mask_rows, xbar_t_rows, t,
     probe_rows = _as_rows(probe_rows)
     w = np.asarray(w, dtype=np.float64)
     batch, n = ybar_rows.shape
-    t_vec = _t_rows(t, batch)
+    t_vec = timestep_rows(t, batch)
     k = cfg.probes
     if probe_rows.shape != (k * batch, n):
         raise ValueError(f"expected {(k * batch, n)} probe rows, got {probe_rows.shape}")
@@ -268,7 +260,7 @@ def gsure_diffusion_loss(model, ybar_rows, mask_rows, noise_var_rows, t,
     """
     ybar_rows = _as_rows(ybar_rows)
     batch, n = ybar_rows.shape
-    t_vec = _t_rows(t, batch)
+    t_vec = timestep_rows(t, batch)
     xbar_t = perturb_batch(ybar_rows, noise_var_rows, t_vec, schedule, rng)
     probes = _draw_probes(cfg, (cfg.probes * batch, n), rng)
     return gsure_loss_from_samples(model, ybar_rows, mask_rows, xbar_t, t_vec,

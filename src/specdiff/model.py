@@ -25,7 +25,7 @@ import functools
 import numpy as np
 
 from .autodiff import Graph, NonFiniteError, backward, forward, jvp
-from .diffusion import DiffusionSchedule
+from .diffusion import DiffusionSchedule, timestep_rows
 
 __all__ = ["Denoiser", "time_embedding"]
 
@@ -153,11 +153,7 @@ class Denoiser:
         ``sum(g_x0 * x0) + sum(g_dx0 * dx0)``.
         """
         rows = np.atleast_2d(np.asarray(xbar_t, dtype=np.float64))
-        batch = len(rows)
-        t_vec = np.full(batch, t, dtype=np.int64) if np.isscalar(t) \
-            else np.asarray(t, dtype=np.int64)
-        if t_vec.shape != (batch,):
-            raise ValueError("t must be a scalar or one timestep per row")
+        t_vec = timestep_rows(t, len(rows))
 
         g = self.build_graph(t_vec, ema=ema)
         if tangent is None:

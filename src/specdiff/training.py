@@ -179,9 +179,8 @@ def precompute(signals: np.ndarray, family: DegradationFamily,
         ybar[i] = m.ybar
         masks[i] = m.mask
         noise_var[i] = m.noise_var
-    clean = family.vt.apply(signals) if count else np.zeros((0, n))
     return PrecomputedDataset(ybar=ybar, masks=masks, noise_var=noise_var,
-                              w=family.weights(), clean_xbar=clean)
+                              w=family.weights(), clean_xbar=family.vt.apply(signals))
 
 
 @dataclass(frozen=True)

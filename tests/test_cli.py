@@ -638,6 +638,10 @@ class TestReverseCommandArguments:
         (["sample", "--seed", "1", "--count", "-3"], "--count"),
         (["reconstruct", "--seed", "1", "--r-sweep", "2,x", "--clean", "c.bin"],
          "--r-sweep"),
+        (["reconstruct", "--seed", "1", "--r-sweep", "2", "--clean", "c.bin",
+          "--measurements", "data"], "--measurements"),
+        (["reconstruct", "--seed", "1", "--r-sweep", "2", "--clean", "c.bin",
+          "--limit", "3"], "--limit"),
     ])
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, argv, flag):
         monkeypatch.setattr(cli, "load_checkpoint", None)  # any call would fail
@@ -703,6 +707,14 @@ class TestEvalInputs:
         monkeypatch.setattr(cli, "load_checkpoint", None)  # any call would fail
         with pytest.raises(ConfigError, match=f"needs {missing}$"):
             self.run_eval(tmp_path, ops, flags)
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # eval's seeds come from the config's eval.seed alone
+        with pytest.raises(SystemExit) as exc:
+            self.run_eval(tmp_path, ["mse_sweep"], ["--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_ts_beyond_the_checkpoint_schedule_rejected(self, tmp_path):

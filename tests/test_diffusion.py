@@ -14,8 +14,11 @@ from specdiff.diffusion import (
     ddim_timesteps,
     ddpm_sample,
     linear_schedule,
+    perturb_at,
     perturb_batch,
     reconstruct,
+    t_min_for_noise_var,
+    timestep_rows,
     zero_filled,
 )
 from specdiff.operators import (
@@ -127,6 +130,12 @@ class TestSchedules:
             assert getattr(s, lookup)(int(t)) == value
             assert getattr(s, lookup)(t) == value
 
+    def test_timestep_rows(self):
+        np.testing.assert_array_equal(timestep_rows(7, 3), [7, 7, 7])
+        assert timestep_rows(np.array([4, 2]), 2).dtype == np.int64
+        with pytest.raises(ValueError, match="one timestep per row"):
+            timestep_rows(np.array([4, 2]), 3)
+
     def test_abar_prev_convention(self):
         s = linear_schedule(3, 0.1, 0.3)
         assert s.abar_prev(1) == 1.0
@@ -175,6 +184,17 @@ class TestFeasibility:
         with pytest.raises(InfeasibleScheduleError):
             check_psd_feasibility(s, deg)
 
+    @pytest.mark.parametrize("noise_var, t_min", [
+        (np.array([0.0, 1e-3, 2.5e-2, 4e-4]), 8),
+        (np.array([[1e-3, 0.0], [2.5e-2, 4e-4]]), 8),
+        (np.zeros((0, 3)), 1),
+    ])
+    def test_array_floor_is_that_of_its_largest_entry(self, noise_var, t_min):
+        s = linear_schedule(200, 1e-4, 0.2)
+        worst = float(noise_var.max(initial=0.0))  # the plain-float path
+        assert t_min_for_noise_var(s, noise_var) == t_min
+        assert t_min_for_noise_var(s, worst) == t_min
+
 
 class TestPerturb:
     def test_noiseless_full_mask_is_standard_forward(self):
@@ -216,6 +236,16 @@ class TestPerturb:
         np.testing.assert_allclose(rows.mean(0), np.sqrt(abar) * x,
                                    atol=3 * np.sqrt(v / draws))
         assert np.all(np.abs(rows.var(0) - v) <= 3 * v * np.sqrt(2.0 / draws))
+
+    def test_batch_is_the_draw_at_its_abar_column(self):
+        s = linear_schedule(100, 1e-4, 0.2)
+        rng = np.random.default_rng(6)
+        ybar = rng.standard_normal((5, 3))
+        nv = np.tile([1e-3, 0.0, 4e-4], (5, 1))
+        t = np.array([90, 40, 100, 55, 70])
+        got = perturb_batch(ybar, nv, t, s, np.random.default_rng(2))
+        want = perturb_at(ybar, nv, s.abar(t)[:, None], np.random.default_rng(2))
+        np.testing.assert_array_equal(got, want)
 
     def test_below_feasibility_raises(self):
         s = linear_schedule(1000, 1e-4, 0.2)

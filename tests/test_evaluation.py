@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specdiff.diffusion import linear_schedule
+from specdiff.diffusion import InfeasibleTimestepError, linear_schedule
 from specdiff.evaluation import (
     GaussianPosteriorDenoiser,
     TwoDeltasPosteriorDenoiser,
@@ -196,6 +196,12 @@ class TestIndependenceDemo:
                                    n_permutations=60)
         assert abs(deltas[0].z) < 3
         assert abs(deltas[1].z) < 3     # two-point prior keeps errors mask-free
+
+    def test_infeasible_top_up_raises(self):
+        # at snr 1000, abar * sigma0^2 ~ 1e-2 exceeds the marginal 1 - abar ~ 1e-3
+        with pytest.raises(InfeasibleTimestepError):
+            independence_demo("isotropic-gaussian", GaussianPosteriorDenoiser(),
+                              [1000.0], 50, np.random.default_rng(0), sigma0=0.1)
 
     def test_requires_known_distribution(self):
         with pytest.raises(ValueError):
