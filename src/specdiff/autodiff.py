@@ -27,23 +27,17 @@ or, after a value-only forward, forms it from ``(z, h')``; it forms φ''(z) from
 where they run, so either path gives the same bits.
 
 The operation order is fixed, so identical inputs give bit-identical results.
-A graph records its latest forward pass; use a given graph from one thread.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Graph", "GraphStateError", "NonFiniteError", "ShapeError", "backward",
-           "forward", "jvp"]
+__all__ = ["Graph", "NonFiniteError", "ShapeError", "backward", "forward"]
 
 
 class ShapeError(ValueError):
-    """Input or seed shapes do not match the graph."""
-
-
-class GraphStateError(RuntimeError):
-    """Graph used out of order (e.g. backward before forward)."""
+    """Input or seed shapes do not match the graph or the pass."""
 
 
 class NonFiniteError(ArithmeticError):
@@ -74,20 +68,20 @@ class Graph:
         self.temb = temb
         self.w_e = w_e
         self.nonlin = nonlin
-        self._trace = None  # per layer (h, dh, z, φ(z), φ' or None, dz), latest forward
-        self._tangent = None  # output tangent of the latest forward
 
 
-def forward(graph: Graph, inputs: list, tangents: list | None = None) -> np.ndarray:
-    """Evaluate the graph on ``inputs = [rows]``, recording what backward needs.
+def forward(graph: Graph, rows, tangent=None):
+    """Evaluate the graph on ``rows``: ``(out, dout, saved)``.
 
-    ``tangents = [dx]`` optionally seeds a directional derivative, which then
-    propagates alongside the values. Raises :class:`NonFiniteError` if any
-    pre-activation is not finite and :class:`ShapeError` on a shape mismatch.
+    An input ``tangent`` seeds a directional derivative, which propagates
+    alongside the values; ``dout`` is the output's tangent (None without one).
+    ``saved`` holds the graph and, per layer, ``(h, dh, z, φ(z), φ' or None,
+    dz)``: all that :func:`backward` reads. Raises :class:`NonFiniteError` if
+    any pre-activation is not finite and :class:`ShapeError` on a shape
+    mismatch.
     """
-    (h,) = inputs
-    h = np.asarray(h, dtype=np.float64)
-    dh = None if tangents is None else np.asarray(tangents[0], dtype=np.float64)
+    h = np.asarray(rows, dtype=np.float64)
+    dh = None if tangent is None else np.asarray(tangent, dtype=np.float64)
     shape = (graph.temb.shape[0], graph._nodes[0][0].shape[1])
     if h.shape != shape or (dh is not None and dh.shape != shape):
         raise ShapeError(f"graph takes input rows of shape {shape}")
@@ -103,32 +97,24 @@ def forward(graph: Graph, inputs: list, tangents: list | None = None) -> np.ndar
         dz = None if dh is None else dh @ w.T
         if i == last:
             trace.append((h, dh, None, None, None, None))
-            h, dh = z, dz
-            break
+            return z, dz, (graph, trace)
         y = phi(z)
         d1 = None if dz is None else phi_d1(z, y)
         trace.append((h, dh, z, y, d1, dz))
         h, dh = y, None if dz is None else d1 * dz
-    graph._trace, graph._tangent = trace, dh
-    return h
 
 
-def jvp(graph: Graph, inputs: list, tangent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Output value and its directional derivative along the input ``tangent``."""
-    return forward(graph, inputs, [tangent]), graph._tangent
+def backward(saved, seed_gradient, seed_tangent=None) -> list[np.ndarray]:
+    """Exact gradients of ``seed_gradient . out + seed_tangent . dout``.
 
-
-def backward(graph: Graph, seed_gradient, seed_tangent=None) -> list[np.ndarray]:
-    """Exact gradients of ``seed_gradient . output + seed_tangent . tangent``.
-
-    ``tangent`` is the output's tangent from the latest dual forward
-    (:func:`jvp`); ``seed_tangent`` requires one. Returns the gradient of each
-    parameter in layout order: ``W_0, W_e, b_0``, then ``W_i, b_i`` per layer.
+    ``saved`` comes from the :func:`forward` that gave ``out`` and ``dout``;
+    ``seed_tangent`` requires a forward that carried a tangent. Returns the
+    gradient of each parameter in layout order: ``W_0, W_e, b_0``, then
+    ``W_i, b_i`` per layer.
     """
-    if graph._trace is None:
-        raise GraphStateError("backward before forward")
-    if seed_tangent is not None and graph._tangent is None:
-        raise GraphStateError("seed_tangent needs a forward that carried tangents")
+    graph, trace = saved
+    if seed_tangent is not None and trace[0][1] is None:  # the pass had no input tangent
+        raise ShapeError("seed_tangent needs a forward that carried a tangent")
     shape = (graph.temb.shape[0], graph._nodes[-1][0].shape[0])
     ga = np.asarray(seed_gradient, dtype=np.float64)
     gt = None if seed_tangent is None else np.asarray(seed_tangent, dtype=np.float64)
@@ -138,7 +124,7 @@ def backward(graph: Graph, seed_gradient, seed_tangent=None) -> list[np.ndarray]
     grads = []
     for i in range(len(graph._nodes) - 1, -1, -1):
         w, _ = graph._nodes[i]
-        h, dh, z, y, d1, dz = graph._trace[i]
+        h, dh, z, y, d1, dz = trace[i]
         if z is not None:  # back through φ: adjoints of z and dz
             if d1 is None:  # value-only forward
                 d1 = phi_d1(z, y)

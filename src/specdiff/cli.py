@@ -302,8 +302,9 @@ def validate_config(raw: dict) -> dict:
             ("data.count", data["count"] >= 1, "be >= 1"),
             ("data.holdout", data["holdout"] >= 0, "be >= 0"),
             ("data.dim", data["dim"] >= 1, "be >= 1"),
-            ("data.height", data["height"] >= 1, "be >= 1"),
-            ("data.width", data["width"] >= 1, "be >= 1"),
+            # synthetic-shapes draws a disc radius from [1.5, min(height, width) / 4]
+            ("data.height", data["height"] >= 6, "be >= 6"),
+            ("data.width", data["width"] >= 6, "be >= 6"),
             ("train.iterations", train["iterations"] >= 0, "be >= 0"),
             ("train.batch_size", train["batch_size"] >= 1, "be >= 1"),
             ("train.learning_rate", train["learning_rate"] > 0.0, "be > 0"),
@@ -333,8 +334,8 @@ def validate_config(raw: dict) -> dict:
             ("eval.ts", all(type(t) is int and t >= 1 for t in ev["ts"]),
              "hold integers >= 1"),
             ("eval.snr_levels", all(type(s) in (int, float) and math.isfinite(s) and s >= 0
-                                    for s in ev["snr_levels"]),
-             "hold finite numbers >= 0")):
+                                    and s / (1.0 + s) < 1.0 for s in ev["snr_levels"]),
+             "hold finite numbers >= 0 at which abar = snr / (1 + snr) stays below 1")):
         if not ok:
             raise ConfigError(f"{where} must {rule}")
     return cfg
@@ -394,28 +395,30 @@ def _shapes(count: int, h: int, w: int, rng) -> np.ndarray:
 
 
 def build_degradation_family(cfg: dict) -> DegradationFamily:
+    """The configured family; masks that cannot fit the signal raise ``ConfigError``."""
     deg = cfg["degradation"]
     n = generate_signals(cfg["data"], 0, 0).shape[1]
     family = deg["family"]
-    if family == "patch-drop":
-        if cfg["data"]["kind"] == "synthetic-shapes":
-            grid = (cfg["data"]["height"], cfg["data"]["width"])
-        else:
-            grid = (1, n)  # flat signals: patches tile a single row
-        masks = PatchDropMasks(grid[0], grid[1], deg["patch"], deg["p"])
-        vt = IdentityTransform(n)
-    elif family == "line-subsample":
+    vt = IdentityTransform(n)
+    if family == "line-subsample":
         if n % 2:
             raise ConfigError("line-subsample needs an even signal dimension "
                               "(real/imaginary channel pairs)")
-        masks = LineSubsampleMasks(lines=n // 2, accel=deg["accel"])
         vt = RealDFTTransform(n // 2)
-    elif family == "single-drop":
-        masks = SingleDropMasks(n)
-        vt = IdentityTransform(n)
-    else:
-        masks = FixedMask(np.ones(n, dtype=bool))
-        vt = IdentityTransform(n)
+    try:
+        if family == "patch-drop":  # flat signals: patches tile a single row
+            flat = cfg["data"]["kind"] != "synthetic-shapes"
+            h, w = (1, n) if flat else (cfg["data"]["height"], cfg["data"]["width"])
+            masks = PatchDropMasks(h, w, deg["patch"], deg["p"])
+        elif family == "line-subsample":
+            masks = LineSubsampleMasks(lines=n // 2, accel=deg["accel"])
+        elif family == "single-drop":
+            masks = SingleDropMasks(n)
+        else:
+            masks = FixedMask(np.ones(n, dtype=bool))
+    except ValueError as exc:
+        key = {"patch-drop": "patch", "line-subsample": "accel"}.get(family, "family")
+        raise ConfigError(f"degradation.{key}: {exc} ({family}, n = {n})") from exc
     return DegradationFamily(vt, masks, deg["sigma0"], s_const=deg["s_const"])
 
 
@@ -535,7 +538,7 @@ _CHECKPOINT_KEYS = ("arch", "step_count", "config_digest", "schedule",
                     "schedule_digest", "vt", "param_count")
 
 
-def load_checkpoint(path, expect_config_digest: str | None = None) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if len(raw) < 24 or raw[:16] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
@@ -557,8 +560,6 @@ def load_checkpoint(path, expect_config_digest: str | None = None) -> Checkpoint
     params = np.frombuffer(raw, dtype="<f8", offset=offset, count=count).copy()
     ema = np.frombuffer(raw, dtype="<f8", offset=offset + 8 * count,
                         count=count).copy()
-    if expect_config_digest is not None and header["config_digest"] != expect_config_digest:
-        raise FormatError(f"{path}: config digest mismatch")
     try:
         ckpt = Checkpoint(arch=header["arch"], params=params, ema_params=ema,
                           step_count=header["step_count"],
@@ -586,13 +587,13 @@ def _out_dir(cfg: dict, out: str | None) -> Path:
 def cmd_gen_data(cfg: dict, out: str | None = None,
                  seed_override: int | None = None) -> Path:
     """Write clean signals and precomputed measurements with a JSON sidecar."""
-    out_path = _out_dir(cfg, out)
     seed = cfg["data"]["seed"] if seed_override is None else seed_override
     count = cfg["data"]["count"]
     family = build_degradation_family(cfg)
     signals = generate_signals(cfg["data"], count + cfg["data"]["holdout"], seed)
     clean, holdout = signals[:count], signals[count:]
     data = precompute(clean, family, seed=seed)
+    out_path = _out_dir(cfg, out)
     write_tensor_file(out_path / "clean.bin", clean)
     write_tensor_file(out_path / "ybar.bin", data.ybar)
     write_tensor_file(out_path / "masks.bin", data.masks.astype(np.float64))
@@ -667,11 +668,11 @@ def _dataset_from_config(cfg: dict):
 def cmd_train(cfg: dict, out: str | None = None,
               seed_override: int | None = None) -> Path:
     """Precompute measurements, run the training loop, persist the outcome."""
-    out_path = _out_dir(cfg, out)
     data, family = _dataset_from_config(cfg)
     schedule = build_schedule(cfg)
     model = build_model(cfg, family.n)
     train_cfg = build_train_config(cfg, seed_override)
+    out_path = _out_dir(cfg, out)
     result = train(model, train_cfg, data, schedule)
 
     digest = config_digest(cfg)
@@ -832,10 +833,12 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
              checkpoint_b=None, samples_a=None, samples_b=None) -> Path:
     """Run the configured evaluation operations, one CSV per operation.
 
-    A flag an operation needs that is missing, an ``eval.ts`` entry beyond
-    ``T`` of checkpoint A's schedule, or a checkpoint B whose schedule's ``T``,
-    ``beta1`` or ``betaT`` differs from A's raises ``ConfigError`` before
-    anything is written. ``uncertainty`` runs its reconstructions at
+    Every operation on a checkpoint works in checkpoint A's transform. A flag
+    an operation needs that is missing, an ``eval.ts`` entry beyond ``T`` of
+    checkpoint A's schedule, config signals whose width is not A's ``n``, or
+    a checkpoint B whose schedule's ``T``, ``beta1`` or ``betaT``, transform
+    or ``n`` differs from A's raises ``ConfigError`` before anything is
+    written. ``uncertainty`` runs its reconstructions at
     ``eta = max(eval.eta, 0.5)``, so an ``eval.eta`` below 0.5 (the default
     0.0 included) is raised to 0.5 there and its ``k`` runs stay stochastic.
     """
@@ -854,19 +857,28 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
     if ca is not None and max(cfg["eval"]["ts"], default=0) > ca.schedule["T"]:
         raise ConfigError(f"eval.ts must be <= T = {ca.schedule['T']} of the "
                           "--checkpoint schedule")
+    width = None if ca is None else generate_signals(cfg["data"], 0, 0).shape[1]
+    if ca is not None and width != ca.arch["n"]:
+        raise ConfigError(f"data: signals of width {width} do not fit --checkpoint's "
+                          f"n = {ca.arch['n']}")
     if ca is not None and cb is not None:
-        # B is scored on A's timesteps; t_min_valid may differ (GSURE vs oracle)
-        for key in ("T", "beta1", "betaT"):
-            if ca.schedule[key] != cb.schedule[key]:
-                raise ConfigError(f"--checkpoint-b schedule {key} = {cb.schedule[key]} "
-                                  f"differs from --checkpoint's {ca.schedule[key]}")
+        # B is scored on A's timesteps and inputs; t_min_valid may differ (a GSURE
+        # model and its oracle do)
+        pairs = [(f"schedule {key}", ca.schedule[key], cb.schedule[key])
+                 for key in ("T", "beta1", "betaT")]
+        pairs += [("n", ca.arch["n"], cb.arch["n"]),
+                  ("vt", ca.vt_descriptor, cb.vt_descriptor)]
+        for what, a, b in pairs:
+            if a != b:
+                raise ConfigError(f"--checkpoint-b {what} = {b} differs from "
+                                  f"--checkpoint's {a}")
     out_path = _out_dir(cfg, out)
 
     def _pair_setup():
-        """Both models, model A's schedule, the transformed eval set, and ts."""
+        """Both models, model A's schedule, the eval set in A's basis, and ts."""
         schedule = ca.rebuild_schedule()
         clean = generate_signals(cfg["data"], cfg["eval"]["count"], seed)
-        xbar = build_degradation_family(cfg).vt.apply(clean)
+        xbar = transform_from_descriptor(ca.vt_descriptor).apply(clean)
         ts = _eval_ts(cfg, schedule, ca.schedule["t_min_valid"])
         return ca.model(), cb.model(), xbar, schedule, ts
 

@@ -92,14 +92,14 @@ class LossConfig:
             raise ValueError(f"probe kind must be one of {PROBE_KINDS}")
 
     @classmethod
-    def faces(cls, **kw) -> "LossConfig":
+    def faces(cls) -> "LossConfig":
         """Recipe used for the patch-drop image experiments."""
-        return cls(gamma="constant", lam="constant", lam_coef=1e-4, **kw)
+        return cls(gamma="constant", lam="constant", lam_coef=1e-4)
 
     @classmethod
-    def acquisition(cls, **kw) -> "LossConfig":
+    def acquisition(cls) -> "LossConfig":
         """Recipe used for the undersampled-acquisition experiments."""
-        return cls(gamma="snr", lam="scaled_inverse_snr", lam_coef=1e-4, **kw)
+        return cls(gamma="snr", lam="scaled_inverse_snr", lam_coef=1e-4)
 
 
 def gamma_at(cfg: LossConfig, abar) -> np.ndarray:

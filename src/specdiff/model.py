@@ -24,7 +24,7 @@ import functools
 
 import numpy as np
 
-from .autodiff import Graph, NonFiniteError, backward, forward, jvp
+from .autodiff import Graph, NonFiniteError, backward, forward
 from .diffusion import DiffusionSchedule, timestep_rows
 
 __all__ = ["Denoiser", "time_embedding"]
@@ -155,12 +155,7 @@ class Denoiser:
         rows = np.atleast_2d(np.asarray(xbar_t, dtype=np.float64))
         t_vec = timestep_rows(t, len(rows))
 
-        g = self.build_graph(t_vec, ema=ema)
-        if tangent is None:
-            x0, dx0 = forward(g, [rows]), None
-        else:
-            tangent = np.asarray(tangent, dtype=np.float64)
-            x0, dx0 = jvp(g, [rows], tangent)
+        x0, dx0, saved = forward(self.build_graph(t_vec, ema=ema), rows, tangent)
         if self.mean_type == "predict_epsilon":
             # the network gave eps: x0 = inv * (x - s * eps) per row, likewise dx0
             abar = np.asarray(schedule.abar(t_vec), dtype=np.float64)[:, None]
@@ -175,7 +170,7 @@ class Denoiser:
             if self.mean_type == "predict_epsilon":
                 g_x0 = s * -(inv * g_x0)
                 g_dx0 = None if g_dx0 is None else s * -(inv * g_dx0)
-            return np.concatenate([pg.ravel() for pg in backward(g, g_x0, g_dx0)])
+            return np.concatenate([pg.ravel() for pg in backward(saved, g_x0, g_dx0)])
 
         return x0, dx0, grad
 

@@ -66,10 +66,12 @@ class AdamState:
         return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """In-place Adam update with bias correction.
+              lr: float) -> None:
+    """In-place Adam update with bias correction at the ``ADAM_*`` constants.
 
     Runs over :data:`~specdiff.model.UPDATE_BLOCK`-element slices, each with
     the whole-vector form's operations in its order, so the result is
@@ -78,16 +80,16 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads and state must share one shape")
     state.step += 1
-    a1, a2 = 1.0 - beta1, 1.0 - beta2
-    c1, c2 = 1.0 - beta1 ** state.step, 1.0 - beta2 ** state.step
+    a1, a2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
+    c1, c2 = 1.0 - ADAM_BETA1 ** state.step, 1.0 - ADAM_BETA2 ** state.step
     for lo in range(0, params.shape[0], UPDATE_BLOCK):
         hi = lo + UPDATE_BLOCK
         p, g, m, v = params[lo:hi], grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
-        m *= beta1
+        m *= ADAM_BETA1
         m += a1 * g
-        v *= beta2
+        v *= ADAM_BETA2
         v += a2 * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from specdiff.autodiff import (
-    Graph,
-    GraphStateError,
-    NonFiniteError,
-    ShapeError,
-    backward,
-    forward,
-    jvp,
-)
+from specdiff.autodiff import Graph, NonFiniteError, ShapeError, backward, forward
 
 from helpers import central_difference, fraction_close
 
@@ -56,7 +48,7 @@ def one_layer(w):
 class TestForward:
     def test_affine_identity(self):
         x0 = np.array([[0.3, -1.2, 2.0]])
-        np.testing.assert_array_equal(forward(one_layer(np.eye(3)), [x0]), x0)
+        np.testing.assert_array_equal(forward(one_layer(np.eye(3)), x0)[0], x0)
 
     def test_two_layer_matches_hand_evaluation(self):
         # independent straight-line evaluation of the two-layer formula
@@ -65,26 +57,26 @@ class TestForward:
         x = rng.standard_normal((2, 5))
         expected = np.stack([
             w1 @ np.tanh(w0 @ x[r] + w_e @ temb[r] + b0) + b1 for r in range(2)])
-        got = forward(build([w0, w_e, b0, w1, b1], temb), [x])
+        got = forward(build([w0, w_e, b0, w1, b1], temb), x)[0]
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
     def test_input_count_and_shape_checks(self):
         rng = np.random.default_rng(1)
         params, temb = random_net(rng, [4, 3, 2], batch=2)
         g = build(params, temb)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):  # two stacked inputs are not one batch
             forward(g, [np.zeros((2, 4)), np.zeros((2, 4))])
         with pytest.raises(ShapeError):
-            forward(g, [np.zeros((2, 5))])
+            forward(g, np.zeros((2, 5)))
         with pytest.raises(ShapeError):  # one row per embedding row
-            forward(g, [np.zeros((3, 4))])
+            forward(g, np.zeros((3, 4)))
         with pytest.raises(ShapeError):
-            jvp(g, [np.zeros((2, 4))], np.zeros((2, 5)))
+            forward(g, np.zeros((2, 4)), np.zeros((2, 5)))
 
     def test_non_finite_intermediate_aborts(self):
         g = one_layer(np.diag([1e308, 1e308]))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            forward(g, [np.array([[1e308, 0.0]])])
+            forward(g, np.array([[1e308, 0.0]]))
 
     def test_infinite_pre_activation_squashed_by_tanh_aborts(self):
         # tanh maps the infinite inner pre-activation to 1, so the output alone
@@ -93,15 +85,15 @@ class TestForward:
         g = Graph([(w0, np.zeros(2)), (np.eye(2), np.zeros(2))], np.ones((1, 2)),
                   np.zeros((2, 2)))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="layer 0"):
-            forward(g, [np.array([[1e308, 0.0]])])
+            forward(g, np.array([[1e308, 0.0]]))
 
     def test_reevaluation_is_bit_identical(self):
         rng = np.random.default_rng(3)
         params, temb = random_net(rng, [6, 8, 6], batch=3)
         g = build(params, temb)
         x = rng.standard_normal((3, 6))
-        out1 = forward(g, [x]).copy()
-        out2 = forward(g, [x])
+        out1 = forward(g, x)[0].copy()
+        out2 = forward(g, x)[0]
         assert np.array_equal(out1, out2)
 
 
@@ -110,24 +102,22 @@ class TestBackward:
         # y = 2 x + 0.5 + 1.5 w_e at x = 3: dy/dW = x, dy/dw_e = temb, dy/db = 1
         g = Graph([(np.array([[2.0]]), np.array([0.5]))], np.array([[1.5]]),
                   np.array([[0.0]]))
-        np.testing.assert_array_equal(forward(g, [np.array([[3.0]])]), [[6.5]])
-        gw, gw_e, gb = backward(g, np.array([[1.0]]))
+        out, dout, saved = forward(g, np.array([[3.0]]))
+        np.testing.assert_array_equal(out, [[6.5]])
+        assert dout is None  # no input tangent, no output tangent
+        gw, gw_e, gb = backward(saved, np.array([[1.0]]))
         np.testing.assert_array_equal(gw, [[3.0]])
         np.testing.assert_array_equal(gw_e, [[1.5]])
         np.testing.assert_array_equal(gb, [1.0])
 
-    def test_backward_before_forward(self):
-        with pytest.raises(GraphStateError):
-            backward(one_layer(np.eye(2)), np.zeros((1, 2)))
-
     def test_seed_shape_check(self):
         g = one_layer(np.eye(2))
-        forward(g, [np.zeros((1, 2))])
+        saved = forward(g, np.zeros((1, 2)))[2]
         with pytest.raises(ShapeError):
-            backward(g, np.zeros((1, 3)))
-        jvp(g, [np.zeros((1, 2))], np.ones((1, 2)))
+            backward(saved, np.zeros((1, 3)))
+        saved = forward(g, np.zeros((1, 2)), np.ones((1, 2)))[2]
         with pytest.raises(ShapeError):
-            backward(g, np.zeros((1, 2)), seed_tangent=np.zeros((1, 3)))
+            backward(saved, np.zeros((1, 2)), seed_tangent=np.zeros((1, 3)))
 
     @pytest.mark.parametrize("nonlin", NONLINS)
     def test_mlp_gradients_match_finite_differences(self, nonlin):
@@ -136,13 +126,12 @@ class TestBackward:
         x = rng.standard_normal((2, 16))
         c = rng.standard_normal((2, 3))
 
-        g = build(params, temb, nonlin)
-        forward(g, [x])
-        got = flatten(backward(g, c))
+        saved = forward(build(params, temb, nonlin), x)[2]
+        got = flatten(backward(saved, c))
 
         def loss_at(theta):
             return float(np.sum(c * forward(build(unflatten(theta, params), temb, nonlin),
-                                            [x])))
+                                            x)[0]))
 
         fd = central_difference(loss_at, flatten(params), step=1e-5)
         assert fraction_close(got, fd, rel_tol=1e-4) >= 0.99
@@ -154,12 +143,11 @@ class TestBackward:
         params, temb = random_net(rng, [6, 10, 8, 6], batch=2)
         x, v, c, u = (rng.standard_normal((2, 6)) for _ in range(4))
 
-        g = build(params, temb, nonlin)
-        jvp(g, [x], v)
-        got = flatten(backward(g, c, seed_tangent=u))
+        saved = forward(build(params, temb, nonlin), x, v)[2]
+        got = flatten(backward(saved, c, seed_tangent=u))
 
         def scalar_at(theta):
-            value, tangent = jvp(build(unflatten(theta, params), temb, nonlin), [x], v)
+            value, tangent, _ = forward(build(unflatten(theta, params), temb, nonlin), x, v)
             return float(np.sum(c * value) + np.sum(u * tangent))
 
         fd = central_difference(scalar_at, flatten(params), step=1e-5)
@@ -167,21 +155,23 @@ class TestBackward:
 
     @pytest.mark.parametrize("nonlin", NONLINS)
     def test_determinism_bit_identical(self, nonlin):
-        # a repeated value-only forward, and a dual forward whose tangent goes
-        # unseeded, give backward the same bits
+        # passes over one graph are independent: a value-only pass, its
+        # repeat, and a dual pass whose tangent goes unseeded give backward
+        # the same bits, whichever order the gradients are taken in and
+        # whatever pass ran in between
         rng = np.random.default_rng(5)
         params, temb = random_net(rng, [8, 8, 8, 1], batch=2)
         x, v = rng.standard_normal((2, 2, 8))
-        results = []
-        for dual in (False, False, True):
-            g = build(params, temb, nonlin)
-            if dual:
-                jvp(g, [x], v)
-            else:
-                forward(g, [x])
-            results.append(flatten(backward(g, np.ones((2, 1)))))
+        g = build(params, temb, nonlin)
+        saved = [forward(g, x)[2], forward(g, x)[2], forward(g, x, v)[2]]
+        forward(g, -x, v)
+        results = [flatten(backward(s, np.ones((2, 1)))) for s in reversed(saved)]
         np.testing.assert_array_equal(results[0], results[1])
         np.testing.assert_array_equal(results[0], results[2])
+        fresh = forward(build(params, temb, nonlin), x, v)[2]
+        np.testing.assert_array_equal(
+            flatten(backward(saved[2], np.ones((2, 1)), np.ones((2, 1)))),
+            flatten(backward(fresh, np.ones((2, 1)), np.ones((2, 1)))))
 
 
 class TestJvp:
@@ -189,7 +179,7 @@ class TestJvp:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 6))
         v = rng.standard_normal((1, 6))
-        value, tangent = jvp(one_layer(a), [np.zeros((1, 6))], v)
+        value, tangent, _ = forward(one_layer(a), np.zeros((1, 6)), v)
         np.testing.assert_array_equal(value, np.zeros((1, 4)))
         np.testing.assert_allclose(tangent[0], a @ v[0], rtol=1e-15, atol=0)
 
@@ -200,7 +190,7 @@ class TestJvp:
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal((1, 5))
         v = rng.standard_normal((1, 5))
-        value, tangent = jvp(g, [x0], v)
+        value, tangent, _ = forward(g, x0, v)
         np.testing.assert_array_equal(value, np.tanh(x0))
         np.testing.assert_allclose(tangent, (1.0 - np.tanh(x0) ** 2) * v,
                                    rtol=1e-15, atol=0)
@@ -210,10 +200,10 @@ class TestJvp:
         params, temb = random_net(rng, [10, 14, 6], batch=2)
         x = rng.standard_normal((2, 10))
         v = rng.standard_normal((2, 10))
-        _, got = jvp(build(params, temb), [x], v)
+        got = forward(build(params, temb), x, v)[1]
         h = 1e-5
-        fd = (forward(build(params, temb), [x + h * v])
-              - forward(build(params, temb), [x - h * v])) / (2 * h)
+        fd = (forward(build(params, temb), x + h * v)[0]
+              - forward(build(params, temb), x - h * v)[0]) / (2 * h)
         assert fraction_close(got, fd, rel_tol=1e-4) == 1.0
 
     def test_jvp_linearity(self):
@@ -224,15 +214,14 @@ class TestJvp:
         v2 = rng.standard_normal((1, 7))
         a, b = 0.37, -1.42
         g = build(params, temb)
-        lhs = jvp(g, [x], a * v1 + b * v2)[1]
-        rhs = a * jvp(g, [x], v1)[1] + b * jvp(g, [x], v2)[1]
+        lhs = forward(g, x, a * v1 + b * v2)[1]
+        rhs = a * forward(g, x, v1)[1] + b * forward(g, x, v2)[1]
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
     def test_seed_tangent_requires_dual_forward(self):
-        g = one_layer(np.eye(3))
-        forward(g, [np.zeros((1, 3))])
-        with pytest.raises(GraphStateError):
-            backward(g, np.zeros((1, 3)), seed_tangent=np.ones((1, 3)))
+        saved = forward(one_layer(np.eye(3)), np.zeros((1, 3)))[2]
+        with pytest.raises(ShapeError, match="carried a tangent"):
+            backward(saved, np.zeros((1, 3)), seed_tangent=np.ones((1, 3)))
 
 
 class TestSecondOrder:
@@ -245,12 +234,11 @@ class TestSecondOrder:
         u = rng.standard_normal((1, 6))
         v = rng.standard_normal((1, 6))
 
-        g = build(params, temb)
-        jvp(g, [x], v)
-        got = flatten(backward(g, np.zeros((1, 6)), seed_tangent=u))
+        saved = forward(build(params, temb), x, v)[2]
+        got = flatten(backward(saved, np.zeros((1, 6)), seed_tangent=u))
 
         def scalar_at(theta):
-            return float(np.sum(u * jvp(build(unflatten(theta, params), temb), [x], v)[1]))
+            return float(np.sum(u * forward(build(unflatten(theta, params), temb), x, v)[1]))
 
         fd = central_difference(scalar_at, flatten(params), step=1e-5)
         assert fraction_close(got, fd, rel_tol=1e-3) >= 0.99
@@ -260,7 +248,7 @@ class TestSecondOrder:
         rng = np.random.default_rng(23)
         params, temb = random_net(rng, [4, 6, 4], batch=3)
         xb = rng.standard_normal((3, 4))
-        out = forward(build(params, temb), [xb])
+        out = forward(build(params, temb), xb)[0]
         for r in range(3):
-            row = forward(build(params, temb[r:r + 1]), [xb[r:r + 1]])
+            row = forward(build(params, temb[r:r + 1]), xb[r:r + 1])[0]
             np.testing.assert_allclose(row[0], out[r], rtol=0, atol=1e-14)

@@ -7,13 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specdiff import cli
 from specdiff.cli import (
     CHECKPOINT_MAGIC,
+    FAMILY_KINDS,
     Checkpoint,
     ConfigError,
     FormatError,
+    build_degradation_family,
     build_train_config,
     cmd_eval,
     cmd_gen_data,
@@ -34,6 +37,16 @@ from specdiff.cli import (
 
 
 PRESETS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+SIZES = st.integers(-1, 20)
+DATA_SECTIONS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["two-deltas", "isotropic-gaussian", "synthetic-shapes"]),
+     "count": st.integers(0, 3), "seed": st.integers(0, 3)},
+    optional={"dim": SIZES, "height": SIZES, "width": SIZES})
+DEGRADATION_SECTIONS = st.fixed_dictionaries({}, optional={
+    "family": st.sampled_from(FAMILY_KINDS), "p": st.floats(-0.5, 1.5),
+    "patch": SIZES, "accel": SIZES, "sigma0": st.floats(0.0, 0.5),
+    "s_const": st.floats(0.0, 2.0)})
 
 
 def two_deltas_config(out_dir, iterations=30, oracle=False, seed=5):
@@ -156,6 +169,8 @@ class TestConfig:
         ("data.dim", 0),
         ("data.height", 0),
         ("data.width", 0),
+        ("data.height", 5),
+        ("data.width", 5),
         ("degradation.patch", 0),
         ("degradation.accel", 0),
         ("model.ema_decay", 1.5),
@@ -172,6 +187,7 @@ class TestConfig:
         ("eval.ts", [2.5]),
         ("eval.snr_levels", [-2.0]),
         ("eval.snr_levels", ["x"]),
+        ("eval.snr_levels", [10.0, 1e16]),
     ])
     def test_out_of_range_value_rejected(self, where, value):
         raw = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
@@ -214,6 +230,38 @@ class TestConfig:
     def test_validation_is_idempotent(self, path):
         once = validate_config(json.loads(path.read_text(encoding="utf-8")))
         assert validate_config(once) == once
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=DATA_SECTIONS, degradation=DEGRADATION_SECTIONS)
+    def test_accepted_sections_build_or_raise_config_error(self, data, degradation):
+        try:
+            cfg = validate_config({"data": data, "degradation": degradation,
+                                   "train": {"seed": 0}})
+        except ConfigError:
+            return
+        assert validate_config(cfg) == cfg
+        try:
+            build_degradation_family(cfg)
+            generate_signals(cfg["data"], 2, 0)
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize("data, degradation, key", [
+        ({"kind": "two-deltas"}, {"family": "patch-drop"}, "patch"),
+        ({"kind": "synthetic-shapes"}, {"family": "patch-drop", "patch": 5}, "patch"),
+        ({"kind": "isotropic-gaussian", "dim": 1}, {"family": "single-drop"}, "family"),
+        ({"kind": "two-deltas"}, {"family": "line-subsample", "accel": 1}, "accel"),
+        ({"kind": "two-deltas"}, {"family": "line-subsample", "accel": 2}, "accel"),
+    ], ids=["flat-patch", "shapes-patch-5", "single-drop-dim-1", "lines-accel-1",
+            "lines-accel-2"])
+    @pytest.mark.parametrize("cmd", [cmd_gen_data, cmd_train])
+    def test_masks_that_do_not_fit_fail_before_output(self, tmp_path, cmd, data,
+                                                      degradation, key):
+        cfg = validate_config({"data": {"count": 4, "seed": 0, **data},
+                               "degradation": degradation, "train": {"seed": 0}})
+        with pytest.raises(ConfigError, match=rf"degradation\.{key}"):
+            cmd(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -289,12 +337,6 @@ class TestCheckpoints:
         path = tmp_path / "c.bin"
         save_checkpoint(path, ckpt)
         assert load_checkpoint(path) == ckpt
-
-    def test_digest_mismatch_is_hard_error(self, tmp_path):
-        path = tmp_path / "c.bin"
-        save_checkpoint(path, self.make())
-        with pytest.raises(FormatError):
-            load_checkpoint(path, expect_config_digest="different")
 
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
@@ -744,6 +786,50 @@ class TestEvalInputs:
         a, b = self.train_pair(tmp_path, schedule_b)
         with pytest.raises(ConfigError, match=f"--checkpoint-b schedule {key} "):
             self.run_eval(tmp_path, ["mse_sweep"], ["--checkpoint", a, "--checkpoint-b", b])
+        assert not (tmp_path / "out").exists()
+
+    def train_net(self, tmp_path, name, dim, family):
+        """A 2-step checkpoint on ``dim``-wide Gaussian signals, masked by ``family``
+        (accel 2 fits the 4 or 2 DFT lines of ``line-subsample`` at dim 8 or 4)."""
+        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg["data"].update(kind="isotropic-gaussian", dim=dim)
+        cfg["degradation"].update(family=family, accel=2)
+        return cmd_train(validate_config(cfg), tmp_path / name) / "checkpoint.bin"
+
+    def eval_config(self, tmp_path, ops, dim, family):
+        cfg = two_deltas_config(tmp_path)
+        cfg["data"].update(kind="isotropic-gaussian", dim=dim)
+        cfg["degradation"]["family"] = family
+        cfg["eval"].update(operations=ops, count=16)
+        return validate_config(cfg)
+
+    def test_pair_operations_score_in_checkpoint_a_basis(self, tmp_path):
+        # the eval config's degradation family does not choose the basis
+        a = self.train_net(tmp_path, "a", 8, "line-subsample")
+        outs = [cmd_eval(self.eval_config(tmp_path, ["mse_sweep", "generalization_psnr"],
+                                          8, family), tmp_path / family,
+                         checkpoint=a, checkpoint_b=a)
+                for family in ("line-subsample", "none")]
+        for name in ("mse_sweep.csv", "psnr.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("dim_b, family_b, what", [
+        (8, "none", "vt"), (4, "line-subsample", "n")], ids=["vt", "n"])
+    def test_checkpoint_b_in_another_basis_rejected(self, tmp_path, dim_b, family_b,
+                                                    what):
+        a = self.train_net(tmp_path, "a", 8, "line-subsample")
+        b = self.train_net(tmp_path, "b", dim_b, family_b)
+        cfg = self.eval_config(tmp_path, ["mse_sweep"], 8, "line-subsample")
+        with pytest.raises(ConfigError, match=f"--checkpoint-b {what} = "):
+            cmd_eval(cfg, tmp_path / "out", checkpoint=a, checkpoint_b=b)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ops", [["mse_sweep"], ["uncertainty"]])
+    def test_signals_of_another_width_rejected(self, tmp_path, ops):
+        a = self.train_net(tmp_path, "a", 8, "line-subsample")
+        cfg = self.eval_config(tmp_path, ops, 4, "none")
+        with pytest.raises(ConfigError, match="width 4 .* n = 8"):
+            cmd_eval(cfg, tmp_path / "out", checkpoint=a, checkpoint_b=a)
         assert not (tmp_path / "out").exists()
 
     def test_checkpoints_may_differ_in_t_min_valid(self, tmp_path):

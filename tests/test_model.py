@@ -43,7 +43,7 @@ class TestConversion:
     def test_predict_x_passthrough(self, schedule):
         model = small_model("predict_x")
         x = np.random.default_rng(2).standard_normal(6)
-        raw = forward(model.build_graph(np.array([5])), [np.atleast_2d(x)])
+        raw = forward(model.build_graph(np.array([5])), np.atleast_2d(x))[0]
         np.testing.assert_array_equal(model.denoise(x, 5, schedule), raw[0])
 
     def test_conversion_roundtrip(self, schedule):
@@ -194,6 +194,14 @@ class TestComposedDifferentiability:
         flat = grad(2.0 * x0)  # gradient of sum(x0 ** 2)
         assert flat.shape == (model.param_count,)
         assert np.mean(flat != 0.0) > 0.9
+
+    @pytest.mark.parametrize("mean_type", ["predict_x", "predict_epsilon"])
+    def test_tangent_seed_needs_a_pass_with_a_tangent(self, schedule, mean_type):
+        model = small_model(mean_type, seed=7)
+        x = np.random.default_rng(7).standard_normal((2, 6))
+        x0, _, grad = model.evaluate(x, 9, schedule)
+        with pytest.raises(ValueError, match="carried a tangent"):
+            grad(x0, x0)
 
 
     @pytest.mark.parametrize("nonlin", ["tanh", "softplus", "sin"])

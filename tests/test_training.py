@@ -17,6 +17,9 @@ from specdiff.operators import (
     SingleDropMasks,
 )
 from specdiff.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     PrecomputedDataset,
     TrainConfig,
@@ -100,14 +103,14 @@ class TestAdam:
         # the whole-vector expressions, one step at a time, byte for byte;
         # 2.5 blocks end in a half block
         rng = np.random.default_rng(size)
-        lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
+        lr, beta1, beta2, eps = 3e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         params = rng.standard_normal(size)
         m, v, expected = np.zeros(size), np.zeros(size), params.copy()
         state = AdamState.for_params(params)
         for k in range(1, 61):
             g = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3)
             g[rng.random(size) < 0.1] = 0.0
-            adam_step(params, g, state, lr, beta1, beta2, eps)
+            adam_step(params, g, state, lr)
             m = m * beta1 + (1.0 - beta1) * g
             v = v * beta2 + (1.0 - beta2) * g * g
             m_hat = m / (1.0 - beta1 ** k)
