@@ -1,9 +1,9 @@
 """The denoiser MLP's pass in closed form: value, tangent and exact gradient.
 
 A :class:`Graph` is one evaluation of a fixed smooth MLP over a batch of rows:
-a list of layers ``(W, b)``, each but the last followed by an elementwise
-nonlinearity φ, and a time-embedding block ``temb W_e^T`` added to the first
-layer's pre-activation. :func:`forward` computes, per layer,
+a list of layers ``(W, b)``, each but the last followed by φ = tanh, and a
+time-embedding block ``temb W_e^T`` added to the first layer's
+pre-activation. :func:`forward` computes, per layer,
 
     z = (h W^T + b) [+ temb W_e^T],   h' = φ(z),
     dz = dh W^T,                       dh' = φ'(z) dz,
@@ -19,12 +19,13 @@ passing ``g_h = g_z W`` and ``g_dh = g_dz W`` down to the layer below. So a
 scalar built outside from the output and its tangent (the divergence term of
 a GSURE loss) is differentiated exactly.
 
-φ' and φ'' are formed only where something reads them. A value-only forward
-computes φ alone and keeps ``z`` and ``h' = φ(z)``; a dual forward also forms
-φ'(z) once, for the tangent, and keeps it. :func:`backward` reuses the kept φ'
-or, after a value-only forward, forms it from ``(z, h')``; it forms φ''(z) from
-``(z, h', φ')`` only when given a tangent seed. The formulas do not depend on
-where they run, so either path gives the same bits.
+Both derivatives come from ``y = φ(z)``: φ' = ``1 - y y`` and φ'' =
+``-2 y φ'``. They are formed only where something reads them. A value-only
+forward computes φ alone and keeps ``z`` and ``y``; a dual forward also forms
+φ' once, for the tangent, and keeps it. :func:`backward` reuses the kept φ'
+or, after a value-only forward, forms it from ``y``; it forms φ'' only when
+given a tangent seed. The formulas do not depend on where they run, so either
+path gives the same bits.
 
 The operation order is fixed, so identical inputs give bit-identical results.
 """
@@ -44,30 +45,14 @@ class NonFiniteError(ArithmeticError):
     """A non-finite pre-activation appeared during evaluation."""
 
 
-# Per nonlinearity: φ(z), φ'(z, y) and φ''(z, y, φ') with y = φ(z), so each
-# derivative reuses what is already at hand.
-def _softplus_d1(z, y):
-    ez = np.exp(-np.abs(z))  # the logistic σ = φ', without overflow either side
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-
-
-NONLINEARITIES = {
-    "tanh": (np.tanh, lambda z, y: 1.0 - y * y, lambda z, y, d1: -2.0 * y * d1),
-    "softplus": (lambda z: np.logaddexp(0.0, z), _softplus_d1,
-                 lambda z, y, d1: d1 * (1.0 - d1)),
-    "sin": (np.sin, lambda z, y: np.cos(z), lambda z, y, d1: -y),
-}
-
-
 class Graph:
-    """One MLP evaluation: layers ``[(W, b)]``, embedding rows ``temb`` with the
-    first layer's block ``w_e``, and a nonlinearity from :data:`NONLINEARITIES`."""
+    """One MLP evaluation: layers ``[(W, b)]`` and embedding rows ``temb`` with
+    the first layer's block ``w_e``."""
 
-    def __init__(self, layers, temb, w_e, nonlin: str = "tanh"):
+    def __init__(self, layers, temb, w_e):
         self._nodes = list(layers)
         self.temb = temb
         self.w_e = w_e
-        self.nonlin = nonlin
 
 
 def forward(graph: Graph, rows, tangent=None):
@@ -85,7 +70,6 @@ def forward(graph: Graph, rows, tangent=None):
     shape = (graph.temb.shape[0], graph._nodes[0][0].shape[1])
     if h.shape != shape or (dh is not None and dh.shape != shape):
         raise ShapeError(f"graph takes input rows of shape {shape}")
-    phi, phi_d1, _ = NONLINEARITIES[graph.nonlin]
     last = len(graph._nodes) - 1
     trace = []
     for i, (w, b) in enumerate(graph._nodes):
@@ -98,8 +82,8 @@ def forward(graph: Graph, rows, tangent=None):
         if i == last:
             trace.append((h, dh, None, None, None, None))
             return z, dz, (graph, trace)
-        y = phi(z)
-        d1 = None if dz is None else phi_d1(z, y)
+        y = np.tanh(z)
+        d1 = None if dz is None else 1.0 - y * y
         trace.append((h, dh, z, y, d1, dz))
         h, dh = y, None if dz is None else d1 * dz
 
@@ -120,18 +104,17 @@ def backward(saved, seed_gradient, seed_tangent=None) -> list[np.ndarray]:
     gt = None if seed_tangent is None else np.asarray(seed_tangent, dtype=np.float64)
     if ga.shape != shape or (gt is not None and gt.shape != shape):
         raise ShapeError(f"seeds must have the output's shape {shape}")
-    _, phi_d1, phi_d2 = NONLINEARITIES[graph.nonlin]
     grads = []
     for i in range(len(graph._nodes) - 1, -1, -1):
         w, _ = graph._nodes[i]
         h, dh, z, y, d1, dz = trace[i]
         if z is not None:  # back through φ: adjoints of z and dz
             if d1 is None:  # value-only forward
-                d1 = phi_d1(z, y)
+                d1 = 1.0 - y * y
             if gt is None:
                 ga = ga * d1
             else:
-                ga, gt = ga * d1 + gt * phi_d2(z, y, d1) * dz, gt * d1
+                ga, gt = ga * d1 + gt * (-2.0 * y * d1) * dz, gt * d1
         gw = ga.T @ h
         if gt is not None:
             gw = gw + gt.T @ dh

@@ -40,8 +40,8 @@ from .evaluation import (
     independence_demo,
     uncertainty_map,
 )
-from .losses import GAMMA_RULES, LAMBDA_RULES, PROBE_KINDS, LossConfig
-from .model import MEAN_TYPES, NONLINS, Denoiser
+from .losses import GAMMA_RULES, LAMBDA_RULES, LossConfig
+from .model import MEAN_TYPES, Denoiser
 from .operators import (
     DegradationFamily,
     FixedMask,
@@ -117,11 +117,14 @@ def read_tensor_file(path) -> np.ndarray:
         raise FormatError(f"{path}: truncated header")
     shape = struct.unpack_from(f"<{rank}Q", raw, offset)
     offset += 8 * rank
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = math.prod(shape)  # Python ints, so huge extents cannot wrap
     if len(raw) != offset + 8 * count:
         raise FormatError(f"{path}: payload size does not match extents")
     data = np.frombuffer(raw, dtype="<f8", offset=offset, count=count)
-    return data.reshape(shape).copy()
+    try:  # an empty payload may still name an extent numpy cannot hold
+        return data.reshape(shape).copy()
+    except ValueError as exc:
+        raise FormatError(f"{path}: extents {shape}: {exc}") from exc
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -169,7 +172,6 @@ _SCHEMA = {
         "patch": (int, 4),
         "accel": (int, 4),
         "sigma0": (float, 0.0),
-        "s_const": (float, 1.0),
     },
     "schedule": {
         "T": (int, 1000),
@@ -181,7 +183,6 @@ _SCHEMA = {
         "emb_dim": (int, 32),
         "mean_type": (str, "predict_x"),
         "ema_decay": (float, 0.999),
-        "nonlin": (str, "tanh"),
         "seed": (int, 0),
     },
     "train": {
@@ -200,7 +201,6 @@ _SCHEMA = {
         "lambda_coef": (float, 1e-4),
         "use_ybar_variant": (bool, True),
         "probes": (int, 1),
-        "probe_kind": (str, "gaussian"),
     },
     "eval": {
         "operations": (list, []),
@@ -283,10 +283,8 @@ def validate_config(raw: dict) -> dict:
             ("data.kind", cfg["data"]["kind"], DATA_KINDS),
             ("degradation.family", cfg["degradation"]["family"], FAMILY_KINDS),
             ("model.mean_type", cfg["model"]["mean_type"], MEAN_TYPES),
-            ("model.nonlin", cfg["model"]["nonlin"], NONLINS),
             ("train.loss.gamma", loss["gamma"], GAMMA_RULES),
-            ("train.loss.lambda", loss["lambda"], LAMBDA_RULES),
-            ("train.loss.probe_kind", loss["probe_kind"], PROBE_KINDS)):
+            ("train.loss.lambda", loss["lambda"], LAMBDA_RULES)):
         if value not in choices:
             raise ConfigError(f"{where} must be one of {choices}")
     for op in cfg["eval"]["operations"]:
@@ -313,7 +311,6 @@ def validate_config(raw: dict) -> dict:
              "be >= 1"),
             ("train.loss.probes", loss["probes"] >= 1, "be >= 1"),
             ("degradation.sigma0", deg["sigma0"] >= 0.0, "be >= 0"),
-            ("degradation.s_const", deg["s_const"] > 0.0, "be > 0"),
             ("degradation.p", 0.0 <= deg["p"] < 1.0, "lie in [0, 1)"),
             ("degradation.patch", deg["patch"] >= 1, "be >= 1"),
             ("degradation.accel", deg["accel"] >= 1, "be >= 1"),
@@ -342,7 +339,11 @@ def validate_config(raw: dict) -> dict:
 
 
 def load_config(path) -> dict:
-    return validate_config(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: not a UTF-8 JSON document: {exc}") from exc
+    return validate_config(raw)
 
 
 def config_digest(cfg: dict) -> str:
@@ -419,7 +420,7 @@ def build_degradation_family(cfg: dict) -> DegradationFamily:
     except ValueError as exc:
         key = {"patch-drop": "patch", "line-subsample": "accel"}.get(family, "family")
         raise ConfigError(f"degradation.{key}: {exc} ({family}, n = {n})") from exc
-    return DegradationFamily(vt, masks, deg["sigma0"], s_const=deg["s_const"])
+    return DegradationFamily(vt, masks, deg["sigma0"])
 
 
 def _beta1(cfg: dict):
@@ -441,7 +442,7 @@ def build_model(cfg: dict, n: int) -> Denoiser:
     m = cfg["model"]
     return Denoiser.create(n, hidden=tuple(m["hidden"]), emb_dim=m["emb_dim"],
                            mean_type=m["mean_type"], ema_decay=m["ema_decay"],
-                           rng=derived_rng(m["seed"], 77), nonlin=m["nonlin"])
+                           rng=derived_rng(m["seed"], 77))
 
 
 def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConfig:
@@ -452,7 +453,7 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
     loss_cfg = LossConfig(gamma=loss["gamma"], lam=loss["lambda"],
                           lam_coef=loss["lambda_coef"],
                           use_ybar_variant=loss["use_ybar_variant"],
-                          probes=loss["probes"], probe_kind=loss["probe_kind"])
+                          probes=loss["probes"])
     return TrainConfig(iterations=t["iterations"], batch_size=t["batch_size"],
                        learning_rate=t["learning_rate"],
                        seed=t["seed"] if seed_override is None else seed_override,
@@ -549,6 +550,10 @@ def load_checkpoint(path) -> Checkpoint:
     if len(raw) < offset:
         raise FormatError(f"{path}: truncated header")
     header = _json_header(raw[24:offset], path, _CHECKPOINT_KEYS)
+    arch = header["arch"]
+    # checkpoints written while the nonlinearity was an option name it
+    if isinstance(arch, dict) and arch.get("nonlin", "tanh") != "tanh":
+        raise FormatError(f"{path}: arch.nonlin {arch['nonlin']!r} is not 'tanh'")
     for key in ("param_count", "step_count"):
         if type(header[key]) is not int or header[key] < 0:
             raise FormatError(f"{path}: {key} must be a non-negative integer")
@@ -560,18 +565,22 @@ def load_checkpoint(path) -> Checkpoint:
     params = np.frombuffer(raw, dtype="<f8", offset=offset, count=count).copy()
     ema = np.frombuffer(raw, dtype="<f8", offset=offset + 8 * count,
                         count=count).copy()
+    if not (np.isfinite(params).all() and np.isfinite(ema).all()):
+        raise FormatError(f"{path}: non-finite parameter or EMA values")
     try:
-        ckpt = Checkpoint(arch=header["arch"], params=params, ema_params=ema,
+        ckpt = Checkpoint(arch=arch, params=params, ema_params=ema,
                           step_count=header["step_count"],
                           config_digest=header["config_digest"],
                           schedule=header["schedule"], vt_descriptor=header["vt"])
         # build what the header describes once, so a bad arch, schedule or vt
         # fails here and not at first use
-        ckpt.model()
+        n = ckpt.model().n
         ckpt.rebuild_schedule()
-        transform_from_descriptor(ckpt.vt_descriptor)
+        vt = transform_from_descriptor(ckpt.vt_descriptor)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad arch, schedule or vt: {exc!r}") from exc
+    if vt.n != n:
+        raise FormatError(f"{path}: vt has n = {vt.n}, arch has n = {n}")
     return ckpt
 
 
@@ -607,7 +616,6 @@ def cmd_gen_data(cfg: dict, out: str | None = None,
         "holdout": cfg["data"]["holdout"],
         "n": family.n,
         "sigma0": family.sigma0,
-        "s_const": family.s_const,
         "seed": seed,
         "vt": family.vt.descriptor(),
     })
@@ -617,13 +625,16 @@ def cmd_gen_data(cfg: dict, out: str | None = None,
 def _load_dataset_dir(path: Path):
     """A ``gen-data`` directory as ``(meta, ybar, masks, noise_var, clean or None)``."""
     meta = _json_header((path / "dataset.json").read_bytes(), path / "dataset.json",
-                        ("format_version", "n", "sigma0", "s_const", "vt"))
-    real = {key: type(meta[key]) in (int, float) for key in ("sigma0", "s_const")}
+                        ("format_version", "n", "sigma0", "vt"))
+    # directories written while the kept singular value was an option hold s_const
+    s_const = meta.get("s_const", 1)
     for key, ok, rule in (
             ("format_version", type(meta["format_version"]) is int, "be an integer"),
             ("n", type(meta["n"]) is int and meta["n"] >= 1, "be a positive integer"),
-            ("sigma0", real["sigma0"] and meta["sigma0"] >= 0.0, "be a number >= 0"),
-            ("s_const", real["s_const"] and meta["s_const"] > 0.0, "be a number > 0")):
+            ("sigma0", type(meta["sigma0"]) in (int, float) and meta["sigma0"] >= 0.0,
+             "be a number >= 0"),
+            ("s_const", type(s_const) in (int, float) and s_const == 1,
+             "be 1 if present")):
         if not ok:
             raise FormatError(f"{path}: dataset.json {key} must {rule}")
     if meta["format_version"] > FORMAT_VERSION:
@@ -638,7 +649,7 @@ def _load_dataset_dir(path: Path):
     masks = masks == 1.0
     if np.any(ybar[~masks] != 0.0):
         raise FormatError(f"{path}: ybar is non-zero at unobserved entries")
-    noise_var = masks * (meta["sigma0"] / meta["s_const"]) ** 2
+    noise_var = masks * float(meta["sigma0"]) ** 2
     clean_path = path / "clean.bin"
     clean = read_tensor_file(clean_path) if clean_path.exists() else None
     return meta, ybar, masks, noise_var, clean

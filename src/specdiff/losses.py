@@ -59,7 +59,6 @@ __all__ = [
 
 GAMMA_RULES = ("constant", "snr")
 LAMBDA_RULES = ("theory", "exact", "constant", "scaled_inverse_snr")
-PROBE_KINDS = ("gaussian", "rademacher")
 PROBE_CHUNK = 4096  # rows per pass in hutchinson_probe_values
 
 
@@ -72,6 +71,7 @@ class LossConfig:
     ``theory`` (``1-abar``), ``exact`` (``(1-abar)/sqrt(abar)``, the
     coefficient under which the estimator is exactly unbiased), ``constant``
     (``lam_coef``), or ``scaled_inverse_snr`` (``lam_coef*(1-abar)/abar``).
+    ``probes`` is the number of standard Gaussian Hutchinson probes per row.
     """
 
     gamma: str = "constant"
@@ -79,7 +79,6 @@ class LossConfig:
     lam_coef: float = 1e-4
     use_ybar_variant: bool = True
     probes: int = 1
-    probe_kind: str = "gaussian"
 
     def __post_init__(self):
         if self.gamma not in GAMMA_RULES:
@@ -88,8 +87,6 @@ class LossConfig:
             raise ValueError(f"lambda rule must be one of {LAMBDA_RULES}")
         if self.probes < 1:
             raise ValueError("probes must be >= 1")
-        if self.probe_kind not in PROBE_KINDS:
-            raise ValueError(f"probe kind must be one of {PROBE_KINDS}")
 
     @classmethod
     def faces(cls) -> "LossConfig":
@@ -142,12 +139,6 @@ def _checked(value) -> float:
 
 def _as_rows(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=np.float64))
-
-
-def _draw_probes(cfg: LossConfig, shape, rng) -> np.ndarray:
-    if cfg.probe_kind == "gaussian":
-        return rng.standard_normal(shape)
-    return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
 
 
 def supervised_loss_from_samples(model, xbar_rows, xbar_t_rows, t,
@@ -255,14 +246,14 @@ def gsure_diffusion_loss(model, ybar_rows, mask_rows, noise_var_rows, t,
                          cfg: LossConfig, rng) -> LossEval:
     """Self-supervised loss for measurement rows at their timesteps.
 
-    Draws the perturbed samples first and the Hutchinson probes second from
-    ``rng``, then defers to :func:`gsure_loss_from_samples`.
+    Draws the perturbed samples first and the Gaussian Hutchinson probes
+    second from ``rng``, then defers to :func:`gsure_loss_from_samples`.
     """
     ybar_rows = _as_rows(ybar_rows)
     batch, n = ybar_rows.shape
     t_vec = timestep_rows(t, batch)
     xbar_t = perturb_batch(ybar_rows, noise_var_rows, t_vec, schedule, rng)
-    probes = _draw_probes(cfg, (cfg.probes * batch, n), rng)
+    probes = rng.standard_normal((cfg.probes * batch, n))
     return gsure_loss_from_samples(model, ybar_rows, mask_rows, xbar_t, t_vec,
                                    probes, schedule, w, cfg)
 

@@ -3,9 +3,9 @@
 The denoiser is a fully connected net over the flattened spectral vector
 concatenated with a sinusoidal embedding of the timestep (the first layer is
 split into a signal block and an embedding block, which is the same map).
-Nonlinearities are smooth everywhere because training differentiates the
-network's input-Jacobian; a kinked activation would make that Jacobian
-discontinuous.
+Its nonlinearity is tanh, which is smooth everywhere: training differentiates
+the network's input-Jacobian, and a kinked activation would make that
+Jacobian discontinuous.
 
 The network predicts either the clean signal directly (``predict_x``) or the
 added noise (``predict_epsilon``); in the latter case the estimate of the
@@ -30,7 +30,6 @@ from .diffusion import DiffusionSchedule, timestep_rows
 __all__ = ["Denoiser", "time_embedding"]
 
 MEAN_TYPES = ("predict_x", "predict_epsilon")
-NONLINS = ("tanh", "softplus", "sin")
 
 # Elements per slice of the flat-vector updates (EMA here, Adam in
 # :mod:`specdiff.training`): 256 KB of float64, so a slice and its temporaries
@@ -60,12 +59,9 @@ class Denoiser:
     """MLP denoiser with flat parameter storage and an EMA shadow copy."""
 
     def __init__(self, n: int, hidden: tuple[int, ...], emb_dim: int,
-                 mean_type: str, ema_decay: float, params: np.ndarray,
-                 nonlin: str = "tanh"):
+                 mean_type: str, ema_decay: float, params: np.ndarray):
         if mean_type not in MEAN_TYPES:
             raise ValueError(f"mean_type must be one of {MEAN_TYPES}")
-        if nonlin not in NONLINS:
-            raise ValueError(f"nonlin must be one of {NONLINS}")
         if not 0.0 <= ema_decay <= 1.0:
             raise ValueError("ema_decay must lie in [0, 1]")
         if emb_dim < 2 or emb_dim % 2:
@@ -75,7 +71,6 @@ class Denoiser:
         self.emb_dim = int(emb_dim)
         self.mean_type = mean_type
         self.ema_decay = float(ema_decay)
-        self.nonlin = nonlin
         self._slices, size = [], 0  # (name, lo, hi, shape) of each parameter block
         for name, shape in self._make_layout(self.n, self.hidden, self.emb_dim):
             lo, size = size, size + int(np.prod(shape))
@@ -104,7 +99,7 @@ class Denoiser:
     @classmethod
     def create(cls, n: int, hidden=(256, 256, 256), emb_dim: int = 32,
                mean_type: str = "predict_x", ema_decay: float = 0.999,
-               rng=None, nonlin: str = "tanh") -> "Denoiser":
+               rng=None) -> "Denoiser":
         """Fresh network with scaled Gaussian weights and zero biases."""
         rng = np.random.default_rng(0) if rng is None else rng
         layout = cls._make_layout(n, tuple(hidden), emb_dim)
@@ -117,7 +112,7 @@ class Denoiser:
             else:
                 chunks.append(np.zeros(int(np.prod(shape))))
         return cls(n, tuple(hidden), emb_dim, mean_type, ema_decay,
-                   np.concatenate(chunks), nonlin=nonlin)
+                   np.concatenate(chunks))
 
     @property
     def param_count(self) -> int:
@@ -140,7 +135,7 @@ class Denoiser:
         layers = [(p["w0x"], p["b0"])]
         layers += [(p[f"w{i}"], p[f"b{i}"]) for i in range(1, len(self.hidden))]
         layers.append((p["w_out"], p["b_out"]))
-        return Graph(layers, time_embedding(t_vec, self.emb_dim), p["w0e"], self.nonlin)
+        return Graph(layers, time_embedding(t_vec, self.emb_dim), p["w0e"])
 
     def evaluate(self, xbar_t: np.ndarray, t, schedule: DiffusionSchedule,
                  tangent: np.ndarray | None = None, ema: bool = False):
@@ -205,15 +200,13 @@ class Denoiser:
             "emb_dim": self.emb_dim,
             "mean_type": self.mean_type,
             "ema_decay": self.ema_decay,
-            "nonlin": self.nonlin,
         }
 
     @classmethod
     def from_arch(cls, arch: dict, params: np.ndarray,
                   ema_params: np.ndarray | None = None) -> "Denoiser":
         model = cls(arch["n"], tuple(arch["hidden"]), arch["emb_dim"],
-                    arch["mean_type"], arch["ema_decay"], params,
-                    nonlin=arch.get("nonlin", "tanh"))
+                    arch["mean_type"], arch["ema_decay"], params)
         if ema_params is not None:
             ema_params = np.asarray(ema_params, dtype=np.float64)
             if ema_params.shape != model.params.shape:

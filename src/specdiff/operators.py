@@ -339,21 +339,18 @@ class DegradationFamily:
     """A dataset-wide measurement process: shared transform, random masks.
 
     All records drawn from one family share ``vt`` and use binary singular
-    values ``{0, s_const}``. The masks' ``E[P]`` must be entrywise positive.
+    values ``{0, 1}``. The masks' ``E[P]`` must be entrywise positive.
     """
 
     vt: OrthoTransform
     masks: object  # PatchDropMasks | LineSubsampleMasks | FixedMask
     sigma0: float
-    s_const: float = 1.0
 
     def __post_init__(self):
         if self.masks.n != self.vt.n:
             raise ValueError(
                 f"mask dimension {self.masks.n} != transform dimension {self.vt.n}"
             )
-        if self.s_const <= 0:
-            raise ValueError("s_const must be positive")
         if self.sigma0 < 0:
             raise ValueError("sigma0 must be nonnegative")
         if np.any(self.masks.keep_probabilities() <= 0.0):
@@ -365,8 +362,7 @@ class DegradationFamily:
 
     def sample(self, rng) -> SpectralDegradation:
         mask = self.masks.sample(rng)
-        return SpectralDegradation(self.vt, self.s_const * mask.astype(np.float64),
-                                   self.sigma0)
+        return SpectralDegradation(self.vt, mask.astype(np.float64), self.sigma0)
 
     def weights(self) -> np.ndarray:
         """Balancing weights ``W = E[P]**(-1/2)`` as a diagonal vector."""

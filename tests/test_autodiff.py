@@ -7,13 +7,10 @@ from specdiff.autodiff import Graph, NonFiniteError, ShapeError, backward, forwa
 
 from helpers import central_difference, fraction_close
 
-NONLINS = ["tanh", "softplus", "sin"]
-
-
-def build(params, temb, nonlin="tanh"):
+def build(params, temb):
     """Graph from parameters in layout order: ``W_0, W_e, b_0, W_1, b_1, ...``."""
     w0, w_e, b0, *rest = params
-    return Graph([(w0, b0)] + list(zip(rest[::2], rest[1::2])), temb, w_e, nonlin)
+    return Graph([(w0, b0)] + list(zip(rest[::2], rest[1::2])), temb, w_e)
 
 
 def random_net(rng, sizes, batch=1, emb=4):
@@ -119,42 +116,38 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(saved, np.zeros((1, 2)), seed_tangent=np.zeros((1, 3)))
 
-    @pytest.mark.parametrize("nonlin", NONLINS)
-    def test_mlp_gradients_match_finite_differences(self, nonlin):
+    def test_mlp_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         params, temb = random_net(rng, [16, 12, 10, 3], batch=2)
         x = rng.standard_normal((2, 16))
         c = rng.standard_normal((2, 3))
 
-        saved = forward(build(params, temb, nonlin), x)[2]
+        saved = forward(build(params, temb), x)[2]
         got = flatten(backward(saved, c))
 
         def loss_at(theta):
-            return float(np.sum(c * forward(build(unflatten(theta, params), temb, nonlin),
-                                            x)[0]))
+            return float(np.sum(c * forward(build(unflatten(theta, params), temb), x)[0]))
 
         fd = central_difference(loss_at, flatten(params), step=1e-5)
         assert fraction_close(got, fd, rel_tol=1e-4) >= 0.99
 
-    @pytest.mark.parametrize("nonlin", NONLINS)
-    def test_gradients_with_tangent_seed_match_finite_differences(self, nonlin):
+    def test_gradients_with_tangent_seed_match_finite_differences(self):
         # both seeds at once: d/dtheta of c . f(x) + u . J f(x) v
         rng = np.random.default_rng(12)
         params, temb = random_net(rng, [6, 10, 8, 6], batch=2)
         x, v, c, u = (rng.standard_normal((2, 6)) for _ in range(4))
 
-        saved = forward(build(params, temb, nonlin), x, v)[2]
+        saved = forward(build(params, temb), x, v)[2]
         got = flatten(backward(saved, c, seed_tangent=u))
 
         def scalar_at(theta):
-            value, tangent, _ = forward(build(unflatten(theta, params), temb, nonlin), x, v)
+            value, tangent, _ = forward(build(unflatten(theta, params), temb), x, v)
             return float(np.sum(c * value) + np.sum(u * tangent))
 
         fd = central_difference(scalar_at, flatten(params), step=1e-5)
         assert fraction_close(got, fd, rel_tol=1e-3) >= 0.99
 
-    @pytest.mark.parametrize("nonlin", NONLINS)
-    def test_determinism_bit_identical(self, nonlin):
+    def test_determinism_bit_identical(self):
         # passes over one graph are independent: a value-only pass, its
         # repeat, and a dual pass whose tangent goes unseeded give backward
         # the same bits, whichever order the gradients are taken in and
@@ -162,13 +155,13 @@ class TestBackward:
         rng = np.random.default_rng(5)
         params, temb = random_net(rng, [8, 8, 8, 1], batch=2)
         x, v = rng.standard_normal((2, 2, 8))
-        g = build(params, temb, nonlin)
+        g = build(params, temb)
         saved = [forward(g, x)[2], forward(g, x)[2], forward(g, x, v)[2]]
         forward(g, -x, v)
         results = [flatten(backward(s, np.ones((2, 1)))) for s in reversed(saved)]
         np.testing.assert_array_equal(results[0], results[1])
         np.testing.assert_array_equal(results[0], results[2])
-        fresh = forward(build(params, temb, nonlin), x, v)[2]
+        fresh = forward(build(params, temb), x, v)[2]
         np.testing.assert_array_equal(
             flatten(backward(saved[2], np.ones((2, 1)), np.ones((2, 1)))),
             flatten(backward(fresh, np.ones((2, 1)), np.ones((2, 1)))))

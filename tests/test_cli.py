@@ -45,8 +45,7 @@ DATA_SECTIONS = st.fixed_dictionaries(
     optional={"dim": SIZES, "height": SIZES, "width": SIZES})
 DEGRADATION_SECTIONS = st.fixed_dictionaries({}, optional={
     "family": st.sampled_from(FAMILY_KINDS), "p": st.floats(-0.5, 1.5),
-    "patch": SIZES, "accel": SIZES, "sigma0": st.floats(0.0, 0.5),
-    "s_const": st.floats(0.0, 2.0)})
+    "patch": SIZES, "accel": SIZES, "sigma0": st.floats(0.0, 0.5)})
 
 
 def two_deltas_config(out_dir, iterations=30, oracle=False, seed=5):
@@ -99,6 +98,16 @@ class TestTensorFiles:
         with pytest.raises(FormatError):
             read_tensor_file(path)
 
+    @pytest.mark.parametrize("extents", [(2 ** 62, 2 ** 62), (2 ** 63 - 1, 0)],
+                             ids=["product-wraps", "extent-too-large"])
+    def test_extents_beyond_int64_rejected(self, tmp_path, extents):
+        # no payload: 2^62 x 2^62 wraps to 0 in int64, and an empty array
+        # cannot take an extent of 2^63 - 1
+        path = tmp_path / "huge.bin"
+        path.write_bytes(cli.TENSOR_MAGIC + struct.pack("<II2Q", 1, 2, *extents))
+        with pytest.raises(FormatError):
+            main(["inspect", str(path)])
+
 
 class TestConfig:
     def test_unknown_section_rejected(self):
@@ -116,13 +125,29 @@ class TestConfig:
         ("train", "threads", 2),  # chunks run one after another
         ("io", "deterministic_timing", False),  # no wall time in metrics.csv
         ("data", "prior_var", 1.0),  # isotropic-gaussian data has unit variance
+        ("model", "nonlin", "softplus"),  # the net is tanh
+        ("train.loss", "probe_kind", "rademacher"),  # probes are Gaussian
+        ("degradation", "s_const", 2.0),  # kept coordinates have singular value 1
     ])
     def test_removed_keys_rejected(self, section, key, value):
         cfg = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
                "train": {"seed": 0}}
-        cfg.setdefault(section, {})[key] = value
-        with pytest.raises(ConfigError, match=f"{section}: unknown keys.*{key}"):
+        node = cfg
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = value
+        name = section.split(".")[-1]
+        with pytest.raises(ConfigError, match=f"{name}: unknown keys.*{key}"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("text", [b"{", b"\xff\xfe{}"], ids=["json", "utf8"])
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+    def test_unreadable_config_file_rejected(self, tmp_path, command, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="not a UTF-8 JSON document"):
+            main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_rejected(self):
         with pytest.raises(ConfigError):
@@ -142,13 +167,11 @@ class TestConfig:
         assert config_digest(a) == config_digest(b)
 
     @pytest.mark.parametrize("where, value", [
-        ("model.nonlin", "relu"),
         ("model.mean_type", "x"),
         ("model.hidden", ["a"]),
         ("model.hidden", []),
         ("train.loss.gamma", "bogus"),
         ("train.loss.lambda", "bogus"),
-        ("train.loss.probe_kind", "bogus"),
         ("train.loss.probes", 0),
         ("eval.eta", 1.5),
         ("train.batch_size", 0),
@@ -161,7 +184,6 @@ class TestConfig:
         ("schedule.beta1", 0.5),
         ("schedule.beta1", "bogus"),
         ("degradation.sigma0", -1),
-        ("degradation.s_const", 0),
         ("degradation.p", 1.0),
         ("model.emb_dim", 3),
         ("data.count", -1),
@@ -325,7 +347,7 @@ class TestCheckpoints:
         rng = np.random.default_rng(1)
         return Checkpoint(
             arch={"n": 2, "hidden": [4], "emb_dim": 8, "mean_type": "predict_x",
-                  "ema_decay": 0.99, "nonlin": "tanh"},
+                  "ema_decay": 0.99},
             params=rng.standard_normal(54), ema_params=rng.standard_normal(54),
             step_count=17, config_digest="abc123",
             schedule={"T": 10, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1},
@@ -424,6 +446,39 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("vt", {"kind": "identity", "n": 4}, "vt has n = 4, arch has n = 2"),
+        ("params", np.nan, "non-finite"),
+        ("ema_params", np.inf, "non-finite"),
+    ], ids=["vt-n", "params-nan", "ema-inf"])
+    def test_checkpoint_that_sample_would_trip_on_rejected(self, tmp_path, field,
+                                                           value, error):
+        ckpt = self.make()
+        if field == "vt":
+            ckpt.vt_descriptor = value
+        else:
+            getattr(ckpt, field)[3] = value
+        path, out = tmp_path / "c.bin", tmp_path / "out"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(FormatError, match=error):
+            main(["sample", "--checkpoint", str(path), "--steps", "5", "--seed", "1",
+                  "--out", str(out)])
+        assert not out.exists()
+
+    def test_tanh_nonlin_of_older_checkpoints_accepted(self, tmp_path):
+        # checkpoints written while the nonlinearity was an option name it
+        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        ckpt = load_checkpoint(run / "checkpoint.bin")
+        assert "nonlin" not in ckpt.arch
+        ckpt.arch = {**ckpt.arch, "nonlin": "tanh"}
+        save_checkpoint(tmp_path / "old.bin", ckpt)
+        samples = []
+        for path, name in ((run / "checkpoint.bin", "new"), (tmp_path / "old.bin", "old")):
+            main(["sample", "--checkpoint", str(path), "--steps", "10", "--count", "4",
+                  "--seed", "3", "--out", str(tmp_path / name)])
+            samples.append((tmp_path / name / "samples.bin").read_bytes())
+        assert samples[0] == samples[1]
+
     def test_schedule_digest_mismatch_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
         tampered = {"T": 10, "beta1": 1e-4, "betaT": 0.3, "t_min_valid": 1}
@@ -477,6 +532,17 @@ class TestDatasetDirectory:
         with pytest.raises(FormatError):
             cmd_train(data_cfg, tmp_path / "run")
 
+    @pytest.mark.parametrize("value", [1, 1.0])
+    def test_unit_s_const_of_older_sidecars_accepted(self, data_cfg, tmp_path, value):
+        # directories written while the kept singular value was an option hold it
+        sidecar = Path(data_cfg["io"]["data_dir"]) / "dataset.json"
+        meta = json.loads(sidecar.read_text())
+        assert "s_const" not in meta
+        new = cmd_train(data_cfg, tmp_path / "new") / "checkpoint.bin"
+        sidecar.write_text(json.dumps({**meta, "s_const": value}))
+        old = cmd_train(data_cfg, tmp_path / "old") / "checkpoint.bin"
+        assert old.read_bytes() == new.read_bytes()
+
     @pytest.mark.parametrize("field, value", [
         ("format_version", "1"),
         ("n", "2"),
@@ -485,8 +551,9 @@ class TestDatasetDirectory:
         ("sigma0", -0.5),
         ("s_const", None),
         ("s_const", 0),
+        ("s_const", 2.0),
     ], ids=["version-str", "n-str", "n-vs-columns", "sigma0-str", "sigma0-negative",
-            "s_const-null", "s_const-zero"])
+            "s_const-null", "s_const-zero", "s_const-two"])
     def test_bad_sidecar_field_rejected(self, data_cfg, tmp_path, field, value):
         sidecar = Path(data_cfg["io"]["data_dir"]) / "dataset.json"
         meta = json.loads(sidecar.read_text())

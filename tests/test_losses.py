@@ -64,16 +64,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             LossConfig(probes=0)
 
-    def test_rademacher_probes(self):
-        # +-1 probes give the exact trace per probe for the identity map
-        from specdiff.losses import _draw_probes
-
-        cfg = LossConfig(probe_kind="rademacher")
-        v = _draw_probes(cfg, (64, 5), np.random.default_rng(0))
-        assert set(np.unique(v)) == {-1.0, 1.0}
-        vals = np.sum(v * (v @ np.eye(5).T), axis=1)
-        np.testing.assert_array_equal(vals, 5.0)
-
 
 class TestSupervisedLoss:
     def test_perfect_denoiser_zero(self, schedule):
@@ -372,6 +362,35 @@ class TestGsureLoss:
         fd = central_difference(loss_at, theta0, step=1e-5)
         model.params[:] = theta0
         assert fraction_close(got, fd, rel_tol=1e-3) >= 0.99
+
+    def test_several_probes_average_one_probe_evaluations(self, schedule):
+        # k probe blocks: the MSE term is the one-probe term, the divergence
+        # term and the gradient are the mean of the k one-probe evaluations
+        rng = np.random.default_rng(20)
+        batch, n, k = 4, 5, 3
+        model = Denoiser.create(n, hidden=(9, 7), emb_dim=8, rng=rng)
+        mask = coordinate_masks(batch, n, rng)
+        ybar = np.where(mask, rng.standard_normal((batch, n)), 0.0)
+        xbar_t = rng.standard_normal((batch, n))
+        probes = rng.standard_normal((k * batch, n))
+        w = np.full(n, 1.25)
+        t = np.array([3, 20, 41, 77])
+        cfg = LossConfig(gamma="snr", lam="constant", lam_coef=0.5, probes=k)
+
+        out = gsure_loss_from_samples(model, ybar, mask, xbar_t, t, probes,
+                                      schedule, w, cfg)
+        ones = [gsure_loss_from_samples(model, ybar, mask, xbar_t, t,
+                                        probes[j * batch:(j + 1) * batch], schedule,
+                                        w, LossConfig(gamma="snr", lam="constant",
+                                                      lam_coef=0.5))
+                for j in range(k)]
+        assert out.mse_term == pytest.approx(ones[0].mse_term, rel=1e-12)
+        mean_div = np.mean([o.divergence_term for o in ones])
+        assert out.divergence_term == pytest.approx(mean_div, rel=1e-12)
+        assert abs(out.divergence_term) > 1e-3 * out.mse_term  # the term is exercised
+        got = out.gradient()
+        want = np.mean([o.gradient() for o in ones], axis=0)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_infeasible_timestep_raises(self, schedule):
         from specdiff.diffusion import InfeasibleTimestepError

@@ -20,11 +20,6 @@ def small_model(mean_type="predict_x", seed=0, n=6):
                            ema_decay=0.999, rng=np.random.default_rng(seed))
 
 
-def test_unknown_nonlinearity_rejected():
-    with pytest.raises(ValueError, match="nonlin"):
-        Denoiser.create(4, hidden=(8,), emb_dim=8, nonlin="relu")
-
-
 def test_odd_embedding_dimension_rejected():
     with pytest.raises(ValueError, match="emb_dim"):
         Denoiser.create(4, hidden=(8,), emb_dim=3)
@@ -204,14 +199,13 @@ class TestComposedDifferentiability:
             grad(x0, x0)
 
 
-    @pytest.mark.parametrize("nonlin", ["tanh", "softplus", "sin"])
     @pytest.mark.parametrize("mean_type", ["predict_x", "predict_epsilon"])
     def test_pass_gradient_with_tangent_seed_matches_finite_differences(
-            self, schedule, mean_type, nonlin):
+            self, schedule, mean_type):
         # s = sum(a * x0) + sum(u * dx0): the tangent seed exercises phi''
         rng = np.random.default_rng(31)
         model = Denoiser.create(5, hidden=(9, 7), emb_dim=8, mean_type=mean_type,
-                                rng=rng, nonlin=nonlin)
+                                rng=rng)
         x, v, a, u = (rng.standard_normal((3, 5)) for _ in range(4))
         t = np.array([3, 50, 97])
         x0, dx0, grad = model.evaluate(x, t, schedule, tangent=v)

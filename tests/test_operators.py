@@ -292,10 +292,10 @@ class TestDegradationFamily:
 
     def test_sample_produces_binary_singulars(self):
         fam = DegradationFamily(IdentityTransform(16), PatchDropMasks(4, 4, 2, 0.5),
-                                0.01, s_const=2.0)
+                                0.01)
         deg = fam.sample(np.random.default_rng(0))
-        assert set(np.unique(deg.singulars)) <= {0.0, 2.0}
-        assert deg.noise_var.max() == pytest.approx((0.01 / 2.0) ** 2)
+        assert set(np.unique(deg.singulars)) == {0.0, 1.0}
+        assert deg.noise_var.max() == 0.01 ** 2
 
     def test_weights_shape(self):
         fam = DegradationFamily(IdentityTransform(16), PatchDropMasks(4, 4, 2, 0.2), 0.0)

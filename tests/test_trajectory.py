@@ -3,17 +3,14 @@
 Each preset's architecture, loss and degradation train for 3 steps on 64
 records, in GSURE and oracle mode, through ``cmd_train``. The stored values
 are ``(loss, divergence_term, grad_norm)`` per step from ``metrics.csv`` and
-two checksums of the trained parameters. The ``-softplus`` and ``-sin`` cases
-swap in the nonlinearities no preset uses, with a constant divergence weight
-of 1, so that their second derivatives carry full weight. The tolerance lets
-BLAS reduction order through and catches any change to what a step computes;
-a change that is meant to alter training updates these values and names them.
+two checksums of the trained parameters. The tolerance lets BLAS reduction
+order through and catches any change to what a step computes; a change that
+is meant to alter training updates these values and names them.
 
 The reverse-process guard runs DDIM (``eta`` 0 and 0.85), DDPM and
 ``reconstruct`` with each preset's architecture and degradation on a 100-step
-schedule, and with the ``two_deltas`` net in softplus and sin, on randomly
-perturbed EMA weights. It stores a random projection and the sum of squares
-of each sampler's output.
+schedule, on randomly perturbed EMA weights. It stores a random projection
+and the sum of squares of each sampler's output.
 """
 
 import json
@@ -71,26 +68,13 @@ EXPECTED = {
          (9.581231194349199, 0.0, 50.77037036817248),
          (19.685503091651512, 0.0, 117.05214363971541)],
         5.657225218073589, 499.62683699482056),
-    "two_deltas-gsure-softplus": (
-        [(27.897220194058914, -0.26965855704989433, 339.07959077804753),
-         (16.167649479450013, -0.0439523453502236, 111.81475979202273),
-         (30.2225699502186, 0.2767432273584298, 212.4654198468202)],
-        6.296587673922686, 499.60690898786436),
-    "two_deltas-gsure-sin": (
-        [(34.18598205266426, -0.28386047471259007, 253.69696835902306),
-         (13.893254991891832, -0.21975634648825682, 89.70718430180857),
-         (32.43587283350914, -0.7621357021562334, 230.0099663962205)],
-        5.078619560346452, 499.69857790252627),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EXPECTED))
 def test_three_steps_match_stored_trajectory(case, tmp_path):
-    preset, mode, *nonlin = case.split("-")
+    preset, mode = case.split("-")
     raw = json.loads((CONFIGS / f"{preset}.json").read_text(encoding="utf-8"))
-    if nonlin:
-        raw["model"]["nonlin"] = nonlin[0]
-        raw["train"]["loss"].update({"lambda": "constant", "lambda_coef": 1.0})
     raw["data"].update(count=64, holdout=0)
     raw["train"].update(iterations=3, log_interval=1, oracle_mode=mode == "oracle")
     raw["io"]["out_dir"] = str(tmp_path)
@@ -105,13 +89,10 @@ def test_three_steps_match_stored_trajectory(case, tmp_path):
                                [want_sum, want_sq], rtol=RTOL, atol=0)
 
 
-def reverse_outputs(case):
+def reverse_outputs(preset):
     """``(u . out, out . out)`` of DDIM at eta 0 and 0.85, DDPM and reconstruct,
     with ``u`` a fixed Gaussian vector (a plain sum can cancel to nothing)."""
-    preset, *nonlin = case.split("-")
     raw = json.loads((CONFIGS / f"{preset}.json").read_text(encoding="utf-8"))
-    if nonlin:
-        raw["model"]["nonlin"] = nonlin[0]
     # at T = 1000, abar_T < 1e-40 and an untrained predict_epsilon net's clean
     # estimate (x - s eps) / sqrt(abar_T) swamps every kept coordinate
     raw["schedule"]["T"] = 100
@@ -143,7 +124,7 @@ def reverse_outputs(case):
     return stats
 
 
-# preset[-nonlin]: {sampler: (u . out, out . out)}
+# preset: {sampler: (u . out, out . out)}
 REVERSE_EXPECTED = {
     "shapes_lines": {
         "ddim": (3662.311509898279, 39683989.35624012),
@@ -162,18 +143,6 @@ REVERSE_EXPECTED = {
         "ddim-eta": (-0.031541694302244565, 0.14113939306810439),
         "ddpm": (0.08204691309620142, 0.08342291653585274),
         "reconstruct": (0.5497885778477637, 0.48435794518011105),
-    },
-    "two_deltas-softplus": {
-        "ddim": (0.2316950080091265, 2.1753066487325516),
-        "ddim-eta": (0.23965503970445176, 2.1709541779567973),
-        "ddpm": (-0.6129994282040557, 1.4495916088508074),
-        "reconstruct": (0.22602335779102659, 1.1557301433243503),
-    },
-    "two_deltas-sin": {
-        "ddim": (0.014123008894103633, 0.21644314136009699),
-        "ddim-eta": (-0.024878131651546356, 0.196463357700608),
-        "ddpm": (0.07025502850553729, 0.10305491439081114),
-        "reconstruct": (0.5801439724931629, 0.5535072858145829),
     },
 }
 
