@@ -259,6 +259,8 @@ def _check_section(name: str, section: dict, required: tuple) -> dict:
                 value = float(value)
             if not isinstance(value, ok_types):
                 raise ConfigError(f"{name}.{key}: expected {types}, got {type(value).__name__}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name}.{key}: must be finite, got {value}")
             out[key] = value
         else:
             out[key] = copy.deepcopy(default)
@@ -310,6 +312,7 @@ def validate_config(raw: dict) -> dict:
             ("train.chunk_size", train["chunk_size"] is None or train["chunk_size"] >= 1,
              "be >= 1"),
             ("train.loss.probes", loss["probes"] >= 1, "be >= 1"),
+            ("train.loss.lambda_coef", loss["lambda_coef"] >= 0.0, "be >= 0"),
             ("degradation.sigma0", deg["sigma0"] >= 0.0, "be >= 0"),
             ("degradation.p", 0.0 <= deg["p"] < 1.0, "lie in [0, 1)"),
             ("degradation.patch", deg["patch"] >= 1, "be >= 1"),
@@ -325,9 +328,11 @@ def validate_config(raw: dict) -> dict:
             ("eval.count", ev["count"] >= 1, "be >= 1"),
             ("eval.steps", ev["steps"] >= 1, "be >= 1"),
             ("eval.n_samples", ev["n_samples"] >= 1, "be >= 1"),
-            ("eval.n_permutations", ev["n_permutations"] >= 1, "be >= 1"),
+            ("eval.n_permutations", ev["n_permutations"] >= 2, "be >= 2"),
             ("eval.n_projections", ev["n_projections"] >= 1, "be >= 1"),
             ("eval.uncertainty_k", ev["uncertainty_k"] >= 2, "be >= 2"),
+            ("eval.uncertainty_sigma0", ev["uncertainty_sigma0"] >= 0.0, "be >= 0"),
+            ("eval.peak", ev["peak"] > 0.0, "be > 0"),
             ("eval.ts", all(type(t) is int and t >= 1 for t in ev["ts"]),
              "hold integers >= 1"),
             ("eval.snr_levels", all(type(s) in (int, float) and math.isfinite(s) and s >= 0
@@ -1016,7 +1021,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurements", default=None, help="gen-data output directory")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--r-sweep", default=None,
-                   help="comma-separated acceleration factors")
+                   help="comma-separated acceleration factors; each corrupts "
+                        "the first 8 --clean signals at sigma0 = 0.01, whatever "
+                        "the checkpoint's config says")
     p.add_argument("--clean", default=None, help="clean signals for the sweep")
 
     p = add_configured("eval", "run configured evaluation operations")

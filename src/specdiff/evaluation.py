@@ -9,12 +9,13 @@ coordinate was masked. Kernel-density pictures are replaced by the energy
 distance between the two conditional error clouds plus a permutation test:
 the statistic is zero in distribution exactly when the clouds coincide.
 
-Both energy statistics run on one distance kernel. It walks row blocks of the
-upper triangle of the pooled distance matrix ``D`` and returns ``D @ L`` for a
-0/1 label matrix ``L``; the statistic is a quadratic form in the label
-column, so the observed split and every permutation of the null are columns
-of one BLAS product. Memory is one row block of ``D`` plus a fixed number of
-label columns per pass, whatever the number of permutations.
+Both energy statistics run on one distance kernel. It walks the upper
+triangle of the pooled distance matrix ``D`` in cache-sized 2-D tiles and
+returns ``D @ L`` for a 0/1 label matrix ``L``; the statistic is a quadratic
+form in the label column, so the observed split and every permutation of the
+null are columns of one BLAS product. Memory is two tiles of at most 1 MB
+each plus a fixed number of label columns per pass, whatever the number of
+points or permutations.
 """
 
 from __future__ import annotations
@@ -127,33 +128,47 @@ def generalization_psnr(model_a, model_b, clean_set: np.ndarray,
 # -- energy distance and the independence demo -------------------------------
 
 
-# rows of the distance matrix built at a time, and label columns per pass: the
-# kernel holds a _ROW_BLOCK x N distance block and N x _LABEL_COLUMNS products
-_ROW_BLOCK = 256
+# the kernel's two tile buffers hold at most _TILE_ELEMENTS float64 each (1 MB,
+# so both fit in a core's L2) in rows of up to _TILE_COLUMNS distances, long
+# because numpy's broadcast subtract pays per row; _LABEL_COLUMNS label columns
+# are applied per pass
+_TILE_ELEMENTS = 1 << 17
+_TILE_COLUMNS = 4096
 _LABEL_COLUMNS = 256
 
 
 def _distance_products(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """``D @ labels`` for the Euclidean distance matrix ``D`` of ``points``.
 
-    ``D`` is never stored: row blocks of its upper triangle are built from
-    coordinate-wise differences (not the Gram trick, which loses precision
-    for close points) and each off-diagonal block is applied twice, once
-    as itself and once as its transpose.
+    ``D`` is never stored: its upper triangle is walked in 2-D tiles built
+    from coordinate-wise differences (not the Gram trick, which loses
+    precision for close points) in two buffers reused across tiles. A tile
+    row range's diagonal square is applied once; every distance right of it
+    is applied twice, once as itself and once as its transpose.
     """
-    n = points.shape[0]
+    n, d = points.shape
+    coords = np.ascontiguousarray(points.T)
+    width = min(n, _TILE_COLUMNS)
+    rows = _TILE_ELEMENTS // width
+    tile_buf, diff_buf = np.empty(rows * width), np.empty(rows * width)
     out = np.zeros((n, labels.shape[1]))
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
-        dist = np.zeros((hi - lo, n - lo))
-        diff = np.empty_like(dist)
-        for k in range(points.shape[1]):
-            np.subtract(points[lo:hi, k, None], points[None, lo:, k], out=diff)
-            diff *= diff
-            dist += diff
-        np.sqrt(dist, out=dist)
-        out[lo:hi] += dist @ labels[lo:]
-        out[hi:] += dist[:, hi - lo:].T @ labels[lo:hi]
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        for c0 in range(r0, n, width):
+            c1 = min(c0 + width, n)
+            size = (r1 - r0) * (c1 - c0)
+            tile = tile_buf[:size].reshape(r1 - r0, c1 - c0)
+            diff = diff_buf[:size].reshape(tile.shape)
+            np.subtract(coords[0, r0:r1, None], coords[0, None, c0:c1], out=tile)
+            tile *= tile
+            for k in range(1, d):
+                np.subtract(coords[k, r0:r1, None], coords[k, None, c0:c1], out=diff)
+                diff *= diff
+                tile += diff
+            np.sqrt(tile, out=tile)
+            out[r0:r1] += tile @ labels[c0:c1]
+            lo = max(c0, r1)  # the tile's columns right of the diagonal square
+            out[lo:c1] += tile[:, lo - c0:].T @ labels[r0:r1]
     return out
 
 
@@ -202,7 +217,10 @@ def energy_permutation_test(x: np.ndarray, y: np.ndarray, n_permutations: int,
     Returns the subsampled observed statistic, the null mean/sd over label
     shuffles, and the z-score of the observation against that null. The
     observation and every shuffle are label columns of one distance kernel.
+    The null's spread needs ``n_permutations >= 2``.
     """
+    if n_permutations < 2:
+        raise ValueError(f"need at least 2 permutations, got {n_permutations}")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[0] > max_points:

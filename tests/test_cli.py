@@ -200,7 +200,10 @@ class TestConfig:
         ("eval.count", 0),
         ("eval.steps", 0),
         ("eval.n_samples", 0),
-        ("eval.n_permutations", 0),
+        ("eval.n_permutations", 1),
+        ("train.loss.lambda_coef", -1.0),
+        ("eval.uncertainty_sigma0", -0.5),
+        ("eval.peak", 0),
         ("eval.n_projections", 0),
         ("eval.uncertainty_k", 1),
         ("eval.operations", ["mse_sweep", "bogus"]),
@@ -220,6 +223,20 @@ class TestConfig:
             node = node.setdefault(part, {})
         node[key] = value
         with pytest.raises(ConfigError, match=where.replace(".", r"\.")):
+            validate_config(raw)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, table in cli._SCHEMA.items()
+        for key, (types, _) in table.items()
+        if float in (types if isinstance(types, tuple) else (types,))])
+    def test_non_finite_float_rejected(self, section, key, value):
+        raw = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
+               "train": {"seed": 0}}
+        node = raw["train"].setdefault("loss", {}) if section == "loss" \
+            else raw.setdefault(section, {})
+        node[key] = value
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: must be finite"):
             validate_config(raw)
 
     @pytest.mark.parametrize("section, key", [("train", "seed"), ("schedule", "T")])
@@ -791,6 +808,45 @@ class TestReverseCommandArguments:
         assert read_tensor_file(rec / "recon.bin").shape == (0, 2)
         smp = cmd_sample(checkpoint, tmp_path / "smp", "ddim", 4, 0, 1)
         assert read_tensor_file(smp / "samples.bin").shape == (0, 2)
+
+
+class TestConfigValuesRejectedBeforeWork:
+    """Values that once passed validation and then failed mid-run, wrote NaN
+    statistics, or trained on a meaningless loss raise ConfigError before the
+    output directory exists."""
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("loss", "lambda_coef", float("nan")),
+        ("loss", "lambda_coef", -1.0),
+        ("train", "learning_rate", float("inf")),
+    ])
+    def test_train(self, tmp_path, section, key, value):
+        cfg = two_deltas_config(tmp_path, iterations=2)
+        (cfg["train"]["loss"] if section == "loss" else cfg[section])[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=key):
+            main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, ops", [
+        ("uncertainty_sigma0", -0.5, ["uncertainty"]),
+        ("peak", 0.0, ["generalization_psnr"]),
+        ("n_permutations", 1, ["independence_demo"]),
+    ])
+    def test_eval(self, tmp_path, key, value, ops):
+        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        ckpt = str(run / "checkpoint.bin")
+        cfg = two_deltas_config(tmp_path)
+        cfg["eval"].update({"operations": ops, "n_samples": 50, key: value})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=rf"eval\.{key} must be"):
+            main(["eval", "--config", str(cfg_path), "--out", str(out),
+                  "--checkpoint", ckpt, "--checkpoint-b", ckpt])
+        assert not out.exists()
 
 
 class TestEvalInputs:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from specdiff import evaluation
 from specdiff.diffusion import InfeasibleTimestepError, linear_schedule
 from specdiff.evaluation import (
     GaussianPosteriorDenoiser,
@@ -135,8 +136,14 @@ def cloud_pair(n, m, d, seed, duplicates=False):
     return rng.standard_normal((n, d)), 1.3 * rng.standard_normal((m, d)) + 0.2
 
 
-# n + m around and not a multiple of the kernel's 256-row block
+# n + m below the shipped 4096-column tile width, so tiles hold
+# 2^17 // (n + m) rows: several row tiles with a ragged last one, or one tile
 CLOUD_CASES = [(300, 517, 1), (257, 256, 2), (600, 333, 5), (1, 3, 2)]
+# small tile shapes (elements, columns): 5 x 16 tiles, and 7 x 4 tiles whose
+# diagonal square spans two column tiles
+SMALL_TILES = [(80, 16), (28, 4)]
+# n + m ragged against both shapes, and below one tile
+SMALL_CLOUD_CASES = [(30, 41, 1), (23, 19, 5), (1, 2, 2)]
 
 
 class TestEnergyKernelMatchesDenseReference:
@@ -168,9 +175,46 @@ class TestEnergyKernelMatchesDenseReference:
             np.testing.assert_allclose(got[key], want[key], rtol=1e-9, err_msg=key)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("n,m,d", SMALL_CLOUD_CASES)
+    @pytest.mark.parametrize("elements,columns", SMALL_TILES)
+    def test_small_tiles(self, monkeypatch, elements, columns, n, m, d):
+        monkeypatch.setattr(evaluation, "_TILE_ELEMENTS", elements)
+        monkeypatch.setattr(evaluation, "_TILE_COLUMNS", columns)
+        x, y = cloud_pair(n, m, d, n + m + d)
+        np.testing.assert_allclose(energy_distance(x, y),
+                                   dense_energy_distance(x, y), rtol=1e-9)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = energy_permutation_test(x, y, 30, rng)
+        want = dense_energy_permutation_test(x, y, 30, ref_rng)
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-9, err_msg=key)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_permutations", [0, 1])
+    def test_fewer_than_two_permutations_rejected(self, n_permutations):
+        # one shuffle has no sample spread: its null_sd would be NaN
+        x, y = cloud_pair(5, 6, 2, 23)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at least 2 permutations"):
+            energy_permutation_test(x, y, n_permutations, rng)
+        assert rng.bit_generator.state == state
+
+    def test_energy_distance_memory_is_two_tiles(self):
+        # two 1 MB tiles plus N x 2 labels and products; one 256-row block
+        # of the distance matrix alone is 20 MB at this size
+        x, y = cloud_pair(5000, 5000, 2, 24)
+        tracemalloc.start()
+        try:
+            energy_distance(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
     def test_peak_memory_bounded(self):
         # the dense (N, N, d) difference array plus the N x N distance matrix
-        # took ~384 MB at this size; the blocked kernel stays well under
+        # took ~384 MB at this size; the tiled kernel stays well under
         x, y = cloud_pair(2000, 2000, 2, 22)
         tracemalloc.start()
         try:
