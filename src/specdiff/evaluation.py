@@ -129,11 +129,8 @@ def generalization_psnr(model_a, model_b, clean_set: np.ndarray,
 
 
 # the kernel's two tile buffers hold at most _TILE_ELEMENTS float64 each (1 MB,
-# so both fit in a core's L2) in rows of up to _TILE_COLUMNS distances, long
-# because numpy's broadcast subtract pays per row; _LABEL_COLUMNS label columns
-# are applied per pass
+# so both fit in a core's L2); _LABEL_COLUMNS label columns are applied per pass
 _TILE_ELEMENTS = 1 << 17
-_TILE_COLUMNS = 4096
 _LABEL_COLUMNS = 256
 
 
@@ -148,7 +145,10 @@ def _distance_products(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """
     n, d = points.shape
     coords = np.ascontiguousarray(points.T)
-    width = min(n, _TILE_COLUMNS)
+    # rows as long as the budget allows, since numpy's broadcast subtract pays
+    # per row, but no fewer rows than label columns: the transposed product
+    # then writes no more than the tile holds and keeps a deep inner dimension
+    width = min(n, _TILE_ELEMENTS // labels.shape[1])
     rows = _TILE_ELEMENTS // width
     tile_buf, diff_buf = np.empty(rows * width), np.empty(rows * width)
     out = np.zeros((n, labels.shape[1]))

@@ -200,6 +200,7 @@ class TestConfig:
         ("eval.count", 0),
         ("eval.steps", 0),
         ("eval.n_samples", 0),
+        ("eval.n_permutations", 0),
         ("eval.n_permutations", 1),
         ("train.loss.lambda_coef", -1.0),
         ("eval.uncertainty_sigma0", -0.5),

@@ -136,27 +136,33 @@ def cloud_pair(n, m, d, seed, duplicates=False):
     return rng.standard_normal((n, d)), 1.3 * rng.standard_normal((m, d)) + 0.2
 
 
-# n + m below the shipped 4096-column tile width, so tiles hold
-# 2^17 // (n + m) rows: several row tiles with a ragged last one, or one tile
-CLOUD_CASES = [(300, 517, 1), (257, 256, 2), (600, 333, 5), (1, 3, 2)]
-# small tile shapes (elements, columns): 5 x 16 tiles, and 7 x 4 tiles whose
-# diagonal square spans two column tiles
-SMALL_TILES = [(80, 16), (28, 4)]
-# n + m ragged against both shapes, and below one tile
-SMALL_CLOUD_CASES = [(30, 41, 1), (23, 19, 5), (1, 2, 2)]
+# n + m below the shipped tile width of 2^17 // label columns, so tiles hold
+# 2^17 // (n + m) rows: several row tiles with a ragged last one, or one tile;
+# then n + m ragged against the small tile budgets below, and below one tile
+CLOUD_CASES = [(300, 517, 1), (257, 256, 2), (600, 333, 5), (1, 3, 2),
+               (30, 41, 1), (23, 19, 5), (1, 2, 2)]
+
+
+# the shipped tile budget, then small ones: energy_distance's 2 label columns
+# make 2 x 63 and 2 x 40 tiles, and a 40-shuffle test's 42 make 42 x 3 tiles,
+# whose diagonal square spans 14 column tiles, and 80 x 1 tiles
+@pytest.fixture(params=[evaluation._TILE_ELEMENTS, 126, 80],
+                ids=lambda elements: f"tile{elements}")
+def tile_budget(request, monkeypatch):
+    monkeypatch.setattr(evaluation, "_TILE_ELEMENTS", request.param)
 
 
 class TestEnergyKernelMatchesDenseReference:
     @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "dup"])
     @pytest.mark.parametrize("n,m,d", CLOUD_CASES)
-    def test_energy_distance(self, n, m, d, duplicates):
+    def test_energy_distance(self, tile_budget, n, m, d, duplicates):
         x, y = cloud_pair(n, m, d, n + m + d, duplicates)
         np.testing.assert_allclose(energy_distance(x, y),
                                    dense_energy_distance(x, y), rtol=1e-9)
 
     @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "dup"])
     @pytest.mark.parametrize("n,m,d", CLOUD_CASES)
-    def test_permutation_test_and_draws(self, n, m, d, duplicates):
+    def test_permutation_test_and_draws(self, tile_budget, n, m, d, duplicates):
         x, y = cloud_pair(n, m, d, n + m + d, duplicates)
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         got = energy_permutation_test(x, y, 40, rng)
@@ -171,21 +177,6 @@ class TestEnergyKernelMatchesDenseReference:
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         got = energy_permutation_test(x, y, 300, rng, max_points=120)
         want = dense_energy_permutation_test(x, y, 300, ref_rng, max_points=120)
-        for key in want:
-            np.testing.assert_allclose(got[key], want[key], rtol=1e-9, err_msg=key)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @pytest.mark.parametrize("n,m,d", SMALL_CLOUD_CASES)
-    @pytest.mark.parametrize("elements,columns", SMALL_TILES)
-    def test_small_tiles(self, monkeypatch, elements, columns, n, m, d):
-        monkeypatch.setattr(evaluation, "_TILE_ELEMENTS", elements)
-        monkeypatch.setattr(evaluation, "_TILE_COLUMNS", columns)
-        x, y = cloud_pair(n, m, d, n + m + d)
-        np.testing.assert_allclose(energy_distance(x, y),
-                                   dense_energy_distance(x, y), rtol=1e-9)
-        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
-        got = energy_permutation_test(x, y, 30, rng)
-        want = dense_energy_permutation_test(x, y, 30, ref_rng)
         for key in want:
             np.testing.assert_allclose(got[key], want[key], rtol=1e-9, err_msg=key)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
