@@ -21,11 +21,11 @@ a GSURE loss) is differentiated exactly.
 
 Both derivatives come from ``y = φ(z)``: φ' = ``1 - y y`` and φ'' =
 ``-2 y φ'``. They are formed only where something reads them. A value-only
-forward computes φ alone and keeps ``z`` and ``y``; a dual forward also forms
-φ' once, for the tangent, and keeps it. :func:`backward` reuses the kept φ'
-or, after a value-only forward, forms it from ``y``; it forms φ'' only when
-given a tangent seed. The formulas do not depend on where they run, so either
-path gives the same bits.
+forward computes φ alone and keeps ``y``, not ``z``; a dual forward also
+forms φ' once, for the tangent, and keeps it. :func:`backward` reuses the
+kept φ' or, after a value-only forward, forms it from ``y``; it forms φ''
+only when given a tangent seed. The formulas do not depend on where they
+run, so either path gives the same bits.
 
 The operation order is fixed, so identical inputs give bit-identical results.
 """
@@ -60,10 +60,10 @@ def forward(graph: Graph, rows, tangent=None):
 
     An input ``tangent`` seeds a directional derivative, which propagates
     alongside the values; ``dout`` is the output's tangent (None without one).
-    ``saved`` holds the graph and, per layer, ``(h, dh, z, φ(z), φ' or None,
-    dz)``: all that :func:`backward` reads. Raises :class:`NonFiniteError` if
-    any pre-activation is not finite and :class:`ShapeError` on a shape
-    mismatch.
+    ``saved`` holds the graph and, per layer, ``(h, dh, φ(z), φ' or None,
+    dz)``, with φ(z) None on the linear last layer: all that :func:`backward`
+    reads. Raises :class:`NonFiniteError` if any pre-activation is not finite
+    and :class:`ShapeError` on a shape mismatch.
     """
     h = np.asarray(rows, dtype=np.float64)
     dh = None if tangent is None else np.asarray(tangent, dtype=np.float64)
@@ -80,11 +80,11 @@ def forward(graph: Graph, rows, tangent=None):
             raise NonFiniteError(f"non-finite pre-activation in layer {i}")
         dz = None if dh is None else dh @ w.T
         if i == last:
-            trace.append((h, dh, None, None, None, None))
+            trace.append((h, dh, None, None, None))
             return z, dz, (graph, trace)
         y = np.tanh(z)
         d1 = None if dz is None else 1.0 - y * y
-        trace.append((h, dh, z, y, d1, dz))
+        trace.append((h, dh, y, d1, dz))
         h, dh = y, None if dz is None else d1 * dz
 
 
@@ -107,8 +107,8 @@ def backward(saved, seed_gradient, seed_tangent=None) -> list[np.ndarray]:
     grads = []
     for i in range(len(graph._nodes) - 1, -1, -1):
         w, _ = graph._nodes[i]
-        h, dh, z, y, d1, dz = trace[i]
-        if z is not None:  # back through φ: adjoints of z and dz
+        h, dh, y, d1, dz = trace[i]
+        if y is not None:  # back through φ: adjoints of z and dz
             if d1 is None:  # value-only forward
                 d1 = 1.0 - y * y
             if gt is None:

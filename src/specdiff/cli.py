@@ -654,7 +654,8 @@ def _load_dataset_dir(path: Path):
     masks = masks == 1.0
     if np.any(ybar[~masks] != 0.0):
         raise FormatError(f"{path}: ybar is non-zero at unobserved entries")
-    noise_var = masks * float(meta["sigma0"]) ** 2
+    sigma0 = float(meta["sigma0"])
+    noise_var = masks * (sigma0 * sigma0)  # precompute's rule, bit for bit
     clean_path = path / "clean.bin"
     clean = read_tensor_file(clean_path) if clean_path.exists() else None
     return meta, ybar, masks, noise_var, clean

@@ -182,14 +182,17 @@ class Denoiser:
         """Shift the shadow parameters: ``ema <- d * ema + (1 - d) * params``.
 
         Runs over :data:`UPDATE_BLOCK`-element slices with the same operations
-        per element, so it is bit-identical to the whole-vector form.
+        per element, so it is bit-identical to the whole-vector form; the
+        product goes into one block-sized scratch made per call.
         """
         d = self.ema_decay
         a = 1.0 - d
+        scratch = np.empty(min(UPDATE_BLOCK, self.params.shape[0]))
         for lo in range(0, self.params.shape[0], UPDATE_BLOCK):
             ema = self.ema_params[lo:lo + UPDATE_BLOCK]
             ema *= d
-            ema += a * self.params[lo:lo + UPDATE_BLOCK]
+            ema += np.multiply(a, self.params[lo:lo + UPDATE_BLOCK],
+                               out=scratch[:len(ema)])
 
     # -- serialization -----------------------------------------------------
 

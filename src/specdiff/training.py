@@ -1,5 +1,11 @@
 """Measurement precompute, the stochastic training loop, and Adam.
 
+:func:`precompute` draws per record and transforms once. Record ``i`` takes
+the generator derived from ``(seed, i)``, draws its mask from the family's
+mask distribution and then ``n`` standard normals, the draws ``corrupt`` makes
+for it. One batched transform then maps every clean signal to spectral
+coordinates, and the noise is scaled, added and masked in place over all rows.
+
 The whole trajectory is a pure function of (config, data): every random draw
 comes from a generator derived from the config seed and a structural key
 (step index, purpose, chunk index). By default a step evaluates the whole
@@ -24,7 +30,7 @@ from .autodiff import NonFiniteError
 from .diffusion import DiffusionSchedule, t_min_for_noise_var
 from .losses import LossConfig, gsure_diffusion_loss, supervised_loss
 from .model import UPDATE_BLOCK, Denoiser
-from .operators import DegradationFamily, Measurement, corrupt
+from .operators import DegradationFamily, Measurement
 
 __all__ = [
     "AdamState",
@@ -75,21 +81,28 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
     Runs over :data:`~specdiff.model.UPDATE_BLOCK`-element slices, each with
     the whole-vector form's operations in its order, so the result is
-    bit-identical to that form while every temporary stays in cache.
+    bit-identical to that form. Every intermediate is written into one
+    two-block scratch made per call, which stays in cache.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads and state must share one shape")
     state.step += 1
     a1, a2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
     c1, c2 = 1.0 - ADAM_BETA1 ** state.step, 1.0 - ADAM_BETA2 ** state.step
+    scratch = np.empty((2, min(UPDATE_BLOCK, params.shape[0])))
     for lo in range(0, params.shape[0], UPDATE_BLOCK):
         hi = lo + UPDATE_BLOCK
         p, g, m, v = params[lo:hi], grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        num, den = scratch[0, :len(p)], scratch[1, :len(p)]
         m *= ADAM_BETA1
-        m += a1 * g
+        m += np.multiply(a1, g, out=num)
         v *= ADAM_BETA2
-        v += a2 * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        np.multiply(a2, g, out=num)
+        v += np.multiply(num, g, out=num)
+        # p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        np.multiply(lr, np.divide(m, c1, out=num), out=num)
+        np.add(np.sqrt(np.divide(v, c2, out=den), out=den), ADAM_EPS, out=den)
+        p -= np.divide(num, den, out=num)
 
 
 @dataclass(frozen=True)
@@ -161,10 +174,14 @@ class PrecomputedDataset:
 
 def precompute(signals: np.ndarray, family: DegradationFamily,
                seed: int) -> PrecomputedDataset:
-    """Corrupt clean signals record by record.
+    """Corrupt clean signals into transformed measurements.
 
-    Record ``i`` consumes the generator derived from ``(seed, i)``, so the
-    dataset is reproducible and independent of iteration order.
+    Record ``i`` consumes the generator ``derived_rng(seed, i)``: first its
+    mask (``family.masks.sample``), then ``n`` standard normals, the draws
+    that ``corrupt(signals[i], family.sample(rng), rng)`` makes. So the dataset
+    is reproducible and independent of iteration order. The transform then
+    runs once over all rows. Every kept entry becomes ``xbar + sqrt(var) *
+    noise`` with ``noise_var = var = sigma0 * sigma0``; the rest are 0.
     """
     signals = np.atleast_2d(np.asarray(signals, dtype=np.float64))
     count = signals.shape[0]
@@ -173,16 +190,21 @@ def precompute(signals: np.ndarray, family: DegradationFamily,
         raise ValueError(f"signals have dimension {signals.shape[1]}, family {n}")
     ybar = np.empty((count, n))
     masks = np.empty((count, n), dtype=bool)
-    noise_var = np.empty((count, n))
     for i in range(count):
         rng = derived_rng(seed, i)
-        deg = family.sample(rng)
-        m = corrupt(signals[i], deg, rng)
-        ybar[i] = m.ybar
-        masks[i] = m.mask
-        noise_var[i] = m.noise_var
+        masks[i] = family.masks.sample(rng)
+        rng.standard_normal(out=ybar[i])  # the draws of standard_normal(n)
+    clean_xbar = family.vt.apply(signals)
+    sigma0 = float(family.sigma0)
+    var = sigma0 * sigma0  # correctly rounded; Python's ** 2 is not always
+    noise_var = masks * var
+    # in place, so no full-size temporary: the same operations per entry as
+    # corrupt's where(mask, xbar + sqrt(noise_var) * noise, 0)
+    ybar *= np.sqrt(var)
+    ybar += clean_xbar
+    ybar[~masks] = 0.0
     return PrecomputedDataset(ybar=ybar, masks=masks, noise_var=noise_var,
-                              w=family.weights(), clean_xbar=family.vt.apply(signals))
+                              w=family.weights(), clean_xbar=clean_xbar)
 
 
 @dataclass(frozen=True)

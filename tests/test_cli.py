@@ -520,6 +520,17 @@ class TestDatasetDirectory:
         out = cmd_train(data_cfg, tmp_path / "run")
         assert load_checkpoint(out / "checkpoint.bin").step_count == 1
 
+    # 0.2261...: Python's sigma0 ** 2 rounds differently from sigma0 * sigma0
+    @pytest.mark.parametrize("sigma0", [0.01, 0.22610530546880114])
+    def test_directory_equals_simulated_dataset(self, tmp_path, sigma0):
+        cfg = two_deltas_config(tmp_path)
+        cfg["degradation"]["sigma0"] = sigma0
+        simulated, _ = cli._dataset_from_config(cfg)
+        cfg["io"]["data_dir"] = str(cmd_gen_data(cfg, tmp_path / "data"))
+        loaded, _ = cli._dataset_from_config(cfg)
+        for name in ("ybar", "masks", "noise_var", "clean_xbar"):
+            assert getattr(loaded, name).tobytes() == getattr(simulated, name).tobytes()
+
     def rewrite(self, cfg, name, arr):
         write_tensor_file(Path(cfg["io"]["data_dir"]) / name, arr)
 

@@ -13,8 +13,11 @@ from specdiff.operators import (
     DegradationFamily,
     FixedMask,
     IdentityTransform,
+    LineSubsampleMasks,
     PatchDropMasks,
+    RealDFTTransform,
     SingleDropMasks,
+    corrupt,
 )
 from specdiff.training import (
     ADAM_BETA1,
@@ -122,7 +125,46 @@ class TestAdam:
         assert params.tobytes() == expected.tobytes()
 
 
+def per_record_reference(signals, fam, seed):
+    """``precompute`` spelled out one record at a time: ``(ybar, masks,
+    noise_var, clean_xbar)`` from ``corrupt(signals[i], fam.sample(rng), rng)``
+    with ``rng = derived_rng(seed, i)``."""
+    records = []
+    for i, x in enumerate(signals):
+        rng = derived_rng(seed, i)
+        records.append(corrupt(x, fam.sample(rng), rng))
+    return (np.array([m.ybar for m in records]), np.array([m.mask for m in records]),
+            np.array([m.noise_var for m in records]),
+            np.array([fam.vt.apply(x) for x in signals]))
+
+
 class TestPrecompute:
+    # 0.2261...: sigma0 ** 2 in Python rounds differently from sigma0 * sigma0
+    @pytest.mark.parametrize("sigma0", [0.0, 0.05, 0.22610530546880114])
+    @pytest.mark.parametrize("masks", [PatchDropMasks(4, 4, 2, 0.3), SingleDropMasks(16),
+                                       FixedMask(np.ones(16, dtype=bool))],
+                             ids=["patch", "single", "fixed"])
+    def test_identity_equals_per_record_corrupt(self, masks, sigma0):
+        fam = DegradationFamily(IdentityTransform(16), masks, sigma0)
+        signals = np.random.default_rng(3).standard_normal((48, 16))
+        data = precompute(signals, fam, seed=11)
+        ybar, mask, noise_var, clean_xbar = per_record_reference(signals, fam, 11)
+        assert data.ybar.tobytes() == ybar.tobytes()
+        assert data.masks.tobytes() == mask.tobytes()
+        assert data.noise_var.tobytes() == noise_var.tobytes()
+        assert data.clean_xbar.tobytes() == clean_xbar.tobytes()
+
+    def test_real_dft_matches_per_record_corrupt(self):
+        # one batched transform against one product per row: last bits only
+        fam = DegradationFamily(RealDFTTransform(64), LineSubsampleMasks(64, 4), 0.05)
+        signals = np.random.default_rng(4).standard_normal((32, 128))
+        data = precompute(signals, fam, seed=12)
+        ybar, mask, noise_var, _ = per_record_reference(signals, fam, 12)
+        assert data.masks.tobytes() == mask.tobytes()
+        assert data.noise_var.tobytes() == noise_var.tobytes()
+        assert np.max(np.abs(data.ybar - ybar)) <= 1e-13
+        assert np.all(data.ybar[~data.masks] == 0.0)
+
     def test_simulation_mode_reproducible(self):
         fam = DegradationFamily(IdentityTransform(16), PatchDropMasks(4, 4, 2, 0.3),
                                 0.02)
