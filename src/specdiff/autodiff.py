@@ -19,6 +19,12 @@ passing ``g_h = g_z W`` and ``g_dh = g_dz W`` down to the layer below. So a
 scalar built outside from the output and its tangent (the divergence term of
 a GSURE loss) is differentiated exactly.
 
+The tangent may carry k blocks over one primal, ``(k, rows, n)``: k
+Hutchinson probes ride one pass. The values and φ' are computed once; each
+tangent GEMM runs over the flattened ``k·rows`` axis, ``g_z`` sums the
+blocks' second-order terms, and ``g_W``'s tangent part is one GEMM over
+``k·rows``.
+
 Both derivatives come from ``y = φ(z)``: φ' = ``1 - y y`` and φ'' =
 ``-2 y φ'``. They are formed only where something reads them. A value-only
 forward computes φ alone and keeps ``y``, not ``z``; a dual forward also
@@ -59,7 +65,9 @@ def forward(graph: Graph, rows, tangent=None):
     """Evaluate the graph on ``rows``: ``(out, dout, saved)``.
 
     An input ``tangent`` seeds a directional derivative, which propagates
-    alongside the values; ``dout`` is the output's tangent (None without one).
+    alongside the values; ``dout`` is the output's tangent (None without one),
+    shaped like ``tangent``: ``(rows, n)``, or ``(k, rows, n)`` for k blocks
+    over the one primal.
     ``saved`` holds the graph and, per layer, ``(h, dh, φ(z), φ' or None,
     dz)``, with φ(z) None on the linear last layer: all that :func:`backward`
     reads. Raises :class:`NonFiniteError` if any pre-activation is not finite
@@ -68,8 +76,10 @@ def forward(graph: Graph, rows, tangent=None):
     h = np.asarray(rows, dtype=np.float64)
     dh = None if tangent is None else np.asarray(tangent, dtype=np.float64)
     shape = (graph.temb.shape[0], graph._nodes[0][0].shape[1])
-    if h.shape != shape or (dh is not None and dh.shape != shape):
-        raise ShapeError(f"graph takes input rows of shape {shape}")
+    if h.shape != shape or (dh is not None
+                            and dh.shape not in (shape, dh.shape[:1] + shape)):
+        raise ShapeError(f"graph takes rows of shape {shape}, and tangents of that "
+                         f"shape or of (k, *{shape})")
     last = len(graph._nodes) - 1
     trace = []
     for i, (w, b) in enumerate(graph._nodes):
@@ -78,7 +88,7 @@ def forward(graph: Graph, rows, tangent=None):
             z = z + graph.temb @ graph.w_e.T
         if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite pre-activation in layer {i}")
-        dz = None if dh is None else dh @ w.T
+        dz = None if dh is None else _tangent_gemm(dh, w.T)
         if i == last:
             trace.append((h, dh, None, None, None))
             return z, dz, (graph, trace)
@@ -88,13 +98,27 @@ def forward(graph: Graph, rows, tangent=None):
         h, dh = y, None if dz is None else d1 * dz
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """Tangent blocks as one ``(k·rows, width)`` matrix."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _tangent_gemm(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a @ m`` for tangent blocks as one GEMM over ``k·rows``, blocks kept.
+
+    A batched 3-D ``@`` runs k small GEMMs, which is slower.
+    """
+    return (_flat(a) @ m).reshape(a.shape[:-1] + m.shape[-1:])
+
+
 def backward(saved, seed_gradient, seed_tangent=None) -> list[np.ndarray]:
     """Exact gradients of ``seed_gradient . out + seed_tangent . dout``.
 
     ``saved`` comes from the :func:`forward` that gave ``out`` and ``dout``;
-    ``seed_tangent`` requires a forward that carried a tangent. Returns the
-    gradient of each parameter in layout order: ``W_0, W_e, b_0``, then
-    ``W_i, b_i`` per layer.
+    ``seed_tangent`` requires a forward that carried a tangent and is shaped
+    like ``dout``; over k blocks, the gradient is that of the sum over blocks.
+    Returns the gradient of each parameter in layout order: ``W_0, W_e,
+    b_0``, then ``W_i, b_i`` per layer.
     """
     graph, trace = saved
     if seed_tangent is not None and trace[0][1] is None:  # the pass had no input tangent
@@ -102,8 +126,10 @@ def backward(saved, seed_gradient, seed_tangent=None) -> list[np.ndarray]:
     shape = (graph.temb.shape[0], graph._nodes[-1][0].shape[0])
     ga = np.asarray(seed_gradient, dtype=np.float64)
     gt = None if seed_tangent is None else np.asarray(seed_tangent, dtype=np.float64)
-    if ga.shape != shape or (gt is not None and gt.shape != shape):
-        raise ShapeError(f"seeds must have the output's shape {shape}")
+    if ga.shape != shape or (gt is not None
+                             and gt.shape != trace[0][1].shape[:-1] + shape[1:]):
+        raise ShapeError(f"seeds must have the output's shape {shape}, the tangent "
+                         "seed in the forward's tangent blocks")
     grads = []
     for i in range(len(graph._nodes) - 1, -1, -1):
         w, _ = graph._nodes[i]
@@ -114,12 +140,14 @@ def backward(saved, seed_gradient, seed_tangent=None) -> list[np.ndarray]:
             if gt is None:
                 ga = ga * d1
             else:
-                ga, gt = ga * d1 + gt * (-2.0 * y * d1) * dz, gt * d1
+                # the tangent blocks' second-order terms sum onto the one primal
+                second = (gt * (-2.0 * y * d1) * dz).reshape((-1,) + ga.shape)
+                ga, gt = ga * d1 + second.sum(axis=0), gt * d1
         gw = ga.T @ h
         if gt is not None:
-            gw = gw + gt.T @ dh
+            gw = gw + _flat(gt).T @ _flat(dh)
         layer = [gw, ga.T @ graph.temb] if i == 0 else [gw]
         grads[:0] = layer + [ga.sum(axis=0)]
         if i > 0:
-            ga, gt = ga @ w, None if gt is None else gt @ w
+            ga, gt = ga @ w, None if gt is None else _tangent_gemm(gt, w)
     return grads

@@ -25,10 +25,12 @@ import numpy as np
 
 from .diffusion import (
     DiffusionSchedule,
+    InfeasibleScheduleError,
     ddim_sample,
     ddpm_sample,
     linear_schedule,
     reconstruct,
+    t_min_for_noise_var,
     zero_filled,
 )
 from .evaluation import (
@@ -143,8 +145,9 @@ def write_pgm(path, image: np.ndarray) -> None:
 def write_csv(path, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
+        # numpy floats too: their repr under numpy 2 is "np.float64(...)"
+        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                              else str(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -592,6 +595,16 @@ def load_checkpoint(path) -> Checkpoint:
 # -- commands ---------------------------------------------------------------------
 
 
+def _check_noise_floor(schedule: DiffusionSchedule, noise_var, source: str) -> None:
+    """Raise ``ConfigError`` naming ``source`` when no timestep of ``schedule``
+    can top up the measurement variance ``noise_var`` (its largest entry)."""
+    try:
+        t_min_for_noise_var(schedule, noise_var)
+    except InfeasibleScheduleError as exc:
+        raise ConfigError(f"{source}: {exc} on a schedule with T = {schedule.T}, "
+                          f"betaT = {schedule.betas[-1]:.3g}") from exc
+
+
 def _out_dir(cfg: dict, out: str | None) -> Path:
     path = Path(out if out is not None else cfg["io"]["out_dir"])
     path.mkdir(parents=True, exist_ok=True)
@@ -687,6 +700,9 @@ def cmd_train(cfg: dict, out: str | None = None,
     """Precompute measurements, run the training loop, persist the outcome."""
     data, family = _dataset_from_config(cfg)
     schedule = build_schedule(cfg)
+    data_dir = cfg["io"]["data_dir"]
+    _check_noise_floor(schedule, data.noise_var, f"io.data_dir {data_dir}: sigma0"
+                       if data_dir else "degradation.sigma0")
     model = build_model(cfg, family.n)
     train_cfg = build_train_config(cfg, seed_override)
     out_path = _out_dir(cfg, out)
@@ -798,6 +814,7 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
             except ValueError as exc:
                 raise ConfigError(f"--r-sweep accel {r}: {exc}") from exc
             families.append((r, DegradationFamily(vt, masks, sigma0=0.01)))
+        _check_noise_floor(schedule, 0.01 * 0.01, "--r-sweep's sigma0 = 0.01")
         clean = read_tensor_file(clean_path)
         out_path.mkdir(parents=True, exist_ok=True)
         rows = []
@@ -815,8 +832,10 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
         return out_path
 
     _, ybar, masks, noise_var, _ = _load_dataset_dir(Path(measurements_dir))
-    out_path.mkdir(parents=True, exist_ok=True)
     count = len(ybar) if limit is None else min(limit, len(ybar))
+    _check_noise_floor(schedule, noise_var[:count],
+                       f"--measurements {measurements_dir}: sigma0")
+    out_path.mkdir(parents=True, exist_ok=True)
     recons = np.empty((count, vt.n))
     zf = np.empty((count, vt.n))
     for i in range(count):
@@ -889,6 +908,10 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
             if a != b:
                 raise ConfigError(f"--checkpoint-b {what} = {b} differs from "
                                   f"--checkpoint's {a}")
+    if "uncertainty" in ops:
+        sigma0 = cfg["eval"]["uncertainty_sigma0"]
+        _check_noise_floor(ca.rebuild_schedule(), sigma0 * sigma0,
+                           "eval.uncertainty_sigma0")
     out_path = _out_dir(cfg, out)
 
     def _pair_setup():
@@ -937,7 +960,6 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
             schedule = ca.rebuild_schedule()
             vt = transform_from_descriptor(ca.vt_descriptor)
             clean = generate_signals(cfg["data"], 1, seed)[0]
-            sigma0 = cfg["eval"]["uncertainty_sigma0"]
             fam = DegradationFamily(vt, FixedMask(np.ones(vt.n, dtype=bool)),
                                     sigma0)
             rng = derived_rng(seed, 5)

@@ -25,12 +25,14 @@ tangent=None)``, which processes rows independently and returns ``(x0, dx0,
 grad)``: the clean-signal estimates, their directional derivatives along the
 input tangent, and ``grad(g_x0, g_dx0)``, the flat parameter gradient of
 ``sum(g_x0 * x0) + sum(g_dx0 * dx0)``; ``model.denoise`` gives plain
-estimates. The loss heads are numpy on the pass's outputs: each scalar is a
-weighted sum of squares plus ``sum(div_w * probe * dx0)``, so its seeds are
-``w * 2e`` on ``x0`` and ``div_w * probe`` on ``dx0``. The divergence estimate
-rides the same network evaluation as the squared-error term (one
-tangent-carrying pass over the probe rows), and the gradient is exact,
-including through the probe JVP.
+estimates. The tangent may be ``(k, rows, n)``: k probe blocks over the one
+primal, with ``dx0`` and ``g_dx0`` shaped alike. The loss heads are numpy on
+the pass's outputs: each scalar is a weighted sum of squares plus
+``sum(div_w * probe * dx0)``, so its seeds are ``w * 2e`` on ``x0`` and
+``div_w * probe`` on ``dx0``. This is the one Hutchinson construction: the k
+probe tangents ride one pass over the un-copied primal rows, whose output
+alone feeds the squared-error term, and the gradient is exact, including
+through the probe JVPs.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
 
 GAMMA_RULES = ("constant", "snr")
 LAMBDA_RULES = ("theory", "exact", "constant", "scaled_inverse_snr")
-PROBE_CHUNK = 4096  # rows per pass in hutchinson_probe_values
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def projected_loss_rows(model, xbar_rows, xbar_t_rows, mask_rows, w, t,
 
 
 def _divergence_weights(mask_rows: np.ndarray, w: np.ndarray,
-                        coeff_col: np.ndarray) -> np.ndarray:
+                        coeff_col) -> np.ndarray:
     # rows of coeff_i * P_ij * W_j^2
     return coeff_col * mask_rows * (w ** 2)[None, :]
 
@@ -197,9 +198,10 @@ def gsure_loss_from_samples(model, ybar_rows, mask_rows, xbar_t_rows, t,
     """Deterministic core of the self-supervised loss.
 
     ``probe_rows`` has shape ``(probes * batch, n)``: probe ``k`` of row ``i``
-    sits at ``k * batch + i``. The squared-error term is evaluated on the
-    first probe block only (all blocks share the same primal rows); the
-    divergence estimate averages over blocks.
+    sits at ``k * batch + i``. The probe blocks ride one pass as ``(probes,
+    batch, n)`` tangent blocks over the un-tiled rows. The squared-error term
+    is evaluated on the one primal output; the divergence estimate averages
+    over blocks.
     """
     ybar_rows = _as_rows(ybar_rows)
     mask_rows = _as_rows(mask_rows).astype(np.float64)
@@ -221,24 +223,17 @@ def gsure_loss_from_samples(model, ybar_rows, mask_rows, xbar_t_rows, t,
     else:
         r_rows = xbar_t_rows / np.sqrt(abar)[:, None]
 
-    rows = np.tile(xbar_t_rows, (k, 1))
-    t_rep = np.tile(t_vec, k)
+    probes = probe_rows.reshape(k, batch, n)
+    mse_w = np.sqrt(gam / batch)[:, None] * mask_rows * w[None, :]
+    div_w = _divergence_weights(mask_rows, w, (2.0 * gam * lam / (batch * k))[:, None])
 
-    # per-row constant weights; probe blocks beyond the first carry no MSE
-    mse_w = np.zeros((k * batch, n))
-    mse_w[:batch] = np.sqrt(gam / batch)[:, None] * mask_rows * w[None, :]
-    div_w = np.tile(
-        _divergence_weights(mask_rows, w, (2.0 * gam * lam / (batch * k))[:, None]),
-        (k, 1),
-    )
-
-    x0, dx0, grad = model.evaluate(rows, t_rep, schedule, tangent=probe_rows)
-    e = mse_w * (x0 - np.tile(r_rows, (k, 1)))
+    x0, dx0, grad = model.evaluate(xbar_t_rows, t_vec, schedule, tangent=probes)
+    e = mse_w * (x0 - r_rows)
     mse = np.sum(e * e)
-    div = np.sum(div_w * (probe_rows * dx0))
+    div = np.sum(div_w * (probes * dx0))
     return LossEval(value=_checked(mse + div), mse_term=float(mse),
                     divergence_term=float(div),
-                    gradient=partial(grad, mse_w * (2.0 * e), div_w * probe_rows))
+                    gradient=partial(grad, mse_w * (2.0 * e), div_w * probes))
 
 
 def gsure_diffusion_loss(model, ybar_rows, mask_rows, noise_var_rows, t,
@@ -260,20 +255,14 @@ def gsure_diffusion_loss(model, ybar_rows, mask_rows, noise_var_rows, t,
 
 def hutchinson_probe_values(model, xbar_t, t: int, schedule: DiffusionSchedule,
                             mask, w, probes: int, rng) -> np.ndarray:
-    """Per-probe Hutchinson samples ``v . (P W^2 (J f) v)`` for estimator studies."""
+    """Per-probe Hutchinson samples ``v . (P W^2 (J f) v)`` for estimator studies.
+
+    The probes ride one pass as ``(probes, 1, n)`` tangent blocks over the
+    one primal row.
+    """
     xbar_t = np.asarray(xbar_t, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    n = xbar_t.shape[0]
-    out = np.empty(probes)
-    done = 0
-    while done < probes:
-        size = min(PROBE_CHUNK, probes - done)
-        v = rng.standard_normal((size, n))
-        rows = np.tile(xbar_t, (size, 1))
-        _, jv_rows, _ = model.evaluate(rows, np.full(size, t, dtype=np.int64),
-                                       schedule, tangent=v)
-        out[done:done + size] = np.sum(v * (mask * w ** 2)[None, :] * jv_rows, axis=1)
-        done += size
-    return out
-
+    v = rng.standard_normal((probes, xbar_t.shape[0]))
+    _, jv, _ = model.evaluate(xbar_t[None, :], t, schedule, tangent=v[:, None, :])
+    return np.sum(v * _divergence_weights(mask, w, 1.0) * jv[:, 0, :], axis=1)

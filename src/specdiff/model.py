@@ -142,10 +142,13 @@ class Denoiser:
         """One pass over a batch of rows: ``(x0, dx0, grad)``.
 
         ``t`` is an int shared by all rows or a per-row integer vector.
-        ``x0`` is the clean-signal estimate of each row, ``dx0`` its
+        ``x0`` is the ``(rows, n)`` clean-signal estimate, ``dx0`` its
         directional derivative along the input ``tangent`` (None without one),
         and ``grad(g_x0, g_dx0=None)`` the flat parameter gradient of
-        ``sum(g_x0 * x0) + sum(g_dx0 * dx0)``.
+        ``sum(g_x0 * x0) + sum(g_dx0 * dx0)``. The tangent is ``(rows, n)`` or
+        ``(k, rows, n)``, k blocks over the one primal pass; ``dx0`` and
+        ``g_dx0`` take its shape, and the per-row ε→x0 map and its adjoint
+        broadcast over the blocks.
         """
         rows = np.atleast_2d(np.asarray(xbar_t, dtype=np.float64))
         t_vec = timestep_rows(t, len(rows))

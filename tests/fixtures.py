@@ -22,7 +22,8 @@ class LinearModel:
         def grad(g_x0, g_dx0=None):
             g_a = g_x0.T @ rows
             if g_dx0 is not None:
-                g_a = g_a + g_dx0.T @ tangent
+                # tangent blocks (k, rows, n) flatten to k * rows rows
+                g_a = g_a + g_dx0.reshape(-1, self.n).T @ tangent.reshape(-1, self.n)
             return np.concatenate([g_a.ravel(), g_x0.sum(axis=0)])
 
         return rows @ self.a.T + self.b, dx0, grad

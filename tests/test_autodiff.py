@@ -245,3 +245,47 @@ class TestSecondOrder:
         for r in range(3):
             row = forward(build(params, temb[r:r + 1]), xb[r:r + 1])[0]
             np.testing.assert_allclose(row[0], out[r], rtol=0, atol=1e-14)
+
+
+class TestTangentBlocks:
+    """k tangent blocks ``(k, rows, n)`` over one primal pass."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(31)
+        self.params, temb = random_net(rng, [6, 9, 7, 4], batch=3)
+        self.g = build(self.params, temb)
+        self.x = rng.standard_normal((3, 6))
+        self.v = rng.standard_normal((5, 3, 6))
+        self.c = rng.standard_normal((3, 4))
+        self.u = rng.standard_normal((5, 3, 4))
+
+    def test_blocks_match_their_own_passes(self):
+        out, dout, _ = forward(self.g, self.x, self.v)
+        np.testing.assert_array_equal(out, forward(self.g, self.x)[0])
+        assert dout.shape == (5, 3, 4)
+        for v, d in zip(self.v, dout):
+            np.testing.assert_allclose(d, forward(self.g, self.x, v)[1],
+                                       rtol=1e-13, atol=1e-15)
+
+    def test_block_gradient_is_the_sum_of_one_block_gradients(self):
+        saved = forward(self.g, self.x, self.v)[2]
+        got = flatten(backward(saved, self.c, seed_tangent=self.u))
+        want = flatten(backward(forward(self.g, self.x)[2], self.c))
+        for v, u in zip(self.v, self.u):
+            want = want + flatten(backward(forward(self.g, self.x, v)[2],
+                                           np.zeros_like(self.c), seed_tangent=u))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shape", [(1, 5, 3, 6), (5, 3, 7), (5, 4, 6), (6,)],
+                             ids=["4-D", "columns", "rows", "1-D"])
+    def test_tangent_shape_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            forward(self.g, self.x, np.zeros(shape))
+
+    @pytest.mark.parametrize("tangent, seed", [
+        ((5, 3, 6), (4, 3, 4)), ((5, 3, 6), (3, 4)), ((3, 6), (1, 3, 4)),
+        ((5, 3, 6), (5, 3, 5))], ids=["blocks", "2-D seed", "3-D seed", "columns"])
+    def test_seed_tangent_must_match_the_forward_blocks(self, tangent, seed):
+        saved = forward(self.g, self.x, np.ones(tangent))[2]
+        with pytest.raises(ShapeError):
+            backward(saved, self.c, seed_tangent=np.zeros(seed))

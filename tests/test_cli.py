@@ -657,6 +657,19 @@ class TestCommands:
         assert lines[0] == "prior,snr,abar,energy,z,null_mean,null_sd"
         assert len(lines) == 5  # two priors x two SNR levels
 
+    def test_eval_pair_csvs_hold_plain_numbers(self, tmp_path):
+        # two different checkpoints give finite PSNRs, numpy floats that
+        # must be written as numbers, not as their reprs
+        a, b = (cmd_train(two_deltas_config(tmp_path, iterations=2, seed=s),
+                          tmp_path / f"run{s}") / "checkpoint.bin" for s in (5, 6))
+        cfg = two_deltas_config(tmp_path)
+        cfg["eval"].update(operations=["mse_sweep", "generalization_psnr"], count=16)
+        out = cmd_eval(cfg, tmp_path / "eval", checkpoint=a, checkpoint_b=b)
+        for name in ("mse_sweep.csv", "psnr.csv"):
+            rows = [line.split(",") for line in
+                    (out / name).read_text().splitlines()[1:]]
+            assert rows and all(np.isfinite(float(cell)) for row in rows for cell in row)
+
     def test_eval_distance_between_files(self, tmp_path):
         rng = np.random.default_rng(0)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -858,6 +871,66 @@ class TestConfigValuesRejectedBeforeWork:
         with pytest.raises(ConfigError, match=rf"eval\.{key} must be"):
             main(["eval", "--config", str(cfg_path), "--out", str(out),
                   "--checkpoint", ckpt, "--checkpoint-b", ckpt])
+        assert not out.exists()
+
+
+class TestInfeasibleNoiseRejectedBeforeOutput:
+    """Measurement noise that no timestep of the schedule can top up raises
+    ConfigError naming its source before the output directory exists."""
+
+    def config(self, tmp_path, sigma0=0.01, **eval_keys):
+        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg["schedule"] = {"T": 50, "beta1": 1e-4, "betaT": 0.2}
+        cfg["degradation"]["sigma0"] = sigma0
+        cfg["eval"].update(eval_keys)
+        return validate_config(cfg)
+
+    def write(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def test_train(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=r"degradation\.sigma0: no timestep "
+                                              r"can top up measurement variance 400"):
+            main(["train", "--config", self.write(tmp_path, self.config(tmp_path, 20.0)),
+                  "--out", str(out)])
+        assert not out.exists()
+
+    def test_reconstruct_measurements(self, tmp_path):
+        ckpt = cmd_train(self.config(tmp_path), tmp_path / "run") / "checkpoint.bin"
+        data = cmd_gen_data(self.config(tmp_path, 20.0), tmp_path / "data")
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=r"--measurements .*: sigma0: no timestep"):
+            main(["reconstruct", "--checkpoint", str(ckpt), "--measurements", str(data),
+                  "--steps", "5", "--seed", "1", "--out", str(out)])
+        assert not out.exists()
+
+    def test_reconstruct_r_sweep(self, tmp_path):
+        # the sweep's fixed sigma0 = 0.01 outgrows a schedule this short
+        cfg = validate_config({
+            "data": {"kind": "isotropic-gaussian", "count": 16, "seed": 2, "dim": 8},
+            "degradation": {"family": "line-subsample", "accel": 2, "sigma0": 0.0},
+            "schedule": {"T": 10, "beta1": 1e-6, "betaT": 1e-6},
+            "model": {"hidden": [8], "emb_dim": 4, "ema_decay": 0.99},
+            "train": {"iterations": 2, "batch_size": 4, "seed": 3}})
+        ckpt = cmd_train(cfg, tmp_path / "run") / "checkpoint.bin"
+        clean = tmp_path / "clean.bin"
+        write_tensor_file(clean, generate_signals(cfg["data"], 2, seed=6))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=r"--r-sweep's sigma0 = 0\.01: no timestep"):
+            main(["reconstruct", "--checkpoint", str(ckpt), "--r-sweep", "2",
+                  "--clean", str(clean), "--steps", "5", "--seed", "1", "--out", str(out)])
+        assert not out.exists()
+
+    def test_eval_uncertainty(self, tmp_path):
+        ckpt = cmd_train(self.config(tmp_path), tmp_path / "run") / "checkpoint.bin"
+        cfg = self.config(tmp_path, operations=["uncertainty"], uncertainty_sigma0=50.0)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=r"eval\.uncertainty_sigma0: no timestep"):
+            main(["eval", "--config", self.write(tmp_path, cfg), "--out", str(out),
+                  "--checkpoint", str(ckpt)])
         assert not out.exists()
 
 

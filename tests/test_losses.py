@@ -207,6 +207,27 @@ class TestHutchinson:
         assert fd == pytest.approx(exact, rel=1e-6, abs=1e-8)
 
 
+    @pytest.mark.parametrize("mean_type", ["predict_x", "predict_epsilon"])
+    def test_matches_the_divergence_inside_the_loss(self, schedule, mean_type):
+        # one construction: on the same probes, the probe values' mean is the
+        # loss's divergence term over 2 lambda (one row, gamma = 1)
+        rng = np.random.default_rng(24)
+        n, probes, t = 5, 7, 33
+        model = Denoiser.create(n, hidden=(9, 7), emb_dim=8, mean_type=mean_type,
+                                rng=rng)
+        x = rng.standard_normal(n)
+        mask = np.array([1, 0, 1, 1, 0], dtype=bool)
+        w = rng.uniform(1.0, 2.0, size=n)
+        vals = hutchinson_probe_values(model, x, t, schedule, mask, w, probes,
+                                       np.random.default_rng(3))
+        cfg = LossConfig(gamma="constant", lam="constant", lam_coef=0.25,
+                         probes=probes)
+        out = gsure_loss_from_samples(model, np.where(mask, x, 0.0), mask, x, t,
+                                      np.random.default_rng(3).standard_normal((probes, n)),
+                                      schedule, w, cfg)
+        assert out.divergence_term == pytest.approx(2 * 0.25 * vals.mean(), rel=1e-12)
+
+
 class TestGsureLoss:
     def test_parts_sum_to_value(self, schedule):
         rng = np.random.default_rng(12)
@@ -363,12 +384,15 @@ class TestGsureLoss:
         model.params[:] = theta0
         assert fraction_close(got, fd, rel_tol=1e-3) >= 0.99
 
-    def test_several_probes_average_one_probe_evaluations(self, schedule):
+    @pytest.mark.parametrize("mean_type", ["predict_x", "predict_epsilon"])
+    def test_several_probes_average_one_probe_evaluations(self, schedule, mean_type):
         # k probe blocks: the MSE term is the one-probe term, the divergence
         # term and the gradient are the mean of the k one-probe evaluations
+        # (under predict_epsilon the eps->x0 map broadcasts over the blocks)
         rng = np.random.default_rng(20)
         batch, n, k = 4, 5, 3
-        model = Denoiser.create(n, hidden=(9, 7), emb_dim=8, rng=rng)
+        model = Denoiser.create(n, hidden=(9, 7), emb_dim=8, mean_type=mean_type,
+                                rng=rng)
         mask = coordinate_masks(batch, n, rng)
         ybar = np.where(mask, rng.standard_normal((batch, n)), 0.0)
         xbar_t = rng.standard_normal((batch, n))
