@@ -302,12 +302,15 @@ def validate_config(raw: dict) -> dict:
     data, ev = cfg["data"], cfg["eval"]
     emb, beta1 = cfg["model"]["emb_dim"], _beta1(cfg)
     for where, ok, rule in (
+            ("data.seed", data["seed"] >= 0, "be >= 0"),
             ("data.count", data["count"] >= 1, "be >= 1"),
             ("data.holdout", data["holdout"] >= 0, "be >= 0"),
             ("data.dim", data["dim"] >= 1, "be >= 1"),
             # synthetic-shapes draws a disc radius from [1.5, min(height, width) / 4]
             ("data.height", data["height"] >= 6, "be >= 6"),
             ("data.width", data["width"] >= 6, "be >= 6"),
+            ("model.seed", cfg["model"]["seed"] >= 0, "be >= 0"),
+            ("train.seed", train["seed"] >= 0, "be >= 0"),
             ("train.iterations", train["iterations"] >= 0, "be >= 0"),
             ("train.batch_size", train["batch_size"] >= 1, "be >= 1"),
             ("train.learning_rate", train["learning_rate"] > 0.0, "be > 0"),
@@ -326,6 +329,7 @@ def validate_config(raw: dict) -> dict:
              "be 'sigma0_squared' or a number, and resolve into (0, schedule.betaT]"),
             ("model.emb_dim", emb >= 2 and emb % 2 == 0, "be a positive even number"),
             ("model.ema_decay", 0.0 <= cfg["model"]["ema_decay"] <= 1.0, "lie in [0, 1]"),
+            ("eval.seed", ev["seed"] >= 0, "be >= 0"),
             ("eval.eta", 0.0 <= ev["eta"] <= 1.0, "lie in [0, 1]"),
             ("eval.t_stride", ev["t_stride"] >= 1, "be >= 1"),
             ("eval.count", ev["count"] >= 1, "be >= 1"),
@@ -605,6 +609,12 @@ def _check_noise_floor(schedule: DiffusionSchedule, noise_var, source: str) -> N
                           f"betaT = {schedule.betas[-1]:.3g}") from exc
 
 
+def _check_seed(seed: int | None) -> None:
+    """A ``--seed`` seeds ``derived_rng``, which takes no negative integer."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def _out_dir(cfg: dict, out: str | None) -> Path:
     path = Path(out if out is not None else cfg["io"]["out_dir"])
     path.mkdir(parents=True, exist_ok=True)
@@ -614,6 +624,7 @@ def _out_dir(cfg: dict, out: str | None) -> Path:
 def cmd_gen_data(cfg: dict, out: str | None = None,
                  seed_override: int | None = None) -> Path:
     """Write clean signals and precomputed measurements with a JSON sidecar."""
+    _check_seed(seed_override)
     seed = cfg["data"]["seed"] if seed_override is None else seed_override
     count = cfg["data"]["count"]
     family = build_degradation_family(cfg)
@@ -698,6 +709,7 @@ def _dataset_from_config(cfg: dict):
 def cmd_train(cfg: dict, out: str | None = None,
               seed_override: int | None = None) -> Path:
     """Precompute measurements, run the training loop, persist the outcome."""
+    _check_seed(seed_override)
     data, family = _dataset_from_config(cfg)
     schedule = build_schedule(cfg)
     data_dir = cfg["io"]["data_dir"]
@@ -738,6 +750,11 @@ def _check_steps(steps: int, schedule: DiffusionSchedule) -> None:
                           f"checkpoint's schedule, got {steps}")
 
 
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ConfigError(f"--eta must lie in [0, 1], got {eta}")
+
+
 SAMPLE_CHUNK = 64  # samples per derived-seed chunk
 
 
@@ -748,6 +765,9 @@ def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
         raise ValueError("sampler must be 'ddim' or 'ddpm'")
     if count < 0:
         raise ConfigError(f"--count must be >= 0, got {count}")
+    _check_seed(seed)
+    if sampler == "ddim":  # DDPM ignores --eta, as it does --steps
+        _check_eta(eta)
     ckpt = load_checkpoint(checkpoint_path)
     model = ckpt.model()
     schedule = ckpt.rebuild_schedule()
@@ -795,6 +815,8 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
         raise ConfigError("reconstruct needs --measurements (or --r-sweep with --clean)")
     if limit is not None and limit < 0:
         raise ConfigError(f"--limit must be >= 0, got {limit}")
+    _check_seed(seed)
+    _check_eta(eta)
     ckpt = load_checkpoint(checkpoint_path)
     model = ckpt.model()
     schedule = ckpt.rebuild_schedule()

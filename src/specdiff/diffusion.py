@@ -13,7 +13,10 @@ monotone because ``abar`` is strictly decreasing.
 Samplers operate on full spectral vectors and ask the model for an estimate
 of the clean signal at each visited timestep; the reverse process stops at
 the schedule's minimal feasible timestep, from which a final posterior-mean
-estimate is taken.
+estimate is taken. DDIM, DDPM and reconstruction share one loop, which runs a
+sampling plan: everything a step needs that does not depend on ``x`` (the
+schedule values on the grid and each sampler's step coefficients) is computed
+once per call, as tables over the grid, before the loop starts.
 """
 
 from __future__ import annotations
@@ -185,37 +188,55 @@ def ddim_timesteps(schedule: DiffusionSchedule, steps: int) -> np.ndarray:
     return ts
 
 
-def _reverse(model, schedule: DiffusionSchedule, ts, x, step, project=None):
-    """The reverse process every sampler runs.
+def _reverse(model, schedule: DiffusionSchedule, ts, x, plan):
+    """The reverse process every sampler runs, over a sampling plan.
 
-    At each visited timestep ``t`` (descending), the model estimates the clean
-    signal, ``project`` optionally edits that estimate, and ``step(x, x0_hat,
-    t, t_next)`` moves ``x`` to the next timestep. The estimate at ``ts[-1]``
+    ``ts`` is the descending grid of visited timesteps. It is range-checked
+    once, and ``plan(abar, abar_prev, beta)`` gets the schedule's values at
+    every grid point as arrays. The plan builds its per-step tables from them
+    once, with array ops over the whole grid (``np.sqrt`` and division are
+    correctly rounded, so each entry equals the per-step scalar bit for bit),
+    and returns ``(step, project)``. No step looks up the schedule.
+
+    At grid point ``i`` the model estimates the clean signal, ``project(x0_hat,
+    i)`` optionally edits that estimate (None leaves it), and ``step(x, x0_hat,
+    i)`` moves ``x`` from ``ts[i]`` to ``ts[i + 1]``. The estimate at ``ts[-1]``
     is returned.
     """
-    def estimate(x, t):
-        x0_hat = model.denoise(x, t, schedule, ema=True)
-        return x0_hat if project is None else project(x0_hat, t)
+    idx = schedule._index(np.asarray(ts, dtype=np.int64))
+    step, project = plan(schedule.alpha_bars[idx], schedule._abars_prev[idx],
+                         schedule.betas[idx])
+    ts = [int(t) for t in ts]
 
-    for t, t_next in zip(ts[:-1], ts[1:]):
-        x = step(x, estimate(x, int(t)), int(t), int(t_next))
-    return estimate(x, int(ts[-1]))
+    def estimate(x, i):
+        x0_hat = model.denoise(x, ts[i], schedule, ema=True)
+        return x0_hat if project is None else project(x0_hat, i)
+
+    for i in range(len(ts) - 1):
+        x = step(x, estimate(x, i), i)
+    return estimate(x, len(ts) - 1)
 
 
-def _ddim_step(schedule: DiffusionSchedule, eta: float, rng):
+def _ddim_step(abar: np.ndarray, eta: float, rng):
+    """The DDIM move from each grid point to the next, given ``abar`` over the
+    grid: ``eps_hat = (x - sqrt(abar_t) x0_hat) / sqrt(1 - abar_t)``, then
+    ``x = sqrt(abar_n) x0_hat + sqrt(max(1 - abar_n - sigma^2, 0)) eps_hat``,
+    plus ``sigma`` times a standard normal draw where ``sigma > 0``."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
+    abar_t, abar_n = abar[:-1], abar[1:]
+    sigma = eta * np.sqrt((1.0 - abar_n) / (1.0 - abar_t)) \
+        * np.sqrt(1.0 - abar_t / abar_n)
+    c_x0_t, c_eps_t = np.sqrt(abar_t).tolist(), np.sqrt(1.0 - abar_t).tolist()
+    c_x0_n = np.sqrt(abar_n).tolist()
+    c_eps_n = np.sqrt(np.maximum(1.0 - abar_n - sigma ** 2, 0.0)).tolist()
+    sigma = sigma.tolist()
 
-    def step(x, x0_hat, t, t_next):
-        abar_t = schedule.abar(t)
-        abar_n = schedule.abar(t_next)
-        eps_hat = (x - np.sqrt(abar_t) * x0_hat) / np.sqrt(1.0 - abar_t)
-        sigma = eta * np.sqrt((1.0 - abar_n) / (1.0 - abar_t)) \
-            * np.sqrt(1.0 - abar_t / abar_n)
-        x = np.sqrt(abar_n) * x0_hat \
-            + np.sqrt(np.maximum(1.0 - abar_n - sigma ** 2, 0.0)) * eps_hat
-        if sigma > 0.0:
-            x = x + sigma * rng.standard_normal(x.shape)
+    def step(x, x0_hat, i):
+        eps_hat = (x - c_x0_t[i] * x0_hat) / c_eps_t[i]
+        x = c_x0_n[i] * x0_hat + c_eps_n[i] * eps_hat
+        if sigma[i] > 0.0:
+            x = x + sigma[i] * rng.standard_normal(x.shape)
         return x
 
     return step
@@ -230,25 +251,31 @@ def ddim_sample(model, schedule: DiffusionSchedule, steps: int, eta: float, rng,
     """
     ts = ddim_timesteps(schedule, steps)
     x = rng.standard_normal((count, vt.n))
-    return vt.apply_inverse(_reverse(model, schedule, ts, x,
-                                     _ddim_step(schedule, eta, rng)))
+    return vt.apply_inverse(_reverse(
+        model, schedule, ts, x, lambda abar, *_: (_ddim_step(abar, eta, rng), None)))
 
 
 def ddpm_sample(model, schedule: DiffusionSchedule, rng, vt: OrthoTransform,
                 count: int = 1) -> np.ndarray:
-    """Full-length ancestral sampling with fixed per-step variance ``beta_t``."""
-    def step(x, x0_hat, t, t_next):
-        abar_t = schedule.abar(t)
-        abar_p = schedule.abar_prev(t)
-        beta_t = schedule.beta(t)
-        alpha_t = 1.0 - beta_t
-        mean = (np.sqrt(abar_p) * beta_t / (1.0 - abar_t)) * x0_hat \
-            + (np.sqrt(alpha_t) * (1.0 - abar_p) / (1.0 - abar_t)) * x
-        return mean + np.sqrt(beta_t) * rng.standard_normal(x.shape)
+    """Full-length ancestral sampling with fixed per-step variance ``beta_t``:
+    ``x = c_x0 x0_hat + c_x x + sqrt(beta_t) z`` with the posterior-mean
+    weights ``c_x0 = sqrt(abar_{t-1}) beta_t / (1 - abar_t)`` and ``c_x =
+    sqrt(1 - beta_t) (1 - abar_{t-1}) / (1 - abar_t)``, one draw per step."""
+    def plan(abar, abar_prev, beta):
+        abar, abar_prev, beta = abar[:-1], abar_prev[:-1], beta[:-1]
+        c_x0 = (np.sqrt(abar_prev) * beta / (1.0 - abar)).tolist()
+        c_x = (np.sqrt(1.0 - beta) * (1.0 - abar_prev) / (1.0 - abar)).tolist()
+        c_z = np.sqrt(beta).tolist()
+
+        def step(x, x0_hat, i):
+            mean = c_x0[i] * x0_hat + c_x[i] * x
+            return mean + c_z[i] * rng.standard_normal(x.shape)
+
+        return step, None
 
     ts = np.arange(schedule.T, schedule.t_min_valid - 1, -1)
     x = rng.standard_normal((count, vt.n))
-    return vt.apply_inverse(_reverse(model, schedule, ts, x, step))
+    return vt.apply_inverse(_reverse(model, schedule, ts, x, plan))
 
 
 def zero_filled(m: Measurement, vt: OrthoTransform) -> np.ndarray:
@@ -269,19 +296,23 @@ def reconstruct(model, schedule: DiffusionSchedule, m: Measurement, steps: int,
     """
     t_min = t_min_for_noise_var(schedule, m.noise_var)
     sched = dataclasses.replace(schedule, t_min_valid=max(t_min, schedule.t_min_valid))
-    kept = m.mask
+    kept = np.flatnonzero(m.mask)
     nv = m.noise_var[kept]
     ybar_kept = m.ybar[kept]
 
-    def consistent(x0_hat, t):
-        abar_t = sched.abar(t)
-        est_var = (1.0 - abar_t) / abar_t
+    def plan(abar, *_):
+        est_var = ((1.0 - abar) / abar)[:, None]
         w_meas = est_var / (est_var + nv)  # 1 when the measurement is noiseless
-        out = x0_hat.copy()
-        out[kept] = w_meas * ybar_kept + (1.0 - w_meas) * x0_hat[kept]
-        return out
+        # (steps, kept) tables: the measurement's weighted part and the estimate's weight
+        w_ybar, w_est = w_meas * ybar_kept, 1.0 - w_meas
+
+        def consistent(x0_hat, i):
+            out = x0_hat.copy()
+            out[kept] = w_ybar[i] + w_est[i] * x0_hat[kept]
+            return out
+
+        return _ddim_step(abar, eta, rng), consistent
 
     ts = ddim_timesteps(sched, steps)
     x = rng.standard_normal(m.n)
-    return vt.apply_inverse(_reverse(model, sched, ts, x,
-                                     _ddim_step(sched, eta, rng), consistent))
+    return vt.apply_inverse(_reverse(model, sched, ts, x, plan))

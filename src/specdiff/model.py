@@ -49,6 +49,15 @@ def time_embedding(t, dim: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _embedding_row(t: int, dim: int) -> np.ndarray:
+    """:func:`time_embedding` of one timestep, kept for every later call. It
+    equals each row of the vector form bit for bit."""
+    row = time_embedding(t, dim)
+    row.flags.writeable = False
+    return row
+
+
+@functools.lru_cache(maxsize=None)
 def _frequencies(half: int) -> np.ndarray:
     freqs = np.exp(-np.log(MAX_PERIOD) * np.arange(half) / half)
     freqs.flags.writeable = False  # shared by every later call
@@ -78,6 +87,7 @@ class Denoiser:
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (size,):
             raise ValueError(f"expected {size} parameters, got {params.shape}")
+        self._bound = {}  # ema flag -> (flat array, its layers, its w0e view)
         self.params = params.copy()
         self.ema_params = params.copy()
 
@@ -118,8 +128,22 @@ class Denoiser:
     def param_count(self) -> int:
         return self.params.shape[0]
 
-    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in self._slices}
+    def _layers(self, ema: bool):
+        """``(layers, w0e)``: views into the flat ``params`` or ``ema_params``.
+
+        They are bound once per array object, so in-place updates (Adam, the
+        EMA, ``params[:] = ...``) show through them; assigning a new array to
+        the attribute rebinds them on the next call.
+        """
+        flat = self.ema_params if ema else self.params
+        bound = self._bound.get(ema)
+        if bound is None or bound[0] is not flat:
+            p = {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in self._slices}
+            layers = [(p["w0x"], p["b0"])]
+            layers += [(p[f"w{i}"], p[f"b{i}"]) for i in range(1, len(self.hidden))]
+            layers.append((p["w_out"], p["b_out"]))
+            bound = self._bound[ema] = (flat, layers, p["w0e"])
+        return bound[1:]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -129,13 +153,18 @@ class Denoiser:
         The one input is the ``(len(t_vec), n)`` batch of noisy rows; the
         output is the x-estimate or noise estimate. :func:`backward` returns
         the parameter gradients in layout order, so they concatenate into
-        the flat layout.
+        the flat layout. The layers are the views :meth:`_layers` bound to
+        the parameter array; when every row shares one timestep, its
+        embedding row is computed once per ``(t, emb_dim)`` and repeated to
+        the rows, which gives the vector form's bits.
         """
-        p = self._views(self.ema_params if ema else self.params)
-        layers = [(p["w0x"], p["b0"])]
-        layers += [(p[f"w{i}"], p[f"b{i}"]) for i in range(1, len(self.hidden))]
-        layers.append((p["w_out"], p["b_out"]))
-        return Graph(layers, time_embedding(t_vec, self.emb_dim), p["w0e"])
+        layers, w0e = self._layers(ema)
+        rows = len(t_vec)
+        if rows == 1 or (rows > 1 and (t_vec == t_vec[0]).all()):
+            temb = _embedding_row(int(t_vec[0]), self.emb_dim)[None].repeat(rows, axis=0)
+        else:
+            temb = time_embedding(t_vec, self.emb_dim)
+        return Graph(layers, temb, w0e)
 
     def evaluate(self, xbar_t: np.ndarray, t, schedule: DiffusionSchedule,
                  tangent: np.ndarray | None = None, ema: bool = False):

@@ -819,6 +819,42 @@ class TestReverseCommandArguments:
             main(argv + ["--seed", "1", "--checkpoint", checkpoint, "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--eta", "2"],
+        ["sample", "--sampler", "ddim", "--eta", "nan"],
+        ["reconstruct", "--eta", "-0.5"],
+        ["reconstruct", "--eta", "1.5", "--r-sweep", "2", "--clean", "c.bin"],
+    ])
+    def test_eta_outside_unit_interval_rejected_before_out(self, checkpoint,
+                                                          tmp_path, argv):
+        if argv[0] == "reconstruct" and "--r-sweep" not in argv:
+            argv = argv + ["--measurements", str(tmp_path / "data")]
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=r"--eta must lie in \[0, 1\]"):
+            main(argv + ["--steps", "5", "--seed", "1", "--checkpoint", checkpoint,
+                         "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--seed", "-1"],
+        ["sample", "--sampler", "ddpm", "--seed", "-1"],
+        ["reconstruct", "--seed", "-3"],
+        ["reconstruct", "--seed", "-3", "--r-sweep", "2", "--clean", "c.bin"],
+    ])
+    def test_negative_seed_rejected_before_out(self, checkpoint, tmp_path, argv):
+        if argv[0] == "reconstruct" and "--r-sweep" not in argv:
+            argv = argv + ["--measurements", str(tmp_path / "data")]
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=r"--seed must be >= 0, got -\d"):
+            main(argv + ["--steps", "5", "--checkpoint", checkpoint, "--out", str(out)])
+        assert not out.exists()
+
+    def test_ddpm_ignores_eta(self, checkpoint, tmp_path):
+        out = tmp_path / "out"
+        main(["sample", "--sampler", "ddpm", "--eta", "2", "--seed", "1", "--count", "1",
+              "--checkpoint", checkpoint, "--out", str(out)])
+        assert read_tensor_file(out / "samples.bin").shape == (1, 2)
+
     def test_ddpm_ignores_steps(self, checkpoint, tmp_path):
         out = tmp_path / "out"
         main(["sample", "--sampler", "ddpm", "--seed", "1", "--count", "1",
@@ -871,6 +907,41 @@ class TestConfigValuesRejectedBeforeWork:
         with pytest.raises(ConfigError, match=rf"eval\.{key} must be"):
             main(["eval", "--config", str(cfg_path), "--out", str(out),
                   "--checkpoint", ckpt, "--checkpoint-b", ckpt])
+        assert not out.exists()
+
+
+class TestNegativeSeedsRejectedBeforeOutput:
+    """Seeds feed ``derived_rng``, which takes no negative integer: a negative
+    config seed or ``--seed`` raises ConfigError before any output exists."""
+
+    def write(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("section", ["data", "model", "train", "flag"])
+    def test_configured_commands(self, tmp_path, command, section):
+        cfg = two_deltas_config(tmp_path, iterations=2)
+        argv = [command, "--out", str(tmp_path / "out")]
+        if section == "flag":
+            argv += ["--seed", "-3"]
+        else:
+            cfg[section]["seed"] = -1
+        where = "--seed" if section == "flag" else rf"{section}\.seed"
+        with pytest.raises(ConfigError, match=rf"{where} must be >= 0"):
+            main(argv + ["--config", self.write(tmp_path, cfg)])
+        assert not (tmp_path / "out").exists()
+
+    def test_eval(self, tmp_path):
+        ckpt = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        cfg = two_deltas_config(tmp_path)
+        cfg["eval"].update({"operations": ["mse_sweep"], "seed": -1})
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=r"eval\.seed must be >= 0"):
+            main(["eval", "--config", self.write(tmp_path, cfg), "--out", str(out),
+                  "--checkpoint", str(ckpt / "checkpoint.bin"),
+                  "--checkpoint-b", str(ckpt / "checkpoint.bin")])
         assert not out.exists()
 
 

@@ -392,3 +392,106 @@ class TestReconstruct:
             m = corrupt(x, SpectralDegradation(vt, sing, 0.01), rng)
             out = reconstruct(ShrinkDenoiser(), s, m, 20, np.random.default_rng(8), vt)
             assert np.all(np.isfinite(out))
+
+
+class TestSamplingPlan:
+    """The samplers read per-step constants from tables built once per call.
+    A reference loop with the per-step scalar formulas, looking the schedule
+    up at every step, gives the same bytes."""
+
+    @staticmethod
+    def reference(model, s, ts, x, rng, eta=None, consistency=None):
+        """DDIM along ``ts`` (DDPM when ``eta`` is None); ``consistency`` is
+        ``(kept, ybar_kept, nv)`` for reconstruct's data-consistency edit."""
+        def estimate(x, t):
+            x0_hat = model.denoise(x, t, s, ema=True)
+            if consistency is None:
+                return x0_hat
+            kept, ybar_kept, nv = consistency
+            abar_t = s.abar(t)
+            est_var = (1.0 - abar_t) / abar_t
+            w_meas = est_var / (est_var + nv)
+            out = x0_hat.copy()
+            out[kept] = w_meas * ybar_kept + (1.0 - w_meas) * x0_hat[kept]
+            return out
+
+        for t, t_next in zip(ts[:-1].tolist(), ts[1:].tolist()):
+            x0_hat = estimate(x, t)
+            abar_t = s.abar(t)
+            if eta is None:
+                abar_p, beta_t = s.abar_prev(t), s.beta(t)
+                mean = (np.sqrt(abar_p) * beta_t / (1.0 - abar_t)) * x0_hat \
+                    + (np.sqrt(1.0 - beta_t) * (1.0 - abar_p) / (1.0 - abar_t)) * x
+                x = mean + np.sqrt(beta_t) * rng.standard_normal(x.shape)
+                continue
+            abar_n = s.abar(t_next)
+            eps_hat = (x - np.sqrt(abar_t) * x0_hat) / np.sqrt(1.0 - abar_t)
+            sigma = eta * np.sqrt((1.0 - abar_n) / (1.0 - abar_t)) \
+                * np.sqrt(1.0 - abar_t / abar_n)
+            x = np.sqrt(abar_n) * x0_hat \
+                + np.sqrt(np.maximum(1.0 - abar_n - sigma ** 2, 0.0)) * eps_hat
+            if sigma > 0.0:
+                x = x + sigma * rng.standard_normal(x.shape)
+        return estimate(x, int(ts[-1]))
+
+    @staticmethod
+    def net(n=5, mean_type="predict_x"):
+        from specdiff.model import Denoiser
+
+        return Denoiser.create(n, hidden=(16, 12), emb_dim=8, mean_type=mean_type,
+                               rng=np.random.default_rng(11))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("eta", [0.0, 0.85])
+    def test_ddim_equals_per_step_loop(self, rows, eta):
+        s, vt, model = linear_schedule(100, 1e-4, 0.2), IdentityTransform(5), self.net()
+        got = ddim_sample(model, s, 17, eta, np.random.default_rng(12), vt, count=rows)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((rows, 5))
+        want = self.reference(model, s, ddim_timesteps(s, 17), x, rng, eta=eta)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_ddpm_equals_per_step_loop(self, rows):
+        s = dataclasses.replace(linear_schedule(60, 1e-4, 0.2), t_min_valid=4)
+        model = self.net(mean_type="predict_epsilon")
+        got = ddpm_sample(model, s, np.random.default_rng(13), IdentityTransform(5),
+                          count=rows)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((rows, 5))
+        want = self.reference(model, s, np.arange(60, 3, -1), x, rng)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sigma0", [0.0, 0.05])
+    @pytest.mark.parametrize("eta", [0.0, 0.85])
+    def test_reconstruct_equals_per_step_loop(self, sigma0, eta):
+        rng = np.random.default_rng(14)
+        n = 5
+        vt = MatrixTransform(random_orthogonal(n, rng))
+        model = self.net()
+        m = corrupt(rng.standard_normal(n),
+                    SpectralDegradation(vt, np.array([1.0, 0.0, 1.0, 1.0, 0.0]), sigma0),
+                    rng)
+        s = linear_schedule(100, 1e-4, 0.2)
+        got = reconstruct(model, s, m, 23, np.random.default_rng(15), vt, eta=eta)
+        sched = dataclasses.replace(s, t_min_valid=t_min_for_noise_var(s, m.noise_var))
+        assert sched.t_min_valid > 1 if sigma0 else sched.t_min_valid == 1
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal(n)
+        kept = m.mask
+        want = self.reference(model, sched, ddim_timesteps(sched, 23), x, rng, eta=eta,
+                              consistency=(kept, m.ybar[kept], m.noise_var[kept]))
+        assert np.array_equal(got, vt.apply_inverse(want))
+
+    def test_one_denoise_per_visited_timestep_and_no_step_lookup(self, monkeypatch):
+        s = linear_schedule(100, 1e-3, 0.2)
+        model = RecordingZeroDenoiser()
+        m = Measurement(ybar=np.array([1.0, 0.0]), mask=np.array([True, False]),
+                        noise_var=np.zeros(2))
+        for name in ("abar", "abar_prev", "beta"):
+            monkeypatch.setattr(DiffusionSchedule, name, None)  # any call would fail
+        reconstruct(model, s, m, 9, np.random.default_rng(0), IdentityTransform(2))
+        ddpm_sample(model, s, np.random.default_rng(0), IdentityTransform(2))
+        want = ddim_timesteps(s, 9).tolist() + list(range(100, 0, -1))
+        assert [t for t, _ in model.seen] == want
+        assert all(type(t) is int for t, _ in model.seen)

@@ -139,6 +139,53 @@ class TestEma:
         np.testing.assert_array_equal(before, after)
 
 
+class TestBoundViews:
+    """The layer views are bound once per parameter array: in-place updates
+    show through them, and a rebound array rebinds them."""
+
+    def fresh(self, model):
+        return Denoiser.from_arch(model.arch(), model.params, model.ema_params)
+
+    @pytest.mark.parametrize("ema", [False, True])
+    def test_in_place_assignment(self, schedule, ema):
+        model = small_model(seed=4)
+        x = np.random.default_rng(4).standard_normal((3, 6))
+        before = model.denoise(x, 20, schedule, ema=ema)
+        flat = model.ema_params if ema else model.params
+        flat[:] = np.random.default_rng(5).standard_normal(flat.shape) * 0.3
+        after = model.denoise(x, 20, schedule, ema=ema)
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, self.fresh(model).denoise(x, 20, schedule, ema=ema))
+
+    def test_rebound_ema_params(self, schedule):
+        model = small_model(seed=6)
+        x = np.random.default_rng(6).standard_normal(6)
+        model.denoise(x, 30, schedule, ema=True)
+        model.ema_params = model.params + 0.1
+        assert np.array_equal(model.denoise(x, 30, schedule, ema=True),
+                              self.fresh(model).denoise(x, 30, schedule, ema=True))
+        model.params = model.params - 0.2
+        assert np.array_equal(model.denoise(x, 30, schedule),
+                              self.fresh(model).denoise(x, 30, schedule))
+
+    def test_adam_step_and_ema_update(self, schedule):
+        from specdiff.training import AdamState, adam_step
+
+        model = small_model(seed=7)
+        model.ema_decay = 0.5
+        x = np.random.default_rng(7).standard_normal((4, 6))
+        t = np.array([3, 50, 50, 99])
+        before = [model.denoise(x, t, schedule, ema=ema) for ema in (False, True)]
+        grads = np.random.default_rng(8).standard_normal(model.param_count)
+        adam_step(model.params, grads, AdamState.for_params(model.params), 1e-2)
+        model.ema_update()
+        fresh = self.fresh(model)
+        for ema, old in zip((False, True), before):
+            got = model.denoise(x, t, schedule, ema=ema)
+            assert not np.array_equal(got, old)
+            assert np.array_equal(got, fresh.denoise(x, t, schedule, ema=ema))
+
+
 class TestTimeEmbedding:
     def test_shape_and_rows(self):
         e = time_embedding(np.arange(1, 5), 8)
@@ -156,6 +203,17 @@ class TestTimeEmbedding:
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError):
             time_embedding(1, 7)
+
+    @pytest.mark.parametrize("rows", [1, 4, 64])
+    def test_shared_timestep_rows_equal_the_vector_form(self, schedule, rows):
+        # a timestep shared by every row is embedded once and repeated
+        model = small_model()
+        for t in (1, 2, 17, 99, 100):
+            graph = model.build_graph(np.full(rows, t))
+            assert np.array_equal(graph.temb, time_embedding(np.full(rows, t), 8))
+            graph.temb[:] = np.nan  # the graph's rows are its own
+        assert np.array_equal(model.build_graph(np.full(rows, 17)).temb,
+                              time_embedding(np.full(rows, 17), 8))
 
     def test_results_do_not_share_memory(self):
         first = time_embedding(np.arange(1, 4), 8)
