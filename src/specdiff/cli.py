@@ -20,6 +20,7 @@ import json
 import math
 import struct
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -158,76 +159,52 @@ def _write_json(path, obj) -> None:
 
 # -- config schema -------------------------------------------------------------
 
-_SCHEMA = {
-    "data": {
-        "kind": (str, None),
-        "count": (int, None),
-        "seed": (int, None),
-        "dim": (int, 2),
-        "height": (int, 16),
-        "width": (int, 16),
-        "path": (str, ""),
-        "holdout": (int, 0),
-    },
-    "degradation": {
-        "family": (str, "none"),
-        "p": (float, 0.2),
-        "patch": (int, 4),
-        "accel": (int, 4),
-        "sigma0": (float, 0.0),
-    },
-    "schedule": {
-        "T": (int, 1000),
-        "beta1": ((int, float, str), "sigma0_squared"),
-        "betaT": (float, 0.2),
-    },
-    "model": {
-        "hidden": (list, [256, 256, 256]),
-        "emb_dim": (int, 32),
-        "mean_type": (str, "predict_x"),
-        "ema_decay": (float, 0.999),
-        "seed": (int, 0),
-    },
-    "train": {
-        "iterations": (int, 0),
-        "batch_size": (int, 32),
-        "learning_rate": (float, 1e-3),
-        "seed": (int, None),
-        "oracle_mode": (bool, False),
-        "log_interval": (int, 50),
-        "chunk_size": (int, None),  # unset: the whole batch in one pass
-        "loss": (dict, {}),
-    },
-    "loss": {  # nested under train.loss
-        "gamma": (str, "constant"),
-        "lambda": (str, "constant"),
-        "lambda_coef": (float, 1e-4),
-        "use_ybar_variant": (bool, True),
-        "probes": (int, 1),
-    },
-    "eval": {
-        "operations": (list, []),
-        "seed": (int, 1234),
-        "count": (int, 256),
-        "ts": (list, []),
-        "t_stride": (int, 100),
-        "snr_levels": (list, [0.001, 10.0]),
-        "n_samples": (int, 10000),
-        "n_permutations": (int, 200),
-        "n_projections": (int, 256),
-        "uncertainty_k": (int, 8),
-        "uncertainty_sigma0": (float, 0.4),
-        "steps": (int, 100),
-        "eta": (float, 0.0),
-        "peak": (float, 1.0),
-    },
-    "io": {
-        "out_dir": (str, "out"),
-        "data_dir": (str, ""),
-    },
-}
 
-_REQUIRED = {"data": ("kind", "count", "seed"), "train": ("seed",)}
+class Interval(NamedTuple):
+    """Numbers from ``lo`` to ``hi``, each end closed unless flagged open; no NaN."""
+
+    lo: float
+    hi: float = math.inf
+    open_lo: bool = False
+    open_hi: bool = False
+
+    def holds(self, value) -> bool:
+        return ((self.lo < value if self.open_lo else self.lo <= value)
+                and (value < self.hi if self.open_hi else value <= self.hi))
+
+    @property
+    def text(self) -> str:
+        if self.hi == math.inf:
+            return f"be {'>' if self.open_lo else '>='} {self.lo}"
+        return (f"lie in {'(' if self.open_lo else '['}{self.lo}, "
+                f"{self.hi}{')' if self.open_hi else ']'}")
+
+
+# any other rule: holds(value), and text, what a value must do
+Rule = NamedTuple("Rule", [("holds", Callable[[object], bool]), ("text", str)])
+
+
+def _one_of(choices: tuple) -> Rule:
+    return Rule(choices.__contains__, f"be one of {choices}")
+
+
+def _each(types, rule, nonempty: bool = False) -> Rule:
+    """A list whose entries are all of ``types`` and each obey ``rule``."""
+    return Rule(lambda value: (bool(value) or not nonempty) and all(
+        _fits(v, types) and rule.holds(v) for v in value),
+        f"be a {'non-empty ' * nonempty}list of {_type_name(types)}; "
+        f"every entry must {rule.text}")
+
+
+def _fits(value, types) -> bool:
+    """``isinstance``, except that a bool is no number: it fits only ``bool``."""
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
+
+
+def _type_name(types) -> str:
+    types = types if isinstance(types, tuple) else (types,)
+    return " or ".join(t.__name__ for t in types)
+
 
 DATA_KINDS = ("two-deltas", "isotropic-gaussian", "synthetic-shapes", "external-binary")
 FAMILY_KINDS = ("none", "patch-drop", "line-subsample", "single-drop")
@@ -239,114 +216,134 @@ _EVAL_INPUTS = {
     "distribution_distance": ("samples_a", "samples_b"),
     "uncertainty": ("checkpoint",),
 }
+# rules shared by several keys and the flags (derived_rng takes no seed < 0)
+_AT_LEAST_0, _AT_LEAST_1, _UNIT = Interval(0), Interval(1), Interval(0, 1)
+_NO_DEFAULT = object()  # the default of a required key
+
+# One row per key: (type, default, rule or None). A float key also takes an
+# int, a None default also takes null, and a nested table is a nested section.
+_SCHEMA = {
+    "data": {
+        "kind": (str, _NO_DEFAULT, _one_of(DATA_KINDS)),
+        "count": (int, _NO_DEFAULT, _AT_LEAST_1),
+        "seed": (int, _NO_DEFAULT, _AT_LEAST_0),
+        "dim": (int, 2, _AT_LEAST_1),
+        # synthetic-shapes draws a disc radius from [1.5, min(height, width) / 4]
+        "height": (int, 16, Interval(6)),
+        "width": (int, 16, Interval(6)),
+        "path": (str, "", None),
+        "holdout": (int, 0, _AT_LEAST_0),
+    },
+    "degradation": {
+        "family": (str, "none", _one_of(FAMILY_KINDS)),
+        "p": (float, 0.2, Interval(0, 1, open_hi=True)),
+        "patch": (int, 4, _AT_LEAST_1),
+        "accel": (int, 4, _AT_LEAST_1),
+        "sigma0": (float, 0.0, _AT_LEAST_0),
+    },
+    "schedule": {
+        "T": (int, 1000, _AT_LEAST_1),
+        "beta1": ((int, float, str), "sigma0_squared", None),  # see _check_beta1
+        "betaT": (float, 0.2, Interval(0, 1, open_lo=True, open_hi=True)),
+    },
+    "model": {
+        "hidden": (list, [256, 256, 256], _each(int, _AT_LEAST_1, nonempty=True)),
+        "emb_dim": (int, 32, Rule(lambda e: e >= 2 and e % 2 == 0,
+                                  "be a positive even number")),
+        "mean_type": (str, "predict_x", _one_of(MEAN_TYPES)),
+        "ema_decay": (float, 0.999, _UNIT),
+        "seed": (int, 0, _AT_LEAST_0),
+    },
+    "train": {
+        "iterations": (int, 0, _AT_LEAST_0),
+        "batch_size": (int, 32, _AT_LEAST_1),
+        "learning_rate": (float, 1e-3, Interval(0, open_lo=True)),
+        "seed": (int, _NO_DEFAULT, _AT_LEAST_0),
+        "oracle_mode": (bool, False, None),
+        "log_interval": (int, 50, _AT_LEAST_1),
+        "chunk_size": (int, None, _AT_LEAST_1),  # unset: the whole batch in one pass
+        "loss": {
+            "gamma": (str, "constant", _one_of(GAMMA_RULES)),
+            "lambda": (str, "constant", _one_of(LAMBDA_RULES)),
+            "lambda_coef": (float, 1e-4, _AT_LEAST_0),
+            "use_ybar_variant": (bool, True, None),
+            "probes": (int, 1, _AT_LEAST_1),
+        },
+    },
+    "eval": {
+        "operations": (list, [], _each(str, _one_of(tuple(_EVAL_INPUTS)))),
+        "seed": (int, 1234, _AT_LEAST_0),
+        "count": (int, 256, _AT_LEAST_1),
+        "ts": (list, [], _each(int, _AT_LEAST_1)),
+        "t_stride": (int, 100, _AT_LEAST_1),
+        # from 2**53 up, abar = snr / (1 + snr) rounds to 1
+        "snr_levels": (list, [0.001, 10.0],
+                       _each((int, float), Interval(0, 2 ** 53, open_hi=True))),
+        "n_samples": (int, 10000, _AT_LEAST_1),
+        "n_permutations": (int, 200, Interval(2)),
+        "n_projections": (int, 256, _AT_LEAST_1),
+        "uncertainty_k": (int, 8, Interval(2)),
+        "uncertainty_sigma0": (float, 0.4, _AT_LEAST_0),
+        "steps": (int, 100, _AT_LEAST_1),
+        "eta": (float, 0.0, _UNIT),
+        "peak": (float, 1.0, Interval(0, open_lo=True)),
+    },
+    "io": {"out_dir": (str, "out", None), "data_dir": (str, "", None)},
+}
 
 
-def _check_section(name: str, section: dict, required: tuple) -> dict:
-    table = _SCHEMA[name]
-    unknown = set(section) - set(table)
-    if unknown:
-        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
-    for key in required:
-        if key not in section:
-            raise ConfigError(f"{name}: missing required key {key!r}")
+def _check_section(table: dict, section, where: str = "config") -> dict:
+    """``section`` checked row by row against ``table``, with defaults filled in."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
+    if unknown := set(section) - set(table):
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     out = {}
-    for key, (types, default) in table.items():
+    for key, row in table.items():
+        name = key if where == "config" else f"{where}.{key}"
+        if isinstance(row, dict):
+            out[key] = _check_section(row, section.get(key, {}), name)
+            continue
+        types, default, rule = row
+        value = section.get(key)
         # a validated config holds null for an unset optional key; read it back
-        unset = section.get(key) is None and default is None and key not in required
-        if key in section and not unset:
-            value = section[key]
-            ok_types = types if isinstance(types, tuple) else (types,)
-            if bool not in ok_types and isinstance(value, bool):
-                raise ConfigError(f"{name}.{key}: expected {types}, got bool")
-            if float in ok_types and int not in ok_types and isinstance(value, int):
-                value = float(value)
-            if not isinstance(value, ok_types):
-                raise ConfigError(f"{name}.{key}: expected {types}, got {type(value).__name__}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name}.{key}: must be finite, got {value}")
-            out[key] = value
-        else:
+        if key not in section or value is None and default is None:
+            if default is _NO_DEFAULT:
+                raise ConfigError(f"{where}: missing required key {key!r}")
             out[key] = copy.deepcopy(default)
+            continue
+        if types is float and _fits(value, int):
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond float range is not finite
+                value = math.inf
+        if not _fits(value, types):
+            raise ConfigError(f"{name}: expected {_type_name(types)}, "
+                              f"got {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name}: must be finite, got {value}")
+        if rule is not None and not rule.holds(value):
+            raise ConfigError(f"{name} must {rule.text}")
+        out[key] = value
     return out
 
 
+def _check_beta1(cfg: dict) -> None:
+    """``schedule.beta1``, its rule resolved, lies in ``(0, schedule.betaT]``."""
+    try:
+        beta1 = _beta1(cfg)
+    except OverflowError:  # sigma0 ** 2 beyond float range
+        beta1 = math.inf
+    if isinstance(beta1, str) or not 0.0 < beta1 <= cfg["schedule"]["betaT"]:
+        raise ConfigError("schedule.beta1 must be 'sigma0_squared' or a number, "
+                          "and resolve into (0, schedule.betaT]")
+
+
 def validate_config(raw: dict) -> dict:
-    """Schema-check a config document; unknown keys are rejected."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - {k for k in _SCHEMA if k != "loss"}
-    if unknown:
-        raise ConfigError(f"unknown config sections {sorted(unknown)}")
-    cfg = {}
-    for name in ("data", "degradation", "schedule", "model", "train", "eval", "io"):
-        section = raw.get(name, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"{name} must be an object")
-        cfg[name] = _check_section(name, section, _REQUIRED.get(name, ()))
-    loss = cfg["train"]["loss"] = _check_section("loss", cfg["train"]["loss"], ())
-    for where, value, choices in (
-            ("data.kind", cfg["data"]["kind"], DATA_KINDS),
-            ("degradation.family", cfg["degradation"]["family"], FAMILY_KINDS),
-            ("model.mean_type", cfg["model"]["mean_type"], MEAN_TYPES),
-            ("train.loss.gamma", loss["gamma"], GAMMA_RULES),
-            ("train.loss.lambda", loss["lambda"], LAMBDA_RULES)):
-        if value not in choices:
-            raise ConfigError(f"{where} must be one of {choices}")
-    for op in cfg["eval"]["operations"]:
-        if op not in _EVAL_INPUTS:
-            raise ConfigError(f"eval.operations: {op!r} is not one of {tuple(_EVAL_INPUTS)}")
-    hidden = cfg["model"]["hidden"]
-    if not hidden or not all(type(h) is int and h > 0 for h in hidden):
-        raise ConfigError("model.hidden must be a non-empty list of positive ints")
-    train, sched, deg = cfg["train"], cfg["schedule"], cfg["degradation"]
-    data, ev = cfg["data"], cfg["eval"]
-    emb, beta1 = cfg["model"]["emb_dim"], _beta1(cfg)
-    for where, ok, rule in (
-            ("data.seed", data["seed"] >= 0, "be >= 0"),
-            ("data.count", data["count"] >= 1, "be >= 1"),
-            ("data.holdout", data["holdout"] >= 0, "be >= 0"),
-            ("data.dim", data["dim"] >= 1, "be >= 1"),
-            # synthetic-shapes draws a disc radius from [1.5, min(height, width) / 4]
-            ("data.height", data["height"] >= 6, "be >= 6"),
-            ("data.width", data["width"] >= 6, "be >= 6"),
-            ("model.seed", cfg["model"]["seed"] >= 0, "be >= 0"),
-            ("train.seed", train["seed"] >= 0, "be >= 0"),
-            ("train.iterations", train["iterations"] >= 0, "be >= 0"),
-            ("train.batch_size", train["batch_size"] >= 1, "be >= 1"),
-            ("train.learning_rate", train["learning_rate"] > 0.0, "be > 0"),
-            ("train.log_interval", train["log_interval"] >= 1, "be >= 1"),
-            ("train.chunk_size", train["chunk_size"] is None or train["chunk_size"] >= 1,
-             "be >= 1"),
-            ("train.loss.probes", loss["probes"] >= 1, "be >= 1"),
-            ("train.loss.lambda_coef", loss["lambda_coef"] >= 0.0, "be >= 0"),
-            ("degradation.sigma0", deg["sigma0"] >= 0.0, "be >= 0"),
-            ("degradation.p", 0.0 <= deg["p"] < 1.0, "lie in [0, 1)"),
-            ("degradation.patch", deg["patch"] >= 1, "be >= 1"),
-            ("degradation.accel", deg["accel"] >= 1, "be >= 1"),
-            ("schedule.T", sched["T"] >= 1, "be >= 1"),
-            ("schedule.betaT", 0.0 < sched["betaT"] < 1.0, "lie in (0, 1)"),
-            ("schedule.beta1", not isinstance(beta1, str) and 0.0 < beta1 <= sched["betaT"],
-             "be 'sigma0_squared' or a number, and resolve into (0, schedule.betaT]"),
-            ("model.emb_dim", emb >= 2 and emb % 2 == 0, "be a positive even number"),
-            ("model.ema_decay", 0.0 <= cfg["model"]["ema_decay"] <= 1.0, "lie in [0, 1]"),
-            ("eval.seed", ev["seed"] >= 0, "be >= 0"),
-            ("eval.eta", 0.0 <= ev["eta"] <= 1.0, "lie in [0, 1]"),
-            ("eval.t_stride", ev["t_stride"] >= 1, "be >= 1"),
-            ("eval.count", ev["count"] >= 1, "be >= 1"),
-            ("eval.steps", ev["steps"] >= 1, "be >= 1"),
-            ("eval.n_samples", ev["n_samples"] >= 1, "be >= 1"),
-            ("eval.n_permutations", ev["n_permutations"] >= 2, "be >= 2"),
-            ("eval.n_projections", ev["n_projections"] >= 1, "be >= 1"),
-            ("eval.uncertainty_k", ev["uncertainty_k"] >= 2, "be >= 2"),
-            ("eval.uncertainty_sigma0", ev["uncertainty_sigma0"] >= 0.0, "be >= 0"),
-            ("eval.peak", ev["peak"] > 0.0, "be > 0"),
-            ("eval.ts", all(type(t) is int and t >= 1 for t in ev["ts"]),
-             "hold integers >= 1"),
-            ("eval.snr_levels", all(type(s) in (int, float) and math.isfinite(s) and s >= 0
-                                    and s / (1.0 + s) < 1.0 for s in ev["snr_levels"]),
-             "hold finite numbers >= 0 at which abar = snr / (1 + snr) stays below 1")):
-        if not ok:
-            raise ConfigError(f"{where} must {rule}")
+    """Check a config document against the schema's rows, filling in defaults,
+    then the cross-key rule on ``schedule.beta1``; unknown keys are rejected."""
+    cfg = _check_section(_SCHEMA, raw)
+    _check_beta1(cfg)
     return cfg
 
 
@@ -609,10 +606,10 @@ def _check_noise_floor(schedule: DiffusionSchedule, noise_var, source: str) -> N
                           f"betaT = {schedule.betas[-1]:.3g}") from exc
 
 
-def _check_seed(seed: int | None) -> None:
-    """A ``--seed`` seeds ``derived_rng``, which takes no negative integer."""
-    if seed is not None and seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+def _check_flag(flag: str, value, rule) -> None:
+    """A command-line ``value`` obeys the schema's ``rule``; None is unset."""
+    if value is not None and not rule.holds(value):
+        raise ConfigError(f"{flag} must {rule.text}, got {value}")
 
 
 def _out_dir(cfg: dict, out: str | None) -> Path:
@@ -624,7 +621,7 @@ def _out_dir(cfg: dict, out: str | None) -> Path:
 def cmd_gen_data(cfg: dict, out: str | None = None,
                  seed_override: int | None = None) -> Path:
     """Write clean signals and precomputed measurements with a JSON sidecar."""
-    _check_seed(seed_override)
+    _check_flag("--seed", seed_override, _AT_LEAST_0)
     seed = cfg["data"]["seed"] if seed_override is None else seed_override
     count = cfg["data"]["count"]
     family = build_degradation_family(cfg)
@@ -709,7 +706,7 @@ def _dataset_from_config(cfg: dict):
 def cmd_train(cfg: dict, out: str | None = None,
               seed_override: int | None = None) -> Path:
     """Precompute measurements, run the training loop, persist the outcome."""
-    _check_seed(seed_override)
+    _check_flag("--seed", seed_override, _AT_LEAST_0)
     data, family = _dataset_from_config(cfg)
     schedule = build_schedule(cfg)
     data_dir = cfg["io"]["data_dir"]
@@ -750,11 +747,6 @@ def _check_steps(steps: int, schedule: DiffusionSchedule) -> None:
                           f"checkpoint's schedule, got {steps}")
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError(f"--eta must lie in [0, 1], got {eta}")
-
-
 SAMPLE_CHUNK = 64  # samples per derived-seed chunk
 
 
@@ -763,11 +755,10 @@ def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
     """Generate samples from a checkpoint; chunks use derived seeds."""
     if sampler not in ("ddim", "ddpm"):
         raise ValueError("sampler must be 'ddim' or 'ddpm'")
-    if count < 0:
-        raise ConfigError(f"--count must be >= 0, got {count}")
-    _check_seed(seed)
+    _check_flag("--count", count, _AT_LEAST_0)
+    _check_flag("--seed", seed, _AT_LEAST_0)
     if sampler == "ddim":  # DDPM ignores --eta, as it does --steps
-        _check_eta(eta)
+        _check_flag("--eta", eta, _UNIT)
     ckpt = load_checkpoint(checkpoint_path)
     model = ckpt.model()
     schedule = ckpt.rebuild_schedule()
@@ -813,10 +804,9 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
                                   "the first 8 clean signals")
     elif measurements_dir is None:
         raise ConfigError("reconstruct needs --measurements (or --r-sweep with --clean)")
-    if limit is not None and limit < 0:
-        raise ConfigError(f"--limit must be >= 0, got {limit}")
-    _check_seed(seed)
-    _check_eta(eta)
+    _check_flag("--limit", limit, _AT_LEAST_0)
+    _check_flag("--seed", seed, _AT_LEAST_0)
+    _check_flag("--eta", eta, _UNIT)
     ckpt = load_checkpoint(checkpoint_path)
     model = ckpt.model()
     schedule = ckpt.rebuild_schedule()

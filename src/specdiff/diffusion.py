@@ -83,19 +83,12 @@ class DiffusionSchedule:
     def T(self) -> int:
         return self.betas.shape[0]
 
-    def beta(self, t) -> np.ndarray | float:
-        return self.betas[self._index(t)]
-
     def abar(self, t) -> np.ndarray | float:
         return self.alpha_bars[self._index(t)]
 
-    def abar_prev(self, t) -> np.ndarray | float:
-        """``abar_{t-1}`` with the empty-product convention ``abar_0 = 1``."""
-        return self._abars_prev[self._index(t)]
-
     def _index(self, t):
-        """``t - 1``, the index of timestep ``t``; a plain integer is checked
-        without building arrays, since samplers look up one step at a time."""
+        """``t - 1``, the index of timestep ``t`` (an integer or an array of
+        them); a plain integer is checked without building arrays."""
         if isinstance(t, (int, np.integer)):
             if not 1 <= t <= self.T:
                 raise ValueError(f"timestep out of range [1, {self.T}]")

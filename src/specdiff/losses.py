@@ -89,16 +89,6 @@ class LossConfig:
         if self.probes < 1:
             raise ValueError("probes must be >= 1")
 
-    @classmethod
-    def faces(cls) -> "LossConfig":
-        """Recipe used for the patch-drop image experiments."""
-        return cls(gamma="constant", lam="constant", lam_coef=1e-4)
-
-    @classmethod
-    def acquisition(cls) -> "LossConfig":
-        """Recipe used for the undersampled-acquisition experiments."""
-        return cls(gamma="snr", lam="scaled_inverse_snr", lam_coef=1e-4)
-
 
 def gamma_at(cfg: LossConfig, abar) -> np.ndarray:
     abar = np.asarray(abar, dtype=np.float64)

@@ -118,7 +118,7 @@ class TrainConfig:
     batch_size: int
     learning_rate: float
     seed: int
-    loss: LossConfig = field(default_factory=LossConfig.faces)
+    loss: LossConfig = field(default_factory=LossConfig)
     oracle_mode: bool = False
     log_interval: int = 50
     chunk_size: int | None = None

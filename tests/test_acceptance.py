@@ -51,6 +51,10 @@ from specdiff.training import TrainConfig, precompute, train
 from fixtures import ConstantModel, LinearModel
 from helpers import central_difference, fraction_close
 
+# the undersampled-acquisition recipe: SNR timestep weights and a divergence
+# coefficient that scales as (1 - abar) / abar
+ACQUISITION = LossConfig(gamma="snr", lam="scaled_inverse_snr", lam_coef=1e-4)
+
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {name} {detail}".rstrip())
@@ -215,7 +219,7 @@ class TestCriterion4GradientIntegrity:
         xbar_t = rng.standard_normal((1, n))
         probes = rng.standard_normal((1, n))
         w = np.where(mask, 1.15, 1.0)
-        cfg = LossConfig.acquisition()
+        cfg = ACQUISITION
         t = 35
 
         out = gsure_loss_from_samples(model, ybar, mask, xbar_t, t, probes,
@@ -345,9 +349,9 @@ class TestCriterion7EndToEndParity:
         train_kw = dict(iterations=3000, batch_size=32, learning_rate=1e-3,
                         seed=104)
         shapes_g = self._train_one(data, schedule, arch, train_kw,
-                                   LossConfig.faces(), False, 103)
+                                   LossConfig(), False, 103)
         shapes_o = self._train_one(data, schedule, arch, train_kw,
-                                   LossConfig.faces(), True, 103)
+                                   LossConfig(), True, 103)
         ts = sorted(set(range(1, 1001, 111)) | {1000})
         _, ratios_s, sw_s = self._evaluate_pair(
             "shapes", shapes_g, shapes_o, data, holdout, schedule, ts,
@@ -374,13 +378,13 @@ class TestCriterion7EndToEndParity:
         train_kw = dict(iterations=20000, batch_size=64, learning_rate=5e-4,
                         seed=204)
         deltas_g = self._train_one(data, schedule, arch, train_kw,
-                                   LossConfig.acquisition(), False, 203)
+                                   ACQUISITION, False, 203)
         deltas_o = self._train_one(data, schedule, arch, train_kw,
-                                   LossConfig.acquisition(), True, 203)
+                                   ACQUISITION, True, 203)
         # identical-method control: a second oracle from independent seeds
         control = self._train_one(data, schedule, arch,
                                   {**train_kw, "seed": 8888},
-                                  LossConfig.acquisition(), True, 9999)
+                                  ACQUISITION, True, 9999)
         ts = sorted(set(range(1, 101, 11)) | {100})
         sweep, _, sw_d = self._evaluate_pair(
             "two-deltas", deltas_g, deltas_o, data, holdout, schedule, ts,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -34,9 +35,48 @@ from specdiff.cli import (
     validate_config,
     write_tensor_file,
 )
+from specdiff.losses import LossConfig
 
 
-PRESETS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+ROOT = Path(__file__).parents[1]
+PRESETS = sorted((ROOT / "configs").glob("*.json"))
+MINIMAL = {"data": {"kind": "two-deltas", "count": 1, "seed": 0}, "train": {"seed": 0}}
+
+
+def schema_rows(table=cli._SCHEMA, prefix=""):
+    """Each config key's dotted name and its ``(type, default, rule)`` row."""
+    for key, row in table.items():
+        if isinstance(row, dict):
+            yield from schema_rows(row, f"{prefix}{key}.")
+        else:
+            yield prefix + key, row
+
+
+INTERVAL_ROWS = [(where, row) for where, row in schema_rows()
+                 if isinstance(row[2], cli.Interval)]
+
+
+def config_with(where, value):
+    """The all-defaults config with the dotted key ``where`` set to ``value``."""
+    raw = json.loads(json.dumps(MINIMAL))
+    *path, key = where.split(".")
+    node = raw
+    for part in path:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return raw
+
+
+def readme_config_table():
+    """README's config table, rendered from the schema rows with the rule
+    text that ``ConfigError`` messages use."""
+    lines = ["| key | type | default | rule |", "| --- | --- | --- | --- |"]
+    for where, (types, default, rule) in schema_rows():
+        shown = "required" if default is cli._NO_DEFAULT else f"`{json.dumps(default)}`"
+        lines.append(f"| `{where}` | {cli._type_name(types)} | {shown} | "
+                     f"{'' if rule is None else 'must ' + rule.text} |")
+    return "\n".join(lines) + "\n"
+
 
 SIZES = st.integers(-1, 20)
 DATA_SECTIONS = st.fixed_dictionaries(
@@ -228,17 +268,63 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("section, key", [
-        (section, key) for section, table in cli._SCHEMA.items()
-        for key, (types, _) in table.items()
+        tuple(where.rsplit(".", 1)) for where, (types, _, _) in schema_rows()
         if float in (types if isinstance(types, tuple) else (types,))])
     def test_non_finite_float_rejected(self, section, key, value):
-        raw = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
-               "train": {"seed": 0}}
-        node = raw["train"].setdefault("loss", {}) if section == "loss" \
-            else raw.setdefault(section, {})
-        node[key] = value
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: must be finite"):
-            validate_config(raw)
+            validate_config(config_with(f"{section}.{key}", value))
+
+    @pytest.mark.parametrize("where, value, named", [
+        ("degradation.p", 10 ** 400, "degradation.p"),  # float() overflows
+        ("eval.snr_levels", [10 ** 400], "eval.snr_levels"),
+        ("eval.operations", [["mse_sweep"]], "eval.operations"),  # unhashable
+        ("degradation.sigma0", 1e200, "schedule.beta1"),  # sigma0 ** 2 overflows
+    ], ids=["huge-int", "huge-int-entry", "unhashable-entry", "huge-sigma0"])
+    def test_malformed_values_raise_config_error(self, where, value, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            validate_config(config_with(where, value))
+
+    @pytest.mark.parametrize("where, row", INTERVAL_ROWS,
+                             ids=[where for where, _ in INTERVAL_ROWS])
+    def test_interval_rows_hold_at_and_reject_past_their_bounds(self, where, row):
+        types, _, rule = row
+        for bound, is_open, up in ((rule.lo, rule.open_lo, False),
+                                   (rule.hi, rule.open_hi, True)):
+            if bound == float("inf"):
+                continue
+            if is_open:
+                outside = bound
+            else:
+                validate_config(config_with(where, bound))
+                outside = bound + (1 if up else -1) if types is int \
+                    else float(np.nextafter(bound, np.inf if up else -np.inf))
+            with pytest.raises(ConfigError, match=re.escape(where)):
+                validate_config(config_with(where, outside))
+
+    def test_defaults_obey_their_rows(self):
+        # validation fills defaults in unchecked, so the table must hold valid ones
+        for where, (types, default, rule) in schema_rows():
+            if default is not cli._NO_DEFAULT and default is not None:
+                assert cli._fits(default, types), where
+                assert rule is None or rule.holds(default), where
+
+    def test_readme_holds_the_config_table(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        assert readme_config_table() in readme
+
+    @pytest.mark.parametrize("preset, digest", [
+        ("shapes_lines", "ba4136f20cadc5bf088c086765e766fa8a700b86ccf1a0954cc50c87b849405e"),
+        ("shapes_patch", "ea4c2007b3a6d1ea7d7b7d3206fa289dd022b303a35aa539e6edcdc7211ea412"),
+        ("two_deltas", "33691be0f9df2829ee2e556ae6a477693589635676d2cf2faebacd94f348b968"),
+        (None, "02f1c9d2dd79ef26f8ac4791e6374b1d7eeced78996222f3f8fefa54260bc3ba"),
+    ], ids=["shapes_lines", "shapes_patch", "two_deltas", "all-defaults"])
+    def test_config_digests_are_pinned(self, preset, digest):
+        cfg = load_config(ROOT / "configs" / f"{preset}.json") if preset \
+            else validate_config(MINIMAL)
+        assert config_digest(cfg) == digest
+
+    def test_loss_defaults_are_loss_config_defaults(self):
+        assert build_train_config(validate_config(MINIMAL)).loss == LossConfig()
 
     @pytest.mark.parametrize("section, key", [("train", "seed"), ("schedule", "T")])
     def test_null_rejected_where_none_is_not_the_default(self, section, key):

@@ -112,23 +112,22 @@ class TestSchedules:
         with pytest.raises(ValueError, match="strictly decreasing"):
             DiffusionSchedule(betas=np.array([1e-17, 1e-17]))
 
-    @pytest.mark.parametrize("lookup", ["abar", "abar_prev", "beta"])
     @pytest.mark.parametrize("t", [0, 11])
     @pytest.mark.parametrize("wrap", [int, np.int64, lambda t: np.array([3, t])],
                              ids=["int", "int64", "array"])
-    def test_lookups_reject_out_of_range(self, lookup, t, wrap):
+    def test_lookups_reject_out_of_range(self, t, wrap):
         s = linear_schedule(10, 0.1, 0.3)
         with pytest.raises(ValueError, match=r"\[1, 10\]"):
-            getattr(s, lookup)(wrap(t))
+            s.abar(wrap(t))
 
-    @pytest.mark.parametrize("lookup", ["abar", "abar_prev", "beta"])
-    def test_scalar_and_array_lookups_agree(self, lookup):
+    def test_scalar_and_array_lookups_agree(self):
         s = linear_schedule(10, 0.1, 0.3)
         ts = np.arange(1, 11)
-        want = getattr(s, lookup)(ts)
+        want = s.abar(ts)
+        assert want.tobytes() == s.alpha_bars.tobytes()
         for t, value in zip(ts, want):
-            assert getattr(s, lookup)(int(t)) == value
-            assert getattr(s, lookup)(t) == value
+            assert s.abar(int(t)) == value
+            assert s.abar(t) == value
 
     def test_timestep_rows(self):
         np.testing.assert_array_equal(timestep_rows(7, 3), [7, 7, 7])
@@ -137,9 +136,11 @@ class TestSchedules:
             timestep_rows(np.array([4, 2]), 3)
 
     def test_abar_prev_convention(self):
+        # the reverse loop's abar_{t-1} table, with abar_0 = 1
         s = linear_schedule(3, 0.1, 0.3)
-        assert s.abar_prev(1) == 1.0
-        assert s.abar_prev(3) == pytest.approx(0.72)
+        assert s._abars_prev[0] == 1.0
+        assert s._abars_prev[1:].tobytes() == s.alpha_bars[:-1].tobytes()
+        assert s._abars_prev[2] == pytest.approx(0.72)
 
 
 class TestFeasibility:
@@ -419,7 +420,8 @@ class TestSamplingPlan:
             x0_hat = estimate(x, t)
             abar_t = s.abar(t)
             if eta is None:
-                abar_p, beta_t = s.abar_prev(t), s.beta(t)
+                abar_p = s.abar(t - 1) if t > 1 else 1.0
+                beta_t = s.betas[t - 1]
                 mean = (np.sqrt(abar_p) * beta_t / (1.0 - abar_t)) * x0_hat \
                     + (np.sqrt(1.0 - beta_t) * (1.0 - abar_p) / (1.0 - abar_t)) * x
                 x = mean + np.sqrt(beta_t) * rng.standard_normal(x.shape)
@@ -488,8 +490,7 @@ class TestSamplingPlan:
         model = RecordingZeroDenoiser()
         m = Measurement(ybar=np.array([1.0, 0.0]), mask=np.array([True, False]),
                         noise_var=np.zeros(2))
-        for name in ("abar", "abar_prev", "beta"):
-            monkeypatch.setattr(DiffusionSchedule, name, None)  # any call would fail
+        monkeypatch.setattr(DiffusionSchedule, "abar", None)  # any call would fail
         reconstruct(model, s, m, 9, np.random.default_rng(0), IdentityTransform(2))
         ddpm_sample(model, s, np.random.default_rng(0), IdentityTransform(2))
         want = ddim_timesteps(s, 9).tolist() + list(range(100, 0, -1))

@@ -44,12 +44,8 @@ def draw_xbar_t(xbar_rows, mask_rows, sigma0, abar, rng):
 
 
 class TestConfig:
-    def test_presets(self):
-        assert LossConfig.faces().lam_coef == 1e-4
-        assert LossConfig.acquisition().gamma == "snr"
-
     def test_rules_evaluate(self):
-        cfg = LossConfig.acquisition()
+        cfg = LossConfig(gamma="snr", lam="scaled_inverse_snr", lam_coef=1e-4)
         abar = np.array([0.9, 0.5])
         np.testing.assert_allclose(gamma_at(cfg, abar), abar / (1 - abar))
         np.testing.assert_allclose(lambda_at(cfg, abar), 1e-4 * (1 - abar) / abar)
@@ -237,7 +233,7 @@ class TestGsureLoss:
                                   np.array([1.0, 1.0, 0.0, 1.0]), 0.01)
         m = corrupt(rng.standard_normal(n), deg, rng)
         out = gsure_diffusion_loss(model, m.ybar, m.mask, m.noise_var, 20,
-                                   schedule, np.ones(n), LossConfig.faces(), rng)
+                                   schedule, np.ones(n), LossConfig(), rng)
         assert out.value == pytest.approx(out.mse_term + out.divergence_term)
 
     def test_same_seed_reproducible(self, schedule):
@@ -247,10 +243,10 @@ class TestGsureLoss:
         deg = SpectralDegradation(IdentityTransform(n), np.ones(n), 0.01)
         m = corrupt(rng.standard_normal(n), deg, rng)
         a = gsure_diffusion_loss(model, m.ybar, m.mask, m.noise_var, 30, schedule,
-                                 np.ones(n), LossConfig.faces(),
+                                 np.ones(n), LossConfig(),
                                  np.random.default_rng(99))
         b = gsure_diffusion_loss(model, m.ybar, m.mask, m.noise_var, 30, schedule,
-                                 np.ones(n), LossConfig.faces(),
+                                 np.ones(n), LossConfig(),
                                  np.random.default_rng(99))
         assert a.value == b.value
 
@@ -365,7 +361,7 @@ class TestGsureLoss:
         xbar_t = rng.standard_normal((1, n))
         probes = rng.standard_normal((1, n))
         w = np.where(mask, 1.2, 1.0)
-        cfg = LossConfig.faces()
+        cfg = LossConfig()
         t = 40
 
         out = gsure_loss_from_samples(model, ybar, mask, xbar_t, t, probes,
@@ -425,4 +421,4 @@ class TestGsureLoss:
                         noise_var=np.array([0.04, 0.0]))
         with pytest.raises(InfeasibleTimestepError):
             gsure_diffusion_loss(model, m.ybar, m.mask, m.noise_var, 1, schedule,
-                                 np.ones(n), LossConfig.faces(), rng)
+                                 np.ones(n), LossConfig(), rng)

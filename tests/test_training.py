@@ -337,7 +337,7 @@ class TestTrainLoop:
         signals = two_deltas_signals(256, np.random.default_rng(8))
         data = precompute(signals, fam, seed=8)
         schedule = linear_schedule(200, 1e-5, 0.2)
-        loss_cfg = LossConfig.faces()
+        loss_cfg = LossConfig()
 
         runs = {}
         for oracle in (False, True):
@@ -366,9 +366,9 @@ class TestTrainLoop:
         model = Denoiser.create(2, hidden=(64, 64, 64), emb_dim=16,
                                 mean_type="predict_x", ema_decay=0.995,
                                 rng=np.random.default_rng(13))
+        loss = LossConfig(gamma="snr", lam="scaled_inverse_snr", lam_coef=1e-4)
         cfg = TrainConfig(iterations=5000, batch_size=32, learning_rate=2e-3,
-                          seed=14, loss=LossConfig.acquisition(),
-                          log_interval=25)
+                          seed=14, loss=loss, log_interval=25)
         result = train(model, cfg, data, schedule)
 
         initial = result.metrics[0].loss
