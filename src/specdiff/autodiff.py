@@ -33,6 +33,14 @@ kept φ' or, after a value-only forward, forms it from ``y``; it forms φ''
 only when given a tangent seed. The formulas do not depend on where they
 run, so either path gives the same bits.
 
+Every pre-activation is checked for finiteness; the output alone would not
+do, since φ maps an infinite pre-activation to ±1. The layers' pre-activations
+are tested together, by one ``isfinite`` over them joined, until they exceed
+:data:`CHECK_ENTRIES` entries. So a one-row or few-row value pass, where a
+call per layer would be a large share of the time, makes one check after its
+last layer, and a large pass checks each layer as it is computed, joining and
+holding nothing. A dual pass checks each layer before its tangent GEMM.
+
 The operation order is fixed, so identical inputs give bit-identical results.
 """
 
@@ -41,6 +49,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["Graph", "NonFiniteError", "ShapeError", "backward", "forward"]
+
+# Pre-activation entries a pass may leave unchecked before testing them in one
+# call. Up to ~16k entries, one call over the layers joined costs less than a
+# call per layer (one thread); a joined copy holds at most this many entries
+# plus one layer's.
+CHECK_ENTRIES = 1 << 12
 
 
 class ShapeError(ValueError):
@@ -70,24 +84,33 @@ def forward(graph: Graph, rows, tangent=None):
     over the one primal.
     ``saved`` holds the graph and, per layer, ``(h, dh, φ(z), φ' or None,
     dz)``, with φ(z) None on the linear last layer: all that :func:`backward`
-    reads. Raises :class:`NonFiniteError` if any pre-activation is not finite
-    and :class:`ShapeError` on a shape mismatch.
+    reads. Raises :class:`ShapeError` on a shape mismatch, and
+    :class:`NonFiniteError` naming the first layer whose pre-activation is not
+    finite. A value pass checks its layers in groups of up to
+    :data:`CHECK_ENTRIES` entries, so the layers after a bad one in its group
+    still run before the error.
     """
     h = np.asarray(rows, dtype=np.float64)
     dh = None if tangent is None else np.asarray(tangent, dtype=np.float64)
-    shape = (graph.temb.shape[0], graph._nodes[0][0].shape[1])
+    nodes = graph._nodes
+    shape = (graph.temb.shape[0], nodes[0][0].shape[1])
     if h.shape != shape or (dh is not None
                             and dh.shape not in (shape, dh.shape[:1] + shape)):
         raise ShapeError(f"graph takes rows of shape {shape}, and tangents of that "
                          f"shape or of (k, *{shape})")
-    last = len(graph._nodes) - 1
-    trace = []
-    for i, (w, b) in enumerate(graph._nodes):
-        z = h @ w.T + b
+    trace, last = [], len(nodes) - 1
+    pending, size = [], 0  # unchecked pre-activations, and their entry count
+    for i, (w, b) in enumerate(nodes):
+        z = h @ w.T
+        z += b
         if i == 0:
-            z = z + graph.temb @ graph.w_e.T
-        if not np.isfinite(z).all():
-            raise NonFiniteError(f"non-finite pre-activation in layer {i}")
+            z += graph.temb @ graph.w_e.T
+        pending.append(z)
+        size += z.size
+        # a dual pass checks each layer before its tangent meets φ' = 0 (0·inf)
+        if i == last or dh is not None or size > CHECK_ENTRIES:
+            _check_finite(pending, i)
+            pending, size = [], 0
         dz = None if dh is None else _tangent_gemm(dh, w.T)
         if i == last:
             trace.append((h, dh, None, None, None))
@@ -96,6 +119,17 @@ def forward(graph: Graph, rows, tangent=None):
         d1 = None if dz is None else 1.0 - y * y
         trace.append((h, dh, y, d1, dz))
         h, dh = y, None if dz is None else d1 * dz
+
+
+def _check_finite(zs: list, last: int) -> None:
+    """Raise :class:`NonFiniteError` naming the first non-finite of the
+    ``(rows, width)`` pre-activations ``zs`` of layers ``last - len(zs) + 1``
+    to ``last``, all tested by one ``isfinite`` over them joined."""
+    flags = np.isfinite(zs[0] if len(zs) == 1 else np.concatenate(zs, axis=1))
+    if np.count_nonzero(flags) < flags.size:
+        for i, z in enumerate(zs, last + 1 - len(zs)):
+            if not np.isfinite(z).all():
+                raise NonFiniteError(f"non-finite pre-activation in layer {i}")
 
 
 def _flat(a: np.ndarray) -> np.ndarray:

@@ -218,6 +218,9 @@ _EVAL_INPUTS = {
 }
 # rules shared by several keys and the flags (derived_rng takes no seed < 0)
 _AT_LEAST_0, _AT_LEAST_1, _UNIT = Interval(0), Interval(1), Interval(0, 1)
+# sizes that allocate arrays get a ceiling far above any real run, so a huge
+# value fails here as a ConfigError, not later in numpy
+_RECORDS, _WIDTH = Interval(1, 2 ** 24), Interval(1, 2 ** 16)
 _NO_DEFAULT = object()  # the default of a required key
 
 # One row per key: (type, default, rule or None). A float key also takes an
@@ -225,12 +228,12 @@ _NO_DEFAULT = object()  # the default of a required key
 _SCHEMA = {
     "data": {
         "kind": (str, _NO_DEFAULT, _one_of(DATA_KINDS)),
-        "count": (int, _NO_DEFAULT, _AT_LEAST_1),
+        "count": (int, _NO_DEFAULT, _RECORDS),
         "seed": (int, _NO_DEFAULT, _AT_LEAST_0),
-        "dim": (int, 2, _AT_LEAST_1),
+        "dim": (int, 2, _WIDTH),
         # synthetic-shapes draws a disc radius from [1.5, min(height, width) / 4]
-        "height": (int, 16, Interval(6)),
-        "width": (int, 16, Interval(6)),
+        "height": (int, 16, Interval(6, 2 ** 12)),
+        "width": (int, 16, Interval(6, 2 ** 12)),
         "path": (str, "", None),
         "holdout": (int, 0, _AT_LEAST_0),
     },
@@ -247,7 +250,7 @@ _SCHEMA = {
         "betaT": (float, 0.2, Interval(0, 1, open_lo=True, open_hi=True)),
     },
     "model": {
-        "hidden": (list, [256, 256, 256], _each(int, _AT_LEAST_1, nonempty=True)),
+        "hidden": (list, [256, 256, 256], _each(int, _WIDTH, nonempty=True)),
         "emb_dim": (int, 32, Rule(lambda e: e >= 2 and e % 2 == 0,
                                   "be a positive even number")),
         "mean_type": (str, "predict_x", _one_of(MEAN_TYPES)),
@@ -273,7 +276,7 @@ _SCHEMA = {
     "eval": {
         "operations": (list, [], _each(str, _one_of(tuple(_EVAL_INPUTS)))),
         "seed": (int, 1234, _AT_LEAST_0),
-        "count": (int, 256, _AT_LEAST_1),
+        "count": (int, 256, _RECORDS),
         "ts": (list, [], _each(int, _AT_LEAST_1)),
         "t_stride": (int, 100, _AT_LEAST_1),
         # from 2**53 up, abar = snr / (1 + snr) rounds to 1

@@ -21,18 +21,16 @@ once per call, as tables over the grid, before the loop starts.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import Measurement, OrthoTransform, SpectralDegradation
+from .operators import Measurement, OrthoTransform
 
 __all__ = [
     "DiffusionSchedule",
     "InfeasibleScheduleError",
     "InfeasibleTimestepError",
-    "check_psd_feasibility",
     "ddim_sample",
     "ddim_timesteps",
     "ddpm_sample",
@@ -94,7 +92,7 @@ class DiffusionSchedule:
                 raise ValueError(f"timestep out of range [1, {self.T}]")
             return t - 1
         t = np.asarray(t)
-        if np.any(t < 1) or np.any(t > self.T):
+        if t.size and not (1 <= t.min() and t.max() <= self.T):
             raise ValueError(f"timestep out of range [1, {self.T}]")
         return t - 1
 
@@ -137,14 +135,6 @@ def t_min_for_noise_var(schedule: DiffusionSchedule, noise_var) -> int:
     return int(idx[0]) + 1
 
 
-def check_psd_feasibility(schedule: DiffusionSchedule, deg: SpectralDegradation) -> int:
-    """Smallest t whose top-up covariance is PSD for this degradation.
-
-    All later timesteps are feasible as well, since ``abar`` decreases.
-    """
-    return t_min_for_noise_var(schedule, deg.noise_var)
-
-
 def perturb_at(ybar_rows: np.ndarray, noise_var_rows: np.ndarray, abar,
                rng) -> np.ndarray:
     """The noisy-input draw: ``sqrt(abar) * ybar + sqrt((1 - abar) - abar *
@@ -172,11 +162,14 @@ def perturb_batch(ybar_rows: np.ndarray, noise_var_rows: np.ndarray,
     return perturb_at(ybar_rows, noise_var_rows, abar_col, rng)
 
 
-def ddim_timesteps(schedule: DiffusionSchedule, steps: int) -> np.ndarray:
-    """Evenly strided descending timesteps from T to t_min_valid, inclusive."""
+def ddim_timesteps(schedule: DiffusionSchedule, steps: int,
+                   t_end: int | None = None) -> np.ndarray:
+    """Evenly strided descending timesteps from T to ``t_end`` (by default
+    the schedule's ``t_min_valid``), inclusive."""
     if steps < 1 or steps > schedule.T:
         raise ValueError(f"steps must lie in [1, {schedule.T}]")
-    grid = np.linspace(schedule.T, schedule.t_min_valid, steps)
+    grid = np.linspace(schedule.T, schedule.t_min_valid if t_end is None else t_end,
+                       steps)
     ts = np.unique(np.rint(grid).astype(np.int64))[::-1]
     return ts
 
@@ -192,9 +185,9 @@ def _reverse(model, schedule: DiffusionSchedule, ts, x, plan):
     and returns ``(step, project)``. No step looks up the schedule.
 
     At grid point ``i`` the model estimates the clean signal, ``project(x0_hat,
-    i)`` optionally edits that estimate (None leaves it), and ``step(x, x0_hat,
-    i)`` moves ``x`` from ``ts[i]`` to ``ts[i + 1]``. The estimate at ``ts[-1]``
-    is returned.
+    i)`` optionally edits that estimate in place (None leaves it; ``denoise``
+    returns a new array each call), and ``step(x, x0_hat, i)`` moves ``x`` from
+    ``ts[i]`` to ``ts[i + 1]``. The estimate at ``ts[-1]`` is returned.
     """
     idx = schedule._index(np.asarray(ts, dtype=np.int64))
     step, project = plan(schedule.alpha_bars[idx], schedule._abars_prev[idx],
@@ -203,7 +196,9 @@ def _reverse(model, schedule: DiffusionSchedule, ts, x, plan):
 
     def estimate(x, i):
         x0_hat = model.denoise(x, ts[i], schedule, ema=True)
-        return x0_hat if project is None else project(x0_hat, i)
+        if project is not None:
+            project(x0_hat, i)
+        return x0_hat
 
     for i in range(len(ts) - 1):
         x = step(x, estimate(x, i), i)
@@ -287,25 +282,27 @@ def reconstruct(model, schedule: DiffusionSchedule, m: Measurement, steps: int,
     ``noise_var``). Noiseless measurements therefore pin kept coordinates
     exactly. Masked coordinates evolve freely.
     """
-    t_min = t_min_for_noise_var(schedule, m.noise_var)
-    sched = dataclasses.replace(schedule, t_min_valid=max(t_min, schedule.t_min_valid))
-    kept = np.flatnonzero(m.mask)
-    nv = m.noise_var[kept]
-    ybar_kept = m.ybar[kept]
+    t_end = max(t_min_for_noise_var(schedule, m.noise_var), schedule.t_min_valid)
 
     def plan(abar, *_):
         est_var = ((1.0 - abar) / abar)[:, None]
-        w_meas = est_var / (est_var + nv)  # 1 when the measurement is noiseless
-        # (steps, kept) tables: the measurement's weighted part and the estimate's weight
-        w_ybar, w_est = w_meas * ybar_kept, 1.0 - w_meas
+        # (steps, n) tables: the measurement's weight (1 when it is noiseless)
+        # times ybar, and the estimate's weight. A masked coordinate gets -0.0
+        # and 1.0, which leave its estimate as it is: -0.0 + v == v for every
+        # v, signed zeros included.
+        w_est = est_var / (est_var + m.noise_var)
+        w_ybar = w_est * m.ybar
+        np.subtract(1.0, w_est, out=w_est)
+        masked = ~m.mask
+        w_ybar[:, masked] = -0.0
+        w_est[:, masked] = 1.0
 
         def consistent(x0_hat, i):
-            out = x0_hat.copy()
-            out[kept] = w_ybar[i] + w_est[i] * x0_hat[kept]
-            return out
+            x0_hat *= w_est[i]
+            x0_hat += w_ybar[i]
 
         return _ddim_step(abar, eta, rng), consistent
 
-    ts = ddim_timesteps(sched, steps)
+    ts = ddim_timesteps(schedule, steps, t_end)
     x = rng.standard_normal(m.n)
-    return vt.apply_inverse(_reverse(model, sched, ts, x, plan))
+    return vt.apply_inverse(_reverse(model, schedule, ts, x, plan))

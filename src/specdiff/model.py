@@ -147,30 +147,37 @@ class Denoiser:
 
     # -- evaluation ---------------------------------------------------------
 
-    def build_graph(self, t_vec: np.ndarray, ema: bool = False) -> Graph:
-        """The network's layers for one row per entry of ``t_vec``.
+    def build_graph(self, t, ema: bool = False, rows: int = 1) -> Graph:
+        """The network's layers for ``rows`` rows at the int timestep ``t``,
+        or for one row per entry of the integer vector ``t`` (``rows`` unread).
 
-        The one input is the ``(len(t_vec), n)`` batch of noisy rows; the
-        output is the x-estimate or noise estimate. :func:`backward` returns
-        the parameter gradients in layout order, so they concatenate into
-        the flat layout. The layers are the views :meth:`_layers` bound to
-        the parameter array; when every row shares one timestep, its
-        embedding row is computed once per ``(t, emb_dim)`` and repeated to
-        the rows, which gives the vector form's bits.
+        The one input is the ``(rows, n)`` batch of noisy rows; the output is
+        the x-estimate or noise estimate. :func:`backward` returns the
+        parameter gradients in layout order, so they concatenate into the flat
+        layout. The layers are the views :meth:`_layers` bound to the
+        parameter array. A timestep shared by every row, an int or a vector of
+        equal entries, is embedded once per ``(t, emb_dim)`` and repeated to
+        the rows, which gives the vector form's bits; a one-row graph at an
+        int ``t`` reads that cached, read-only row itself.
         """
         layers, w0e = self._layers(ema)
-        rows = len(t_vec)
-        if rows == 1 or (rows > 1 and (t_vec == t_vec[0]).all()):
-            temb = _embedding_row(int(t_vec[0]), self.emb_dim)[None].repeat(rows, axis=0)
+        if isinstance(t, (int, np.integer)):
+            temb = _embedding_row(int(t), self.emb_dim)[None]
+            if rows != 1:
+                temb = temb.repeat(rows, axis=0)
+        elif len(t) == 1 or (len(t) > 1 and (t == t[0]).all()):
+            temb = _embedding_row(int(t[0]), self.emb_dim)[None].repeat(len(t), axis=0)
         else:
-            temb = time_embedding(t_vec, self.emb_dim)
+            temb = time_embedding(t, self.emb_dim)
         return Graph(layers, temb, w0e)
 
     def evaluate(self, xbar_t: np.ndarray, t, schedule: DiffusionSchedule,
                  tangent: np.ndarray | None = None, ema: bool = False):
         """One pass over a batch of rows: ``(x0, dx0, grad)``.
 
-        ``t`` is an int shared by all rows or a per-row integer vector.
+        ``t`` is a scalar shared by all rows or a per-row integer vector, each
+        in the schedule's ``[1, T]``; a scalar stays one int down to
+        :meth:`build_graph`, with no per-row timestep array.
         ``x0`` is the ``(rows, n)`` clean-signal estimate, ``dx0`` its
         directional derivative along the input ``tangent`` (None without one),
         and ``grad(g_x0, g_dx0=None)`` the flat parameter gradient of
@@ -179,13 +186,18 @@ class Denoiser:
         ``g_dx0`` take its shape, and the per-row ε→x0 map and its adjoint
         broadcast over the blocks.
         """
-        rows = np.atleast_2d(np.asarray(xbar_t, dtype=np.float64))
-        t_vec = timestep_rows(t, len(rows))
+        rows = np.asarray(xbar_t, dtype=np.float64)
+        if rows.ndim < 2:
+            rows = rows.reshape(1, -1)
+        t = int(t) if np.isscalar(t) else timestep_rows(t, len(rows))
+        abar = schedule.abar(t)  # raises on a timestep outside [1, T]
 
-        x0, dx0, saved = forward(self.build_graph(t_vec, ema=ema), rows, tangent)
+        x0, dx0, saved = forward(self.build_graph(t, ema=ema, rows=len(rows)), rows,
+                                 tangent)
         if self.mean_type == "predict_epsilon":
             # the network gave eps: x0 = inv * (x - s * eps) per row, likewise dx0
-            abar = np.asarray(schedule.abar(t_vec), dtype=np.float64)[:, None]
+            if not isinstance(t, int):
+                abar = abar[:, None]
             s, inv = np.sqrt(1.0 - abar), 1.0 / np.sqrt(abar)
             x0 = inv * (rows - s * x0)
             if dx0 is not None:
@@ -204,9 +216,8 @@ class Denoiser:
     def denoise(self, xbar_t: np.ndarray, t, schedule: DiffusionSchedule,
                 ema: bool = False) -> np.ndarray:
         """Clean-signal estimate; accepts one vector or a batch of rows."""
-        xbar_t = np.asarray(xbar_t, dtype=np.float64)
         x0 = self.evaluate(xbar_t, t, schedule, ema=ema)[0]
-        return x0[0] if xbar_t.ndim == 1 else x0
+        return x0[0] if np.ndim(xbar_t) == 1 else x0
 
     # -- EMA ---------------------------------------------------------------
 

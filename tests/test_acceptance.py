@@ -16,10 +16,10 @@ from specdiff.cli import (
     validate_config,
 )
 from specdiff.diffusion import (
-    check_psd_feasibility,
     ddim_sample,
     linear_schedule,
     reconstruct,
+    t_min_for_noise_var,
     zero_filled,
 )
 from specdiff.evaluation import (
@@ -248,11 +248,11 @@ class TestCriterion5PsdFeasibility:
         sigma0 = 0.01
         schedule = linear_schedule(1000, sigma0 ** 2, 0.2)
         unit = SpectralDegradation(IdentityTransform(4), np.ones(4), sigma0)
-        ok_unit = check_psd_feasibility(schedule, unit) == 1
+        ok_unit = t_min_for_noise_var(schedule, unit.noise_var) == 1
 
         small = SpectralDegradation(IdentityTransform(3),
                                     np.array([1.0, 0.1, 1.0]), sigma0)
-        scan = check_psd_feasibility(schedule, small)
+        scan = t_min_for_noise_var(schedule, small.noise_var)
         nu = (sigma0 / 0.1) ** 2
         closed = int(np.flatnonzero(schedule.alpha_bars <= 1.0 / (1.0 + nu))[0]) + 1
         ok_small = scan == closed

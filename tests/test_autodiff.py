@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from specdiff.autodiff import Graph, NonFiniteError, ShapeError, backward, forward
+from specdiff.autodiff import (
+    CHECK_ENTRIES,
+    Graph,
+    NonFiniteError,
+    ShapeError,
+    backward,
+    forward,
+)
 
 from helpers import central_difference, fraction_close
 
@@ -83,6 +90,33 @@ class TestForward:
                   np.zeros((2, 2)))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="layer 0"):
             forward(g, np.array([[1e308, 0.0]]))
+
+    # all layers checked together, in two groups, and one by one
+    @pytest.mark.parametrize("rows", [2, 500, CHECK_ENTRIES])
+    @pytest.mark.parametrize("dual", [False, True], ids=["value", "dual"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("layer", [1, 2], ids=["middle", "last"])
+    def test_non_finite_layer_is_named(self, layer, bad, dual, rows):
+        # one bias entry carries the bad value, so nothing overflows: the pass
+        # must raise NonFiniteError, and no RuntimeWarning, naming that layer.
+        # A NaN in the middle layer also spoils the last; the first is named.
+        rng = np.random.default_rng(13)
+        params, temb = random_net(rng, [3, 5, 4, 2], batch=rows)
+        params[2 + 2 * layer][1] = bad  # b_1 or b_2
+        tangent = rng.standard_normal((2, rows, 3)) if dual else None
+        with pytest.raises(NonFiniteError, match=f"layer {layer}$"):
+            forward(build(params, temb), rng.standard_normal((rows, 3)), tangent)
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["value", "dual"])
+    def test_infinite_weight_is_named(self, dual):
+        # the middle layer's pre-activation and tangent turn infinite; its
+        # tangent must not meet φ' = 0 (0·inf warns) before the error
+        rng = np.random.default_rng(17)
+        params, temb = random_net(rng, [3, 5, 4, 2], batch=2)
+        params[3][1, 2] = np.inf  # W_1
+        tangent = rng.standard_normal((2, 3)) if dual else None
+        with pytest.raises(NonFiniteError, match="layer 1$"):
+            forward(build(params, temb), rng.standard_normal((2, 3)), tangent)
 
     def test_reevaluation_is_bit_identical(self):
         rng = np.random.default_rng(3)

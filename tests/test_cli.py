@@ -977,6 +977,21 @@ class TestConfigValuesRejectedBeforeWork:
             main(["train", "--config", str(cfg_path), "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["data.count", "data.dim", "data.height",
+                                       "data.width", "model.hidden", "eval.count"])
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_huge_sizes(self, tmp_path, command, where):
+        # without a ceiling these passed validation and failed allocating arrays
+        cfg = two_deltas_config(tmp_path, iterations=2)
+        section, key = where.split(".")
+        cfg[section][key] = [10 ** 400] if key == "hidden" else 10 ** 400
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value, ops", [
         ("uncertainty_sigma0", -0.5, ["uncertainty"]),
         ("peak", 0.0, ["generalization_psnr"]),

@@ -9,7 +9,6 @@ from specdiff.diffusion import (
     DiffusionSchedule,
     InfeasibleScheduleError,
     InfeasibleTimestepError,
-    check_psd_feasibility,
     ddim_sample,
     ddim_timesteps,
     ddpm_sample,
@@ -147,14 +146,14 @@ class TestFeasibility:
     def test_noiseless_always_feasible(self):
         s = linear_schedule(100, 1e-4, 0.2)
         deg = SpectralDegradation(IdentityTransform(4), np.ones(4), 0.0)
-        assert check_psd_feasibility(s, deg) == 1
+        assert t_min_for_noise_var(s, deg.noise_var) == 1
 
     def test_matched_beta1_feasible_at_one(self):
         # beta1 = sigma0^2 makes t = 1 feasible for unit singular values
         sigma0 = 0.01
         s = linear_schedule(1000, sigma0 ** 2, 0.2)
         deg = SpectralDegradation(IdentityTransform(4), np.ones(4), sigma0)
-        assert check_psd_feasibility(s, deg) == 1
+        assert t_min_for_noise_var(s, deg.noise_var) == 1
         assert (1 - s.abar(1)) - s.abar(1) * sigma0 ** 2 >= 0
 
     def test_small_singular_scan_matches_closed_form(self):
@@ -162,7 +161,7 @@ class TestFeasibility:
         s = linear_schedule(1000, sigma0 ** 2, 0.2)
         sing = np.array([1.0, 0.1, 1.0])
         deg = SpectralDegradation(IdentityTransform(3), sing, sigma0)
-        t_min = check_psd_feasibility(s, deg)
+        t_min = t_min_for_noise_var(s, deg.noise_var)
         nu = (sigma0 / 0.1) ** 2
         # closed form: first t with abar_t <= 1 / (1 + nu)
         closed = int(np.flatnonzero(s.alpha_bars <= 1.0 / (1.0 + nu))[0]) + 1
@@ -173,7 +172,7 @@ class TestFeasibility:
         sigma0 = 0.05
         s = linear_schedule(200, 1e-4, 0.2)
         deg = SpectralDegradation(IdentityTransform(2), np.array([1.0, 0.2]), sigma0)
-        t_min = check_psd_feasibility(s, deg)
+        t_min = t_min_for_noise_var(s, deg.noise_var)
         nu = deg.noise_var.max()
         feas = (1 - s.alpha_bars) >= s.alpha_bars * nu
         assert not feas[:t_min - 1].any()
@@ -183,7 +182,7 @@ class TestFeasibility:
         s = linear_schedule(5, 1e-6, 2e-6)
         deg = SpectralDegradation(IdentityTransform(2), np.ones(2), 1.0)
         with pytest.raises(InfeasibleScheduleError):
-            check_psd_feasibility(s, deg)
+            t_min_for_noise_var(s, deg.noise_var)
 
     @pytest.mark.parametrize("noise_var, t_min", [
         (np.array([0.0, 1e-3, 2.5e-2, 4e-4]), 8),

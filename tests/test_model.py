@@ -5,7 +5,13 @@ import pytest
 
 from specdiff.autodiff import forward
 from specdiff.diffusion import linear_schedule
-from specdiff.model import UPDATE_BLOCK, Denoiser, time_embedding
+from specdiff.model import (
+    MEAN_TYPES,
+    UPDATE_BLOCK,
+    Denoiser,
+    _embedding_row,
+    time_embedding,
+)
 
 from helpers import fraction_close
 
@@ -67,6 +73,62 @@ class TestConversion:
             np.testing.assert_allclose(batched[i],
                                        model.denoise(xb[i], int(t), schedule),
                                        atol=1e-13)
+
+
+class TestSharedTimestep:
+    """An int timestep reaches :meth:`Denoiser.build_graph` as an int; its
+    passes give the bits of the per-row vector form."""
+
+    @pytest.mark.parametrize("rows", [1, 4, 64])
+    @pytest.mark.parametrize("ema", [False, True])
+    @pytest.mark.parametrize("mean_type", MEAN_TYPES)
+    def test_int_equals_the_vector_form(self, schedule, mean_type, ema, rows):
+        model = small_model(mean_type, seed=7)
+        rng = np.random.default_rng(8)
+        model.ema_params = model.params + 0.01 * rng.standard_normal(model.param_count)
+        x = rng.standard_normal((rows, 6))
+        v = rng.standard_normal((2, rows, 6))
+        for t in (1, 17, 100):
+            vec = np.full(rows, t)
+            assert np.array_equal(model.denoise(x, t, schedule, ema=ema),
+                                  model.denoise(x, vec, schedule, ema=ema))
+            a, da, grad_a = model.evaluate(x, t, schedule, tangent=v, ema=ema)
+            b, db, grad_b = model.evaluate(x, vec, schedule, tangent=v, ema=ema)
+            assert np.array_equal(a, b) and np.array_equal(da, db)
+            seeds = rng.standard_normal(a.shape), rng.standard_normal(da.shape)
+            assert np.array_equal(grad_a(*seeds), grad_b(*seeds))
+
+    @pytest.mark.parametrize("mean_type", MEAN_TYPES)
+    def test_one_vector_input(self, schedule, mean_type):
+        model = small_model(mean_type)
+        x = np.random.default_rng(9).standard_normal(6)
+        got = model.denoise(x, 40, schedule, ema=True)
+        assert got.shape == (6,)
+        assert np.array_equal(got, model.denoise(x[None], np.array([40]), schedule,
+                                                 ema=True)[0])
+
+    def test_int_graph_embeds_once(self):
+        model = small_model()
+        many = model.build_graph(17, rows=4)
+        assert np.array_equal(many.temb, model.build_graph(np.full(4, 17)).temb)
+        one = model.build_graph(17)
+        assert one.temb.shape == (1, 8) and not one.temb.flags.writeable
+
+    @pytest.mark.parametrize("t", [0, -5, 101, 10 ** 6])
+    @pytest.mark.parametrize("mean_type", MEAN_TYPES)
+    def test_out_of_range_timestep_rejected(self, schedule, mean_type, t):
+        model = small_model(mean_type)
+        x = np.zeros((3, 6))
+        cached = _embedding_row.cache_info().currsize
+        for form in (t, np.array([5, t, 5])):
+            with pytest.raises(ValueError, match=r"timestep out of range \[1, 100\]"):
+                model.denoise(x, form, schedule)
+            with pytest.raises(ValueError, match=r"timestep out of range \[1, 100\]"):
+                model.evaluate(x, form, schedule, tangent=np.ones((3, 6)))
+        with pytest.raises(ValueError, match=r"timestep out of range"):
+            model.denoise(x[0], t, schedule)
+        # a rejected timestep is never embedded, so the cache stays within [1, T]
+        assert _embedding_row.cache_info().currsize == cached
 
 
 class TestEma:
