@@ -174,8 +174,10 @@ def backward(saved, seed_gradient, seed_tangent=None) -> list[np.ndarray]:
             if gt is None:
                 ga = ga * d1
             else:
-                # the tangent blocks' second-order terms sum onto the one primal
-                second = (gt * (-2.0 * y * d1) * dz).reshape((-1,) + ga.shape)
+                # the tangent blocks' second-order terms sum onto the one primal;
+                # the block count is explicit, as -1 is ambiguous at 0 rows
+                blocks = gt.shape[0] if gt.ndim == 3 else 1
+                second = (gt * (-2.0 * y * d1) * dz).reshape((blocks,) + ga.shape)
                 ga, gt = ga * d1 + second.sum(axis=0), gt * d1
         gw = ga.T @ h
         if gt is not None:

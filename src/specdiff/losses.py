@@ -5,10 +5,6 @@ at a diffusion timestep:
 
 - ``supervised_loss``: the standard denoising objective
   ``gamma_t |f(x_t) - x|^2``, available only when clean data exists.
-- ``projected_loss_rows``: the per-row mask-weighted error
-  ``|W P (f(x_t) - x)|^2``; with ``W = E[P]**(-1/2)`` and mask-independent
-  errors its expectation equals the full MSE (estimator studies only, needs
-  clean data).
 - ``gsure_diffusion_loss``: the self-supervised estimator usable from
   corrupted measurements alone,
 
@@ -52,9 +48,7 @@ __all__ = [
     "gamma_at",
     "gsure_diffusion_loss",
     "gsure_loss_from_samples",
-    "hutchinson_probe_values",
     "lambda_at",
-    "projected_loss_rows",
     "supervised_loss",
     "supervised_loss_from_samples",
 ]
@@ -164,18 +158,6 @@ def supervised_loss(model, xbar_rows, t, schedule: DiffusionSchedule,
                                         schedule, cfg)
 
 
-def projected_loss_rows(model, xbar_rows, xbar_t_rows, mask_rows, w, t,
-                        schedule: DiffusionSchedule) -> np.ndarray:
-    """Per-row values of ``|W P (f(x_t) - x)|^2`` (no timestep weighting)."""
-    xbar_rows = _as_rows(xbar_rows)
-    xbar_t_rows = _as_rows(xbar_t_rows)
-    mask_rows = _as_rows(mask_rows).astype(np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    est = model.denoise(xbar_t_rows, timestep_rows(t, xbar_rows.shape[0]), schedule)
-    resid = (est - xbar_rows) * mask_rows * w
-    return np.sum(resid ** 2, axis=1)
-
-
 def _divergence_weights(mask_rows: np.ndarray, w: np.ndarray,
                         coeff_col) -> np.ndarray:
     # rows of coeff_i * P_ij * W_j^2
@@ -241,18 +223,3 @@ def gsure_diffusion_loss(model, ybar_rows, mask_rows, noise_var_rows, t,
     probes = rng.standard_normal((cfg.probes * batch, n))
     return gsure_loss_from_samples(model, ybar_rows, mask_rows, xbar_t, t_vec,
                                    probes, schedule, w, cfg)
-
-
-def hutchinson_probe_values(model, xbar_t, t: int, schedule: DiffusionSchedule,
-                            mask, w, probes: int, rng) -> np.ndarray:
-    """Per-probe Hutchinson samples ``v . (P W^2 (J f) v)`` for estimator studies.
-
-    The probes ride one pass as ``(probes, 1, n)`` tangent blocks over the
-    one primal row.
-    """
-    xbar_t = np.asarray(xbar_t, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    v = rng.standard_normal((probes, xbar_t.shape[0]))
-    _, jv, _ = model.evaluate(xbar_t[None, :], t, schedule, tangent=v[:, None, :])
-    return np.sum(v * _divergence_weights(mask, w, 1.0) * jv[:, 0, :], axis=1)

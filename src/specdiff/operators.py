@@ -248,8 +248,9 @@ class PatchDropMasks:
     def sample(self, rng) -> np.ndarray:
         """Flat row-major mask, each patch dropped independently."""
         keep = rng.random((self.height // self.patch, self.width // self.patch)) >= self.p
-        mask = np.repeat(np.repeat(keep, self.patch, axis=0), self.patch, axis=1)
-        return mask.reshape(-1)
+        if self.patch > 1:
+            keep = np.repeat(np.repeat(keep, self.patch, axis=0), self.patch, axis=1)
+        return keep.reshape(-1)
 
     def keep_probabilities(self) -> np.ndarray:
         return np.full(self.n, 1.0 - self.p)

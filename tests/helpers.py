@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from specdiff.diffusion import timestep_rows
+
 
 def central_difference(fn, x, step=1e-5):
     """Gradient of scalar ``fn`` at flat vector ``x`` by central differences."""
@@ -46,6 +48,35 @@ def finite_diff_divergence(model, xbar_t, t, schedule, mask, w, probes, rng,
         total += float(np.sum(v * mask * w ** 2 * jv))
     return total / probes
 
+
+
+def projected_loss_rows(model, xbar_rows, xbar_t_rows, mask_rows, w, t, schedule):
+    """Per-row values of ``|W P (f(x_t) - x)|^2`` (no timestep weighting).
+
+    With ``W = E[P]**(-1/2)`` and mask-independent errors its expectation
+    equals the full MSE: an estimator-study instrument that needs clean data.
+    """
+    xbar_rows = np.atleast_2d(np.asarray(xbar_rows, dtype=np.float64))
+    xbar_t_rows = np.atleast_2d(np.asarray(xbar_t_rows, dtype=np.float64))
+    mask_rows = np.atleast_2d(np.asarray(mask_rows, dtype=np.float64))
+    w = np.asarray(w, dtype=np.float64)
+    est = model.denoise(xbar_t_rows, timestep_rows(t, xbar_rows.shape[0]), schedule)
+    resid = (est - xbar_rows) * mask_rows * w
+    return np.sum(resid ** 2, axis=1)
+
+
+def hutchinson_probe_values(model, xbar_t, t, schedule, mask, w, probes, rng):
+    """Per-probe Hutchinson samples ``v . (P W^2 (J f) v)`` for estimator studies.
+
+    The probes ride one pass as ``(probes, 1, n)`` tangent blocks over the
+    one primal row.
+    """
+    xbar_t = np.asarray(xbar_t, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    v = rng.standard_normal((probes, xbar_t.shape[0]))
+    _, jv, _ = model.evaluate(xbar_t[None, :], t, schedule, tangent=v[:, None, :])
+    return np.sum(v * (mask * w ** 2) * jv[:, 0, :], axis=1)
 
 def _dense_distances(pooled):
     diff = pooled[:, None, :] - pooled[None, :, :]

@@ -29,12 +29,7 @@ from specdiff.evaluation import (
     distribution_distance,
     independence_demo,
 )
-from specdiff.losses import (
-    LossConfig,
-    gsure_loss_from_samples,
-    hutchinson_probe_values,
-    projected_loss_rows,
-)
+from specdiff.losses import LossConfig, gsure_loss_from_samples
 from specdiff.model import Denoiser
 from specdiff.operators import (
     DegradationFamily,
@@ -49,7 +44,12 @@ from specdiff.operators import (
 from specdiff.training import TrainConfig, precompute, train
 
 from fixtures import ConstantModel, LinearModel
-from helpers import central_difference, fraction_close
+from helpers import (
+    central_difference,
+    fraction_close,
+    hutchinson_probe_values,
+    projected_loss_rows,
+)
 
 # the undersampled-acquisition recipe: SNR timestep weights and a divergence
 # coefficient that scales as (1 - abar) / abar

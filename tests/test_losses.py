@@ -9,9 +9,7 @@ from specdiff.losses import (
     gamma_at,
     gsure_diffusion_loss,
     gsure_loss_from_samples,
-    hutchinson_probe_values,
     lambda_at,
-    projected_loss_rows,
     supervised_loss,
     supervised_loss_from_samples,
 )
@@ -19,7 +17,13 @@ from specdiff.model import Denoiser
 from specdiff.operators import IdentityTransform, Measurement, SpectralDegradation, corrupt
 
 from fixtures import ConstantModel, LinearModel
-from helpers import central_difference, finite_diff_divergence, fraction_close
+from helpers import (
+    central_difference,
+    finite_diff_divergence,
+    fraction_close,
+    hutchinson_probe_values,
+    projected_loss_rows,
+)
 
 
 @pytest.fixture(scope="module")

@@ -75,6 +75,19 @@ class TestConversion:
                                        atol=1e-13)
 
 
+class TestEmptyBatch:
+    @pytest.mark.parametrize("tangent_shape", [(0, 3), (2, 0, 3)])
+    @pytest.mark.parametrize("mean_type", MEAN_TYPES)
+    def test_tangent_pass_and_gradient(self, schedule, mean_type, tangent_shape):
+        model = small_model(mean_type, n=3)
+        x0, dx0, grad = model.evaluate(np.zeros((0, 3)), 5, schedule,
+                                       tangent=np.zeros(tangent_shape))
+        assert x0.shape == (0, 3) and dx0.shape == tangent_shape
+        g = grad(np.zeros((0, 3)), np.zeros(tangent_shape))
+        assert g.shape == (model.param_count,) and np.all(g == 0.0)
+        assert model.denoise(np.zeros((0, 3)), 5, schedule).shape == (0, 3)
+
+
 class TestSharedTimestep:
     """An int timestep reaches :meth:`Denoiser.build_graph` as an int; its
     passes give the bits of the per-row vector form."""

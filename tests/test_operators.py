@@ -115,6 +115,19 @@ class TestPatchMasks:
         assert np.all(np.abs(freq - 0.8) <= 4.5 * se)
         assert abs(freq.mean() - 0.8) <= 3 * se / np.sqrt(64)
 
+    @pytest.mark.parametrize("dist", [PatchDropMasks(1, 2, 1, 0.5),
+                                      PatchDropMasks(6, 4, 1, 0.3),
+                                      PatchDropMasks(16, 16, 4, 0.2)])
+    def test_sample_equals_the_repeat_form(self, dist):
+        # patch 1 skips the repeats; the booleans are the same
+        for seed in range(20):
+            keep = np.random.default_rng(seed).random(
+                (dist.height // dist.patch, dist.width // dist.patch)) >= dist.p
+            expected = np.repeat(np.repeat(keep, dist.patch, axis=0), dist.patch,
+                                 axis=1).reshape(-1)
+            got = dist.sample(np.random.default_rng(seed))
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
     def test_same_seed_reproducible(self):
         dist = PatchDropMasks(16, 16, 4, 0.3)
         m1 = dist.sample(np.random.default_rng(77))

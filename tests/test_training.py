@@ -30,6 +30,7 @@ from specdiff.training import (
     _evaluate_chunk,
     adam_step,
     derived_rng,
+    derived_rngs,
     precompute,
     train,
 )
@@ -125,6 +126,39 @@ class TestAdam:
         assert params.tobytes() == expected.tobytes()
 
 
+class TestDerivedRngs:
+    # past 2**96 + 7: a seed of exactly the pool's 4 words, and one of 6, whose
+    # last 2 words are mixed in after the pool is filled, as the record's word is
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**96 + 7,
+                                      2**128 - 1, 2**160 + 2**33 + 9])
+    def test_states_and_draws_equal_derived_rng(self, seed):
+        # the first record, the edges of the 256-record state blocks, the last
+        count = 300
+        checked = {0, 255, 256, 257, count - 1}
+        for i, rng in enumerate(derived_rngs(seed, count)):
+            if i not in checked:
+                continue
+            ref = derived_rng(seed, i)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.random() == ref.random()
+            assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+            assert rng.integers(0, 2**40, size=3).tolist() == ref.integers(
+                0, 2**40, size=3).tolist()
+            assert rng.choice(64, size=7, replace=False).tolist() == ref.choice(
+                64, size=7, replace=False).tolist()
+        assert i == count - 1
+
+    def test_zero_count_yields_nothing(self):
+        assert list(derived_rngs(5, 0)) == []
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_raises_as_derived_rng(self, seed):
+        with pytest.raises(Exception) as expected:
+            derived_rng(seed, 0)
+        with pytest.raises(expected.type):
+            next(derived_rngs(seed, 3))
+
+
 def per_record_reference(signals, fam, seed):
     """``precompute`` spelled out one record at a time: ``(ybar, masks,
     noise_var, clean_xbar)`` from ``corrupt(signals[i], fam.sample(rng), rng)``
@@ -139,20 +173,33 @@ def per_record_reference(signals, fam, seed):
 
 
 class TestPrecompute:
-    # 0.2261...: sigma0 ** 2 in Python rounds differently from sigma0 * sigma0
-    @pytest.mark.parametrize("sigma0", [0.0, 0.05, 0.22610530546880114])
-    @pytest.mark.parametrize("masks", [PatchDropMasks(4, 4, 2, 0.3), SingleDropMasks(16),
-                                       FixedMask(np.ones(16, dtype=bool))],
-                             ids=["patch", "single", "fixed"])
-    def test_identity_equals_per_record_corrupt(self, masks, sigma0):
-        fam = DegradationFamily(IdentityTransform(16), masks, sigma0)
-        signals = np.random.default_rng(3).standard_normal((48, 16))
-        data = precompute(signals, fam, seed=11)
-        ybar, mask, noise_var, clean_xbar = per_record_reference(signals, fam, 11)
+    MASKS = pytest.mark.parametrize(
+        "masks", [PatchDropMasks(4, 4, 2, 0.3), SingleDropMasks(16),
+                  FixedMask(np.ones(16, dtype=bool)),
+                  PatchDropMasks(1, 2, 1, 0.5), PatchDropMasks(16, 16, 4, 0.2)],
+        ids=["patch", "single", "fixed", "two_deltas", "shapes_patch"])
+
+    @staticmethod
+    def assert_equals_per_record_corrupt(masks, sigma0, seed):
+        # 300 records cross derived_rngs' 256-record state blocks
+        fam = DegradationFamily(IdentityTransform(masks.n), masks, sigma0)
+        signals = np.random.default_rng(3).standard_normal((300, masks.n))
+        data = precompute(signals, fam, seed=seed)
+        ybar, mask, noise_var, clean_xbar = per_record_reference(signals, fam, seed)
         assert data.ybar.tobytes() == ybar.tobytes()
         assert data.masks.tobytes() == mask.tobytes()
         assert data.noise_var.tobytes() == noise_var.tobytes()
         assert data.clean_xbar.tobytes() == clean_xbar.tobytes()
+
+    # 0.2261...: sigma0 ** 2 in Python rounds differently from sigma0 * sigma0
+    @pytest.mark.parametrize("sigma0", [0.0, 0.05, 0.22610530546880114])
+    @MASKS
+    def test_identity_equals_per_record_corrupt(self, masks, sigma0):
+        self.assert_equals_per_record_corrupt(masks, sigma0, 11)
+
+    @MASKS
+    def test_seed_above_2_64_equals_per_record_corrupt(self, masks):
+        self.assert_equals_per_record_corrupt(masks, 0.05, 2**64 + 3)
 
     def test_real_dft_matches_per_record_corrupt(self):
         # one batched transform against one product per row: last bits only
