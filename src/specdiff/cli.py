@@ -5,7 +5,8 @@ u64 extents, little-endian float64 payload) with JSON sidecars; metrics are
 UTF-8 CSV with ``\\n`` line endings and a mandatory header. Every output
 embeds the digest of the config that produced it, and any command run twice
 with the same config and seed produces byte-identical files, so no
-wall-clock timing is written.
+wall-clock timing is written. Every artifact is written through a temporary
+file and a rename, so an interrupted command leaves the old file or none.
 
 Subcommands: ``gen-data``, ``train``, ``sample``, ``reconstruct``, ``eval``,
 ``inspect``.
@@ -18,6 +19,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -96,30 +98,50 @@ class ConfigError(ValueError):
     """Config fails schema validation."""
 
 
-# -- binary tensor files ------------------------------------------------------
+# -- artifact files -------------------------------------------------------------
+
+
+def _write(path, chunks) -> None:
+    """The one way an artifact is written: ``chunks`` (bytes, or C-contiguous
+    ``<f8`` arrays, which are written without a copy) go to a temporary file
+    beside ``path``, which then replaces ``path``. An interrupted write, by an
+    error or ``KeyboardInterrupt``, leaves the old file or none, never a part."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with open(partial, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _read(path, magic: bytes, kind: str) -> tuple[bytes, int]:
+    """A framed file's bytes and the u32 word after its version, once the
+    16-byte ``magic`` and the u32 format version are checked."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 24 or raw[:16] != magic:
+        raise FormatError(f"{path}: not a {kind} file")
+    version, word = struct.unpack_from("<II", raw, 16)
+    if version > FORMAT_VERSION:
+        raise FormatError(f"{path}: format version {version} is newer than supported")
+    return raw, word
 
 
 def write_tensor_file(path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-    with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.astype("<f8").tobytes())
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    _write(path, (TENSOR_MAGIC, struct.pack(f"<II{arr.ndim}Q", FORMAT_VERSION,
+                                            arr.ndim, *arr.shape), arr))
 
 
 def read_tensor_file(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 24 or raw[:16] != TENSOR_MAGIC:
-        raise FormatError(f"{path}: not a tensor file")
-    version, rank = struct.unpack_from("<II", raw, 16)
-    if version > FORMAT_VERSION:
-        raise FormatError(f"{path}: format version {version} is newer than supported")
-    offset = 24
-    if len(raw) < offset + 8 * rank:
+    raw, rank = _read(path, TENSOR_MAGIC, "tensor")
+    offset = 24 + 8 * rank
+    if len(raw) < offset:
         raise FormatError(f"{path}: truncated header")
-    shape = struct.unpack_from(f"<{rank}Q", raw, offset)
-    offset += 8 * rank
+    shape = struct.unpack_from(f"<{rank}Q", raw, 24)
     count = math.prod(shape)  # Python ints, so huge extents cannot wrap
     if len(raw) != offset + 8 * count:
         raise FormatError(f"{path}: payload size does not match extents")
@@ -140,7 +162,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     pixels = np.rint(scaled * 255).astype(int)
     lines = ["P2", f"{image.shape[1]} {image.shape[0]}", "255"]
     lines += [" ".join(str(v) for v in row) for row in pixels]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, ["\n".join(lines).encode() + b"\n"])
 
 
 def write_csv(path, header: list[str], rows: list[tuple]) -> None:
@@ -149,12 +171,11 @@ def write_csv(path, header: list[str], rows: list[tuple]) -> None:
         # numpy floats too: their repr under numpy 2 is "np.float64(...)"
         lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
                               else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, ["\n".join(lines).encode() + b"\n"])
 
 
 def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    _write(path, [json.dumps(obj, indent=2, sort_keys=True).encode() + b"\n"])
 
 
 # -- config schema -------------------------------------------------------------
@@ -539,12 +560,9 @@ class Checkpoint:
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     header = json.dumps(ckpt.header(), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(header)))
-        fh.write(header)
-        fh.write(ckpt.params.astype("<f8").tobytes())
-        fh.write(ckpt.ema_params.astype("<f8").tobytes())
+    _write(path, (CHECKPOINT_MAGIC, struct.pack("<II", FORMAT_VERSION, len(header)),
+                  header, np.ascontiguousarray(ckpt.params, dtype="<f8"),
+                  np.ascontiguousarray(ckpt.ema_params, dtype="<f8")))
 
 
 _CHECKPOINT_KEYS = ("arch", "step_count", "config_digest", "schedule",
@@ -552,12 +570,7 @@ _CHECKPOINT_KEYS = ("arch", "step_count", "config_digest", "schedule",
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if len(raw) < 24 or raw[:16] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    version, header_len = struct.unpack_from("<II", raw, 16)
-    if version > FORMAT_VERSION:
-        raise FormatError(f"{path}: format version {version} is newer than supported")
+    raw, header_len = _read(path, CHECKPOINT_MAGIC, "checkpoint")
     offset = 24 + header_len
     if len(raw) < offset:
         raise FormatError(f"{path}: truncated header")
@@ -653,6 +666,9 @@ def cmd_gen_data(cfg: dict, out: str | None = None,
 
 def _load_dataset_dir(path: Path):
     """A ``gen-data`` directory as ``(meta, ybar, masks, noise_var, clean or None)``."""
+    for name in ("dataset.json", "ybar.bin", "masks.bin"):
+        if path.is_dir() and not (path / name).is_file():
+            raise FormatError(f"{path}: gen-data directory lacks {name}")
     meta = _json_header((path / "dataset.json").read_bytes(), path / "dataset.json",
                         ("format_version", "n", "sigma0", "vt"))
     # directories written while the kept singular value was an option hold s_const
@@ -667,7 +683,8 @@ def _load_dataset_dir(path: Path):
         if not ok:
             raise FormatError(f"{path}: dataset.json {key} must {rule}")
     if meta["format_version"] > FORMAT_VERSION:
-        raise FormatError("dataset format is newer than supported")
+        raise FormatError(f"{path}: dataset.json format_version "
+                          f"{meta['format_version']} is newer than supported")
     ybar = read_tensor_file(path / "ybar.bin")
     masks = read_tensor_file(path / "masks.bin")
     if ybar.ndim != 2 or ybar.shape != masks.shape or ybar.shape[1] != meta["n"]:
@@ -696,6 +713,9 @@ def _dataset_from_config(cfg: dict):
         if meta["n"] != family.n or meta["vt"] != family.vt.descriptor():
             raise ConfigError("dataset directory does not match the configured "
                               "degradation family")
+        if clean is None and cfg["train"]["oracle_mode"]:
+            raise ConfigError(f"train.oracle_mode needs clean.bin in io.data_dir "
+                              f"{data_dir}")
         clean_xbar = family.vt.apply(clean) if clean is not None else None
         return PrecomputedDataset(
             ybar=ybar, masks=masks, noise_var=noise_var, w=family.weights(),
@@ -846,7 +866,11 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
         write_csv(out_path / "rsweep.csv", ["accel", "residual_norm", "finite"], rows)
         return out_path
 
-    _, ybar, masks, noise_var, _ = _load_dataset_dir(Path(measurements_dir))
+    meta, ybar, masks, noise_var, _ = _load_dataset_dir(Path(measurements_dir))
+    if meta["n"] != vt.n or meta["vt"] != ckpt.vt_descriptor:
+        raise ConfigError(f"--measurements {measurements_dir}: n = {meta['n']}, vt = "
+                          f"{meta['vt']} differ from the checkpoint's n = {vt.n}, "
+                          f"vt = {ckpt.vt_descriptor}")
     count = len(ybar) if limit is None else min(limit, len(ybar))
     _check_noise_floor(schedule, noise_var[:count],
                        f"--measurements {measurements_dir}: sigma0")
@@ -993,8 +1017,11 @@ def cmd_inspect(path, pgm=None, index: int = 0, height: int | None = None,
                 width: int | None = None) -> None:
     """Describe an artifact file; optionally dump one record as a graymap."""
     path = Path(path)
-    if path.suffix in (".json", ".csv"):
-        print(path.read_text(encoding="utf-8").strip())
+    if path.suffix in (".json", ".csv", ".pgm"):
+        try:
+            print(path.read_text(encoding="utf-8").strip())
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
         return
     if path.read_bytes()[:16] == CHECKPOINT_MAGIC:
         header = load_checkpoint(path).header()

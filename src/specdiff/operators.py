@@ -99,9 +99,6 @@ class MatrixTransform(OrthoTransform):
     def apply_inverse(self, xbar):
         return self._check_dim(xbar) @ self._q
 
-    def descriptor(self):
-        return {"kind": "matrix", "digest": _array_digest(self._q)}
-
 
 class RealDFTTransform(MatrixTransform):
     """Unitary DFT over ``lines`` complex entries as a real orthogonal map.
@@ -131,18 +128,9 @@ class RealDFTTransform(MatrixTransform):
         return {"kind": "real_dft", "lines": self.lines}
 
 
-def _array_digest(a: np.ndarray) -> str:
-    import hashlib
-
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
-
-
 def transform_from_descriptor(desc: dict) -> OrthoTransform:
-    """The transform that ``descriptor()`` described.
-
-    A ``matrix`` descriptor holds only a digest, so it cannot be rebuilt; it
-    and unknown kinds raise ``ValueError``.
-    """
+    """The transform that ``descriptor()`` described; other kinds raise
+    ``ValueError``."""
     if desc["kind"] == "identity":
         return IdentityTransform(desc["n"])
     if desc["kind"] == "real_dft":

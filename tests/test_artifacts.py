@@ -1,0 +1,169 @@
+"""Every command once on shrunken presets, checked byte for byte.
+
+The command set runs through ``main([...])`` in a child process that pins
+BLAS to one thread (a column of ``distance.csv`` differs in its last digit
+between one and two OpenBLAS threads), with paths relative to its working
+directory, since ``io.data_dir`` enters the config digest. Each file's sha256
+must equal ``tests/artifact_digests.json``, ``inspect`` must describe each
+file, and no temporary file of the atomic writer may remain.
+
+After a change that moves artifact bytes on purpose, rewrite the manifest
+with ``PYTHONPATH=src python tests/test_artifacts.py --rewrite``; its diff
+lists the artifacts that changed.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from specdiff import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+MANIFEST = ROOT / "tests" / "artifact_digests.json"
+PRESETS = ("shapes_lines", "shapes_patch", "two_deltas")
+EVAL_OPS = ["mse_sweep", "generalization_psnr", "independence_demo",
+            "distribution_distance", "uncertainty"]
+
+
+def shrunk(preset: str) -> dict:
+    """``configs/<preset>.json`` at a size that runs in a fraction of a second."""
+    cfg = json.loads((ROOT / "configs" / f"{preset}.json").read_text())
+    cfg["data"].update(count=64, holdout=8)
+    cfg["model"]["hidden"] = [16, 16]
+    cfg["train"].update(iterations=3, log_interval=1)
+    cfg["eval"].update(operations=EVAL_OPS, count=16, n_samples=200,
+                       n_permutations=20, n_projections=16, uncertainty_k=2, steps=5)
+    cfg["io"] = {"out_dir": f"{preset}/out", "data_dir": f"{preset}/data"}
+    return cfg
+
+
+def extra_configs() -> dict:
+    """Kinds the presets do not reach: Gaussian signals under single-drop masks,
+    and an external binary source (the Gaussian set's clean signals)."""
+    gaussian = {"data": {"kind": "isotropic-gaussian", "dim": 4, "count": 32, "seed": 5},
+                "degradation": {"family": "single-drop", "sigma0": 0.01},
+                "schedule": {"T": 50},
+                "model": {"hidden": [8], "emb_dim": 4},
+                "train": {"iterations": 2, "batch_size": 8, "seed": 6, "log_interval": 1}}
+    external = json.loads(json.dumps(gaussian))
+    external["data"] = {"kind": "external-binary", "path": "gaussian/data/clean.bin",
+                        "count": 16, "seed": 7}
+    return {"gaussian": gaussian, "external": external}
+
+
+def commands() -> list[list[str]]:
+    """Every command: gen-data, GSURE and oracle train, DDIM and DDPM sample,
+    reconstruct from measurements and as a sweep, eval with all five
+    operations, and inspect --pgm."""
+    argv = []
+    for p in PRESETS:
+        argv += [
+            ["gen-data", "--config", f"{p}.json", "--out", f"{p}/data"],
+            ["train", "--config", f"{p}.json", "--out", f"{p}/gsure"],
+            ["train", "--config", f"{p}_oracle.json", "--out", f"{p}/oracle"],
+            ["sample", "--checkpoint", f"{p}/gsure/checkpoint.bin", "--out", f"{p}/ddim",
+             "--sampler", "ddim", "--steps", "5", "--count", "8", "--seed", "1"],
+            ["sample", "--checkpoint", f"{p}/gsure/checkpoint.bin", "--out", f"{p}/ddpm",
+             "--sampler", "ddpm", "--count", "4", "--seed", "2"],
+            ["reconstruct", "--checkpoint", f"{p}/gsure/checkpoint.bin",
+             "--measurements", f"{p}/data", "--limit", "4", "--steps", "5",
+             "--seed", "3", "--out", f"{p}/recon"],
+            ["eval", "--config", f"{p}.json", "--out", f"{p}/eval",
+             "--checkpoint", f"{p}/gsure/checkpoint.bin",
+             "--checkpoint-b", f"{p}/oracle/checkpoint.bin",
+             "--samples-a", f"{p}/ddim/samples.bin",
+             "--samples-b", f"{p}/ddpm/samples.bin"],
+        ]
+        if p.startswith("shapes"):
+            argv.append(["inspect", f"{p}/data/clean.bin", "--pgm", f"{p}/clean.pgm"])
+    argv.append(["reconstruct", "--checkpoint", "shapes_lines/gsure/checkpoint.bin",
+                 "--r-sweep", "2,4", "--clean", "shapes_lines/data/clean.bin",
+                 "--steps", "5", "--seed", "4", "--out", "shapes_lines/rsweep"])
+    for name in extra_configs():
+        argv += [["gen-data", "--config", f"{name}.json", "--out", f"{name}/data"],
+                 ["train", "--config", f"{name}.json", "--out", f"{name}/gsure"]]
+    return argv
+
+
+def run_commands() -> None:
+    """Write the configs into the working directory and run every command."""
+    configs = extra_configs()
+    for p in PRESETS:
+        configs[p] = shrunk(p)
+        configs[f"{p}_oracle"] = json.loads(json.dumps(configs[p]))
+        configs[f"{p}_oracle"]["train"]["oracle_mode"] = True
+    for name, cfg in configs.items():
+        Path(f"{name}.json").write_text(json.dumps(cfg, indent=1, sort_keys=True))
+    for argv in commands():
+        cli.main(argv)
+
+
+def run_child(workdir: Path) -> None:
+    """``run_commands`` in a fresh process on one BLAS thread."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--run"],
+                          cwd=workdir, env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def digests(workdir: Path) -> dict:
+    return {path.relative_to(workdir).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(workdir.rglob("*")) if path.is_file()}
+
+
+def build() -> dict:
+    """numpy's version and BLAS build, which the bytes may depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def test_every_command_writes_the_manifest_bytes(tmp_path, capsys):
+    run_child(tmp_path)
+    assert not list(tmp_path.rglob("*.partial"))
+    manifest = json.loads(MANIFEST.read_text())
+    found = digests(tmp_path)
+    changed = sorted(name for name in found.keys() | manifest["files"].keys()
+                     if found.get(name) != manifest["files"].get(name))
+    assert not changed, (f"artifact bytes differ from the manifest: {changed}; "
+                         f"manifest built on {manifest['build']}, this is {build()}")
+    for name in found:
+        cli.main(["inspect", str(tmp_path / name)])
+        assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+def test_interrupted_write_leaves_the_old_file_or_none(tmp_path, error):
+    def chunks():
+        yield b"new bytes"
+        raise error("interrupted")
+
+    old, new = tmp_path / "old.bin", tmp_path / "new.bin"
+    old.write_bytes(b"old bytes")
+    for path in (old, new):
+        with pytest.raises(error):
+            cli._write(path, chunks())
+    assert old.read_bytes() == b"old bytes" and not new.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["old.bin"]  # no temporary file
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--run"]:
+        run_commands()
+    elif sys.argv[1:] == ["--rewrite"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            run_child(Path(tmp))
+            MANIFEST.write_text(json.dumps({"build": build(), "files": digests(Path(tmp))},
+                                           indent=1, sort_keys=True) + "\n")
+    else:
+        sys.exit("usage: test_artifacts.py --rewrite")

@@ -660,6 +660,7 @@ class TestDatasetDirectory:
 
     @pytest.mark.parametrize("field, value", [
         ("format_version", "1"),
+        ("format_version", 2),
         ("n", "2"),
         ("n", 3),
         ("sigma0", "0.01"),
@@ -667,15 +668,31 @@ class TestDatasetDirectory:
         ("s_const", None),
         ("s_const", 0),
         ("s_const", 2.0),
-    ], ids=["version-str", "n-str", "n-vs-columns", "sigma0-str", "sigma0-negative",
-            "s_const-null", "s_const-zero", "s_const-two"])
+    ], ids=["version-str", "version-newer", "n-str", "n-vs-columns", "sigma0-str",
+            "sigma0-negative", "s_const-null", "s_const-zero", "s_const-two"])
     def test_bad_sidecar_field_rejected(self, data_cfg, tmp_path, field, value):
         sidecar = Path(data_cfg["io"]["data_dir"]) / "dataset.json"
         meta = json.loads(sidecar.read_text())
         meta[field] = value
         sidecar.write_text(json.dumps(meta))
-        with pytest.raises(FormatError, match=field):
+        with pytest.raises(FormatError, match=field) as exc:
             cmd_train(data_cfg, tmp_path / "run")
+        assert str(exc.value).startswith(f"{sidecar.parent}: ")
+
+    @pytest.mark.parametrize("name", ["dataset.json", "ybar.bin", "masks.bin"])
+    def test_missing_member_rejected(self, data_cfg, tmp_path, name):
+        data_dir = Path(data_cfg["io"]["data_dir"])
+        (data_dir / name).unlink()
+        with pytest.raises(FormatError, match=f"^{re.escape(str(data_dir))}: .* {name}$"):
+            cmd_train(data_cfg, tmp_path / "run")
+
+    def test_oracle_training_without_clean_signals_rejected(self, data_cfg, tmp_path):
+        (Path(data_cfg["io"]["data_dir"]) / "clean.bin").unlink()
+        data_cfg["train"]["oracle_mode"] = True
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match="oracle_mode needs clean.bin"):
+            cmd_train(data_cfg, out)
+        assert not out.exists()
 
 
 class TestCommands:
@@ -775,6 +792,16 @@ class TestCommands:
         cmd_inspect(path, pgm=pgm, index=0)
         text = pgm.read_text().splitlines()
         assert text[0] == "P2" and text[1] == "4 4"
+        capsys.readouterr()
+        cmd_inspect(pgm)  # a graymap is text
+        assert capsys.readouterr().out == pgm.read_text()
+
+    @pytest.mark.parametrize("name", ["metrics.csv", "run.json"])
+    def test_inspect_non_utf8_text_rejected(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe,garbled\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            main(["inspect", str(path)])
 
     @pytest.mark.parametrize("shape, flags, flag", [
         ((3, 16), ["--index", "3"], "--index"),
@@ -933,6 +960,33 @@ class TestReverseCommandArguments:
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=r"--seed must be >= 0, got -\d"):
             main(argv + ["--steps", "5", "--checkpoint", checkpoint, "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim, family", [(4, "line-subsample"), (6, "none")],
+                             ids=["vt", "n"])
+    def test_measurements_of_another_transform_rejected_before_out(self, tmp_path,
+                                                                   dim, family):
+        # the checkpoint works in the identity basis of n = 4
+        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg["data"].update(kind="isotropic-gaussian", dim=4)
+        cfg["degradation"]["family"] = "none"
+        ckpt = cmd_train(validate_config(cfg), tmp_path / "run") / "checkpoint.bin"
+        cfg["data"]["dim"] = dim
+        cfg["degradation"].update(family=family, accel=2)
+        data = cmd_gen_data(validate_config(cfg), tmp_path / "data")
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="--measurements .* differ from the "
+                                              "checkpoint's n = 4"):
+            main(["reconstruct", "--checkpoint", str(ckpt), "--measurements", str(data),
+                  "--steps", "5", "--seed", "1", "--out", str(out)])
+        assert not out.exists()
+
+    def test_missing_measurements_not_found(self, checkpoint, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(FileNotFoundError):
+            main(["reconstruct", "--checkpoint", checkpoint, "--measurements",
+                  str(tmp_path / "nowhere"), "--steps", "5", "--seed", "1",
+                  "--out", str(out)])
         assert not out.exists()
 
     def test_ddpm_ignores_eta(self, checkpoint, tmp_path):

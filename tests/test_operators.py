@@ -72,7 +72,7 @@ class TestOrthoTransforms:
         np.testing.assert_array_equal(back.apply(x), tr.apply(x))
 
     @pytest.mark.parametrize("desc", [
-        MatrixTransform(np.eye(3)).descriptor(),  # a digest cannot be inverted
+        {"kind": "matrix", "digest": "0" * 16},  # a digest cannot be inverted
         {"kind": "permutation", "perm": [1, 0]},
     ], ids=["matrix", "permutation"])
     def test_descriptor_without_a_rebuild_rejected(self, desc):
