@@ -59,7 +59,7 @@ from .operators import (
     corrupt,
     transform_from_descriptor,
 )
-from .training import TrainConfig, derived_rng, precompute, train
+from .training import PrecomputedDataset, TrainConfig, derived_rng, precompute, train
 
 __all__ = [
     "Checkpoint",
@@ -516,7 +516,8 @@ def _schedule_digest(schedule: dict) -> str:
 
 
 class Checkpoint:
-    """Serialized training outcome: parameters, shadow parameters, provenance."""
+    """Serialized training outcome: parameters, shadow parameters, provenance,
+    and ``vt``, the transform its descriptor names, built once here."""
 
     def __init__(self, arch: dict, params: np.ndarray, ema_params: np.ndarray,
                  step_count: int, config_digest: str, schedule: dict,
@@ -528,6 +529,7 @@ class Checkpoint:
         self.config_digest = config_digest
         self.schedule = schedule
         self.vt_descriptor = vt_descriptor
+        self.vt = transform_from_descriptor(vt_descriptor)
 
     def header(self) -> dict:
         return {
@@ -545,11 +547,9 @@ class Checkpoint:
         return Denoiser.from_arch(self.arch, self.params, self.ema_params)
 
     def rebuild_schedule(self) -> DiffusionSchedule:
-        import dataclasses
-
-        sched = linear_schedule(self.schedule["T"], self.schedule["beta1"],
-                                self.schedule["betaT"])
-        return dataclasses.replace(sched, t_min_valid=self.schedule["t_min_valid"])
+        s = self.schedule
+        return DiffusionSchedule(linear_schedule(s["T"], s["beta1"], s["betaT"]).betas,
+                                 t_min_valid=s["t_min_valid"])
 
     def __eq__(self, other):
         return (isinstance(other, Checkpoint)
@@ -601,11 +601,10 @@ def load_checkpoint(path) -> Checkpoint:
         # fails here and not at first use
         n = ckpt.model().n
         ckpt.rebuild_schedule()
-        vt = transform_from_descriptor(ckpt.vt_descriptor)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad arch, schedule or vt: {exc!r}") from exc
-    if vt.n != n:
-        raise FormatError(f"{path}: vt has n = {vt.n}, arch has n = {n}")
+    if ckpt.vt.n != n:
+        raise FormatError(f"{path}: vt has n = {ckpt.vt.n}, arch has n = {n}")
     return ckpt
 
 
@@ -628,8 +627,9 @@ def _check_flag(flag: str, value, rule) -> None:
         raise ConfigError(f"{flag} must {rule.text}, got {value}")
 
 
-def _out_dir(cfg: dict, out: str | None) -> Path:
-    path = Path(out if out is not None else cfg["io"]["out_dir"])
+def _out_dir(out, default) -> Path:
+    """The output directory, made once every input is read and checked."""
+    path = Path(out if out is not None else default)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -644,7 +644,7 @@ def cmd_gen_data(cfg: dict, out: str | None = None,
     signals = generate_signals(cfg["data"], count + cfg["data"]["holdout"], seed)
     clean, holdout = signals[:count], signals[count:]
     data = precompute(clean, family, seed=seed)
-    out_path = _out_dir(cfg, out)
+    out_path = _out_dir(out, cfg["io"]["out_dir"])
     write_tensor_file(out_path / "clean.bin", clean)
     write_tensor_file(out_path / "ybar.bin", data.ybar)
     write_tensor_file(out_path / "masks.bin", data.masks.astype(np.float64))
@@ -704,8 +704,6 @@ def _load_dataset_dir(path: Path):
 
 def _dataset_from_config(cfg: dict):
     """Measurements for training: from io.data_dir when set, else simulated."""
-    from .training import PrecomputedDataset
-
     family = build_degradation_family(cfg)
     data_dir = cfg["io"]["data_dir"]
     if data_dir:
@@ -737,7 +735,7 @@ def cmd_train(cfg: dict, out: str | None = None,
                        if data_dir else "degradation.sigma0")
     model = build_model(cfg, family.n)
     train_cfg = build_train_config(cfg, seed_override)
-    out_path = _out_dir(cfg, out)
+    out_path = _out_dir(out, cfg["io"]["out_dir"])
     result = train(model, train_cfg, data, schedule)
 
     digest = config_digest(cfg)
@@ -764,10 +762,21 @@ def cmd_train(cfg: dict, out: str | None = None,
     return out_path
 
 
-def _check_steps(steps: int, schedule: DiffusionSchedule) -> None:
+def _check_steps(steps: int, schedule: DiffusionSchedule, name: str = "--steps") -> None:
     if not 1 <= steps <= schedule.T:
-        raise ConfigError(f"--steps must lie in [1, {schedule.T}] for this "
+        raise ConfigError(f"{name} must lie in [1, {schedule.T}] for this "
                           f"checkpoint's schedule, got {steps}")
+
+
+def _read_rows(path, flag: str, width: int | None = None) -> np.ndarray:
+    """The tensor file ``path`` as a non-empty 2-D array of rows, ``width``
+    wide when given; any other array raises ``ConfigError`` naming ``flag``."""
+    rows = read_tensor_file(path)
+    if rows.ndim != 2 or rows.size == 0 or width not in (None, rows.shape[1]):
+        raise ConfigError(f"{flag} {path}: an array of shape {rows.shape} is not a "
+                          "non-empty 2-D array of rows"
+                          + ("" if width is None else f" of width {width}"))
+    return rows
 
 
 SAMPLE_CHUNK = 64  # samples per derived-seed chunk
@@ -783,13 +792,10 @@ def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
     if sampler == "ddim":  # DDPM ignores --eta, as it does --steps
         _check_flag("--eta", eta, _UNIT)
     ckpt = load_checkpoint(checkpoint_path)
-    model = ckpt.model()
-    schedule = ckpt.rebuild_schedule()
+    model, schedule, vt = ckpt.model(), ckpt.rebuild_schedule(), ckpt.vt
     if sampler == "ddim":
         _check_steps(steps, schedule)
-    vt = transform_from_descriptor(ckpt.vt_descriptor)
-    out_path = Path(out if out is not None else "samples")
-    out_path.mkdir(parents=True, exist_ok=True)
+    out_path = _out_dir(out, "samples")
     blocks = []
     for ci, lo in enumerate(range(0, count, SAMPLE_CHUNK)):
         size = min(SAMPLE_CHUNK, count - lo)
@@ -831,11 +837,8 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
     _check_flag("--seed", seed, _AT_LEAST_0)
     _check_flag("--eta", eta, _UNIT)
     ckpt = load_checkpoint(checkpoint_path)
-    model = ckpt.model()
-    schedule = ckpt.rebuild_schedule()
+    model, schedule, vt = ckpt.model(), ckpt.rebuild_schedule(), ckpt.vt
     _check_steps(steps, schedule)
-    vt = transform_from_descriptor(ckpt.vt_descriptor)
-    out_path = Path(out if out is not None else "recon")
 
     if r_sweep:
         kind = ckpt.vt_descriptor["kind"]
@@ -850,19 +853,18 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
                 raise ConfigError(f"--r-sweep accel {r}: {exc}") from exc
             families.append((r, DegradationFamily(vt, masks, sigma0=0.01)))
         _check_noise_floor(schedule, 0.01 * 0.01, "--r-sweep's sigma0 = 0.01")
-        clean = read_tensor_file(clean_path)
-        out_path.mkdir(parents=True, exist_ok=True)
+        clean = _read_rows(clean_path, "--clean", vt.n)[:8]
+        out_path = _out_dir(out, "recon")
         rows = []
         for r, fam in families:
             resid = 0.0
-            count = min(len(clean), 8)
-            for i in range(count):
+            for i in range(len(clean)):
                 rng = derived_rng(seed, r, i)
                 m = corrupt(clean[i], fam.sample(rng), rng)
                 rec = reconstruct(model, schedule, m, steps,
                                   derived_rng(seed, r, i, 1), vt, eta=eta)
                 resid += float(np.linalg.norm(rec - clean[i]))
-            rows.append((r, resid / count, bool(np.isfinite(resid))))
+            rows.append((r, resid / len(clean), bool(np.isfinite(resid))))
         write_csv(out_path / "rsweep.csv", ["accel", "residual_norm", "finite"], rows)
         return out_path
 
@@ -874,7 +876,7 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
     count = len(ybar) if limit is None else min(limit, len(ybar))
     _check_noise_floor(schedule, noise_var[:count],
                        f"--measurements {measurements_dir}: sigma0")
-    out_path.mkdir(parents=True, exist_ok=True)
+    out_path = _out_dir(out, "recon")
     recons = np.empty((count, vt.n))
     zf = np.empty((count, vt.n))
     for i in range(count):
@@ -895,10 +897,12 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
     return out_path
 
 
-def _eval_ts(cfg: dict, schedule: DiffusionSchedule, t_min: int) -> list[int]:
+def _eval_ts(cfg: dict, schedule: DiffusionSchedule) -> list[int]:
+    """``eval.ts``, or every ``eval.t_stride``-th timestep from the schedule's
+    ``t_min_valid`` on, with ``T`` last."""
     ts = list(cfg["eval"]["ts"])
     if not ts:
-        ts = list(range(t_min, schedule.T + 1, cfg["eval"]["t_stride"]))
+        ts = list(range(schedule.t_min_valid, schedule.T + 1, cfg["eval"]["t_stride"]))
         if ts[-1] != schedule.T:
             ts.append(schedule.T)
     return ts
@@ -908,17 +912,22 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
              checkpoint_b=None, samples_a=None, samples_b=None) -> Path:
     """Run the configured evaluation operations, one CSV per operation.
 
-    Every operation on a checkpoint works in checkpoint A's transform. A flag
-    an operation needs that is missing, an ``eval.ts`` entry beyond ``T`` of
-    checkpoint A's schedule, config signals whose width is not A's ``n``, or
-    a checkpoint B whose schedule's ``T``, ``beta1`` or ``betaT``, transform
-    or ``n`` differs from A's raises ``ConfigError`` before anything is
-    written. ``uncertainty`` runs its reconstructions at
-    ``eta = max(eval.eta, 0.5)``, so an ``eval.eta`` below 0.5 (the default
-    0.0 included) is raised to 0.5 there and its ``k`` runs stay stochastic.
+    Every input is read and checked, and what the operations share is built,
+    once before the output directory is made. Every operation on a checkpoint
+    works in checkpoint A's transform. A flag an operation needs that is
+    missing, an ``eval.ts`` entry beyond ``T`` of checkpoint A's schedule,
+    config signals whose width is not A's ``n`` or an ``external-binary``
+    source of fewer than ``eval.count`` rows, a checkpoint B whose schedule's
+    ``T``, ``beta1`` or ``betaT``, transform or ``n`` differs from A's, an
+    ``eval.steps`` beyond A's ``T`` for ``uncertainty``, or a samples file
+    that is not a non-empty 2-D array (for ``--samples-b``, of
+    ``--samples-a``'s width) raises ``ConfigError``. ``uncertainty`` runs its
+    reconstructions at ``eta = max(eval.eta, 0.5)``, so an ``eval.eta`` below
+    0.5 (the default 0.0 included) is raised to 0.5 there and its ``k`` runs
+    stay stochastic.
     """
-    ops = cfg["eval"]["operations"]
-    seed = cfg["eval"]["seed"]
+    ev = cfg["eval"]
+    ops, seed = ev["operations"], ev["seed"]
     given = {"checkpoint": checkpoint, "checkpoint_b": checkpoint_b,
              "samples_a": samples_a, "samples_b": samples_b}
     for op in ops:
@@ -929,14 +938,16 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
     needs = {name for op in ops for name in _EVAL_INPUTS[op]}
     ca = load_checkpoint(checkpoint) if "checkpoint" in needs else None
     cb = load_checkpoint(checkpoint_b) if "checkpoint_b" in needs else None
-    if ca is not None and max(cfg["eval"]["ts"], default=0) > ca.schedule["T"]:
-        raise ConfigError(f"eval.ts must be <= T = {ca.schedule['T']} of the "
-                          "--checkpoint schedule")
-    width = None if ca is None else generate_signals(cfg["data"], 0, 0).shape[1]
-    if ca is not None and width != ca.arch["n"]:
-        raise ConfigError(f"data: signals of width {width} do not fit --checkpoint's "
-                          f"n = {ca.arch['n']}")
-    if ca is not None and cb is not None:
+    if ca is not None:  # every operation that reads B reads A too
+        if max(ev["ts"], default=0) > ca.schedule["T"]:
+            raise ConfigError(f"eval.ts must be <= T = {ca.schedule['T']} of the "
+                              "--checkpoint schedule")
+        width = generate_signals(cfg["data"], 0, 0).shape[1]
+        if width != ca.vt.n:
+            raise ConfigError(f"data: signals of width {width} do not fit "
+                              f"--checkpoint's n = {ca.vt.n}")
+        schedule, model_a = ca.rebuild_schedule(), ca.model()
+    if cb is not None:
         # B is scored on A's timesteps and inputs; t_min_valid may differ (a GSURE
         # model and its oracle do)
         pairs = [(f"schedule {key}", ca.schedule[key], cb.schedule[key])
@@ -947,67 +958,53 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
             if a != b:
                 raise ConfigError(f"--checkpoint-b {what} = {b} differs from "
                                   f"--checkpoint's {a}")
+        model_b = cb.model()
+        xbar = ca.vt.apply(generate_signals(cfg["data"], ev["count"], seed))
+        ts = _eval_ts(cfg, schedule)
     if "uncertainty" in ops:
-        sigma0 = cfg["eval"]["uncertainty_sigma0"]
-        _check_noise_floor(ca.rebuild_schedule(), sigma0 * sigma0,
-                           "eval.uncertainty_sigma0")
-    out_path = _out_dir(cfg, out)
-
-    def _pair_setup():
-        """Both models, model A's schedule, the eval set in A's basis, and ts."""
-        schedule = ca.rebuild_schedule()
-        clean = generate_signals(cfg["data"], cfg["eval"]["count"], seed)
-        xbar = transform_from_descriptor(ca.vt_descriptor).apply(clean)
-        ts = _eval_ts(cfg, schedule, ca.schedule["t_min_valid"])
-        return ca.model(), cb.model(), xbar, schedule, ts
+        sigma0 = ev["uncertainty_sigma0"]
+        _check_noise_floor(schedule, sigma0 * sigma0, "eval.uncertainty_sigma0")
+        _check_steps(ev["steps"], schedule, "eval.steps")
+        clean = generate_signals(cfg["data"], 1, seed)[0]
+    if "distribution_distance" in ops:
+        a = _read_rows(samples_a, "--samples-a")
+        b = _read_rows(samples_b, "--samples-b", a.shape[1])
+    out_path = _out_dir(out, cfg["io"]["out_dir"])
 
     for op in ops:
         if op == "mse_sweep":
-            ma, mb, xbar, schedule, ts = _pair_setup()
-            res = denoising_mse_sweep(ma, mb, xbar, schedule, ts,
+            res = denoising_mse_sweep(model_a, model_b, xbar, schedule, ts,
                                       derived_rng(seed, 1))
             write_csv(out_path / "mse_sweep.csv", ["t", "mse_a", "mse_b"], res.rows)
         elif op == "generalization_psnr":
-            ma, mb, xbar, schedule, ts = _pair_setup()
-            rows = generalization_psnr(ma, mb, xbar, schedule, ts,
-                                       derived_rng(seed, 2),
-                                       peak=cfg["eval"]["peak"])
+            rows = generalization_psnr(model_a, model_b, xbar, schedule, ts,
+                                       derived_rng(seed, 2), peak=ev["peak"])
             write_csv(out_path / "psnr.csv", ["t", "psnr"], rows)
         elif op == "independence_demo":
             rows = []
             for prior, model in (("isotropic-gaussian", GaussianPosteriorDenoiser()),
                                  ("two-deltas", TwoDeltasPosteriorDenoiser())):
-                recs = independence_demo(prior, model, cfg["eval"]["snr_levels"],
-                                         cfg["eval"]["n_samples"],
-                                         derived_rng(seed, 3),
-                                         n_permutations=cfg["eval"]["n_permutations"])
+                recs = independence_demo(prior, model, ev["snr_levels"],
+                                         ev["n_samples"], derived_rng(seed, 3),
+                                         n_permutations=ev["n_permutations"])
                 rows += [(prior, r.snr, r.abar, r.energy, r.z, r.null_mean,
                           r.null_sd) for r in recs]
             write_csv(out_path / "independence.csv",
                       ["prior", "snr", "abar", "energy", "z", "null_mean", "null_sd"],
                       rows)
         elif op == "distribution_distance":
-            a = read_tensor_file(samples_a)
-            b = read_tensor_file(samples_b)
-            res = distribution_distance(a, b, cfg["eval"]["n_projections"],
-                                        derived_rng(seed, 4))
+            res = distribution_distance(a, b, ev["n_projections"], derived_rng(seed, 4))
             write_csv(out_path / "distance.csv",
                       ["sliced_wasserstein", "mean_gap", "cov_gap"],
                       [(res.sliced_wasserstein, res.mean_gap, res.cov_gap)])
         else:  # uncertainty
-            model = ca.model()
-            schedule = ca.rebuild_schedule()
-            vt = transform_from_descriptor(ca.vt_descriptor)
-            clean = generate_signals(cfg["data"], 1, seed)[0]
-            fam = DegradationFamily(vt, FixedMask(np.ones(vt.n, dtype=bool)),
+            fam = DegradationFamily(ca.vt, FixedMask(np.ones(ca.vt.n, dtype=bool)),
                                     sigma0)
             rng = derived_rng(seed, 5)
             m = corrupt(clean, fam.sample(rng), rng)
-            mean, std = uncertainty_map(model, schedule, m,
-                                        cfg["eval"]["uncertainty_k"],
-                                        rng=derived_rng(seed, 6), vt=vt,
-                                        steps=cfg["eval"]["steps"],
-                                        eta=max(cfg["eval"]["eta"], 0.5))
+            mean, std = uncertainty_map(model_a, schedule, m, ev["uncertainty_k"],
+                                        rng=derived_rng(seed, 6), vt=ca.vt,
+                                        steps=ev["steps"], eta=max(ev["eta"], 0.5))
             write_tensor_file(out_path / "uncertainty_mean.bin", mean)
             write_tensor_file(out_path / "uncertainty_std.bin", std)
     return out_path
@@ -1023,7 +1020,9 @@ def cmd_inspect(path, pgm=None, index: int = 0, height: int | None = None,
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
         return
-    if path.read_bytes()[:16] == CHECKPOINT_MAGIC:
+    with open(path, "rb") as fh:  # the magic picks the reader
+        magic = fh.read(16)
+    if magic == CHECKPOINT_MAGIC:
         header = load_checkpoint(path).header()
         header["t_min_valid"] = header["schedule"]["t_min_valid"]
         print(f"{path}: checkpoint")

@@ -155,18 +155,15 @@ class Denoiser:
         the x-estimate or noise estimate. :func:`backward` returns the
         parameter gradients in layout order, so they concatenate into the flat
         layout. The layers are the views :meth:`_layers` bound to the
-        parameter array. A timestep shared by every row, an int or a vector of
-        equal entries, is embedded once per ``(t, emb_dim)`` and repeated to
-        the rows, which gives the vector form's bits; a one-row graph at an
-        int ``t`` reads that cached, read-only row itself.
+        parameter array. An int ``t`` is embedded once per ``(t, emb_dim)``
+        and repeated to the rows, which gives the vector form's bits; a
+        one-row graph reads that cached, read-only row itself.
         """
         layers, w0e = self._layers(ema)
         if isinstance(t, (int, np.integer)):
             temb = _embedding_row(int(t), self.emb_dim)[None]
             if rows != 1:
                 temb = temb.repeat(rows, axis=0)
-        elif len(t) == 1 or (len(t) > 1 and (t == t[0]).all()):
-            temb = _embedding_row(int(t[0]), self.emb_dim)[None].repeat(len(t), axis=0)
         else:
             temb = time_embedding(t, self.emb_dim)
         return Graph(layers, temb, w0e)

@@ -10,11 +10,20 @@ file, and no temporary file of the atomic writer may remain.
 After a change that moves artifact bytes on purpose, rewrite the manifest
 with ``PYTHONPATH=src python tests/test_artifacts.py --rewrite``; its diff
 lists the artifacts that changed.
+
+The same command set, plus ``inspect`` on every file it writes, is also the
+reach guard: run in process under ``sys.setprofile``, it must reach every
+function and method that a library module names through ``__all__``, save
+those ``UNREACHED`` lists with a reason.
 """
 
+import contextlib
 import hashlib
+import importlib
+import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -23,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specdiff
 from specdiff import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -140,6 +150,80 @@ def test_every_command_writes_the_manifest_bytes(tmp_path, capsys):
     for name in found:
         cli.main(["inspect", str(tmp_path / name)])
         assert capsys.readouterr().out
+
+
+# public functions and methods that no command reaches, each with its reason
+UNREACHED = {
+    "cli.Checkpoint.__eq__": "only the bench's checkpoint round trip compares them",
+    "model.Denoiser.param_count": "only the bench reads it",
+    "training.PrecomputedDataset.measurement": "only the bench reads it",
+    "evaluation.GaussianPosteriorDenoiser.denoise":
+        "the exact posterior; no evaluation artifact scores against it yet",
+    "evaluation.TwoDeltasPosteriorDenoiser.denoise":
+        "the exact posterior; no evaluation artifact scores against it yet",
+    "operators.OrthoTransform.apply": "abstract",
+    "operators.OrthoTransform.apply_inverse": "abstract",
+    "operators.OrthoTransform.descriptor": "abstract; an explicit matrix has none",
+    "training.TrainingDiverged.__init__": "raised only when a run diverges",
+}
+
+
+def public_functions() -> dict:
+    """The code of every function and method, properties included, that a
+    library module names through ``__all__`` and defines in its own source
+    (so no dataclass- or NamedTuple-generated method), by
+    ``module.qualname``."""
+    found = {}
+    for info in pkgutil.iter_modules(specdiff.__path__):
+        module = importlib.import_module(f"specdiff.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            for member in vars(obj).values() if isinstance(obj, type) else [obj]:
+                fn = getattr(member, "fget", getattr(member, "__func__", member))
+                code = getattr(fn, "__code__", None)
+                if code is not None and code.co_filename == module.__file__:
+                    found[f"{info.name}.{fn.__qualname__}"] = code
+    return found
+
+
+def unreached(reached: set, allowed) -> list:
+    return sorted(name for name, code in public_functions().items()
+                  if code not in reached and name not in allowed)
+
+
+@pytest.fixture(scope="module")
+def reached(tmp_path_factory) -> set:
+    """The code objects that ``run_commands`` and ``inspect`` on every file
+    it wrote call, in this process."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("reach"))
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            run_commands()
+            for path in sorted(Path().rglob("*")):
+                if path.is_file():
+                    cli.main(["inspect", str(path)])
+    finally:
+        sys.setprofile(None)
+        os.chdir(cwd)
+    return codes
+
+
+def test_every_public_function_is_reached(reached):
+    assert unreached(reached, UNREACHED) == []
+
+
+@pytest.mark.parametrize("name", sorted(UNREACHED))
+def test_each_allowed_name_is_unreached(reached, name):
+    # the guard fails without the entry, so no entry outlives its reason
+    assert unreached(reached, UNREACHED.keys() - {name}) == [name]
 
 
 @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])

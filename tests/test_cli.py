@@ -877,6 +877,18 @@ class TestCommands:
             cmd_reconstruct(run / "checkpoint.bin", None, tmp_path / "sweep",
                             steps=4, seed=9, r_sweep=[2], clean_path=clean)
 
+    @pytest.mark.parametrize("rows", [np.zeros((0, 32)), np.ones(32), np.ones((4, 30))],
+                             ids=["empty", "1d", "width"])
+    def test_r_sweep_rejects_clean_signals_that_are_not_rows(self, tmp_path, rows):
+        ckpt, clean = self.dft_checkpoint_and_clean(tmp_path)
+        write_tensor_file(clean, rows)
+        out = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match="--clean .* not a non-empty 2-D array "
+                                              "of rows of width 32"):
+            main(["reconstruct", "--checkpoint", str(ckpt), "--r-sweep", "2",
+                  "--clean", str(clean), "--steps", "4", "--seed", "9", "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("accel", [0, 64])
     def test_r_sweep_rejects_infeasible_accel(self, tmp_path, monkeypatch, accel):
         ckpt, clean = self.dft_checkpoint_and_clean(tmp_path)
@@ -1285,6 +1297,42 @@ class TestEvalInputs:
 
         monkeypatch.setattr(cli, "uncertainty_map", fake_map)
         cfg = two_deltas_config(tmp_path)
-        cfg["eval"].update(operations=["uncertainty"], eta=eta)
+        cfg["eval"].update(operations=["uncertainty"], eta=eta, steps=10)
         cmd_eval(cfg, tmp_path / "out", checkpoint=run / "checkpoint.bin")
         assert seen == [used]
+
+    def test_steps_beyond_the_checkpoint_schedule_rejected(self, tmp_path):
+        # the default eval.steps of 100 on a checkpoint of T = 50
+        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        with pytest.raises(ConfigError, match=r"eval\.steps must lie in \[1, 50\]"):
+            self.run_eval(tmp_path, ["uncertainty"],
+                          ["--checkpoint", str(run / "checkpoint.bin")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("a, b, flag", [
+        (np.zeros((0, 2)), np.ones((3, 2)), "--samples-a"),
+        (np.ones(2), np.ones((3, 2)), "--samples-a"),
+        (np.ones((3, 2)), np.zeros((0, 2)), "--samples-b"),
+        (np.ones((3, 2)), np.ones((3, 3)), "--samples-b"),
+    ], ids=["a-empty", "a-1d", "b-empty", "b-width"])
+    def test_bad_samples_rejected(self, tmp_path, a, b, flag):
+        paths = [str(tmp_path / "a.bin"), str(tmp_path / "b.bin")]
+        write_tensor_file(paths[0], a)
+        write_tensor_file(paths[1], b)
+        with pytest.raises(ConfigError, match=f"{flag} .* not a non-empty 2-D array"):
+            self.run_eval(tmp_path, ["distribution_distance"],
+                          ["--samples-a", paths[0], "--samples-b", paths[1]])
+        assert not (tmp_path / "out").exists()
+
+    def test_external_source_short_of_eval_count_rejected(self, tmp_path):
+        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        src = tmp_path / "signals.bin"
+        write_tensor_file(src, np.ones((4, 2)))
+        cfg = two_deltas_config(tmp_path)
+        cfg["data"] = {"kind": "external-binary", "path": str(src), "count": 4, "seed": 0}
+        cfg["eval"].update(operations=["mse_sweep"], count=5)
+        ckpt = run / "checkpoint.bin"
+        with pytest.raises(ConfigError, match="external-binary file"):
+            cmd_eval(validate_config(cfg), tmp_path / "out", checkpoint=ckpt,
+                     checkpoint_b=ckpt)
+        assert not (tmp_path / "out").exists()
