@@ -8,6 +8,12 @@ with the same config and seed produces byte-identical files, so no
 wall-clock timing is written. Every artifact is written through a temporary
 file and a rename, so an interrupted command leaves the old file or none.
 
+The synthetic-shapes signals take their draws from the generator's raw
+PCG64 words, replayed by NumPy's ``Generator`` rules
+(:class:`~specdiff.training.RawDraws`, checked against ``Generator`` by the
+tests), and paint their shapes in blocks of records with array ops; the bytes
+are those of one ``Generator`` call per draw and one image pass per shape.
+
 Subcommands: ``gen-data``, ``train``, ``sample``, ``reconstruct``, ``eval``,
 ``inspect``.
 """
@@ -59,7 +65,14 @@ from .operators import (
     corrupt,
     transform_from_descriptor,
 )
-from .training import PrecomputedDataset, TrainConfig, derived_rng, precompute, train
+from .training import (
+    PrecomputedDataset,
+    RawDraws,
+    TrainConfig,
+    derived_rng,
+    precompute,
+    train,
+)
 
 __all__ = [
     "Checkpoint",
@@ -405,26 +418,54 @@ def generate_signals(data_cfg: dict, count: int, seed: int) -> np.ndarray:
     return arr[:count]
 
 
+# pixels painted at a time: blocks of 64 records at the 16x16 presets, whose
+# temporaries add ~0.5 MB to a preset-size set-up (tracemalloc)
+_PAINT_PIXELS = 1 << 14
+
+
 def _shapes(count: int, h: int, w: int, rng) -> np.ndarray:
-    """Random axis-aligned rectangles and discs on a small grid, values in [0, 1]."""
+    """Random axis-aligned rectangles and discs on a small grid, values in [0, 1].
+
+    Each record draws 1 to 3 shapes from ``rng``, replayed from its raw words
+    (:class:`~specdiff.training.RawDraws`). The shapes are then painted with
+    array ops, a block of records and one shape slot at a time: a record is
+    the elementwise max of its shapes, which is exact in any order.
+    """
+    draws = RawDraws(rng.bit_generator)
+    integers, uniform, random = draws.integers, draws.uniform, draws.random
     out = np.zeros((count, h, w))
-    yy, xx = np.mgrid[0:h, 0:w]
-    for i in range(count):
-        for _ in range(rng.integers(1, 4)):
-            intensity = rng.uniform(0.4, 1.0)
-            if rng.random() < 0.5:
-                y0 = rng.integers(0, h - 2)
-                x0 = rng.integers(0, w - 2)
-                y1 = rng.integers(y0 + 2, min(h, y0 + h // 2) + 1)
-                x1 = rng.integers(x0 + 2, min(w, x0 + w // 2) + 1)
-                patch = np.zeros((h, w))
-                patch[y0:y1, x0:x1] = intensity
+    yy, xx = np.arange(h)[:, None], np.arange(w)
+    rows = max(1, _PAINT_PIXELS // (h * w))
+    for lo in range(0, count, rows):
+        block = out[lo:lo + rows]
+        rects, discs = ([], [], []), ([], [], [])  # per slot: (record, ...)
+        for i in range(len(block)):
+            for slot in range(integers(1, 4)):
+                intensity = uniform(0.4, 1.0)
+                if random() < 0.5:
+                    y0 = integers(0, h - 2)
+                    x0 = integers(0, w - 2)
+                    y1 = integers(y0 + 2, min(h, y0 + h // 2) + 1)
+                    x1 = integers(x0 + 2, min(w, x0 + w // 2) + 1)
+                    rects[slot].append((i, intensity, y0, x0, y1, x1))
+                else:
+                    cy = uniform(2, h - 2)
+                    cx = uniform(2, w - 2)
+                    r = uniform(1.5, min(h, w) / 4)
+                    discs[slot].append((i, intensity, cy, cx, r ** 2))
+        for params in rects + discs:
+            if not params:
+                continue
+            idx, intensity, *p = np.array(params).T[:, :, None, None]
+            if len(p) == 4:
+                y0, x0, y1, x1 = p
+                inside = (y0 <= yy) & (yy < y1) & (x0 <= xx) & (xx < x1)
             else:
-                cy = rng.uniform(2, h - 2)
-                cx = rng.uniform(2, w - 2)
-                r = rng.uniform(1.5, min(h, w) / 4)
-                patch = intensity * ((yy - cy) ** 2 + (xx - cx) ** 2 <= r ** 2)
-            out[i] = np.maximum(out[i], patch)
+                cy, cx, r2 = p
+                inside = (yy - cy) ** 2 + (xx - cx) ** 2 <= r2
+            idx = idx.ravel().astype(np.intp)
+            patch = intensity * inside
+            block[idx] = np.maximum(block[idx], patch, out=patch)
     return out.reshape(count, h * w)
 
 
@@ -768,14 +809,19 @@ def _check_steps(steps: int, schedule: DiffusionSchedule, name: str = "--steps")
                           f"checkpoint's schedule, got {steps}")
 
 
-def _read_rows(path, flag: str, width: int | None = None) -> np.ndarray:
-    """The tensor file ``path`` as a non-empty 2-D array of rows, ``width``
-    wide when given; any other array raises ``ConfigError`` naming ``flag``."""
+def _read_rows(path, flag: str, width: int | None = None,
+               min_rows: int = 1) -> np.ndarray:
+    """The tensor file ``path`` as a non-empty 2-D array of at least
+    ``min_rows`` rows, ``width`` wide when given; any other array raises
+    ``ConfigError`` naming ``flag``."""
     rows = read_tensor_file(path)
     if rows.ndim != 2 or rows.size == 0 or width not in (None, rows.shape[1]):
         raise ConfigError(f"{flag} {path}: an array of shape {rows.shape} is not a "
                           "non-empty 2-D array of rows"
                           + ("" if width is None else f" of width {width}"))
+    if rows.shape[0] < min_rows:
+        raise ConfigError(f"{flag} {path}: {rows.shape[0]} row(s), fewer than "
+                          f"the {min_rows} needed")
     return rows
 
 
@@ -920,7 +966,7 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
     source of fewer than ``eval.count`` rows, a checkpoint B whose schedule's
     ``T``, ``beta1`` or ``betaT``, transform or ``n`` differs from A's, an
     ``eval.steps`` beyond A's ``T`` for ``uncertainty``, or a samples file
-    that is not a non-empty 2-D array (for ``--samples-b``, of
+    that is not a 2-D array of at least 2 rows (for ``--samples-b``, of
     ``--samples-a``'s width) raises ``ConfigError``. ``uncertainty`` runs its
     reconstructions at ``eta = max(eval.eta, 0.5)``, so an ``eval.eta`` below
     0.5 (the default 0.0 included) is raised to 0.5 there and its ``k`` runs
@@ -942,7 +988,11 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
         if max(ev["ts"], default=0) > ca.schedule["T"]:
             raise ConfigError(f"eval.ts must be <= T = {ca.schedule['T']} of the "
                               "--checkpoint schedule")
-        width = generate_signals(cfg["data"], 0, 0).shape[1]
+        # one read of an external-binary source: the eval set (1 row when only
+        # uncertainty runs) gives the width and uncertainty's clean row, since
+        # every kind's first row is that of a 1-row set
+        clean_rows = generate_signals(cfg["data"], ev["count"] if cb else 1, seed)
+        width = clean_rows.shape[1]
         if width != ca.vt.n:
             raise ConfigError(f"data: signals of width {width} do not fit "
                               f"--checkpoint's n = {ca.vt.n}")
@@ -959,16 +1009,16 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
                 raise ConfigError(f"--checkpoint-b {what} = {b} differs from "
                                   f"--checkpoint's {a}")
         model_b = cb.model()
-        xbar = ca.vt.apply(generate_signals(cfg["data"], ev["count"], seed))
+        xbar = ca.vt.apply(clean_rows)
         ts = _eval_ts(cfg, schedule)
     if "uncertainty" in ops:
         sigma0 = ev["uncertainty_sigma0"]
         _check_noise_floor(schedule, sigma0 * sigma0, "eval.uncertainty_sigma0")
         _check_steps(ev["steps"], schedule, "eval.steps")
-        clean = generate_signals(cfg["data"], 1, seed)[0]
+        clean = clean_rows[0]
     if "distribution_distance" in ops:
-        a = _read_rows(samples_a, "--samples-a")
-        b = _read_rows(samples_b, "--samples-b", a.shape[1])
+        a = _read_rows(samples_a, "--samples-a", min_rows=2)
+        b = _read_rows(samples_b, "--samples-b", a.shape[1], min_rows=2)
     out_path = _out_dir(out, cfg["io"]["out_dir"])
 
     for op in ops:

@@ -336,12 +336,13 @@ def distribution_distance(samples_a: np.ndarray, samples_b: np.ndarray,
     The sliced distance is ``sqrt(d * mean_u W2^2(proj_u a, proj_u b))`` over
     random unit directions ``u``; the dimension factor makes a pure mean shift
     of isotropic distributions come out as the shift norm. Moment gaps are the
-    mean-vector distance and the covariance Frobenius distance.
+    mean-vector distance and the covariance Frobenius distance. A set of
+    fewer than 2 rows, which has no sample covariance, raises ``ValueError``.
     """
     a = np.atleast_2d(np.asarray(samples_a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(samples_b, dtype=np.float64))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("empty sample set")
+    if a.shape[0] < 2 or b.shape[0] < 2:
+        raise ValueError("each sample set needs at least 2 rows (a covariance)")
     if a.shape[1] != b.shape[1]:
         raise ValueError("sample sets must share dimensionality")
     d = a.shape[1]

@@ -237,7 +237,7 @@ class PatchDropMasks:
         """Flat row-major mask, each patch dropped independently."""
         keep = rng.random((self.height // self.patch, self.width // self.patch)) >= self.p
         if self.patch > 1:
-            keep = np.repeat(np.repeat(keep, self.patch, axis=0), self.patch, axis=1)
+            keep = keep.repeat(self.patch, 0).repeat(self.patch, 1)
         return keep.reshape(-1)
 
     def keep_probabilities(self) -> np.ndarray:

@@ -8,6 +8,11 @@ coordinates, and the noise is scaled, added and masked in place over all rows.
 The records' generators come from :func:`derived_rngs`: one PCG64 reset to
 each record's state in turn, with NumPy's ``SeedSequence`` hash run over all
 records at once, instead of a new ``SeedSequence`` and ``PCG64`` per record.
+:class:`RawDraws` replays a ``Generator``'s scalar ``random``, ``uniform`` and
+``integers`` draws from PCG64's raw words in plain Python, for the
+synthetic-shapes signals' many scalar draws. Both depend on NumPy's rules
+(the ``SeedSequence`` hash, PCG64's seeding and its ``Generator``
+distributions, as of numpy 2.4), which the tests check against NumPy itself.
 
 The whole trajectory is a pure function of (config, data): every random draw
 comes from a generator derived from the config seed and a structural key
@@ -41,6 +46,7 @@ __all__ = [
     "AdamState",
     "MetricsRow",
     "PrecomputedDataset",
+    "RawDraws",
     "TrainConfig",
     "TrainResult",
     "TrainingDiverged",
@@ -148,6 +154,69 @@ def derived_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
                                    "state": {"state": state, "inc": inc},
                                    "has_uint32": 0, "uinteger": 0}
             yield rng
+
+
+# raw words RawDraws takes from its bit generator per random_raw call
+_RAW_BLOCK = 1024
+_DOUBLE_UNIT = 2.0 ** -53
+
+
+class RawDraws:
+    """``random()``, ``uniform(a, b)`` and scalar ``integers(lo, hi)`` of a
+    ``Generator`` on ``bit_generator``, replayed in plain Python from its raw
+    64-bit words: the same values from the same state, without a
+    ``Generator`` call per draw.
+
+    The rules are those of NumPy's ``Generator`` for PCG64 (numpy 2.4,
+    ``distributions.c`` and ``pcg64.h``), which the tests check against it:
+    a double is ``(w >> 11) * 2**-53``; ``uniform`` is ``a + (b - a) * u``;
+    ``integers`` is Lemire's bounded draw on 32-bit draws, with its rejection
+    loop. A 32-bit draw takes a word's low half and keeps the high half for
+    the next 32-bit draw; double draws leave that kept half alone.
+    ``integers`` takes ranges of 1 to ``2**32`` values (one value takes no
+    draw) and returns a Python int.
+
+    Words are taken ``_RAW_BLOCK`` at a time, so the bit generator runs ahead
+    of the draws and is not for further use.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        state = bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._next = self._words(bit_generator).__next__
+
+    @staticmethod
+    def _words(bit_generator) -> Iterator[int]:
+        while True:
+            yield from bit_generator.random_raw(_RAW_BLOCK).tolist()
+
+    def random(self) -> float:
+        return (self._next() >> 11) * _DOUBLE_UNIT
+
+    def uniform(self, a: float, b: float) -> float:
+        return a + (b - a) * self.random()
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._next()
+            self._half = word >> 32
+            return word & _MASK32
+        self._half = None
+        return half
+
+    def integers(self, lo: int, hi: int) -> int:
+        span = hi - lo
+        if not 1 <= span <= 1 << 32:
+            raise ValueError(f"integers({lo}, {hi}): the replay takes 1 to 2**32 values")
+        if span == 1:
+            return lo
+        m = self._uint32() * span
+        if m & _MASK32 < span:
+            threshold = ((1 << 32) - span) % span
+            while m & _MASK32 < threshold:
+                m = self._uint32() * span
+        return lo + (m >> 32)
 
 
 @dataclass

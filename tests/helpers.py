@@ -136,3 +136,28 @@ def per_projection_sliced_wasserstein(a, b, n_projections, rng):
     for j in range(n_projections):
         w2_sq[j] = np.mean((np.quantile(pa[:, j], qs) - np.quantile(pb[:, j], qs)) ** 2)
     return float(np.sqrt(d * w2_sq.mean()))
+
+
+def reference_shapes(count, h, w, rng):
+    """The synthetic-shapes generator as one ``Generator`` call per draw and
+    one full-image patch per shape: the reference ``cli._shapes`` must match
+    byte for byte."""
+    out = np.zeros((count, h, w))
+    yy, xx = np.mgrid[0:h, 0:w]
+    for i in range(count):
+        for _ in range(rng.integers(1, 4)):
+            intensity = rng.uniform(0.4, 1.0)
+            if rng.random() < 0.5:
+                y0 = rng.integers(0, h - 2)
+                x0 = rng.integers(0, w - 2)
+                y1 = rng.integers(y0 + 2, min(h, y0 + h // 2) + 1)
+                x1 = rng.integers(x0 + 2, min(w, x0 + w // 2) + 1)
+                patch = np.zeros((h, w))
+                patch[y0:y1, x0:x1] = intensity
+            else:
+                cy = rng.uniform(2, h - 2)
+                cx = rng.uniform(2, w - 2)
+                r = rng.uniform(1.5, min(h, w) / 4)
+                patch = intensity * ((yy - cy) ** 2 + (xx - cx) ** 2 <= r ** 2)
+            out[i] = np.maximum(out[i], patch)
+    return out.reshape(count, h * w)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,9 @@ from specdiff.cli import (
     write_tensor_file,
 )
 from specdiff.losses import LossConfig
+from specdiff.training import derived_rng
+
+from helpers import reference_shapes
 
 
 ROOT = Path(__file__).parents[1]
@@ -416,6 +420,29 @@ class TestSignals:
                                16, seed=4)
         assert sig.shape == (16, 64)
         assert sig.min() >= 0.0 and sig.max() <= 1.0
+
+    # count 0 and 1, non-square, blocks of 180 records (13x7) and of 12 (40x33)
+    # crossed, one record per block (130x129), and the preset size
+    @pytest.mark.parametrize("count, h, w", [(0, 16, 16), (1, 16, 16), (37, 6, 9),
+                                             (300, 13, 7), (30, 40, 33),
+                                             (3, 130, 129), (4096, 16, 16)])
+    @pytest.mark.parametrize("seed", [0, 1, 101, 301, 2**40 + 3])
+    def test_shapes_equal_the_per_draw_reference(self, seed, count, h, w):
+        got = generate_signals({"kind": "synthetic-shapes", "height": h, "width": w},
+                               count, seed)
+        want = reference_shapes(count, h, w, derived_rng(seed, 0))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_shapes_painting_memory_bound(self):
+        # at the preset size the painting blocks add at most 1 MB to the output
+        data = {"kind": "synthetic-shapes", "height": 16, "width": 16}
+        tracemalloc.start()
+        try:
+            out = generate_signals(data, 4096, 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2**20
 
     def test_zero_count(self, tmp_path):
         cfg = two_deltas_config(tmp_path)
@@ -1323,6 +1350,41 @@ class TestEvalInputs:
             self.run_eval(tmp_path, ["distribution_distance"],
                           ["--samples-a", paths[0], "--samples-b", paths[1]])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a, b, flag", [
+        (np.ones((1, 2)), np.ones((3, 2)), "--samples-a"),
+        (np.ones((3, 2)), np.ones((1, 2)), "--samples-b"),
+    ], ids=["a-one-row", "b-one-row"])
+    def test_one_row_samples_rejected(self, tmp_path, a, b, flag):
+        # one row has no sample covariance: cov_gap would be nan
+        paths = [str(tmp_path / "a.bin"), str(tmp_path / "b.bin")]
+        write_tensor_file(paths[0], a)
+        write_tensor_file(paths[1], b)
+        with pytest.raises(ConfigError, match=f"{flag} .* 1 row"):
+            self.run_eval(tmp_path, ["distribution_distance"],
+                          ["--samples-a", paths[0], "--samples-b", paths[1]])
+        assert not (tmp_path / "out").exists()
+
+    def test_external_source_read_once(self, tmp_path, monkeypatch):
+        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        src = tmp_path / "signals.bin"
+        write_tensor_file(src, np.random.default_rng(2).standard_normal((6, 2)))
+        reads = []
+
+        def counting_read(path):
+            reads.append(Path(path))
+            return read_tensor_file(path)
+
+        monkeypatch.setattr(cli, "read_tensor_file", counting_read)
+        cfg = two_deltas_config(tmp_path)
+        cfg["data"] = {"kind": "external-binary", "path": str(src), "count": 6, "seed": 0}
+        cfg["eval"].update(operations=["mse_sweep", "uncertainty"], count=4, steps=5,
+                           t_stride=25, uncertainty_k=2)
+        ckpt = run / "checkpoint.bin"
+        cmd_eval(validate_config(cfg), tmp_path / "out", checkpoint=ckpt,
+                 checkpoint_b=ckpt)
+        assert reads.count(src) == 1
 
     def test_external_source_short_of_eval_count_rejected(self, tmp_path):
         run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")

@@ -308,9 +308,8 @@ class TestDistributionDistance:
         r2 = distribution_distance(b, a, 128, np.random.default_rng(19))
         assert r1.sliced_wasserstein == pytest.approx(r2.sliced_wasserstein, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.cov of a 1-row set
     @pytest.mark.parametrize("na,nb,d", [(4096, 4096, 2), (1000, 1000, 3),
-                                         (37, 37, 2), (1000, 37, 4), (1, 5, 1)])
+                                         (37, 37, 2), (1000, 37, 4), (2, 5, 1)])
     def test_bit_equal_to_per_projection_quantiles(self, na, nb, d):
         rng = np.random.default_rng(na + nb + d)
         a = rng.standard_normal((na, d))
@@ -326,6 +325,14 @@ class TestDistributionDistance:
         qs = (np.arange(size) + 0.5) / size
         np.testing.assert_array_equal(_row_quantiles(rows, qs),
                                       np.quantile(rows, qs, axis=1).T)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("na, nb", [(1, 4), (4, 1)])
+    def test_one_row_rejected(self, na, nb):
+        # np.cov of one row warns and gives nan
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            distribution_distance(np.ones((na, 2)), np.ones((nb, 2)), 8,
+                                  np.random.default_rng(0))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

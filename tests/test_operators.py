@@ -92,6 +92,12 @@ class TestPatchMasks:
         with pytest.raises(ValueError, match="does not tile"):
             PatchDropMasks(10, 8, 4, 0.2)
 
+    def test_equals_np_repeat_upsampling(self):
+        dist = PatchDropMasks(8, 12, 4, 0.5)
+        keep = np.random.default_rng(4).random((2, 3)) >= 0.5
+        want = np.repeat(np.repeat(keep, 4, axis=0), 4, axis=1).reshape(-1)
+        assert dist.sample(np.random.default_rng(4)).tobytes() == want.tobytes()
+
     def test_masks_are_patch_constant(self):
         rng = np.random.default_rng(3)
         m = PatchDropMasks(16, 16, 4, 0.5).sample(rng).reshape(16, 16)

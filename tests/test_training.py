@@ -1,5 +1,6 @@
 """Adam, dataset precompute, and the deterministic training loop."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -25,6 +26,7 @@ from specdiff.training import (
     ADAM_EPS,
     AdamState,
     PrecomputedDataset,
+    RawDraws,
     TrainConfig,
     TrainingDiverged,
     _evaluate_chunk,
@@ -157,6 +159,40 @@ class TestDerivedRngs:
             derived_rng(seed, 0)
         with pytest.raises(expected.type):
             next(derived_rngs(seed, 3))
+
+
+class TestRawDraws:
+    # (7, 7 + 3 * 2**30): Lemire's loop rejects a quarter of its 32-bit draws;
+    # (5, 6) takes no draw; (0, 2**32) is a bare 32-bit draw
+    @pytest.mark.parametrize("lo, hi", [(7, 7 + 3 * 2**30), (0, 3), (-4, 9), (5, 6),
+                                        (0, 2**32)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 2**64 + 5])
+    def test_equals_generator_interleaved_with_doubles(self, seed, lo, hi):
+        ref = derived_rng(seed, 0)
+        draws = RawDraws(derived_rng(seed, 0).bit_generator)
+        # words are taken 1,024 at a time: 3,000 draws cross a block's edge
+        for pick in np.random.default_rng(seed % 97).integers(0, 4, size=3000).tolist():
+            if pick == 0:
+                assert draws.random() == ref.random()
+            elif pick == 1:
+                assert draws.uniform(0.4, 1.0) == ref.uniform(0.4, 1.0)
+            else:
+                got = draws.integers(lo, hi)
+                assert type(got) is int and got == ref.integers(lo, hi)
+
+    def test_starts_from_a_kept_half(self):
+        ref = np.random.default_rng(9)
+        ref.integers(0, 10)  # leaves the word's high half for the next draw
+        assert ref.bit_generator.state["has_uint32"]
+        draws = RawDraws(copy.deepcopy(ref).bit_generator)
+        for _ in range(100):
+            assert draws.integers(0, 10) == ref.integers(0, 10)
+            assert draws.random() == ref.random()
+
+    @pytest.mark.parametrize("lo, hi", [(3, 3), (3, 2), (0, 2**32 + 1)])
+    def test_ranges_outside_the_replay_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="1 to 2\\*\\*32"):
+            RawDraws(np.random.PCG64(0)).integers(lo, hi)
 
 
 def per_record_reference(signals, fam, seed):
