@@ -558,19 +558,25 @@ def _schedule_digest(schedule: dict) -> str:
 
 class Checkpoint:
     """Serialized training outcome: parameters, shadow parameters, provenance,
-    and ``vt``, the transform its descriptor names, built once here."""
+    and what the header describes, each built once here (``vt``, :meth:`model`,
+    :meth:`rebuild_schedule`). ``params`` and ``ema_params`` are that model's
+    arrays, copies of those given. A header that cannot be built raises."""
 
     def __init__(self, arch: dict, params: np.ndarray, ema_params: np.ndarray,
                  step_count: int, config_digest: str, schedule: dict,
                  vt_descriptor: dict):
         self.arch = arch
-        self.params = np.asarray(params, dtype=np.float64)
-        self.ema_params = np.asarray(ema_params, dtype=np.float64)
         self.step_count = int(step_count)
         self.config_digest = config_digest
         self.schedule = schedule
         self.vt_descriptor = vt_descriptor
         self.vt = transform_from_descriptor(vt_descriptor)
+        self._model = Denoiser.from_arch(arch, params, ema_params)
+        if self.vt.n != self._model.n:
+            raise ValueError(f"vt has n = {self.vt.n}, arch has n = {self._model.n}")
+        self.params, self.ema_params = self._model.params, self._model.ema_params
+        betas = linear_schedule(schedule["T"], schedule["beta1"], schedule["betaT"]).betas
+        self._schedule = DiffusionSchedule(betas, t_min_valid=schedule["t_min_valid"])
 
     def header(self) -> dict:
         return {
@@ -585,12 +591,10 @@ class Checkpoint:
         }
 
     def model(self) -> Denoiser:
-        return Denoiser.from_arch(self.arch, self.params, self.ema_params)
+        return self._model
 
     def rebuild_schedule(self) -> DiffusionSchedule:
-        s = self.schedule
-        return DiffusionSchedule(linear_schedule(s["T"], s["beta1"], s["betaT"]).betas,
-                                 t_min_valid=s["t_min_valid"])
+        return self._schedule
 
     def __eq__(self, other):
         return (isinstance(other, Checkpoint)
@@ -628,25 +632,17 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: schedule digest mismatch")
     if len(raw) != offset + 16 * count:
         raise FormatError(f"{path}: parameter payload size mismatch")
-    params = np.frombuffer(raw, dtype="<f8", offset=offset, count=count).copy()
-    ema = np.frombuffer(raw, dtype="<f8", offset=offset + 8 * count,
-                        count=count).copy()
+    params = np.frombuffer(raw, dtype="<f8", offset=offset, count=count)
+    ema = np.frombuffer(raw, dtype="<f8", offset=offset + 8 * count, count=count)
     if not (np.isfinite(params).all() and np.isfinite(ema).all()):
         raise FormatError(f"{path}: non-finite parameter or EMA values")
-    try:
-        ckpt = Checkpoint(arch=arch, params=params, ema_params=ema,
+    try:  # a bad arch, schedule or vt fails here and not at first use
+        return Checkpoint(arch=arch, params=params, ema_params=ema,
                           step_count=header["step_count"],
                           config_digest=header["config_digest"],
                           schedule=header["schedule"], vt_descriptor=header["vt"])
-        # build what the header describes once, so a bad arch, schedule or vt
-        # fails here and not at first use
-        n = ckpt.model().n
-        ckpt.rebuild_schedule()
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad arch, schedule or vt: {exc!r}") from exc
-    if ckpt.vt.n != n:
-        raise FormatError(f"{path}: vt has n = {ckpt.vt.n}, arch has n = {n}")
-    return ckpt
 
 
 # -- commands ---------------------------------------------------------------------
@@ -909,7 +905,8 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
                 m = corrupt(clean[i], fam.sample(rng), rng)
                 rec = reconstruct(model, schedule, m, steps,
                                   derived_rng(seed, r, i, 1), vt, eta=eta)
-                resid += float(np.linalg.norm(rec - clean[i]))
+                gap = rec - clean[i]  # einsum, not BLAS: same bits at any thread count
+                resid += float(np.sqrt(np.einsum("i,i->", gap, gap)))
             rows.append((r, resid / len(clean), bool(np.isfinite(resid))))
         write_csv(out_path / "rsweep.csv", ["accel", "residual_norm", "finite"], rows)
         return out_path

@@ -353,8 +353,8 @@ def distribution_distance(samples_a: np.ndarray, samples_b: np.ndarray,
     qb = _row_quantiles(np.sort((b @ dirs.T).T, axis=1), qs)
     w2_sq = np.mean((qa - qb) ** 2, axis=1)
     sw = float(np.sqrt(d * w2_sq.mean()))
-    mean_gap = float(np.linalg.norm(a.mean(0) - b.mean(0)))
-    ca = np.cov(a, rowvar=False).reshape(d, d)
-    cb = np.cov(b, rowvar=False).reshape(d, d)
-    cov_gap = float(np.linalg.norm(ca - cb, ord="fro"))
+    gap = a.mean(0) - b.mean(0)  # einsum, not BLAS: the same bits at any thread count
+    mean_gap = float(np.sqrt(np.einsum("i,i->", gap, gap)))
+    gap = (np.cov(a, rowvar=False) - np.cov(b, rowvar=False)).reshape(d * d)
+    cov_gap = float(np.sqrt(np.einsum("i,i->", gap, gap)))
     return DistanceResult(sliced_wasserstein=sw, mean_gap=mean_gap, cov_gap=cov_gap)

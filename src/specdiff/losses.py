@@ -63,9 +63,10 @@ class LossConfig:
 
     ``gamma`` is the timestep weight: ``constant`` (1) or ``snr``
     (``abar/(1-abar)``). ``lam`` sets the divergence coefficient:
-    ``theory`` (``1-abar``), ``exact`` (``(1-abar)/sqrt(abar)``, the
-    coefficient under which the estimator is exactly unbiased), ``constant``
-    (``lam_coef``), or ``scaled_inverse_snr`` (``lam_coef*(1-abar)/abar``).
+    ``theory`` (``1-abar``), ``exact`` (``(1-abar)/sqrt(abar)``, unbiased only
+    with ``use_ybar_variant=False``: the default ybar variant's unbiased
+    coefficient, ``noise_var * sqrt(abar)`` per coordinate, has no rule yet),
+    ``constant`` (``lam_coef``), or ``scaled_inverse_snr`` (``lam_coef*(1-abar)/abar``).
     ``probes`` is the number of standard Gaussian Hutchinson probes per row.
     """
 

@@ -254,5 +254,5 @@ class Denoiser:
             ema_params = np.asarray(ema_params, dtype=np.float64)
             if ema_params.shape != model.params.shape:
                 raise ValueError("ema parameter vector has the wrong length")
-            model.ema_params = ema_params.copy()
+            model.ema_params[:] = ema_params
         return model

@@ -332,7 +332,7 @@ class DegradationFamily:
     """
 
     vt: OrthoTransform
-    masks: object  # PatchDropMasks | LineSubsampleMasks | FixedMask
+    masks: object  # PatchDropMasks | LineSubsampleMasks | SingleDropMasks | FixedMask
     sigma0: float
 
     def __post_init__(self):

@@ -453,9 +453,10 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
             model.ema_update()
 
             if step == 1 or step % cfg.log_interval == 0 or step == cfg.iterations:
-                metrics.append(MetricsRow(step=step, loss=loss,
-                                          divergence_term=div,
-                                          grad_norm=float(np.linalg.norm(grads))))
+                # einsum, not BLAS: the same bits at any thread count
+                g2 = np.einsum("i,i->", grads, grads)
+                metrics.append(MetricsRow(step=step, loss=loss, divergence_term=div,
+                                          grad_norm=float(np.sqrt(g2))))
     except NonFiniteError as exc:
         raise TrainingDiverged(step, str(exc)) from exc
 

@@ -1,11 +1,16 @@
 """Every command once on shrunken presets, checked byte for byte.
 
-The command set runs through ``main([...])`` in a child process that pins
-BLAS to one thread (a column of ``distance.csv`` differs in its last digit
-between one and two OpenBLAS threads), with paths relative to its working
-directory, since ``io.data_dir`` enters the config digest. Each file's sha256
-must equal ``tests/artifact_digests.json``, ``inspect`` must describe each
-file, and no temporary file of the atomic writer may remain.
+The command set runs through ``main([...])`` in child processes pinned to one
+and to two BLAS threads, with paths relative to their working directory, since
+``io.data_dir`` enters the config digest. Each file's sha256 must equal
+``tests/artifact_digests.json`` at both thread counts, ``inspect`` must
+describe each file, and no temporary file of the atomic writer may remain.
+The pins remain because an unpinned run takes as many threads as the machine
+has CPUs, so it would check a different count on each machine; pinning checks
+the same two everywhere. OpenBLAS may cap its threads at the CPU count, so the
+two-thread run has power only on a machine with at least 2 CPUs. The
+manifest's shrunk nets are too small for a thread-dependent sum over the
+parameters to show, so a full-size ``train`` is checked at both counts too.
 
 After a change that moves artifact bytes on purpose, rewrite the manifest
 with ``PYTHONPATH=src python tests/test_artifacts.py --rewrite``; its diff
@@ -115,14 +120,16 @@ def run_commands() -> None:
         cli.main(argv)
 
 
-def run_child(workdir: Path) -> None:
-    """``run_commands`` in a fresh process on one BLAS thread."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+def run_child(workdir: Path, threads: int = 1, *args: str) -> None:
+    """``python *args`` in a fresh process on ``threads`` BLAS threads, by
+    default ``run_commands``."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "OMP_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--run"],
-                          cwd=workdir, env=env, capture_output=True, text=True,
-                          timeout=600)
+    args = args or (str(Path(__file__).resolve()), "--run")
+    proc = subprocess.run([sys.executable, *args], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -138,8 +145,9 @@ def build() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
-def test_every_command_writes_the_manifest_bytes(tmp_path, capsys):
-    run_child(tmp_path)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_command_writes_the_manifest_bytes(tmp_path, capsys, threads):
+    run_child(tmp_path, threads)
     assert not list(tmp_path.rglob("*.partial"))
     manifest = json.loads(MANIFEST.read_text())
     found = digests(tmp_path)
@@ -150,6 +158,21 @@ def test_every_command_writes_the_manifest_bytes(tmp_path, capsys):
     for name in found:
         cli.main(["inspect", str(tmp_path / name)])
         assert capsys.readouterr().out
+
+
+def test_full_size_metrics_equal_at_one_and_two_threads(tmp_path):
+    # the two_deltas net (35,714 parameters): BLAS splits a dot product of
+    # 20,000 or more entries over its threads, and so would a gradient norm
+    cfg = json.loads((ROOT / "configs" / "two_deltas.json").read_text())
+    cfg["data"]["count"] = 64
+    cfg["train"].update(iterations=3, log_interval=1)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    cli_main = "import sys; from specdiff import cli; cli.main(sys.argv[1:])"
+    for threads in (1, 2):
+        run_child(tmp_path, threads, "-c", cli_main, "train", "--config", "cfg.json",
+                  "--out", str(threads))
+    assert (tmp_path / "1" / "metrics.csv").read_bytes() \
+        == (tmp_path / "2" / "metrics.csv").read_bytes()
 
 
 # public functions and methods that no command reaches, each with its reason

@@ -1,5 +1,6 @@
 """File formats, config validation, checkpoints, and subcommands."""
 
+import collections
 import hashlib
 import json
 import re
@@ -37,6 +38,7 @@ from specdiff.cli import (
     write_tensor_file,
 )
 from specdiff.losses import LossConfig
+from specdiff.model import Denoiser
 from specdiff.training import derived_rng
 
 from helpers import reference_shapes
@@ -489,7 +491,69 @@ class TestCheckpoints:
         ckpt = self.make()
         path = tmp_path / "c.bin"
         save_checkpoint(path, ckpt)
-        assert load_checkpoint(path) == ckpt
+        loaded = load_checkpoint(path)
+        assert loaded == ckpt
+        # a checkpoint holds the one model and schedule it describes
+        model = loaded.model()
+        assert model.params is loaded.params and model.ema_params is loaded.ema_params
+        assert model is loaded.model()
+        assert loaded.rebuild_schedule() is loaded.rebuild_schedule()
+
+    def test_load_memory_bound(self, tmp_path):
+        # the shapes_patch preset's net (271,360 parameters): loading holds the
+        # file's bytes and the model's two parameter vectors, and little more
+        net = Denoiser.create(256, hidden=(256, 256, 256), emb_dim=32)
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, Checkpoint(
+            arch=net.arch(), params=net.params, ema_params=net.ema_params,
+            step_count=0, config_digest="abc123",
+            schedule={"T": 1000, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1},
+            vt_descriptor={"kind": "identity", "n": 256}))
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ckpt.params.size == 271_360
+        assert peak <= path.stat().st_size + 2 * ckpt.params.nbytes + 2**19
+
+    @pytest.mark.parametrize("command, builds", [
+        ("sample", 1), ("reconstruct", 1), ("eval", 2)])
+    def test_each_checkpoint_builds_its_model_and_schedule_once(
+            self, tmp_path, monkeypatch, command, builds):
+        # eval runs all five operations on two checkpoints
+        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg["eval"].update(operations=list(cli._EVAL_INPUTS), count=16, n_samples=200,
+                           n_permutations=20, uncertainty_k=2, steps=5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        data = str(cmd_gen_data(cfg, tmp_path / "data"))
+        ckpt = str(cmd_train(cfg, tmp_path / "run") / "checkpoint.bin")
+        samples = str(tmp_path / "samples.bin")
+        write_tensor_file(samples, np.random.default_rng(0).standard_normal((4, 2)))
+        argv = {"sample": ["sample", "--checkpoint", ckpt, "--steps", "5",
+                           "--count", "4", "--seed", "1"],
+                "reconstruct": ["reconstruct", "--checkpoint", ckpt, "--measurements",
+                                data, "--limit", "2", "--steps", "5", "--seed", "1"],
+                "eval": ["eval", "--config", str(cfg_path), "--checkpoint", ckpt,
+                         "--checkpoint-b", ckpt, "--samples-a", samples,
+                         "--samples-b", samples]}[command]
+        counts = collections.Counter()
+        from_arch, linear_schedule = Denoiser.from_arch.__func__, cli.linear_schedule
+
+        def counted_model(cls, *args):
+            counts["model"] += 1
+            return from_arch(cls, *args)
+
+        def counted_schedule(*args):
+            counts["schedule"] += 1
+            return linear_schedule(*args)
+
+        monkeypatch.setattr(Denoiser, "from_arch", classmethod(counted_model))
+        monkeypatch.setattr(cli, "linear_schedule", counted_schedule)
+        main(argv + ["--out", str(tmp_path / "out")])
+        assert counts == {"model": builds, "schedule": builds}
 
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
