@@ -17,7 +17,10 @@ gradient of ``seed_gradient . out + seed_tangent . dout``:
 
 passing ``g_h = g_z W`` and ``g_dh = g_dz W`` down to the layer below. So a
 scalar built outside from the output and its tangent (the divergence term of
-a GSURE loss) is differentiated exactly.
+a GSURE loss) is differentiated exactly. Each gradient is written in place
+into one flat vector in the parameter layout, through views that
+:func:`bind` makes once per vector, so a caller that reuses its vector makes
+no parameter-sized array per pass.
 
 The tangent may carry k blocks over one primal, ``(k, rows, n)``: k
 Hutchinson probes ride one pass. The values and φ' are computed once; each
@@ -46,9 +49,13 @@ The operation order is fixed, so identical inputs give bit-identical results.
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["Graph", "NonFiniteError", "ShapeError", "backward", "forward"]
+__all__ = ["Bound", "Graph", "NonFiniteError", "ShapeError", "backward", "bind",
+           "forward"]
 
 # Pre-activation entries a pass may leave unchecked before testing them in one
 # call. Up to ~16k entries, one call over the layers joined costs less than a
@@ -145,14 +152,55 @@ def _tangent_gemm(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (_flat(a) @ m).reshape(a.shape[:-1] + m.shape[-1:])
 
 
-def backward(saved, seed_gradient, seed_tangent=None) -> list[np.ndarray]:
+class Bound(NamedTuple):
+    """A flat vector and its views in the parameter layout (:func:`bind`)."""
+
+    flat: np.ndarray
+    views: list      # in layout order
+    layers: list     # [(W, b)] per layer
+    w_e: np.ndarray  # the first layer's embedding block
+
+
+def bind(flat: np.ndarray, shapes) -> Bound:
+    """The flat vector ``flat`` bound to views of it shaped ``shapes``, in
+    layout order ``W_0, W_e, b_0``, then ``W_i, b_i`` per layer.
+
+    A caller that reuses one vector binds it once and pays no per-pass cost
+    for its views. Raises :class:`ShapeError` unless ``flat`` is a contiguous
+    float64 vector that the shapes cover exactly.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    if (flat.dtype != np.float64 or not flat.flags.c_contiguous
+            or flat.shape != (sum(sizes),)):
+        raise ShapeError(f"the layout binds a contiguous float64 vector of "
+                         f"{sum(sizes)} entries, not {flat.dtype} {flat.shape}")
+    views, lo = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[lo:lo + size].reshape(shape))
+        lo += size
+    w0, w_e, b0, *rest = views
+    return Bound(flat, views, [(w0, b0), *zip(rest[::2], rest[1::2])], w_e)
+
+
+def _layout(graph: Graph) -> list[tuple]:
+    """The shapes of the graph's parameters in layout order."""
+    (w0, b0), *rest = graph._nodes
+    return [w0.shape, graph.w_e.shape, b0.shape,
+            *(a.shape for layer in rest for a in layer)]
+
+
+def backward(saved, seed_gradient, seed_tangent=None,
+             out: Bound | None = None) -> list[np.ndarray]:
     """Exact gradients of ``seed_gradient . out + seed_tangent . dout``.
 
     ``saved`` comes from the :func:`forward` that gave ``out`` and ``dout``;
     ``seed_tangent`` requires a forward that carried a tangent and is shaped
     like ``dout``; over k blocks, the gradient is that of the sum over blocks.
-    Returns the gradient of each parameter in layout order: ``W_0, W_e,
-    b_0``, then ``W_i, b_i`` per layer.
+    Every gradient is written into one flat vector in layout order, the
+    caller's (``out``, bound by :func:`bind`) or a new one. Returns its views
+    per parameter in that order: ``W_0, W_e, b_0``, then ``W_i, b_i`` per
+    layer. A tangent seed's part of each ``g_W`` is formed in one scratch
+    array shared by the layers.
     """
     graph, trace = saved
     if seed_tangent is not None and trace[0][1] is None:  # the pass had no input tangent
@@ -164,9 +212,13 @@ def backward(saved, seed_gradient, seed_tangent=None) -> list[np.ndarray]:
                              and gt.shape != trace[0][1].shape[:-1] + shape[1:]):
         raise ShapeError(f"seeds must have the output's shape {shape}, the tangent "
                          "seed in the forward's tangent blocks")
-    grads = []
+    if out is None:
+        layout = _layout(graph)
+        out = bind(np.empty(sum(map(math.prod, layout))), layout)
+    scratch = None if gt is None else np.empty(max(w.size for w, _ in graph._nodes))
     for i in range(len(graph._nodes) - 1, -1, -1):
         w, _ = graph._nodes[i]
+        gw, gb = out.layers[i]
         h, dh, y, d1, dz = trace[i]
         if y is not None:  # back through φ: adjoints of z and dz
             if d1 is None:  # value-only forward
@@ -179,11 +231,13 @@ def backward(saved, seed_gradient, seed_tangent=None) -> list[np.ndarray]:
                 blocks = gt.shape[0] if gt.ndim == 3 else 1
                 second = (gt * (-2.0 * y * d1) * dz).reshape((blocks,) + ga.shape)
                 ga, gt = ga * d1 + second.sum(axis=0), gt * d1
-        gw = ga.T @ h
+        np.matmul(ga.T, h, out=gw)
         if gt is not None:
-            gw = gw + _flat(gt).T @ _flat(dh)
-        layer = [gw, ga.T @ graph.temb] if i == 0 else [gw]
-        grads[:0] = layer + [ga.sum(axis=0)]
+            tangent_part = scratch[:gw.size].reshape(gw.shape)
+            gw += np.matmul(_flat(gt).T, _flat(dh), out=tangent_part)
+        if i == 0:
+            np.matmul(ga.T, graph.temb, out=out.w_e)
+        ga.sum(axis=0, out=gb)
         if i > 0:
             ga, gt = ga @ w, None if gt is None else _tangent_gemm(gt, w)
-    return grads
+    return out.views

@@ -255,6 +255,7 @@ _AT_LEAST_0, _AT_LEAST_1, _UNIT = Interval(0), Interval(1), Interval(0, 1)
 # sizes that allocate arrays get a ceiling far above any real run, so a huge
 # value fails here as a ConfigError, not later in numpy
 _RECORDS, _WIDTH = Interval(1, 2 ** 24), Interval(1, 2 ** 16)
+_STEPS = Interval(1, 2 ** 20)  # schedule.T; a checkpoint header's T obeys it too
 _NO_DEFAULT = object()  # the default of a required key
 
 # One row per key: (type, default, rule or None). A float key also takes an
@@ -279,7 +280,7 @@ _SCHEMA = {
         "sigma0": (float, 0.0, _AT_LEAST_0),
     },
     "schedule": {
-        "T": (int, 1000, _AT_LEAST_1),
+        "T": (int, 1000, _STEPS),
         "beta1": ((int, float, str), "sigma0_squared", None),  # see _check_beta1
         "betaT": (float, 0.2, Interval(0, 1, open_lo=True, open_hi=True)),
     },
@@ -469,10 +470,13 @@ def _shapes(count: int, h: int, w: int, rng) -> np.ndarray:
     return out.reshape(count, h * w)
 
 
-def build_degradation_family(cfg: dict) -> DegradationFamily:
-    """The configured family; masks that cannot fit the signal raise ``ConfigError``."""
+def build_degradation_family(cfg: dict, n: int | None = None) -> DegradationFamily:
+    """The configured family for signals of width ``n``; masks that cannot fit
+    the signal raise ``ConfigError``. Unset, ``n`` is the configured signals'
+    width, which reads an ``external-binary`` source: a caller that reads the
+    signals anyway passes their width."""
     deg = cfg["degradation"]
-    n = generate_signals(cfg["data"], 0, 0).shape[1]
+    n = generate_signals(cfg["data"], 0, 0).shape[1] if n is None else n
     family = deg["family"]
     vt = IdentityTransform(n)
     if family == "line-subsample":
@@ -579,16 +583,8 @@ class Checkpoint:
         self._schedule = DiffusionSchedule(betas, t_min_valid=schedule["t_min_valid"])
 
     def header(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "arch": self.arch,
-            "step_count": self.step_count,
-            "config_digest": self.config_digest,
-            "schedule": self.schedule,
-            "schedule_digest": _schedule_digest(self.schedule),
-            "vt": self.vt_descriptor,
-            "param_count": int(self.params.size),
-        }
+        return _checkpoint_header(self.arch, self.step_count, self.config_digest,
+                                  self.schedule, self.vt_descriptor, self.params.size)
 
     def model(self) -> Denoiser:
         return self._model
@@ -603,11 +599,30 @@ class Checkpoint:
                 and np.array_equal(self.ema_params, other.ema_params))
 
 
+def _checkpoint_header(arch: dict, step_count: int, config_digest: str,
+                       schedule: dict, vt_descriptor: dict, param_count: int) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "arch": arch,
+        "step_count": int(step_count),
+        "config_digest": config_digest,
+        "schedule": schedule,
+        "schedule_digest": _schedule_digest(schedule),
+        "vt": vt_descriptor,
+        "param_count": int(param_count),
+    }
+
+
+def _write_checkpoint(path, header: dict, params: np.ndarray,
+                      ema_params: np.ndarray) -> None:
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    _write(path, (CHECKPOINT_MAGIC, struct.pack("<II", FORMAT_VERSION, len(raw)),
+                  raw, np.ascontiguousarray(params, dtype="<f8"),
+                  np.ascontiguousarray(ema_params, dtype="<f8")))
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    header = json.dumps(ckpt.header(), sort_keys=True).encode("utf-8")
-    _write(path, (CHECKPOINT_MAGIC, struct.pack("<II", FORMAT_VERSION, len(header)),
-                  header, np.ascontiguousarray(ckpt.params, dtype="<f8"),
-                  np.ascontiguousarray(ckpt.ema_params, dtype="<f8")))
+    _write_checkpoint(path, ckpt.header(), ckpt.params, ckpt.ema_params)
 
 
 _CHECKPOINT_KEYS = ("arch", "step_count", "config_digest", "schedule",
@@ -630,6 +645,9 @@ def load_checkpoint(path) -> Checkpoint:
     count = header["param_count"]
     if header["schedule_digest"] != _schedule_digest(header["schedule"]):
         raise FormatError(f"{path}: schedule digest mismatch")
+    steps = header["schedule"].get("T") if isinstance(header["schedule"], dict) else None
+    if not (_fits(steps, int) and _STEPS.holds(steps)):
+        raise FormatError(f"{path}: schedule.T must be an integer and {_STEPS.text}")
     if len(raw) != offset + 16 * count:
         raise FormatError(f"{path}: parameter payload size mismatch")
     params = np.frombuffer(raw, dtype="<f8", offset=offset, count=count)
@@ -677,8 +695,8 @@ def cmd_gen_data(cfg: dict, out: str | None = None,
     _check_flag("--seed", seed_override, _AT_LEAST_0)
     seed = cfg["data"]["seed"] if seed_override is None else seed_override
     count = cfg["data"]["count"]
-    family = build_degradation_family(cfg)
     signals = generate_signals(cfg["data"], count + cfg["data"]["holdout"], seed)
+    family = build_degradation_family(cfg, signals.shape[1])
     clean, holdout = signals[:count], signals[count:]
     data = precompute(clean, family, seed=seed)
     out_path = _out_dir(out, cfg["io"]["out_dir"])
@@ -702,7 +720,8 @@ def cmd_gen_data(cfg: dict, out: str | None = None,
 
 
 def _load_dataset_dir(path: Path):
-    """A ``gen-data`` directory as ``(meta, ybar, masks, noise_var, clean or None)``."""
+    """A ``gen-data`` directory as ``(meta, ybar, masks, var, clean or None)``,
+    with ``var`` the noise variance of every kept entry."""
     for name in ("dataset.json", "ybar.bin", "masks.bin"):
         if path.is_dir() and not (path / name).is_file():
             raise FormatError(f"{path}: gen-data directory lacks {name}")
@@ -733,18 +752,17 @@ def _load_dataset_dir(path: Path):
     if np.any(ybar[~masks] != 0.0):
         raise FormatError(f"{path}: ybar is non-zero at unobserved entries")
     sigma0 = float(meta["sigma0"])
-    noise_var = masks * (sigma0 * sigma0)  # precompute's rule, bit for bit
     clean_path = path / "clean.bin"
     clean = read_tensor_file(clean_path) if clean_path.exists() else None
-    return meta, ybar, masks, noise_var, clean
+    return meta, ybar, masks, sigma0 * sigma0, clean  # precompute's var, bit for bit
 
 
 def _dataset_from_config(cfg: dict):
     """Measurements for training: from io.data_dir when set, else simulated."""
-    family = build_degradation_family(cfg)
     data_dir = cfg["io"]["data_dir"]
     if data_dir:
-        meta, ybar, masks, noise_var, clean = _load_dataset_dir(Path(data_dir))
+        family = build_degradation_family(cfg)
+        meta, ybar, masks, var, clean = _load_dataset_dir(Path(data_dir))
         if meta["n"] != family.n or meta["vt"] != family.vt.descriptor():
             raise ConfigError("dataset directory does not match the configured "
                               "degradation family")
@@ -753,11 +771,12 @@ def _dataset_from_config(cfg: dict):
                               f"{data_dir}")
         clean_xbar = family.vt.apply(clean) if clean is not None else None
         return PrecomputedDataset(
-            ybar=ybar, masks=masks, noise_var=noise_var, w=family.weights(),
+            ybar=ybar, masks=masks, var=var, w=family.weights(),
             clean_xbar=clean_xbar,
         ), family
     signals = generate_signals(cfg["data"], cfg["data"]["count"],
                                cfg["data"]["seed"])
+    family = build_degradation_family(cfg, signals.shape[1])
     return precompute(signals, family, seed=cfg["data"]["seed"]), family
 
 
@@ -768,8 +787,9 @@ def cmd_train(cfg: dict, out: str | None = None,
     data, family = _dataset_from_config(cfg)
     schedule = build_schedule(cfg)
     data_dir = cfg["io"]["data_dir"]
-    _check_noise_floor(schedule, data.noise_var, f"io.data_dir {data_dir}: sigma0"
-                       if data_dir else "degradation.sigma0")
+    _check_noise_floor(schedule, data.worst_noise_var(),
+                       f"io.data_dir {data_dir}: sigma0" if data_dir
+                       else "degradation.sigma0")
     model = build_model(cfg, family.n)
     train_cfg = build_train_config(cfg, seed_override)
     out_path = _out_dir(out, cfg["io"]["out_dir"])
@@ -782,11 +802,10 @@ def cmd_train(cfg: dict, out: str | None = None,
         "betaT": float(schedule.betas[-1]),
         "t_min_valid": result.t_min_valid,
     }
-    ckpt = Checkpoint(arch=model.arch(), params=model.params,
-                      ema_params=model.ema_params, step_count=train_cfg.iterations,
-                      config_digest=digest, schedule=sched_meta,
-                      vt_descriptor=family.vt.descriptor())
-    save_checkpoint(out_path / "checkpoint.bin", ckpt)
+    header = _checkpoint_header(model.arch(), train_cfg.iterations, digest, sched_meta,
+                                family.vt.descriptor(), model.param_count)
+    _write_checkpoint(out_path / "checkpoint.bin", header, model.params,
+                      model.ema_params)
     write_csv(out_path / "metrics.csv",
               ["step", "loss", "divergence_term", "grad_norm"],
               [(r.step, r.loss, r.divergence_term, r.grad_norm)
@@ -911,19 +930,19 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
         write_csv(out_path / "rsweep.csv", ["accel", "residual_norm", "finite"], rows)
         return out_path
 
-    meta, ybar, masks, noise_var, _ = _load_dataset_dir(Path(measurements_dir))
+    meta, ybar, masks, var, _ = _load_dataset_dir(Path(measurements_dir))
     if meta["n"] != vt.n or meta["vt"] != ckpt.vt_descriptor:
         raise ConfigError(f"--measurements {measurements_dir}: n = {meta['n']}, vt = "
                           f"{meta['vt']} differ from the checkpoint's n = {vt.n}, "
                           f"vt = {ckpt.vt_descriptor}")
     count = len(ybar) if limit is None else min(limit, len(ybar))
-    _check_noise_floor(schedule, noise_var[:count],
+    _check_noise_floor(schedule, var if masks[:count].any() else 0.0,
                        f"--measurements {measurements_dir}: sigma0")
     out_path = _out_dir(out, "recon")
     recons = np.empty((count, vt.n))
     zf = np.empty((count, vt.n))
     for i in range(count):
-        m = Measurement(ybar=ybar[i], mask=masks[i], noise_var=noise_var[i])
+        m = Measurement(ybar=ybar[i], mask=masks[i], noise_var=masks[i] * var)
         zf[i] = zero_filled(m, vt)
         recons[i] = reconstruct(model, schedule, m, steps, derived_rng(seed, i),
                                 vt, eta=eta)

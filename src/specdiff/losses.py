@@ -19,16 +19,16 @@ at a diffusion timestep:
 Models plug in through one pass, ``model.evaluate(rows, t, schedule,
 tangent=None)``, which processes rows independently and returns ``(x0, dx0,
 grad)``: the clean-signal estimates, their directional derivatives along the
-input tangent, and ``grad(g_x0, g_dx0)``, the flat parameter gradient of
-``sum(g_x0 * x0) + sum(g_dx0 * dx0)``; ``model.denoise`` gives plain
-estimates. The tangent may be ``(k, rows, n)``: k probe blocks over the one
-primal, with ``dx0`` and ``g_dx0`` shaped alike. The loss heads are numpy on
-the pass's outputs: each scalar is a weighted sum of squares plus
-``sum(div_w * probe * dx0)``, so its seeds are ``w * 2e`` on ``x0`` and
-``div_w * probe`` on ``dx0``. This is the one Hutchinson construction: the k
-probe tangents ride one pass over the un-copied primal rows, whose output
-alone feeds the squared-error term, and the gradient is exact, including
-through the probe JVPs.
+input tangent, and ``grad(g_x0, g_dx0, out=None)``, the flat parameter
+gradient of ``sum(g_x0 * x0) + sum(g_dx0 * dx0)``, written into ``out`` when
+given; ``model.denoise`` gives plain estimates. The tangent may be ``(k, rows,
+n)``: k probe blocks over the one primal, with ``dx0`` and ``g_dx0`` shaped
+alike. The loss heads are numpy on the pass's outputs: each scalar is a
+weighted sum of squares plus ``sum(div_w * probe * dx0)``, so its seeds are
+``w * 2e`` on ``x0`` and ``div_w * probe`` on ``dx0``. This is the one
+Hutchinson construction: the k probe tangents ride one pass over the un-copied
+primal rows, whose output alone feeds the squared-error term, and the gradient
+is exact, including through the probe JVPs.
 """
 
 from __future__ import annotations
@@ -110,11 +110,13 @@ class LossEval:
     value: float
     mse_term: float
     divergence_term: float
-    gradient: Callable[[], np.ndarray]
+    gradient: Callable[..., np.ndarray]
 
-    def backward_flat(self, model) -> np.ndarray:
-        """Flat parameter gradient of the scalar; ``model`` is the one evaluated."""
-        return self.gradient()
+    def backward_flat(self, model, out=None) -> np.ndarray:
+        """Flat parameter gradient of the scalar; ``model`` is the one evaluated.
+        It is written into ``out``, a vector bound by the model's
+        ``gradient_buffer()``, or into a new one."""
+        return self.gradient() if out is None else self.gradient(out=out)
 
 
 def _checked(value) -> float:

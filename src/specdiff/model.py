@@ -24,7 +24,7 @@ import functools
 
 import numpy as np
 
-from .autodiff import Graph, NonFiniteError, backward, forward
+from .autodiff import Bound, Graph, NonFiniteError, backward, bind, forward
 from .diffusion import DiffusionSchedule, timestep_rows
 
 __all__ = ["Denoiser", "time_embedding"]
@@ -80,14 +80,13 @@ class Denoiser:
         self.emb_dim = int(emb_dim)
         self.mean_type = mean_type
         self.ema_decay = float(ema_decay)
-        self._slices, size = [], 0  # (name, lo, hi, shape) of each parameter block
-        for name, shape in self._make_layout(self.n, self.hidden, self.emb_dim):
-            lo, size = size, size + int(np.prod(shape))
-            self._slices.append((name, lo, size, shape))
+        self._shapes = [shape for _, shape in
+                        self._make_layout(self.n, self.hidden, self.emb_dim)]
+        size = sum(int(np.prod(shape)) for shape in self._shapes)
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (size,):
             raise ValueError(f"expected {size} parameters, got {params.shape}")
-        self._bound = {}  # ema flag -> (flat array, its layers, its w0e view)
+        self._bound = {}  # ema flag -> the flat array bound to its views
         self.params = params.copy()
         self.ema_params = params.copy()
 
@@ -137,13 +136,14 @@ class Denoiser:
         """
         flat = self.ema_params if ema else self.params
         bound = self._bound.get(ema)
-        if bound is None or bound[0] is not flat:
-            p = {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in self._slices}
-            layers = [(p["w0x"], p["b0"])]
-            layers += [(p[f"w{i}"], p[f"b{i}"]) for i in range(1, len(self.hidden))]
-            layers.append((p["w_out"], p["b_out"]))
-            bound = self._bound[ema] = (flat, layers, p["w0e"])
-        return bound[1:]
+        if bound is None or bound.flat is not flat:
+            bound = self._bound[ema] = bind(flat, self._shapes)
+        return bound.layers, bound.w_e
+
+    def gradient_buffer(self) -> Bound:
+        """A new flat gradient vector, bound to its per-parameter views, for
+        ``grad(..., out=...)`` of :meth:`evaluate` to write into."""
+        return bind(np.empty(self.param_count), self._shapes)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -152,12 +152,12 @@ class Denoiser:
         or for one row per entry of the integer vector ``t`` (``rows`` unread).
 
         The one input is the ``(rows, n)`` batch of noisy rows; the output is
-        the x-estimate or noise estimate. :func:`backward` returns the
-        parameter gradients in layout order, so they concatenate into the flat
-        layout. The layers are the views :meth:`_layers` bound to the
-        parameter array. An int ``t`` is embedded once per ``(t, emb_dim)``
-        and repeated to the rows, which gives the vector form's bits; a
-        one-row graph reads that cached, read-only row itself.
+        the x-estimate or noise estimate. :func:`backward` writes the
+        parameter gradients into a flat vector in this layout. The layers are
+        the views :meth:`_layers` bound to the parameter array. An int ``t``
+        is embedded once per ``(t, emb_dim)`` and repeated to the rows, which
+        gives the vector form's bits; a one-row graph reads that cached,
+        read-only row itself.
         """
         layers, w0e = self._layers(ema)
         if isinstance(t, (int, np.integer)):
@@ -177,8 +177,9 @@ class Denoiser:
         :meth:`build_graph`, with no per-row timestep array.
         ``x0`` is the ``(rows, n)`` clean-signal estimate, ``dx0`` its
         directional derivative along the input ``tangent`` (None without one),
-        and ``grad(g_x0, g_dx0=None)`` the flat parameter gradient of
-        ``sum(g_x0 * x0) + sum(g_dx0 * dx0)``. The tangent is ``(rows, n)`` or
+        and ``grad(g_x0, g_dx0=None, out=None)`` the flat parameter gradient of
+        ``sum(g_x0 * x0) + sum(g_dx0 * dx0)``, written into ``out`` (from
+        :meth:`gradient_buffer`) or a new vector. The tangent is ``(rows, n)`` or
         ``(k, rows, n)``, k blocks over the one primal pass; ``dx0`` and
         ``g_dx0`` take its shape, and the per-row ε→x0 map and its adjoint
         broadcast over the blocks.
@@ -202,11 +203,13 @@ class Denoiser:
             if not np.all(np.isfinite(x0)):
                 raise NonFiniteError("non-finite clean-signal estimate")
 
-        def grad(g_x0, g_dx0=None) -> np.ndarray:
+        def grad(g_x0, g_dx0=None, out: Bound | None = None) -> np.ndarray:
             if self.mean_type == "predict_epsilon":
                 g_x0 = s * -(inv * g_x0)
                 g_dx0 = None if g_dx0 is None else s * -(inv * g_dx0)
-            return np.concatenate([pg.ravel() for pg in backward(saved, g_x0, g_dx0)])
+            out = self.gradient_buffer() if out is None else out
+            backward(saved, g_x0, g_dx0, out=out)
+            return out.flat
 
         return x0, dx0, grad
 

@@ -23,20 +23,29 @@ gradients are reduced in chunk order. The first chunk's gradient starts the
 sum, so a one-chunk step uses its chunk's gradient as it is and the default is
 bit-identical to ``chunk_size = batch_size``.
 
-Adam (:func:`adam_step`) and the EMA shadow (:meth:`Denoiser.ema_update`) run
+A :class:`PrecomputedDataset` keeps one noise variance, ``var = sigma0 *
+sigma0``, shared by every kept entry; a record's per-entry variances are
+``masks[i] * var``, derived where they are read, so no array of them is stored.
+
+Each :func:`train` call allocates its flat gradient vector once, bound to its
+per-parameter views (:meth:`Denoiser.gradient_buffer`), and a second one when
+a step has several chunks; every step's backward pass writes into them, so no
+step makes a parameter-sized temporary. Adam (:func:`adam_step`, its scratch
+in :class:`AdamState`) and the EMA shadow (:meth:`Denoiser.ema_update`) run
 over fixed cache-sized blocks of the flat parameter vector, with the
 whole-vector form's operations per element, so they are bit-identical to it.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NonFiniteError
+from .autodiff import Bound, NonFiniteError
 from .diffusion import DiffusionSchedule, t_min_for_noise_var
 from .losses import LossConfig, gsure_diffusion_loss, supervised_loss
 from .model import UPDATE_BLOCK, Denoiser
@@ -221,11 +230,16 @@ class RawDraws:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one flat parameter vector."""
+    """First/second moment accumulators for one flat parameter vector, and
+    the two-block scratch :func:`adam_step` writes its intermediates into."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, min(UPDATE_BLOCK, self.m.shape[0])))
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
@@ -241,15 +255,15 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
     Runs over :data:`~specdiff.model.UPDATE_BLOCK`-element slices, each with
     the whole-vector form's operations in its order, so the result is
-    bit-identical to that form. Every intermediate is written into one
-    two-block scratch made per call, which stays in cache.
+    bit-identical to that form. Every intermediate is written into the
+    state's two-block scratch, which stays in cache.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads and state must share one shape")
     state.step += 1
     a1, a2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
     c1, c2 = 1.0 - ADAM_BETA1 ** state.step, 1.0 - ADAM_BETA2 ** state.step
-    scratch = np.empty((2, min(UPDATE_BLOCK, params.shape[0])))
+    scratch = state.scratch
     for lo in range(0, params.shape[0], UPDATE_BLOCK):
         hi = lo + UPDATE_BLOCK
         p, g, m, v = params[lo:hi], grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
@@ -296,20 +310,25 @@ class TrainConfig:
 class PrecomputedDataset:
     """Transformed measurements sharing one orthogonal transform.
 
-    Rows of ``ybar``/``masks``/``noise_var`` are the records; ``w`` is the
-    balancing weight vector derived from the mask distribution. Clean spectral
-    signals are optional; oracle training needs them.
+    Rows of ``ybar``/``masks`` are the records; every kept entry has the noise
+    variance ``var`` and every other entry none, so a record's per-entry
+    variances are ``masks[i] * var``, derived where they are read and not
+    stored. ``w`` is the balancing weight vector derived from the mask
+    distribution. Clean spectral signals are optional; oracle training needs
+    them.
     """
 
     ybar: np.ndarray
     masks: np.ndarray
-    noise_var: np.ndarray
+    var: float
     w: np.ndarray
     clean_xbar: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.ybar.shape == self.masks.shape == self.noise_var.shape):
-            raise ValueError("ybar, masks and noise_var must have equal shapes")
+        if self.ybar.shape != self.masks.shape:
+            raise ValueError("ybar and masks must have equal shapes")
+        if not (math.isfinite(self.var) and self.var >= 0.0):
+            raise ValueError(f"var must be finite and >= 0, got {self.var}")
         if self.w.shape != (self.ybar.shape[1],):
             raise ValueError("w must be one weight per spectral coordinate")
         if self.clean_xbar is not None and self.clean_xbar.shape != self.ybar.shape:
@@ -324,12 +343,18 @@ class PrecomputedDataset:
     def n(self) -> int:
         return self.ybar.shape[1]
 
+    @property
+    def noise_var(self) -> np.ndarray:
+        """Every record's per-entry variances, ``masks * var``, built anew on
+        each access."""
+        return self.masks * self.var
+
     def worst_noise_var(self) -> float:
-        return float(self.noise_var.max(initial=0.0))
+        return float(self.var) if self.masks.any() else 0.0
 
     def measurement(self, i: int) -> Measurement:
         return Measurement(ybar=self.ybar[i], mask=self.masks[i],
-                           noise_var=self.noise_var[i])
+                           noise_var=self.masks[i] * self.var)
 
 
 def precompute(signals: np.ndarray, family: DegradationFamily,
@@ -343,7 +368,7 @@ def precompute(signals: np.ndarray, family: DegradationFamily,
     from :func:`derived_rngs`, one PCG64 set to each record's state in turn,
     so no generator object is built per record. The transform then
     runs once over all rows. Every kept entry becomes ``xbar + sqrt(var) *
-    noise`` with ``noise_var = var = sigma0 * sigma0``; the rest are 0.
+    noise`` with ``var = sigma0 * sigma0``; the rest are 0.
     """
     signals = np.atleast_2d(np.asarray(signals, dtype=np.float64))
     count = signals.shape[0]
@@ -358,14 +383,13 @@ def precompute(signals: np.ndarray, family: DegradationFamily,
     clean_xbar = family.vt.apply(signals)
     sigma0 = float(family.sigma0)
     var = sigma0 * sigma0  # correctly rounded; Python's ** 2 is not always
-    noise_var = masks * var
     # in place, so no full-size temporary: the same operations per entry as
     # corrupt's where(mask, xbar + sqrt(noise_var) * noise, 0)
     ybar *= np.sqrt(var)
     ybar += clean_xbar
     ybar[~masks] = 0.0
-    return PrecomputedDataset(ybar=ybar, masks=masks, noise_var=noise_var,
-                              w=family.weights(), clean_xbar=clean_xbar)
+    return PrecomputedDataset(ybar=ybar, masks=masks, var=var, w=family.weights(),
+                              clean_xbar=clean_xbar)
 
 
 @dataclass(frozen=True)
@@ -389,16 +413,18 @@ def _chunk_bounds(batch_size: int, chunk_size: int) -> list[tuple[int, int]]:
 
 def _evaluate_chunk(model, cfg: TrainConfig, data: PrecomputedDataset,
                     schedule: DiffusionSchedule, idx: np.ndarray,
-                    t_vec: np.ndarray, rng) -> tuple[float, float, np.ndarray]:
-    """One chunk's (loss, divergence term, flat gradient), all chunk means."""
+                    t_vec: np.ndarray, rng,
+                    out: Bound | None = None) -> tuple[float, float, np.ndarray]:
+    """One chunk's (loss, divergence term, flat gradient), all chunk means;
+    the gradient is written into ``out`` when given."""
     if cfg.oracle_mode:
-        out = supervised_loss(model, data.clean_xbar[idx], t_vec, schedule, rng,
-                              cfg.loss)
+        loss = supervised_loss(model, data.clean_xbar[idx], t_vec, schedule, rng,
+                               cfg.loss)
     else:
-        out = gsure_diffusion_loss(model, data.ybar[idx], data.masks[idx],
-                                   data.noise_var[idx], t_vec, schedule, data.w,
-                                   cfg.loss, rng)
-    return out.value, out.divergence_term, out.backward_flat(model)
+        masks = data.masks[idx]
+        loss = gsure_diffusion_loss(model, data.ybar[idx], masks, masks * data.var,
+                                    t_vec, schedule, data.w, cfg.loss, rng)
+    return loss.value, loss.divergence_term, loss.backward_flat(model, out)
 
 
 def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
@@ -421,6 +447,11 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
     # resolved here, not at construction, so dataclasses.replace(cfg,
     # batch_size=...) on an unset chunk still means "whole batch"
     bounds = _chunk_bounds(cfg.batch_size, cfg.chunk_size or cfg.batch_size)
+    # the step's gradient, bound once for this call; later chunks go into a
+    # second vector and are added into the first
+    bound = model.gradient_buffer()
+    grads = bound.flat
+    chunk = model.gradient_buffer() if len(bounds) > 1 else None
 
     try:
         for step in range(1, cfg.iterations + 1):
@@ -437,16 +468,18 @@ def train(model: Denoiser, cfg: TrainConfig, data: PrecomputedDataset,
             for ci, (lo, hi) in enumerate(bounds):
                 c_loss, c_div, c_grads = _evaluate_chunk(
                     model, cfg, data, schedule, idx[lo:hi], t_vec[lo:hi],
-                    derived_rng(cfg.seed, step, 2 + ci))
+                    derived_rng(cfg.seed, step, 2 + ci), bound if ci == 0 else chunk)
                 frac = (hi - lo) / cfg.batch_size
                 loss += frac * c_loss
                 div += frac * c_div
-                if ci == 0:
-                    grads = c_grads if frac == 1.0 else frac * c_grads
-                else:
-                    grads += frac * c_grads
+                if frac != 1.0:
+                    c_grads *= frac
+                if ci > 0:
+                    grads += c_grads
 
-            if not np.isfinite(loss) or not np.all(np.isfinite(grads)):
+            # min and max are NaN when any entry is, and ±inf when one is
+            if not (np.isfinite(loss) and np.isfinite(grads.min())
+                    and np.isfinite(grads.max())):
                 raise TrainingDiverged(step, "non-finite loss or gradient")
 
             adam_step(model.params, grads, state, cfg.learning_rate)

@@ -178,8 +178,11 @@ def test_full_size_metrics_equal_at_one_and_two_threads(tmp_path):
 # public functions and methods that no command reaches, each with its reason
 UNREACHED = {
     "cli.Checkpoint.__eq__": "only the bench's checkpoint round trip compares them",
-    "model.Denoiser.param_count": "only the bench reads it",
+    "cli.save_checkpoint": "only the bench saves a Checkpoint; train writes its "
+                           "model's header and vectors without one",
     "training.PrecomputedDataset.measurement": "only the bench reads it",
+    "training.PrecomputedDataset.noise_var":
+        "only the bench reads it; training derives rows as masks * var",
     "evaluation.GaussianPosteriorDenoiser.denoise":
         "the exact posterior; no evaluation artifact scores against it yet",
     "evaluation.TwoDeltasPosteriorDenoiser.denoise":

@@ -9,6 +9,7 @@ from specdiff.autodiff import (
     NonFiniteError,
     ShapeError,
     backward,
+    bind,
     forward,
 )
 
@@ -323,3 +324,80 @@ class TestTangentBlocks:
         saved = forward(self.g, self.x, np.ones(tangent))[2]
         with pytest.raises(ShapeError):
             backward(saved, self.c, seed_tangent=np.zeros(seed))
+
+
+def list_form_backward(saved, seed_gradient, seed_tangent=None):
+    """The gradients as separately allocated arrays, one per parameter: the
+    same formulas and order as ``backward``, each product a fresh array."""
+    graph, trace = saved
+    ga, gt, grads = seed_gradient, seed_tangent, []
+    for i in range(len(graph._nodes) - 1, -1, -1):
+        w, _ = graph._nodes[i]
+        h, dh, y, d1, dz = trace[i]
+        if y is not None:
+            d1 = 1.0 - y * y if d1 is None else d1
+            if gt is None:
+                ga = ga * d1
+            else:
+                blocks = gt.shape[0] if gt.ndim == 3 else 1
+                second = (gt * (-2.0 * y * d1) * dz).reshape((blocks,) + ga.shape)
+                ga, gt = ga * d1 + second.sum(axis=0), gt * d1
+        gw = ga.T @ h
+        if gt is not None:
+            gw = gw + gt.reshape(-1, gt.shape[-1]).T @ dh.reshape(-1, dh.shape[-1])
+        grads[:0] = ([gw, ga.T @ graph.temb] if i == 0 else [gw]) + [ga.sum(axis=0)]
+        if i > 0:
+            ga = ga @ w
+            gt = None if gt is None else (gt.reshape(-1, gt.shape[-1]) @ w).reshape(
+                gt.shape[:-1] + w.shape[-1:])
+    return grads
+
+
+class TestFlatGradient:
+    """``backward`` writes every gradient into one flat vector."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(41)
+        self.params, temb = random_net(rng, [6, 9, 7, 4], batch=3)
+        self.g = build(self.params, temb)
+        self.x = rng.standard_normal((3, 6))
+        self.c = rng.standard_normal((3, 4))
+        self.tangents = {"value": (None, None),
+                         "one": (rng.standard_normal((3, 6)),
+                                 rng.standard_normal((3, 4))),
+                         "blocks": (rng.standard_normal((5, 3, 6)),
+                                    rng.standard_normal((5, 3, 4)))}
+        self.size = sum(p.size for p in self.params)
+
+    @pytest.mark.parametrize("kind", ["value", "one", "blocks"])
+    def test_caller_buffer_equals_the_list_form(self, kind):
+        v, u = self.tangents[kind]
+        saved = forward(self.g, self.x, v)[2]
+        want = list_form_backward(saved, self.c, u)
+        bound = bind(np.full(self.size, np.nan), [p.shape for p in self.params])
+        for out in (None, bound):
+            got = backward(saved, self.c, u, out=out)
+            assert [a.shape for a in got] == [p.shape for p in self.params]
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        # the views are the caller's vector, which holds every gradient
+        assert all(np.shares_memory(a, bound.flat) for a in got)
+        assert bound.flat.tobytes() == flatten(want).tobytes()
+
+    def test_buffer_reused_across_passes(self):
+        # a second pass overwrites every entry; nothing of the first remains
+        bound = bind(np.empty(self.size), [p.shape for p in self.params])
+        v, u = self.tangents["blocks"]
+        backward(forward(self.g, self.x, v)[2], self.c, u, out=bound)
+        saved = forward(self.g, -self.x)[2]
+        backward(saved, self.c, out=bound)
+        want = flatten(list_form_backward(saved, self.c))
+        assert bound.flat.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda n: np.empty(5), lambda n: np.empty(n + 1),
+        lambda n: np.empty(2 * n)[::2], lambda n: np.empty(n, dtype=np.float32)],
+        ids=["short", "long", "strided", "float32"])
+    def test_vector_that_does_not_fit_rejected(self, make):
+        with pytest.raises(ShapeError):
+            bind(make(self.size), [p.shape for p in self.params])

@@ -474,6 +474,25 @@ class TestSignals:
             with pytest.raises(ConfigError, match="external-binary file"):
                 cmd(cfg, tmp_path / "out")
 
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_external_source_read_once(self, tmp_path, monkeypatch, command):
+        # the family takes the width of the signals the command reads
+        src = tmp_path / "signals.bin"
+        write_tensor_file(src, np.random.default_rng(2).standard_normal((40, 2)))
+        reads = []
+
+        def counting_read(path):
+            reads.append(Path(path))
+            return read_tensor_file(path)
+
+        monkeypatch.setattr(cli, "read_tensor_file", counting_read)
+        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg["data"] = {**cfg["data"], "kind": "external-binary", "path": str(src),
+                       "count": 40}
+        cmd = cmd_gen_data if command == "gen-data" else cmd_train
+        cmd(validate_config(cfg), tmp_path / "out")
+        assert reads == [src]
+
 
 class TestCheckpoints:
     def make(self):
@@ -554,6 +573,21 @@ class TestCheckpoints:
         monkeypatch.setattr(cli, "linear_schedule", counted_schedule)
         main(argv + ["--out", str(tmp_path / "out")])
         assert counts == {"model": builds, "schedule": builds}
+
+    def test_train_saves_without_a_checkpoint_object(self, tmp_path, monkeypatch):
+        # train writes its model's header and vectors as they are; the file
+        # equals what save_checkpoint writes for the checkpoint it loads as
+        def no_checkpoint(*args, **kwargs):
+            raise AssertionError("train built a Checkpoint")
+
+        monkeypatch.setattr(cli, "Checkpoint", no_checkpoint)
+        path = cmd_train(two_deltas_config(tmp_path, iterations=2),
+                         tmp_path / "run") / "checkpoint.bin"
+        monkeypatch.undo()
+        ckpt = load_checkpoint(path)
+        assert ckpt.step_count == 2
+        save_checkpoint(tmp_path / "again.bin", ckpt)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
@@ -673,6 +707,18 @@ class TestCheckpoints:
                   "--seed", "3", "--out", str(tmp_path / name)])
             samples.append((tmp_path / name / "samples.bin").read_bytes())
         assert samples[0] == samples[1]
+
+    def test_huge_schedule_T_rejected_before_output(self, tmp_path):
+        # T = 10**15 used to reach a bare MemoryError building the schedule
+        path, out = tmp_path / "c.bin", tmp_path / "out"
+        schedule = {"T": 10 ** 15, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1}
+        digest = hashlib.sha256(json.dumps(schedule, sort_keys=True).encode()).hexdigest()
+        self.write_raw(path, self.header_bytes(schedule=schedule, schedule_digest=digest))
+        with pytest.raises(FormatError, match=r"schedule\.T must be an integer and "
+                                              r"lie in \[1, 1048576\]"):
+            main(["sample", "--checkpoint", str(path), "--steps", "5", "--seed", "1",
+                  "--out", str(out)])
+        assert not out.exists()
 
     def test_schedule_digest_mismatch_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
@@ -1135,7 +1181,8 @@ class TestConfigValuesRejectedBeforeWork:
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["data.count", "data.dim", "data.height",
-                                       "data.width", "model.hidden", "eval.count"])
+                                       "data.width", "model.hidden", "eval.count",
+                                       "schedule.T"])
     @pytest.mark.parametrize("command", ["gen-data", "train"])
     def test_huge_sizes(self, tmp_path, command, where):
         # without a ceiling these passed validation and failed allocating arrays

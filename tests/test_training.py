@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,11 +268,29 @@ class TestPrecompute:
         se = np.sqrt(p * (1 - p) / 10_000)
         assert np.all(np.abs(freq - 0.8) <= 4.5 * se)
 
+    def test_holds_no_per_entry_variance_array(self):
+        # one scalar variance: noise_var rows, measurements and the worst
+        # variance derive from the masks with the per-record bytes
+        fam = DegradationFamily(IdentityTransform(16), PatchDropMasks(4, 4, 2, 0.3),
+                                0.22610530546880114)
+        signals = np.random.default_rng(3).standard_normal((300, 16))
+        data = precompute(signals, fam, seed=11)
+        arrays = {name for name, v in vars(data).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"ybar", "masks", "w", "clean_xbar"}
+        assert data.var == fam.sigma0 * fam.sigma0
+        _, _, noise_var, _ = per_record_reference(signals, fam, 11)
+        for i in (0, 7, 299):
+            assert data.measurement(i).noise_var.tobytes() == noise_var[i].tobytes()
+        assert data.worst_noise_var() == noise_var.max()
+        dropped = PrecomputedDataset(ybar=np.zeros((2, 3)), masks=np.zeros((2, 3), bool),
+                                     var=0.25, w=np.ones(3))
+        assert dropped.worst_noise_var() == 0.0
+
     def test_nonzero_ybar_at_unobserved_entry_rejected(self):
         with pytest.raises(ValueError, match="unobserved"):
             PrecomputedDataset(ybar=np.array([[5.0, 1.0]]),
                                masks=np.array([[False, True]]),
-                               noise_var=np.zeros((1, 2)), w=np.ones(2))
+                               var=0.0, w=np.ones(2))
 
 
 class TestTrainLoop:
@@ -384,6 +403,27 @@ class TestTrainLoop:
         train(whole_model, dataclasses.replace(cfg, chunk_size=None), data, schedule)
         assert whole_model.params.tobytes() != model.params.tobytes()
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_traced_peak_above_entry(self, oracle):
+        # the shapes_patch net (271,360 parameters): Adam's two moments and the
+        # step's gradient, plus activations and block scratch; no step makes a
+        # parameter-sized temporary
+        fam = DegradationFamily(IdentityTransform(256), PatchDropMasks(16, 16, 4, 0.2),
+                                0.01)
+        data = precompute(np.random.default_rng(0).random((64, 256)), fam, seed=1)
+        model = Denoiser.create(256, hidden=(256, 256, 256), emb_dim=32)
+        cfg = TrainConfig(iterations=3, batch_size=32, learning_rate=1e-3, seed=2,
+                          oracle_mode=oracle)
+        schedule = linear_schedule(1000, 1e-4, 0.2)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            train(model, cfg, data, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry <= 4.5 * model.params.nbytes
+
     def test_chunk_size_must_be_positive_when_set(self):
         with pytest.raises(ValueError):
             TrainConfig(iterations=1, batch_size=4, learning_rate=1e-3, seed=0,
@@ -392,7 +432,7 @@ class TestTrainLoop:
     def test_oracle_mode_requires_clean_data(self):
         data, schedule = self.setup_problem()
         stripped = PrecomputedDataset(ybar=data.ybar, masks=data.masks,
-                                      noise_var=data.noise_var, w=data.w)
+                                      var=data.var, w=data.w)
         cfg = TrainConfig(iterations=1, batch_size=4, learning_rate=1e-3, seed=0,
                           oracle_mode=True)
         with pytest.raises(ValueError):
