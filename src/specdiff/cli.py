@@ -249,6 +249,7 @@ _EVAL_INPUTS = {
     "independence_demo": (),
     "distribution_distance": ("samples_a", "samples_b"),
     "uncertainty": ("checkpoint",),
+    "acceleration_sweep": ("checkpoint", "r_sweep"),
 }
 # rules shared by several keys and the flags (derived_rng takes no seed < 0)
 _AT_LEAST_0, _AT_LEAST_1, _UNIT = Interval(0), Interval(1), Interval(0, 1)
@@ -270,7 +271,7 @@ _SCHEMA = {
         "height": (int, 16, Interval(6, 2 ** 12)),
         "width": (int, 16, Interval(6, 2 ** 12)),
         "path": (str, "", None),
-        "holdout": (int, 0, _AT_LEAST_0),
+        "holdout": (int, 0, Interval(0, _RECORDS.hi)),
     },
     "degradation": {
         "family": (str, "none", _one_of(FAMILY_KINDS)),
@@ -294,7 +295,7 @@ _SCHEMA = {
     },
     "train": {
         "iterations": (int, 0, _AT_LEAST_0),
-        "batch_size": (int, 32, _AT_LEAST_1),
+        "batch_size": (int, 32, _RECORDS),
         "learning_rate": (float, 1e-3, Interval(0, open_lo=True)),
         "seed": (int, _NO_DEFAULT, _AT_LEAST_0),
         "oracle_mode": (bool, False, None),
@@ -305,7 +306,7 @@ _SCHEMA = {
             "lambda": (str, "constant", _one_of(LAMBDA_RULES)),
             "lambda_coef": (float, 1e-4, _AT_LEAST_0),
             "use_ybar_variant": (bool, True, None),
-            "probes": (int, 1, _AT_LEAST_1),
+            "probes": (int, 1, _WIDTH),
         },
     },
     "eval": {
@@ -317,10 +318,10 @@ _SCHEMA = {
         # from 2**53 up, abar = snr / (1 + snr) rounds to 1
         "snr_levels": (list, [0.001, 10.0],
                        _each((int, float), Interval(0, 2 ** 53, open_hi=True))),
-        "n_samples": (int, 10000, _AT_LEAST_1),
+        "n_samples": (int, 10000, _RECORDS),
         "n_permutations": (int, 200, Interval(2)),
-        "n_projections": (int, 256, _AT_LEAST_1),
-        "uncertainty_k": (int, 8, Interval(2)),
+        "n_projections": (int, 256, _RECORDS),
+        "uncertainty_k": (int, 8, Interval(2, _WIDTH.hi)),
         "uncertainty_sigma0": (float, 0.4, _AT_LEAST_0),
         "steps": (int, 100, _AT_LEAST_1),
         "eta": (float, 0.0, _UNIT),
@@ -720,8 +721,9 @@ def cmd_gen_data(cfg: dict, out: str | None = None,
 
 
 def _load_dataset_dir(path: Path):
-    """A ``gen-data`` directory as ``(meta, ybar, masks, var, clean or None)``,
-    with ``var`` the noise variance of every kept entry."""
+    """A ``gen-data`` directory's measurements as ``(meta, ybar, masks, var)``,
+    with ``var`` the noise variance of every kept entry; ``clean.bin`` is left
+    to the one caller that reads it."""
     for name in ("dataset.json", "ybar.bin", "masks.bin"):
         if path.is_dir() and not (path / name).is_file():
             raise FormatError(f"{path}: gen-data directory lacks {name}")
@@ -752,24 +754,26 @@ def _load_dataset_dir(path: Path):
     if np.any(ybar[~masks] != 0.0):
         raise FormatError(f"{path}: ybar is non-zero at unobserved entries")
     sigma0 = float(meta["sigma0"])
-    clean_path = path / "clean.bin"
-    clean = read_tensor_file(clean_path) if clean_path.exists() else None
-    return meta, ybar, masks, sigma0 * sigma0, clean  # precompute's var, bit for bit
+    return meta, ybar, masks, sigma0 * sigma0  # precompute's var, bit for bit
 
 
 def _dataset_from_config(cfg: dict):
-    """Measurements for training: from io.data_dir when set, else simulated."""
+    """Measurements for training: from io.data_dir when set, else simulated;
+    only the oracle reads the directory's ``clean.bin``, its target."""
     data_dir = cfg["io"]["data_dir"]
     if data_dir:
         family = build_degradation_family(cfg)
-        meta, ybar, masks, var, clean = _load_dataset_dir(Path(data_dir))
+        meta, ybar, masks, var = _load_dataset_dir(Path(data_dir))
         if meta["n"] != family.n or meta["vt"] != family.vt.descriptor():
             raise ConfigError("dataset directory does not match the configured "
                               "degradation family")
-        if clean is None and cfg["train"]["oracle_mode"]:
-            raise ConfigError(f"train.oracle_mode needs clean.bin in io.data_dir "
-                              f"{data_dir}")
-        clean_xbar = family.vt.apply(clean) if clean is not None else None
+        clean_xbar = None
+        if cfg["train"]["oracle_mode"]:
+            clean_path = Path(data_dir) / "clean.bin"
+            if not clean_path.exists():
+                raise ConfigError(f"train.oracle_mode needs clean.bin in io.data_dir "
+                                  f"{data_dir}")
+            clean_xbar = family.vt.apply(read_tensor_file(clean_path))
         return PrecomputedDataset(
             ybar=ybar, masks=masks, var=var, w=family.weights(),
             clean_xbar=clean_xbar,
@@ -882,55 +886,15 @@ def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
 
 def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
                     steps: int, seed: int, eta: float = 0.0,
-                    limit: int | None = None, r_sweep: list[int] | None = None,
-                    clean_path=None) -> Path:
-    """Reconstruct stored measurements; optionally sweep acceleration factors."""
-    if r_sweep:
-        if clean_path is None:
-            raise ConfigError("--r-sweep needs --clean: the sweep corrupts clean signals")
-        for flag, value in (("--measurements", measurements_dir), ("--limit", limit)):
-            if value is not None:
-                raise ConfigError(f"--r-sweep takes no {flag}: the sweep corrupts "
-                                  "the first 8 clean signals")
-    elif measurements_dir is None:
-        raise ConfigError("reconstruct needs --measurements (or --r-sweep with --clean)")
+                    limit: int | None = None) -> Path:
+    """Reconstruct stored measurements, and write their zero-filled baseline."""
     _check_flag("--limit", limit, _AT_LEAST_0)
     _check_flag("--seed", seed, _AT_LEAST_0)
     _check_flag("--eta", eta, _UNIT)
     ckpt = load_checkpoint(checkpoint_path)
     model, schedule, vt = ckpt.model(), ckpt.rebuild_schedule(), ckpt.vt
     _check_steps(steps, schedule)
-
-    if r_sweep:
-        kind = ckpt.vt_descriptor["kind"]
-        if kind != "real_dft":
-            raise ConfigError("an acceleration sweep masks DFT lines; the "
-                              f"checkpoint's transform is {kind!r}")
-        families = []
-        for r in r_sweep:
-            try:
-                masks = LineSubsampleMasks(lines=vt.n // 2, accel=r)
-            except ValueError as exc:
-                raise ConfigError(f"--r-sweep accel {r}: {exc}") from exc
-            families.append((r, DegradationFamily(vt, masks, sigma0=0.01)))
-        _check_noise_floor(schedule, 0.01 * 0.01, "--r-sweep's sigma0 = 0.01")
-        clean = _read_rows(clean_path, "--clean", vt.n)[:8]
-        out_path = _out_dir(out, "recon")
-        rows = []
-        for r, fam in families:
-            resid = 0.0
-            for i in range(len(clean)):
-                rng = derived_rng(seed, r, i)
-                m = corrupt(clean[i], fam.sample(rng), rng)
-                rec = reconstruct(model, schedule, m, steps,
-                                  derived_rng(seed, r, i, 1), vt, eta=eta)
-                gap = rec - clean[i]  # einsum, not BLAS: same bits at any thread count
-                resid += float(np.sqrt(np.einsum("i,i->", gap, gap)))
-            rows.append((r, resid / len(clean), bool(np.isfinite(resid))))
-        write_csv(out_path / "rsweep.csv", ["accel", "residual_norm", "finite"], rows)
-        return out_path
-
-    meta, ybar, masks, var, _ = _load_dataset_dir(Path(measurements_dir))
+    meta, ybar, masks, var = _load_dataset_dir(Path(measurements_dir))
     if meta["n"] != vt.n or meta["vt"] != ckpt.vt_descriptor:
         raise ConfigError(f"--measurements {measurements_dir}: n = {meta['n']}, vt = "
                           f"{meta['vt']} differ from the checkpoint's n = {vt.n}, "
@@ -971,7 +935,8 @@ def _eval_ts(cfg: dict, schedule: DiffusionSchedule) -> list[int]:
 
 
 def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
-             checkpoint_b=None, samples_a=None, samples_b=None) -> Path:
+             checkpoint_b=None, samples_a=None, samples_b=None,
+             r_sweep: str | None = None) -> Path:
     """Run the configured evaluation operations, one CSV per operation.
 
     Every input is read and checked, and what the operations share is built,
@@ -981,23 +946,34 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
     config signals whose width is not A's ``n`` or an ``external-binary``
     source of fewer than ``eval.count`` rows, a checkpoint B whose schedule's
     ``T``, ``beta1`` or ``betaT``, transform or ``n`` differs from A's, an
-    ``eval.steps`` beyond A's ``T`` for ``uncertainty``, or a samples file
-    that is not a 2-D array of at least 2 rows (for ``--samples-b``, of
-    ``--samples-a``'s width) raises ``ConfigError``. ``uncertainty`` runs its
-    reconstructions at ``eta = max(eval.eta, 0.5)``, so an ``eval.eta`` below
-    0.5 (the default 0.0 included) is raised to 0.5 there and its ``k`` runs
-    stay stochastic.
+    ``eval.steps`` beyond A's ``T`` for an operation that reconstructs, or a
+    samples file that is not a 2-D array of at least 2 rows (for
+    ``--samples-b``, of ``--samples-a``'s width) raises ``ConfigError``.
+    ``uncertainty`` runs its reconstructions at ``eta = max(eval.eta, 0.5)``,
+    so an ``eval.eta`` below 0.5 (the default 0.0 included) is raised to 0.5
+    there and its ``k`` runs stay stochastic. ``acceleration_sweep``
+    reconstructs the eval set's first ``min(8, eval.count)`` rows from DFT
+    lines kept at each factor of ``r_sweep`` (``--r-sweep``'s comma-separated
+    integers) and sigma0 = 0.01; a malformed ``r_sweep``, an A not in
+    ``real_dft``, a factor that does not fit A's lines or an A that cannot
+    top up sigma0 = 0.01 raises ``ConfigError`` too.
     """
     ev = cfg["eval"]
     ops, seed = ev["operations"], ev["seed"]
     given = {"checkpoint": checkpoint, "checkpoint_b": checkpoint_b,
-             "samples_a": samples_a, "samples_b": samples_b}
+             "samples_a": samples_a, "samples_b": samples_b, "r_sweep": r_sweep}
     for op in ops:
         for name in _EVAL_INPUTS[op]:
             if given[name] is None:
                 flag = "--" + name.replace("_", "-")
                 raise ConfigError(f"eval operation {op!r} needs {flag}")
     needs = {name for op in ops for name in _EVAL_INPUTS[op]}
+    if "acceleration_sweep" in ops:
+        try:
+            accels = [int(r) for r in r_sweep.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--r-sweep takes comma-separated integers, "
+                              f"got {r_sweep!r}") from exc
     ca = load_checkpoint(checkpoint) if "checkpoint" in needs else None
     cb = load_checkpoint(checkpoint_b) if "checkpoint_b" in needs else None
     if ca is not None:  # every operation that reads B reads A too
@@ -1005,9 +981,10 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
             raise ConfigError(f"eval.ts must be <= T = {ca.schedule['T']} of the "
                               "--checkpoint schedule")
         # one read of an external-binary source: the eval set (1 row when only
-        # uncertainty runs) gives the width and uncertainty's clean row, since
-        # every kind's first row is that of a 1-row set
-        clean_rows = generate_signals(cfg["data"], ev["count"] if cb else 1, seed)
+        # uncertainty runs) gives the width and every operation's clean rows,
+        # since every kind's first rows are those of a shorter set
+        full = cb is not None or "acceleration_sweep" in ops
+        clean_rows = generate_signals(cfg["data"], ev["count"] if full else 1, seed)
         width = clean_rows.shape[1]
         if width != ca.vt.n:
             raise ConfigError(f"data: signals of width {width} do not fit "
@@ -1030,8 +1007,23 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
     if "uncertainty" in ops:
         sigma0 = ev["uncertainty_sigma0"]
         _check_noise_floor(schedule, sigma0 * sigma0, "eval.uncertainty_sigma0")
-        _check_steps(ev["steps"], schedule, "eval.steps")
         clean = clean_rows[0]
+    if "uncertainty" in ops or "acceleration_sweep" in ops:
+        _check_steps(ev["steps"], schedule, "eval.steps")
+    if "acceleration_sweep" in ops:
+        kind = ca.vt_descriptor["kind"]
+        if kind != "real_dft":
+            raise ConfigError("an acceleration sweep masks DFT lines; the "
+                              f"checkpoint's transform is {kind!r}")
+        families = []
+        for r in accels:
+            try:
+                masks = LineSubsampleMasks(lines=ca.vt.n // 2, accel=r)
+            except ValueError as exc:
+                raise ConfigError(f"--r-sweep accel {r}: {exc}") from exc
+            families.append((r, DegradationFamily(ca.vt, masks, sigma0=0.01)))
+        _check_noise_floor(schedule, 0.01 * 0.01, "--r-sweep's sigma0 = 0.01")
+        sweep = clean_rows[:8]
     if "distribution_distance" in ops:
         a = _read_rows(samples_a, "--samples-a", min_rows=2)
         b = _read_rows(samples_b, "--samples-b", a.shape[1], min_rows=2)
@@ -1063,7 +1055,7 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
             write_csv(out_path / "distance.csv",
                       ["sliced_wasserstein", "mean_gap", "cov_gap"],
                       [(res.sliced_wasserstein, res.mean_gap, res.cov_gap)])
-        else:  # uncertainty
+        elif op == "uncertainty":
             fam = DegradationFamily(ca.vt, FixedMask(np.ones(ca.vt.n, dtype=bool)),
                                     sigma0)
             rng = derived_rng(seed, 5)
@@ -1073,6 +1065,19 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
                                         steps=ev["steps"], eta=max(ev["eta"], 0.5))
             write_tensor_file(out_path / "uncertainty_mean.bin", mean)
             write_tensor_file(out_path / "uncertainty_std.bin", std)
+        else:  # acceleration_sweep
+            rows = []
+            for r, fam in families:
+                resid = 0.0
+                for i, x in enumerate(sweep):
+                    rng = derived_rng(seed, 7, r, i)
+                    m = corrupt(x, fam.sample(rng), rng)
+                    rec = reconstruct(model_a, schedule, m, ev["steps"],
+                                      derived_rng(seed, 7, r, i, 1), ca.vt, eta=ev["eta"])
+                    gap = rec - x  # einsum, not BLAS: same bits at any thread count
+                    resid += float(np.sqrt(np.einsum("i,i->", gap, gap)))
+                rows.append((r, resid / len(sweep), bool(np.isfinite(resid))))
+            write_csv(out_path / "rsweep.csv", ["accel", "residual_norm", "finite"], rows)
     return out_path
 
 
@@ -1148,19 +1153,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
 
     p = add_reverse("reconstruct", "reconstruct stored measurements")
-    p.add_argument("--measurements", default=None, help="gen-data output directory")
+    p.add_argument("--measurements", required=True, help="gen-data output directory")
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--r-sweep", default=None,
-                   help="comma-separated acceleration factors; each corrupts "
-                        "the first 8 --clean signals at sigma0 = 0.01, whatever "
-                        "the checkpoint's config says")
-    p.add_argument("--clean", default=None, help="clean signals for the sweep")
 
     p = add_configured("eval", "run configured evaluation operations")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--checkpoint-b", default=None)
     p.add_argument("--samples-a", default=None)
     p.add_argument("--samples-b", default=None)
+    p.add_argument("--r-sweep", default=None,
+                   help="comma-separated acceleration factors for "
+                        "acceleration_sweep")
 
     p = sub.add_parser("inspect", help="describe an artifact file")
     p.add_argument("path")
@@ -1181,18 +1184,12 @@ def main(argv=None) -> int:
         cmd_sample(args.checkpoint, args.out, args.sampler, args.steps,
                    args.count, args.seed, eta=args.eta)
     elif args.command == "reconstruct":
-        try:
-            sweep = [int(r) for r in args.r_sweep.split(",")] if args.r_sweep else None
-        except ValueError as exc:
-            raise ConfigError(f"--r-sweep takes comma-separated integers, "
-                              f"got {args.r_sweep!r}") from exc
         cmd_reconstruct(args.checkpoint, args.measurements, args.out, args.steps,
-                        args.seed, eta=args.eta, limit=args.limit,
-                        r_sweep=sweep, clean_path=args.clean)
+                        args.seed, eta=args.eta, limit=args.limit)
     elif args.command == "eval":
         cmd_eval(load_config(args.config), args.out, checkpoint=args.checkpoint,
                  checkpoint_b=args.checkpoint_b, samples_a=args.samples_a,
-                 samples_b=args.samples_b)
+                 samples_b=args.samples_b, r_sweep=args.r_sweep)
     elif args.command == "inspect":
         cmd_inspect(args.path, pgm=args.pgm, index=args.index,
                     height=args.height, width=args.width)

@@ -13,8 +13,8 @@ manifest's shrunk nets are too small for a thread-dependent sum over the
 parameters to show, so a full-size ``train`` is checked at both counts too.
 
 After a change that moves artifact bytes on purpose, rewrite the manifest
-with ``PYTHONPATH=src python tests/test_artifacts.py --rewrite``; its diff
-lists the artifacts that changed.
+with ``PYTHONPATH=src python tests/test_artifacts.py --rewrite``, which prints
+each entry it adds, removes or changes.
 
 The same command set, plus ``inspect`` on every file it writes, is also the
 reach guard: run in process under ``sys.setprofile``, it must reach every
@@ -61,7 +61,9 @@ def shrunk(preset: str) -> dict:
 
 def extra_configs() -> dict:
     """Kinds the presets do not reach: Gaussian signals under single-drop masks,
-    and an external binary source (the Gaussian set's clean signals)."""
+    an external binary source (the Gaussian set's clean signals), and the
+    shrunk ``shapes_lines`` eval whose one operation is the acceleration sweep
+    (its own config, so that no preset config changes)."""
     gaussian = {"data": {"kind": "isotropic-gaussian", "dim": 4, "count": 32, "seed": 5},
                 "degradation": {"family": "single-drop", "sigma0": 0.01},
                 "schedule": {"T": 50},
@@ -70,13 +72,15 @@ def extra_configs() -> dict:
     external = json.loads(json.dumps(gaussian))
     external["data"] = {"kind": "external-binary", "path": "gaussian/data/clean.bin",
                         "count": 16, "seed": 7}
-    return {"gaussian": gaussian, "external": external}
+    sweep = shrunk("shapes_lines")
+    sweep["eval"]["operations"] = ["acceleration_sweep"]
+    return {"gaussian": gaussian, "external": external, "shapes_lines_sweep": sweep}
 
 
 def commands() -> list[list[str]]:
     """Every command: gen-data, GSURE and oracle train, DDIM and DDPM sample,
-    reconstruct from measurements and as a sweep, eval with all five
-    operations, and inspect --pgm."""
+    reconstruct, eval with the five operations that the presets run and, on
+    ``shapes_lines``, the acceleration sweep, and inspect --pgm."""
     argv = []
     for p in PRESETS:
         argv += [
@@ -98,10 +102,10 @@ def commands() -> list[list[str]]:
         ]
         if p.startswith("shapes"):
             argv.append(["inspect", f"{p}/data/clean.bin", "--pgm", f"{p}/clean.pgm"])
-    argv.append(["reconstruct", "--checkpoint", "shapes_lines/gsure/checkpoint.bin",
-                 "--r-sweep", "2,4", "--clean", "shapes_lines/data/clean.bin",
-                 "--steps", "5", "--seed", "4", "--out", "shapes_lines/rsweep"])
-    for name in extra_configs():
+    argv.append(["eval", "--config", "shapes_lines_sweep.json", "--out",
+                 "shapes_lines/sweep", "--checkpoint", "shapes_lines/gsure/checkpoint.bin",
+                 "--r-sweep", "2,4"])
+    for name in ("gaussian", "external"):
         argv += [["gen-data", "--config", f"{name}.json", "--out", f"{name}/data"],
                  ["train", "--config", f"{name}.json", "--out", f"{name}/gsure"]]
     return argv
@@ -273,7 +277,13 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["--rewrite"]:
         with tempfile.TemporaryDirectory() as tmp:
             run_child(Path(tmp))
-            MANIFEST.write_text(json.dumps({"build": build(), "files": digests(Path(tmp))},
-                                           indent=1, sort_keys=True) + "\n")
+            files = digests(Path(tmp))
+        old = json.loads(MANIFEST.read_text())["files"]
+        for name in sorted(old.keys() | files.keys()):
+            if old.get(name) != files.get(name):
+                print("added" if name not in old else "removed" if name not in files
+                      else "changed", name)
+        MANIFEST.write_text(json.dumps({"build": build(), "files": files},
+                                       indent=1, sort_keys=True) + "\n")
     else:
         sys.exit("usage: test_artifacts.py --rewrite")

@@ -37,8 +37,10 @@ from specdiff.cli import (
     validate_config,
     write_tensor_file,
 )
+from specdiff.diffusion import reconstruct
 from specdiff.losses import LossConfig
 from specdiff.model import Denoiser
+from specdiff.operators import DegradationFamily, LineSubsampleMasks, corrupt
 from specdiff.training import derived_rng
 
 from helpers import reference_shapes
@@ -541,8 +543,11 @@ class TestCheckpoints:
         ("sample", 1), ("reconstruct", 1), ("eval", 2)])
     def test_each_checkpoint_builds_its_model_and_schedule_once(
             self, tmp_path, monkeypatch, command, builds):
-        # eval runs all five operations on two checkpoints
+        # eval runs every operation on two checkpoints; the acceleration
+        # sweep needs real-DFT signals
         cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg["data"].update(kind="isotropic-gaussian", dim=8)
+        cfg["degradation"].update(family="line-subsample", accel=2)
         cfg["eval"].update(operations=list(cli._EVAL_INPUTS), count=16, n_samples=200,
                            n_permutations=20, uncertainty_k=2, steps=5)
         cfg_path = tmp_path / "cfg.json"
@@ -550,14 +555,14 @@ class TestCheckpoints:
         data = str(cmd_gen_data(cfg, tmp_path / "data"))
         ckpt = str(cmd_train(cfg, tmp_path / "run") / "checkpoint.bin")
         samples = str(tmp_path / "samples.bin")
-        write_tensor_file(samples, np.random.default_rng(0).standard_normal((4, 2)))
+        write_tensor_file(samples, np.random.default_rng(0).standard_normal((4, 8)))
         argv = {"sample": ["sample", "--checkpoint", ckpt, "--steps", "5",
                            "--count", "4", "--seed", "1"],
                 "reconstruct": ["reconstruct", "--checkpoint", ckpt, "--measurements",
                                 data, "--limit", "2", "--steps", "5", "--seed", "1"],
                 "eval": ["eval", "--config", str(cfg_path), "--checkpoint", ckpt,
                          "--checkpoint-b", ckpt, "--samples-a", samples,
-                         "--samples-b", samples]}[command]
+                         "--samples-b", samples, "--r-sweep", "2"]}[command]
         counts = collections.Counter()
         from_arch, linear_schedule = Denoiser.from_arch.__func__, cli.linear_schedule
 
@@ -746,7 +751,8 @@ class TestDatasetDirectory:
     # 0.2261...: Python's sigma0 ** 2 rounds differently from sigma0 * sigma0
     @pytest.mark.parametrize("sigma0", [0.01, 0.22610530546880114])
     def test_directory_equals_simulated_dataset(self, tmp_path, sigma0):
-        cfg = two_deltas_config(tmp_path)
+        # the oracle, so that the directory's clean.bin is read too
+        cfg = two_deltas_config(tmp_path, oracle=True)
         cfg["degradation"]["sigma0"] = sigma0
         simulated, _ = cli._dataset_from_config(cfg)
         cfg["io"]["data_dir"] = str(cmd_gen_data(cfg, tmp_path / "data"))
@@ -822,6 +828,29 @@ class TestDatasetDirectory:
         (data_dir / name).unlink()
         with pytest.raises(FormatError, match=f"^{re.escape(str(data_dir))}: .* {name}$"):
             cmd_train(data_cfg, tmp_path / "run")
+
+    @pytest.mark.parametrize("command, reads", [
+        ("reconstruct", ["ybar.bin", "masks.bin"]),
+        ("train", ["ybar.bin", "masks.bin"]),
+        ("oracle", ["ybar.bin", "masks.bin", "clean.bin"])],
+        ids=["reconstruct", "train", "oracle"])
+    def test_clean_signals_read_only_by_the_oracle(self, data_cfg, tmp_path,
+                                                   monkeypatch, command, reads):
+        ckpt = cmd_train(data_cfg, tmp_path / "run") / "checkpoint.bin"
+        data_cfg["train"]["oracle_mode"] = command == "oracle"
+        seen = []
+
+        def counting_read(path):
+            seen.append(Path(path).name)
+            return read_tensor_file(path)
+
+        monkeypatch.setattr(cli, "read_tensor_file", counting_read)
+        if command == "reconstruct":
+            cmd_reconstruct(ckpt, data_cfg["io"]["data_dir"], tmp_path / "rec",
+                            steps=4, seed=1, limit=1)
+        else:
+            cmd_train(data_cfg, tmp_path / "out")
+        assert seen == reads
 
     def test_oracle_training_without_clean_signals_rejected(self, data_cfg, tmp_path):
         (Path(data_cfg["io"]["data_dir"]) / "clean.bin").unlink()
@@ -979,8 +1008,9 @@ class TestCommands:
                      "--out", str(tmp_path / "m")]) == 0
         assert (tmp_path / "m" / "checkpoint.bin").exists()
 
-    def dft_checkpoint_and_clean(self, tmp_path):
-        """A real-DFT (16-line) checkpoint and 4 clean signals for a sweep."""
+    def dft_sweep(self, tmp_path, count=16):
+        """A real-DFT (16-line) checkpoint, and an eval config on its signals
+        whose one operation is the acceleration sweep."""
         cfg = validate_config({
             "data": {"kind": "isotropic-gaussian", "count": 64, "seed": 2,
                      "dim": 32},
@@ -990,49 +1020,51 @@ class TestCommands:
             "model": {"hidden": [16], "emb_dim": 8, "ema_decay": 0.99},
             "train": {"iterations": 3, "batch_size": 4, "seed": 3,
                       "learning_rate": 1e-3, "chunk_size": 4},
+            "eval": {"operations": ["acceleration_sweep"], "count": count,
+                     "seed": 6, "steps": 8, "eta": 0.3},
         })
-        run = cmd_train(cfg, tmp_path / "run")
-        clean = tmp_path / "clean.bin"
-        write_tensor_file(clean, generate_signals(cfg["data"], 4, seed=6))
-        return run / "checkpoint.bin", clean
+        return cmd_train(cfg, tmp_path / "run") / "checkpoint.bin", cfg
 
-    def test_r_sweep_outputs(self, tmp_path):
-        ckpt, clean = self.dft_checkpoint_and_clean(tmp_path)
-        out = cmd_reconstruct(ckpt, None, tmp_path / "sweep",
-                              steps=8, seed=9, r_sweep=[2, 4],
-                              clean_path=clean)
-        lines = (out / "rsweep.csv").read_text().splitlines()
-        assert lines[0] == "accel,residual_norm,finite"
-        assert len(lines) == 3
+    @pytest.mark.parametrize("count", [16, 3])
+    def test_acceleration_sweep_rows(self, tmp_path, count):
+        # each factor's row: the mean residual norm over the eval set's first
+        # min(8, eval.count) rows, corrupted under key 7 and reconstructed
+        ckpt, cfg = self.dft_sweep(tmp_path, count)
+        out = cmd_eval(cfg, tmp_path / "sweep", checkpoint=ckpt, r_sweep="2,4")
+        loaded = load_checkpoint(ckpt)
+        model, schedule, vt = loaded.model(), loaded.rebuild_schedule(), loaded.vt
+        clean = generate_signals(cfg["data"], count, 6)[:8]
+        want = ["accel,residual_norm,finite"]
+        for r in (2, 4):
+            fam = DegradationFamily(vt, LineSubsampleMasks(lines=16, accel=r), 0.01)
+            norms = []
+            for i, x in enumerate(clean):
+                rng = derived_rng(6, 7, r, i)
+                m = corrupt(x, fam.sample(rng), rng)
+                rec = reconstruct(model, schedule, m, 8, derived_rng(6, 7, r, i, 1), vt,
+                                  eta=0.3)
+                norms.append(np.sqrt(np.einsum("i,i->", rec - x, rec - x)))
+            want.append(f"{r},{sum(map(float, norms)) / len(clean)!r},True")
+        assert (out / "rsweep.csv").read_text().splitlines() == want
 
-    def test_r_sweep_rejects_non_dft_checkpoint(self, tmp_path, monkeypatch):
+    def test_acceleration_sweep_rejects_non_dft_checkpoint(self, tmp_path, monkeypatch):
         run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
-        clean = tmp_path / "clean.bin"
-        write_tensor_file(clean, np.ones((4, 2)))
+        cfg = two_deltas_config(tmp_path)
+        cfg["eval"].update(operations=["acceleration_sweep"], steps=4)
         monkeypatch.setattr(cli, "reconstruct", None)  # any call would fail
         with pytest.raises(ConfigError, match="'identity'"):
-            cmd_reconstruct(run / "checkpoint.bin", None, tmp_path / "sweep",
-                            steps=4, seed=9, r_sweep=[2], clean_path=clean)
-
-    @pytest.mark.parametrize("rows", [np.zeros((0, 32)), np.ones(32), np.ones((4, 30))],
-                             ids=["empty", "1d", "width"])
-    def test_r_sweep_rejects_clean_signals_that_are_not_rows(self, tmp_path, rows):
-        ckpt, clean = self.dft_checkpoint_and_clean(tmp_path)
-        write_tensor_file(clean, rows)
-        out = tmp_path / "sweep"
-        with pytest.raises(ConfigError, match="--clean .* not a non-empty 2-D array "
-                                              "of rows of width 32"):
-            main(["reconstruct", "--checkpoint", str(ckpt), "--r-sweep", "2",
-                  "--clean", str(clean), "--steps", "4", "--seed", "9", "--out", str(out)])
-        assert not out.exists()
+            cmd_eval(cfg, tmp_path / "sweep", checkpoint=run / "checkpoint.bin",
+                     r_sweep="2")
+        assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("accel", [0, 64])
-    def test_r_sweep_rejects_infeasible_accel(self, tmp_path, monkeypatch, accel):
-        ckpt, clean = self.dft_checkpoint_and_clean(tmp_path)
+    def test_acceleration_sweep_rejects_infeasible_accel(self, tmp_path, monkeypatch,
+                                                         accel):
+        ckpt, cfg = self.dft_sweep(tmp_path)
         monkeypatch.setattr(cli, "reconstruct", None)  # any call would fail
-        with pytest.raises(ConfigError, match=f"accel {accel}:"):
-            cmd_reconstruct(ckpt, None, tmp_path / "sweep", steps=4, seed=9,
-                            r_sweep=[2, accel], clean_path=clean)
+        with pytest.raises(ConfigError, match=f"--r-sweep accel {accel}:"):
+            cmd_eval(cfg, tmp_path / "sweep", checkpoint=ckpt, r_sweep=f"2,{accel}")
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestReverseCommandArguments:
@@ -1044,17 +1076,9 @@ class TestReverseCommandArguments:
         return str(run / "checkpoint.bin")
 
     @pytest.mark.parametrize("argv, flag", [
-        (["reconstruct", "--seed", "1"], "--measurements"),
-        (["reconstruct", "--seed", "1", "--r-sweep", "2"], "--clean"),
         (["reconstruct", "--seed", "1", "--measurements", "data", "--limit", "-1"],
          "--limit"),
         (["sample", "--seed", "1", "--count", "-3"], "--count"),
-        (["reconstruct", "--seed", "1", "--r-sweep", "2,x", "--clean", "c.bin"],
-         "--r-sweep"),
-        (["reconstruct", "--seed", "1", "--r-sweep", "2", "--clean", "c.bin",
-          "--measurements", "data"], "--measurements"),
-        (["reconstruct", "--seed", "1", "--r-sweep", "2", "--clean", "c.bin",
-          "--limit", "3"], "--limit"),
     ])
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, argv, flag):
         monkeypatch.setattr(cli, "load_checkpoint", None)  # any call would fail
@@ -1064,17 +1088,35 @@ class TestReverseCommandArguments:
                          "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--measurements", "data", "--r-sweep", "2"],
+        ["--measurements", "data", "--clean", "c.bin"],
+        [],
+    ], ids=["r-sweep", "clean", "no-measurements"])
+    def test_reconstruct_has_one_mode(self, tmp_path, monkeypatch, capsys, flags):
+        # the acceleration sweep is an eval operation; reconstruct reads
+        # stored measurements and nothing else
+        monkeypatch.setattr(cli, "load_checkpoint", None)  # any call would fail
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--checkpoint", "c.bin", "--seed", "1",
+                  "--out", str(out)] + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("unrecognized arguments" in err if flags
+                else "required: --measurements" in err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--steps", "0"],
         ["sample"],  # the default 100 steps on the checkpoint's T = 50
         ["sample", "--steps", "51"],
         ["reconstruct", "--steps", "0"],
         ["reconstruct", "--steps", "51"],
-        ["reconstruct", "--steps", "51", "--r-sweep", "2", "--clean", "c.bin"],
     ])
     def test_steps_outside_the_schedule_rejected_before_out(self, checkpoint,
                                                             tmp_path, argv):
-        if argv[0] == "reconstruct" and "--r-sweep" not in argv:
+        if argv[0] == "reconstruct":
             argv = argv + ["--measurements", str(tmp_path / "data")]
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=r"--steps must lie in \[1, 50\]"):
@@ -1085,11 +1127,11 @@ class TestReverseCommandArguments:
         ["sample", "--eta", "2"],
         ["sample", "--sampler", "ddim", "--eta", "nan"],
         ["reconstruct", "--eta", "-0.5"],
-        ["reconstruct", "--eta", "1.5", "--r-sweep", "2", "--clean", "c.bin"],
+        ["reconstruct", "--eta", "1.5"],
     ])
     def test_eta_outside_unit_interval_rejected_before_out(self, checkpoint,
                                                           tmp_path, argv):
-        if argv[0] == "reconstruct" and "--r-sweep" not in argv:
+        if argv[0] == "reconstruct":
             argv = argv + ["--measurements", str(tmp_path / "data")]
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=r"--eta must lie in \[0, 1\]"):
@@ -1101,10 +1143,9 @@ class TestReverseCommandArguments:
         ["sample", "--seed", "-1"],
         ["sample", "--sampler", "ddpm", "--seed", "-1"],
         ["reconstruct", "--seed", "-3"],
-        ["reconstruct", "--seed", "-3", "--r-sweep", "2", "--clean", "c.bin"],
     ])
     def test_negative_seed_rejected_before_out(self, checkpoint, tmp_path, argv):
-        if argv[0] == "reconstruct" and "--r-sweep" not in argv:
+        if argv[0] == "reconstruct":
             argv = argv + ["--measurements", str(tmp_path / "data")]
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=r"--seed must be >= 0, got -\d"):
@@ -1182,13 +1223,20 @@ class TestConfigValuesRejectedBeforeWork:
 
     @pytest.mark.parametrize("where", ["data.count", "data.dim", "data.height",
                                        "data.width", "model.hidden", "eval.count",
-                                       "schedule.T"])
+                                       "schedule.T", "train.batch_size",
+                                       "train.loss.probes", "eval.n_samples",
+                                       "eval.n_projections", "eval.uncertainty_k",
+                                       "data.holdout"])
+    @pytest.mark.parametrize("size", [2 ** 40, 10 ** 400])
     @pytest.mark.parametrize("command", ["gen-data", "train"])
-    def test_huge_sizes(self, tmp_path, command, where):
+    def test_huge_sizes(self, tmp_path, command, size, where):
         # without a ceiling these passed validation and failed allocating arrays
         cfg = two_deltas_config(tmp_path, iterations=2)
-        section, key = where.split(".")
-        cfg[section][key] = [10 ** 400] if key == "hidden" else 10 ** 400
+        *path, key = where.split(".")
+        node = cfg
+        for part in path:
+            node = node[part]
+        node[key] = [size] if key == "hidden" else size
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
@@ -1283,21 +1331,20 @@ class TestInfeasibleNoiseRejectedBeforeOutput:
                   "--steps", "5", "--seed", "1", "--out", str(out)])
         assert not out.exists()
 
-    def test_reconstruct_r_sweep(self, tmp_path):
+    def test_eval_acceleration_sweep(self, tmp_path):
         # the sweep's fixed sigma0 = 0.01 outgrows a schedule this short
         cfg = validate_config({
             "data": {"kind": "isotropic-gaussian", "count": 16, "seed": 2, "dim": 8},
             "degradation": {"family": "line-subsample", "accel": 2, "sigma0": 0.0},
             "schedule": {"T": 10, "beta1": 1e-6, "betaT": 1e-6},
             "model": {"hidden": [8], "emb_dim": 4, "ema_decay": 0.99},
-            "train": {"iterations": 2, "batch_size": 4, "seed": 3}})
+            "train": {"iterations": 2, "batch_size": 4, "seed": 3},
+            "eval": {"operations": ["acceleration_sweep"], "count": 2, "steps": 5}})
         ckpt = cmd_train(cfg, tmp_path / "run") / "checkpoint.bin"
-        clean = tmp_path / "clean.bin"
-        write_tensor_file(clean, generate_signals(cfg["data"], 2, seed=6))
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=r"--r-sweep's sigma0 = 0\.01: no timestep"):
-            main(["reconstruct", "--checkpoint", str(ckpt), "--r-sweep", "2",
-                  "--clean", str(clean), "--steps", "5", "--seed", "1", "--out", str(out)])
+            main(["eval", "--config", self.write(tmp_path, cfg), "--out", str(out),
+                  "--checkpoint", str(ckpt), "--r-sweep", "2"])
         assert not out.exists()
 
     def test_eval_uncertainty(self, tmp_path):
@@ -1328,11 +1375,22 @@ class TestEvalInputs:
         (["uncertainty"], ["--checkpoint-b", "b"], "--checkpoint"),
         (["distribution_distance"], ["--samples-b", "b"], "--samples-a"),
         (["distribution_distance"], ["--samples-a", "a"], "--samples-b"),
+        (["acceleration_sweep"], ["--checkpoint", "a"], "--r-sweep"),
+        (["acceleration_sweep"], ["--r-sweep", "2"], "--checkpoint"),
     ])
     def test_missing_flag_named(self, tmp_path, monkeypatch, ops, flags, missing):
         monkeypatch.setattr(cli, "load_checkpoint", None)  # any call would fail
         with pytest.raises(ConfigError, match=f"needs {missing}$"):
             self.run_eval(tmp_path, ops, flags)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("accels", ["2,x", "", "2.5", "2,,4"])
+    def test_malformed_r_sweep_rejected(self, tmp_path, monkeypatch, accels):
+        monkeypatch.setattr(cli, "load_checkpoint", None)  # any call would fail
+        with pytest.raises(ConfigError, match="--r-sweep takes comma-separated "
+                                              f"integers, got '{accels}'"):
+            self.run_eval(tmp_path, ["acceleration_sweep"],
+                          ["--checkpoint", "a", f"--r-sweep={accels}"])
         assert not (tmp_path / "out").exists()
 
     def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
@@ -1408,12 +1466,13 @@ class TestEvalInputs:
             cmd_eval(cfg, tmp_path / "out", checkpoint=a, checkpoint_b=b)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("ops", [["mse_sweep"], ["uncertainty"]])
+    @pytest.mark.parametrize("ops", [["mse_sweep"], ["uncertainty"],
+                                     ["acceleration_sweep"]])
     def test_signals_of_another_width_rejected(self, tmp_path, ops):
         a = self.train_net(tmp_path, "a", 8, "line-subsample")
         cfg = self.eval_config(tmp_path, ops, 4, "none")
         with pytest.raises(ConfigError, match="width 4 .* n = 8"):
-            cmd_eval(cfg, tmp_path / "out", checkpoint=a, checkpoint_b=a)
+            cmd_eval(cfg, tmp_path / "out", checkpoint=a, checkpoint_b=a, r_sweep="2")
         assert not (tmp_path / "out").exists()
 
     def test_checkpoints_may_differ_in_t_min_valid(self, tmp_path):
@@ -1439,12 +1498,14 @@ class TestEvalInputs:
         cmd_eval(cfg, tmp_path / "out", checkpoint=run / "checkpoint.bin")
         assert seen == [used]
 
-    def test_steps_beyond_the_checkpoint_schedule_rejected(self, tmp_path):
-        # the default eval.steps of 100 on a checkpoint of T = 50
+    @pytest.mark.parametrize("op", ["uncertainty", "acceleration_sweep"])
+    def test_steps_beyond_the_checkpoint_schedule_rejected(self, tmp_path, op):
+        # the default eval.steps of 100 on a checkpoint of T = 50; the sweep
+        # checks its steps before its checkpoint's transform
         run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
         with pytest.raises(ConfigError, match=r"eval\.steps must lie in \[1, 50\]"):
-            self.run_eval(tmp_path, ["uncertainty"],
-                          ["--checkpoint", str(run / "checkpoint.bin")])
+            self.run_eval(tmp_path, [op], ["--checkpoint", str(run / "checkpoint.bin"),
+                                           "--r-sweep", "2"])
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("a, b, flag", [
