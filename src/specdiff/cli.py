@@ -2,11 +2,17 @@
 
 Artifacts are flat binary tensor files (16-byte magic, u32 version, u32 rank,
 u64 extents, little-endian float64 payload) with JSON sidecars; metrics are
-UTF-8 CSV with ``\\n`` line endings and a mandatory header. Every output
-embeds the digest of the config that produced it, and any command run twice
-with the same config and seed produces byte-identical files, so no
-wall-clock timing is written. Every artifact is written through a temporary
-file and a rename, so an interrupted command leaves the old file or none.
+UTF-8 CSV with ``\\n`` line endings and a mandatory header. Each command's
+outputs carry the digest of the config that produced them: ``gen-data`` in
+``dataset.json``, ``train`` in the checkpoint header and ``run.json``, and
+``eval`` in ``eval.json``, beside the digest of each checkpoint it read.
+``sample`` and ``reconstruct`` have no config: ``samples.json`` and
+``recon.json`` hold their checkpoint's digest and their ``--seed``. The seeds
+of ``gen-data``, ``train`` and ``eval`` come from the config alone, so its
+digest covers them. Any command run twice on the same inputs produces
+byte-identical files, so no wall-clock timing is written. Every artifact is
+written through a temporary file and a rename, so an interrupted command
+leaves the old file or none.
 
 The synthetic-shapes signals take their draws from the generator's raw
 PCG64 words, replayed by NumPy's ``Generator`` rules
@@ -131,16 +137,15 @@ def _write(path, chunks) -> None:
         raise
 
 
-def _read(path, magic: bytes, kind: str) -> tuple[bytes, int]:
-    """A framed file's bytes and the u32 word after its version, once the
-    16-byte ``magic`` and the u32 format version are checked."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 24 or raw[:16] != magic:
+def _frame(head: bytes, path, magic: bytes, kind: str) -> int:
+    """The u32 word after a framed file's version, once ``head``'s 16-byte
+    ``magic`` and u32 format version are checked."""
+    if len(head) < 24 or head[:16] != magic:
         raise FormatError(f"{path}: not a {kind} file")
-    version, word = struct.unpack_from("<II", raw, 16)
+    version, word = struct.unpack_from("<II", head, 16)
     if version > FORMAT_VERSION:
         raise FormatError(f"{path}: format version {version} is newer than supported")
-    return raw, word
+    return word
 
 
 def write_tensor_file(path, arr: np.ndarray) -> None:
@@ -150,17 +155,26 @@ def write_tensor_file(path, arr: np.ndarray) -> None:
 
 
 def read_tensor_file(path) -> np.ndarray:
-    raw, rank = _read(path, TENSOR_MAGIC, "tensor")
-    offset = 24 + 8 * rank
-    if len(raw) < offset:
-        raise FormatError(f"{path}: truncated header")
-    shape = struct.unpack_from(f"<{rank}Q", raw, 24)
-    count = math.prod(shape)  # Python ints, so huge extents cannot wrap
-    if len(raw) != offset + 8 * count:
-        raise FormatError(f"{path}: payload size does not match extents")
-    data = np.frombuffer(raw, dtype="<f8", offset=offset, count=count)
+    return _read_tensor(path)
+
+
+def _read_tensor(path, rows: int | None = None) -> np.ndarray:
+    """The tensor file ``path``, or only its first ``rows`` rows, read straight
+    into the array once the header is checked against the file's size."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        rank = _frame(fh.read(24), path, TENSOR_MAGIC, "tensor")
+        if size < 24 + 8 * rank:
+            raise FormatError(f"{path}: truncated header")
+        shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+        # Python ints, so huge extents cannot wrap
+        if size != 24 + 8 * rank + 8 * math.prod(shape):
+            raise FormatError(f"{path}: payload size does not match extents")
+        if rows is not None and shape:
+            shape = (min(rows, shape[0]), *shape[1:])
+        data = np.fromfile(fh, dtype="<f8", count=math.prod(shape))
     try:  # an empty payload may still name an extent numpy cannot hold
-        return data.reshape(shape).copy()
+        return data.reshape(shape)
     except ValueError as exc:
         raise FormatError(f"{path}: extents {shape}: {exc}") from exc
 
@@ -404,7 +418,8 @@ def config_digest(cfg: dict) -> str:
 
 
 def generate_signals(data_cfg: dict, count: int, seed: int) -> np.ndarray:
-    """Clean signal rows for the configured distribution."""
+    """Clean signal rows for the configured distribution; of an
+    ``external-binary`` source, only the first ``count`` rows are read."""
     kind = data_cfg["kind"]
     rng = derived_rng(seed, 0)
     if kind == "two-deltas":
@@ -414,10 +429,10 @@ def generate_signals(data_cfg: dict, count: int, seed: int) -> np.ndarray:
         return rng.standard_normal((count, data_cfg["dim"]))
     if kind == "synthetic-shapes":
         return _shapes(count, data_cfg["height"], data_cfg["width"], rng)
-    arr = read_tensor_file(data_cfg["path"])
+    arr = _read_tensor(data_cfg["path"], rows=count)
     if arr.ndim != 2 or arr.shape[0] < count:
         raise ConfigError("external-binary file must hold at least `count` rows")
-    return arr[:count]
+    return arr
 
 
 # pixels painted at a time: blocks of 64 records at the 16x16 presets, whose
@@ -471,13 +486,12 @@ def _shapes(count: int, h: int, w: int, rng) -> np.ndarray:
     return out.reshape(count, h * w)
 
 
-def build_degradation_family(cfg: dict, n: int | None = None) -> DegradationFamily:
-    """The configured family for signals of width ``n``; masks that cannot fit
-    the signal raise ``ConfigError``. Unset, ``n`` is the configured signals'
-    width, which reads an ``external-binary`` source: a caller that reads the
-    signals anyway passes their width."""
+def build_degradation_family(cfg: dict) -> DegradationFamily:
+    """The configured family for the configured signals' width (of an
+    ``external-binary`` source, its header alone is read); masks that cannot
+    fit the signal raise ``ConfigError``."""
     deg = cfg["degradation"]
-    n = generate_signals(cfg["data"], 0, 0).shape[1] if n is None else n
+    n = generate_signals(cfg["data"], 0, 0).shape[1]
     family = deg["family"]
     vt = IdentityTransform(n)
     if family == "line-subsample":
@@ -524,7 +538,7 @@ def build_model(cfg: dict, n: int) -> Denoiser:
                            rng=derived_rng(m["seed"], 77))
 
 
-def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConfig:
+def build_train_config(cfg: dict) -> TrainConfig:
     """The loop's config; an unset ``chunk_size`` resolves to ``batch_size``."""
     t = cfg["train"]
     chunk = t["batch_size"] if t["chunk_size"] is None else t["chunk_size"]
@@ -535,8 +549,7 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
                           probes=loss["probes"])
     return TrainConfig(iterations=t["iterations"], batch_size=t["batch_size"],
                        learning_rate=t["learning_rate"],
-                       seed=t["seed"] if seed_override is None else seed_override,
-                       loss=loss_cfg, oracle_mode=t["oracle_mode"],
+                       seed=t["seed"], loss=loss_cfg, oracle_mode=t["oracle_mode"],
                        log_interval=t["log_interval"], chunk_size=chunk)
 
 
@@ -631,7 +644,8 @@ _CHECKPOINT_KEYS = ("arch", "step_count", "config_digest", "schedule",
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw, header_len = _read(path, CHECKPOINT_MAGIC, "checkpoint")
+    raw = Path(path).read_bytes()
+    header_len = _frame(raw, path, CHECKPOINT_MAGIC, "checkpoint")
     offset = 24 + header_len
     if len(raw) < offset:
         raise FormatError(f"{path}: truncated header")
@@ -690,14 +704,11 @@ def _out_dir(out, default) -> Path:
     return path
 
 
-def cmd_gen_data(cfg: dict, out: str | None = None,
-                 seed_override: int | None = None) -> Path:
+def cmd_gen_data(cfg: dict, out: str | None = None) -> Path:
     """Write clean signals and precomputed measurements with a JSON sidecar."""
-    _check_flag("--seed", seed_override, _AT_LEAST_0)
-    seed = cfg["data"]["seed"] if seed_override is None else seed_override
-    count = cfg["data"]["count"]
+    seed, count = cfg["data"]["seed"], cfg["data"]["count"]
     signals = generate_signals(cfg["data"], count + cfg["data"]["holdout"], seed)
-    family = build_degradation_family(cfg, signals.shape[1])
+    family = build_degradation_family(cfg)
     clean, holdout = signals[:count], signals[count:]
     data = precompute(clean, family, seed=seed)
     out_path = _out_dir(out, cfg["io"]["out_dir"])
@@ -780,14 +791,12 @@ def _dataset_from_config(cfg: dict):
         ), family
     signals = generate_signals(cfg["data"], cfg["data"]["count"],
                                cfg["data"]["seed"])
-    family = build_degradation_family(cfg, signals.shape[1])
+    family = build_degradation_family(cfg)
     return precompute(signals, family, seed=cfg["data"]["seed"]), family
 
 
-def cmd_train(cfg: dict, out: str | None = None,
-              seed_override: int | None = None) -> Path:
+def cmd_train(cfg: dict, out: str | None = None) -> Path:
     """Precompute measurements, run the training loop, persist the outcome."""
-    _check_flag("--seed", seed_override, _AT_LEAST_0)
     data, family = _dataset_from_config(cfg)
     schedule = build_schedule(cfg)
     data_dir = cfg["io"]["data_dir"]
@@ -795,7 +804,7 @@ def cmd_train(cfg: dict, out: str | None = None,
                        f"io.data_dir {data_dir}: sigma0" if data_dir
                        else "degradation.sigma0")
     model = build_model(cfg, family.n)
-    train_cfg = build_train_config(cfg, seed_override)
+    train_cfg = build_train_config(cfg)
     out_path = _out_dir(out, cfg["io"]["out_dir"])
     result = train(model, train_cfg, data, schedule)
 
@@ -876,8 +885,8 @@ def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
         "format_version": FORMAT_VERSION,
         "config_digest": ckpt.config_digest,
         "sampler": sampler,
-        "steps": steps,
-        "eta": eta,
+        "steps": steps if sampler == "ddim" else None,  # DDPM visits every t
+        "eta": eta if sampler == "ddim" else None,
         "count": count,
         "seed": seed,
     })
@@ -937,7 +946,9 @@ def _eval_ts(cfg: dict, schedule: DiffusionSchedule) -> list[int]:
 def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
              checkpoint_b=None, samples_a=None, samples_b=None,
              r_sweep: str | None = None) -> Path:
-    """Run the configured evaluation operations, one CSV per operation.
+    """Run the configured evaluation operations, one CSV per operation, and
+    write ``eval.json``: the config's digest and the ``config_digest`` of each
+    checkpoint an operation read (null for a flag that none reads).
 
     Every input is read and checked, and what the operations share is built,
     once before the output directory is made. Every operation on a checkpoint
@@ -980,11 +991,8 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
         if max(ev["ts"], default=0) > ca.schedule["T"]:
             raise ConfigError(f"eval.ts must be <= T = {ca.schedule['T']} of the "
                               "--checkpoint schedule")
-        # one read of an external-binary source: the eval set (1 row when only
-        # uncertainty runs) gives the width and every operation's clean rows,
-        # since every kind's first rows are those of a shorter set
-        full = cb is not None or "acceleration_sweep" in ops
-        clean_rows = generate_signals(cfg["data"], ev["count"] if full else 1, seed)
+        # one read of the eval set: the width and every operation's clean rows
+        clean_rows = generate_signals(cfg["data"], ev["count"], seed)
         width = clean_rows.shape[1]
         if width != ca.vt.n:
             raise ConfigError(f"data: signals of width {width} do not fit "
@@ -1078,6 +1086,12 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
                     resid += float(np.sqrt(np.einsum("i,i->", gap, gap)))
                 rows.append((r, resid / len(sweep), bool(np.isfinite(resid))))
             write_csv(out_path / "rsweep.csv", ["accel", "residual_norm", "finite"], rows)
+    _write_json(out_path / "eval.json", {
+        "format_version": FORMAT_VERSION,
+        "config_digest": config_digest(cfg),
+        "checkpoint_config_digest": None if ca is None else ca.config_digest,
+        "checkpoint_b_config_digest": None if cb is None else cb.config_digest,
+    })
     return out_path
 
 
@@ -1143,10 +1157,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", type=float, default=0.0)
         return p
 
-    for name, help in (("gen-data", "write clean signals and measurements"),
-                       ("train", "train a model per the config")):
-        add_configured(name, help).add_argument("--seed", type=int, default=None,
-                                                help="seed override")
+    add_configured("gen-data", "write clean signals and measurements")
+    add_configured("train", "train a model per the config")
 
     p = add_reverse("sample", "generate samples from a checkpoint")
     p.add_argument("--sampler", choices=["ddim", "ddpm"], default="ddim")
@@ -1177,9 +1189,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "gen-data":
-        cmd_gen_data(load_config(args.config), args.out, args.seed)
+        cmd_gen_data(load_config(args.config), args.out)
     elif args.command == "train":
-        cmd_train(load_config(args.config), args.out, args.seed)
+        cmd_train(load_config(args.config), args.out)
     elif args.command == "sample":
         cmd_sample(args.checkpoint, args.out, args.sampler, args.steps,
                    args.count, args.seed, eta=args.eta)

@@ -110,6 +110,21 @@ def two_deltas_config(out_dir, iterations=30, oracle=False, seed=5):
     })
 
 
+def rows_read(monkeypatch) -> collections.Counter:
+    """Payload rows of each tensor file that ``cli`` reads from now on, by
+    file name (a file read for its header alone counts 0)."""
+    counts = collections.Counter()
+    read = cli._read_tensor
+
+    def counting_read(path, rows=None):
+        arr = read(path, rows)
+        counts[Path(path).name] += len(arr) if arr.ndim else 1
+        return arr
+
+    monkeypatch.setattr(cli, "_read_tensor", counting_read)
+    return counts
+
+
 class TestTensorFiles:
     def test_roundtrip(self, tmp_path):
         arr = np.random.default_rng(0).standard_normal((5, 3))
@@ -155,6 +170,46 @@ class TestTensorFiles:
         path.write_bytes(cli.TENSOR_MAGIC + struct.pack("<II2Q", 1, 2, *extents))
         with pytest.raises(FormatError):
             main(["inspect", str(path)])
+
+    @pytest.mark.parametrize("shape", [(6, 3), (6,), (0, 4), (4, 2, 3)])
+    def test_first_rows_are_the_whole_read_sliced(self, tmp_path, shape):
+        path = tmp_path / "a.bin"
+        write_tensor_file(path, np.random.default_rng(1).standard_normal(shape))
+        whole = read_tensor_file(path)
+        for rows in range(shape[0] + 2):
+            got = cli._read_tensor(path, rows)
+            assert got.shape == whole[:rows].shape
+            assert got.tobytes() == whole[:rows].tobytes()
+
+    def test_first_rows_read_alone(self, tmp_path):
+        # one row of a 2 MB file allocates one row, not the file
+        path = tmp_path / "big.bin"
+        write_tensor_file(path, np.ones((4096, 64)))
+        tracemalloc.start()
+        try:
+            row = cli._read_tensor(path, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.shape == (1, 64) and peak < 2 ** 16
+
+    @pytest.mark.parametrize("damage", ["magic", "version", "header", "payload"])
+    def test_first_rows_of_a_malformed_file_rejected(self, tmp_path, damage):
+        # a read of 0 rows still checks the header and the whole payload's size
+        path = tmp_path / "bad.bin"
+        write_tensor_file(path, np.zeros((4, 2)))
+        raw = bytearray(path.read_bytes())
+        if damage == "magic":
+            raw[0] ^= 1
+        elif damage == "version":
+            raw[16] = 99
+        elif damage == "header":  # 24 + 8 * rank = 40 bytes of header
+            del raw[30:]
+        else:
+            del raw[-8:]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            cli._read_tensor(path, 0)
 
 
 class TestConfig:
@@ -476,24 +531,25 @@ class TestSignals:
             with pytest.raises(ConfigError, match="external-binary file"):
                 cmd(cfg, tmp_path / "out")
 
-    @pytest.mark.parametrize("command", ["gen-data", "train"])
-    def test_external_source_read_once(self, tmp_path, monkeypatch, command):
-        # the family takes the width of the signals the command reads
+    @pytest.mark.parametrize("command, rows", [
+        ("gen-data", {"signals.bin": 34}),
+        ("train", {"signals.bin": 30}),
+        ("train-data-dir", {"signals.bin": 0, "ybar.bin": 30, "masks.bin": 30})],
+        ids=["gen-data", "train", "train-data-dir"])
+    def test_external_source_read_once(self, tmp_path, monkeypatch, command, rows):
+        # the family's width probe reads the source's header alone, and a
+        # command that trains on io.data_dir reads none of its payload
         src = tmp_path / "signals.bin"
         write_tensor_file(src, np.random.default_rng(2).standard_normal((40, 2)))
-        reads = []
-
-        def counting_read(path):
-            reads.append(Path(path))
-            return read_tensor_file(path)
-
-        monkeypatch.setattr(cli, "read_tensor_file", counting_read)
         cfg = two_deltas_config(tmp_path, iterations=2)
         cfg["data"] = {**cfg["data"], "kind": "external-binary", "path": str(src),
-                       "count": 40}
-        cmd = cmd_gen_data if command == "gen-data" else cmd_train
-        cmd(validate_config(cfg), tmp_path / "out")
-        assert reads == [src]
+                       "count": 30, "holdout": 4}
+        cfg = validate_config(cfg)
+        if command == "train-data-dir":
+            cfg["io"]["data_dir"] = str(cmd_gen_data(cfg, tmp_path / "data"))
+        reads = rows_read(monkeypatch)
+        (cmd_gen_data if command == "gen-data" else cmd_train)(cfg, tmp_path / "out")
+        assert reads == rows
 
 
 class TestCheckpoints:
@@ -950,6 +1006,37 @@ class TestCommands:
         lines = (out / "distance.csv").read_text().splitlines()
         assert lines[0] == "sliced_wasserstein,mean_gap,cov_gap"
 
+    def test_sample_sidecar_records_what_the_sampler_used(self, tmp_path):
+        # DDPM visits every timestep and draws fresh noise: no steps, no eta
+        ckpt = cmd_train(two_deltas_config(tmp_path, iterations=2),
+                         tmp_path / "run") / "checkpoint.bin"
+        seen = {}
+        for sampler in ("ddim", "ddpm"):
+            out = cmd_sample(ckpt, tmp_path / sampler, sampler, 10, 2, 7, eta=0.5)
+            meta = json.loads((out / "samples.json").read_text())
+            seen[sampler] = meta["steps"], meta["eta"]
+        assert seen == {"ddim": (10, 0.5), "ddpm": (None, None)}
+
+    @pytest.mark.parametrize("ops, reads", [
+        (["mse_sweep"], "ab"), (["uncertainty"], "a"), (["independence_demo"], "")],
+        ids=["mse_sweep", "uncertainty", "independence_demo"])
+    def test_eval_sidecar_names_config_and_checkpoints(self, tmp_path, ops, reads):
+        # each checkpoint's digest when an operation read it, else null
+        runs = {name: cmd_train(two_deltas_config(tmp_path, iterations=2, seed=seed),
+                                tmp_path / name) for name, seed in (("a", 5), ("b", 6))}
+        cfg = two_deltas_config(tmp_path)
+        cfg["eval"].update(operations=ops, count=4, steps=5, uncertainty_k=2,
+                           n_samples=50, n_permutations=2)
+        out = cmd_eval(cfg, tmp_path / "eval", checkpoint=runs["a"] / "checkpoint.bin",
+                       checkpoint_b=runs["b"] / "checkpoint.bin")
+        digests = {name: json.loads((run / "run.json").read_text())["config_digest"]
+                   for name, run in runs.items()}
+        assert digests["a"] != digests["b"]  # the seeds differ, so a swap shows
+        assert json.loads((out / "eval.json").read_text()) == {
+            "format_version": cli.FORMAT_VERSION, "config_digest": config_digest(cfg),
+            "checkpoint_config_digest": digests["a"] if "a" in reads else None,
+            "checkpoint_b_config_digest": digests["b"] if "b" in reads else None}
+
     def test_inspect_and_pgm(self, tmp_path, capsys):
         arr = np.arange(16.0).reshape(1, 16)
         path = tmp_path / "img.bin"
@@ -1265,7 +1352,8 @@ class TestConfigValuesRejectedBeforeWork:
 
 class TestNegativeSeedsRejectedBeforeOutput:
     """Seeds feed ``derived_rng``, which takes no negative integer: a negative
-    config seed or ``--seed`` raises ConfigError before any output exists."""
+    config seed or ``--seed`` raises ConfigError before any output exists.
+    ``gen-data`` and ``train`` take no ``--seed``."""
 
     def write(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
@@ -1273,17 +1361,24 @@ class TestNegativeSeedsRejectedBeforeOutput:
         return str(path)
 
     @pytest.mark.parametrize("command", ["gen-data", "train"])
-    @pytest.mark.parametrize("section", ["data", "model", "train", "flag"])
+    @pytest.mark.parametrize("section", ["data", "model", "train"])
     def test_configured_commands(self, tmp_path, command, section):
         cfg = two_deltas_config(tmp_path, iterations=2)
-        argv = [command, "--out", str(tmp_path / "out")]
-        if section == "flag":
-            argv += ["--seed", "-3"]
-        else:
-            cfg[section]["seed"] = -1
-        where = "--seed" if section == "flag" else rf"{section}\.seed"
-        with pytest.raises(ConfigError, match=rf"{where} must be >= 0"):
-            main(argv + ["--config", self.write(tmp_path, cfg)])
+        cfg[section]["seed"] = -1
+        with pytest.raises(ConfigError, match=rf"{section}\.seed must be >= 0"):
+            main([command, "--out", str(tmp_path / "out"),
+                  "--config", self.write(tmp_path, cfg)])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys, command):
+        # their seeds come from the config alone, so its digest covers them
+        cfg = self.write(tmp_path, two_deltas_config(tmp_path, iterations=2))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                  "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_eval(self, tmp_path):
@@ -1538,33 +1633,32 @@ class TestEvalInputs:
                           ["--samples-a", paths[0], "--samples-b", paths[1]])
         assert not (tmp_path / "out").exists()
 
-    def test_external_source_read_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("ops", [["mse_sweep", "uncertainty"], ["uncertainty"]],
+                             ids=["mse_sweep+uncertainty", "uncertainty"])
+    def test_external_source_read_once(self, tmp_path, monkeypatch, ops):
+        # eval.count rows, once, whichever operations run
         run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
         src = tmp_path / "signals.bin"
         write_tensor_file(src, np.random.default_rng(2).standard_normal((6, 2)))
-        reads = []
-
-        def counting_read(path):
-            reads.append(Path(path))
-            return read_tensor_file(path)
-
-        monkeypatch.setattr(cli, "read_tensor_file", counting_read)
+        reads = rows_read(monkeypatch)
         cfg = two_deltas_config(tmp_path)
         cfg["data"] = {"kind": "external-binary", "path": str(src), "count": 6, "seed": 0}
-        cfg["eval"].update(operations=["mse_sweep", "uncertainty"], count=4, steps=5,
-                           t_stride=25, uncertainty_k=2)
+        cfg["eval"].update(operations=ops, count=4, steps=5, t_stride=25,
+                           uncertainty_k=2)
         ckpt = run / "checkpoint.bin"
         cmd_eval(validate_config(cfg), tmp_path / "out", checkpoint=ckpt,
                  checkpoint_b=ckpt)
-        assert reads.count(src) == 1
+        assert reads == {"signals.bin": 4}
 
-    def test_external_source_short_of_eval_count_rejected(self, tmp_path):
+    @pytest.mark.parametrize("ops", [["mse_sweep"], ["uncertainty"]],
+                             ids=["mse_sweep", "uncertainty"])
+    def test_external_source_short_of_eval_count_rejected(self, tmp_path, ops):
         run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
         src = tmp_path / "signals.bin"
         write_tensor_file(src, np.ones((4, 2)))
         cfg = two_deltas_config(tmp_path)
         cfg["data"] = {"kind": "external-binary", "path": str(src), "count": 4, "seed": 0}
-        cfg["eval"].update(operations=["mse_sweep"], count=5)
+        cfg["eval"].update(operations=ops, count=5, steps=5)
         ckpt = run / "checkpoint.bin"
         with pytest.raises(ConfigError, match="external-binary file"):
             cmd_eval(validate_config(cfg), tmp_path / "out", checkpoint=ckpt,
