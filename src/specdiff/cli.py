@@ -5,14 +5,15 @@ u64 extents, little-endian float64 payload) with JSON sidecars; metrics are
 UTF-8 CSV with ``\\n`` line endings and a mandatory header. Each command's
 outputs carry the digest of the config that produced them: ``gen-data`` in
 ``dataset.json``, ``train`` in the checkpoint header and ``run.json``, and
-``eval`` in ``eval.json``, beside the digest of each checkpoint it read.
-``sample`` and ``reconstruct`` have no config: ``samples.json`` and
-``recon.json`` hold their checkpoint's digest and their ``--seed``. The seeds
-of ``gen-data``, ``train`` and ``eval`` come from the config alone, so its
-digest covers them. Any command run twice on the same inputs produces
-byte-identical files, so no wall-clock timing is written. Every artifact is
-written through a temporary file and a rename, so an interrupted command
-leaves the old file or none.
+``eval`` in ``eval.json``. A setting that shapes their bytes, seeds
+included, lives in the config, so its digest covers it; their flags name
+files. ``sample`` and ``reconstruct`` have no config: ``samples.json`` and
+``recon.json`` hold their checkpoint's digest and their ``--seed``. Each
+sidecar also names what its command read: the digest in ``--measurements``'
+``dataset.json``, or each samples file's digest and seed. Any command run
+twice on the same inputs produces byte-identical files, so no wall-clock
+timing is written. Every artifact is written through a temporary file and a
+rename, so an interrupted command leaves the old file or none.
 
 The synthetic-shapes signals take their draws from the generator's raw
 PCG64 words, replayed by NumPy's ``Generator`` rules
@@ -263,7 +264,7 @@ _EVAL_INPUTS = {
     "independence_demo": (),
     "distribution_distance": ("samples_a", "samples_b"),
     "uncertainty": ("checkpoint",),
-    "acceleration_sweep": ("checkpoint", "r_sweep"),
+    "acceleration_sweep": ("checkpoint",),
 }
 # rules shared by several keys and the flags (derived_rng takes no seed < 0)
 _AT_LEAST_0, _AT_LEAST_1, _UNIT = Interval(0), Interval(1), Interval(0, 1)
@@ -340,8 +341,8 @@ _SCHEMA = {
         "steps": (int, 100, _AT_LEAST_1),
         "eta": (float, 0.0, _UNIT),
         "peak": (float, 1.0, Interval(0, open_lo=True)),
+        "accels": (list, [], _each(int, _AT_LEAST_1)),  # acceleration_sweep's factors
     },
-    "io": {"out_dir": (str, "out", None), "data_dir": (str, "", None)},
 }
 
 
@@ -697,21 +698,21 @@ def _check_flag(flag: str, value, rule) -> None:
         raise ConfigError(f"{flag} must {rule.text}, got {value}")
 
 
-def _out_dir(out, default) -> Path:
+def _out_dir(out) -> Path:
     """The output directory, made once every input is read and checked."""
-    path = Path(out if out is not None else default)
+    path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def cmd_gen_data(cfg: dict, out: str | None = None) -> Path:
+def cmd_gen_data(cfg: dict, out) -> Path:
     """Write clean signals and precomputed measurements with a JSON sidecar."""
     seed, count = cfg["data"]["seed"], cfg["data"]["count"]
     signals = generate_signals(cfg["data"], count + cfg["data"]["holdout"], seed)
     family = build_degradation_family(cfg)
     clean, holdout = signals[:count], signals[count:]
     data = precompute(clean, family, seed=seed)
-    out_path = _out_dir(out, cfg["io"]["out_dir"])
+    out_path = _out_dir(out)
     write_tensor_file(out_path / "clean.bin", clean)
     write_tensor_file(out_path / "ybar.bin", data.ybar)
     write_tensor_file(out_path / "masks.bin", data.masks.astype(np.float64))
@@ -768,44 +769,42 @@ def _load_dataset_dir(path: Path):
     return meta, ybar, masks, sigma0 * sigma0  # precompute's var, bit for bit
 
 
-def _dataset_from_config(cfg: dict):
-    """Measurements for training: from io.data_dir when set, else simulated;
-    only the oracle reads the directory's ``clean.bin``, its target."""
-    data_dir = cfg["io"]["data_dir"]
-    if data_dir:
-        family = build_degradation_family(cfg)
-        meta, ybar, masks, var = _load_dataset_dir(Path(data_dir))
-        if meta["n"] != family.n or meta["vt"] != family.vt.descriptor():
-            raise ConfigError("dataset directory does not match the configured "
-                              "degradation family")
-        clean_xbar = None
-        if cfg["train"]["oracle_mode"]:
-            clean_path = Path(data_dir) / "clean.bin"
-            if not clean_path.exists():
-                raise ConfigError(f"train.oracle_mode needs clean.bin in io.data_dir "
-                                  f"{data_dir}")
-            clean_xbar = family.vt.apply(read_tensor_file(clean_path))
-        return PrecomputedDataset(
-            ybar=ybar, masks=masks, var=var, w=family.weights(),
-            clean_xbar=clean_xbar,
-        ), family
-    signals = generate_signals(cfg["data"], cfg["data"]["count"],
-                               cfg["data"]["seed"])
+def _dataset(cfg: dict, measurements):
+    """Training data, its family and the digest in ``dataset.json``: read from
+    the gen-data directory ``measurements``, or simulated when that is None (no
+    digest); only the oracle reads the directory's ``clean.bin``, its target."""
     family = build_degradation_family(cfg)
-    return precompute(signals, family, seed=cfg["data"]["seed"]), family
+    if measurements is None:
+        signals = generate_signals(cfg["data"], cfg["data"]["count"],
+                                   cfg["data"]["seed"])
+        return precompute(signals, family, seed=cfg["data"]["seed"]), family, None
+    meta, ybar, masks, var = _load_dataset_dir(Path(measurements))
+    if meta["n"] != family.n or meta["vt"] != family.vt.descriptor():
+        raise ConfigError(f"--measurements {measurements} does not match the "
+                          "configured degradation family")
+    clean_xbar = None
+    if cfg["train"]["oracle_mode"]:
+        clean_path = Path(measurements) / "clean.bin"
+        if not clean_path.exists():
+            raise ConfigError(f"train.oracle_mode needs clean.bin in --measurements "
+                              f"{measurements}")
+        clean_xbar = family.vt.apply(read_tensor_file(clean_path))
+    data = PrecomputedDataset(ybar=ybar, masks=masks, var=var, w=family.weights(),
+                              clean_xbar=clean_xbar)
+    return data, family, meta.get("config_digest")
 
 
-def cmd_train(cfg: dict, out: str | None = None) -> Path:
-    """Precompute measurements, run the training loop, persist the outcome."""
-    data, family = _dataset_from_config(cfg)
+def cmd_train(cfg: dict, out, measurements=None) -> Path:
+    """Precompute measurements, or read them from the gen-data directory
+    ``measurements``, run the training loop, persist the outcome."""
+    data, family, data_digest = _dataset(cfg, measurements)
     schedule = build_schedule(cfg)
-    data_dir = cfg["io"]["data_dir"]
     _check_noise_floor(schedule, data.worst_noise_var(),
-                       f"io.data_dir {data_dir}: sigma0" if data_dir
-                       else "degradation.sigma0")
+                       "degradation.sigma0" if measurements is None
+                       else f"--measurements {measurements}: sigma0")
     model = build_model(cfg, family.n)
     train_cfg = build_train_config(cfg)
-    out_path = _out_dir(out, cfg["io"]["out_dir"])
+    out_path = _out_dir(out)
     result = train(model, train_cfg, data, schedule)
 
     digest = config_digest(cfg)
@@ -825,6 +824,7 @@ def cmd_train(cfg: dict, out: str | None = None) -> Path:
                for r in result.metrics])
     _write_json(out_path / "run.json", {
         "config_digest": digest,
+        "measurements_config_digest": data_digest,
         "steps": train_cfg.iterations,
         "t_min_valid": result.t_min_valid,
     })
@@ -856,7 +856,7 @@ def _read_rows(path, flag: str, width: int | None = None,
 SAMPLE_CHUNK = 64  # samples per derived-seed chunk
 
 
-def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
+def cmd_sample(checkpoint_path, out, sampler: str, steps: int,
                count: int, seed: int, eta: float = 0.0) -> Path:
     """Generate samples from a checkpoint; chunks use derived seeds."""
     if sampler not in ("ddim", "ddpm"):
@@ -869,7 +869,7 @@ def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
     model, schedule, vt = ckpt.model(), ckpt.rebuild_schedule(), ckpt.vt
     if sampler == "ddim":
         _check_steps(steps, schedule)
-    out_path = _out_dir(out, "samples")
+    out_path = _out_dir(out)
     blocks = []
     for ci, lo in enumerate(range(0, count, SAMPLE_CHUNK)):
         size = min(SAMPLE_CHUNK, count - lo)
@@ -893,7 +893,7 @@ def cmd_sample(checkpoint_path, out: str | None, sampler: str, steps: int,
     return out_path
 
 
-def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
+def cmd_reconstruct(checkpoint_path, measurements_dir, out,
                     steps: int, seed: int, eta: float = 0.0,
                     limit: int | None = None) -> Path:
     """Reconstruct stored measurements, and write their zero-filled baseline."""
@@ -911,7 +911,7 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
     count = len(ybar) if limit is None else min(limit, len(ybar))
     _check_noise_floor(schedule, var if masks[:count].any() else 0.0,
                        f"--measurements {measurements_dir}: sigma0")
-    out_path = _out_dir(out, "recon")
+    out_path = _out_dir(out)
     recons = np.empty((count, vt.n))
     zf = np.empty((count, vt.n))
     for i in range(count):
@@ -924,6 +924,7 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out: str | None,
     _write_json(out_path / "recon.json", {
         "format_version": FORMAT_VERSION,
         "config_digest": ckpt.config_digest,
+        "measurements_config_digest": meta.get("config_digest"),
         "steps": steps,
         "eta": eta,
         "seed": seed,
@@ -943,12 +944,23 @@ def _eval_ts(cfg: dict, schedule: DiffusionSchedule) -> list[int]:
     return ts
 
 
-def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
-             checkpoint_b=None, samples_a=None, samples_b=None,
-             r_sweep: str | None = None) -> Path:
+def _samples_provenance(path) -> tuple:
+    """``(config_digest, seed)`` of the ``samples.json`` beside the samples
+    file ``path``, or ``(None, None)`` where there is none."""
+    sidecar = Path(path).with_name("samples.json")
+    if not sidecar.is_file():
+        return None, None
+    meta = _json_header(sidecar.read_bytes(), sidecar, ("config_digest", "seed"))
+    return meta["config_digest"], meta["seed"]
+
+
+def cmd_eval(cfg: dict, out, checkpoint=None, checkpoint_b=None, samples_a=None,
+             samples_b=None) -> Path:
     """Run the configured evaluation operations, one CSV per operation, and
-    write ``eval.json``: the config's digest and the ``config_digest`` of each
-    checkpoint an operation read (null for a flag that none reads).
+    write ``eval.json``: the config's digest, the ``config_digest`` of each
+    checkpoint an operation read, and the ``config_digest`` and ``seed`` of
+    the ``samples.json`` beside each samples file it read (null for a flag
+    that none reads, or a samples file with no sidecar).
 
     Every input is read and checked, and what the operations share is built,
     once before the output directory is made. Every operation on a checkpoint
@@ -959,32 +971,28 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
     ``T``, ``beta1`` or ``betaT``, transform or ``n`` differs from A's, an
     ``eval.steps`` beyond A's ``T`` for an operation that reconstructs, or a
     samples file that is not a 2-D array of at least 2 rows (for
-    ``--samples-b``, of ``--samples-a``'s width) raises ``ConfigError``.
+    ``--samples-b``, of ``--samples-a``'s width) raises ``ConfigError``; a
+    malformed ``samples.json`` beside one raises ``FormatError``.
     ``uncertainty`` runs its reconstructions at ``eta = max(eval.eta, 0.5)``,
     so an ``eval.eta`` below 0.5 (the default 0.0 included) is raised to 0.5
     there and its ``k`` runs stay stochastic. ``acceleration_sweep``
     reconstructs the eval set's first ``min(8, eval.count)`` rows from DFT
-    lines kept at each factor of ``r_sweep`` (``--r-sweep``'s comma-separated
-    integers) and sigma0 = 0.01; a malformed ``r_sweep``, an A not in
-    ``real_dft``, a factor that does not fit A's lines or an A that cannot
-    top up sigma0 = 0.01 raises ``ConfigError`` too.
+    lines kept at each factor of ``eval.accels`` and sigma0 = 0.01; an empty
+    ``eval.accels``, an A not in ``real_dft``, a factor that does not fit A's
+    lines or an A that cannot top up sigma0 = 0.01 raises ``ConfigError`` too.
     """
     ev = cfg["eval"]
     ops, seed = ev["operations"], ev["seed"]
     given = {"checkpoint": checkpoint, "checkpoint_b": checkpoint_b,
-             "samples_a": samples_a, "samples_b": samples_b, "r_sweep": r_sweep}
+             "samples_a": samples_a, "samples_b": samples_b}
     for op in ops:
         for name in _EVAL_INPUTS[op]:
             if given[name] is None:
                 flag = "--" + name.replace("_", "-")
                 raise ConfigError(f"eval operation {op!r} needs {flag}")
+    if "acceleration_sweep" in ops and not ev["accels"]:
+        raise ConfigError("eval operation 'acceleration_sweep' needs eval.accels")
     needs = {name for op in ops for name in _EVAL_INPUTS[op]}
-    if "acceleration_sweep" in ops:
-        try:
-            accels = [int(r) for r in r_sweep.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"--r-sweep takes comma-separated integers, "
-                              f"got {r_sweep!r}") from exc
     ca = load_checkpoint(checkpoint) if "checkpoint" in needs else None
     cb = load_checkpoint(checkpoint_b) if "checkpoint_b" in needs else None
     if ca is not None:  # every operation that reads B reads A too
@@ -1024,18 +1032,20 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
             raise ConfigError("an acceleration sweep masks DFT lines; the "
                               f"checkpoint's transform is {kind!r}")
         families = []
-        for r in accels:
+        for r in ev["accels"]:
             try:
                 masks = LineSubsampleMasks(lines=ca.vt.n // 2, accel=r)
             except ValueError as exc:
-                raise ConfigError(f"--r-sweep accel {r}: {exc}") from exc
+                raise ConfigError(f"eval.accels entry {r}: {exc}") from exc
             families.append((r, DegradationFamily(ca.vt, masks, sigma0=0.01)))
-        _check_noise_floor(schedule, 0.01 * 0.01, "--r-sweep's sigma0 = 0.01")
+        _check_noise_floor(schedule, 0.01 * 0.01, "acceleration_sweep's sigma0 = 0.01")
         sweep = clean_rows[:8]
+    sa = sb = (None, None)
     if "distribution_distance" in ops:
         a = _read_rows(samples_a, "--samples-a", min_rows=2)
         b = _read_rows(samples_b, "--samples-b", a.shape[1], min_rows=2)
-    out_path = _out_dir(out, cfg["io"]["out_dir"])
+        sa, sb = _samples_provenance(samples_a), _samples_provenance(samples_b)
+    out_path = _out_dir(out)
 
     for op in ops:
         if op == "mse_sweep":
@@ -1091,6 +1101,10 @@ def cmd_eval(cfg: dict, out: str | None = None, checkpoint=None,
         "config_digest": config_digest(cfg),
         "checkpoint_config_digest": None if ca is None else ca.config_digest,
         "checkpoint_b_config_digest": None if cb is None else cb.config_digest,
+        "samples_a_config_digest": sa[0],
+        "samples_a_seed": sa[1],
+        "samples_b_config_digest": sb[0],
+        "samples_b_seed": sb[1],
     })
     return out_path
 
@@ -1145,20 +1159,22 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_configured(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         return p
 
     def add_reverse(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--checkpoint", required=True)
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", required=True)
         p.add_argument("--steps", type=int, default=100)
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--eta", type=float, default=0.0)
         return p
 
     add_configured("gen-data", "write clean signals and measurements")
-    add_configured("train", "train a model per the config")
+    p = add_configured("train", "train a model per the config")
+    p.add_argument("--measurements", default=None,
+                   help="gen-data output directory to train on (default: simulate)")
 
     p = add_reverse("sample", "generate samples from a checkpoint")
     p.add_argument("--sampler", choices=["ddim", "ddpm"], default="ddim")
@@ -1173,9 +1189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-b", default=None)
     p.add_argument("--samples-a", default=None)
     p.add_argument("--samples-b", default=None)
-    p.add_argument("--r-sweep", default=None,
-                   help="comma-separated acceleration factors for "
-                        "acceleration_sweep")
 
     p = sub.add_parser("inspect", help="describe an artifact file")
     p.add_argument("path")
@@ -1191,7 +1204,7 @@ def main(argv=None) -> int:
     if args.command == "gen-data":
         cmd_gen_data(load_config(args.config), args.out)
     elif args.command == "train":
-        cmd_train(load_config(args.config), args.out)
+        cmd_train(load_config(args.config), args.out, args.measurements)
     elif args.command == "sample":
         cmd_sample(args.checkpoint, args.out, args.sampler, args.steps,
                    args.count, args.seed, eta=args.eta)
@@ -1201,7 +1214,7 @@ def main(argv=None) -> int:
     elif args.command == "eval":
         cmd_eval(load_config(args.config), args.out, checkpoint=args.checkpoint,
                  checkpoint_b=args.checkpoint_b, samples_a=args.samples_a,
-                 samples_b=args.samples_b, r_sweep=args.r_sweep)
+                 samples_b=args.samples_b)
     elif args.command == "inspect":
         cmd_inspect(args.path, pgm=args.pgm, index=args.index,
                     height=args.height, width=args.width)

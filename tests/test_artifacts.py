@@ -2,9 +2,10 @@
 
 The command set runs through ``main([...])`` in child processes pinned to one
 and to two BLAS threads, with paths relative to their working directory, since
-``io.data_dir`` enters the config digest. Each file's sha256 must equal
-``tests/artifact_digests.json`` at both thread counts, ``inspect`` must
-describe each file, and no temporary file of the atomic writer may remain.
+the external-binary config's ``data.path`` enters its config digest. Each
+file's sha256 must equal ``tests/artifact_digests.json`` at both thread counts,
+``inspect`` must describe each file, and no temporary file of the atomic
+writer may remain.
 The pins remain because an unpinned run takes as many threads as the machine
 has CPUs, so it would check a different count on each machine; pinning checks
 the same two everywhere. OpenBLAS may cap its threads at the CPU count, so the
@@ -55,7 +56,6 @@ def shrunk(preset: str) -> dict:
     cfg["train"].update(iterations=3, log_interval=1)
     cfg["eval"].update(operations=EVAL_OPS, count=16, n_samples=200,
                        n_permutations=20, n_projections=16, uncertainty_k=2, steps=5)
-    cfg["io"] = {"out_dir": f"{preset}/out", "data_dir": f"{preset}/data"}
     return cfg
 
 
@@ -73,20 +73,23 @@ def extra_configs() -> dict:
     external["data"] = {"kind": "external-binary", "path": "gaussian/data/clean.bin",
                         "count": 16, "seed": 7}
     sweep = shrunk("shapes_lines")
-    sweep["eval"]["operations"] = ["acceleration_sweep"]
+    sweep["eval"].update(operations=["acceleration_sweep"], accels=[2, 4])
     return {"gaussian": gaussian, "external": external, "shapes_lines_sweep": sweep}
 
 
 def commands() -> list[list[str]]:
-    """Every command: gen-data, GSURE and oracle train, DDIM and DDPM sample,
-    reconstruct, eval with the five operations that the presets run and, on
-    ``shapes_lines``, the acceleration sweep, and inspect --pgm."""
+    """Every command: gen-data, GSURE and oracle train on its directory, DDIM
+    and DDPM sample, reconstruct, eval with the five operations that the
+    presets run and, on ``shapes_lines``, the acceleration sweep, and inspect
+    --pgm."""
     argv = []
     for p in PRESETS:
         argv += [
             ["gen-data", "--config", f"{p}.json", "--out", f"{p}/data"],
-            ["train", "--config", f"{p}.json", "--out", f"{p}/gsure"],
-            ["train", "--config", f"{p}_oracle.json", "--out", f"{p}/oracle"],
+            ["train", "--config", f"{p}.json", "--measurements", f"{p}/data",
+             "--out", f"{p}/gsure"],
+            ["train", "--config", f"{p}_oracle.json", "--measurements", f"{p}/data",
+             "--out", f"{p}/oracle"],
             ["sample", "--checkpoint", f"{p}/gsure/checkpoint.bin", "--out", f"{p}/ddim",
              "--sampler", "ddim", "--steps", "5", "--count", "8", "--seed", "1"],
             ["sample", "--checkpoint", f"{p}/gsure/checkpoint.bin", "--out", f"{p}/ddpm",
@@ -103,8 +106,8 @@ def commands() -> list[list[str]]:
         if p.startswith("shapes"):
             argv.append(["inspect", f"{p}/data/clean.bin", "--pgm", f"{p}/clean.pgm"])
     argv.append(["eval", "--config", "shapes_lines_sweep.json", "--out",
-                 "shapes_lines/sweep", "--checkpoint", "shapes_lines/gsure/checkpoint.bin",
-                 "--r-sweep", "2,4"])
+                 "shapes_lines/sweep", "--checkpoint",
+                 "shapes_lines/gsure/checkpoint.bin"])
     for name in ("gaussian", "external"):
         argv += [["gen-data", "--config", f"{name}.json", "--out", f"{name}/data"],
                  ["train", "--config", f"{name}.json", "--out", f"{name}/gsure"]]
@@ -177,6 +180,21 @@ def test_full_size_metrics_equal_at_one_and_two_threads(tmp_path):
                   "--out", str(threads))
     assert (tmp_path / "1" / "metrics.csv").read_bytes() \
         == (tmp_path / "2" / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["gsure", "oracle"])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_train_on_gen_data_equals_simulated_train(tmp_path, preset, oracle):
+    # --measurements is a path, not a setting: the directory that gen-data
+    # writes from a config trains that config to the bytes of simulated data
+    cfg = shrunk(preset)
+    cfg["train"]["oracle_mode"] = oracle
+    cfg = cli.validate_config(cfg)
+    data = cli.cmd_gen_data(cfg, tmp_path / "data")
+    read = cli.cmd_train(cfg, tmp_path / "read", data)
+    simulated = cli.cmd_train(cfg, tmp_path / "simulated")
+    for name in ("checkpoint.bin", "metrics.csv"):
+        assert (read / name).read_bytes() == (simulated / name).read_bytes()
 
 
 # public functions and methods that no command reaches, each with its reason

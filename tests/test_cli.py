@@ -1,5 +1,6 @@
 """File formats, config validation, checkpoints, and subcommands."""
 
+import argparse
 import collections
 import hashlib
 import json
@@ -96,7 +97,7 @@ DEGRADATION_SECTIONS = st.fixed_dictionaries({}, optional={
     "patch": SIZES, "accel": SIZES, "sigma0": st.floats(0.0, 0.5)})
 
 
-def two_deltas_config(out_dir, iterations=30, oracle=False, seed=5):
+def two_deltas_config(iterations=30, oracle=False, seed=5):
     return validate_config({
         "data": {"kind": "two-deltas", "count": 128, "seed": 9},
         "degradation": {"family": "single-drop", "sigma0": 0.01},
@@ -106,7 +107,6 @@ def two_deltas_config(out_dir, iterations=30, oracle=False, seed=5):
                   "learning_rate": 1e-3, "log_interval": 10,
                   "oracle_mode": oracle, "chunk_size": 4,
                   "loss": {"gamma": "snr", "lambda": "scaled_inverse_snr"}},
-        "io": {"out_dir": str(out_dir)},
     })
 
 
@@ -226,7 +226,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         ("train", "threads", 2),  # chunks run one after another
-        ("io", "deterministic_timing", False),  # no wall time in metrics.csv
+        ("", "io", {"deterministic_timing": False}),  # no wall time in metrics.csv
+        ("", "io", {"out_dir": "out", "data_dir": "data"}),  # paths are flags
         ("data", "prior_var", 1.0),  # isotropic-gaussian data has unit variance
         ("model", "nonlin", "softplus"),  # the net is tanh
         ("train.loss", "probe_kind", "rademacher"),  # probes are Gaussian
@@ -236,10 +237,10 @@ class TestConfig:
         cfg = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
                "train": {"seed": 0}}
         node = cfg
-        for part in section.split("."):
+        for part in filter(None, section.split(".")):
             node = node.setdefault(part, {})
         node[key] = value
-        name = section.split(".")[-1]
+        name = section.split(".")[-1] or "config"
         with pytest.raises(ConfigError, match=f"{name}: unknown keys.*{key}"):
             validate_config(cfg)
 
@@ -317,6 +318,9 @@ class TestConfig:
         ("eval.snr_levels", [-2.0]),
         ("eval.snr_levels", ["x"]),
         ("eval.snr_levels", [10.0, 1e16]),
+        ("eval.accels", [2, 0]),
+        ("eval.accels", [2, "x"]),
+        ("eval.accels", [2.5]),
     ])
     def test_out_of_range_value_rejected(self, where, value):
         raw = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
@@ -376,10 +380,10 @@ class TestConfig:
         assert readme_config_table() in readme
 
     @pytest.mark.parametrize("preset, digest", [
-        ("shapes_lines", "ba4136f20cadc5bf088c086765e766fa8a700b86ccf1a0954cc50c87b849405e"),
-        ("shapes_patch", "ea4c2007b3a6d1ea7d7b7d3206fa289dd022b303a35aa539e6edcdc7211ea412"),
-        ("two_deltas", "33691be0f9df2829ee2e556ae6a477693589635676d2cf2faebacd94f348b968"),
-        (None, "02f1c9d2dd79ef26f8ac4791e6374b1d7eeced78996222f3f8fefa54260bc3ba"),
+        ("shapes_lines", "624fffaa6e0b8555bb4325764b08035cd3bb0bdb569bc071d80536c1f513243e"),
+        ("shapes_patch", "ebdc4b1a3de509e7ee7b118ac38f1d6759ddc3ec3cfce80e61dfb9e5d84e9ba4"),
+        ("two_deltas", "5a2877ca61bc8299a4502abaa7660aa32043957fbc5998e84993badf1e0a71d2"),
+        (None, "06dd6b971168334573c9c0a12754a6d780113a05cf3a441894567319459202d3"),
     ], ids=["shapes_lines", "shapes_patch", "two_deltas", "all-defaults"])
     def test_config_digests_are_pinned(self, preset, digest):
         cfg = load_config(ROOT / "configs" / f"{preset}.json") if preset \
@@ -504,7 +508,7 @@ class TestSignals:
         assert peak <= out.nbytes + 2**20
 
     def test_zero_count(self, tmp_path):
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         cfg["data"]["count"] = 0
         out = cmd_gen_data(cfg, tmp_path / "d0")
         assert read_tensor_file(out / "clean.bin").shape == (0, 2)
@@ -538,17 +542,20 @@ class TestSignals:
         ids=["gen-data", "train", "train-data-dir"])
     def test_external_source_read_once(self, tmp_path, monkeypatch, command, rows):
         # the family's width probe reads the source's header alone, and a
-        # command that trains on io.data_dir reads none of its payload
+        # command that trains on --measurements reads none of its payload
         src = tmp_path / "signals.bin"
         write_tensor_file(src, np.random.default_rng(2).standard_normal((40, 2)))
-        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg = two_deltas_config(iterations=2)
         cfg["data"] = {**cfg["data"], "kind": "external-binary", "path": str(src),
                        "count": 30, "holdout": 4}
         cfg = validate_config(cfg)
-        if command == "train-data-dir":
-            cfg["io"]["data_dir"] = str(cmd_gen_data(cfg, tmp_path / "data"))
+        data = cmd_gen_data(cfg, tmp_path / "data") if command == "train-data-dir" \
+            else None
         reads = rows_read(monkeypatch)
-        (cmd_gen_data if command == "gen-data" else cmd_train)(cfg, tmp_path / "out")
+        if command == "gen-data":
+            cmd_gen_data(cfg, tmp_path / "out")
+        else:
+            cmd_train(cfg, tmp_path / "out", data)
         assert reads == rows
 
 
@@ -601,11 +608,11 @@ class TestCheckpoints:
             self, tmp_path, monkeypatch, command, builds):
         # eval runs every operation on two checkpoints; the acceleration
         # sweep needs real-DFT signals
-        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg = two_deltas_config(iterations=2)
         cfg["data"].update(kind="isotropic-gaussian", dim=8)
         cfg["degradation"].update(family="line-subsample", accel=2)
         cfg["eval"].update(operations=list(cli._EVAL_INPUTS), count=16, n_samples=200,
-                           n_permutations=20, uncertainty_k=2, steps=5)
+                           n_permutations=20, uncertainty_k=2, steps=5, accels=[2])
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         data = str(cmd_gen_data(cfg, tmp_path / "data"))
@@ -618,7 +625,7 @@ class TestCheckpoints:
                                 data, "--limit", "2", "--steps", "5", "--seed", "1"],
                 "eval": ["eval", "--config", str(cfg_path), "--checkpoint", ckpt,
                          "--checkpoint-b", ckpt, "--samples-a", samples,
-                         "--samples-b", samples, "--r-sweep", "2"]}[command]
+                         "--samples-b", samples]}[command]
         counts = collections.Counter()
         from_arch, linear_schedule = Denoiser.from_arch.__func__, cli.linear_schedule
 
@@ -642,7 +649,7 @@ class TestCheckpoints:
             raise AssertionError("train built a Checkpoint")
 
         monkeypatch.setattr(cli, "Checkpoint", no_checkpoint)
-        path = cmd_train(two_deltas_config(tmp_path, iterations=2),
+        path = cmd_train(two_deltas_config(iterations=2),
                          tmp_path / "run") / "checkpoint.bin"
         monkeypatch.undo()
         ckpt = load_checkpoint(path)
@@ -757,7 +764,7 @@ class TestCheckpoints:
 
     def test_tanh_nonlin_of_older_checkpoints_accepted(self, tmp_path):
         # checkpoints written while the nonlinearity was an option name it
-        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
         ckpt = load_checkpoint(run / "checkpoint.bin")
         assert "nonlin" not in ckpt.arch
         ckpt.arch = {**ckpt.arch, "nonlin": "tanh"}
@@ -795,66 +802,68 @@ class TestCheckpoints:
 
 class TestDatasetDirectory:
     @pytest.fixture
-    def data_cfg(self, tmp_path):
-        cfg = two_deltas_config(tmp_path, iterations=1)
-        cfg["io"]["data_dir"] = str(cmd_gen_data(cfg, tmp_path / "data"))
-        return cfg
+    def data_cfg(self):
+        return two_deltas_config(iterations=1)
 
-    def test_valid_directory_trains(self, data_cfg, tmp_path):
-        out = cmd_train(data_cfg, tmp_path / "run")
+    @pytest.fixture
+    def data_dir(self, data_cfg, tmp_path):
+        return cmd_gen_data(data_cfg, tmp_path / "data")
+
+    def test_valid_directory_trains(self, data_cfg, data_dir, tmp_path):
+        out = cmd_train(data_cfg, tmp_path / "run", data_dir)
         assert load_checkpoint(out / "checkpoint.bin").step_count == 1
 
     # 0.2261...: Python's sigma0 ** 2 rounds differently from sigma0 * sigma0
     @pytest.mark.parametrize("sigma0", [0.01, 0.22610530546880114])
     def test_directory_equals_simulated_dataset(self, tmp_path, sigma0):
         # the oracle, so that the directory's clean.bin is read too
-        cfg = two_deltas_config(tmp_path, oracle=True)
+        cfg = two_deltas_config(oracle=True)
         cfg["degradation"]["sigma0"] = sigma0
-        simulated, _ = cli._dataset_from_config(cfg)
-        cfg["io"]["data_dir"] = str(cmd_gen_data(cfg, tmp_path / "data"))
-        loaded, _ = cli._dataset_from_config(cfg)
+        simulated, _, _ = cli._dataset(cfg, None)
+        loaded, _, _ = cli._dataset(cfg, cmd_gen_data(cfg, tmp_path / "data"))
         for name in ("ybar", "masks", "noise_var", "clean_xbar"):
             assert getattr(loaded, name).tobytes() == getattr(simulated, name).tobytes()
 
-    def rewrite(self, cfg, name, arr):
-        write_tensor_file(Path(cfg["io"]["data_dir"]) / name, arr)
+    def rewrite(self, data_dir, name, arr):
+        write_tensor_file(data_dir / name, arr)
 
-    def test_fractional_mask_rejected(self, data_cfg, tmp_path):
-        masks = read_tensor_file(Path(data_cfg["io"]["data_dir"]) / "masks.bin")
+    def test_fractional_mask_rejected(self, data_cfg, data_dir, tmp_path):
+        masks = read_tensor_file(data_dir / "masks.bin")
         masks[0, 0] = 0.5
-        self.rewrite(data_cfg, "masks.bin", masks)
+        self.rewrite(data_dir, "masks.bin", masks)
         with pytest.raises(FormatError, match="0.0 or 1.0"):
-            cmd_train(data_cfg, tmp_path / "run")
+            cmd_train(data_cfg, tmp_path / "run", data_dir)
 
-    def test_shape_mismatch_rejected(self, data_cfg, tmp_path):
-        masks = read_tensor_file(Path(data_cfg["io"]["data_dir"]) / "masks.bin")
-        self.rewrite(data_cfg, "masks.bin", masks[:-1])
+    def test_shape_mismatch_rejected(self, data_cfg, data_dir, tmp_path):
+        masks = read_tensor_file(data_dir / "masks.bin")
+        self.rewrite(data_dir, "masks.bin", masks[:-1])
         with pytest.raises(FormatError, match="equal-shaped"):
-            cmd_train(data_cfg, tmp_path / "run")
+            cmd_train(data_cfg, tmp_path / "run", data_dir)
 
-    def test_nonzero_ybar_at_unobserved_entry_rejected(self, data_cfg, tmp_path):
-        data_dir = Path(data_cfg["io"]["data_dir"])
+    def test_nonzero_ybar_at_unobserved_entry_rejected(self, data_cfg, data_dir,
+                                                       tmp_path):
         ybar = read_tensor_file(data_dir / "ybar.bin")
         masks = read_tensor_file(data_dir / "masks.bin")
         ybar[masks == 0.0] = 0.25
-        self.rewrite(data_cfg, "ybar.bin", ybar)
+        self.rewrite(data_dir, "ybar.bin", ybar)
         with pytest.raises(FormatError, match="unobserved"):
-            cmd_train(data_cfg, tmp_path / "run")
+            cmd_train(data_cfg, tmp_path / "run", data_dir)
 
-    def test_garbled_sidecar_rejected(self, data_cfg, tmp_path):
-        (Path(data_cfg["io"]["data_dir"]) / "dataset.json").write_text('{"n": 2')
+    def test_garbled_sidecar_rejected(self, data_cfg, data_dir, tmp_path):
+        (data_dir / "dataset.json").write_text('{"n": 2')
         with pytest.raises(FormatError):
-            cmd_train(data_cfg, tmp_path / "run")
+            cmd_train(data_cfg, tmp_path / "run", data_dir)
 
     @pytest.mark.parametrize("value", [1, 1.0])
-    def test_unit_s_const_of_older_sidecars_accepted(self, data_cfg, tmp_path, value):
+    def test_unit_s_const_of_older_sidecars_accepted(self, data_cfg, data_dir, tmp_path,
+                                                     value):
         # directories written while the kept singular value was an option hold it
-        sidecar = Path(data_cfg["io"]["data_dir"]) / "dataset.json"
+        sidecar = data_dir / "dataset.json"
         meta = json.loads(sidecar.read_text())
         assert "s_const" not in meta
-        new = cmd_train(data_cfg, tmp_path / "new") / "checkpoint.bin"
+        new = cmd_train(data_cfg, tmp_path / "new", data_dir) / "checkpoint.bin"
         sidecar.write_text(json.dumps({**meta, "s_const": value}))
-        old = cmd_train(data_cfg, tmp_path / "old") / "checkpoint.bin"
+        old = cmd_train(data_cfg, tmp_path / "old", data_dir) / "checkpoint.bin"
         assert old.read_bytes() == new.read_bytes()
 
     @pytest.mark.parametrize("field, value", [
@@ -869,30 +878,30 @@ class TestDatasetDirectory:
         ("s_const", 2.0),
     ], ids=["version-str", "version-newer", "n-str", "n-vs-columns", "sigma0-str",
             "sigma0-negative", "s_const-null", "s_const-zero", "s_const-two"])
-    def test_bad_sidecar_field_rejected(self, data_cfg, tmp_path, field, value):
-        sidecar = Path(data_cfg["io"]["data_dir"]) / "dataset.json"
+    def test_bad_sidecar_field_rejected(self, data_cfg, data_dir, tmp_path, field,
+                                        value):
+        sidecar = data_dir / "dataset.json"
         meta = json.loads(sidecar.read_text())
         meta[field] = value
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(FormatError, match=field) as exc:
-            cmd_train(data_cfg, tmp_path / "run")
+            cmd_train(data_cfg, tmp_path / "run", data_dir)
         assert str(exc.value).startswith(f"{sidecar.parent}: ")
 
     @pytest.mark.parametrize("name", ["dataset.json", "ybar.bin", "masks.bin"])
-    def test_missing_member_rejected(self, data_cfg, tmp_path, name):
-        data_dir = Path(data_cfg["io"]["data_dir"])
+    def test_missing_member_rejected(self, data_cfg, data_dir, tmp_path, name):
         (data_dir / name).unlink()
         with pytest.raises(FormatError, match=f"^{re.escape(str(data_dir))}: .* {name}$"):
-            cmd_train(data_cfg, tmp_path / "run")
+            cmd_train(data_cfg, tmp_path / "run", data_dir)
 
     @pytest.mark.parametrize("command, reads", [
         ("reconstruct", ["ybar.bin", "masks.bin"]),
         ("train", ["ybar.bin", "masks.bin"]),
         ("oracle", ["ybar.bin", "masks.bin", "clean.bin"])],
         ids=["reconstruct", "train", "oracle"])
-    def test_clean_signals_read_only_by_the_oracle(self, data_cfg, tmp_path,
+    def test_clean_signals_read_only_by_the_oracle(self, data_cfg, data_dir, tmp_path,
                                                    monkeypatch, command, reads):
-        ckpt = cmd_train(data_cfg, tmp_path / "run") / "checkpoint.bin"
+        ckpt = cmd_train(data_cfg, tmp_path / "run", data_dir) / "checkpoint.bin"
         data_cfg["train"]["oracle_mode"] = command == "oracle"
         seen = []
 
@@ -902,24 +911,25 @@ class TestDatasetDirectory:
 
         monkeypatch.setattr(cli, "read_tensor_file", counting_read)
         if command == "reconstruct":
-            cmd_reconstruct(ckpt, data_cfg["io"]["data_dir"], tmp_path / "rec",
+            cmd_reconstruct(ckpt, data_dir, tmp_path / "rec",
                             steps=4, seed=1, limit=1)
         else:
-            cmd_train(data_cfg, tmp_path / "out")
+            cmd_train(data_cfg, tmp_path / "out", data_dir)
         assert seen == reads
 
-    def test_oracle_training_without_clean_signals_rejected(self, data_cfg, tmp_path):
-        (Path(data_cfg["io"]["data_dir"]) / "clean.bin").unlink()
+    def test_oracle_training_without_clean_signals_rejected(self, data_cfg, data_dir,
+                                                            tmp_path):
+        (data_dir / "clean.bin").unlink()
         data_cfg["train"]["oracle_mode"] = True
         out = tmp_path / "run"
         with pytest.raises(ConfigError, match="oracle_mode needs clean.bin"):
-            cmd_train(data_cfg, out)
+            cmd_train(data_cfg, out, data_dir)
         assert not out.exists()
 
 
 class TestCommands:
     def test_gen_data_writes_dataset(self, tmp_path):
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         out = cmd_gen_data(cfg, tmp_path / "data")
         meta = json.loads((out / "dataset.json").read_text())
         assert meta["n"] == 2 and meta["count"] == 128
@@ -929,7 +939,7 @@ class TestCommands:
         assert np.all(masks.sum(axis=1) == 1)  # one coordinate dropped per record
 
     def test_train_and_metrics(self, tmp_path):
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         out = cmd_train(cfg, tmp_path / "run")
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[0] == "step,loss,divergence_term,grad_norm"
@@ -939,19 +949,19 @@ class TestCommands:
         assert ckpt.config_digest == config_digest(cfg)
 
     def test_oracle_mode_trains_on_clean(self, tmp_path):
-        cfg = two_deltas_config(tmp_path, oracle=True)
+        cfg = two_deltas_config(oracle=True)
         out = cmd_train(cfg, tmp_path / "oracle")
         rows = (out / "metrics.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[2]) == 0.0 for r in rows)  # no divergence term
 
     def test_train_determinism_across_runs(self, tmp_path):
-        out1 = cmd_train(two_deltas_config(tmp_path), tmp_path / "r1")
-        out2 = cmd_train(two_deltas_config(tmp_path), tmp_path / "r2")
+        out1 = cmd_train(two_deltas_config(), tmp_path / "r1")
+        out2 = cmd_train(two_deltas_config(), tmp_path / "r2")
         for name in ("checkpoint.bin", "metrics.csv", "run.json"):
             assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
 
     def test_sample_determinism_and_shape(self, tmp_path):
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         run = cmd_train(cfg, tmp_path / "run")
         s1 = cmd_sample(run / "checkpoint.bin", tmp_path / "s1", "ddim", 10, 5, 77)
         s2 = cmd_sample(run / "checkpoint.bin", tmp_path / "s2", "ddim", 10, 5, 77)
@@ -961,7 +971,7 @@ class TestCommands:
         assert read_tensor_file(s3 / "samples.bin").shape == (2, 2)
 
     def test_reconstruct_zero_filled_exact(self, tmp_path):
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         data = cmd_gen_data(cfg, tmp_path / "data")
         run = cmd_train(cfg, tmp_path / "run")
         out = cmd_reconstruct(run / "checkpoint.bin", data, tmp_path / "rec",
@@ -973,7 +983,7 @@ class TestCommands:
         assert rec.shape == (6, 2) and np.all(np.isfinite(rec))
 
     def test_eval_independence_csv(self, tmp_path):
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         cfg["eval"]["operations"] = ["independence_demo"]
         cfg["eval"]["n_samples"] = 400
         cfg["eval"]["n_permutations"] = 20
@@ -985,9 +995,9 @@ class TestCommands:
     def test_eval_pair_csvs_hold_plain_numbers(self, tmp_path):
         # two different checkpoints give finite PSNRs, numpy floats that
         # must be written as numbers, not as their reprs
-        a, b = (cmd_train(two_deltas_config(tmp_path, iterations=2, seed=s),
+        a, b = (cmd_train(two_deltas_config(iterations=2, seed=s),
                           tmp_path / f"run{s}") / "checkpoint.bin" for s in (5, 6))
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         cfg["eval"].update(operations=["mse_sweep", "generalization_psnr"], count=16)
         out = cmd_eval(cfg, tmp_path / "eval", checkpoint=a, checkpoint_b=b)
         for name in ("mse_sweep.csv", "psnr.csv"):
@@ -1000,7 +1010,7 @@ class TestCommands:
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         write_tensor_file(a, rng.standard_normal((200, 2)))
         write_tensor_file(b, rng.standard_normal((200, 2)))
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         cfg["eval"]["operations"] = ["distribution_distance"]
         out = cmd_eval(cfg, tmp_path / "eval", samples_a=a, samples_b=b)
         lines = (out / "distance.csv").read_text().splitlines()
@@ -1008,7 +1018,7 @@ class TestCommands:
 
     def test_sample_sidecar_records_what_the_sampler_used(self, tmp_path):
         # DDPM visits every timestep and draws fresh noise: no steps, no eta
-        ckpt = cmd_train(two_deltas_config(tmp_path, iterations=2),
+        ckpt = cmd_train(two_deltas_config(iterations=2),
                          tmp_path / "run") / "checkpoint.bin"
         seen = {}
         for sampler in ("ddim", "ddpm"):
@@ -1022,9 +1032,9 @@ class TestCommands:
         ids=["mse_sweep", "uncertainty", "independence_demo"])
     def test_eval_sidecar_names_config_and_checkpoints(self, tmp_path, ops, reads):
         # each checkpoint's digest when an operation read it, else null
-        runs = {name: cmd_train(two_deltas_config(tmp_path, iterations=2, seed=seed),
+        runs = {name: cmd_train(two_deltas_config(iterations=2, seed=seed),
                                 tmp_path / name) for name, seed in (("a", 5), ("b", 6))}
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         cfg["eval"].update(operations=ops, count=4, steps=5, uncertainty_k=2,
                            n_samples=50, n_permutations=2)
         out = cmd_eval(cfg, tmp_path / "eval", checkpoint=runs["a"] / "checkpoint.bin",
@@ -1035,7 +1045,52 @@ class TestCommands:
         assert json.loads((out / "eval.json").read_text()) == {
             "format_version": cli.FORMAT_VERSION, "config_digest": config_digest(cfg),
             "checkpoint_config_digest": digests["a"] if "a" in reads else None,
-            "checkpoint_b_config_digest": digests["b"] if "b" in reads else None}
+            "checkpoint_b_config_digest": digests["b"] if "b" in reads else None,
+            "samples_a_config_digest": None, "samples_a_seed": None,
+            "samples_b_config_digest": None, "samples_b_seed": None}
+
+    def test_run_and_recon_sidecars_name_the_measurements(self, tmp_path):
+        # the dataset.json digest of --measurements, or null when train simulates
+        cfg = two_deltas_config(iterations=2)
+        data = cmd_gen_data(cfg, tmp_path / "data")
+        data_digest = json.loads((data / "dataset.json").read_text())["config_digest"]
+        read = cmd_train(cfg, tmp_path / "read", data)
+        simulated = cmd_train(cfg, tmp_path / "simulated")
+        rec = cmd_reconstruct(simulated / "checkpoint.bin", data, tmp_path / "rec",
+                              steps=4, seed=1, limit=1)
+        seen = [json.loads(path.read_text())["measurements_config_digest"]
+                for path in (read / "run.json", simulated / "run.json",
+                             rec / "recon.json")]
+        assert seen == [data_digest, None, data_digest]
+
+    def test_eval_sidecar_names_the_samples(self, tmp_path):
+        # the digest and seed in each samples file's samples.json, null without one
+        ckpt = cmd_train(two_deltas_config(iterations=2), tmp_path / "run") \
+            / "checkpoint.bin"
+        a = cmd_sample(ckpt, tmp_path / "a", "ddim", 5, 4, 11) / "samples.bin"
+        b = tmp_path / "b.bin"
+        write_tensor_file(b, np.random.default_rng(0).standard_normal((4, 2)))
+        cfg = two_deltas_config()
+        cfg["eval"]["operations"] = ["distribution_distance"]
+        meta = json.loads(cmd_eval(cfg, tmp_path / "eval", samples_a=a,
+                                   samples_b=b).joinpath("eval.json").read_text())
+        assert {key: meta[key] for key in meta if key.startswith("samples_")} == {
+            "samples_a_config_digest": load_checkpoint(ckpt).config_digest,
+            "samples_a_seed": 11, "samples_b_config_digest": None,
+            "samples_b_seed": None}
+
+    @pytest.mark.parametrize("text", ['{"seed": 1', '[1, 2]', '{"seed": 1}'],
+                             ids=["json", "list", "no-digest"])
+    def test_malformed_samples_sidecar_rejected_before_out(self, tmp_path, text):
+        samples = tmp_path / "a" / "samples.bin"
+        samples.parent.mkdir()
+        write_tensor_file(samples, np.ones((3, 2)))
+        (samples.parent / "samples.json").write_text(text)
+        cfg = two_deltas_config()
+        cfg["eval"]["operations"] = ["distribution_distance"]
+        with pytest.raises(FormatError, match="samples.json"):
+            cmd_eval(cfg, tmp_path / "out", samples_a=samples, samples_b=samples)
+        assert not (tmp_path / "out").exists()
 
     def test_inspect_and_pgm(self, tmp_path, capsys):
         arr = np.arange(16.0).reshape(1, 16)
@@ -1070,7 +1125,7 @@ class TestCommands:
         assert not pgm.exists()
 
     def test_inspect_checkpoint(self, tmp_path, capsys):
-        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg = two_deltas_config(iterations=2)
         run = cmd_train(cfg, tmp_path / "run")
         cmd_inspect(run / "checkpoint.bin")
         text = capsys.readouterr().out
@@ -1083,12 +1138,12 @@ class TestCommands:
             assert line in text
 
     def test_inspect_metrics_csv(self, tmp_path, capsys):
-        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
         cmd_inspect(run / "metrics.csv")
         assert capsys.readouterr().out == (run / "metrics.csv").read_text()
 
     def test_main_entrypoint(self, tmp_path):
-        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg = two_deltas_config(iterations=2)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(cfg_path),
@@ -1108,7 +1163,7 @@ class TestCommands:
             "train": {"iterations": 3, "batch_size": 4, "seed": 3,
                       "learning_rate": 1e-3, "chunk_size": 4},
             "eval": {"operations": ["acceleration_sweep"], "count": count,
-                     "seed": 6, "steps": 8, "eta": 0.3},
+                     "seed": 6, "steps": 8, "eta": 0.3, "accels": [2, 4]},
         })
         return cmd_train(cfg, tmp_path / "run") / "checkpoint.bin", cfg
 
@@ -1117,7 +1172,7 @@ class TestCommands:
         # each factor's row: the mean residual norm over the eval set's first
         # min(8, eval.count) rows, corrupted under key 7 and reconstructed
         ckpt, cfg = self.dft_sweep(tmp_path, count)
-        out = cmd_eval(cfg, tmp_path / "sweep", checkpoint=ckpt, r_sweep="2,4")
+        out = cmd_eval(cfg, tmp_path / "sweep", checkpoint=ckpt)
         loaded = load_checkpoint(ckpt)
         model, schedule, vt = loaded.model(), loaded.rebuild_schedule(), loaded.vt
         clean = generate_signals(cfg["data"], count, 6)[:8]
@@ -1135,22 +1190,35 @@ class TestCommands:
         assert (out / "rsweep.csv").read_text().splitlines() == want
 
     def test_acceleration_sweep_rejects_non_dft_checkpoint(self, tmp_path, monkeypatch):
-        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
-        cfg = two_deltas_config(tmp_path)
-        cfg["eval"].update(operations=["acceleration_sweep"], steps=4)
+        run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
+        cfg = two_deltas_config()
+        cfg["eval"].update(operations=["acceleration_sweep"], steps=4, accels=[2])
         monkeypatch.setattr(cli, "reconstruct", None)  # any call would fail
         with pytest.raises(ConfigError, match="'identity'"):
-            cmd_eval(cfg, tmp_path / "sweep", checkpoint=run / "checkpoint.bin",
-                     r_sweep="2")
+            cmd_eval(cfg, tmp_path / "sweep", checkpoint=run / "checkpoint.bin")
         assert not (tmp_path / "sweep").exists()
+
+    def test_accels_enter_the_eval_digest(self, tmp_path):
+        # the sweep's factors shape rsweep.csv, so eval.json's digest names them
+        ckpt, cfg = self.dft_sweep(tmp_path, count=2)
+        outs = []
+        for accels in ([2], [2, 4]):
+            cfg["eval"]["accels"] = accels
+            outs.append(cmd_eval(validate_config(cfg), tmp_path / f"sweep{len(accels)}",
+                                 checkpoint=ckpt))
+        digests = [json.loads((out / "eval.json").read_text())["config_digest"]
+                   for out in outs]
+        assert digests[0] != digests[1]
+        assert (outs[0] / "rsweep.csv").read_text() != (outs[1] / "rsweep.csv").read_text()
 
     @pytest.mark.parametrize("accel", [0, 64])
     def test_acceleration_sweep_rejects_infeasible_accel(self, tmp_path, monkeypatch,
                                                          accel):
         ckpt, cfg = self.dft_sweep(tmp_path)
+        cfg["eval"]["accels"] = [2, accel]  # 0 bypasses the schema, as from a caller
         monkeypatch.setattr(cli, "reconstruct", None)  # any call would fail
-        with pytest.raises(ConfigError, match=f"--r-sweep accel {accel}:"):
-            cmd_eval(cfg, tmp_path / "sweep", checkpoint=ckpt, r_sweep=f"2,{accel}")
+        with pytest.raises(ConfigError, match=rf"eval\.accels entry {accel}:"):
+            cmd_eval(cfg, tmp_path / "sweep", checkpoint=ckpt)
         assert not (tmp_path / "sweep").exists()
 
 
@@ -1159,7 +1227,7 @@ class TestReverseCommandArguments:
 
     @pytest.fixture
     def checkpoint(self, tmp_path):
-        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
         return str(run / "checkpoint.bin")
 
     @pytest.mark.parametrize("argv, flag", [
@@ -1244,7 +1312,7 @@ class TestReverseCommandArguments:
     def test_measurements_of_another_transform_rejected_before_out(self, tmp_path,
                                                                    dim, family):
         # the checkpoint works in the identity basis of n = 4
-        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg = two_deltas_config(iterations=2)
         cfg["data"].update(kind="isotropic-gaussian", dim=4)
         cfg["degradation"]["family"] = "none"
         ckpt = cmd_train(validate_config(cfg), tmp_path / "run") / "checkpoint.bin"
@@ -1279,13 +1347,54 @@ class TestReverseCommandArguments:
         assert read_tensor_file(out / "samples.bin").shape == (1, 2)
 
     def test_zero_count_and_limit_write_empty_outputs(self, checkpoint, tmp_path):
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         data = cmd_gen_data(cfg, tmp_path / "data")
         rec = cmd_reconstruct(checkpoint, data, tmp_path / "rec", steps=4, seed=1,
                               limit=0)
         assert read_tensor_file(rec / "recon.bin").shape == (0, 2)
         smp = cmd_sample(checkpoint, tmp_path / "smp", "ddim", 4, 0, 1)
         assert read_tensor_file(smp / "samples.bin").shape == (0, 2)
+
+
+class TestCommandLine:
+    """Where a command's settings and paths come from."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--config", "cfg.json"],
+        ["train", "--config", "cfg.json"],
+        ["sample", "--checkpoint", "c.bin", "--seed", "1"],
+        ["reconstruct", "--checkpoint", "c.bin", "--measurements", "data",
+         "--seed", "1"],
+        ["eval", "--config", "cfg.json"],
+    ], ids=lambda argv: argv[0])
+    def test_out_is_required(self, tmp_path, monkeypatch, capsys, argv):
+        # no command writes to an implicit directory
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(two_deltas_config(iterations=1)))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "required: --out" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    # the only flags of the configured commands: each names a file
+    FILE_FLAGS = {"gen-data": {"--config", "--out"},
+                  "train": {"--config", "--out", "--measurements"},
+                  "eval": {"--config", "--out", "--checkpoint", "--checkpoint-b",
+                           "--samples-a", "--samples-b"}}
+
+    def test_configured_commands_take_only_file_flags(self):
+        # a setting that shapes output bytes belongs in the config, where
+        # config_digest covers it
+        commands = next(action.choices for action in cli._build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        flags = {name: {flag for action in commands[name]._actions
+                        for flag in action.option_strings} - {"-h", "--help"}
+                 for name in self.FILE_FLAGS}
+        assert flags == self.FILE_FLAGS
+        inputs = {"--" + name.replace("_", "-")
+                  for names in cli._EVAL_INPUTS.values() for name in names}
+        assert inputs <= self.FILE_FLAGS["eval"]
 
 
 class TestConfigValuesRejectedBeforeWork:
@@ -1299,7 +1408,7 @@ class TestConfigValuesRejectedBeforeWork:
         ("train", "learning_rate", float("inf")),
     ])
     def test_train(self, tmp_path, section, key, value):
-        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg = two_deltas_config(iterations=2)
         (cfg["train"]["loss"] if section == "loss" else cfg[section])[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -1318,7 +1427,7 @@ class TestConfigValuesRejectedBeforeWork:
     @pytest.mark.parametrize("command", ["gen-data", "train"])
     def test_huge_sizes(self, tmp_path, command, size, where):
         # without a ceiling these passed validation and failed allocating arrays
-        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg = two_deltas_config(iterations=2)
         *path, key = where.split(".")
         node = cfg
         for part in path:
@@ -1337,9 +1446,9 @@ class TestConfigValuesRejectedBeforeWork:
         ("n_permutations", 1, ["independence_demo"]),
     ])
     def test_eval(self, tmp_path, key, value, ops):
-        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
         ckpt = str(run / "checkpoint.bin")
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         cfg["eval"].update({"operations": ops, "n_samples": 50, key: value})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -1363,7 +1472,7 @@ class TestNegativeSeedsRejectedBeforeOutput:
     @pytest.mark.parametrize("command", ["gen-data", "train"])
     @pytest.mark.parametrize("section", ["data", "model", "train"])
     def test_configured_commands(self, tmp_path, command, section):
-        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg = two_deltas_config(iterations=2)
         cfg[section]["seed"] = -1
         with pytest.raises(ConfigError, match=rf"{section}\.seed must be >= 0"):
             main([command, "--out", str(tmp_path / "out"),
@@ -1373,7 +1482,7 @@ class TestNegativeSeedsRejectedBeforeOutput:
     @pytest.mark.parametrize("command", ["gen-data", "train"])
     def test_seed_flag_is_a_usage_error(self, tmp_path, capsys, command):
         # their seeds come from the config alone, so its digest covers them
-        cfg = self.write(tmp_path, two_deltas_config(tmp_path, iterations=2))
+        cfg = self.write(tmp_path, two_deltas_config(iterations=2))
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                   "--seed", "3"])
@@ -1382,8 +1491,8 @@ class TestNegativeSeedsRejectedBeforeOutput:
         assert not (tmp_path / "out").exists()
 
     def test_eval(self, tmp_path):
-        ckpt = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
-        cfg = two_deltas_config(tmp_path)
+        ckpt = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
+        cfg = two_deltas_config()
         cfg["eval"].update({"operations": ["mse_sweep"], "seed": -1})
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=r"eval\.seed must be >= 0"):
@@ -1397,8 +1506,8 @@ class TestInfeasibleNoiseRejectedBeforeOutput:
     """Measurement noise that no timestep of the schedule can top up raises
     ConfigError naming its source before the output directory exists."""
 
-    def config(self, tmp_path, sigma0=0.01, **eval_keys):
-        cfg = two_deltas_config(tmp_path, iterations=2)
+    def config(self, sigma0=0.01, **eval_keys):
+        cfg = two_deltas_config(iterations=2)
         cfg["schedule"] = {"T": 50, "beta1": 1e-4, "betaT": 0.2}
         cfg["degradation"]["sigma0"] = sigma0
         cfg["eval"].update(eval_keys)
@@ -1413,13 +1522,13 @@ class TestInfeasibleNoiseRejectedBeforeOutput:
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=r"degradation\.sigma0: no timestep "
                                               r"can top up measurement variance 400"):
-            main(["train", "--config", self.write(tmp_path, self.config(tmp_path, 20.0)),
+            main(["train", "--config", self.write(tmp_path, self.config(20.0)),
                   "--out", str(out)])
         assert not out.exists()
 
     def test_reconstruct_measurements(self, tmp_path):
-        ckpt = cmd_train(self.config(tmp_path), tmp_path / "run") / "checkpoint.bin"
-        data = cmd_gen_data(self.config(tmp_path, 20.0), tmp_path / "data")
+        ckpt = cmd_train(self.config(), tmp_path / "run") / "checkpoint.bin"
+        data = cmd_gen_data(self.config(20.0), tmp_path / "data")
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=r"--measurements .*: sigma0: no timestep"):
             main(["reconstruct", "--checkpoint", str(ckpt), "--measurements", str(data),
@@ -1434,17 +1543,19 @@ class TestInfeasibleNoiseRejectedBeforeOutput:
             "schedule": {"T": 10, "beta1": 1e-6, "betaT": 1e-6},
             "model": {"hidden": [8], "emb_dim": 4, "ema_decay": 0.99},
             "train": {"iterations": 2, "batch_size": 4, "seed": 3},
-            "eval": {"operations": ["acceleration_sweep"], "count": 2, "steps": 5}})
+            "eval": {"operations": ["acceleration_sweep"], "count": 2, "steps": 5,
+                     "accels": [2]}})
         ckpt = cmd_train(cfg, tmp_path / "run") / "checkpoint.bin"
         out = tmp_path / "out"
-        with pytest.raises(ConfigError, match=r"--r-sweep's sigma0 = 0\.01: no timestep"):
+        with pytest.raises(ConfigError,
+                           match=r"acceleration_sweep's sigma0 = 0\.01: no timestep"):
             main(["eval", "--config", self.write(tmp_path, cfg), "--out", str(out),
-                  "--checkpoint", str(ckpt), "--r-sweep", "2"])
+                  "--checkpoint", str(ckpt)])
         assert not out.exists()
 
     def test_eval_uncertainty(self, tmp_path):
-        ckpt = cmd_train(self.config(tmp_path), tmp_path / "run") / "checkpoint.bin"
-        cfg = self.config(tmp_path, operations=["uncertainty"], uncertainty_sigma0=50.0)
+        ckpt = cmd_train(self.config(), tmp_path / "run") / "checkpoint.bin"
+        cfg = self.config(operations=["uncertainty"], uncertainty_sigma0=50.0)
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=r"eval\.uncertainty_sigma0: no timestep"):
             main(["eval", "--config", self.write(tmp_path, cfg), "--out", str(out),
@@ -1455,10 +1566,9 @@ class TestInfeasibleNoiseRejectedBeforeOutput:
 class TestEvalInputs:
     """Eval inputs that an operation reads are checked before anything is written."""
 
-    def run_eval(self, tmp_path, ops, flags, ts=()):
-        cfg = two_deltas_config(tmp_path)
-        cfg["eval"]["operations"] = list(ops)
-        cfg["eval"]["ts"] = list(ts)
+    def run_eval(self, tmp_path, ops, flags, **eval_keys):
+        cfg = two_deltas_config()
+        cfg["eval"].update(operations=list(ops), **eval_keys)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "out")] + flags)
@@ -1470,22 +1580,13 @@ class TestEvalInputs:
         (["uncertainty"], ["--checkpoint-b", "b"], "--checkpoint"),
         (["distribution_distance"], ["--samples-b", "b"], "--samples-a"),
         (["distribution_distance"], ["--samples-a", "a"], "--samples-b"),
-        (["acceleration_sweep"], ["--checkpoint", "a"], "--r-sweep"),
-        (["acceleration_sweep"], ["--r-sweep", "2"], "--checkpoint"),
+        (["acceleration_sweep"], ["--checkpoint", "a"], "eval.accels"),
+        (["acceleration_sweep"], [], "--checkpoint"),
     ])
     def test_missing_flag_named(self, tmp_path, monkeypatch, ops, flags, missing):
         monkeypatch.setattr(cli, "load_checkpoint", None)  # any call would fail
         with pytest.raises(ConfigError, match=f"needs {missing}$"):
             self.run_eval(tmp_path, ops, flags)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("accels", ["2,x", "", "2.5", "2,,4"])
-    def test_malformed_r_sweep_rejected(self, tmp_path, monkeypatch, accels):
-        monkeypatch.setattr(cli, "load_checkpoint", None)  # any call would fail
-        with pytest.raises(ConfigError, match="--r-sweep takes comma-separated "
-                                              f"integers, got '{accels}'"):
-            self.run_eval(tmp_path, ["acceleration_sweep"],
-                          ["--checkpoint", "a", f"--r-sweep={accels}"])
         assert not (tmp_path / "out").exists()
 
     def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
@@ -1497,7 +1598,7 @@ class TestEvalInputs:
         assert not (tmp_path / "out").exists()
 
     def test_ts_beyond_the_checkpoint_schedule_rejected(self, tmp_path):
-        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
         ckpt = str(run / "checkpoint.bin")
         with pytest.raises(ConfigError, match=r"eval\.ts must be <= T = 50"):
             self.run_eval(tmp_path, ["mse_sweep"],
@@ -1507,9 +1608,9 @@ class TestEvalInputs:
     def train_pair(self, tmp_path, schedule_b, sigma0_b=0.01):
         """Checkpoint A (T = 50, beta1 = 1e-4, betaT = 0.2) and checkpoint B with
         ``schedule_b`` over A's schedule, trained at ``sigma0_b``."""
-        cfg_a = two_deltas_config(tmp_path, iterations=2)
+        cfg_a = two_deltas_config(iterations=2)
         cfg_a["schedule"]["beta1"] = 1e-4
-        cfg_b = two_deltas_config(tmp_path, iterations=2)
+        cfg_b = two_deltas_config(iterations=2)
         cfg_b["schedule"].update({"beta1": 1e-4, **schedule_b})
         cfg_b["degradation"]["sigma0"] = sigma0_b
         return [str(cmd_train(cfg, tmp_path / name) / "checkpoint.bin")
@@ -1528,13 +1629,13 @@ class TestEvalInputs:
     def train_net(self, tmp_path, name, dim, family):
         """A 2-step checkpoint on ``dim``-wide Gaussian signals, masked by ``family``
         (accel 2 fits the 4 or 2 DFT lines of ``line-subsample`` at dim 8 or 4)."""
-        cfg = two_deltas_config(tmp_path, iterations=2)
+        cfg = two_deltas_config(iterations=2)
         cfg["data"].update(kind="isotropic-gaussian", dim=dim)
         cfg["degradation"].update(family=family, accel=2)
         return cmd_train(validate_config(cfg), tmp_path / name) / "checkpoint.bin"
 
-    def eval_config(self, tmp_path, ops, dim, family):
-        cfg = two_deltas_config(tmp_path)
+    def eval_config(self, ops, dim, family):
+        cfg = two_deltas_config()
         cfg["data"].update(kind="isotropic-gaussian", dim=dim)
         cfg["degradation"]["family"] = family
         cfg["eval"].update(operations=ops, count=16)
@@ -1543,7 +1644,7 @@ class TestEvalInputs:
     def test_pair_operations_score_in_checkpoint_a_basis(self, tmp_path):
         # the eval config's degradation family does not choose the basis
         a = self.train_net(tmp_path, "a", 8, "line-subsample")
-        outs = [cmd_eval(self.eval_config(tmp_path, ["mse_sweep", "generalization_psnr"],
+        outs = [cmd_eval(self.eval_config(["mse_sweep", "generalization_psnr"],
                                           8, family), tmp_path / family,
                          checkpoint=a, checkpoint_b=a)
                 for family in ("line-subsample", "none")]
@@ -1556,7 +1657,7 @@ class TestEvalInputs:
                                                     what):
         a = self.train_net(tmp_path, "a", 8, "line-subsample")
         b = self.train_net(tmp_path, "b", dim_b, family_b)
-        cfg = self.eval_config(tmp_path, ["mse_sweep"], 8, "line-subsample")
+        cfg = self.eval_config(["mse_sweep"], 8, "line-subsample")
         with pytest.raises(ConfigError, match=f"--checkpoint-b {what} = "):
             cmd_eval(cfg, tmp_path / "out", checkpoint=a, checkpoint_b=b)
         assert not (tmp_path / "out").exists()
@@ -1565,9 +1666,10 @@ class TestEvalInputs:
                                      ["acceleration_sweep"]])
     def test_signals_of_another_width_rejected(self, tmp_path, ops):
         a = self.train_net(tmp_path, "a", 8, "line-subsample")
-        cfg = self.eval_config(tmp_path, ops, 4, "none")
+        cfg = self.eval_config(ops, 4, "none")
+        cfg["eval"]["accels"] = [2]
         with pytest.raises(ConfigError, match="width 4 .* n = 8"):
-            cmd_eval(cfg, tmp_path / "out", checkpoint=a, checkpoint_b=a, r_sweep="2")
+            cmd_eval(cfg, tmp_path / "out", checkpoint=a, checkpoint_b=a)
         assert not (tmp_path / "out").exists()
 
     def test_checkpoints_may_differ_in_t_min_valid(self, tmp_path):
@@ -1580,7 +1682,7 @@ class TestEvalInputs:
     @pytest.mark.parametrize("eta, used", [(0.0, 0.5), (0.8, 0.8)])
     def test_uncertainty_runs_at_eta_of_at_least_one_half(self, tmp_path, monkeypatch,
                                                          eta, used):
-        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
         seen = []
 
         def fake_map(model, schedule, m, k, *, rng, vt, steps, eta):
@@ -1588,7 +1690,7 @@ class TestEvalInputs:
             return np.zeros(vt.n), np.zeros(vt.n)
 
         monkeypatch.setattr(cli, "uncertainty_map", fake_map)
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         cfg["eval"].update(operations=["uncertainty"], eta=eta, steps=10)
         cmd_eval(cfg, tmp_path / "out", checkpoint=run / "checkpoint.bin")
         assert seen == [used]
@@ -1597,10 +1699,10 @@ class TestEvalInputs:
     def test_steps_beyond_the_checkpoint_schedule_rejected(self, tmp_path, op):
         # the default eval.steps of 100 on a checkpoint of T = 50; the sweep
         # checks its steps before its checkpoint's transform
-        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
         with pytest.raises(ConfigError, match=r"eval\.steps must lie in \[1, 50\]"):
-            self.run_eval(tmp_path, [op], ["--checkpoint", str(run / "checkpoint.bin"),
-                                           "--r-sweep", "2"])
+            self.run_eval(tmp_path, [op], ["--checkpoint", str(run / "checkpoint.bin")],
+                          accels=[2])
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("a, b, flag", [
@@ -1637,11 +1739,11 @@ class TestEvalInputs:
                              ids=["mse_sweep+uncertainty", "uncertainty"])
     def test_external_source_read_once(self, tmp_path, monkeypatch, ops):
         # eval.count rows, once, whichever operations run
-        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
         src = tmp_path / "signals.bin"
         write_tensor_file(src, np.random.default_rng(2).standard_normal((6, 2)))
         reads = rows_read(monkeypatch)
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         cfg["data"] = {"kind": "external-binary", "path": str(src), "count": 6, "seed": 0}
         cfg["eval"].update(operations=ops, count=4, steps=5, t_stride=25,
                            uncertainty_k=2)
@@ -1653,10 +1755,10 @@ class TestEvalInputs:
     @pytest.mark.parametrize("ops", [["mse_sweep"], ["uncertainty"]],
                              ids=["mse_sweep", "uncertainty"])
     def test_external_source_short_of_eval_count_rejected(self, tmp_path, ops):
-        run = cmd_train(two_deltas_config(tmp_path, iterations=2), tmp_path / "run")
+        run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
         src = tmp_path / "signals.bin"
         write_tensor_file(src, np.ones((4, 2)))
-        cfg = two_deltas_config(tmp_path)
+        cfg = two_deltas_config()
         cfg["data"] = {"kind": "external-binary", "path": str(src), "count": 4, "seed": 0}
         cfg["eval"].update(operations=ops, count=5, steps=5)
         ckpt = run / "checkpoint.bin"

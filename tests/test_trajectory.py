@@ -77,8 +77,7 @@ def test_three_steps_match_stored_trajectory(case, tmp_path):
     raw = json.loads((CONFIGS / f"{preset}.json").read_text(encoding="utf-8"))
     raw["data"].update(count=64, holdout=0)
     raw["train"].update(iterations=3, log_interval=1, oracle_mode=mode == "oracle")
-    raw["io"]["out_dir"] = str(tmp_path)
-    cmd_train(validate_config(raw))
+    cmd_train(validate_config(raw), tmp_path)
 
     lines = (tmp_path / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
     rows = [[float(v) for v in line.split(",")[1:4]] for line in lines]
