@@ -159,9 +159,10 @@ def read_tensor_file(path) -> np.ndarray:
     return _read_tensor(path)
 
 
-def _read_tensor(path, rows: int | None = None) -> np.ndarray:
-    """The tensor file ``path``, or only its first ``rows`` rows, read straight
-    into the array once the header is checked against the file's size."""
+def _read_tensor(path, rows: int | None = None, start: int = 0) -> np.ndarray:
+    """The tensor file ``path``, or only ``rows`` of its rows from row
+    ``start`` on, read straight into the array once the header is checked
+    against the file's size."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         rank = _frame(fh.read(24), path, TENSOR_MAGIC, "tensor")
@@ -172,7 +173,9 @@ def _read_tensor(path, rows: int | None = None) -> np.ndarray:
         if size != 24 + 8 * rank + 8 * math.prod(shape):
             raise FormatError(f"{path}: payload size does not match extents")
         if rows is not None and shape:
-            shape = (min(rows, shape[0]), *shape[1:])
+            start = min(start, shape[0])
+            fh.seek(8 * start * math.prod(shape[1:]), os.SEEK_CUR)
+            shape = (min(rows, shape[0] - start), *shape[1:])
         data = np.fromfile(fh, dtype="<f8", count=math.prod(shape))
     try:  # an empty payload may still name an extent numpy cannot hold
         return data.reshape(shape)
@@ -418,9 +421,11 @@ def config_digest(cfg: dict) -> str:
 # -- experiment assembly --------------------------------------------------------
 
 
-def generate_signals(data_cfg: dict, count: int, seed: int) -> np.ndarray:
+def generate_signals(data_cfg: dict, count: int, seed: int,
+                     start: int = 0) -> np.ndarray:
     """Clean signal rows for the configured distribution; of an
-    ``external-binary`` source, only the first ``count`` rows are read."""
+    ``external-binary`` source, only the ``count`` rows from row ``start`` on
+    are read, and a file that lacks them raises ``ConfigError``."""
     kind = data_cfg["kind"]
     rng = derived_rng(seed, 0)
     if kind == "two-deltas":
@@ -430,9 +435,10 @@ def generate_signals(data_cfg: dict, count: int, seed: int) -> np.ndarray:
         return rng.standard_normal((count, data_cfg["dim"]))
     if kind == "synthetic-shapes":
         return _shapes(count, data_cfg["height"], data_cfg["width"], rng)
-    arr = _read_tensor(data_cfg["path"], rows=count)
+    arr = _read_tensor(data_cfg["path"], rows=count, start=start)
     if arr.ndim != 2 or arr.shape[0] < count:
-        raise ConfigError("external-binary file must hold at least `count` rows")
+        raise ConfigError(f"data.path {data_cfg['path']}: an external-binary file "
+                          f"must be a 2-D array of at least {start + count} rows")
     return arr
 
 
@@ -568,6 +574,17 @@ def _json_header(raw: bytes, path, required: tuple) -> dict:
     return header
 
 
+def _check_format_version(meta: dict, where: str) -> None:
+    """The rule for every JSON header or sidecar read: its ``format_version``,
+    where present, is an integer no newer than ``FORMAT_VERSION``; ``where``
+    opens the ``FormatError``."""
+    version = meta.get("format_version", FORMAT_VERSION)
+    if type(version) is not int:
+        raise FormatError(f"{where} format_version must be an integer")
+    if version > FORMAT_VERSION:
+        raise FormatError(f"{where} format_version {version} is newer than supported")
+
+
 def _schedule_digest(schedule: dict) -> str:
     return hashlib.sha256(json.dumps(schedule, sort_keys=True).encode()).hexdigest()
 
@@ -651,6 +668,7 @@ def load_checkpoint(path) -> Checkpoint:
     if len(raw) < offset:
         raise FormatError(f"{path}: truncated header")
     header = _json_header(raw[24:offset], path, _CHECKPOINT_KEYS)
+    _check_format_version(header, f"{path}: header")
     arch = header["arch"]
     # checkpoints written while the nonlinearity was an option name it
     if isinstance(arch, dict) and arch.get("nonlin", "tanh") != "tanh":
@@ -741,10 +759,10 @@ def _load_dataset_dir(path: Path):
             raise FormatError(f"{path}: gen-data directory lacks {name}")
     meta = _json_header((path / "dataset.json").read_bytes(), path / "dataset.json",
                         ("format_version", "n", "sigma0", "vt"))
+    _check_format_version(meta, f"{path}: dataset.json")
     # directories written while the kept singular value was an option hold s_const
     s_const = meta.get("s_const", 1)
     for key, ok, rule in (
-            ("format_version", type(meta["format_version"]) is int, "be an integer"),
             ("n", type(meta["n"]) is int and meta["n"] >= 1, "be a positive integer"),
             ("sigma0", type(meta["sigma0"]) in (int, float) and meta["sigma0"] >= 0.0,
              "be a number >= 0"),
@@ -752,9 +770,6 @@ def _load_dataset_dir(path: Path):
              "be 1 if present")):
         if not ok:
             raise FormatError(f"{path}: dataset.json {key} must {rule}")
-    if meta["format_version"] > FORMAT_VERSION:
-        raise FormatError(f"{path}: dataset.json format_version "
-                          f"{meta['format_version']} is newer than supported")
     ybar = read_tensor_file(path / "ybar.bin")
     masks = read_tensor_file(path / "masks.bin")
     if ybar.ndim != 2 or ybar.shape != masks.shape or ybar.shape[1] != meta["n"]:
@@ -951,6 +966,7 @@ def _samples_provenance(path) -> tuple:
     if not sidecar.is_file():
         return None, None
     meta = _json_header(sidecar.read_bytes(), sidecar, ("config_digest", "seed"))
+    _check_format_version(meta, f"{sidecar}:")
     return meta["config_digest"], meta["seed"]
 
 
@@ -962,17 +978,22 @@ def cmd_eval(cfg: dict, out, checkpoint=None, checkpoint_b=None, samples_a=None,
     the ``samples.json`` beside each samples file it read (null for a flag
     that none reads, or a samples file with no sidecar).
 
+    The eval set is ``eval.count`` signals drawn from ``eval.seed``; of an
+    ``external-binary`` source, it is the ``eval.count`` rows that follow the
+    first ``data.count``, the rows ``train`` reads (``gen-data`` writes them
+    first into ``holdout.bin``).
+
     Every input is read and checked, and what the operations share is built,
     once before the output directory is made. Every operation on a checkpoint
     works in checkpoint A's transform. A flag an operation needs that is
     missing, an ``eval.ts`` entry beyond ``T`` of checkpoint A's schedule,
     config signals whose width is not A's ``n`` or an ``external-binary``
-    source of fewer than ``eval.count`` rows, a checkpoint B whose schedule's
-    ``T``, ``beta1`` or ``betaT``, transform or ``n`` differs from A's, an
-    ``eval.steps`` beyond A's ``T`` for an operation that reconstructs, or a
-    samples file that is not a 2-D array of at least 2 rows (for
-    ``--samples-b``, of ``--samples-a``'s width) raises ``ConfigError``; a
-    malformed ``samples.json`` beside one raises ``FormatError``.
+    source of fewer than ``data.count + eval.count`` rows, a checkpoint B
+    whose schedule's ``T``, ``beta1`` or ``betaT``, transform or ``n`` differs
+    from A's, an ``eval.steps`` beyond A's ``T`` for an operation that
+    reconstructs, or a samples file that is not a 2-D array of at least 2 rows
+    (for ``--samples-b``, of ``--samples-a``'s width) raises ``ConfigError``;
+    a malformed ``samples.json`` beside one raises ``FormatError``.
     ``uncertainty`` runs its reconstructions at ``eta = max(eval.eta, 0.5)``,
     so an ``eval.eta`` below 0.5 (the default 0.0 included) is raised to 0.5
     there and its ``k`` runs stay stochastic. ``acceleration_sweep``
@@ -999,8 +1020,10 @@ def cmd_eval(cfg: dict, out, checkpoint=None, checkpoint_b=None, samples_a=None,
         if max(ev["ts"], default=0) > ca.schedule["T"]:
             raise ConfigError(f"eval.ts must be <= T = {ca.schedule['T']} of the "
                               "--checkpoint schedule")
-        # one read of the eval set: the width and every operation's clean rows
-        clean_rows = generate_signals(cfg["data"], ev["count"], seed)
+        # one read of the eval set: the width and every operation's clean rows;
+        # an external file's are the rows after the data.count that train read
+        clean_rows = generate_signals(cfg["data"], ev["count"], seed,
+                                      start=cfg["data"]["count"])
         width = clean_rows.shape[1]
         if width != ca.vt.n:
             raise ConfigError(f"data: signals of width {width} do not fit "
@@ -1077,7 +1100,7 @@ def cmd_eval(cfg: dict, out, checkpoint=None, checkpoint_b=None, samples_a=None,
             fam = DegradationFamily(ca.vt, FixedMask(np.ones(ca.vt.n, dtype=bool)),
                                     sigma0)
             rng = derived_rng(seed, 5)
-            m = corrupt(clean, fam.sample(rng), rng)
+            m = corrupt(clean, fam, rng)
             mean, std = uncertainty_map(model_a, schedule, m, ev["uncertainty_k"],
                                         rng=derived_rng(seed, 6), vt=ca.vt,
                                         steps=ev["steps"], eta=max(ev["eta"], 0.5))
@@ -1089,7 +1112,7 @@ def cmd_eval(cfg: dict, out, checkpoint=None, checkpoint_b=None, samples_a=None,
                 resid = 0.0
                 for i, x in enumerate(sweep):
                     rng = derived_rng(seed, 7, r, i)
-                    m = corrupt(x, fam.sample(rng), rng)
+                    m = corrupt(x, fam, rng)
                     rec = reconstruct(model_a, schedule, m, ev["steps"],
                                       derived_rng(seed, 7, r, i, 1), ca.vt, eta=ev["eta"])
                     gap = rec - x  # einsum, not BLAS: same bits at any thread count

@@ -1,10 +1,10 @@
-"""SVD-factored linear degradations and their measurement model.
+"""Orthogonal transforms, mask families and the measurement model.
 
 A degradation is stored pre-diagonalized: an orthogonal transform into
-spectral coordinates plus a nonnegative singular value per coordinate and a
-noise level. In spectral coordinates the measurement equation is a 0/1 mask
-plus uncorrelated Gaussian noise whose variance at a kept coordinate ``i`` is
-``sigma0**2 / s_i**2``. The left singular vectors are never materialized;
+spectral coordinates, a random 0/1 mask per record and a noise level. In
+spectral coordinates a measurement keeps the masked-in entries of the
+transformed signal plus Gaussian noise of variance ``sigma0 * sigma0``, and is
+exactly 0 elsewhere. The left singular vectors are never materialized;
 everything downstream consumes the transformed measurement directly.
 
 Mask families draw the random mask of each record and expose the expected
@@ -31,9 +31,7 @@ __all__ = [
     "PatchDropMasks",
     "RealDFTTransform",
     "SingleDropMasks",
-    "SpectralDegradation",
     "corrupt",
-    "corrupt_batch",
     "transform_from_descriptor",
 ]
 
@@ -137,41 +135,6 @@ def transform_from_descriptor(desc: dict) -> OrthoTransform:
         return RealDFTTransform(desc["lines"])
     raise ValueError(f"transform kind {desc['kind']!r} cannot be rebuilt "
                      "from its descriptor")
-
-
-@dataclass(frozen=True)
-class SpectralDegradation:
-    """One measurement process: transform, singular values, noise level."""
-
-    vt: OrthoTransform
-    singulars: np.ndarray
-    sigma0: float
-
-    def __post_init__(self):
-        s = np.asarray(self.singulars, dtype=np.float64)
-        if s.ndim != 1 or s.shape[0] != self.vt.n:
-            raise ValueError(f"singulars must be 1-D of length {self.vt.n}")
-        if np.any(s < 0):
-            raise ValueError("singular values must be nonnegative")
-        if self.sigma0 < 0:
-            raise ValueError("sigma0 must be nonnegative")
-        object.__setattr__(self, "singulars", s)
-
-    @property
-    def n(self) -> int:
-        return self.vt.n
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.singulars > 0
-
-    @property
-    def noise_var(self) -> np.ndarray:
-        """Pseudo-inverse noise variance per coordinate; 0 at masked entries."""
-        out = np.zeros(self.n)
-        kept = self.mask
-        out[kept] = (self.sigma0 / self.singulars[kept]) ** 2
-        return out
 
 
 @dataclass(frozen=True)
@@ -327,8 +290,8 @@ class FixedMask:
 class DegradationFamily:
     """A dataset-wide measurement process: shared transform, random masks.
 
-    All records drawn from one family share ``vt`` and use binary singular
-    values ``{0, 1}``. The masks' ``E[P]`` must be entrywise positive.
+    All records drawn from one family share ``vt`` and ``sigma0``; each
+    draws its own mask. The masks' ``E[P]`` must be entrywise positive.
     """
 
     vt: OrthoTransform
@@ -349,32 +312,25 @@ class DegradationFamily:
     def n(self) -> int:
         return self.vt.n
 
-    def sample(self, rng) -> SpectralDegradation:
-        mask = self.masks.sample(rng)
-        return SpectralDegradation(self.vt, mask.astype(np.float64), self.sigma0)
-
     def weights(self) -> np.ndarray:
         """Balancing weights ``W = E[P]**(-1/2)`` as a diagonal vector."""
         return self.masks.keep_probabilities() ** -0.5
 
 
-def corrupt_batch(x: np.ndarray, deg: SpectralDegradation, rng) -> np.ndarray:
-    """Rows of transformed corrupted measurements for rows of clean signals.
+def corrupt(x: np.ndarray, family: DegradationFamily, rng) -> Measurement:
+    """One clean signal's :class:`Measurement` under ``family``.
 
-    Every row uses the same degradation; rows consume independent noise.
+    The record draws its mask (``family.masks.sample(rng)``) and then ``n``
+    standard normals from ``rng``: the draws ``training.precompute`` makes for
+    a record. Kept entries are ``xbar + sqrt(noise_var) * noise`` with
+    ``noise_var = sigma0 * sigma0``; the rest are 0.
     """
     x = np.asarray(x, dtype=np.float64)
-    xbar = deg.vt.apply(x)
-    noise = rng.standard_normal(xbar.shape)
-    ybar = xbar + np.sqrt(deg.noise_var) * noise
-    ybar = np.where(deg.mask, ybar, 0.0)
-    return ybar
-
-
-def corrupt(x: np.ndarray, deg: SpectralDegradation, rng) -> Measurement:
-    """Transform and corrupt one clean signal into a :class:`Measurement`."""
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
-        raise ValueError("corrupt takes a single 1-D signal; see corrupt_batch")
-    ybar = corrupt_batch(x, deg, rng)
-    return Measurement(ybar=ybar, mask=deg.mask, noise_var=deg.noise_var)
+        raise ValueError("corrupt takes a single 1-D signal")
+    mask = family.masks.sample(rng)
+    xbar = family.vt.apply(x)
+    noise = rng.standard_normal(xbar.shape)
+    noise_var = mask * (family.sigma0 * family.sigma0)
+    ybar = np.where(mask, xbar + np.sqrt(noise_var) * noise, 0.0)
+    return Measurement(ybar=ybar, mask=mask, noise_var=noise_var)

@@ -363,11 +363,11 @@ def precompute(signals: np.ndarray, family: DegradationFamily,
 
     Record ``i`` consumes the generator ``derived_rng(seed, i)``: first its
     mask (``family.masks.sample``), then ``n`` standard normals, the draws
-    that ``corrupt(signals[i], family.sample(rng), rng)`` makes. So the dataset
-    is reproducible and independent of iteration order. The generators come
-    from :func:`derived_rngs`, one PCG64 set to each record's state in turn,
-    so no generator object is built per record. The transform then
-    runs once over all rows. Every kept entry becomes ``xbar + sqrt(var) *
+    that ``corrupt(signals[i], family, derived_rng(seed, i))`` makes. So the
+    dataset is reproducible and independent of iteration order. The
+    generators come from :func:`derived_rngs`, one PCG64 set to each record's
+    state in turn, so no generator object is built per record. The transform
+    then runs once over all rows. Every kept entry becomes ``xbar + sqrt(var) *
     noise`` with ``var = sigma0 * sigma0``; the rest are 0.
     """
     signals = np.atleast_2d(np.asarray(signals, dtype=np.float64))

@@ -1,8 +1,72 @@
 """Shared numerical oracles for the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from specdiff.diffusion import timestep_rows
+from specdiff.operators import Measurement, OrthoTransform
+
+
+@dataclass(frozen=True)
+class SpectralDegradation:
+    """One measurement process: transform, singular values, noise level.
+
+    The general model, with noise variance ``sigma0**2 / s**2`` at a kept
+    coordinate; ``operators.corrupt`` measures its 0/1 case, and the tests use
+    the general one as their reference."""
+
+    vt: OrthoTransform
+    singulars: np.ndarray
+    sigma0: float
+
+    def __post_init__(self):
+        s = np.asarray(self.singulars, dtype=np.float64)
+        if s.ndim != 1 or s.shape[0] != self.vt.n:
+            raise ValueError(f"singulars must be 1-D of length {self.vt.n}")
+        if np.any(s < 0):
+            raise ValueError("singular values must be nonnegative")
+        if self.sigma0 < 0:
+            raise ValueError("sigma0 must be nonnegative")
+        object.__setattr__(self, "singulars", s)
+
+    @property
+    def n(self) -> int:
+        return self.vt.n
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.singulars > 0
+
+    @property
+    def noise_var(self) -> np.ndarray:
+        """Pseudo-inverse noise variance per coordinate; 0 at masked entries."""
+        out = np.zeros(self.n)
+        kept = self.mask
+        out[kept] = (self.sigma0 / self.singulars[kept]) ** 2
+        return out
+
+
+def corrupt_batch(x: np.ndarray, deg: SpectralDegradation, rng) -> np.ndarray:
+    """Rows of transformed corrupted measurements for rows of clean signals.
+
+    Every row uses the same degradation; rows consume independent noise.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    xbar = deg.vt.apply(x)
+    noise = rng.standard_normal(xbar.shape)
+    ybar = xbar + np.sqrt(deg.noise_var) * noise
+    ybar = np.where(deg.mask, ybar, 0.0)
+    return ybar
+
+
+def corrupt_spectral(x: np.ndarray, deg: SpectralDegradation, rng) -> Measurement:
+    """Transform and corrupt one clean signal into a :class:`Measurement`."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("corrupt takes a single 1-D signal; see corrupt_batch")
+    ybar = corrupt_batch(x, deg, rng)
+    return Measurement(ybar=ybar, mask=deg.mask, noise_var=deg.noise_var)
 
 
 def central_difference(fn, x, step=1e-5):

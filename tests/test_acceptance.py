@@ -37,15 +37,16 @@ from specdiff.operators import (
     LineSubsampleMasks,
     MatrixTransform,
     PatchDropMasks,
-    SpectralDegradation,
     corrupt,
-    corrupt_batch,
 )
 from specdiff.training import TrainConfig, precompute, train
 
 from fixtures import ConstantModel, LinearModel
 from helpers import (
+    SpectralDegradation,
     central_difference,
+    corrupt_batch,
+    corrupt_spectral,
     fraction_close,
     hutchinson_probe_values,
     projected_loss_rows,
@@ -475,14 +476,14 @@ class TestCriterion10ReconstructionSanity:
 
         vt = RealDFTTransform(8)
         deg = SpectralDegradation(vt, (rng.random(16) < 0.6).astype(float), 0.02)
-        m = corrupt(rng.standard_normal(16), deg, rng)
+        m = corrupt_spectral(rng.standard_normal(16), deg, rng)
         zf = zero_filled(m, vt)
         ok_zf = np.array_equal(zf, vt.apply_inverse(m.ybar))
 
         # noiseless full-mask measurements reconstruct the input
         q = MatrixTransform(random_orthogonal(6, rng))
         x = rng.standard_normal(6)
-        clean_m = corrupt(x, SpectralDegradation(q, np.ones(6), 0.0), rng)
+        clean_m = corrupt_spectral(x, SpectralDegradation(q, np.ones(6), 0.0), rng)
         rec = reconstruct(GaussianPosteriorDenoiser(), schedule, clean_m, 25,
                           np.random.default_rng(4214), q)
         ok_clean = np.max(np.abs(rec - x)) <= 1e-6
@@ -501,7 +502,7 @@ class TestCriterion10ReconstructionSanity:
             finite = True
             for i in range(count):
                 rng_i = np.random.default_rng((4215, r, i))
-                mi = corrupt(clean[i], fam.sample(rng_i), rng_i)
+                mi = corrupt(clean[i], fam, rng_i)
                 out = reconstruct(model, schedule, mi, 12,
                                   np.random.default_rng((4216, r, i)), vt_mri)
                 finite &= bool(np.all(np.isfinite(out)))

@@ -116,8 +116,8 @@ def rows_read(monkeypatch) -> collections.Counter:
     counts = collections.Counter()
     read = cli._read_tensor
 
-    def counting_read(path, rows=None):
-        arr = read(path, rows)
+    def counting_read(path, rows=None, start=0):
+        arr = read(path, rows, start)
         counts[Path(path).name] += len(arr) if arr.ndim else 1
         return arr
 
@@ -180,6 +180,10 @@ class TestTensorFiles:
             got = cli._read_tensor(path, rows)
             assert got.shape == whole[:rows].shape
             assert got.tobytes() == whole[:rows].tobytes()
+            for start in range(shape[0] + 2):  # rows from a later row on
+                got = cli._read_tensor(path, rows, start)
+                assert got.tobytes() == whole[start:start + rows].tobytes()
+                assert got.shape == whole[start:start + rows].shape
 
     def test_first_rows_read_alone(self, tmp_path):
         # one row of a 2 MB file allocates one row, not the file
@@ -521,9 +525,13 @@ class TestSignals:
         sig = generate_signals({"kind": "external-binary", "path": str(src)},
                                6, seed=0)
         np.testing.assert_array_equal(sig, rows[:6])
-        with pytest.raises(ConfigError):
-            generate_signals({"kind": "external-binary", "path": str(src)},
-                             99, seed=0)
+        sig = generate_signals({"kind": "external-binary", "path": str(src)},
+                               4, seed=0, start=6)
+        np.testing.assert_array_equal(sig, rows[6:])
+        for count, start in ((99, 0), (4, 7)):
+            with pytest.raises(ConfigError, match=f"ext.bin: .* {count + start} rows"):
+                generate_signals({"kind": "external-binary", "path": str(src)},
+                                 count, seed=0, start=start)
 
     def test_external_binary_of_wrong_rank_rejected(self, tmp_path):
         src = tmp_path / "ext.bin"
@@ -728,12 +736,16 @@ class TestCheckpoints:
         ("step_count", -5),
         ("step_count", True),
         ("step_count", "3"),
+        ("format_version", 99),
+        ("format_version", "1"),
     ], ids=["arch-no-n", "arch-str", "arch-hidden-vs-params", "arch-nonlin",
             "schedule-no-T", "schedule-bad-beta", "vt-no-kind", "vt-unknown-kind",
-            "step-float", "step-negative", "step-bool", "step-str"])
+            "step-float", "step-negative", "step-bool", "step-str", "version-newer",
+            "version-str"])
     def test_bad_header_content_rejected(self, tmp_path, field, value):
-        # well-formed JSON whose arch, schedule or vt cannot be rebuilt, or
-        # whose step count is not a non-negative integer
+        # well-formed JSON whose arch, schedule or vt cannot be rebuilt, whose
+        # step count is not a non-negative integer, or whose format_version is
+        # not an integer no newer than the reader's
         path = tmp_path / "c.bin"
         changes = {field: value}
         if field == "schedule":
@@ -1079,8 +1091,11 @@ class TestCommands:
             "samples_a_seed": 11, "samples_b_config_digest": None,
             "samples_b_seed": None}
 
-    @pytest.mark.parametrize("text", ['{"seed": 1', '[1, 2]', '{"seed": 1}'],
-                             ids=["json", "list", "no-digest"])
+    @pytest.mark.parametrize("text", [
+        '{"seed": 1', '[1, 2]', '{"seed": 1}',
+        '{"config_digest": "x", "seed": 1, "format_version": 99}',
+        '{"config_digest": "x", "seed": 1, "format_version": "1"}',
+    ], ids=["json", "list", "no-digest", "version-newer", "version-str"])
     def test_malformed_samples_sidecar_rejected_before_out(self, tmp_path, text):
         samples = tmp_path / "a" / "samples.bin"
         samples.parent.mkdir()
@@ -1091,6 +1106,10 @@ class TestCommands:
         with pytest.raises(FormatError, match="samples.json"):
             cmd_eval(cfg, tmp_path / "out", samples_a=samples, samples_b=samples)
         assert not (tmp_path / "out").exists()
+
+    def test_unversioned_samples_sidecar_loads(self, tmp_path):
+        (tmp_path / "samples.json").write_text('{"config_digest": "x", "seed": 1}')
+        assert cli._samples_provenance(tmp_path / "samples.bin") == ("x", 1)
 
     def test_inspect_and_pgm(self, tmp_path, capsys):
         arr = np.arange(16.0).reshape(1, 16)
@@ -1181,8 +1200,7 @@ class TestCommands:
             fam = DegradationFamily(vt, LineSubsampleMasks(lines=16, accel=r), 0.01)
             norms = []
             for i, x in enumerate(clean):
-                rng = derived_rng(6, 7, r, i)
-                m = corrupt(x, fam.sample(rng), rng)
+                m = corrupt(x, fam, derived_rng(6, 7, r, i))
                 rec = reconstruct(model, schedule, m, 8, derived_rng(6, 7, r, i, 1), vt,
                                   eta=0.3)
                 norms.append(np.sqrt(np.einsum("i,i->", rec - x, rec - x)))
@@ -1741,7 +1759,7 @@ class TestEvalInputs:
         # eval.count rows, once, whichever operations run
         run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
         src = tmp_path / "signals.bin"
-        write_tensor_file(src, np.random.default_rng(2).standard_normal((6, 2)))
+        write_tensor_file(src, np.random.default_rng(2).standard_normal((10, 2)))
         reads = rows_read(monkeypatch)
         cfg = two_deltas_config()
         cfg["data"] = {"kind": "external-binary", "path": str(src), "count": 6, "seed": 0}
@@ -1751,6 +1769,28 @@ class TestEvalInputs:
         cmd_eval(validate_config(cfg), tmp_path / "out", checkpoint=ckpt,
                  checkpoint_b=ckpt)
         assert reads == {"signals.bin": 4}
+
+    def test_external_eval_set_is_the_rows_after_the_training_rows(self, tmp_path,
+                                                                  monkeypatch):
+        # the models trained on the file's first data.count rows; eval scores
+        # the next eval.count, which gen-data writes first into holdout.bin
+        run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
+        src = tmp_path / "signals.bin"
+        write_tensor_file(src, np.random.default_rng(2).standard_normal((40, 2)))
+        cfg = two_deltas_config()
+        cfg["data"] = {"kind": "external-binary", "path": str(src), "count": 30,
+                       "seed": 0, "holdout": 10}
+        cfg["eval"].update(operations=["mse_sweep"], count=8, t_stride=25)
+        cfg = validate_config(cfg)
+        holdout = read_tensor_file(cmd_gen_data(cfg, tmp_path / "data") / "holdout.bin")
+        seen = []
+        sweep = cli.denoising_mse_sweep
+        monkeypatch.setattr(cli, "denoising_mse_sweep",
+                            lambda a, b, xbar, *rest: seen.append(xbar) or
+                            sweep(a, b, xbar, *rest))
+        ckpt = run / "checkpoint.bin"
+        cmd_eval(cfg, tmp_path / "out", checkpoint=ckpt, checkpoint_b=ckpt)
+        assert seen[0].tobytes() == holdout[:8].tobytes()  # identity transform
 
     @pytest.mark.parametrize("ops", [["mse_sweep"], ["uncertainty"]],
                              ids=["mse_sweep", "uncertainty"])

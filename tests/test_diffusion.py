@@ -20,15 +20,9 @@ from specdiff.diffusion import (
     timestep_rows,
     zero_filled,
 )
-from specdiff.operators import (
-    IdentityTransform,
-    MatrixTransform,
-    Measurement,
-    SpectralDegradation,
-    corrupt,
-    corrupt_batch,
-)
+from specdiff.operators import IdentityTransform, MatrixTransform, Measurement
 
+from helpers import SpectralDegradation, corrupt_batch, corrupt_spectral
 from test_operators import random_orthogonal
 
 
@@ -331,7 +325,7 @@ class TestReconstruct:
         vt = MatrixTransform(random_orthogonal(6, rng))
         x = rng.standard_normal(6)
         deg = SpectralDegradation(vt, np.ones(6), 0.0)
-        m = corrupt(x, deg, rng)
+        m = corrupt_spectral(x, deg, rng)
         s = linear_schedule(100, 1e-4, 0.2)
         out = reconstruct(ShrinkDenoiser(), s, m, 20, np.random.default_rng(4), vt)
         np.testing.assert_allclose(out, x, rtol=0, atol=1e-6)
@@ -344,7 +338,7 @@ class TestReconstruct:
         sing = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
         deg = SpectralDegradation(vt, sing, 0.0)
         x = rng.standard_normal(n)
-        m = corrupt(x, deg, rng)
+        m = corrupt_spectral(x, deg, rng)
         s = linear_schedule(100, 1e-4, 0.2)
         out = reconstruct(ShrinkDenoiser(), s, m, 25, np.random.default_rng(6), vt)
         np.testing.assert_allclose(vt.apply(out)[m.mask], m.ybar[m.mask],
@@ -389,7 +383,7 @@ class TestReconstruct:
         for kept in (6, 4, 2):
             sing = np.zeros(n)
             sing[rng.choice(n, size=kept, replace=False)] = 1.0
-            m = corrupt(x, SpectralDegradation(vt, sing, 0.01), rng)
+            m = corrupt_spectral(x, SpectralDegradation(vt, sing, 0.01), rng)
             out = reconstruct(ShrinkDenoiser(), s, m, 20, np.random.default_rng(8), vt)
             assert np.all(np.isfinite(out))
 
@@ -470,9 +464,8 @@ class TestSamplingPlan:
         n = 5
         vt = MatrixTransform(random_orthogonal(n, rng))
         model = self.net()
-        m = corrupt(rng.standard_normal(n),
-                    SpectralDegradation(vt, np.array([1.0, 0.0, 1.0, 1.0, 0.0]), sigma0),
-                    rng)
+        deg = SpectralDegradation(vt, np.array([1.0, 0.0, 1.0, 1.0, 0.0]), sigma0)
+        m = corrupt_spectral(rng.standard_normal(n), deg, rng)
         s = linear_schedule(100, 1e-4, 0.2)
         got = reconstruct(model, s, m, 23, np.random.default_rng(15), vt, eta=eta)
         sched = dataclasses.replace(s, t_min_valid=t_min_for_noise_var(s, m.noise_var))

@@ -14,11 +14,13 @@ from specdiff.losses import (
     supervised_loss_from_samples,
 )
 from specdiff.model import Denoiser
-from specdiff.operators import IdentityTransform, Measurement, SpectralDegradation, corrupt
+from specdiff.operators import IdentityTransform, Measurement
 
 from fixtures import ConstantModel, LinearModel
 from helpers import (
+    SpectralDegradation,
     central_difference,
+    corrupt_spectral,
     finite_diff_divergence,
     fraction_close,
     hutchinson_probe_values,
@@ -235,7 +237,7 @@ class TestGsureLoss:
         model = Denoiser.create(n, hidden=(8,), emb_dim=8, rng=rng)
         deg = SpectralDegradation(IdentityTransform(n),
                                   np.array([1.0, 1.0, 0.0, 1.0]), 0.01)
-        m = corrupt(rng.standard_normal(n), deg, rng)
+        m = corrupt_spectral(rng.standard_normal(n), deg, rng)
         out = gsure_diffusion_loss(model, m.ybar, m.mask, m.noise_var, 20,
                                    schedule, np.ones(n), LossConfig(), rng)
         assert out.value == pytest.approx(out.mse_term + out.divergence_term)
@@ -245,7 +247,7 @@ class TestGsureLoss:
         n = 4
         model = Denoiser.create(n, hidden=(8,), emb_dim=8, rng=rng)
         deg = SpectralDegradation(IdentityTransform(n), np.ones(n), 0.01)
-        m = corrupt(rng.standard_normal(n), deg, rng)
+        m = corrupt_spectral(rng.standard_normal(n), deg, rng)
         a = gsure_diffusion_loss(model, m.ybar, m.mask, m.noise_var, 30, schedule,
                                  np.ones(n), LossConfig(),
                                  np.random.default_rng(99))

@@ -13,11 +13,11 @@ from specdiff.operators import (
     PatchDropMasks,
     RealDFTTransform,
     SingleDropMasks,
-    SpectralDegradation,
     corrupt,
-    corrupt_batch,
     transform_from_descriptor,
 )
+
+from helpers import SpectralDegradation, corrupt_batch, corrupt_spectral
 
 
 def random_orthogonal(n, rng):
@@ -239,13 +239,13 @@ class TestCorrupt:
     def test_noiseless_full_mask_identity(self):
         deg = SpectralDegradation(IdentityTransform(6), np.ones(6), 0.0)
         x = np.arange(6.0)
-        m = corrupt(x, deg, np.random.default_rng(0))
+        m = corrupt_spectral(x, deg, np.random.default_rng(0))
         np.testing.assert_array_equal(m.ybar, x)
 
     def test_masked_entries_exactly_zero(self):
         s = np.array([1.0, 0.0, 1.0, 0.0])
         deg = SpectralDegradation(IdentityTransform(4), s, 0.5)
-        m = corrupt(np.ones(4), deg, np.random.default_rng(1))
+        m = corrupt_spectral(np.ones(4), deg, np.random.default_rng(1))
         assert m.ybar[1] == 0.0 and m.ybar[3] == 0.0
         assert m.noise_var[1] == 0.0 and m.noise_var[3] == 0.0
 
@@ -309,12 +309,22 @@ class TestDegradationFamily:
         with pytest.raises(ValueError):
             DegradationFamily(IdentityTransform(10), PatchDropMasks(4, 4, 2, 0.2), 0.01)
 
-    def test_sample_produces_binary_singulars(self):
-        fam = DegradationFamily(IdentityTransform(16), PatchDropMasks(4, 4, 2, 0.5),
-                                0.01)
-        deg = fam.sample(np.random.default_rng(0))
-        assert set(np.unique(deg.singulars)) == {0.0, 1.0}
-        assert deg.noise_var.max() == 0.01 ** 2
+    @pytest.mark.parametrize("vt, masks", [
+        (IdentityTransform(16), PatchDropMasks(4, 4, 2, 0.5)),
+        (RealDFTTransform(16), LineSubsampleMasks(lines=16, accel=4)),
+        (IdentityTransform(7), SingleDropMasks(7)),
+        (IdentityTransform(5), FixedMask(np.ones(5, dtype=bool))),
+    ], ids=["patch", "line", "single", "fixed"])
+    def test_corrupt_is_the_general_model_at_binary_singulars(self, vt, masks):
+        # 0.2261...: sigma0 ** 2 in Python rounds differently from sigma0 * sigma0
+        fam = DegradationFamily(vt, masks, 0.22610530546880114)
+        x = np.random.default_rng(0).standard_normal(vt.n)
+        got = corrupt(x, fam, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        s = fam.masks.sample(rng).astype(np.float64)
+        want = corrupt_spectral(x, SpectralDegradation(vt, s, fam.sigma0), rng)
+        for name in ("ybar", "mask", "noise_var"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_weights_shape(self):
         fam = DegradationFamily(IdentityTransform(16), PatchDropMasks(4, 4, 2, 0.2), 0.0)

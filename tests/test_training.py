@@ -198,12 +198,9 @@ class TestRawDraws:
 
 def per_record_reference(signals, fam, seed):
     """``precompute`` spelled out one record at a time: ``(ybar, masks,
-    noise_var, clean_xbar)`` from ``corrupt(signals[i], fam.sample(rng), rng)``
-    with ``rng = derived_rng(seed, i)``."""
-    records = []
-    for i, x in enumerate(signals):
-        rng = derived_rng(seed, i)
-        records.append(corrupt(x, fam.sample(rng), rng))
+    noise_var, clean_xbar)`` from ``corrupt(signals[i], fam, rng)`` with
+    ``rng = derived_rng(seed, i)``."""
+    records = [corrupt(x, fam, derived_rng(seed, i)) for i, x in enumerate(signals)]
     return (np.array([m.ybar for m in records]), np.array([m.mask for m in records]),
             np.array([m.noise_var for m in records]),
             np.array([fam.vt.apply(x) for x in signals]))

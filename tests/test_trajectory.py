@@ -29,8 +29,9 @@ from specdiff.cli import (
     validate_config,
 )
 from specdiff.diffusion import ddim_sample, ddpm_sample, reconstruct
-from specdiff.operators import corrupt
 from specdiff.training import derived_rng
+
+from helpers import SpectralDegradation, corrupt_spectral
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 RTOL = 1e-9
@@ -104,10 +105,11 @@ def reverse_outputs(preset):
     schedule = build_schedule(cfg)
     clean = generate_signals(cfg["data"], 1, seed=8)[0]
     rng = derived_rng(7, 1)
-    deg = family.sample(rng)
-    while deg.mask.all() or not deg.mask.any():  # some coordinates kept, some not
-        deg = family.sample(rng)
-    m = corrupt(clean, deg, rng)
+    mask = family.masks.sample(rng)
+    while mask.all() or not mask.any():  # some coordinates kept, some not
+        mask = family.masks.sample(rng)
+    deg = SpectralDegradation(vt, mask.astype(np.float64), family.sigma0)
+    m = corrupt_spectral(clean, deg, rng)
     outs = {
         "ddim": ddim_sample(model, schedule, 20, 0.0, derived_rng(7, 2), vt, count=3),
         "ddim-eta": ddim_sample(model, schedule, 20, 0.85, derived_rng(7, 3), vt,
