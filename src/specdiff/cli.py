@@ -961,13 +961,20 @@ def _eval_ts(cfg: dict, schedule: DiffusionSchedule) -> list[int]:
 
 def _samples_provenance(path) -> tuple:
     """``(config_digest, seed)`` of the ``samples.json`` beside the samples
-    file ``path``, or ``(None, None)`` where there is none."""
+    file ``path``, or ``(None, None)`` where there is none. The digest must
+    be 64 lowercase hex digits and the seed an integer >= 0."""
     sidecar = Path(path).with_name("samples.json")
     if not sidecar.is_file():
         return None, None
     meta = _json_header(sidecar.read_bytes(), sidecar, ("config_digest", "seed"))
     _check_format_version(meta, f"{sidecar}:")
-    return meta["config_digest"], meta["seed"]
+    digest, seed = meta["config_digest"], meta["seed"]
+    if not (isinstance(digest, str) and len(digest) == 64
+            and set(digest) <= set("0123456789abcdef")):
+        raise FormatError(f"{sidecar}: config_digest must be 64 lowercase hex digits")
+    if not (_fits(seed, int) and seed >= 0):
+        raise FormatError(f"{sidecar}: seed must be an integer >= 0")
+    return digest, seed
 
 
 def cmd_eval(cfg: dict, out, checkpoint=None, checkpoint_b=None, samples_a=None,

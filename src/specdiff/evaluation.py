@@ -5,17 +5,18 @@ plain data (dataclasses / arrays) so the command layer can serialize them as
 CSV without further computation.
 
 The independence demo quantifies whether a denoiser's error depends on which
-coordinate was masked. Kernel-density pictures are replaced by the energy
-distance between the two conditional error clouds plus a permutation test:
-the statistic is zero in distribution exactly when the clouds coincide.
+coordinate was masked. Kernel-density pictures are replaced by a permutation
+test of the energy distance between the two conditional error clouds: the
+statistic is zero in distribution exactly when the clouds coincide.
 
 Both energy statistics run on one distance kernel. It walks the upper
-triangle of the pooled distance matrix ``D`` in cache-sized 2-D tiles and
-returns ``D @ L`` for a 0/1 label matrix ``L``; the statistic is a quadratic
-form in the label column, so the observed split and every permutation of the
-null are columns of one BLAS product. Memory is two tiles of at most 1 MB
-each plus a fixed number of label columns per pass, whatever the number of
-points or permutations.
+triangle of the pooled distance matrix ``D`` in cache-sized 2-D tiles, reads
+each tile once into its BLAS product with a 0/1 label matrix ``L``, and
+returns the quadratic forms ``L'D1`` and ``diag(L'DL)``. The statistic is a
+quadratic form in the label column, so the observed split and every
+permutation of the null are columns of one pass. Memory is two tiles of at
+most 1 MB each plus a fixed number of label columns per pass, whatever the
+number of points or permutations.
 """
 
 from __future__ import annotations
@@ -134,24 +135,28 @@ _TILE_ELEMENTS = 1 << 17
 _LABEL_COLUMNS = 256
 
 
-def _distance_products(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """``D @ labels`` for the Euclidean distance matrix ``D`` of ``points``.
+def _distance_forms(points: np.ndarray, labels: np.ndarray) -> tuple:
+    """``(L'D1, diag(L'DL))`` for the Euclidean distance matrix ``D`` of
+    ``points`` and a label matrix ``L`` whose first column is all ones.
 
     ``D`` is never stored: its upper triangle is walked in 2-D tiles built
     from coordinate-wise differences (not the Gram trick, which loses
-    precision for close points) in two buffers reused across tiles. A tile
-    row range's diagonal square is applied once; every distance right of it
-    is applied twice, once as itself and once as its transpose.
+    precision for close points) in two buffers reused across tiles. Each tile
+    ``T`` (rows ``R``, columns ``C``) is read once, into ``P = T @ L_C`` split
+    at the edge of its row range's diagonal square: a distance in the square
+    counts once, and one right of it twice, for itself and its transpose.
+    Summed over tiles, ``1_R'P + L_R'P[:, 0]`` is twice ``L'D1`` and
+    ``diag(L_R'P)`` is ``diag(L'DL)``.
     """
     n, d = points.shape
     coords = np.ascontiguousarray(points.T)
     # rows as long as the budget allows, since numpy's broadcast subtract pays
-    # per row, but no fewer rows than label columns: the transposed product
-    # then writes no more than the tile holds and keeps a deep inner dimension
+    # per row, but no fewer rows than label columns (32-row tiles ran slower at
+    # 200 permutations, where the products dominate)
     width = min(n, _TILE_ELEMENTS // labels.shape[1])
     rows = _TILE_ELEMENTS // width
     tile_buf, diff_buf = np.empty(rows * width), np.empty(rows * width)
-    out = np.zeros((n, labels.shape[1]))
+    twice_l_d1, l_dl = np.zeros(labels.shape[1]), np.zeros(labels.shape[1])
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         for c0 in range(r0, n, width):
@@ -166,10 +171,12 @@ def _distance_products(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
                 diff *= diff
                 tile += diff
             np.sqrt(tile, out=tile)
-            out[r0:r1] += tile @ labels[c0:c1]
-            lo = max(c0, r1)  # the tile's columns right of the diagonal square
-            out[lo:c1] += tile[:, lo - c0:].T @ labels[r0:r1]
-    return out
+            lo = min(max(c0, r1), c1)  # the tile's first column right of the square
+            prod = (tile[:, :lo - c0] @ labels[c0:lo]
+                    + 2.0 * (tile[:, lo - c0:] @ labels[lo:c1]))
+            twice_l_d1 += prod.sum(axis=0) + prod[:, 0] @ labels[r0:r1]
+            l_dl += np.einsum("ij,ij->j", labels[r0:r1], prod)
+    return 0.5 * twice_l_d1, l_dl
 
 
 def _energy_statistics(pooled: np.ndarray, n: int, splits) -> np.ndarray:
@@ -190,12 +197,9 @@ def _energy_statistics(pooled: np.ndarray, n: int, splits) -> np.ndarray:
         labels[:, 0] = 1.0
         for j, idx in enumerate(batch, 1):
             labels[idx, j] = 1.0
-        prod = _distance_products(pooled, labels)
-        s = labels[:, 1:]
-        d1 = prod[:, 0]
-        s_d1 = s.T @ d1
-        s_ds = np.einsum("ij,ij->j", s, prod[:, 1:])
-        s_bb = d1.sum() - 2.0 * s_d1 + s_ds
+        l_d1, l_dl = _distance_forms(pooled, labels)
+        s_d1, s_ds = l_d1[1:], l_dl[1:]
+        s_bb = l_d1[0] - 2.0 * s_d1 + s_ds
         stats.append(2.0 * (s_d1 - s_ds) / (n * m) - s_ds / (n * n) - s_bb / (m * m))
     return np.concatenate(stats)
 
@@ -214,10 +218,13 @@ def energy_permutation_test(x: np.ndarray, y: np.ndarray, n_permutations: int,
                             rng, max_points: int = 2000) -> dict:
     """Permutation null for the energy distance, on a fixed-size subsample.
 
-    Returns the subsampled observed statistic, the null mean/sd over label
-    shuffles, and the z-score of the observation against that null. The
-    observation and every shuffle are label columns of one distance kernel.
-    The null's spread needs ``n_permutations >= 2``.
+    A cloud of more than ``max_points`` rows (2,000 by default) is first
+    subsampled to that many, without replacement. Returns the energy
+    distance of the (subsampled) clouds as ``observed``, the null mean/sd
+    over label shuffles of the same points, and
+    ``z = (observed - null_mean) / null_sd`` (0 where the null has no
+    spread). The observation and every shuffle are label columns of one
+    distance kernel. The null's spread needs ``n_permutations >= 2``.
     """
     if n_permutations < 2:
         raise ValueError(f"need at least 2 permutations, got {n_permutations}")
@@ -240,6 +247,11 @@ def energy_permutation_test(x: np.ndarray, y: np.ndarray, n_permutations: int,
 
 @dataclass(frozen=True)
 class IndependenceRecord:
+    """One SNR level of the independence demo. ``energy``, ``null_mean`` and
+    ``null_sd`` come from one permutation test on one subsample of up to
+    ``max_points`` rows per error cloud, and
+    ``z = (energy - null_mean) / null_sd``."""
+
     snr: float
     abar: float
     energy: float
@@ -256,8 +268,9 @@ def independence_demo(dist: str, model, snr_levels, n_samples: int, rng,
     ``model`` provides ``estimate(u, abar)``. The signal-to-noise grid maps to
     ``abar = snr / (1 + snr)``. For each level, samples are drawn through the
     masked measurement equation, denoised, and the energy distance between the
-    two conditional error clouds is tested against a permutation null. A level
-    at which ``abar * sigma0**2 > 1 - abar`` raises
+    two conditional error clouds is tested against a permutation null by
+    :func:`energy_permutation_test`; its observed statistic is the record's
+    ``energy``. A level at which ``abar * sigma0**2 > 1 - abar`` raises
     :class:`~specdiff.diffusion.InfeasibleTimestepError`.
     """
     if dist not in ("isotropic-gaussian", "two-deltas"):
@@ -276,12 +289,10 @@ def independence_demo(dist: str, model, snr_levels, n_samples: int, rng,
         ybar = keep * (xbar + sigma0 * rng.standard_normal((n_samples, 2)))
         xbar_t = perturb_at(ybar, sigma0 ** 2 * keep, abar, rng)
         err = model.estimate(xbar_t, abar) - xbar
-        e0 = err[masked_coord == 0]
-        e1 = err[masked_coord == 1]
-        energy = energy_distance(e0, e1)
-        test = energy_permutation_test(e0, e1, n_permutations, rng)
+        test = energy_permutation_test(err[masked_coord == 0], err[masked_coord == 1],
+                                       n_permutations, rng)
         records.append(IndependenceRecord(
-            snr=float(snr), abar=float(abar), energy=energy, z=test["z"],
+            snr=float(snr), abar=float(abar), energy=test["observed"], z=test["z"],
             null_mean=test["null_mean"], null_sd=test["null_sd"],
         ))
     return records

@@ -50,6 +50,8 @@ from helpers import reference_shapes
 ROOT = Path(__file__).parents[1]
 PRESETS = sorted((ROOT / "configs").glob("*.json"))
 MINIMAL = {"data": {"kind": "two-deltas", "count": 1, "seed": 0}, "train": {"seed": 0}}
+# a well-formed config digest, as a samples.json sidecar holds one
+DIGEST = "0123456789abcdef" * 4
 
 
 def schema_rows(table=cli._SCHEMA, prefix=""):
@@ -997,12 +999,17 @@ class TestCommands:
     def test_eval_independence_csv(self, tmp_path):
         cfg = two_deltas_config()
         cfg["eval"]["operations"] = ["independence_demo"]
-        cfg["eval"]["n_samples"] = 400
+        # clouds of ~2,500 rows: above the permutation test's 2,000-point cap
+        cfg["eval"]["n_samples"] = 5000
         cfg["eval"]["n_permutations"] = 20
         out = cmd_eval(cfg, tmp_path / "eval")
         lines = (out / "independence.csv").read_text().splitlines()
         assert lines[0] == "prior,snr,abar,energy,z,null_mean,null_sd"
         assert len(lines) == 5  # two priors x two SNR levels
+        # energy is the permutation test's own statistic, so z reads off the row
+        for line in lines[1:]:
+            energy, z, null_mean, null_sd = map(float, line.split(",")[3:])
+            np.testing.assert_allclose(z, (energy - null_mean) / null_sd, rtol=1e-12)
 
     def test_eval_pair_csvs_hold_plain_numbers(self, tmp_path):
         # two different checkpoints give finite PSNRs, numpy floats that
@@ -1093,9 +1100,14 @@ class TestCommands:
 
     @pytest.mark.parametrize("text", [
         '{"seed": 1', '[1, 2]', '{"seed": 1}',
-        '{"config_digest": "x", "seed": 1, "format_version": 99}',
-        '{"config_digest": "x", "seed": 1, "format_version": "1"}',
-    ], ids=["json", "list", "no-digest", "version-newer", "version-str"])
+        f'{{"config_digest": "{DIGEST}", "seed": 1, "format_version": 99}}',
+        f'{{"config_digest": "{DIGEST}", "seed": 1, "format_version": "1"}}',
+        '{"config_digest": [1, 2], "seed": 1}', '{"config_digest": "abc", "seed": 1}',
+        f'{{"config_digest": "{DIGEST.upper()}", "seed": 1}}',
+        f'{{"config_digest": "{DIGEST}", "seed": -1}}',
+        f'{{"config_digest": "{DIGEST}", "seed": true}}',
+    ], ids=["json", "list", "no-digest", "version-newer", "version-str",
+            "digest-list", "digest-abc", "digest-upper", "seed-negative", "seed-bool"])
     def test_malformed_samples_sidecar_rejected_before_out(self, tmp_path, text):
         samples = tmp_path / "a" / "samples.bin"
         samples.parent.mkdir()
@@ -1108,8 +1120,9 @@ class TestCommands:
         assert not (tmp_path / "out").exists()
 
     def test_unversioned_samples_sidecar_loads(self, tmp_path):
-        (tmp_path / "samples.json").write_text('{"config_digest": "x", "seed": 1}')
-        assert cli._samples_provenance(tmp_path / "samples.bin") == ("x", 1)
+        (tmp_path / "samples.json").write_text(
+            f'{{"config_digest": "{DIGEST}", "seed": 1}}')
+        assert cli._samples_provenance(tmp_path / "samples.bin") == (DIGEST, 1)
 
     def test_inspect_and_pgm(self, tmp_path, capsys):
         arr = np.arange(16.0).reshape(1, 16)

@@ -232,6 +232,33 @@ class TestIndependenceDemo:
         assert abs(deltas[0].z) < 3
         assert abs(deltas[1].z) < 3     # two-point prior keeps errors mask-free
 
+    @pytest.mark.parametrize("n_samples", [10_000, 600], ids=["subsampled", "whole"])
+    @pytest.mark.parametrize("dist,model", [
+        ("isotropic-gaussian", GaussianPosteriorDenoiser()),
+        ("two-deltas", TwoDeltasPosteriorDenoiser()),
+    ], ids=["gauss", "deltas"])
+    def test_record_is_one_permutation_test(self, monkeypatch, dist, model, n_samples):
+        # energy is the test's statistic on the subsample its null shuffles, so
+        # z reads off the record; clouds within max_points are not subsampled
+        clouds, test = [], evaluation.energy_permutation_test
+
+        def recording_test(x, y, *args, **kwargs):
+            clouds.append((x, y))
+            return test(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "energy_permutation_test", recording_test)
+        records = independence_demo(dist, model, [1e-3, 10.0], n_samples,
+                                    np.random.default_rng(31), n_permutations=20)
+        for r, (e0, e1) in zip(records, clouds, strict=True):
+            assert r.z == (r.energy - r.null_mean) / r.null_sd
+            if max(len(e0), len(e1)) <= 2000:
+                # the statistic cancels mean distances, so its rounding scales
+                # with the clouds' extent, not with the statistic
+                extent = np.abs(np.concatenate([e0, e1])).max()
+                np.testing.assert_allclose(r.energy, energy_distance(e0, e1),
+                                           rtol=1e-12, atol=1e-12 * extent)
+        assert (max(len(e0), len(e1)) > 2000) == (n_samples == 10_000)
+
     def test_infeasible_top_up_raises(self):
         # at snr 1000, abar * sigma0^2 ~ 1e-2 exceeds the marginal 1 - abar ~ 1e-3
         with pytest.raises(InfeasibleTimestepError):
