@@ -275,6 +275,7 @@ _AT_LEAST_0, _AT_LEAST_1, _UNIT = Interval(0), Interval(1), Interval(0, 1)
 # value fails here as a ConfigError, not later in numpy
 _RECORDS, _WIDTH = Interval(1, 2 ** 24), Interval(1, 2 ** 16)
 _STEPS = Interval(1, 2 ** 20)  # schedule.T; a checkpoint header's T obeys it too
+_BETA = Interval(0, 1, open_lo=True, open_hi=True)
 _NO_DEFAULT = object()  # the default of a required key
 
 # One row per key: (type, default, rule or None). A float key also takes an
@@ -301,7 +302,7 @@ _SCHEMA = {
     "schedule": {
         "T": (int, 1000, _STEPS),
         "beta1": ((int, float, str), "sigma0_squared", None),  # see _check_beta1
-        "betaT": (float, 0.2, Interval(0, 1, open_lo=True, open_hi=True)),
+        "betaT": (float, 0.2, _BETA),
     },
     "model": {
         "hidden": (list, [256, 256, 256], _each(int, _WIDTH, nonempty=True)),
@@ -349,24 +350,26 @@ _SCHEMA = {
 }
 
 
-def _check_section(table: dict, section, where: str = "config") -> dict:
-    """``section`` checked row by row against ``table``, with defaults filled in."""
+def _check_section(table: dict, section, where: str = "config",
+                   error: type = ConfigError) -> dict:
+    """``section`` checked row by row against ``table``, with defaults filled
+    in; a value that breaks a row raises ``error`` naming ``where.key``."""
     if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
+        raise error(f"{where} must be an object")
     if unknown := set(section) - set(table):
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise error(f"{where}: unknown keys {sorted(unknown)}")
     out = {}
     for key, row in table.items():
         name = key if where == "config" else f"{where}.{key}"
         if isinstance(row, dict):
-            out[key] = _check_section(row, section.get(key, {}), name)
+            out[key] = _check_section(row, section.get(key, {}), name, error)
             continue
         types, default, rule = row
         value = section.get(key)
         # a validated config holds null for an unset optional key; read it back
         if key not in section or value is None and default is None:
             if default is _NO_DEFAULT:
-                raise ConfigError(f"{where}: missing required key {key!r}")
+                raise error(f"{where}: missing required key {key!r}")
             out[key] = copy.deepcopy(default)
             continue
         if types is float and _fits(value, int):
@@ -375,12 +378,12 @@ def _check_section(table: dict, section, where: str = "config") -> dict:
             except OverflowError:  # an integer beyond float range is not finite
                 value = math.inf
         if not _fits(value, types):
-            raise ConfigError(f"{name}: expected {_type_name(types)}, "
-                              f"got {type(value).__name__}")
+            raise error(f"{name}: expected {_type_name(types)}, "
+                        f"got {type(value).__name__}")
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name}: must be finite, got {value}")
+            raise error(f"{name}: must be finite, got {value}")
         if rule is not None and not rule.holds(value):
-            raise ConfigError(f"{name} must {rule.text}")
+            raise error(f"{name} must {rule.text}")
         out[key] = value
     return out
 
@@ -560,29 +563,58 @@ def build_train_config(cfg: dict) -> TrainConfig:
                        log_interval=t["log_interval"], chunk_size=chunk)
 
 
-def _json_header(raw: bytes, path, required: tuple) -> dict:
-    """Decode a JSON object header; any malformation is a ``FormatError``."""
+# One table per JSON kind that a command reads, in the config's row form. A
+# reader checks the keys its table names and ignores any other top-level key.
+_VERSION = Interval(1, FORMAT_VERSION)
+_DIGEST = Rule(lambda d: len(d) == 64 and set(d) <= set("0123456789abcdef"),
+               "be 64 lowercase hex digits")
+_CHECKPOINT_HEADER = {
+    "format_version": (int, FORMAT_VERSION, _VERSION),
+    "arch": {
+        "n": (int, _NO_DEFAULT, _AT_LEAST_1),
+        **{key: (_SCHEMA["model"][key][0], _NO_DEFAULT, _SCHEMA["model"][key][2])
+           for key in ("hidden", "emb_dim", "mean_type", "ema_decay")},
+        "nonlin": (str, "tanh", _one_of(("tanh",))),  # older checkpoints name it
+    },
+    "step_count": (int, _NO_DEFAULT, _AT_LEAST_0),
+    "config_digest": (str, _NO_DEFAULT, _DIGEST),
+    "schedule": {
+        "T": (int, _NO_DEFAULT, _STEPS),
+        "beta1": (float, _NO_DEFAULT, _BETA),
+        "betaT": (float, _NO_DEFAULT, _BETA),
+        "t_min_valid": (int, _NO_DEFAULT, _AT_LEAST_1),
+    },
+    "schedule_digest": (str, _NO_DEFAULT, _DIGEST),
+    "vt": (dict, _NO_DEFAULT, None),  # checked by rebuilding the transform
+    "param_count": (int, _NO_DEFAULT, _AT_LEAST_0),
+}
+_DATASET_META = {
+    "format_version": (int, _NO_DEFAULT, _VERSION),
+    "config_digest": (str, None, _DIGEST),
+    "n": (int, _NO_DEFAULT, _AT_LEAST_1),
+    "sigma0": (float, _NO_DEFAULT, _AT_LEAST_0),
+    "vt": (dict, _NO_DEFAULT, None),
+    "s_const": (float, 1.0, _one_of((1.0,))),  # older directories hold it
+}
+_SAMPLES_META = {
+    "format_version": (int, FORMAT_VERSION, _VERSION),
+    "config_digest": (str, _NO_DEFAULT, _DIGEST),
+    "seed": (int, _NO_DEFAULT, _AT_LEAST_0),
+}
+
+
+def _json_header(raw: bytes, path, table: dict, where: str) -> dict:
+    """The JSON object ``where`` of ``path``, as read, once the keys that
+    ``table`` names obey its rows; any malformation is a ``FormatError``."""
+    where = f"{path}: {where}"
     try:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object")
-    missing = [key for key in required if key not in header]
-    if missing:
-        raise FormatError(f"{path}: header lacks {missing}")
+        raise FormatError(f"{where} is malformed: {exc}") from exc
+    named = {key: header[key] for key in table if key in header} \
+        if isinstance(header, dict) else header
+    _check_section(table, named, where, FormatError)
     return header
-
-
-def _check_format_version(meta: dict, where: str) -> None:
-    """The rule for every JSON header or sidecar read: its ``format_version``,
-    where present, is an integer no newer than ``FORMAT_VERSION``; ``where``
-    opens the ``FormatError``."""
-    version = meta.get("format_version", FORMAT_VERSION)
-    if type(version) is not int:
-        raise FormatError(f"{where} format_version must be an integer")
-    if version > FORMAT_VERSION:
-        raise FormatError(f"{where} format_version {version} is newer than supported")
 
 
 def _schedule_digest(schedule: dict) -> str:
@@ -657,31 +689,16 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     _write_checkpoint(path, ckpt.header(), ckpt.params, ckpt.ema_params)
 
 
-_CHECKPOINT_KEYS = ("arch", "step_count", "config_digest", "schedule",
-                    "schedule_digest", "vt", "param_count")
-
-
 def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     header_len = _frame(raw, path, CHECKPOINT_MAGIC, "checkpoint")
     offset = 24 + header_len
     if len(raw) < offset:
         raise FormatError(f"{path}: truncated header")
-    header = _json_header(raw[24:offset], path, _CHECKPOINT_KEYS)
-    _check_format_version(header, f"{path}: header")
-    arch = header["arch"]
-    # checkpoints written while the nonlinearity was an option name it
-    if isinstance(arch, dict) and arch.get("nonlin", "tanh") != "tanh":
-        raise FormatError(f"{path}: arch.nonlin {arch['nonlin']!r} is not 'tanh'")
-    for key in ("param_count", "step_count"):
-        if type(header[key]) is not int or header[key] < 0:
-            raise FormatError(f"{path}: {key} must be a non-negative integer")
+    header = _json_header(raw[24:offset], path, _CHECKPOINT_HEADER, "header")
     count = header["param_count"]
     if header["schedule_digest"] != _schedule_digest(header["schedule"]):
         raise FormatError(f"{path}: schedule digest mismatch")
-    steps = header["schedule"].get("T") if isinstance(header["schedule"], dict) else None
-    if not (_fits(steps, int) and _STEPS.holds(steps)):
-        raise FormatError(f"{path}: schedule.T must be an integer and {_STEPS.text}")
     if len(raw) != offset + 16 * count:
         raise FormatError(f"{path}: parameter payload size mismatch")
     params = np.frombuffer(raw, dtype="<f8", offset=offset, count=count)
@@ -689,7 +706,7 @@ def load_checkpoint(path) -> Checkpoint:
     if not (np.isfinite(params).all() and np.isfinite(ema).all()):
         raise FormatError(f"{path}: non-finite parameter or EMA values")
     try:  # a bad arch, schedule or vt fails here and not at first use
-        return Checkpoint(arch=arch, params=params, ema_params=ema,
+        return Checkpoint(arch=header["arch"], params=params, ema_params=ema,
                           step_count=header["step_count"],
                           config_digest=header["config_digest"],
                           schedule=header["schedule"], vt_descriptor=header["vt"])
@@ -757,19 +774,8 @@ def _load_dataset_dir(path: Path):
     for name in ("dataset.json", "ybar.bin", "masks.bin"):
         if path.is_dir() and not (path / name).is_file():
             raise FormatError(f"{path}: gen-data directory lacks {name}")
-    meta = _json_header((path / "dataset.json").read_bytes(), path / "dataset.json",
-                        ("format_version", "n", "sigma0", "vt"))
-    _check_format_version(meta, f"{path}: dataset.json")
-    # directories written while the kept singular value was an option hold s_const
-    s_const = meta.get("s_const", 1)
-    for key, ok, rule in (
-            ("n", type(meta["n"]) is int and meta["n"] >= 1, "be a positive integer"),
-            ("sigma0", type(meta["sigma0"]) in (int, float) and meta["sigma0"] >= 0.0,
-             "be a number >= 0"),
-            ("s_const", type(s_const) in (int, float) and s_const == 1,
-             "be 1 if present")):
-        if not ok:
-            raise FormatError(f"{path}: dataset.json {key} must {rule}")
+    meta = _json_header((path / "dataset.json").read_bytes(), path, _DATASET_META,
+                        "dataset.json")
     ybar = read_tensor_file(path / "ybar.bin")
     masks = read_tensor_file(path / "masks.bin")
     if ybar.ndim != 2 or ybar.shape != masks.shape or ybar.shape[1] != meta["n"]:
@@ -876,7 +882,7 @@ def cmd_sample(checkpoint_path, out, sampler: str, steps: int,
     """Generate samples from a checkpoint; chunks use derived seeds."""
     if sampler not in ("ddim", "ddpm"):
         raise ValueError("sampler must be 'ddim' or 'ddpm'")
-    _check_flag("--count", count, _AT_LEAST_0)
+    _check_flag("--count", count, Interval(0, _RECORDS.hi))
     _check_flag("--seed", seed, _AT_LEAST_0)
     if sampler == "ddim":  # DDPM ignores --eta, as it does --steps
         _check_flag("--eta", eta, _UNIT)
@@ -961,20 +967,13 @@ def _eval_ts(cfg: dict, schedule: DiffusionSchedule) -> list[int]:
 
 def _samples_provenance(path) -> tuple:
     """``(config_digest, seed)`` of the ``samples.json`` beside the samples
-    file ``path``, or ``(None, None)`` where there is none. The digest must
-    be 64 lowercase hex digits and the seed an integer >= 0."""
+    file ``path``, or ``(None, None)`` where there is none."""
     sidecar = Path(path).with_name("samples.json")
     if not sidecar.is_file():
         return None, None
-    meta = _json_header(sidecar.read_bytes(), sidecar, ("config_digest", "seed"))
-    _check_format_version(meta, f"{sidecar}:")
-    digest, seed = meta["config_digest"], meta["seed"]
-    if not (isinstance(digest, str) and len(digest) == 64
-            and set(digest) <= set("0123456789abcdef")):
-        raise FormatError(f"{sidecar}: config_digest must be 64 lowercase hex digits")
-    if not (_fits(seed, int) and seed >= 0):
-        raise FormatError(f"{sidecar}: seed must be an integer >= 0")
-    return digest, seed
+    meta = _json_header(sidecar.read_bytes(), sidecar.parent, _SAMPLES_META,
+                        "samples.json")
+    return meta["config_digest"], meta["seed"]
 
 
 def cmd_eval(cfg: dict, out, checkpoint=None, checkpoint_b=None, samples_a=None,

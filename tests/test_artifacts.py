@@ -23,6 +23,7 @@ function and method that a library module names through ``__all__``, save
 those ``UNREACHED`` lists with a reason.
 """
 
+import collections
 import contextlib
 import hashlib
 import importlib
@@ -30,6 +31,7 @@ import io
 import json
 import os
 import pkgutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -165,6 +167,29 @@ def test_every_command_writes_the_manifest_bytes(tmp_path, capsys, threads):
     for name in found:
         cli.main(["inspect", str(tmp_path / name)])
         assert capsys.readouterr().out
+
+
+def test_every_json_written_passes_its_readers_rows(tmp_path):
+    # a writer that emits a field its own reader rejects fails here, not at
+    # the next command's read
+    run_child(tmp_path)
+    read = []
+    for path in sorted(tmp_path.rglob("*")):
+        if path.name == "checkpoint.bin":
+            raw = path.read_bytes()
+            end = 24 + struct.unpack_from("<I", raw, 20)[0]
+            cli._json_header(raw[24:end], path, cli._CHECKPOINT_HEADER, "header")
+        elif path.name in ("dataset.json", "samples.json"):
+            table = cli._DATASET_META if path.name == "dataset.json" \
+                else cli._SAMPLES_META
+            cli._json_header(path.read_bytes(), path.parent, table, path.name)
+        else:
+            continue
+        read.append(path.name)
+    # three presets' gen-data, two trainings and two samplers, and two extra
+    # configs' gen-data and training
+    assert sorted(collections.Counter(read).items()) == [
+        ("checkpoint.bin", 8), ("dataset.json", 5), ("samples.json", 6)]
 
 
 def test_full_size_metrics_equal_at_one_and_two_threads(tmp_path):

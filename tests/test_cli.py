@@ -67,9 +67,10 @@ INTERVAL_ROWS = [(where, row) for where, row in schema_rows()
                  if isinstance(row[2], cli.Interval)]
 
 
-def config_with(where, value):
-    """The all-defaults config with the dotted key ``where`` set to ``value``."""
-    raw = json.loads(json.dumps(MINIMAL))
+def config_with(where, value, base=MINIMAL):
+    """The all-defaults config, or the document ``base``, with the dotted key
+    ``where`` set to ``value``."""
+    raw = json.loads(json.dumps(base))
     *path, key = where.split(".")
     node = raw
     for part in path:
@@ -78,15 +79,44 @@ def config_with(where, value):
     return raw
 
 
-def readme_config_table():
-    """README's config table, rendered from the schema rows with the rule
-    text that ``ConfigError`` messages use."""
+def readme_config_table(table=cli._SCHEMA):
+    """README's table of the rows in ``table``, the config's by default,
+    rendered with the rule text that their error messages use."""
     lines = ["| key | type | default | rule |", "| --- | --- | --- | --- |"]
-    for where, (types, default, rule) in schema_rows():
+    for where, (types, default, rule) in schema_rows(table):
         shown = "required" if default is cli._NO_DEFAULT else f"`{json.dumps(default)}`"
         lines.append(f"| `{where}` | {cli._type_name(types)} | {shown} | "
                      f"{'' if rule is None else 'must ' + rule.text} |")
     return "\n".join(lines) + "\n"
+
+
+# each JSON kind a command reads: the name its errors give it, its rows, and
+# a document that obeys them
+ARTIFACT_TABLES = {
+    "header": (cli._CHECKPOINT_HEADER, {
+        "format_version": 1, "step_count": 17, "param_count": 54,
+        "arch": {"n": 2, "hidden": [4], "emb_dim": 8, "mean_type": "predict_x",
+                 "ema_decay": 0.99},
+        "config_digest": DIGEST, "schedule_digest": DIGEST,
+        "schedule": {"T": 10, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1},
+        "vt": {"kind": "identity", "n": 2}}),
+    "dataset.json": (cli._DATASET_META, {
+        "format_version": 1, "config_digest": DIGEST, "n": 2, "sigma0": 0.01,
+        "vt": {"kind": "identity", "n": 2}}),
+    "samples.json": (cli._SAMPLES_META, {"config_digest": DIGEST, "seed": 1}),
+}
+ARTIFACT_ROWS = [(kind, key, row) for kind, (table, _) in ARTIFACT_TABLES.items()
+                 for key, row in schema_rows(table)]
+ARTIFACT_INTERVAL_ROWS = [(kind, key, row) for kind, key, row in ARTIFACT_ROWS
+                          if isinstance(row[2], cli.Interval)]
+
+
+def read_artifact(kind, key, value):
+    """The document of ``kind`` with the dotted ``key`` set to ``value``, read
+    through its rows."""
+    table, doc = ARTIFACT_TABLES[kind]
+    raw = json.dumps(config_with(key, value, doc)).encode()
+    return cli._json_header(raw, "dir", table, kind)
 
 
 SIZES = st.integers(-1, 20)
@@ -374,9 +404,11 @@ class TestConfig:
             with pytest.raises(ConfigError, match=re.escape(where)):
                 validate_config(config_with(where, outside))
 
-    def test_defaults_obey_their_rows(self):
+    @pytest.mark.parametrize("table", [cli._SCHEMA] + [
+        table for table, _ in ARTIFACT_TABLES.values()], ids=["config", *ARTIFACT_TABLES])
+    def test_defaults_obey_their_rows(self, table):
         # validation fills defaults in unchecked, so the table must hold valid ones
-        for where, (types, default, rule) in schema_rows():
+        for where, (types, default, rule) in schema_rows(table):
             if default is not cli._NO_DEFAULT and default is not None:
                 assert cli._fits(default, types), where
                 assert rule is None or rule.holds(default), where
@@ -384,6 +416,11 @@ class TestConfig:
     def test_readme_holds_the_config_table(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         assert readme_config_table() in readme
+
+    @pytest.mark.parametrize("kind", ARTIFACT_TABLES)
+    def test_readme_holds_the_artifact_tables(self, kind):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        assert readme_config_table(ARTIFACT_TABLES[kind][0]) in readme
 
     @pytest.mark.parametrize("preset, digest", [
         ("shapes_lines", "624fffaa6e0b8555bb4325764b08035cd3bb0bdb569bc071d80536c1f513243e"),
@@ -473,6 +510,53 @@ class TestConfig:
         assert cfg["train"]["chunk_size"] is None
         chunk = build_train_config(cfg).chunk_size
         assert type(chunk) is int and chunk == cfg["train"]["batch_size"]
+
+
+class TestArtifactTables:
+    """The rows of each JSON kind a command reads, checked as the config's are."""
+
+    @pytest.mark.parametrize("kind, key, row", ARTIFACT_INTERVAL_ROWS, ids=[
+        f"{kind}.{key}" for kind, key, _ in ARTIFACT_INTERVAL_ROWS])
+    def test_interval_rows_hold_at_and_reject_past_their_bounds(self, kind, key, row):
+        types, _, rule = row
+        for bound, is_open, up in ((rule.lo, rule.open_lo, False),
+                                   (rule.hi, rule.open_hi, True)):
+            if bound == float("inf"):
+                continue
+            if is_open:
+                outside = bound
+            else:
+                read_artifact(kind, key, bound)
+                outside = bound + (1 if up else -1) if types is int \
+                    else float(np.nextafter(bound, np.inf if up else -np.inf))
+            with pytest.raises(FormatError, match=re.escape(f"dir: {kind}.{key} must")):
+                read_artifact(kind, key, outside)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, key, (types, _, _) in ARTIFACT_ROWS if types is float])
+    def test_non_finite_float_rejected(self, kind, key, value):
+        with pytest.raises(FormatError, match=re.escape(f"{kind}.{key}: must be finite")):
+            read_artifact(kind, key, value)
+
+    @pytest.mark.parametrize("section", ["arch", "schedule"])
+    def test_unknown_nested_key_rejected(self, section):
+        with pytest.raises(FormatError, match=re.escape(f"dir: header.{section}: "
+                                                        "unknown keys ['spam']")):
+            read_artifact("header", f"{section}.spam", 1)
+
+    @pytest.mark.parametrize("kind", ARTIFACT_TABLES)
+    def test_document_is_read_as_it_stands(self, kind):
+        # other top-level keys are ignored, and no default or int-to-float
+        # conversion of the rows reaches the document
+        doc = json.loads(json.dumps(ARTIFACT_TABLES[kind][1]))
+        doc["spam"] = [1]
+        if kind == "header":
+            doc["arch"]["ema_decay"] = 1
+        read = cli._json_header(json.dumps(doc).encode(), "dir",
+                                ARTIFACT_TABLES[kind][0], kind)
+        assert read == doc
+        assert json.dumps(read) == json.dumps(doc)  # the 1 stays an int
 
 
 class TestSignals:
@@ -576,7 +660,7 @@ class TestCheckpoints:
             arch={"n": 2, "hidden": [4], "emb_dim": 8, "mean_type": "predict_x",
                   "ema_decay": 0.99},
             params=rng.standard_normal(54), ema_params=rng.standard_normal(54),
-            step_count=17, config_digest="abc123",
+            step_count=17, config_digest=DIGEST,
             schedule={"T": 10, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1},
             vt_descriptor={"kind": "identity", "n": 2},
         )
@@ -600,7 +684,7 @@ class TestCheckpoints:
         path = tmp_path / "c.bin"
         save_checkpoint(path, Checkpoint(
             arch=net.arch(), params=net.params, ema_params=net.ema_params,
-            step_count=0, config_digest="abc123",
+            step_count=0, config_digest=DIGEST,
             schedule={"T": 1000, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1},
             vt_descriptor={"kind": "identity", "n": 256}))
         tracemalloc.start()
@@ -740,14 +824,18 @@ class TestCheckpoints:
         ("step_count", "3"),
         ("format_version", 99),
         ("format_version", "1"),
+        ("schedule", {"T": 10, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": True}),
+        ("arch", {"n": 2, "hidden": [4], "emb_dim": 8.0, "mean_type": "predict_x",
+                  "ema_decay": 0.99}),
     ], ids=["arch-no-n", "arch-str", "arch-hidden-vs-params", "arch-nonlin",
             "schedule-no-T", "schedule-bad-beta", "vt-no-kind", "vt-unknown-kind",
             "step-float", "step-negative", "step-bool", "step-str", "version-newer",
-            "version-str"])
+            "version-str", "schedule-t-min-bool", "arch-emb-dim-float"])
     def test_bad_header_content_rejected(self, tmp_path, field, value):
         # well-formed JSON whose arch, schedule or vt cannot be rebuilt, whose
-        # step count is not a non-negative integer, or whose format_version is
-        # not an integer no newer than the reader's
+        # step count is not a non-negative integer, whose format_version is
+        # not an integer no newer than the reader's, or whose arch or schedule
+        # breaks a row (a boolean t_min_valid, a float emb_dim)
         path = tmp_path / "c.bin"
         changes = {field: value}
         if field == "schedule":
@@ -796,8 +884,17 @@ class TestCheckpoints:
         schedule = {"T": 10 ** 15, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1}
         digest = hashlib.sha256(json.dumps(schedule, sort_keys=True).encode()).hexdigest()
         self.write_raw(path, self.header_bytes(schedule=schedule, schedule_digest=digest))
-        with pytest.raises(FormatError, match=r"schedule\.T must be an integer and "
-                                              r"lie in \[1, 1048576\]"):
+        with pytest.raises(FormatError, match=r"schedule\.T must lie in \[1, 1048576\]"):
+            main(["sample", "--checkpoint", str(path), "--steps", "5", "--seed", "1",
+                  "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("digest", [[1, 2], "abc", None], ids=["list", "abc", "null"])
+    def test_untyped_config_digest_rejected_before_output(self, tmp_path, digest):
+        # sample used to copy it into a samples.json that eval then rejected
+        path, out = tmp_path / "c.bin", tmp_path / "out"
+        self.write_raw(path, self.header_bytes(config_digest=digest))
+        with pytest.raises(FormatError, match="header.config_digest"):
             main(["sample", "--checkpoint", str(path), "--steps", "5", "--seed", "1",
                   "--out", str(out)])
         assert not out.exists()
@@ -901,6 +998,22 @@ class TestDatasetDirectory:
         with pytest.raises(FormatError, match=field) as exc:
             cmd_train(data_cfg, tmp_path / "run", data_dir)
         assert str(exc.value).startswith(f"{sidecar.parent}: ")
+
+    @pytest.mark.parametrize("command", ["train", "reconstruct"])
+    def test_untyped_config_digest_rejected_before_output(self, data_cfg, data_dir,
+                                                          tmp_path, command):
+        # the digest used to be copied into run.json or recon.json as it stood
+        sidecar = data_dir / "dataset.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "config_digest": {"x": 1}}))
+        out = tmp_path / "out"
+        with pytest.raises(FormatError, match="dataset.json.config_digest"):
+            if command == "train":
+                cmd_train(data_cfg, out, data_dir)
+            else:
+                ckpt = cmd_train(data_cfg, tmp_path / "run") / "checkpoint.bin"
+                cmd_reconstruct(ckpt, data_dir, out, steps=4, seed=1)
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["dataset.json", "ybar.bin", "masks.bin"])
     def test_missing_member_rejected(self, data_cfg, data_dir, tmp_path, name):
@@ -1272,6 +1385,17 @@ class TestReverseCommandArguments:
         with pytest.raises(ConfigError, match=flag):
             main(argv + ["--checkpoint", str(tmp_path / "checkpoint.bin"),
                          "--out", str(out)])
+        assert not out.exists()
+
+    def test_count_has_the_records_ceiling(self, tmp_path):
+        # checked before the checkpoint is read: at the ceiling the missing
+        # file is what fails, past it the flag
+        out, ckpt = tmp_path / "out", str(tmp_path / "missing.bin")
+        argv = ["sample", "--checkpoint", ckpt, "--seed", "1", "--out", str(out)]
+        with pytest.raises(FileNotFoundError):
+            main(argv + ["--count", str(2 ** 24)])
+        with pytest.raises(ConfigError, match=r"--count must lie in \[0, 16777216\]"):
+            main(argv + ["--count", str(2 ** 24 + 1)])
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
