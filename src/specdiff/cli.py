@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -44,7 +45,6 @@ from .diffusion import (
     InfeasibleScheduleError,
     ddim_sample,
     ddpm_sample,
-    linear_schedule,
     reconstruct,
     t_min_for_noise_var,
     zero_filled,
@@ -162,7 +162,7 @@ def read_tensor_file(path) -> np.ndarray:
 def _read_tensor(path, rows: int | None = None, start: int = 0) -> np.ndarray:
     """The tensor file ``path``, or only ``rows`` of its rows from row
     ``start`` on, read straight into the array once the header is checked
-    against the file's size."""
+    against the file's size; a non-finite value read raises ``FormatError``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         rank = _frame(fh.read(24), path, TENSOR_MAGIC, "tensor")
@@ -177,6 +177,8 @@ def _read_tensor(path, rows: int | None = None, start: int = 0) -> np.ndarray:
             fh.seek(8 * start * math.prod(shape[1:]), os.SEEK_CUR)
             shape = (min(rows, shape[0] - start), *shape[1:])
         data = np.fromfile(fh, dtype="<f8", count=math.prod(shape))
+    if not np.isfinite(data).all():
+        raise FormatError(f"{path}: non-finite values")
     try:  # an empty payload may still name an extent numpy cannot hold
         return data.reshape(shape)
     except ValueError as exc:
@@ -236,6 +238,18 @@ class Interval(NamedTuple):
 Rule = NamedTuple("Rule", [("holds", Callable[[object], bool]), ("text", str)])
 
 
+class Tagged(NamedTuple):
+    """A nested section whose ``tag`` key, one of ``tables``' keys, picks the
+    table that its other keys obey."""
+
+    tag: str
+    tables: dict
+
+    @property
+    def tag_row(self) -> tuple:
+        return (str, _NO_DEFAULT, _one_of(tuple(self.tables)))
+
+
 def _one_of(choices: tuple) -> Rule:
     return Rule(choices.__contains__, f"be one of {choices}")
 
@@ -279,7 +293,8 @@ _BETA = Interval(0, 1, open_lo=True, open_hi=True)
 _NO_DEFAULT = object()  # the default of a required key
 
 # One row per key: (type, default, rule or None). A float key also takes an
-# int, a None default also takes null, and a nested table is a nested section.
+# int, a None default also takes null, a nested table is a nested section, and
+# a Tagged row a required nested section whose tag picks its table.
 _SCHEMA = {
     "data": {
         "kind": (str, _NO_DEFAULT, _one_of(DATA_KINDS)),
@@ -301,7 +316,10 @@ _SCHEMA = {
     },
     "schedule": {
         "T": (int, 1000, _STEPS),
-        "beta1": ((int, float, str), "sigma0_squared", None),  # see _check_beta1
+        # resolved by _beta1; the schedule it builds checks the betas' order
+        "beta1": ((int, float, str), "sigma0_squared",
+                  Rule(lambda b: not isinstance(b, str) or b == "sigma0_squared",
+                       "be 'sigma0_squared' or a number")),
         "betaT": (float, 0.2, _BETA),
     },
     "model": {
@@ -364,6 +382,15 @@ def _check_section(table: dict, section, where: str = "config",
         if isinstance(row, dict):
             out[key] = _check_section(row, section.get(key, {}), name, error)
             continue
+        if isinstance(row, Tagged):  # the tag, checked first, picks the table
+            value = section.get(key)
+            rows = {row.tag: row.tag_row}
+            if isinstance(value, dict):
+                _check_section(rows, {k: value[k] for k in rows if k in value},
+                               name, error)
+                rows = {**rows, **row.tables[value[row.tag]]}
+            out[key] = _check_section(rows, value, name, error)
+            continue
         types, default, rule = row
         value = section.get(key)
         # a validated config holds null for an unset optional key; read it back
@@ -388,22 +415,12 @@ def _check_section(table: dict, section, where: str = "config",
     return out
 
 
-def _check_beta1(cfg: dict) -> None:
-    """``schedule.beta1``, its rule resolved, lies in ``(0, schedule.betaT]``."""
-    try:
-        beta1 = _beta1(cfg)
-    except OverflowError:  # sigma0 ** 2 beyond float range
-        beta1 = math.inf
-    if isinstance(beta1, str) or not 0.0 < beta1 <= cfg["schedule"]["betaT"]:
-        raise ConfigError("schedule.beta1 must be 'sigma0_squared' or a number, "
-                          "and resolve into (0, schedule.betaT]")
-
-
 def validate_config(raw: dict) -> dict:
     """Check a config document against the schema's rows, filling in defaults,
-    then the cross-key rule on ``schedule.beta1``; unknown keys are rejected."""
+    then its ``schedule`` section by building the schedule it describes;
+    unknown keys are rejected."""
     cfg = _check_section(_SCHEMA, raw)
-    _check_beta1(cfg)
+    build_schedule(cfg)
     return cfg
 
 
@@ -419,6 +436,11 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(
         json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
+
+
+def _data_digest(cfg: dict) -> str:
+    """The digest of the sections that shape a gen-data directory's bytes."""
+    return config_digest({"data": cfg["data"], "degradation": cfg["degradation"]})
 
 
 # -- experiment assembly --------------------------------------------------------
@@ -535,10 +557,13 @@ def _beta1(cfg: dict):
 
 
 def build_schedule(cfg: dict) -> DiffusionSchedule:
-    beta1 = _beta1(cfg)
-    if isinstance(beta1, str):
-        raise ConfigError(f"schedule.beta1: unknown rule {beta1!r}")
-    return linear_schedule(cfg["schedule"]["T"], float(beta1), cfg["schedule"]["betaT"])
+    """The configured schedule; one that cannot be built raises ``ConfigError``."""
+    s = cfg["schedule"]
+    try:  # sigma0 ** 2 may overflow
+        return DiffusionSchedule(s["T"], _beta1(cfg), s["betaT"])
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"schedule.T = {s['T']}, schedule.beta1 = {s['beta1']!r} and "
+                          f"schedule.betaT = {s['betaT']} build no schedule: {exc}") from exc
 
 
 def build_model(cfg: dict, n: int) -> Denoiser:
@@ -568,6 +593,9 @@ def build_train_config(cfg: dict) -> TrainConfig:
 _VERSION = Interval(1, FORMAT_VERSION)
 _DIGEST = Rule(lambda d: len(d) == 64 and set(d) <= set("0123456789abcdef"),
                "be 64 lowercase hex digits")
+# a transform's descriptor(), by kind
+_TRANSFORM = Tagged("kind", {"identity": {"n": (int, _NO_DEFAULT, _AT_LEAST_1)},
+                             "real_dft": {"lines": (int, _NO_DEFAULT, _AT_LEAST_1)}})
 _CHECKPOINT_HEADER = {
     "format_version": (int, FORMAT_VERSION, _VERSION),
     "arch": {
@@ -585,15 +613,16 @@ _CHECKPOINT_HEADER = {
         "t_min_valid": (int, _NO_DEFAULT, _AT_LEAST_1),
     },
     "schedule_digest": (str, _NO_DEFAULT, _DIGEST),
-    "vt": (dict, _NO_DEFAULT, None),  # checked by rebuilding the transform
+    "vt": _TRANSFORM,
     "param_count": (int, _NO_DEFAULT, _AT_LEAST_0),
 }
 _DATASET_META = {
     "format_version": (int, _NO_DEFAULT, _VERSION),
     "config_digest": (str, None, _DIGEST),
+    "data_digest": (str, None, _DIGEST),  # older directories lack it
     "n": (int, _NO_DEFAULT, _AT_LEAST_1),
     "sigma0": (float, _NO_DEFAULT, _AT_LEAST_0),
-    "vt": (dict, _NO_DEFAULT, None),
+    "vt": _TRANSFORM,
     "s_const": (float, 1.0, _one_of((1.0,))),  # older directories hold it
 }
 _SAMPLES_META = {
@@ -643,8 +672,7 @@ class Checkpoint:
         if self.vt.n != self._model.n:
             raise ValueError(f"vt has n = {self.vt.n}, arch has n = {self._model.n}")
         self.params, self.ema_params = self._model.params, self._model.ema_params
-        betas = linear_schedule(schedule["T"], schedule["beta1"], schedule["betaT"]).betas
-        self._schedule = DiffusionSchedule(betas, t_min_valid=schedule["t_min_valid"])
+        self._schedule = DiffusionSchedule(**schedule)
 
     def header(self) -> dict:
         return _checkpoint_header(self.arch, self.step_count, self.config_digest,
@@ -724,7 +752,7 @@ def _check_noise_floor(schedule: DiffusionSchedule, noise_var, source: str) -> N
         t_min_for_noise_var(schedule, noise_var)
     except InfeasibleScheduleError as exc:
         raise ConfigError(f"{source}: {exc} on a schedule with T = {schedule.T}, "
-                          f"betaT = {schedule.betas[-1]:.3g}") from exc
+                          f"betaT = {schedule.betaT:.3g}") from exc
 
 
 def _check_flag(flag: str, value, rule) -> None:
@@ -756,6 +784,7 @@ def cmd_gen_data(cfg: dict, out) -> Path:
     _write_json(out_path / "dataset.json", {
         "format_version": FORMAT_VERSION,
         "config_digest": config_digest(cfg),
+        "data_digest": _data_digest(cfg),
         "kind": cfg["data"]["kind"],
         "count": count,
         "holdout": cfg["data"]["holdout"],
@@ -767,17 +796,18 @@ def cmd_gen_data(cfg: dict, out) -> Path:
     return out_path
 
 
-def _load_dataset_dir(path: Path):
-    """A ``gen-data`` directory's measurements as ``(meta, ybar, masks, var)``,
-    with ``var`` the noise variance of every kept entry; ``clean.bin`` is left
-    to the one caller that reads it."""
+def _load_dataset_dir(path: Path, rows: int | None = None):
+    """A ``gen-data`` directory's measurements, all of them or only the first
+    ``rows``, which alone are then read and checked, as ``(meta, ybar, masks,
+    var)`` with ``var`` the noise variance of every kept entry; ``clean.bin``
+    is left to the one caller that reads it."""
     for name in ("dataset.json", "ybar.bin", "masks.bin"):
         if path.is_dir() and not (path / name).is_file():
             raise FormatError(f"{path}: gen-data directory lacks {name}")
     meta = _json_header((path / "dataset.json").read_bytes(), path, _DATASET_META,
                         "dataset.json")
-    ybar = read_tensor_file(path / "ybar.bin")
-    masks = read_tensor_file(path / "masks.bin")
+    ybar = _read_tensor(path / "ybar.bin", rows)
+    masks = _read_tensor(path / "masks.bin", rows)
     if ybar.ndim != 2 or ybar.shape != masks.shape or ybar.shape[1] != meta["n"]:
         raise FormatError(f"{path}: ybar {ybar.shape} and masks {masks.shape} "
                           f"must be equal-shaped 2-D arrays of n = {meta['n']} columns")
@@ -791,18 +821,24 @@ def _load_dataset_dir(path: Path):
 
 
 def _dataset(cfg: dict, measurements):
-    """Training data, its family and the digest in ``dataset.json``: read from
-    the gen-data directory ``measurements``, or simulated when that is None (no
-    digest); only the oracle reads the directory's ``clean.bin``, its target."""
+    """Training data, its family and the ``config_digest`` in ``dataset.json``:
+    read from the gen-data directory ``measurements``, which the config's
+    ``data`` and ``degradation`` sections must have written, or simulated when
+    that is None (no digest); only the oracle reads the directory's
+    ``clean.bin``, its target."""
     family = build_degradation_family(cfg)
     if measurements is None:
         signals = generate_signals(cfg["data"], cfg["data"]["count"],
                                    cfg["data"]["seed"])
         return precompute(signals, family, seed=cfg["data"]["seed"]), family, None
     meta, ybar, masks, var = _load_dataset_dir(Path(measurements))
-    if meta["n"] != family.n or meta["vt"] != family.vt.descriptor():
-        raise ConfigError(f"--measurements {measurements} does not match the "
-                          "configured degradation family")
+    if meta.get("data_digest") is None:
+        raise ConfigError(f"--measurements {measurements}: dataset.json records no "
+                          "data_digest; re-run gen-data to train on it")
+    # an external-binary source may have changed width since gen-data read it
+    if meta["data_digest"] != _data_digest(cfg) or meta["n"] != family.n:
+        raise ConfigError(f"--measurements {measurements} was not written from the "
+                          "configured data and degradation sections")
     clean_xbar = None
     if cfg["train"]["oracle_mode"]:
         clean_path = Path(measurements) / "clean.bin"
@@ -818,7 +854,7 @@ def _dataset(cfg: dict, measurements):
 def cmd_train(cfg: dict, out, measurements=None) -> Path:
     """Precompute measurements, or read them from the gen-data directory
     ``measurements``, run the training loop, persist the outcome."""
-    data, family, data_digest = _dataset(cfg, measurements)
+    data, family, measurements_digest = _dataset(cfg, measurements)
     schedule = build_schedule(cfg)
     _check_noise_floor(schedule, data.worst_noise_var(),
                        "degradation.sigma0" if measurements is None
@@ -829,14 +865,10 @@ def cmd_train(cfg: dict, out, measurements=None) -> Path:
     result = train(model, train_cfg, data, schedule)
 
     digest = config_digest(cfg)
-    sched_meta = {
-        "T": schedule.T,
-        "beta1": float(schedule.betas[0]),
-        "betaT": float(schedule.betas[-1]),
-        "t_min_valid": result.t_min_valid,
-    }
-    header = _checkpoint_header(model.arch(), train_cfg.iterations, digest, sched_meta,
-                                family.vt.descriptor(), model.param_count)
+    schedule = dataclasses.replace(schedule, t_min_valid=result.t_min_valid)
+    header = _checkpoint_header(model.arch(), train_cfg.iterations, digest,
+                                schedule.header(), family.vt.descriptor(),
+                                model.param_count)
     _write_checkpoint(out_path / "checkpoint.bin", header, model.params,
                       model.ema_params)
     write_csv(out_path / "metrics.csv",
@@ -845,7 +877,7 @@ def cmd_train(cfg: dict, out, measurements=None) -> Path:
                for r in result.metrics])
     _write_json(out_path / "run.json", {
         "config_digest": digest,
-        "measurements_config_digest": data_digest,
+        "measurements_config_digest": measurements_digest,
         "steps": train_cfg.iterations,
         "t_min_valid": result.t_min_valid,
     })
@@ -924,13 +956,13 @@ def cmd_reconstruct(checkpoint_path, measurements_dir, out,
     ckpt = load_checkpoint(checkpoint_path)
     model, schedule, vt = ckpt.model(), ckpt.rebuild_schedule(), ckpt.vt
     _check_steps(steps, schedule)
-    meta, ybar, masks, var = _load_dataset_dir(Path(measurements_dir))
+    meta, ybar, masks, var = _load_dataset_dir(Path(measurements_dir), limit)
     if meta["n"] != vt.n or meta["vt"] != ckpt.vt_descriptor:
         raise ConfigError(f"--measurements {measurements_dir}: n = {meta['n']}, vt = "
                           f"{meta['vt']} differ from the checkpoint's n = {vt.n}, "
                           f"vt = {ckpt.vt_descriptor}")
-    count = len(ybar) if limit is None else min(limit, len(ybar))
-    _check_noise_floor(schedule, var if masks[:count].any() else 0.0,
+    count = len(ybar)
+    _check_noise_floor(schedule, var if masks.any() else 0.0,
                        f"--measurements {measurements_dir}: sigma0")
     out_path = _out_dir(out)
     recons = np.empty((count, vt.n))

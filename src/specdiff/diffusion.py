@@ -34,7 +34,6 @@ __all__ = [
     "ddim_sample",
     "ddim_timesteps",
     "ddpm_sample",
-    "linear_schedule",
     "perturb_at",
     "perturb_batch",
     "reconstruct",
@@ -54,32 +53,42 @@ class InfeasibleTimestepError(ValueError):
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
-    """Beta sequence; ``alpha_bars`` is derived as the cumulative product of
-    ``1 - beta``."""
+    """The linear schedule: ``T`` betas from ``beta1`` to ``betaT``, endpoints
+    included, with ``alpha_bars`` their cumulative product of ``1 - beta``;
+    sampling stops at ``t_min_valid``. The arrays are derived from the four
+    numbers, which alone compare equal and make :meth:`header`."""
 
-    betas: np.ndarray
+    T: int
+    beta1: float
+    betaT: float
     t_min_valid: int = 1
-    alpha_bars: np.ndarray = field(init=False)
+    betas: np.ndarray = field(init=False, compare=False, repr=False)
+    alpha_bars: np.ndarray = field(init=False, compare=False, repr=False)
+    # abar_{t-1} at index t - 1, with the empty-product convention abar_0 = 1
+    _abars_prev: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=np.float64)
-        if betas.ndim != 1:
-            raise ValueError("betas must be 1-D")
-        if np.any(betas <= 0.0) or np.any(betas >= 1.0):
-            raise ValueError("betas must lie strictly inside (0, 1)")
+        if not 0.0 < self.beta1 <= self.betaT < 1.0:
+            raise ValueError(f"betas must satisfy 0 < beta1 <= betaT < 1, got "
+                             f"beta1 = {self.beta1}, betaT = {self.betaT}")
+        if not 1 <= self.t_min_valid <= self.T:
+            raise ValueError(f"t_min_valid = {self.t_min_valid} must lie in "
+                             f"[1, T = {self.T}]")
+        betas = np.linspace(self.beta1, self.betaT, self.T)
         abars = np.cumprod(1.0 - betas)
-        if np.any(np.diff(abars) >= 0.0):
-            raise ValueError("alpha_bars must be strictly decreasing")
-        if not 1 <= self.t_min_valid <= betas.shape[0]:
-            raise ValueError("t_min_valid out of range")
+        stalls = np.flatnonzero(np.diff(abars) >= 0.0)
+        if stalls.size:  # abar underflows, or 1 - beta rounds to 1
+            t = int(stalls[0]) + 2
+            raise ValueError(f"alpha_bars must be strictly decreasing, but abar_{t} "
+                             f"= abar_{t - 1} = {abars[t - 1]:.3g}")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "alpha_bars", abars)
-        # abar_{t-1} at index t - 1, with the empty-product convention abar_0 = 1
         object.__setattr__(self, "_abars_prev", np.concatenate([[1.0], abars[:-1]]))
 
-    @property
-    def T(self) -> int:
-        return self.betas.shape[0]
+    def header(self) -> dict:
+        """The four numbers, as a checkpoint header stores them."""
+        return {"T": self.T, "beta1": self.beta1, "betaT": self.betaT,
+                "t_min_valid": self.t_min_valid}
 
     def abar(self, t) -> np.ndarray | float:
         return self.alpha_bars[self._index(t)]
@@ -95,16 +104,6 @@ class DiffusionSchedule:
         if t.size and not (1 <= t.min() and t.max() <= self.T):
             raise ValueError(f"timestep out of range [1, {self.T}]")
         return t - 1
-
-
-def linear_schedule(T: int, beta1: float, betaT: float) -> DiffusionSchedule:
-    """Linearly interpolated betas, endpoints included."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if not 0.0 < beta1 <= betaT < 1.0:
-        raise ValueError("betas must satisfy 0 < beta1 <= betaT < 1")
-    betas = np.linspace(beta1, betaT, T)
-    return DiffusionSchedule(betas=betas)
 
 
 def timestep_rows(t, rows: int) -> np.ndarray:

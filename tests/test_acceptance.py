@@ -16,8 +16,8 @@ from specdiff.cli import (
     validate_config,
 )
 from specdiff.diffusion import (
+    DiffusionSchedule,
     ddim_sample,
-    linear_schedule,
     reconstruct,
     t_min_for_noise_var,
     zero_filled,
@@ -81,7 +81,7 @@ class TestCriterion1EstimatorUnbiasedness:
         started = time.perf_counter()
         n, draws = 2, 100_000
         sigma0 = 0.01
-        schedule = linear_schedule(1000, sigma0 ** 2, 0.2)
+        schedule = DiffusionSchedule(1000, sigma0 ** 2, 0.2)
         mu = np.array([0.3, -0.2])
         sd = np.array([0.9, 1.2])
         a = np.array([[0.6, -0.2], [0.1, 0.4]])
@@ -138,7 +138,7 @@ class TestCriterion2ProjectionIdentity:
     def test_weighted_projection_recovers_full_mse(self):
         started = time.perf_counter()
         draws = 100_000
-        schedule = linear_schedule(100, 1e-4, 0.2)
+        schedule = DiffusionSchedule(100, 1e-4, 0.2)
         c0 = np.array([0.4, -0.9])
         model = ConstantModel(c0)
         w = np.sqrt(2.0) * np.ones(2)
@@ -163,7 +163,7 @@ class TestCriterion2ProjectionIdentity:
 class TestCriterion3Hutchinson:
     def test_estimator_mean_matches_exact_trace(self):
         n = 8
-        schedule = linear_schedule(100, 1e-4, 0.2)
+        schedule = DiffusionSchedule(100, 1e-4, 0.2)
         model = Denoiser.create(n, hidden=(16,), emb_dim=8,
                                 rng=np.random.default_rng(4203))
         x = np.random.default_rng(4204).standard_normal(n)
@@ -208,7 +208,7 @@ class TestCriterion3Hutchinson:
 class TestCriterion4GradientIntegrity:
     def test_full_loss_gradient_matches_finite_differences(self):
         n = 8
-        schedule = linear_schedule(100, 1e-4, 0.2)
+        schedule = DiffusionSchedule(100, 1e-4, 0.2)
         model = Denoiser.create(n, hidden=(20, 20), emb_dim=8,
                                 mean_type="predict_epsilon",
                                 rng=np.random.default_rng(4208))
@@ -247,7 +247,7 @@ class TestCriterion4GradientIntegrity:
 class TestCriterion5PsdFeasibility:
     def test_feasibility_floor(self):
         sigma0 = 0.01
-        schedule = linear_schedule(1000, sigma0 ** 2, 0.2)
+        schedule = DiffusionSchedule(1000, sigma0 ** 2, 0.2)
         unit = SpectralDegradation(IdentityTransform(4), np.ones(4), sigma0)
         ok_unit = t_min_for_noise_var(schedule, unit.noise_var) == 1
 
@@ -269,7 +269,7 @@ class TestCriterion6MarginalLaw:
     def test_perturbation_marginal_moments(self):
         draws = 100_000
         sigma0 = 0.01
-        schedule = linear_schedule(1000, sigma0 ** 2, 0.2)
+        schedule = DiffusionSchedule(1000, sigma0 ** 2, 0.2)
         sing = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         deg = SpectralDegradation(IdentityTransform(5), sing, sigma0)
         xbar = np.array([0.8, -0.5, 0.3, -1.1, 0.9])
@@ -344,7 +344,7 @@ class TestCriterion7EndToEndParity:
         fam = DegradationFamily(IdentityTransform(256),
                                 PatchDropMasks(16, 16, 4, 0.2), 0.01)
         data = precompute(clean, fam, seed=102)
-        schedule = linear_schedule(1000, 1e-4, 0.2)
+        schedule = DiffusionSchedule(1000, 1e-4, 0.2)
         arch = dict(n=256, hidden=(256, 256, 256), emb_dim=32,
                     mean_type="predict_x", ema_decay=0.999)
         train_kw = dict(iterations=3000, batch_size=32, learning_rate=1e-3,
@@ -373,7 +373,7 @@ class TestCriterion7EndToEndParity:
         fam = DegradationFamily(IdentityTransform(2),
                                 PatchDropMasks(1, 2, 1, 0.5), 0.01)
         data = precompute(clean, fam, seed=202)
-        schedule = linear_schedule(100, 1e-4, 0.2)
+        schedule = DiffusionSchedule(100, 1e-4, 0.2)
         arch = dict(n=2, hidden=(128, 128, 128), emb_dim=16,
                     mean_type="predict_x", ema_decay=0.999)
         train_kw = dict(iterations=20000, batch_size=64, learning_rate=5e-4,
@@ -469,7 +469,7 @@ class TestCriterion10ReconstructionSanity:
         from test_operators import random_orthogonal
 
         rng = np.random.default_rng(4213)
-        schedule = linear_schedule(200, 1e-4, 0.2)
+        schedule = DiffusionSchedule(200, 1e-4, 0.2)
 
         # zero-filled baseline is exactly the inverse transform of ybar
         from specdiff.operators import RealDFTTransform

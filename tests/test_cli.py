@@ -55,10 +55,15 @@ DIGEST = "0123456789abcdef" * 4
 
 
 def schema_rows(table=cli._SCHEMA, prefix=""):
-    """Each config key's dotted name and its ``(type, default, rule)`` row."""
+    """Each config key's dotted name and its ``(type, default, rule)`` row; a
+    tagged section's tag row comes first, then each table's rows."""
     for key, row in table.items():
         if isinstance(row, dict):
             yield from schema_rows(row, f"{prefix}{key}.")
+        elif isinstance(row, cli.Tagged):
+            yield f"{prefix}{key}.{row.tag}", row.tag_row
+            for rows in row.tables.values():
+                yield from schema_rows(rows, f"{prefix}{key}.")
         else:
             yield prefix + key, row
 
@@ -115,6 +120,8 @@ def read_artifact(kind, key, value):
     """The document of ``kind`` with the dotted ``key`` set to ``value``, read
     through its rows."""
     table, doc = ARTIFACT_TABLES[kind]
+    if key == "vt.lines":  # a row of the real_dft transform's table
+        doc = {**doc, "vt": {"kind": "real_dft", "lines": 1}}
     raw = json.dumps(config_with(key, value, doc)).encode()
     return cli._json_header(raw, "dir", table, kind)
 
@@ -216,6 +223,17 @@ class TestTensorFiles:
                 got = cli._read_tensor(path, rows, start)
                 assert got.tobytes() == whole[start:start + rows].tobytes()
                 assert got.shape == whole[start:start + rows].shape
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, tmp_path, value):
+        # in the rows read; a row after them is neither read nor checked
+        arr = np.ones((4, 2))
+        arr[2, 1] = value
+        path = tmp_path / "a.bin"
+        write_tensor_file(path, arr)
+        with pytest.raises(FormatError, match="a.bin: non-finite values"):
+            read_tensor_file(path)
+        assert cli._read_tensor(path, 2).tobytes() == arr[:2].tobytes()
 
     def test_first_rows_read_alone(self, tmp_path):
         # one row of a 2 MB file allocates one row, not the file
@@ -391,6 +409,8 @@ class TestConfig:
                              ids=[where for where, _ in INTERVAL_ROWS])
     def test_interval_rows_hold_at_and_reject_past_their_bounds(self, where, row):
         types, _, rule = row
+        # at the default betaT, abar underflows long before 2**20 steps
+        base = config_with("schedule.betaT", 1e-4) if where == "schedule.T" else MINIMAL
         for bound, is_open, up in ((rule.lo, rule.open_lo, False),
                                    (rule.hi, rule.open_hi, True)):
             if bound == float("inf"):
@@ -398,11 +418,11 @@ class TestConfig:
             if is_open:
                 outside = bound
             else:
-                validate_config(config_with(where, bound))
+                validate_config(config_with(where, bound, base))
                 outside = bound + (1 if up else -1) if types is int \
                     else float(np.nextafter(bound, np.inf if up else -np.inf))
             with pytest.raises(ConfigError, match=re.escape(where)):
-                validate_config(config_with(where, outside))
+                validate_config(config_with(where, outside, base))
 
     @pytest.mark.parametrize("table", [cli._SCHEMA] + [
         table for table, _ in ARTIFACT_TABLES.values()], ids=["config", *ARTIFACT_TABLES])
@@ -449,6 +469,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"schedule\.beta1"):
             validate_config({"data": {"kind": "two-deltas", "count": 1, "seed": 0},
                              "train": {"seed": 0}, "degradation": {"sigma0": 0.5}})
+
+    def test_schedule_that_underflows_rejected_before_output(self, tmp_path):
+        # from 1e-4 to 0.2 over 6920 steps, abar stops decreasing at its last
+        # step; train used to make --out and then raise a bare ValueError
+        raw = json.loads((ROOT / "configs" / "two_deltas.json").read_text())
+        raw["schedule"]["T"] = 6920
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=r"schedule\.T = 6920, .* schedule\.betaT"
+                                              r" = 0\.2 build no schedule"):
+            load_config(path)
+        with pytest.raises(ConfigError, match=r"schedule\.T"):
+            main(["train", "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+        raw["schedule"]["T"] = 6919
+        path.write_text(json.dumps(raw))
+        assert load_config(path)["schedule"]["T"] == 6919
 
     def test_validated_defaults_are_copies(self):
         raw = {"data": {"kind": "two-deltas", "count": 1, "seed": 0},
@@ -545,6 +582,21 @@ class TestArtifactTables:
                                                         "unknown keys ['spam']")):
             read_artifact("header", f"{section}.spam", 1)
 
+    @pytest.mark.parametrize("vt, named", [
+        ({"kind": "identity", "n": 2.0}, "vt.n: expected int, got float"),
+        ({"kind": "real_dft", "lines": 0}, "vt.lines must be >= 1"),
+        ({"kind": "identity", "n": 2.0, "extra": [1]}, "vt: unknown keys ['extra']"),
+        ({"kind": "real_dft", "n": 2}, "vt: unknown keys ['n']"),
+        ({"kind": "fourier", "n": 2}, "vt.kind must be one of ('identity', 'real_dft')"),
+        ({"n": 2}, "vt: missing required key 'kind'"),
+        ("identity", "vt must be an object"),
+    ], ids=["float-n", "zero-lines", "extra-key", "key-of-another-kind",
+            "unknown-kind", "no-kind", "not-an-object"])
+    @pytest.mark.parametrize("kind", ["header", "dataset.json"])
+    def test_transform_descriptor_typed_by_its_kind(self, kind, vt, named):
+        with pytest.raises(FormatError, match=re.escape(f"dir: {kind}.{named}")):
+            read_artifact(kind, "vt", vt)
+
     @pytest.mark.parametrize("kind", ARTIFACT_TABLES)
     def test_document_is_read_as_it_stands(self, kind):
         # other top-level keys are ignored, and no default or int-to-float
@@ -618,6 +670,19 @@ class TestSignals:
             with pytest.raises(ConfigError, match=f"ext.bin: .* {count + start} rows"):
                 generate_signals({"kind": "external-binary", "path": str(src)},
                                  count, seed=0, start=start)
+
+    def test_external_binary_with_a_non_finite_entry_rejected(self, tmp_path):
+        rows = np.ones((8, 3))
+        rows[1, 2] = np.inf
+        src = tmp_path / "ext.bin"
+        write_tensor_file(src, rows)
+        cfg = validate_config({"data": {"kind": "external-binary", "count": 4,
+                                        "seed": 0, "path": str(src)},
+                               "train": {"seed": 0}})
+        for cmd in (cmd_gen_data, cmd_train):
+            with pytest.raises(FormatError, match="ext.bin: non-finite values"):
+                cmd(cfg, tmp_path / "out")
+            assert not (tmp_path / "out").exists()
 
     def test_external_binary_of_wrong_rank_rejected(self, tmp_path):
         src = tmp_path / "ext.bin"
@@ -721,20 +786,30 @@ class TestCheckpoints:
                          "--checkpoint-b", ckpt, "--samples-a", samples,
                          "--samples-b", samples]}[command]
         counts = collections.Counter()
-        from_arch, linear_schedule = Denoiser.from_arch.__func__, cli.linear_schedule
+        from_arch, schedule = Denoiser.from_arch.__func__, cli.DiffusionSchedule
 
         def counted_model(cls, *args):
             counts["model"] += 1
             return from_arch(cls, *args)
 
-        def counted_schedule(*args):
+        def counted_schedule(*args, **kwargs):
             counts["schedule"] += 1
-            return linear_schedule(*args)
+            return schedule(*args, **kwargs)
 
         monkeypatch.setattr(Denoiser, "from_arch", classmethod(counted_model))
-        monkeypatch.setattr(cli, "linear_schedule", counted_schedule)
+        monkeypatch.setattr(cli, "DiffusionSchedule", counted_schedule)
         main(argv + ["--out", str(tmp_path / "out")])
-        assert counts == {"model": builds, "schedule": builds}
+        # eval's load_config builds the config's schedule once, to check it
+        configs = command == "eval"
+        assert counts == {"model": builds, "schedule": builds + configs}
+
+    def test_train_header_records_the_configured_schedule(self, tmp_path):
+        # at T = 1 the one beta is beta1; the header used to store it as betaT
+        cfg = two_deltas_config(iterations=2)
+        cfg["schedule"]["T"] = 1
+        run = cmd_train(cfg, tmp_path / "run")
+        schedule = load_checkpoint(run / "checkpoint.bin").schedule
+        assert schedule == {"T": 1, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1}
 
     def test_train_saves_without_a_checkpoint_object(self, tmp_path, monkeypatch):
         # train writes its model's header and vectors as they are; the file
@@ -827,15 +902,20 @@ class TestCheckpoints:
         ("schedule", {"T": 10, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": True}),
         ("arch", {"n": 2, "hidden": [4], "emb_dim": 8.0, "mean_type": "predict_x",
                   "ema_decay": 0.99}),
+        ("vt", {"kind": "identity", "n": 2.0}),
+        ("vt", {"kind": "identity", "n": 2, "extra": [1]}),
+        ("schedule", {"T": 7000, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1}),
     ], ids=["arch-no-n", "arch-str", "arch-hidden-vs-params", "arch-nonlin",
             "schedule-no-T", "schedule-bad-beta", "vt-no-kind", "vt-unknown-kind",
             "step-float", "step-negative", "step-bool", "step-str", "version-newer",
-            "version-str", "schedule-t-min-bool", "arch-emb-dim-float"])
+            "version-str", "schedule-t-min-bool", "arch-emb-dim-float", "vt-float-n",
+            "vt-extra-key", "schedule-underflows"])
     def test_bad_header_content_rejected(self, tmp_path, field, value):
         # well-formed JSON whose arch, schedule or vt cannot be rebuilt, whose
         # step count is not a non-negative integer, whose format_version is
-        # not an integer no newer than the reader's, or whose arch or schedule
-        # breaks a row (a boolean t_min_valid, a float emb_dim)
+        # not an integer no newer than the reader's, or whose arch, schedule or
+        # vt breaks a row (a boolean t_min_valid, a float emb_dim or vt.n, a
+        # key the vt kind does not name)
         path = tmp_path / "c.bin"
         changes = {field: value}
         if field == "schedule":
@@ -987,8 +1067,11 @@ class TestDatasetDirectory:
         ("s_const", None),
         ("s_const", 0),
         ("s_const", 2.0),
+        ("data_digest", "abc"),
+        ("vt", {"kind": "identity", "n": 2, "extra": 1}),
     ], ids=["version-str", "version-newer", "n-str", "n-vs-columns", "sigma0-str",
-            "sigma0-negative", "s_const-null", "s_const-zero", "s_const-two"])
+            "sigma0-negative", "s_const-null", "s_const-zero", "s_const-two",
+            "data-digest-abc", "vt-extra-key"])
     def test_bad_sidecar_field_rejected(self, data_cfg, data_dir, tmp_path, field,
                                         value):
         sidecar = data_dir / "dataset.json"
@@ -1015,6 +1098,52 @@ class TestDatasetDirectory:
                 cmd_reconstruct(ckpt, data_dir, out, steps=4, seed=1)
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "seed", 10), ("data", "count", 64), ("degradation", "sigma0", 0.3),
+        ("degradation", "p", 0.1)], ids=["seed", "count", "sigma0", "p"])
+    def test_directory_of_another_config_rejected_before_output(
+            self, data_cfg, data_dir, tmp_path, section, key, value):
+        # train used to take the directory's masks and noise under this
+        # config's weights and digest
+        data_cfg[section][key] = value
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match="not written from the configured data "
+                                              "and degradation"):
+            cmd_train(validate_config(data_cfg), out, data_dir)
+        assert not out.exists()
+
+    def test_directory_without_data_digest(self, data_cfg, data_dir, tmp_path):
+        # written before gen-data recorded the digest: it still reconstructs,
+        # and train asks for it to be written again
+        sidecar = data_dir / "dataset.json"
+        meta = json.loads(sidecar.read_text())
+        del meta["data_digest"]
+        sidecar.write_text(json.dumps(meta))
+        ckpt = cmd_train(data_cfg, tmp_path / "run") / "checkpoint.bin"
+        rec = cmd_reconstruct(ckpt, data_dir, tmp_path / "rec", steps=4, seed=1, limit=2)
+        assert read_tensor_file(rec / "recon.bin").shape == (2, 2)
+        with pytest.raises(ConfigError, match="re-run gen-data"):
+            cmd_train(data_cfg, tmp_path / "out", data_dir)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "reconstruct"])
+    def test_non_finite_measurement_rejected_before_output(self, data_cfg, data_dir,
+                                                           tmp_path, command):
+        # train used to raise TrainingDiverged at step 1, and reconstruct
+        # NonFiniteError, each once its output directory was made
+        ybar = read_tensor_file(data_dir / "ybar.bin")
+        masks = read_tensor_file(data_dir / "masks.bin")
+        ybar[tuple(np.argwhere(masks == 1.0)[0])] = np.nan
+        self.rewrite(data_dir, "ybar.bin", ybar)
+        out = tmp_path / "out"
+        with pytest.raises(FormatError, match="ybar.bin: non-finite values"):
+            if command == "train":
+                cmd_train(data_cfg, out, data_dir)
+            else:
+                ckpt = cmd_train(data_cfg, tmp_path / "run") / "checkpoint.bin"
+                cmd_reconstruct(ckpt, data_dir, out, steps=4, seed=1)
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["dataset.json", "ybar.bin", "masks.bin"])
     def test_missing_member_rejected(self, data_cfg, data_dir, tmp_path, name):
         (data_dir / name).unlink()
@@ -1022,27 +1151,22 @@ class TestDatasetDirectory:
             cmd_train(data_cfg, tmp_path / "run", data_dir)
 
     @pytest.mark.parametrize("command, reads", [
-        ("reconstruct", ["ybar.bin", "masks.bin"]),
-        ("train", ["ybar.bin", "masks.bin"]),
-        ("oracle", ["ybar.bin", "masks.bin", "clean.bin"])],
+        ("reconstruct", {"ybar.bin": 1, "masks.bin": 1}),
+        ("train", {"ybar.bin": 128, "masks.bin": 128}),
+        ("oracle", {"ybar.bin": 128, "masks.bin": 128, "clean.bin": 128})],
         ids=["reconstruct", "train", "oracle"])
     def test_clean_signals_read_only_by_the_oracle(self, data_cfg, data_dir, tmp_path,
                                                    monkeypatch, command, reads):
+        # and reconstruct --limit reads only the rows it reconstructs
         ckpt = cmd_train(data_cfg, tmp_path / "run", data_dir) / "checkpoint.bin"
         data_cfg["train"]["oracle_mode"] = command == "oracle"
-        seen = []
-
-        def counting_read(path):
-            seen.append(Path(path).name)
-            return read_tensor_file(path)
-
-        monkeypatch.setattr(cli, "read_tensor_file", counting_read)
+        counts = rows_read(monkeypatch)
         if command == "reconstruct":
             cmd_reconstruct(ckpt, data_dir, tmp_path / "rec",
                             steps=4, seed=1, limit=1)
         else:
             cmd_train(data_cfg, tmp_path / "out", data_dir)
-        assert seen == reads
+        assert counts == reads
 
     def test_oracle_training_without_clean_signals_rejected(self, data_cfg, data_dir,
                                                             tmp_path):
@@ -1871,6 +1995,18 @@ class TestEvalInputs:
         write_tensor_file(paths[0], a)
         write_tensor_file(paths[1], b)
         with pytest.raises(ConfigError, match=f"{flag} .* not a non-empty 2-D array"):
+            self.run_eval(tmp_path, ["distribution_distance"],
+                          ["--samples-a", paths[0], "--samples-b", paths[1]])
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_samples_rejected(self, tmp_path):
+        # eval used to write nan,nan,nan into distance.csv
+        a = np.ones((3, 2))
+        a[1, 0] = np.nan
+        paths = [str(tmp_path / "a.bin"), str(tmp_path / "b.bin")]
+        write_tensor_file(paths[0], a)
+        write_tensor_file(paths[1], np.ones((3, 2)))
+        with pytest.raises(FormatError, match="a.bin: non-finite values"):
             self.run_eval(tmp_path, ["distribution_distance"],
                           ["--samples-a", paths[0], "--samples-b", paths[1]])
         assert not (tmp_path / "out").exists()

@@ -12,7 +12,6 @@ from specdiff.diffusion import (
     ddim_sample,
     ddim_timesteps,
     ddpm_sample,
-    linear_schedule,
     perturb_at,
     perturb_batch,
     reconstruct,
@@ -69,52 +68,74 @@ def full_measurement(ybar, noise_var):
 
 class TestSchedules:
     def test_full_scale_schedule(self):
-        s = linear_schedule(1000, 1e-4, 0.2)
+        s = DiffusionSchedule(1000, 1e-4, 0.2)
         assert s.T == 1000
         assert s.betas[0] == 1e-4 and s.betas[-1] == 0.2
         assert s.alpha_bars[-1] < 1e-40  # essentially pure noise at T
 
     def test_single_step(self):
-        s = linear_schedule(1, 0.1, 0.1)
+        s = DiffusionSchedule(1, 0.1, 0.1)
         assert s.abar(1) == pytest.approx(0.9)
 
     def test_hand_cumprod(self):
-        s = linear_schedule(3, 0.1, 0.3)
+        s = DiffusionSchedule(3, 0.1, 0.3)
         np.testing.assert_allclose(s.betas, [0.1, 0.2, 0.3])
         np.testing.assert_allclose(s.alpha_bars, [0.9, 0.72, 0.504])
 
     def test_ordering_violations(self):
         with pytest.raises(ValueError):
-            linear_schedule(10, 0.2, 0.1)
+            DiffusionSchedule(10, 0.2, 0.1)
         with pytest.raises(ValueError):
-            linear_schedule(10, 0.0, 0.1)
+            DiffusionSchedule(10, 0.0, 0.1)
         with pytest.raises(ValueError):
-            linear_schedule(10, 0.1, 1.0)
+            DiffusionSchedule(10, 0.1, 1.0)
 
     def test_alpha_bars_derived_from_betas(self):
         betas = np.linspace(1e-4, 0.2, 100)
         want = np.cumprod(1.0 - betas).tobytes()
-        s = DiffusionSchedule(betas=betas)
-        assert s.alpha_bars.tobytes() == want
+        s = DiffusionSchedule(100, 1e-4, 0.2)
+        assert s.betas.tobytes() == betas.tobytes() and s.alpha_bars.tobytes() == want
         moved = dataclasses.replace(s, t_min_valid=7)
         assert moved.t_min_valid == 7 and moved.alpha_bars.tobytes() == want
-        assert linear_schedule(100, 1e-4, 0.2).alpha_bars.tobytes() == want
-        with pytest.raises(TypeError):
-            DiffusionSchedule(betas=betas, alpha_bars=np.cumprod(1.0 - betas))
+        assert moved.betas.tobytes() == betas.tobytes()
+        for derived in ("betas", "alpha_bars", "_abars_prev"):
+            with pytest.raises(TypeError):
+                DiffusionSchedule(100, 1e-4, 0.2, **{derived: betas})
         # 1 - 1e-17 rounds to 1.0, so the derived abar does not decrease
         with pytest.raises(ValueError, match="strictly decreasing"):
-            DiffusionSchedule(betas=np.array([1e-17, 1e-17]))
+            DiffusionSchedule(2, 1e-17, 1e-17)
+        # and at T = 6920 from 1e-4 to 0.2, abar underflows to a subnormal
+        # that the last 1 - beta leaves as it is
+        with pytest.raises(ValueError, match="abar_6920 = abar_6919 = 9.88e-324"):
+            DiffusionSchedule(6920, 1e-4, 0.2)
+        DiffusionSchedule(6919, 1e-4, 0.2)
+
+    @pytest.mark.parametrize("t_min_valid", [0, 11])
+    def test_t_min_valid_lies_in_the_schedule(self, t_min_valid):
+        with pytest.raises(ValueError, match=r"t_min_valid = \d+ must lie in \[1, T = 10\]"):
+            DiffusionSchedule(10, 0.1, 0.3, t_min_valid)
+
+    @pytest.mark.parametrize("args", [(100, 1e-4, 0.2, 4), (1, 0.1, 0.3, 1)],
+                             ids=["T=100", "T=1"])
+    def test_header_rebuilds_the_schedule(self, args):
+        s = DiffusionSchedule(*args)
+        header = s.header()
+        # the four numbers as given: at T = 1 the one beta is beta1, and the
+        # header still records the configured betaT
+        assert header == dict(zip(("T", "beta1", "betaT", "t_min_valid"), args))
+        rebuilt = DiffusionSchedule(**header)
+        assert rebuilt == s and rebuilt.betas.tobytes() == s.betas.tobytes()
 
     @pytest.mark.parametrize("t", [0, 11])
     @pytest.mark.parametrize("wrap", [int, np.int64, lambda t: np.array([3, t])],
                              ids=["int", "int64", "array"])
     def test_lookups_reject_out_of_range(self, t, wrap):
-        s = linear_schedule(10, 0.1, 0.3)
+        s = DiffusionSchedule(10, 0.1, 0.3)
         with pytest.raises(ValueError, match=r"\[1, 10\]"):
             s.abar(wrap(t))
 
     def test_scalar_and_array_lookups_agree(self):
-        s = linear_schedule(10, 0.1, 0.3)
+        s = DiffusionSchedule(10, 0.1, 0.3)
         ts = np.arange(1, 11)
         want = s.abar(ts)
         assert want.tobytes() == s.alpha_bars.tobytes()
@@ -130,7 +151,7 @@ class TestSchedules:
 
     def test_abar_prev_convention(self):
         # the reverse loop's abar_{t-1} table, with abar_0 = 1
-        s = linear_schedule(3, 0.1, 0.3)
+        s = DiffusionSchedule(3, 0.1, 0.3)
         assert s._abars_prev[0] == 1.0
         assert s._abars_prev[1:].tobytes() == s.alpha_bars[:-1].tobytes()
         assert s._abars_prev[2] == pytest.approx(0.72)
@@ -138,21 +159,21 @@ class TestSchedules:
 
 class TestFeasibility:
     def test_noiseless_always_feasible(self):
-        s = linear_schedule(100, 1e-4, 0.2)
+        s = DiffusionSchedule(100, 1e-4, 0.2)
         deg = SpectralDegradation(IdentityTransform(4), np.ones(4), 0.0)
         assert t_min_for_noise_var(s, deg.noise_var) == 1
 
     def test_matched_beta1_feasible_at_one(self):
         # beta1 = sigma0^2 makes t = 1 feasible for unit singular values
         sigma0 = 0.01
-        s = linear_schedule(1000, sigma0 ** 2, 0.2)
+        s = DiffusionSchedule(1000, sigma0 ** 2, 0.2)
         deg = SpectralDegradation(IdentityTransform(4), np.ones(4), sigma0)
         assert t_min_for_noise_var(s, deg.noise_var) == 1
         assert (1 - s.abar(1)) - s.abar(1) * sigma0 ** 2 >= 0
 
     def test_small_singular_scan_matches_closed_form(self):
         sigma0 = 0.01
-        s = linear_schedule(1000, sigma0 ** 2, 0.2)
+        s = DiffusionSchedule(1000, sigma0 ** 2, 0.2)
         sing = np.array([1.0, 0.1, 1.0])
         deg = SpectralDegradation(IdentityTransform(3), sing, sigma0)
         t_min = t_min_for_noise_var(s, deg.noise_var)
@@ -164,7 +185,7 @@ class TestFeasibility:
 
     def test_feasibility_monotone(self):
         sigma0 = 0.05
-        s = linear_schedule(200, 1e-4, 0.2)
+        s = DiffusionSchedule(200, 1e-4, 0.2)
         deg = SpectralDegradation(IdentityTransform(2), np.array([1.0, 0.2]), sigma0)
         t_min = t_min_for_noise_var(s, deg.noise_var)
         nu = deg.noise_var.max()
@@ -173,7 +194,7 @@ class TestFeasibility:
         assert feas[t_min - 1:].all()
 
     def test_infeasible_schedule_raises(self):
-        s = linear_schedule(5, 1e-6, 2e-6)
+        s = DiffusionSchedule(5, 1e-6, 2e-6)
         deg = SpectralDegradation(IdentityTransform(2), np.ones(2), 1.0)
         with pytest.raises(InfeasibleScheduleError):
             t_min_for_noise_var(s, deg.noise_var)
@@ -184,7 +205,7 @@ class TestFeasibility:
         (np.zeros((0, 3)), 1),
     ])
     def test_array_floor_is_that_of_its_largest_entry(self, noise_var, t_min):
-        s = linear_schedule(200, 1e-4, 0.2)
+        s = DiffusionSchedule(200, 1e-4, 0.2)
         worst = float(noise_var.max(initial=0.0))  # the plain-float path
         assert t_min_for_noise_var(s, noise_var) == t_min
         assert t_min_for_noise_var(s, worst) == t_min
@@ -192,7 +213,7 @@ class TestFeasibility:
 
 class TestPerturb:
     def test_noiseless_full_mask_is_standard_forward(self):
-        s = linear_schedule(50, 1e-3, 0.2)
+        s = DiffusionSchedule(50, 1e-3, 0.2)
         ybar = np.array([0.5, -1.0, 2.0])
         m = full_measurement(ybar, np.zeros(3))
         t = 20
@@ -204,7 +225,7 @@ class TestPerturb:
 
     def test_masked_entry_marginal(self):
         # masked coordinate: mean 0, variance 1 - abar_t
-        s = linear_schedule(100, 1e-4, 0.2)
+        s = DiffusionSchedule(100, 1e-4, 0.2)
         t, draws = 60, 100_000
         mask = np.array([True, False])
         ybar = np.array([0.7, 0.0])
@@ -218,7 +239,7 @@ class TestPerturb:
     def test_kept_entry_variance_bookkeeping(self):
         # measurement noise + top-up noise = 1 - abar_t in total
         sigma0, t, draws = 0.05, 40, 100_000
-        s = linear_schedule(100, sigma0 ** 2, 0.3)
+        s = DiffusionSchedule(100, sigma0 ** 2, 0.3)
         deg = SpectralDegradation(IdentityTransform(2), np.ones(2), sigma0)
         x = np.array([0.4, -0.6])
         rng = np.random.default_rng(4)
@@ -232,7 +253,7 @@ class TestPerturb:
         assert np.all(np.abs(rows.var(0) - v) <= 3 * v * np.sqrt(2.0 / draws))
 
     def test_batch_is_the_draw_at_its_abar_column(self):
-        s = linear_schedule(100, 1e-4, 0.2)
+        s = DiffusionSchedule(100, 1e-4, 0.2)
         rng = np.random.default_rng(6)
         ybar = rng.standard_normal((5, 3))
         nv = np.tile([1e-3, 0.0, 4e-4], (5, 1))
@@ -242,7 +263,7 @@ class TestPerturb:
         np.testing.assert_array_equal(got, want)
 
     def test_below_feasibility_raises(self):
-        s = linear_schedule(1000, 1e-4, 0.2)
+        s = DiffusionSchedule(1000, 1e-4, 0.2)
         nv = np.full(2, 1e-2)  # needs t around 10, not 1
         m = Measurement(ybar=np.array([1.0, 2.0]), mask=np.ones(2, dtype=bool),
                         noise_var=nv)
@@ -253,7 +274,7 @@ class TestPerturb:
 
 class TestDdim:
     def test_deterministic_at_eta_zero(self):
-        s = linear_schedule(100, 1e-4, 0.2)
+        s = DiffusionSchedule(100, 1e-4, 0.2)
         vt = IdentityTransform(3)
         model = ShrinkDenoiser()
         a = ddim_sample(model, s, 10, 0.0, np.random.default_rng(5), vt)
@@ -261,7 +282,7 @@ class TestDdim:
         assert np.array_equal(a, b)
 
     def test_zero_denoiser_closed_form_trajectory(self):
-        s = linear_schedule(100, 1e-3, 0.2)
+        s = DiffusionSchedule(100, 1e-3, 0.2)
         vt = IdentityTransform(2)
         model = RecordingZeroDenoiser()
         ddim_sample(model, s, 7, 0.0, np.random.default_rng(6), vt)
@@ -275,14 +296,14 @@ class TestDdim:
 
     @pytest.mark.parametrize("steps", [10, 20, 50, 100])
     def test_step_grids_accepted(self, steps):
-        s = linear_schedule(1000, 1e-4, 0.2)
+        s = DiffusionSchedule(1000, 1e-4, 0.2)
         out = ddim_sample(ZeroDenoiser(), s, steps, 0.0,
                           np.random.default_rng(0), IdentityTransform(2))
         assert out.shape == (1, 2)
         assert np.all(np.isfinite(out))
 
     def test_timestep_grid_endpoints(self):
-        s = linear_schedule(1000, 1e-4, 0.2)
+        s = DiffusionSchedule(1000, 1e-4, 0.2)
         ts = ddim_timesteps(s, 10)
         assert ts[0] == 1000 and ts[-1] == 1
         assert np.all(np.diff(ts) < 0)
@@ -290,14 +311,14 @@ class TestDdim:
 
 class TestDdpm:
     def test_single_step_returns_denoised_point(self):
-        s = linear_schedule(1, 0.1, 0.1)
+        s = DiffusionSchedule(1, 0.1, 0.1)
         point = np.array([1.5, -2.0])
         out = ddpm_sample(ConstantDenoiser(point), s, np.random.default_rng(1),
                           IdentityTransform(2))
         np.testing.assert_allclose(out[0], point, rtol=0, atol=0)
 
     def test_sampling_is_stochastic(self):
-        s = linear_schedule(30, 1e-3, 0.2)
+        s = DiffusionSchedule(30, 1e-3, 0.2)
         vt = IdentityTransform(2)
         model = ShrinkDenoiser()
         rng = np.random.default_rng(2)
@@ -306,7 +327,7 @@ class TestDdpm:
 
     def test_moments_match_ddim_eta_one(self):
         # ancestral sampling vs the eta = 1 strided sampler run at full length
-        s = linear_schedule(60, 1e-4, 0.05)
+        s = DiffusionSchedule(60, 1e-4, 0.05)
         vt = IdentityTransform(2)
         model = ShrinkDenoiser(s2=1.0)
         n = 1000
@@ -326,7 +347,7 @@ class TestReconstruct:
         x = rng.standard_normal(6)
         deg = SpectralDegradation(vt, np.ones(6), 0.0)
         m = corrupt_spectral(x, deg, rng)
-        s = linear_schedule(100, 1e-4, 0.2)
+        s = DiffusionSchedule(100, 1e-4, 0.2)
         out = reconstruct(ShrinkDenoiser(), s, m, 20, np.random.default_rng(4), vt)
         np.testing.assert_allclose(out, x, rtol=0, atol=1e-6)
         np.testing.assert_allclose(zero_filled(m, vt), x, rtol=0, atol=1e-12)
@@ -339,7 +360,7 @@ class TestReconstruct:
         deg = SpectralDegradation(vt, sing, 0.0)
         x = rng.standard_normal(n)
         m = corrupt_spectral(x, deg, rng)
-        s = linear_schedule(100, 1e-4, 0.2)
+        s = DiffusionSchedule(100, 1e-4, 0.2)
         out = reconstruct(ShrinkDenoiser(), s, m, 25, np.random.default_rng(6), vt)
         np.testing.assert_allclose(vt.apply(out)[m.mask], m.ybar[m.mask],
                                    rtol=0, atol=1e-10)
@@ -356,7 +377,7 @@ class TestReconstruct:
                                 mean_type="predict_epsilon", rng=rng)
         m = Measurement(ybar=np.zeros(n), mask=np.zeros(n, dtype=bool),
                         noise_var=np.zeros(n))
-        s = linear_schedule(100, 1e-4, 0.2)
+        s = DiffusionSchedule(100, 1e-4, 0.2)
         rec = reconstruct(model, s, m, 20, np.random.default_rng(10), vt, eta=eta)
         ddim = ddim_sample(model, s, 20, eta, np.random.default_rng(10), vt)
         assert rec.tobytes() == ddim[0].tobytes()
@@ -364,7 +385,7 @@ class TestReconstruct:
     @pytest.mark.parametrize("eta", [-0.1, 1.5])
     def test_eta_outside_unit_interval_rejected(self, eta):
         # reconstruct and DDIM sampling share one step and its check of eta
-        s = linear_schedule(100, 1e-4, 0.2)
+        s = DiffusionSchedule(100, 1e-4, 0.2)
         vt = IdentityTransform(2)
         m = Measurement(ybar=np.array([1.0, 0.0]), mask=np.array([True, False]),
                         noise_var=np.zeros(2))
@@ -378,7 +399,7 @@ class TestReconstruct:
         rng = np.random.default_rng(7)
         n = 8
         vt = IdentityTransform(n)
-        s = linear_schedule(200, 1e-4, 0.2)
+        s = DiffusionSchedule(200, 1e-4, 0.2)
         x = rng.standard_normal(n)
         for kept in (6, 4, 2):
             sing = np.zeros(n)
@@ -439,7 +460,7 @@ class TestSamplingPlan:
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("eta", [0.0, 0.85])
     def test_ddim_equals_per_step_loop(self, rows, eta):
-        s, vt, model = linear_schedule(100, 1e-4, 0.2), IdentityTransform(5), self.net()
+        s, vt, model = DiffusionSchedule(100, 1e-4, 0.2), IdentityTransform(5), self.net()
         got = ddim_sample(model, s, 17, eta, np.random.default_rng(12), vt, count=rows)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((rows, 5))
@@ -448,7 +469,7 @@ class TestSamplingPlan:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_ddpm_equals_per_step_loop(self, rows):
-        s = dataclasses.replace(linear_schedule(60, 1e-4, 0.2), t_min_valid=4)
+        s = dataclasses.replace(DiffusionSchedule(60, 1e-4, 0.2), t_min_valid=4)
         model = self.net(mean_type="predict_epsilon")
         got = ddpm_sample(model, s, np.random.default_rng(13), IdentityTransform(5),
                           count=rows)
@@ -466,7 +487,7 @@ class TestSamplingPlan:
         model = self.net()
         deg = SpectralDegradation(vt, np.array([1.0, 0.0, 1.0, 1.0, 0.0]), sigma0)
         m = corrupt_spectral(rng.standard_normal(n), deg, rng)
-        s = linear_schedule(100, 1e-4, 0.2)
+        s = DiffusionSchedule(100, 1e-4, 0.2)
         got = reconstruct(model, s, m, 23, np.random.default_rng(15), vt, eta=eta)
         sched = dataclasses.replace(s, t_min_valid=t_min_for_noise_var(s, m.noise_var))
         assert sched.t_min_valid > 1 if sigma0 else sched.t_min_valid == 1
@@ -478,7 +499,7 @@ class TestSamplingPlan:
         assert np.array_equal(got, vt.apply_inverse(want))
 
     def test_one_denoise_per_visited_timestep_and_no_step_lookup(self, monkeypatch):
-        s = linear_schedule(100, 1e-3, 0.2)
+        s = DiffusionSchedule(100, 1e-3, 0.2)
         model = RecordingZeroDenoiser()
         m = Measurement(ybar=np.array([1.0, 0.0]), mask=np.array([True, False]),
                         noise_var=np.zeros(2))

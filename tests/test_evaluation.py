@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specdiff import evaluation
-from specdiff.diffusion import InfeasibleTimestepError, linear_schedule
+from specdiff.diffusion import DiffusionSchedule, InfeasibleTimestepError
 from specdiff.evaluation import (
     GaussianPosteriorDenoiser,
     TwoDeltasPosteriorDenoiser,
@@ -41,7 +41,7 @@ class PerfectModel:
 
 @pytest.fixture(scope="module")
 def schedule():
-    return linear_schedule(100, 1e-4, 0.2)
+    return DiffusionSchedule(100, 1e-4, 0.2)
 
 
 class TestSweeps:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specdiff.diffusion import linear_schedule
+from specdiff.diffusion import DiffusionSchedule
 from specdiff.losses import (
     LossConfig,
     gamma_at,
@@ -30,7 +30,7 @@ from helpers import (
 
 @pytest.fixture(scope="module")
 def schedule():
-    return linear_schedule(100, 1e-4, 0.2)
+    return DiffusionSchedule(100, 1e-4, 0.2)
 
 
 def coordinate_masks(batch, n, rng):

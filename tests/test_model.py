@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specdiff.autodiff import forward
-from specdiff.diffusion import linear_schedule
+from specdiff.diffusion import DiffusionSchedule
 from specdiff.model import (
     MEAN_TYPES,
     UPDATE_BLOCK,
@@ -18,7 +18,7 @@ from helpers import fraction_close
 
 @pytest.fixture
 def schedule():
-    return linear_schedule(100, 1e-4, 0.2)
+    return DiffusionSchedule(100, 1e-4, 0.2)
 
 
 def small_model(mean_type="predict_x", seed=0, n=6):

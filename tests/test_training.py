@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specdiff.diffusion import linear_schedule, t_min_for_noise_var
+from specdiff.diffusion import DiffusionSchedule, t_min_for_noise_var
 from specdiff.losses import LossConfig
 from specdiff import training
 from specdiff.model import UPDATE_BLOCK, Denoiser
@@ -295,7 +295,7 @@ class TestTrainLoop:
         fam = coordinate_mask_family(sigma0)
         signals = two_deltas_signals(count, np.random.default_rng(seed))
         data = precompute(signals, fam, seed=seed)
-        schedule = linear_schedule(200, max(sigma0 ** 2, 1e-5), 0.2)
+        schedule = DiffusionSchedule(200, max(sigma0 ** 2, 1e-5), 0.2)
         return data, schedule
 
     def make_model(self, seed=0):
@@ -411,7 +411,7 @@ class TestTrainLoop:
         model = Denoiser.create(256, hidden=(256, 256, 256), emb_dim=32)
         cfg = TrainConfig(iterations=3, batch_size=32, learning_rate=1e-3, seed=2,
                           oracle_mode=oracle)
-        schedule = linear_schedule(1000, 1e-4, 0.2)
+        schedule = DiffusionSchedule(1000, 1e-4, 0.2)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -444,7 +444,7 @@ class TestTrainLoop:
 
     def test_feasible_t_range_respected(self):
         data, _ = self.setup_problem(sigma0=0.05)
-        schedule = linear_schedule(200, 1e-5, 0.2)  # beta_1 below sigma0^2
+        schedule = DiffusionSchedule(200, 1e-5, 0.2)  # beta_1 below sigma0^2
         model = self.make_model()
         cfg = TrainConfig(iterations=3, batch_size=4, learning_rate=1e-3, seed=4)
         result = train(model, cfg, data, schedule)
@@ -456,7 +456,7 @@ class TestTrainLoop:
         fam = DegradationFamily(IdentityTransform(2), FixedMask(np.ones(2, bool)), 0.0)
         signals = two_deltas_signals(256, np.random.default_rng(8))
         data = precompute(signals, fam, seed=8)
-        schedule = linear_schedule(200, 1e-5, 0.2)
+        schedule = DiffusionSchedule(200, 1e-5, 0.2)
         loss_cfg = LossConfig()
 
         runs = {}
@@ -482,7 +482,7 @@ class TestTrainLoop:
         fam = coordinate_mask_family(0.01)
         signals = two_deltas_signals(2048, np.random.default_rng(12))
         data = precompute(signals, fam, seed=12)
-        schedule = linear_schedule(100, 1e-4, 0.2)
+        schedule = DiffusionSchedule(100, 1e-4, 0.2)
         model = Denoiser.create(2, hidden=(64, 64, 64), emb_dim=16,
                                 mean_type="predict_x", ema_decay=0.995,
                                 rng=np.random.default_rng(13))
