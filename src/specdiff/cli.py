@@ -667,12 +667,16 @@ class Checkpoint:
         self.config_digest = config_digest
         self.schedule = schedule
         self.vt_descriptor = vt_descriptor
-        self.vt = transform_from_descriptor(vt_descriptor)
+        # the descriptor's width first: a real_dft transform is a dense
+        # (2 * lines)-square matrix, built last
+        width = (vt_descriptor["n"] if vt_descriptor["kind"] == "identity"
+                 else 2 * vt_descriptor["lines"])
+        if width != arch["n"]:
+            raise ValueError(f"vt has n = {width}, arch has n = {arch['n']}")
         self._model = Denoiser.from_arch(arch, params, ema_params)
-        if self.vt.n != self._model.n:
-            raise ValueError(f"vt has n = {self.vt.n}, arch has n = {self._model.n}")
         self.params, self.ema_params = self._model.params, self._model.ema_params
         self._schedule = DiffusionSchedule(**schedule)
+        self.vt = transform_from_descriptor(vt_descriptor)
 
     def header(self) -> dict:
         return _checkpoint_header(self.arch, self.step_count, self.config_digest,
@@ -718,19 +722,21 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    header_len = _frame(raw, path, CHECKPOINT_MAGIC, "checkpoint")
-    offset = 24 + header_len
-    if len(raw) < offset:
-        raise FormatError(f"{path}: truncated header")
-    header = _json_header(raw[24:offset], path, _CHECKPOINT_HEADER, "header")
-    count = header["param_count"]
-    if header["schedule_digest"] != _schedule_digest(header["schedule"]):
-        raise FormatError(f"{path}: schedule digest mismatch")
-    if len(raw) != offset + 16 * count:
-        raise FormatError(f"{path}: parameter payload size mismatch")
-    params = np.frombuffer(raw, dtype="<f8", offset=offset, count=count)
-    ema = np.frombuffer(raw, dtype="<f8", offset=offset + 8 * count, count=count)
+    """The checkpoint ``path``: its frame, header and size are checked first,
+    then its two vectors are read straight into their arrays."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header_len = _frame(fh.read(24), path, CHECKPOINT_MAGIC, "checkpoint")
+        if size < 24 + header_len:
+            raise FormatError(f"{path}: truncated header")
+        header = _json_header(fh.read(header_len), path, _CHECKPOINT_HEADER, "header")
+        count = header["param_count"]
+        if header["schedule_digest"] != _schedule_digest(header["schedule"]):
+            raise FormatError(f"{path}: schedule digest mismatch")
+        if size != 24 + header_len + 16 * count:
+            raise FormatError(f"{path}: parameter payload size mismatch")
+        params = np.fromfile(fh, dtype="<f8", count=count)
+        ema = np.fromfile(fh, dtype="<f8", count=count)
     if not (np.isfinite(params).all() and np.isfinite(ema).all()):
         raise FormatError(f"{path}: non-finite parameter or EMA values")
     try:  # a bad arch, schedule or vt fails here and not at first use

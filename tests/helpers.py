@@ -1,5 +1,6 @@
 """Shared numerical oracles for the test suite."""
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,3 +226,12 @@ def reference_shapes(count, h, w, rng):
                 patch = intensity * ((yy - cy) ** 2 + (xx - cx) ** 2 <= r ** 2)
             out[i] = np.maximum(out[i], patch)
     return out.reshape(count, h * w)
+
+
+def traced(call):
+    """``call()``'s result and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
