@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionSchedule, perturb_at, perturb_batch, reconstruct
+from .diffusion import DiffusionSchedule, perturb_at, reconstruct
 from .operators import Measurement, OrthoTransform
 
 __all__ = [
@@ -93,8 +93,7 @@ def _noisy_pairs(model_a, model_b, clean_set: np.ndarray,
     clean set denoised by both models: ``(t, clean, est_a, est_b)``."""
     clean = np.atleast_2d(np.asarray(clean_set, dtype=np.float64))
     for t in sorted(int(t) for t in ts):
-        noisy = perturb_batch(clean, np.zeros_like(clean), np.full(len(clean), t),
-                              schedule, rng)
+        noisy = perturb_at(clean, 0.0, schedule.abar(t), rng)
         yield (t, clean, model_a.denoise(noisy, t, schedule, ema=True),
                model_b.denoise(noisy, t, schedule, ema=True))
 

@@ -205,7 +205,7 @@ def per_projection_sliced_wasserstein(a, b, n_projections, rng):
 
 def reference_shapes(count, h, w, rng):
     """The synthetic-shapes generator as one ``Generator`` call per draw and
-    one full-image patch per shape: the reference ``cli._shapes`` must match
+    one full-image patch per shape: the reference ``signals._shapes`` must match
     byte for byte."""
     out = np.zeros((count, h, w))
     yy, xx = np.mgrid[0:h, 0:w]

@@ -1,5 +1,5 @@
 """Cases generated from the row tables of every JSON document a command
-reads: the config (``cli._SCHEMA``), the checkpoint header, ``dataset.json``
+reads: the config (``schema._SCHEMA``), the checkpoint header, ``dataset.json``
 and ``samples.json``.
 
 A row ``(type, default, rule)`` yields a value in range, its default, each
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from specdiff import cli
+from specdiff import artifacts, schema
 
 DIGEST = "0123456789abcdef" * 4
 MISSING = object()  # a case's value when it leaves the key out
@@ -27,25 +27,24 @@ MISSING = object()  # a case's value when it leaves the key out
 # explicit beta1 keeps sigma0 from its schedule, and its betaT lets T reach
 # its ceiling
 TABLES = {
-    "config": (cli._SCHEMA, {
+    "config": (schema._SCHEMA, {
         "data": {"kind": "two-deltas", "count": 1, "seed": 0},
         "schedule": {"beta1": 1e-4, "betaT": 1e-3}, "train": {"seed": 0}}),
-    "header": (cli._CHECKPOINT_HEADER, {
+    "header": (artifacts._CHECKPOINT_HEADER, {
         "format_version": 1, "step_count": 17, "param_count": 54,
         "arch": {"n": 2, "hidden": [4], "emb_dim": 8, "mean_type": "predict_x",
                  "ema_decay": 0.99},
         "config_digest": DIGEST, "schedule_digest": DIGEST,
         "schedule": {"T": 10, "beta1": 1e-4, "betaT": 0.2, "t_min_valid": 1},
         "vt": {"kind": "identity", "n": 2}}),
-    "dataset.json": (cli._DATASET_META, {
+    "dataset.json": (artifacts._DATASET_META, {
         "format_version": 1, "config_digest": DIGEST, "n": 2, "sigma0": 0.01,
         "vt": {"kind": "identity", "n": 2}}),
-    "samples.json": (cli._SAMPLES_META, {"config_digest": DIGEST, "seed": 1}),
+    "samples.json": (artifacts._SAMPLES_META, {"config_digest": DIGEST, "seed": 1}),
 }
 # values an opaque rule takes and values it refuses, by the rule's text
 RULE_EXAMPLES = {
     "be 64 lowercase hex digits": ([DIGEST], ["abc", DIGEST.upper(), DIGEST + "0"]),
-    "be a positive even number": ([2], [0, 1, 3, -2]),
     "be 'sigma0_squared' or a number": (["sigma0_squared"],
                                         ["bogus", "Sigma0_Squared"]),
 }
@@ -64,13 +63,13 @@ class Case(NamedTuple):
         return f"{self.table}:{self.where}:{self.name}"
 
 
-def schema_rows(table=cli._SCHEMA, prefix=""):
+def schema_rows(table=schema._SCHEMA, prefix=""):
     """Each key's dotted name and its ``(type, default, rule)`` row; a tagged
     section's tag row comes first, then each table's rows."""
     for key, row in table.items():
         if isinstance(row, dict):
             yield from schema_rows(row, f"{prefix}{key}.")
-        elif isinstance(row, cli.Tagged):
+        elif isinstance(row, schema.Tagged):
             yield f"{prefix}{key}.{row.tag}", row.tag_row
             for rows in row.tables.values():
                 yield from schema_rows(rows, f"{prefix}{key}.")
@@ -102,9 +101,10 @@ def _each_parts(rule):
 def holds(rule, value) -> bool:
     if rule is None:
         return True
-    if isinstance(rule, cli.Interval):
+    if isinstance(rule, schema.Interval):
         return ((rule.lo < value if rule.open_lo else rule.lo <= value)
-                and (value < rule.hi if rule.open_hi else value <= rule.hi))
+                and (value < rule.hi if rule.open_hi else value <= rule.hi)
+                and not (rule.even and value % 2))
     if choices := _choices(rule):
         return value in choices
     if each := _each_parts(rule):
@@ -133,7 +133,7 @@ def other_type(types):
 
 def rule_values(types, rule):
     """``(name, value)`` pairs that probe ``rule`` on a row of ``types``."""
-    if isinstance(rule, cli.Interval):
+    if isinstance(rule, schema.Interval):
         integer = types is int
         for side, bound, is_open, up in (("lo", rule.lo, rule.open_lo, False),
                                          ("hi", rule.hi, rule.open_hi, True)):
@@ -144,6 +144,8 @@ def rule_values(types, rule):
             past = bound + (1 if up else -1) if integer \
                 else float(np.nextafter(bound, math.inf if up else -math.inf))
             yield f"past-{side}", bound if is_open else past
+        if rule.even:
+            yield "odd", rule.lo + 1
         if math.isinf(rule.hi):  # else past-hi probes the same bound
             yield "huge", 2 ** 40 if integer else 1e308
         yield "huge-int", 10 ** 400
@@ -190,14 +192,14 @@ def _row_cases(table, doc, where, row, valid):
     section, key = where.rpartition(".")[::2]
     name = label(table, where)
     values = [("in-range", valid)]
-    if default not in (cli._NO_DEFAULT, None, valid):
+    if default not in (schema._NO_DEFAULT, None, valid):
         values.append(("default", default))
     values += [("null", None), *rule_values(types, rule), other_type(types)]
     if fits(math.nan, types):
         values.append(("nan", math.nan))
     yield Case(table, where, "missing", with_value(doc, where, MISSING),
                *(("section", f"{label(table, section)}: missing required key {key!r}")
-                 if default is cli._NO_DEFAULT else (None, None)))
+                 if default is schema._NO_DEFAULT else (None, None)))
     for case, value in values:
         if case in ("in-range", "default") or value is None and default is None:
             found = None
@@ -227,20 +229,20 @@ def section_cases(table, doc, rows: dict, prefix: str = ""):
         if isinstance(row, dict):
             sub = label(table, prefix + key)
             required = [k for k, r in row.items() if isinstance(r, tuple)
-                        and r[1] is cli._NO_DEFAULT]
+                        and r[1] is schema._NO_DEFAULT]
             yield Case(table, prefix + key, "missing",
                        with_value(doc, prefix + key, MISSING),
                        *(("section", f"{sub}: missing required key {required[0]!r}")
                          if required else (None, None)))
             yield from section_cases(table, doc, row, f"{prefix}{key}.")
-        elif isinstance(row, cli.Tagged):
+        elif isinstance(row, schema.Tagged):
             yield from tagged_cases(table, doc, row, prefix + key, section.get(key))
         else:
             valid = section[key] if key in section else row[1]
             yield from _row_cases(table, doc, prefix + key, row, valid)
 
 
-def tagged_cases(table, doc, row: cli.Tagged, where: str, given: dict):
+def tagged_cases(table, doc, row: schema.Tagged, where: str, given: dict):
     name = label(table, where)
     for case, value in (("not-an-object", "x"), ("missing", MISSING)):
         yield Case(table, where, case, with_value(doc, where, value), "section",

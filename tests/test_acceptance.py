@@ -9,12 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from specdiff.cli import (
-    cmd_sample,
-    cmd_train,
-    generate_signals,
-    validate_config,
-)
+from specdiff.cli import cmd_sample, cmd_train
 from specdiff.diffusion import (
     DiffusionSchedule,
     ddim_sample,
@@ -39,6 +34,8 @@ from specdiff.operators import (
     PatchDropMasks,
     corrupt,
 )
+from specdiff.schema import validate_config
+from specdiff.signals import generate_signals
 from specdiff.training import TrainConfig, precompute, train
 
 from fixtures import ConstantModel, LinearModel

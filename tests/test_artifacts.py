@@ -41,7 +41,7 @@ import numpy as np
 import pytest
 
 import specdiff
-from specdiff import cli
+from specdiff import artifacts, cli, schema
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "artifact_digests.json"
@@ -178,11 +178,12 @@ def test_every_json_written_passes_its_readers_rows(tmp_path):
         if path.name == "checkpoint.bin":
             raw = path.read_bytes()
             end = 24 + struct.unpack_from("<I", raw, 20)[0]
-            cli._json_header(raw[24:end], path, cli._CHECKPOINT_HEADER, "header")
+            artifacts._json_header(raw[24:end], path, artifacts._CHECKPOINT_HEADER,
+                                   "header")
         elif path.name in ("dataset.json", "samples.json"):
-            table = cli._DATASET_META if path.name == "dataset.json" \
-                else cli._SAMPLES_META
-            cli._json_header(path.read_bytes(), path.parent, table, path.name)
+            table = artifacts._DATASET_META if path.name == "dataset.json" \
+                else artifacts._SAMPLES_META
+            artifacts._json_header(path.read_bytes(), path.parent, table, path.name)
         else:
             continue
         read.append(path.name)
@@ -214,7 +215,7 @@ def test_train_on_gen_data_equals_simulated_train(tmp_path, preset, oracle):
     # writes from a config trains that config to the bytes of simulated data
     cfg = shrunk(preset)
     cfg["train"]["oracle_mode"] = oracle
-    cfg = cli.validate_config(cfg)
+    cfg = schema.validate_config(cfg)
     data = cli.cmd_gen_data(cfg, tmp_path / "data")
     read = cli.cmd_train(cfg, tmp_path / "read", data)
     simulated = cli.cmd_train(cfg, tmp_path / "simulated")
@@ -224,8 +225,8 @@ def test_train_on_gen_data_equals_simulated_train(tmp_path, preset, oracle):
 
 # public functions and methods that no command reaches, each with its reason
 UNREACHED = {
-    "cli.Checkpoint.__eq__": "only the bench's checkpoint round trip compares them",
-    "cli.save_checkpoint": "only the bench saves a Checkpoint; train writes its "
+    "artifacts.Checkpoint.__eq__": "only the bench's checkpoint round trip compares them",
+    "artifacts.save_checkpoint": "only the bench saves a Checkpoint; train writes its "
                            "model's header and vectors without one",
     "training.PrecomputedDataset.measurement": "only the bench reads it",
     "training.PrecomputedDataset.noise_var":
@@ -311,7 +312,7 @@ def test_interrupted_write_leaves_the_old_file_or_none(tmp_path, error):
     old.write_bytes(b"old bytes")
     for path in (old, new):
         with pytest.raises(error):
-            cli._write(path, chunks())
+            artifacts._write(path, chunks())
     assert old.read_bytes() == b"old bytes" and not new.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["old.bin"]  # no temporary file
 

@@ -12,13 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specdiff import cli
-from specdiff.cli import (
+from specdiff import artifacts, cli, schema, signals
+from specdiff.artifacts import (
     CHECKPOINT_MAGIC,
-    FAMILY_KINDS,
     Checkpoint,
-    ConfigError,
     FormatError,
+    load_checkpoint,
+    read_tensor_file,
+    save_checkpoint,
+    write_tensor_file,
+)
+from specdiff.cli import (
     build_degradation_family,
     build_train_config,
     cmd_eval,
@@ -27,20 +31,20 @@ from specdiff.cli import (
     cmd_reconstruct,
     cmd_sample,
     cmd_train,
-    config_digest,
-    generate_signals,
-    load_checkpoint,
-    load_config,
     main,
-    read_tensor_file,
-    save_checkpoint,
-    validate_config,
-    write_tensor_file,
 )
 from specdiff.diffusion import reconstruct
 from specdiff.losses import LossConfig
 from specdiff.model import Denoiser
 from specdiff.operators import DegradationFamily, LineSubsampleMasks, corrupt
+from specdiff.schema import (
+    FAMILY_KINDS,
+    ConfigError,
+    config_digest,
+    load_config,
+    validate_config,
+)
+from specdiff.signals import generate_signals
 from specdiff.training import derived_rng
 
 from helpers import reference_shapes, traced
@@ -51,16 +55,16 @@ ROOT = Path(__file__).parents[1]
 PRESETS = sorted((ROOT / "configs").glob("*.json"))
 MINIMAL = {"data": {"kind": "two-deltas", "count": 1, "seed": 0}, "train": {"seed": 0}}
 INTERVAL_ROWS = [(where, row) for where, row in schema_rows()
-                 if isinstance(row[2], cli.Interval)]
+                 if isinstance(row[2], schema.Interval)]
 
 
-def readme_config_table(table=cli._SCHEMA):
+def readme_config_table(table=schema._SCHEMA):
     """README's table of the rows in ``table``, the config's by default,
     rendered with the rule text that their error messages use."""
     lines = ["| key | type | default | rule |", "| --- | --- | --- | --- |"]
     for where, (types, default, rule) in schema_rows(table):
-        shown = "required" if default is cli._NO_DEFAULT else f"`{json.dumps(default)}`"
-        lines.append(f"| `{where}` | {cli._type_name(types)} | {shown} | "
+        shown = "required" if default is schema._NO_DEFAULT else f"`{json.dumps(default)}`"
+        lines.append(f"| `{where}` | {schema._type_name(types)} | {shown} | "
                      f"{'' if rule is None else 'must ' + rule.text} |")
     return "\n".join(lines) + "\n"
 
@@ -70,7 +74,7 @@ ARTIFACT_TABLES = {kind: TABLES[kind] for kind in ("header", "dataset.json", "sa
 ARTIFACT_ROWS = [(kind, key, row) for kind, (table, _) in ARTIFACT_TABLES.items()
                  for key, row in schema_rows(table)]
 ARTIFACT_INTERVAL_ROWS = [(kind, key, row) for kind, key, row in ARTIFACT_ROWS
-                          if isinstance(row[2], cli.Interval)]
+                          if isinstance(row[2], schema.Interval)]
 
 
 def read_artifact(kind, key, value):
@@ -80,7 +84,7 @@ def read_artifact(kind, key, value):
     if key == "vt.lines":  # a row of the real_dft transform's table
         doc = {**doc, "vt": {"kind": "real_dft", "lines": 1}}
     raw = json.dumps(with_value(doc, key, value)).encode()
-    return cli._json_header(raw, "dir", table, kind)
+    return artifacts._json_header(raw, "dir", table, kind)
 
 
 SIZES = st.integers(-1, 20)
@@ -107,17 +111,18 @@ def two_deltas_config(iterations=30, oracle=False, seed=5):
 
 
 def rows_read(monkeypatch) -> collections.Counter:
-    """Payload rows of each tensor file that ``cli`` reads from now on, by
+    """Payload rows of each tensor file that the commands read from now on, by
     file name (a file read for its header alone counts 0)."""
     counts = collections.Counter()
-    read = cli._read_tensor
+    read = read_tensor_file
 
     def counting_read(path, rows=None, start=0):
         arr = read(path, rows, start)
         counts[Path(path).name] += len(arr) if arr.ndim else 1
         return arr
 
-    monkeypatch.setattr(cli, "_read_tensor", counting_read)
+    for module in (artifacts, signals, cli):  # each module that calls the reader
+        monkeypatch.setattr(module, "read_tensor_file", counting_read)
     return counts
 
 
@@ -163,7 +168,7 @@ class TestTensorFiles:
         # no payload: 2^62 x 2^62 wraps to 0 in int64, and an empty array
         # cannot take an extent of 2^63 - 1
         path = tmp_path / "huge.bin"
-        path.write_bytes(cli.TENSOR_MAGIC + struct.pack("<II2Q", 1, 2, *extents))
+        path.write_bytes(artifacts.TENSOR_MAGIC + struct.pack("<II2Q", 1, 2, *extents))
         with pytest.raises(FormatError):
             main(["inspect", str(path)])
 
@@ -173,11 +178,11 @@ class TestTensorFiles:
         write_tensor_file(path, np.random.default_rng(1).standard_normal(shape))
         whole = read_tensor_file(path)
         for rows in range(shape[0] + 2):
-            got = cli._read_tensor(path, rows)
+            got = read_tensor_file(path, rows)
             assert got.shape == whole[:rows].shape
             assert got.tobytes() == whole[:rows].tobytes()
             for start in range(shape[0] + 2):  # rows from a later row on
-                got = cli._read_tensor(path, rows, start)
+                got = read_tensor_file(path, rows, start)
                 assert got.tobytes() == whole[start:start + rows].tobytes()
                 assert got.shape == whole[start:start + rows].shape
 
@@ -190,13 +195,13 @@ class TestTensorFiles:
         write_tensor_file(path, arr)
         with pytest.raises(FormatError, match="a.bin: non-finite values"):
             read_tensor_file(path)
-        assert cli._read_tensor(path, 2).tobytes() == arr[:2].tobytes()
+        assert read_tensor_file(path, 2).tobytes() == arr[:2].tobytes()
 
     def test_first_rows_read_alone(self, tmp_path):
         # one row of a 2 MB file allocates one row, not the file
         path = tmp_path / "big.bin"
         write_tensor_file(path, np.ones((4096, 64)))
-        row, peak = traced(lambda: cli._read_tensor(path, 1))
+        row, peak = traced(lambda: read_tensor_file(path, 1))
         assert row.shape == (1, 64) and peak < 2 ** 16
 
     @pytest.mark.parametrize("damage", ["magic", "version", "header", "payload"])
@@ -215,7 +220,7 @@ class TestTensorFiles:
             del raw[-8:]
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
-            cli._read_tensor(path, 0)
+            read_tensor_file(path, 0)
 
 
 class TestConfig:
@@ -290,6 +295,8 @@ class TestConfig:
         ("degradation.sigma0", -1),
         ("degradation.p", 1.0),
         ("model.emb_dim", 3),
+        ("model.emb_dim", 2 ** 40),  # a ceiling, so train asks numpy for no 2 PiB
+        ("model.emb_dim", 10 ** 400),
         ("data.count", -1),
         ("data.holdout", -3),
         ("data.dim", 0),
@@ -371,13 +378,13 @@ class TestConfig:
             with pytest.raises(ConfigError, match=re.escape(where)):
                 validate_config(with_value(base, where, outside))
 
-    @pytest.mark.parametrize("table", [cli._SCHEMA] + [
+    @pytest.mark.parametrize("table", [schema._SCHEMA] + [
         table for table, _ in ARTIFACT_TABLES.values()], ids=["config", *ARTIFACT_TABLES])
     def test_defaults_obey_their_rows(self, table):
         # validation fills defaults in unchecked, so the table must hold valid ones
         for where, (types, default, rule) in schema_rows(table):
-            if default is not cli._NO_DEFAULT and default is not None:
-                assert cli._fits(default, types), where
+            if default is not schema._NO_DEFAULT and default is not None:
+                assert schema._fits(default, types), where
                 assert rule is None or rule.holds(default), where
 
     def test_readme_holds_the_config_table(self):
@@ -562,7 +569,7 @@ class TestArtifactTables:
         doc["spam"] = [1]
         if kind == "header":
             doc["arch"]["ema_decay"] = 1
-        read = cli._json_header(json.dumps(doc).encode(), "dir",
+        read = artifacts._json_header(json.dumps(doc).encode(), "dir",
                                 ARTIFACT_TABLES[kind][0], kind)
         assert read == doc
         assert json.dumps(read) == json.dumps(doc)  # the 1 stays an int
@@ -717,7 +724,7 @@ class TestCheckpoints:
         cfg = two_deltas_config(iterations=2)
         cfg["data"].update(kind="isotropic-gaussian", dim=8)
         cfg["degradation"].update(family="line-subsample", accel=2)
-        cfg["eval"].update(operations=list(cli._EVAL_INPUTS), count=16, n_samples=200,
+        cfg["eval"].update(operations=list(schema.EVAL_INPUTS), count=16, n_samples=200,
                            n_permutations=20, uncertainty_k=2, steps=5, accels=[2])
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -733,7 +740,7 @@ class TestCheckpoints:
                          "--checkpoint-b", ckpt, "--samples-a", samples,
                          "--samples-b", samples]}[command]
         counts = collections.Counter()
-        from_arch, schedule = Denoiser.from_arch.__func__, cli.DiffusionSchedule
+        from_arch, schedule = Denoiser.from_arch.__func__, schema.DiffusionSchedule
 
         def counted_model(cls, *args):
             counts["model"] += 1
@@ -744,7 +751,8 @@ class TestCheckpoints:
             return schedule(*args, **kwargs)
 
         monkeypatch.setattr(Denoiser, "from_arch", classmethod(counted_model))
-        monkeypatch.setattr(cli, "DiffusionSchedule", counted_schedule)
+        for module in (artifacts, schema):  # a checkpoint's and a config's
+            monkeypatch.setattr(module, "DiffusionSchedule", counted_schedule)
         main(argv + ["--out", str(tmp_path / "out")])
         # eval's load_config builds the config's schedule once, to check it
         configs = command == "eval"
@@ -764,7 +772,8 @@ class TestCheckpoints:
         def no_checkpoint(*args, **kwargs):
             raise AssertionError("train built a Checkpoint")
 
-        monkeypatch.setattr(cli, "Checkpoint", no_checkpoint)
+        for module in (artifacts, cli):
+            monkeypatch.setattr(module, "Checkpoint", no_checkpoint)
         path = cmd_train(two_deltas_config(iterations=2),
                          tmp_path / "run") / "checkpoint.bin"
         monkeypatch.undo()
@@ -876,7 +885,7 @@ class TestCheckpoints:
         # a 128 MB tensor file passed as --checkpoint used to be read whole
         path, out = tmp_path / "big.bin", tmp_path / "out"
         with open(path, "wb") as fh:  # sparse: its zeros take no disk
-            fh.write(cli.TENSOR_MAGIC + struct.pack("<II2Q", 1, 2, 2 ** 14, 2 ** 10))
+            fh.write(artifacts.TENSOR_MAGIC + struct.pack("<II2Q", 1, 2, 2 ** 14, 2 ** 10))
             fh.truncate(40 + 2 ** 27)
 
         def read():
@@ -1145,6 +1154,17 @@ class TestDatasetDirectory:
             cmd_train(data_cfg, tmp_path / "out", data_dir)
         assert counts == reads
 
+    @pytest.mark.parametrize("shape", [(3, 2), (128, 3)], ids=["rows", "columns"])
+    def test_oracle_clean_signals_of_another_shape_rejected(self, data_cfg, data_dir,
+                                                            tmp_path, shape):
+        # ybar.bin is 128 x 2
+        self.rewrite(data_dir, "clean.bin", np.ones(shape))
+        data_cfg["train"]["oracle_mode"] = True
+        out = tmp_path / "run"
+        with pytest.raises(FormatError, match=re.escape(f"clean.bin {shape}")):
+            cmd_train(data_cfg, out, data_dir)
+        assert not out.exists()
+
     def test_oracle_training_without_clean_signals_rejected(self, data_cfg, data_dir,
                                                             tmp_path):
         (data_dir / "clean.bin").unlink()
@@ -1276,7 +1296,7 @@ class TestCommands:
                    for name, run in runs.items()}
         assert digests["a"] != digests["b"]  # the seeds differ, so a swap shows
         assert json.loads((out / "eval.json").read_text()) == {
-            "format_version": cli.FORMAT_VERSION, "config_digest": config_digest(cfg),
+            "format_version": artifacts.FORMAT_VERSION, "config_digest": config_digest(cfg),
             "checkpoint_config_digest": digests["a"] if "a" in reads else None,
             "checkpoint_b_config_digest": digests["b"] if "b" in reads else None,
             "samples_a_config_digest": None, "samples_a_seed": None,
@@ -1334,9 +1354,11 @@ class TestCommands:
         assert not (tmp_path / "out").exists()
 
     def test_unversioned_samples_sidecar_loads(self, tmp_path):
+        write_tensor_file(tmp_path / "samples.bin", np.ones((3, 2)))
         (tmp_path / "samples.json").write_text(
             f'{{"config_digest": "{DIGEST}", "seed": 1}}')
-        assert cli._samples_provenance(tmp_path / "samples.bin") == (DIGEST, 1)
+        _, meta = artifacts.read_samples(tmp_path / "samples.bin")
+        assert meta == {"config_digest": DIGEST, "seed": 1}
 
     def test_inspect_and_pgm(self, tmp_path, capsys):
         arr = np.arange(16.0).reshape(1, 16)
@@ -1376,12 +1398,31 @@ class TestCommands:
         cmd_inspect(run / "checkpoint.bin")
         text = capsys.readouterr().out
         ckpt = load_checkpoint(run / "checkpoint.bin")
-        for line in ("checkpoint", '"hidden": [16, 16]', "step_count: 2",
+        # every key of the header, one dotted key a line
+        assert text.startswith(f"{run / 'checkpoint.bin'}: checkpoint\n")
+        for line in ("arch.hidden: [16, 16]", "step_count: 2",
                      f'config_digest: "{config_digest(cfg)}"',
                      f'schedule_digest: "{ckpt.header()["schedule_digest"]}"',
-                     f"t_min_valid: {ckpt.schedule['t_min_valid']}",
-                     f"param_count: {ckpt.params.size}"):
+                     f"schedule.t_min_valid: {ckpt.schedule['t_min_valid']}",
+                     'vt.kind: "identity"', f"param_count: {ckpt.params.size}"):
+            assert f"  {line}\n" in text
+
+    def test_inspect_reads_sidecars_through_their_rows(self, tmp_path, capsys):
+        cfg = two_deltas_config(iterations=2)
+        data = cmd_gen_data(cfg, tmp_path / "data")
+        ckpt = cmd_train(cfg, tmp_path / "run") / "checkpoint.bin"
+        samples = cmd_sample(ckpt, tmp_path / "samples", "ddpm", 5, 2, 3)
+        cmd_inspect(data / "dataset.json")
+        cmd_inspect(samples / "samples.json")
+        text = capsys.readouterr().out
+        for line in ("dataset.json", "  n: 2", '  vt.kind: "identity"',
+                     "samples.json", '  sampler: "ddpm"', "  seed: 3"):
             assert line in text
+        (data / "dataset.json").write_text('{"n": 2}')
+        with pytest.raises(FormatError, match="missing required key 'format_version'"):
+            cmd_inspect(data / "dataset.json")
+        with pytest.raises(FormatError, match="not a tensor file"):  # --pgm needs one
+            cmd_inspect(samples / "samples.json", pgm=tmp_path / "a.pgm")
 
     def test_inspect_metrics_csv(self, tmp_path, capsys):
         run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")
@@ -1649,7 +1690,7 @@ class TestCommandLine:
                  for name in self.FILE_FLAGS}
         assert flags == self.FILE_FLAGS
         inputs = {"--" + name.replace("_", "-")
-                  for names in cli._EVAL_INPUTS.values() for name in names}
+                  for names in schema.EVAL_INPUTS.values() for name in names}
         assert inputs <= self.FILE_FLAGS["eval"]
 
 

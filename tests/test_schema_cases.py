@@ -14,8 +14,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specdiff import cli
-from specdiff.cli import ConfigError, FormatError, main, validate_config
+from specdiff import artifacts, cli
+from specdiff.artifacts import FormatError
+from specdiff.cli import main
+from specdiff.schema import ConfigError, validate_config
 
 from helpers import traced
 from schema_cases import CASES, TABLES, schema_rows
@@ -69,7 +71,7 @@ def write_case(table: str, doc, inputs) -> Path:
         path = inputs.root / f"cfg{n}.json"
     elif table == "header":
         path = inputs.root / f"checkpoint{n}.bin"
-        raw = cli.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(raw)) + raw + inputs.payload
+        raw = artifacts.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(raw)) + raw + inputs.payload
     else:
         (case_dir := inputs.root / f"case{n}").mkdir()
         valid = Path(inputs.data if table == "dataset.json" else inputs.samples)
@@ -124,7 +126,7 @@ def test_row_cases(where, inputs):
         elif case.table == "config":
             validate_config(case.doc)
         else:
-            assert cli._json_header(json.dumps(case.doc).encode(), "dir",
+            assert artifacts._json_header(json.dumps(case.doc).encode(), "dir",
                                     TABLES[case.table][0], case.table) == case.doc, case.id
 
 
@@ -151,12 +153,14 @@ def read_gen_data(path, inputs):
 # each artifact a command reads: the input directory and file holding it,
 # and its reader (of a tensor file's header and size alone, as with --limit 0)
 ARTIFACTS = {
-    "tensor": ("samples", "samples.bin", lambda path, _: cli._read_tensor(path, 0)),
-    "checkpoint": ("run", "checkpoint.bin", lambda path, _: cli.load_checkpoint(path)),
+    "tensor": ("samples", "samples.bin",
+               lambda path, _: artifacts.read_tensor_file(path, 0)),
+    "checkpoint": ("run", "checkpoint.bin",
+                   lambda path, _: artifacts.load_checkpoint(path)),
     **{name: ("data", name, read_gen_data)
        for name in ("dataset.json", "ybar.bin", "masks.bin", "clean.bin")},
     "samples.json": ("samples", "samples.json",
-                     lambda path, _: cli._samples_provenance(path)),
+                     lambda path, _: artifacts.read_samples(path.with_name("samples.bin"))),
 }
 FRAMED = {"tensor", "checkpoint", "ybar.bin", "masks.bin", "clean.bin"}
 # bytes set anywhere, half of them in a framed file's 24-byte frame
@@ -192,7 +196,7 @@ def test_mutated_bytes_read_or_raise_typed(inputs, kind, how, edits, version, cu
             raw[at % len(raw)] = byte
     path.write_bytes(raw)
     refused = kind in FRAMED and (len(raw) != len(valid) or raw[:16] != valid[:16] or
-                                  struct.unpack_from("<I", raw, 16)[0] > cli.FORMAT_VERSION)
+                                  struct.unpack_from("<I", raw, 16)[0] > artifacts.FORMAT_VERSION)
     try:
         read(path, inputs)
     except (ConfigError, FormatError):

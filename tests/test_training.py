@@ -21,13 +21,13 @@ from specdiff.operators import (
     SingleDropMasks,
     corrupt,
 )
+from specdiff.signals import RawDraws
 from specdiff.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
     PrecomputedDataset,
-    RawDraws,
     TrainConfig,
     TrainingDiverged,
     _evaluate_chunk,

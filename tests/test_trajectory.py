@@ -19,16 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specdiff.cli import (
-    build_degradation_family,
-    build_model,
-    build_schedule,
-    cmd_train,
-    generate_signals,
-    load_checkpoint,
-    validate_config,
-)
+from specdiff.artifacts import load_checkpoint
+from specdiff.cli import build_degradation_family, build_model, cmd_train
 from specdiff.diffusion import ddim_sample, ddpm_sample, reconstruct
+from specdiff.schema import build_schedule, validate_config
+from specdiff.signals import generate_signals
 from specdiff.training import derived_rng
 
 from helpers import SpectralDegradation, corrupt_spectral
