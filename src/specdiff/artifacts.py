@@ -369,7 +369,9 @@ def read_gen_data(path, rows: int | None = None, clean: bool = False) -> tuple:
     masks, var, clean)``: ``var`` is the noise variance of every kept entry,
     and ``clean`` the ``clean.bin`` rows, shaped as ``ybar``'s, if ``clean``
     is set, else None."""
-    path = Path(path)
+    path = Path(path)  # a missing one raises FileNotFoundError as it is read
+    if path.exists() and not path.is_dir():
+        raise FormatError(f"{path}: not a gen-data directory")
     for name in ("dataset.json", "ybar.bin", "masks.bin"):
         if path.is_dir() and not (path / name).is_file():
             raise FormatError(f"{path}: gen-data directory lacks {name}")
@@ -408,11 +410,18 @@ def read_samples(path) -> tuple[np.ndarray, dict]:
 
 
 def describe(path) -> str:
-    """What ``inspect`` prints of the artifact file ``path``, by its kind: the
+    """What ``inspect`` prints of the artifact ``path``, by its kind: the
     header of a checkpoint, ``dataset.json`` or ``samples.json``, read through
-    its table, one dotted key a line; a tensor file's shape and range; any
-    other CSV, JSON or graymap as its text, which must be UTF-8."""
+    its table, one dotted key a line; a tensor file's shape and range; a
+    gen-data directory's ``dataset.json`` and tensor files; any other CSV,
+    JSON or graymap as its text, which must be UTF-8. A directory that lacks a
+    gen-data member raises ``FormatError``."""
     path = Path(path)
+    if path.is_dir():  # a gen-data directory, checked as a command reads it
+        tensors = [path / name for name in ("clean.bin", "ybar.bin", "masks.bin",
+                                            "holdout.bin") if (path / name).is_file()]
+        return "\n".join([_describe_document(path, "gen-data", read_gen_data(path)[0])]
+                         + [describe_tensor(t, read_tensor_file(t)) for t in tensors])
     if path.name in _SIDECARS:
         return _describe_document(path, path.name, _read_sidecar(path))
     if path.suffix in (".json", ".csv", ".pgm"):

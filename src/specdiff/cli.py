@@ -496,7 +496,7 @@ def cmd_eval(cfg: dict, out, checkpoint=None, checkpoint_b=None, samples_a=None,
 
 def cmd_inspect(path, pgm=None, index: int = 0, height: int | None = None,
                 width: int | None = None) -> None:
-    """Describe an artifact file (:func:`~specdiff.artifacts.describe`);
+    """Describe an artifact (:func:`~specdiff.artifacts.describe`);
     optionally dump one record of a tensor file as a graymap."""
     if pgm is None:
         print(describe(path))
@@ -560,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-a", default=None)
     p.add_argument("--samples-b", default=None)
 
-    p = sub.add_parser("inspect", help="describe an artifact file")
+    p = sub.add_parser("inspect", help="describe an artifact file or gen-data directory")
     p.add_argument("path")
     p.add_argument("--pgm", default=None)
     p.add_argument("--index", type=int, default=0)

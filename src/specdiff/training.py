@@ -5,11 +5,11 @@ the generator derived from ``(seed, i)``, draws its mask from the family's
 mask distribution and then ``n`` standard normals, the draws ``corrupt`` makes
 for it. One batched transform then maps every clean signal to spectral
 coordinates, and the noise is scaled, added and masked in place over all rows.
-The records' generators come from :func:`derived_rngs`: one PCG64 reset to
-each record's state in turn, with NumPy's ``SeedSequence`` hash run over all
-records at once, instead of a new ``SeedSequence`` and ``PCG64`` per record.
-It depends on NumPy's rules (the ``SeedSequence`` hash and PCG64's seeding, as
-of numpy 2.4), which the tests check against NumPy itself.
+The records' generators come from :func:`derived_rngs`, which runs the part
+of NumPy's ``SeedSequence`` hash that follows the seed over all records at
+once, instead of a ``SeedSequence`` per record, and seeds each record's PCG64
+from its words. It depends on that hash's rules (as of numpy 2.4), which the
+tests check against NumPy itself.
 
 The whole trajectory is a pure function of (config, data): every random draw
 comes from a generator derived from the config seed and a structural key
@@ -41,6 +41,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .autodiff import Bound, NonFiniteError
 from .diffusion import DiffusionSchedule, t_min_for_noise_var
@@ -76,23 +77,18 @@ def derived_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
-# set-seed step (pcg64.h), which derived_rngs runs in place of the objects
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_POOL_SIZE = 4
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), of which
+# _spawn_states replays the part after the seed: the spawn word and the state
+_MASK32 = (1 << 32) - 1
 _INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
 _INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
 _MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
-_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
-# records whose state words are Python ints at one time: after a shapes_patch
-# set-up (4,096 records) the RSS was ~0.2 MB higher at 1,024 than at 16 to 256
-_STATE_BLOCK = 256
 
 
-def _hashmix(init: int, mult: int):
-    """SeedSequence's ``hashmix`` with its running hash constant: each call
-    mixes a uint32 array with the next constant."""
-    const = init
+def _hashmix(init: int, mult: int, done: int = 0):
+    """SeedSequence's ``hashmix`` with its running hash constant, past
+    ``done`` calls: each call mixes a uint32 array with the next constant."""
+    const = init * pow(mult, done, _MASK32 + 1) & _MASK32
 
     def hashmix(value: np.ndarray) -> np.ndarray:
         nonlocal const
@@ -110,55 +106,48 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _spawn_states(seed: int, count: int) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)`` for
-    every ``i < count``, as ``(count, 4)`` little-endian uint64 words.
+    every ``i < count``, as a ``(count, 4)`` array.
 
-    The hash runs over uint32 arrays with one lane per record. The entropy is
-    the seed's uint32 words, zero-padded to the pool size, then ``i`` as one
-    word (so ``count <= 2**32``); the words before ``i`` are the same for all
-    records, so they are one lane.
+    Every record's entropy is the seed's words, zero-padded to the pool size,
+    then ``i`` as one word (so ``count <= 2**32``). NumPy hashes the seed's
+    words into ``SeedSequence(seed).pool``; the hash then runs on over uint32
+    arrays, one lane per record, through the spawn word and ``generate_state``.
     """
     # SeedSequence rejects what derived_rng rejects, with the same exception
-    entropy = operator.index(np.random.SeedSequence(seed).entropy)
-    words = [np.array([entropy >> s & _MASK32], dtype=np.uint32)
-             for s in range(0, max(entropy.bit_length(), 1), 32)]
-    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words))
-    words.append(np.arange(count, dtype=np.uint32))
-    hashmix = _hashmix(_INIT_A, _MULT_A)  # mix_entropy
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(w))
+    root = np.random.SeedSequence(seed)
+    size = root.pool_size
+    # the seed's uint32 words; a NumPy integer seed has no bit_length
+    words = -(-operator.index(root.entropy).bit_length() // 32)
+    # the pool took size * size hash calls, then size per entropy word past it
+    hashmix = _hashmix(_INIT_A, _MULT_A, size * max(size, words))
+    spawn = np.arange(count, dtype=np.uint32)
+    # each pool word as a 1-element array: uint32 scalar products warn on overflow
+    pool = [_mix(word, hashmix(spawn)) for word in root.pool[:, None]]
     hashmix = _hashmix(_INIT_B, _MULT_B)  # generate_state: 8 words
-    state = np.stack([hashmix(pool[k % _POOL_SIZE]) for k in range(8)], axis=1)
-    return state.astype("<u4").view("<u8")
+    state = np.stack([hashmix(pool[k % size]) for k in range(8)], axis=1)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _Words(ISeedSequence):
+    """One record's state words, as PCG64 asks its seed for them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words  # PCG64 asks for 4 np.uint64 words
 
 
 def derived_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
     """Yield, for ``i`` in ``range(count)``, a generator in the state that
     ``derived_rng(seed, i)`` starts in, so it makes the same draws.
 
-    It is one PCG64 generator, set to each record's state in turn: the same
-    object each time, valid until the next is yielded. The states come from
-    NumPy's seeding run for all records at once (:func:`_spawn_states`), then
-    PCG64's set-seed step per record on Python ints, ``_STATE_BLOCK`` records
-    at a time. A seed ``derived_rng`` rejects raises its exception.
+    The records' ``SeedSequence`` states come from one hash over all records
+    (:func:`_spawn_states`), and each record gets its own PCG64 seeded from
+    its words. A seed ``derived_rng`` rejects raises its exception.
     """
-    words = _spawn_states(seed, count)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for lo in range(0, count, _STATE_BLOCK):
-        for w0, w1, w2, w3 in words[lo:lo + _STATE_BLOCK].tolist():
-            # initstate = w0:w1 and initseq = w2:w3, each high word first
-            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-            state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            yield rng
+    for words in _spawn_states(seed, count):
+        yield np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 @dataclass
@@ -298,10 +287,10 @@ def precompute(signals: np.ndarray, family: DegradationFamily,
     mask (``family.masks.sample``), then ``n`` standard normals, the draws
     that ``corrupt(signals[i], family, derived_rng(seed, i))`` makes. So the
     dataset is reproducible and independent of iteration order. The
-    generators come from :func:`derived_rngs`, one PCG64 set to each record's
-    state in turn, so no generator object is built per record. The transform
-    then runs once over all rows. Every kept entry becomes ``xbar + sqrt(var) *
-    noise`` with ``var = sigma0 * sigma0``; the rest are 0.
+    generators come from :func:`derived_rngs`, so no ``SeedSequence`` is built
+    per record. The transform then runs once over all rows. Every kept entry
+    becomes ``xbar + sqrt(var) * noise`` with ``var = sigma0 * sigma0``; the
+    rest are 0.
     """
     signals = np.atleast_2d(np.asarray(signals, dtype=np.float64))
     count = signals.shape[0]

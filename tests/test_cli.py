@@ -1076,6 +1076,24 @@ class TestDatasetDirectory:
                 cmd_reconstruct(ckpt, data_dir, out, steps=4, seed=1)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "reconstruct"])
+    def test_file_as_measurements_rejected_before_output(self, data_cfg, data_dir,
+                                                         tmp_path, command):
+        # a file used to raise NotADirectoryError on its dataset.json
+        ybar, out = data_dir / "ybar.bin", tmp_path / "out"
+        if command == "train":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(data_cfg))
+            argv = ["train", "--config", str(cfg_path)]
+        else:
+            ckpt = cmd_train(data_cfg, tmp_path / "run") / "checkpoint.bin"
+            argv = ["reconstruct", "--checkpoint", str(ckpt), "--steps", "4",
+                    "--seed", "1"]
+        with pytest.raises(FormatError, match=f"^{re.escape(str(ybar))}: not a "
+                                              "gen-data directory$"):
+            main(argv + ["--measurements", str(ybar), "--out", str(out)])
+        assert not out.exists()
+
     def test_n_other_than_the_columns_rejected(self, data_cfg, data_dir, tmp_path):
         # every row holds; n = 3 does not describe the 2-column arrays
         sidecar = data_dir / "dataset.json"
@@ -1423,6 +1441,35 @@ class TestCommands:
             cmd_inspect(data / "dataset.json")
         with pytest.raises(FormatError, match="not a tensor file"):  # --pgm needs one
             cmd_inspect(samples / "samples.json", pgm=tmp_path / "a.pgm")
+
+    def test_inspect_gen_data_directory(self, tmp_path, capsys):
+        cfg = two_deltas_config()
+        cfg["data"]["holdout"] = 3
+        data = cmd_gen_data(cfg, tmp_path / "data")
+        cmd_inspect(data)
+        lines = capsys.readouterr().out.splitlines()
+        # dataset.json through its rows, one dotted key a line, then the tensors
+        assert lines[0] == f"{data}: gen-data"
+        for line in (f'config_digest: "{config_digest(cfg)}"', "count: 128",
+                     "holdout: 3", "n: 2", "sigma0: 0.01", 'vt.kind: "identity"'):
+            assert f"  {line}" in lines
+        tensors = [line.split(":")[0] for line in lines if not line.startswith(" ")]
+        assert tensors[1:] == [str(data / name) for name in
+                               ("clean.bin", "ybar.bin", "masks.bin", "holdout.bin")]
+        assert f"{data / 'masks.bin'}: shape=(128, 2) dtype=float64 min=0 max=1" in lines
+        assert lines[-1].startswith(f"{data / 'holdout.bin'}: shape=(3, 2) ")
+
+    @pytest.mark.parametrize("kind", ["empty", "run"])
+    def test_inspect_other_directory_rejected(self, tmp_path, kind):
+        # inspect used to open a directory as a file: IsADirectoryError
+        path = tmp_path / kind
+        if kind == "run":
+            cmd_train(two_deltas_config(iterations=2), path)
+        else:
+            path.mkdir()
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: gen-data "
+                                              "directory lacks dataset.json$"):
+            main(["inspect", str(path)])
 
     def test_inspect_metrics_csv(self, tmp_path, capsys):
         run = cmd_train(two_deltas_config(iterations=2), tmp_path / "run")

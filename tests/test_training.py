@@ -132,24 +132,27 @@ class TestAdam:
 class TestDerivedRngs:
     # past 2**96 + 7: a seed of exactly the pool's 4 words, and one of 6, whose
     # last 2 words are mixed in after the pool is filled, as the record's word is
+    # 2**128 + 5: one word past the pool; a NumPy integer, which derived_rng takes
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**96 + 7,
-                                      2**128 - 1, 2**160 + 2**33 + 9])
+                                      2**128 - 1, 2**160 + 2**33 + 9, 2**128 + 5,
+                                      pytest.param(np.int64(201), id="np.int64(201)")])
     def test_states_and_draws_equal_derived_rng(self, seed):
-        # the first record, the edges of the 256-record state blocks, the last
+        # every generator is kept, so each must hold its own state; draws from
+        # the first record, either side of the spawn word's first carry past
+        # its low byte, and the last
         count = 300
-        checked = {0, 255, 256, 257, count - 1}
-        for i, rng in enumerate(derived_rngs(seed, count)):
-            if i not in checked:
-                continue
-            ref = derived_rng(seed, i)
-            assert rng.bit_generator.state == ref.bit_generator.state
+        rngs = list(derived_rngs(seed, count))
+        assert len(rngs) == count
+        for i, rng in enumerate(rngs):
+            assert rng.bit_generator.state == derived_rng(seed, i).bit_generator.state
+        for i in [0, 255, 256, 257, count - 1]:
+            rng, ref = rngs[i], derived_rng(seed, i)
             assert rng.random() == ref.random()
             assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
             assert rng.integers(0, 2**40, size=3).tolist() == ref.integers(
                 0, 2**40, size=3).tolist()
             assert rng.choice(64, size=7, replace=False).tolist() == ref.choice(
                 64, size=7, replace=False).tolist()
-        assert i == count - 1
 
     def test_zero_count_yields_nothing(self):
         assert list(derived_rngs(5, 0)) == []
@@ -215,7 +218,7 @@ class TestPrecompute:
 
     @staticmethod
     def assert_equals_per_record_corrupt(masks, sigma0, seed):
-        # 300 records cross derived_rngs' 256-record state blocks
+        # 300 records: the spawn word carries past its low byte
         fam = DegradationFamily(IdentityTransform(masks.n), masks, sigma0)
         signals = np.random.default_rng(3).standard_normal((300, masks.n))
         data = precompute(signals, fam, seed=seed)
